@@ -5,15 +5,16 @@ Layers (see docs/PERFORMANCE.md for the full design):
 * :mod:`repro.fastpath.flowcache` — per-switch flow fast-path cache with
   explicit dependency sets;
 * :mod:`repro.fastpath.invalidation` — the scoped invalidation bus;
-* :mod:`repro.fastpath.lanes` — compiled link lanes with batched
-  same-edge delivery;
 * :mod:`repro.fastpath.wheel` — the calendar-bucket timer wheel behind
   ``Simulator(scheduler="wheel")``;
 * :mod:`repro.fastpath.runtime` — installation and dispatch.
 
+The per-hop work (link directions, ECMP results) is compiled in
+:mod:`repro.net` itself and needs no :class:`FastPath`.
+
 The contract everywhere is *bit-identical or bust*: with a
 :class:`FastPath` installed, trace records, metric values, figure
-outputs, and chaos verdicts match the reference path byte for byte.
+outputs, and chaos verdicts match a run without it byte for byte.
 Enable with::
 
     from repro.fastpath import FastPath

@@ -161,10 +161,10 @@ def run_ab(
 
     ``identical`` is True only when every identity axis matches;
     ``speedup_vs_committed`` is the fast-path throughput over the
-    committed event-loop baseline (the number the >=10x / >=3x gates
-    read); ``speedup_same_scenario`` is the direct on/off ratio, bounded
-    by the irreducible link/event layer (~1.5x) — both are reported so
-    neither can masquerade as the other.
+    committed event-loop baseline (the number the >=10x benchmark gate
+    reads); ``speedup_same_scenario`` is the direct on/off ratio — what
+    the flow cache itself buys over the default hop path — both are
+    reported so neither can masquerade as the other.
     """
     off = run_scenario(flows, packets_per_flow, seed, False, scheduler)
     on = run_scenario(flows, packets_per_flow, seed, True, scheduler)

@@ -34,10 +34,6 @@ Scopes (the rows of the invalidation matrix in docs/PERFORMANCE.md):
     Snapshot rotation in bounded-inconsistency deployments; also
     published by store crash recovery, which invalidates any snapshot
     state the restarted backend did not replay.
-``routing``
-    Route/belief churn. The per-switch route caches are validated by
-    local version counters instead (cheaper), so this scope is
-    observability-only.
 ``chaos``
     Every fault injected or cleared by a failure schedule. Chaos
     campaigns flush all compiled state, so an injected gray failure can
@@ -54,11 +50,12 @@ from __future__ import annotations
 from typing import Dict
 
 #: Every legal scope, in display order.
-SCOPES = ("table", "register", "lease", "snapshot", "routing", "chaos")
+SCOPES = ("table", "register", "lease", "snapshot", "chaos")
 
 #: Scopes whose publication invalidates flow-cache entries. ``register``
-#: and ``routing`` are absent by design: replay reads registers live, and
-#: route caches validate against local version counters.
+#: is absent by design: replay reads registers live. (Route and belief
+#: churn never reaches the bus: :class:`~repro.net.routing.L3Switch`
+#: versions its own route cache.)
 FLOW_SCOPES = frozenset({"table", "lease", "snapshot", "chaos"})
 
 

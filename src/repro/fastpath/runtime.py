@@ -1,22 +1,19 @@
-"""The fast-path runtime: installation, dispatch, caches, and stats.
+"""The fast-path runtime: installation, dispatch, flow caches, and stats.
 
 :class:`FastPath` is the single object the rest of the tree knows about.
-Installing it sets ``sim.fastpath``; the hot paths of
-:class:`~repro.net.links.Link`, :class:`~repro.net.routing.L3Switch`,
-and :class:`~repro.switch.asic.SwitchASIC` consult that attribute and
-hand the packet over when a compiled path exists. Uninstalling (or never
-installing) leaves every component on the reference path — that is the
-A/B lever the identity tests and ``repro.tools fastpath --diff`` pull.
+Installing it sets ``sim.fastpath``; :class:`~repro.switch.asic.SwitchASIC`
+consults that attribute per packet and hands the packet over when a
+compiled flow-cache entry exists, and the sites that can invalidate an
+entry publish on its bus. Uninstalling (or never installing) leaves every
+ASIC on the full pipeline — that is the A/B lever the identity tests and
+``repro.tools fastpath --diff`` pull.
 
-Three compiled structures live here:
-
-* **link lanes** (:mod:`repro.fastpath.lanes`) — per-direction transmit
-  paths with frozen counter handles and batched same-edge delivery;
-* **route caches** — per-switch ``(dst, proto, sport, dport) -> port``
-  maps validated by the routing table and belief version counters;
-* **flow caches** (:mod:`repro.fastpath.flowcache`) — per-ASIC compiled
-  classification/partition decisions, invalidated through the
-  :class:`~repro.fastpath.invalidation.InvalidationBus`.
+What lives here is the part of the acceleration that is genuinely
+optional: the per-ASIC **flow caches** (:mod:`repro.fastpath.flowcache`)
+— compiled classification/partition decisions, invalidated through the
+:class:`~repro.fastpath.invalidation.InvalidationBus`. The per-hop
+work (link directions, ECMP results) is compiled in :mod:`repro.net`
+itself and runs with or without a :class:`FastPath`.
 
 Everything is constructed lazily on first contact with a packet, so
 installation is O(1) and topology-agnostic.
@@ -34,14 +31,8 @@ from repro.core.engine import (
 )
 from repro.fastpath.flowcache import Entry, replay_app, replay_bypass, replay_transit
 from repro.fastpath.invalidation import InvalidationBus
-from repro.fastpath.lanes import Lane
+from repro.net.constants import CACHE_CAP
 from repro.net.packet import TCPHeader, UDPHeader
-from repro.net.routing import ecmp_hash
-
-#: Entry-count bound per compiled structure; exceeding it clears the
-#: structure (counted as a ``capacity`` flush in stats). Keeps memory
-#: proportional to the active working set in million-flow campaigns.
-CACHE_CAP = 262_144
 
 
 class _AsicCache:
@@ -65,15 +56,8 @@ class FastPath:
     def __init__(self, sim) -> None:
         self.sim = sim
         self.bus = InvalidationBus()
-        self._lanes = {}  # id(src_port) -> Lane
-        self._routes = {}  # id(switch) -> [cache dict, table ver, belief ver]
         self._asics = {}  # id(switch) -> _AsicCache or None (ineligible)
-        self._flow_strs = {}  # 5-tuple -> str(FlowKey) memo
-        self.route_hits = 0
-        self.route_misses = 0
-        self.route_flushes = 0
         self.capacity_flushes = 0
-        self.batched_deliveries = 0
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -86,75 +70,22 @@ class FastPath:
         return fp
 
     def uninstall(self) -> None:
-        """Deactivate: every subsequent packet takes the reference path."""
+        """Deactivate: every subsequent packet runs the full pipeline."""
         if self.sim.fastpath is self:
             self.sim.fastpath = None
 
-    # -- link lanes ---------------------------------------------------------
-
-    def make_lane(self, link, src_port):
-        """Compile (and register) the lane for one link direction."""
-        lane = self._lanes[id(src_port)] = Lane(self, link, src_port)
-        return lane
+    # -- names bench/ still resolves -----------------------------------------
+    # bench/trace.py lists these two as tracer targets and bench/tests
+    # index them on the class; bench/ is frozen while a change claims a
+    # gain. They delegate to the default hop path, nothing calls them,
+    # and they go when the tracer is retargeted.
 
     def link_transmit(self, link, pkt, src_port) -> bool:
-        lane = self._lanes.get(id(src_port))
-        if lane is None:
-            lane = self.make_lane(link, src_port)
-        return lane.transmit(pkt)
-
-    def flow_str_of(self, pkt) -> str:
-        """Memoized ``str(pkt.flow_key())`` keyed by the raw 5-tuple."""
-        ip = pkt.ip
-        l4 = pkt.l4
-        if type(l4) is UDPHeader or type(l4) is TCPHeader:
-            key = (ip.src, ip.dst, ip.proto, l4.sport, l4.dport)
-        else:
-            key = (ip.src, ip.dst, ip.proto, 0, 0)
-        strs = self._flow_strs
-        s = strs.get(key)
-        if s is None:
-            if len(strs) >= CACHE_CAP:
-                strs.clear()
-                self.capacity_flushes += 1
-            s = strs[key] = str(pkt.flow_key())
-        return s
-
-    # -- route caches -------------------------------------------------------
+        link.transmit(pkt, src_port)
+        return True
 
     def select_port(self, switch, pkt):
-        """Versioned ECMP result cache for one L3 switch.
-
-        Only successful selections are cached; drop outcomes re-walk the
-        reference path so their counters fire per packet.
-        """
-        rc = self._routes.get(id(switch))
-        table_ver = switch.table.version
-        belief_ver = switch.belief_version
-        if rc is None or rc[1] != table_ver or rc[2] != belief_ver:
-            if rc is not None:
-                self.route_flushes += 1
-                self.bus.counts["routing"] += 1
-            rc = self._routes[id(switch)] = [{}, table_ver, belief_ver]
-        ip = pkt.ip
-        l4 = pkt.l4
-        if type(l4) is UDPHeader or type(l4) is TCPHeader:
-            key = (ip.dst, ip.proto, l4.sport, l4.dport)
-        else:
-            key = (ip.dst, ip.proto, 0, 0)
-        cache = rc[0]
-        port = cache.get(key)
-        if port is not None:
-            self.route_hits += 1
-            return port
-        self.route_misses += 1
-        port = switch._select_port_uncached(pkt)
-        if port is not None:
-            if len(cache) >= CACHE_CAP:
-                cache.clear()
-                self.capacity_flushes += 1
-            cache[key] = port
-        return port
+        return switch.select_port(pkt)
 
     # -- flow caches --------------------------------------------------------
 
@@ -267,15 +198,6 @@ class FastPath:
                 "misses": misses,
                 "entries": entries,
                 "per_switch": per_switch,
-            },
-            "route_cache": {
-                "hits": self.route_hits,
-                "misses": self.route_misses,
-                "flushes": self.route_flushes,
-            },
-            "lanes": {
-                "count": len(self._lanes),
-                "batched_deliveries": self.batched_deliveries,
             },
             "invalidations": dict(self.bus.counts),
             "capacity_flushes": self.capacity_flushes,

@@ -89,3 +89,11 @@ HOST_PROC_US = 0.5
 #: Server-based network function processing time per packet (us); server
 #: NFs see 7-14x the median latency of switch NFs (Fig 8).
 SERVER_NF_PROC_US = 21.0
+
+# --- Simulator host memory ---------------------------------------------------
+
+#: Entry-count bound of each per-run memo the simulator keeps (route
+#: caches, flow tags, flow-cache entries); a structure that reaches it is
+#: cleared. Keeps host memory proportional to the active working set in
+#: million-flow campaigns. Not a property of the modelled testbed.
+CACHE_CAP = 262_144

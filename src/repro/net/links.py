@@ -14,15 +14,19 @@ MAC), duplication, delay jitter, degraded line rate, and one-way
 blackholing (asymmetric partition). Impairments are per *direction* (keyed
 by the sending port), drawn from the simulator's seeded RNG, and leave
 routing beliefs untouched.
+
+Each direction is a :class:`Lane`: what is fixed by the topology is
+resolved once there, and ``Link.transmit`` does constant work per packet
+while the direction is healthy (docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.net import constants
-from repro.net.packet import Packet
+from repro.net.packet import Packet, TCPHeader, UDPHeader
 from repro.net.simulator import Simulator
 from repro.telemetry import trace as tt
 
@@ -128,6 +132,52 @@ class Port:
         return f"<Port {self.node.name}[{self.index}]>"
 
 
+class Lane:
+    """One direction of a :class:`Link`, as ``transmit`` needs it per packet.
+
+    The direction label, the tx counter handles and the far-end port and
+    node are fixed for the life of the topology, so they are resolved
+    once here instead of per packet; the transmit queue's drain time and
+    the direction's gray-failure impairment are the mutable rest.
+    """
+
+    __slots__ = ("src_port", "dst_port", "dst_node", "dir_name",
+                 "ctr_tx_bytes", "ctr_tx_packets", "busy_until", "impairment")
+
+    def __init__(self, link: "Link", src_port: Port, dst_port: Port) -> None:
+        self.src_port = src_port
+        self.dst_port = dst_port
+        self.dst_node = dst_port.node
+        self.dir_name = f"{src_port.node.name}->{dst_port.node.name}"
+        m = link.sim.metrics
+        self.ctr_tx_bytes = m.counter("link.tx_bytes", link=link.name,
+                                      dir=self.dir_name)
+        self.ctr_tx_packets = m.counter("link.tx_packets", link=link.name,
+                                        dir=self.dir_name)
+        #: Transmit-queue drain time: packets serialize one after another,
+        #: so a burst queues (and TCP sees real bandwidth).
+        self.busy_until = 0.0
+        #: The direction's :class:`LinkImpairment`, or ``None`` if healthy.
+        self.impairment: Optional[LinkImpairment] = None
+
+
+def _flow_tag(sim: Simulator, pkt: Packet) -> str:
+    """``str(pkt.flow_key())`` through the run's 5-tuple memo."""
+    ip = pkt.ip
+    l4 = pkt.l4
+    if isinstance(l4, (UDPHeader, TCPHeader)):
+        key = (ip.src, ip.dst, ip.proto, l4.sport, l4.dport)
+    else:
+        key = (ip.src, ip.dst, ip.proto, 0, 0)
+    tags = sim.flow_tags
+    tag = tags.get(key)
+    if tag is None:
+        if len(tags) >= constants.CACHE_CAP:
+            tags.clear()
+        tag = tags[key] = str(pkt.flow_key())
+    return tag
+
+
 class Link:
     """A full-duplex point-to-point link between two ports."""
 
@@ -158,51 +208,45 @@ class Link:
         self.queue_limit_bytes = queue_limit_bytes
         self.up = True
         self.name = name or f"{a.node.name}<->{b.node.name}"
-        # Per-direction byte/packet accounting, published through the run's
-        # metric registry; handles are cached here so the transmit hot path
-        # pays one dict lookup + one float add. (Parallel links with an
-        # identical default name share instruments; name them explicitly if
-        # per-link numbers matter.)
+        # Counter handles are cached (here and per direction in the lanes)
+        # so the transmit hot path pays no registry lookup. (Parallel
+        # links with an identical default name share instruments; name
+        # them explicitly if per-link numbers matter.)
         m = sim.metrics
-        self._dir_names: Dict[int, str] = {
-            id(a): f"{a.node.name}->{b.node.name}",
-            id(b): f"{b.node.name}->{a.node.name}",
-        }
-        self._ctr_tx_bytes = {
-            pid: m.counter("link.tx_bytes", link=self.name, dir=d)
-            for pid, d in self._dir_names.items()
-        }
-        self._ctr_tx_packets = {
-            pid: m.counter("link.tx_packets", link=self.name, dir=d)
-            for pid, d in self._dir_names.items()
-        }
+        self._lane_a = Lane(self, a, b)
+        self._lane_b = Lane(self, b, a)
         self._ctr_queue_drops = m.counter("link.queue_drops", link=self.name)
         self._ctr_duplicated = m.counter("link.duplicated", link=self.name)
         #: ``link.drops{link,reason}`` handles, created lazily per reason
         #: (the legacy flat ``link.drops.<reason>`` names remain readable
         #: through ``Simulator.counters`` as compat views).
         self._ctr_drops: Dict[str, object] = {}
-        #: Per-direction transmit-queue drain time: packets serialize one
-        #: after another, so a burst queues (and TCP sees real bandwidth).
-        self._busy_until: Dict[int, float] = {id(a): 0.0, id(b): 0.0}
-        #: Per-direction gray-failure impairments, keyed by sending-port id.
-        self._impairments: Dict[int, LinkImpairment] = {}
         #: Optional taps invoked for every transmitted packet: fn(pkt, src_port).
         self.taps: List[Callable[[Packet, Port], None]] = []
 
     def other_end(self, port: Port) -> Port:
-        if port is self.a:
-            return self.b
-        if port is self.b:
-            return self.a
+        return self._lane_of(port).dst_port
+
+    def _lane_of(self, src_port: Port) -> "Lane":
+        if src_port is self.a:
+            return self._lane_a
+        if src_port is self.b:
+            return self._lane_b
         raise ValueError("port is not an end of this link")
+
+    def _lanes(self, src_port: Optional[Port] = None) -> Tuple["Lane", ...]:
+        """The lane sent from ``src_port``, or both with ``None``."""
+        if src_port is None:
+            return (self._lane_a, self._lane_b)
+        return (self._lane_of(src_port),)
 
     def serialization_delay_us(self, pkt: Packet) -> float:
         """Store-and-forward delay: bits / line rate."""
         bits = pkt.byte_size() * 8
         return bits / (self.bandwidth_gbps * 1000.0)
 
-    def _drop(self, pkt: Packet, src_port: Port, reason: str) -> None:
+    def _drop(self, pkt: Packet, lane: "Lane", reason: str,
+              nbytes: int) -> None:
         ctr = self._ctr_drops.get(reason)
         if ctr is None:
             ctr = self._ctr_drops[reason] = self.sim.metrics.counter(
@@ -212,67 +256,97 @@ class Link:
         self.sim.tracer.emit(
             tt.PACKET_DROP,
             link=self.name,
-            dir=self._dir_names[id(src_port)],
+            dir=lane.dir_name,
             reason=reason,
-            bytes=pkt.byte_size(),
+            bytes=nbytes,
             uid=pkt.meta.get("uid", 0),
         )
 
     def transmit(self, pkt: Packet, src_port: Port) -> None:
-        """Send a packet from ``src_port`` toward the other end."""
-        fp = self.sim.fastpath
-        if fp is not None:
-            # Inlined lane lookup (one dict probe on the hot path); a
-            # compiled lane accepting the packet is bit-identical to the
-            # reference path below.
-            lane = fp._lanes.get(id(src_port))
-            if lane is None:
-                lane = fp.make_lane(self, src_port)
-            if lane.transmit(pkt):
-                return
+        """Send a packet from ``src_port`` toward the other end.
+
+        A direction in the trivial condition (link up, no loss, reorder,
+        tap, queue limit or impairment) draws no randomness and can drop
+        nothing at the sending end, so it skips straight from the send
+        record to the serialization arithmetic; anything else runs every
+        verdict below. The choice is re-made per packet from the link's
+        current state, and both branches produce the same records,
+        counters and event for a packet both could carry.
+        """
+        if src_port is self.a:
+            lane = self._lane_a
+        elif src_port is self.b:
+            lane = self._lane_b
+        else:
+            raise ValueError("port is not an end of this link")
+        sim = self.sim
         # Span correlation: a packet gets its uid on first wire contact and
         # keeps it hop to hop (meta travels with the object, not the wire).
         meta = pkt.meta
         uid = meta.get("uid")
         if uid is None:
-            uid = meta["uid"] = self.sim.new_uid()
-        key = id(src_port)
+            uid = meta["uid"] = sim.new_uid()
         # Flow tag computed once per packet lifetime and cached in meta so
         # per-flow timelines can filter sends without joining other records.
         flow = meta.get("flow_s")
         if flow is None and pkt.ip is not None:
-            flow = meta["flow_s"] = str(pkt.flow_key())
+            flow = meta["flow_s"] = _flow_tag(sim, pkt)
+        nbytes = pkt.byte_size()
+        kind = meta.get("rp_kind", "app")
+        parent = meta.get("parent_uid")
         # The send record marks the packet *entering* the link direction —
         # emitted before the down/partition/loss/queue verdicts so every
         # wire-level drop pairs with an origin (span completeness).
-        send_fields: Dict[str, object] = {
-            "link": self.name,
-            "dir": self._dir_names[key],
-            "bytes": pkt.byte_size(),
-            "uid": uid,
-            "kind": meta.get("rp_kind", "app"),
-        }
-        if flow is not None:
-            send_fields["flow"] = flow
-        parent = meta.get("parent_uid")
-        if parent is not None:
-            send_fields["parent"] = parent
-        self.sim.tracer.emit(tt.PACKET_SEND, **send_fields)
-        if not self.up:
-            self._drop(pkt, src_port, "down")
+        # ``flow`` and ``parent`` are present only when set, so each
+        # combination is its own keyword call: one kwargs dict per record.
+        emit = sim.tracer.emit
+        if parent is None:
+            if flow is not None:
+                emit(tt.PACKET_SEND, link=self.name, dir=lane.dir_name,
+                     bytes=nbytes, uid=uid, kind=kind, flow=flow)
+            else:
+                emit(tt.PACKET_SEND, link=self.name, dir=lane.dir_name,
+                     bytes=nbytes, uid=uid, kind=kind)
+        elif flow is not None:
+            emit(tt.PACKET_SEND, link=self.name, dir=lane.dir_name,
+                 bytes=nbytes, uid=uid, kind=kind, flow=flow, parent=parent)
+        else:
+            emit(tt.PACKET_SEND, link=self.name, dir=lane.dir_name,
+                 bytes=nbytes, uid=uid, kind=kind, parent=parent)
+        now = sim.now
+        impairment = lane.impairment
+        if (
+            self.up
+            and impairment is None
+            and not self.taps
+            and not self.loss_rate
+            and not self.reorder_rate
+            and self.queue_limit_bytes is None
+        ):
+            lane.ctr_tx_bytes.inc(nbytes)
+            lane.ctr_tx_packets.inc()
+            ser_us = (nbytes * 8) / (self.bandwidth_gbps * 1000.0)
+            start = lane.busy_until
+            if start < now:
+                start = now
+            lane.busy_until = start + ser_us
+            sim.schedule_at(now + ((start + ser_us - now) + self.latency_us),
+                            self._deliver, pkt, lane)
             return
-        dst_port = self.other_end(src_port)
-        impairment = self._impairments.get(key)
+        if not self.up:
+            self._drop(pkt, lane, "down", nbytes)
+            return
         if impairment is not None and impairment.blocked:
             # Asymmetric partition: this direction is a silent blackhole.
-            self._drop(pkt, src_port, "partition")
+            self._drop(pkt, lane, "partition", nbytes)
             return
-        self._ctr_tx_bytes[key].inc(pkt.byte_size())
-        self._ctr_tx_packets[key].inc()
+        lane.ctr_tx_bytes.inc(nbytes)
+        lane.ctr_tx_packets.inc()
         for tap in self.taps:
             tap(pkt, src_port)
-        if self.loss_rate > 0.0 and self.sim.rng.random() < self.loss_rate:
-            self._drop(pkt, src_port, "loss")
+        rng = sim.rng
+        if self.loss_rate > 0.0 and rng.random() < self.loss_rate:
+            self._drop(pkt, lane, "loss", nbytes)
             return
         rate_gbps = self.bandwidth_gbps
         corrupted = False
@@ -280,85 +354,82 @@ class Link:
         jitter_us = 0.0
         if impairment is not None:
             if (impairment.drop_rate > 0.0
-                    and self.sim.rng.random() < impairment.drop_rate):
-                self._drop(pkt, src_port, "gray_loss")
+                    and rng.random() < impairment.drop_rate):
+                self._drop(pkt, lane, "gray_loss", nbytes)
                 return
             rate_gbps *= impairment.bandwidth_scale
             if impairment.corrupt_rate > 0.0:
-                corrupted = self.sim.rng.random() < impairment.corrupt_rate
+                corrupted = rng.random() < impairment.corrupt_rate
             if impairment.duplicate_rate > 0.0:
-                duplicated = self.sim.rng.random() < impairment.duplicate_rate
+                duplicated = rng.random() < impairment.duplicate_rate
             if impairment.jitter_us > 0.0:
-                jitter_us = self.sim.rng.random() * impairment.jitter_us
+                jitter_us = rng.random() * impairment.jitter_us
         # Store-and-forward with per-direction serialization queueing.
-        backlog_us = max(0.0, self._busy_until[key] - self.sim.now)
+        start = max(now, lane.busy_until)
         if self.queue_limit_bytes is not None:
-            backlog_bytes = backlog_us * rate_gbps * 1000.0 / 8.0
-            if backlog_bytes + pkt.byte_size() > self.queue_limit_bytes:
+            backlog_bytes = (start - now) * rate_gbps * 1000.0 / 8.0
+            if backlog_bytes + nbytes > self.queue_limit_bytes:
                 # Tail drop: the transmit queue is full.
                 self._ctr_queue_drops.inc()
-                self._drop(pkt, src_port, "queue")
+                self._drop(pkt, lane, "queue", nbytes)
                 return
         copies = 2 if duplicated else 1
-        ser_us = (pkt.byte_size() * 8) / (rate_gbps * 1000.0)
-        start = max(self.sim.now, self._busy_until[key])
-        finish = start + ser_us * copies
-        self._busy_until[key] = finish
-        delay = (start + ser_us - self.sim.now) + self.latency_us + jitter_us
-        if self.reorder_rate > 0.0 and self.sim.rng.random() < self.reorder_rate:
-            delay += constants.REORDER_EXTRA_US * self.sim.rng.random()
-            self.sim.count("link.reordered")
-            self.sim.tracer.emit(
+        ser_us = (nbytes * 8) / (rate_gbps * 1000.0)
+        lane.busy_until = start + ser_us * copies
+        delay = (start + ser_us - now) + self.latency_us + jitter_us
+        if self.reorder_rate > 0.0 and rng.random() < self.reorder_rate:
+            delay += constants.REORDER_EXTRA_US * rng.random()
+            sim.count("link.reordered")
+            emit(
                 tt.PACKET_REORDER,
                 link=self.name,
-                dir=self._dir_names[key],
+                dir=lane.dir_name,
                 delay_us=delay,
                 uid=uid,
             )
-        self.sim.schedule(delay, self._deliver, pkt, dst_port, corrupted)
+        sim.schedule(delay, self._deliver, pkt, lane, corrupted)
         if duplicated:
             # The duplicate serializes right behind the original and is a
             # distinct object downstream (each copy is processed once); it
             # gets its own span uid with the original as parent.
             self._ctr_duplicated.inc()
             dup_pkt = pkt.copy()
-            dup_uid = dup_pkt.meta["uid"] = self.sim.new_uid()
+            dup_uid = dup_pkt.meta["uid"] = sim.new_uid()
             dup_pkt.meta["parent_uid"] = uid
-            self.sim.tracer.emit(
+            emit(
                 tt.PACKET_DUP,
                 link=self.name,
-                dir=self._dir_names[key],
-                bytes=pkt.byte_size(),
+                dir=lane.dir_name,
+                bytes=nbytes,
                 uid=dup_uid,
                 parent=uid,
             )
-            self.sim.schedule(
-                delay + ser_us, self._deliver, dup_pkt, dst_port, corrupted
+            sim.schedule(
+                delay + ser_us, self._deliver, dup_pkt, lane, corrupted
             )
 
-    def _deliver(self, pkt: Packet, dst_port: Port,
+    def _deliver(self, pkt: Packet, lane: "Lane",
                  corrupted: bool = False) -> None:
-        src_port = self.other_end(dst_port)
         if not self.up:
-            self._drop(pkt, src_port, "down")
+            self._drop(pkt, lane, "down", pkt.byte_size())
             return
         if corrupted:
             # The receiving MAC discards the frame on FCS mismatch; the
             # bandwidth was spent, the packet never reaches the node.
-            self._drop(pkt, src_port, "corrupt")
+            self._drop(pkt, lane, "corrupt", pkt.byte_size())
             return
-        node = dst_port.node
+        node = lane.dst_node
         if node.failed:
-            self._drop(pkt, src_port, "node_failed")
+            self._drop(pkt, lane, "node_failed", pkt.byte_size())
             return
         self.sim.tracer.emit(
             tt.PACKET_DELIVER,
             link=self.name,
-            dir=self._dir_names[id(src_port)],
+            dir=lane.dir_name,
             node=node.name,
             uid=pkt.meta.get("uid", 0),
         )
-        node.receive(pkt, dst_port)
+        node.receive(pkt, lane.dst_port)
 
     # -- failure injection ------------------------------------------------------
 
@@ -376,29 +447,21 @@ class Link:
         ``direction`` is the *sending* port of the affected direction;
         ``None`` impairs both directions with the same parameters.
         """
-        if direction is None:
-            keys = [id(self.a), id(self.b)]
-        else:
-            self.other_end(direction)  # validates membership
-            keys = [id(direction)]
-        for key in keys:
-            self._impairments[key] = impairment
+        for lane in self._lanes(direction):
+            lane.impairment = impairment
 
     def clear_impairments(self, direction: Optional[Port] = None) -> None:
         """Lift impairments from one direction (or, with ``None``, all)."""
-        if direction is None:
-            self._impairments.clear()
-        else:
-            self.other_end(direction)
-            self._impairments.pop(id(direction), None)
+        for lane in self._lanes(direction):
+            lane.impairment = None
 
     def impairment_of(self, direction: Port) -> Optional[LinkImpairment]:
         """The impairment active on the direction sent from ``direction``."""
-        return self._impairments.get(id(direction))
+        return self._lane_of(direction).impairment
 
     @property
     def impaired(self) -> bool:
-        return bool(self._impairments)
+        return any(lane.impairment is not None for lane in self._lanes())
 
     def backlog_us(self) -> float:
         """Summed transmit-queue drain time across both directions, in
@@ -406,8 +469,7 @@ class Link:
         observability heartbeat reports. 0.0 when both directions are
         idle. Pure read of serialization state; no side effects."""
         now = self.sim.now
-        return sum(max(0.0, busy - now)
-                   for busy in self._busy_until.values())
+        return sum(max(0.0, lane.busy_until - now) for lane in self._lanes())
 
     # -- registry-backed accounting views ---------------------------------------
 
@@ -418,14 +480,16 @@ class Link:
     @property
     def tx_bytes(self) -> Dict[int, int]:
         """Per-direction bytes, keyed by ``id(sending port)`` (legacy shape)."""
-        return {pid: int(c.value) for pid, c in self._ctr_tx_bytes.items()}
+        return {id(lane.src_port): int(lane.ctr_tx_bytes.value)
+                for lane in self._lanes()}
 
     @property
     def tx_packets(self) -> Dict[int, int]:
-        return {pid: int(c.value) for pid, c in self._ctr_tx_packets.items()}
+        return {id(lane.src_port): int(lane.ctr_tx_packets.value)
+                for lane in self._lanes()}
 
     def total_tx_bytes(self) -> int:
-        return sum(int(c.value) for c in self._ctr_tx_bytes.values())
+        return sum(self.tx_bytes.values())
 
     def __repr__(self) -> str:
         state = "up" if self.up else "DOWN"

@@ -13,12 +13,12 @@ updated, which the topology schedules ``FAILURE_DETECT_US`` after the fault.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.net import constants
 from repro.net.links import Node, Port
-from repro.net.packet import FlowKey, Packet
+from repro.net.packet import FlowKey, Packet, TCPHeader, UDPHeader
 from repro.net.simulator import Simulator
 
 
@@ -44,11 +44,16 @@ def ecmp_hash(key: FlowKey, seed: int = 0) -> int:
 
 @dataclass
 class Route:
-    """One LPM entry: a prefix and its set of equal-cost next-hop ports."""
+    """One LPM entry: a prefix and its set of equal-cost next-hop ports.
+
+    ``ports`` is a tuple: changing a route's next hops means adding a
+    route (which bumps :attr:`RoutingTable.version`), never editing one
+    behind the route caches' back.
+    """
 
     prefix: int
     mask_len: int
-    ports: List[Port] = field(default_factory=list)
+    ports: Tuple[Port, ...] = ()
 
     def matches(self, ip: int) -> bool:
         if self.mask_len == 0:
@@ -62,15 +67,14 @@ class RoutingTable:
 
     def __init__(self) -> None:
         self._routes: List[Route] = []
-        #: Bumped on every mutation; the fast path's per-switch route
-        #: caches are valid only while this (and the owning switch's
-        #: belief version) is unchanged.
+        #: Bumped on every mutation; a switch's route cache is valid only
+        #: while this (and the switch's own belief version) is unchanged.
         self.version = 0
 
     def add(self, prefix: int, mask_len: int, ports: List[Port]) -> Route:
         if not ports:
             raise ValueError("a route needs at least one next-hop port")
-        route = Route(prefix, mask_len, list(ports))
+        route = Route(prefix, mask_len, tuple(ports))
         self._routes.append(route)
         self.version += 1
         # Keep sorted longest-prefix-first so lookup is a linear scan.
@@ -103,14 +107,28 @@ class L3Switch(Node):
     def __init__(self, sim: Simulator, name: str, ecmp_seed: Optional[int] = None) -> None:
         super().__init__(sim, name)
         self.table = RoutingTable()
-        self.ecmp_seed = ecmp_seed if ecmp_seed is not None else self.DEFAULT_ECMP_SEED
         self.port_up_belief: Dict[int, bool] = {}
-        #: Bumped on every belief change; see :attr:`RoutingTable.version`.
+        #: Bumped on every belief or ECMP-seed change; see
+        #: :attr:`RoutingTable.version`.
         self.belief_version = 0
+        self.ecmp_seed = ecmp_seed if ecmp_seed is not None else self.DEFAULT_ECMP_SEED
+        #: ``(dst, proto, sport, dport) -> port`` results of
+        #: :meth:`select_port`, valid for the versions stamped beside it.
+        self._route_cache: Dict[tuple, Port] = {}
+        self._route_cache_versions = (self.table.version, self.belief_version)
         self.forwarded = 0
         self.dropped_no_route = 0
         self.dropped_ttl = 0
         self.dropped_no_next_hop = 0
+
+    @property
+    def ecmp_seed(self) -> int:
+        return self._ecmp_seed
+
+    @ecmp_seed.setter
+    def ecmp_seed(self, seed: int) -> None:
+        self._ecmp_seed = seed
+        self.belief_version += 1
 
     # -- belief management --------------------------------------------------
 
@@ -143,14 +161,37 @@ class L3Switch(Node):
         self.sim.schedule(constants.SWITCH_PIPELINE_US, out_port.send, pkt)
 
     def select_port(self, pkt: Packet) -> Optional[Port]:
-        """Pick the output port for a packet without sending it."""
-        fp = self.sim.fastpath
-        if fp is not None:
-            return fp.select_port(self, pkt)
-        return self._select_port_uncached(pkt)
+        """Pick the output port for a packet without sending it.
 
-    def _select_port_uncached(self, pkt: Packet) -> Optional[Port]:
-        """The reference LPM + ECMP walk (also the cache-fill path)."""
+        The LPM + ECMP result depends only on the destination, the
+        hashed part of the flow identity, the table, the beliefs and the
+        seed, so it is cached per ``(dst, proto, sport, dport)`` until
+        one of the latter three changes version. Only successful
+        selections are cached: a drop re-walks the table so its counters
+        fire per packet.
+        """
+        versions = (self.table.version, self.belief_version)
+        if versions != self._route_cache_versions:
+            self._route_cache = {}
+            self._route_cache_versions = versions
+        ip = pkt.ip
+        l4 = pkt.l4
+        if isinstance(l4, (UDPHeader, TCPHeader)):
+            key = (ip.dst, ip.proto, l4.sport, l4.dport)
+        else:
+            key = (ip.dst, ip.proto, 0, 0)
+        cache = self._route_cache
+        port = cache.get(key)
+        if port is None:
+            port = self._walk(pkt)
+            if port is not None:
+                if len(cache) >= constants.CACHE_CAP:
+                    cache.clear()
+                cache[key] = port
+        return port
+
+    def _walk(self, pkt: Packet) -> Optional[Port]:
+        """LPM, then ECMP among believed-up next hops (the cache fill)."""
         route = self.table.lookup(pkt.ip.dst)
         if route is None:
             self.dropped_no_route += 1

@@ -91,10 +91,6 @@ class Simulator:
         self.rng = random.Random(seed)
         self._heap: List[Tuple[float, int, Event]] = []
         self._seq = itertools.count()
-        #: Sequence number of the most recently scheduled event (-1 when
-        #: none yet). Lane batching uses this to prove no event was
-        #: scheduled between two candidate same-edge deliveries.
-        self.last_seq = -1
         self._events_executed = 0
         if scheduler == "heap":
             self._wheel = None
@@ -116,9 +112,14 @@ class Simulator:
         #: Legacy per-run counters, now a live view over :attr:`metrics`.
         #: Reads work as before; direct writes raise ``DeprecationWarning``.
         self.counters = LegacyCounters(self.metrics)
-        #: The installed :class:`repro.fastpath.runtime.FastPath`, if any.
-        #: Components consult this on their hot paths; ``None`` means every
-        #: packet takes the reference (slow) path.
+        #: Per-run memo of flow-tag strings (``str(FlowKey)``) by raw
+        #: 5-tuple, filled by :mod:`repro.net.links` and bounded by
+        #: :data:`repro.net.constants.CACHE_CAP`.
+        self.flow_tags: dict = {}
+        #: The installed :class:`repro.fastpath.runtime.FastPath` (the
+        #: optional ASIC flow cache), if any. The switch ASIC and the
+        #: sites that invalidate its entries consult this; ``None`` means
+        #: every packet runs the full pipeline.
         self.fastpath = None
         #: The attached :class:`repro.observe.Observe` bundle (profiler +
         #: heartbeat hooks), or ``None``. When ``None`` the drain loop is
@@ -163,7 +164,6 @@ class Simulator:
                 event.cancelled = True
                 return event
         event = Event(when, next(self._seq), fn, args, origin)
-        self.last_seq = event.seq
         if self._wheel is None:
             heapq.heappush(self._heap, (when, event.seq, event))
         else:

@@ -2,8 +2,8 @@
 
 A :class:`HeartbeatEmitter` rides the simulator's observed drain loop
 (it is *called*, never scheduled — it puts no events on the queue, so
-attaching it cannot perturb event sequence numbers, lane-batching
-proofs, or anything else ordering-sensitive). After each executed event
+attaching it cannot perturb event sequence numbers or anything else
+ordering-sensitive). After each executed event
 it checks whether the simulated clock crossed the next heartbeat
 boundary and, if so, emits one snapshot of the run's health:
 

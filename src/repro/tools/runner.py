@@ -259,7 +259,6 @@ def run_fastpath(flows: int, packets: int, seed: int, scheduler: str,
         print(json.dumps(stats, indent=2, sort_keys=True))
         return 0
     flow = stats["flow_cache"]
-    route = stats["route_cache"]
     total = flow["hits"] + flow["misses"]
     print(f"throughput : {result['packets_per_s']:.1f} pkt/s "
           f"({result['packets']} packets, {result['events']} events)")
@@ -269,10 +268,6 @@ def run_fastpath(flows: int, packets: int, seed: int, scheduler: str,
     for switch, per in sorted(flow["per_switch"].items()):
         print(f"  {switch:<9s}: {per['hits']} hits / {per['misses']} "
               f"misses, {per['entries']} entries")
-    print(f"route cache: {route['hits']} hits / {route['misses']} misses "
-          f"/ {route['flushes']} flushes")
-    print(f"lanes      : {stats['lanes']['count']} compiled, "
-          f"{stats['lanes']['batched_deliveries']} batched deliveries")
     print("invalidations: " + ", ".join(
         f"{scope}={count}" for scope, count in
         sorted(stats["invalidations"].items())) )

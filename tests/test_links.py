@@ -1,5 +1,7 @@
 """Unit tests for links, ports, and nodes."""
 
+import random
+
 import pytest
 
 from repro.net import constants
@@ -233,3 +235,146 @@ def test_base_node_receive_not_implemented():
     node = Node(sim, "n")
     with pytest.raises(NotImplementedError):
         node.receive(Packet.udp(1, 2, 3, 4), None)
+
+
+# -- one hop path: the compiled direction vs the general branch -----------------
+#
+# ``Link.transmit`` skips the sending-end verdicts while a direction is in
+# the trivial condition. A no-op tap takes a link out of that condition
+# without changing anything observable, so "the same run with every link
+# tapped" is the general branch's answer to compare against.
+
+
+def _noop_tap(pkt, port):
+    pass
+
+
+def _tap_every_link(monkeypatch):
+    init = Link.__init__
+
+    def tapped_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.taps.append(_noop_tap)
+
+    monkeypatch.setattr(Link, "__init__", tapped_init)
+
+
+def _observables(sim):
+    ring = [(r.ts, r.type, tuple(r.fields.items()))
+            for r in sim.tracer.tail()]
+    assert sim.tracer.records_dropped == 0  # the ring is the full trace
+    return sim.events_executed, ring, sim.metrics.snapshot()
+
+
+def _run_nat_quickstart():
+    from repro.shard.scenarios import run_nat_quickstart
+
+    sim = Simulator(seed=7)
+    run_nat_quickstart(sim, lambda until: sim.run(until=until))
+    return _observables(sim)
+
+
+def _run_single_failover():
+    from repro.chaos.campaigns import CAMPAIGNS
+    from repro.chaos.runner import run_campaign_result, verdict_json
+
+    sims = []
+
+    def factory(seed):
+        sims.append(Simulator(seed=seed))
+        return sims[0]
+
+    result = run_campaign_result(CAMPAIGNS["single_failover"], seed=42,
+                                 sim_factory=factory)
+    return _observables(sims[0]) + (verdict_json(result.report),)
+
+
+@pytest.mark.parametrize("scenario",
+                         [_run_nat_quickstart, _run_single_failover])
+def test_general_branch_equals_default_run(monkeypatch, scenario):
+    default = scenario()
+    _tap_every_link(monkeypatch)
+    tapped = scenario()
+    assert default[0] == tapped[0]          # events executed
+    assert default[1] == tapped[1]          # trace: ts, type, field order
+    assert default[2:] == tapped[2:]        # metrics (and verdict)
+
+
+#: What happens to the link while one packet is in flight on it, and how
+#: many of the two packets (one sent before, one after) then die.
+_TRANSITIONS = {
+    "link_fail": (lambda link, b: link.fail(), 2),
+    "node_fail": (lambda link, b: b.fail(), 2),
+    # Impairments are judged at the sending end: the packet in flight lands.
+    "impair": (lambda link, b: link.impair(LinkImpairment(blocked=True)), 1),
+    "tap": (lambda link, b: link.taps.append(_noop_tap), 0),
+}
+
+
+@pytest.mark.parametrize("transition", sorted(_TRANSITIONS))
+def test_mid_flight_transition_matches_general_branch(transition):
+    change, drops = _TRANSITIONS[transition]
+
+    def run(general):
+        sim = Simulator(seed=4)
+        a, b, link = make_pair(sim, latency_us=5.0)
+        if general:
+            link.taps.append(_noop_tap)
+        a.ports[0].send(Packet.udp(1, 2, 3, 4))
+        sim.schedule(1.0, change, link, b)
+        sim.schedule(2.0, a.ports[0].send, Packet.udp(1, 2, 3, 4))
+        sim.run_until_idle()
+        return _observables(sim), len(b.received)
+
+    default = run(general=False)
+    assert default == run(general=True)
+    assert default[1] == 2 - drops
+
+
+class _CountingRandom(random.Random):
+    draws = 0
+
+    def random(self):
+        self.draws += 1
+        return super().random()
+
+
+@pytest.mark.parametrize("link_kwargs, impairment, draws_per_packet", [
+    ({"loss_rate": 0.5}, None, 1),
+    ({"reorder_rate": 1.0}, None, 2),
+    ({"queue_limit_bytes": 200}, None, 0),
+    ({}, LinkImpairment(drop_rate=0.5), 1),
+])
+def test_non_trivial_direction_always_takes_the_general_branch(
+        link_kwargs, impairment, draws_per_packet):
+    """Every condition the compiled direction skips the checks for keeps
+    it from being taken: the same seeded draws, drops and records as on
+    a tapped (general-branch) link, packet for packet."""
+    packets = 40
+
+    def run(general):
+        sim = Simulator(seed=6)
+        sim.rng = _CountingRandom(6)
+        a, b, link = make_pair(sim, bandwidth_gbps=1.0, **link_kwargs)
+        if impairment is not None:
+            link.impair(impairment, direction=a.ports[0])
+        if general:
+            link.taps.append(_noop_tap)
+        for _ in range(packets):
+            a.ports[0].send(Packet.udp(1, 2, 3, 4))
+            b.ports[0].send(Packet.udp(2, 1, 4, 3))
+        sim.run_until_idle()
+        return _observables(sim), sim.rng.draws, len(b.received), \
+            len(a.received)
+
+    default = run(general=False)
+    assert default == run(general=True)
+    _obs, draws, a_to_b, b_to_a = default
+    if impairment is not None:
+        # Only the impaired direction draws; the healthy reverse does not.
+        assert draws == packets * draws_per_packet
+        assert 0 < a_to_b < packets and b_to_a == packets
+    else:
+        assert draws == 2 * packets * draws_per_packet
+        if "queue_limit_bytes" in link_kwargs:
+            assert 0 < a_to_b < packets  # the burst overran the queue

@@ -30,7 +30,7 @@ def test_default_route_matches_everything():
     sink = SinkNode(sim, "s")
     port = sink.new_port()
     table.add(0, 0, [port])
-    assert table.lookup(ip_aton("203.0.113.9")).ports == [port]
+    assert table.lookup(ip_aton("203.0.113.9")).ports == (port,)
 
 
 def test_route_requires_ports():
@@ -137,3 +137,112 @@ def test_select_port_is_deterministic_per_flow():
     first = sw.select_port(pkt)
     for _ in range(10):
         assert sw.select_port(pkt) is first
+
+
+# -- the versioned route cache --------------------------------------------------
+
+
+def _two_way_switch(sim):
+    sw = L3Switch(sim, "sw")
+    sinks = [SinkNode(sim, "a"), SinkNode(sim, "b")]
+    for sink in sinks:
+        Link(sim, sw.new_port(), sink.new_port())
+    sw.table.add(0, 0, [sw.ports[0], sw.ports[1]])
+    return sw, sinks
+
+
+def _lookups(sw, monkeypatch):
+    """Count LPM walks: a cached selection never reaches the table."""
+    calls = []
+    lookup = sw.table.lookup
+    monkeypatch.setattr(sw.table, "lookup",
+                        lambda dst: calls.append(dst) or lookup(dst))
+    return calls
+
+
+def test_route_cache_answers_repeat_selections(monkeypatch):
+    sim = Simulator()
+    sw, _sinks = _two_way_switch(sim)
+    walks = _lookups(sw, monkeypatch)
+    pkt = Packet.udp(1, 2, 33, 44)
+    first = sw.select_port(pkt)
+    for _ in range(5):
+        assert sw.select_port(Packet.udp(9, 2, 33, 44)) is first
+    assert len(walks) == 1
+    # The key is the hashed identity, not the packet: other ports re-walk.
+    sw.select_port(Packet.udp(1, 2, 34, 44))
+    assert len(walks) == 2
+
+
+def test_route_cache_rewalks_after_belief_flip(monkeypatch):
+    sim = Simulator()
+    sw, _sinks = _two_way_switch(sim)
+    walks = _lookups(sw, monkeypatch)
+    pkt = Packet.udp(1, 2, 33, 44)
+    first = sw.select_port(pkt)
+    other = sw.ports[1] if first is sw.ports[0] else sw.ports[0]
+    sw.set_port_belief(first, False)
+    assert sw.select_port(pkt) is other
+    sw.set_port_belief(first, True)
+    assert sw.select_port(pkt) is first
+    assert len(walks) == 3
+
+
+def test_route_cache_rewalks_after_table_add(monkeypatch):
+    sim = Simulator()
+    sw, _sinks = _two_way_switch(sim)
+    walks = _lookups(sw, monkeypatch)
+    pkt = Packet.udp(1, ip_aton("10.0.1.5"), 33, 44)
+    sw.select_port(pkt)
+    extra = SinkNode(sim, "c")
+    Link(sim, sw.new_port(), extra.new_port())
+    sw.table.add(ip_aton("10.0.1.0"), 24, [sw.ports[2]])
+    assert sw.select_port(pkt) is sw.ports[2]
+    assert len(walks) == 2
+
+
+def test_route_cache_rewalks_after_ecmp_seed_change(monkeypatch):
+    sim = Simulator()
+    sw, _sinks = _two_way_switch(sim)
+    walks = _lookups(sw, monkeypatch)
+    pkts = [Packet.udp(1, 2, 100 + i, 4) for i in range(32)]
+    before = [sw.select_port(p) for p in pkts]
+    sw.ecmp_seed = 1  # CRC32 is affine in the seed: this one flips every flow
+    after = [sw.select_port(p) for p in pkts]
+    assert len(walks) == 64
+    assert all(new is not old for new, old in zip(after, before))
+    assert [port.index for port in after] == [
+        ecmp_hash(p.flow_key(), 1) % 2 for p in pkts]
+
+
+def test_route_ports_cannot_be_edited_behind_the_cache():
+    sim = Simulator()
+    sw, _sinks = _two_way_switch(sim)
+    route = sw.table.lookup(0)
+    assert isinstance(route.ports, tuple)
+
+
+def test_route_cache_never_holds_a_drop():
+    """No-route and no-next-hop outcomes re-walk the table for every
+    packet, so their counters fire per packet."""
+    sim = Simulator()
+    sw = L3Switch(sim, "sw")
+    sink = SinkNode(sim, "a")
+    Link(sim, sw.new_port(), sink.new_port())
+    for _ in range(3):
+        sw.forward(Packet.udp(1, 2, 3, 4))
+    assert sw.dropped_no_route == 3
+    assert sim.counters["route.drops.no_route"] == 3
+
+    sw.table.add(0, 0, [sw.ports[0]])
+    sw.set_port_belief(sw.ports[0], False)
+    for _ in range(3):
+        sw.forward(Packet.udp(1, 2, 3, 4))
+    assert sw.dropped_no_next_hop == 3
+    assert sim.counters["route.drops.no_next_hop"] == 3
+
+    # And the drops left nothing behind: the flow forwards once it can.
+    sw.set_port_belief(sw.ports[0], True)
+    sw.forward(Packet.udp(1, 2, 3, 4))
+    sim.run_until_idle()
+    assert len(sink.received) == 1
