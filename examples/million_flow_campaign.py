@@ -15,9 +15,10 @@ via the state store.
 The flow population is *streamed*: each packet draws its flow rank
 through an analytic inverse-CDF Zipf sampler (O(1) per draw, no
 cumulative-mass table), so a 10M population costs no more memory than a
-thousand. The driver lives in :mod:`repro.shard.bench` — the same code
-the committed scaling curve (BENCH_shard.json) and the perf-trajectory
-shard figure measure.
+thousand. The driver is ``run_million_flow_scenario`` in
+:mod:`repro.shard.scenarios` — the same campaign ``python -m bench run``
+times as ``flow_churn`` (one process) and ``flow_churn_shard2`` (two
+spawned workers).
 
 ``--workers N`` partitions the flow population across N shards using
 the committed shard plan (``shard_plans/nat.json``); the merged counts
@@ -39,12 +40,12 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.shard.bench import (  # noqa: E402
-    DEFAULT_PACKETS,
-    SPACING_US,
-    ZIPF_S,
-)
 from repro.shard.runner import resolve, run_sharded  # noqa: E402
+from repro.shard.scenarios import (  # noqa: E402
+    MF_PACKETS,
+    MF_SPACING_US,
+    MF_ZIPF_S,
+)
 
 
 def main() -> None:
@@ -53,8 +54,8 @@ def main() -> None:
                         help="shard workers (default 2; 1 = no split)")
     parser.add_argument("--seed", type=int, default=None,
                         help="simulator seed (default: the scenario's)")
-    parser.add_argument("--packets", type=int, default=DEFAULT_PACKETS,
-                        help=f"packets to draw (default {DEFAULT_PACKETS})")
+    parser.add_argument("--packets", type=int, default=MF_PACKETS,
+                        help=f"packets to draw (default {MF_PACKETS})")
     parser.add_argument("--population", type=int, default=10_000_000,
                         help="distinct-flow population (default 1e7)")
     parser.add_argument("--no-fastpath", action="store_true",
@@ -69,7 +70,7 @@ def main() -> None:
     args = parser.parse_args()
 
     print(f"population {args.population:,} flows, {args.packets:,} packets "
-          f"(Zipf s={ZIPF_S}, spacing {SPACING_US}us), "
+          f"(Zipf s={MF_ZIPF_S}, spacing {MF_SPACING_US}us), "
           f"{args.workers} worker(s), {args.mode} mode")
 
     config = resolve(
@@ -91,9 +92,8 @@ def main() -> None:
     print(f"flows/shard : {merged['flows_per_shard']}")
     walls = ", ".join(f"{w:.1f}s" for w in merged["wall_s_per_shard"])
     print(f"wall/shard  : {walls} (ghost {merged['wall_s_ghost']:.1f}s)")
-    crit = max(merged["wall_s_per_shard"])
-    print(f"wall clock  : {wall_s:.1f}s total; critical path {crit:.1f}s "
-          f"-> {args.packets / crit:,.0f} pkt/s "
+    print(f"wall clock  : {wall_s:.1f}s total "
+          f"-> {args.packets / wall_s:,.0f} pkt/s "
           f"({'fast path' if not args.no_fastpath else 'reference path'})")
     if args.heartbeat_dir:
         print(f"heartbeats  : {args.heartbeat_dir}/heartbeat.*.ndjson "

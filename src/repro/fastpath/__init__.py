@@ -5,8 +5,6 @@ Layers (see docs/PERFORMANCE.md for the full design):
 * :mod:`repro.fastpath.flowcache` — per-switch flow fast-path cache with
   explicit dependency sets;
 * :mod:`repro.fastpath.invalidation` — the scoped invalidation bus;
-* :mod:`repro.fastpath.wheel` — the calendar-bucket timer wheel behind
-  ``Simulator(scheduler="wheel")``;
 * :mod:`repro.fastpath.runtime` — installation and dispatch.
 
 The per-hop work (link directions, ECMP results) is compiled in
@@ -25,12 +23,10 @@ Enable with::
 
 from repro.fastpath.invalidation import FLOW_SCOPES, SCOPES, InvalidationBus
 from repro.fastpath.runtime import FastPath
-from repro.fastpath.wheel import TimerWheel
 
 __all__ = [
     "FLOW_SCOPES",
     "FastPath",
     "InvalidationBus",
     "SCOPES",
-    "TimerWheel",
 ]

@@ -1,9 +1,10 @@
-"""The fast-path steady-state benchmark scenario, shared by every harness.
+"""The fast-path steady-state scenario and its identity oracle.
 
-One scenario definition feeds four consumers — the perf benchmark
-(``benchmarks/test_perf_fastpath.py``), the ``repro.tools fastpath`` CLI,
-the CI ``perf-smoke`` job, and ad-hoc A/B investigation — so they all
-measure and identity-check exactly the same workload.
+One scenario definition feeds the ``repro.tools fastpath`` CLI, the CI
+``perf-smoke`` job and tier-1's identity tests, so they all check exactly
+the same workload. Wall-clock throughput is the business of
+``python -m bench run`` (``nat_steady_ref`` / ``nat_steady_fastpath``),
+which reuses :func:`identity_report`.
 
 The workload is the honest fast-path case from the paper's evaluation:
 RedPlane-NAT in steady state (Fig 8/12). Each flow's connection-opening
@@ -23,9 +24,6 @@ all three before its throughput number means anything.
 from __future__ import annotations
 
 import hashlib
-import json
-import os
-from typing import Optional
 
 from repro import Simulator, deploy
 from repro.apps.nat import NatApp, install_nat_routes
@@ -41,25 +39,6 @@ PACKETS_PER_FLOW = 400
 SEED = 5
 #: Inter-packet spacing within the round-robin generator (simulated us).
 SPACING_US = 2.0
-
-#: The committed reference throughput every speedup is measured against:
-#: the ``redplane_pipeline`` packets/s recorded in BENCH_eventloop.json
-#: (the pre-fast-path event-loop baseline). Fallback if the file is gone.
-BASELINE_FALLBACK_PPS = 1284.2
-
-
-def committed_baseline_pps(repo_root: Optional[str] = None) -> float:
-    """The committed ``redplane_pipeline`` packets/s from BENCH_eventloop.json."""
-    if repo_root is None:
-        repo_root = os.path.normpath(
-            os.path.join(os.path.dirname(__file__), "..", "..", "..")
-        )
-    path = os.path.join(repo_root, "BENCH_eventloop.json")
-    try:
-        with open(path) as fh:
-            return float(json.load(fh)["redplane_pipeline"]["packets_per_s"])
-    except (OSError, KeyError, ValueError):
-        return BASELINE_FALLBACK_PPS
 
 
 def _trace_digest(sim: Simulator) -> str:
@@ -84,7 +63,6 @@ def run_scenario(
     packets_per_flow: int = PACKETS_PER_FLOW,
     seed: int = SEED,
     fastpath: bool = False,
-    scheduler: str = "heap",
 ) -> dict:
     """Run the NAT steady-state scenario once; return measurements.
 
@@ -92,7 +70,7 @@ def run_scenario(
     fingerprints (events, trace digest, filtered metrics), so callers can
     compare a fast-path run against a reference run directly.
     """
-    sim = Simulator(seed=seed, scheduler=scheduler)
+    sim = Simulator(seed=seed)
     dep = deploy(sim, NatApp)
     install_nat_routes(dep.bed)
     if fastpath:
@@ -123,7 +101,6 @@ def run_scenario(
         "flows": flows,
         "packets_per_flow": packets_per_flow,
         "seed": seed,
-        "scheduler": scheduler,
         "fastpath": fastpath,
         "packets": packets,
         "events": sim.events_executed,
@@ -155,28 +132,21 @@ def run_ab(
     flows: int = FLOWS,
     packets_per_flow: int = PACKETS_PER_FLOW,
     seed: int = SEED,
-    scheduler: str = "heap",
 ) -> dict:
     """Reference run vs fast-path run of the same scenario, plus verdicts.
 
     ``identical`` is True only when every identity axis matches;
-    ``speedup_vs_committed`` is the fast-path throughput over the
-    committed event-loop baseline (the number the >=10x benchmark gate
-    reads); ``speedup_same_scenario`` is the direct on/off ratio — what
-    the flow cache itself buys over the default hop path — both are
-    reported so neither can masquerade as the other.
+    ``speedup_same_scenario`` is the direct on/off ratio — what the flow
+    cache itself buys over the default hop path.
     """
-    off = run_scenario(flows, packets_per_flow, seed, False, scheduler)
-    on = run_scenario(flows, packets_per_flow, seed, True, scheduler)
+    off = run_scenario(flows, packets_per_flow, seed, False)
+    on = run_scenario(flows, packets_per_flow, seed, True)
     identity = identity_report(off, on)
-    baseline = committed_baseline_pps()
     return {
         "off": off,
         "on": on,
         "identity": identity,
         "identical": all(identity.values()),
-        "baseline_pps": baseline,
-        "speedup_vs_committed": on["packets_per_s"] / baseline,
         "speedup_same_scenario":
             on["packets_per_s"] / off["packets_per_s"],
     }

@@ -15,14 +15,9 @@ which every component publishes through. The historical free-form
 ``Simulator.counters`` dict survives as a read view over the registry;
 direct writes to it are deprecated.
 
-Two schedulers are available behind the same ``schedule`` API: the
-default binary heap (entries are ``(time, seq, Event)`` tuples, so
-ordering is decided entirely by C tuple comparison and never calls back
-into Python), and an opt-in calendar-bucket timer wheel
-(``Simulator(scheduler="wheel")``, :mod:`repro.fastpath.wheel`) that the
-fast-path subsystem uses for million-flow campaigns. Both produce the
-exact same ``(time, seq)`` execution order; ``tests/test_fastpath.py``
-cross-checks them event for event.
+The queue is a binary heap whose entries are ``(time, seq, Event)``
+tuples, so ordering is decided entirely by C tuple comparison and never
+calls back into Python.
 """
 
 from __future__ import annotations
@@ -42,7 +37,7 @@ class Event:
 
     Events execute in ``(time, seq)`` order, which makes the run
     deterministic: two events at the same instant fire in the order they
-    were scheduled. The ordering itself lives in the scheduler's queue
+    were scheduled. The ordering itself lives in the heap
     entries (plain tuples); ``Event`` is the cancellation handle.
     ``__slots__`` because hot scenarios allocate one per hop.
     """
@@ -76,31 +71,14 @@ class Simulator:
         Seed for the simulator-owned :class:`random.Random`. All stochastic
         behaviour (link loss, reordering, workload generation) must draw
         from :attr:`rng` so that a run is reproducible from its seed.
-    scheduler:
-        ``"heap"`` (default) or ``"wheel"``. The wheel is the fast-path
-        scheduler; it executes the identical ``(time, seq)`` order.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        trace_ring: int = 65536,
-        scheduler: str = "heap",
-    ) -> None:
+    def __init__(self, seed: int = 0, trace_ring: int = 65536) -> None:
         self.now: float = 0.0
         self.rng = random.Random(seed)
         self._heap: List[Tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._events_executed = 0
-        if scheduler == "heap":
-            self._wheel = None
-        elif scheduler == "wheel":
-            from repro.fastpath.wheel import TimerWheel
-
-            self._wheel = TimerWheel()
-        else:
-            raise ValueError(f"unknown scheduler {scheduler!r}")
-        self.scheduler = scheduler
         # Correlation ids for packet-lifecycle spans: allocation order is
         # event-execution order, so ids are deterministic per seed and
         # never touch the RNG or the event heap.
@@ -164,10 +142,7 @@ class Simulator:
                 event.cancelled = True
                 return event
         event = Event(when, next(self._seq), fn, args, origin)
-        if self._wheel is None:
-            heapq.heappush(self._heap, (when, event.seq, event))
-        else:
-            self._wheel.push(when, event.seq, event)
+        heapq.heappush(self._heap, (when, event.seq, event))
         return event
 
     # -- execution ------------------------------------------------------------
@@ -197,48 +172,27 @@ class Simulator:
         if self._observe is not None:
             return self._drain_observed(until, max_events, exhaust)
         executed = 0
-        wheel = self._wheel
+        heap = self._heap
+        pop = heapq.heappop
         try:
-            if wheel is None:
-                heap = self._heap
-                pop = heapq.heappop
-                while heap:
-                    head = heap[0]
-                    event = head[2]
-                    if event.cancelled:
-                        pop(heap)
-                        continue
-                    if max_events is not None and executed >= max_events:
-                        self._note_exhausted(max_events, exhaust)
-                        return executed
-                    when = head[0]
-                    if until is not None and when > until:
-                        break
+            while heap:
+                head = heap[0]
+                event = head[2]
+                if event.cancelled:
                     pop(heap)
-                    self.now = when
-                    self._origin = event.origin
-                    event.fn(*event.args)
-                    executed += 1
-                    self._events_executed += 1
-            else:
-                pop_due = wheel.pop_due
-                while True:
-                    if max_events is not None and executed >= max_events:
-                        # Same exhaustion semantics as the heap branch: only
-                        # report when a live event is actually still pending.
-                        if wheel.head() is not None:
-                            self._note_exhausted(max_events, exhaust)
-                            return executed
-                        break
-                    entry = pop_due(until)
-                    if entry is None:
-                        break
-                    self.now = entry[0]
-                    event = entry[2]
-                    self._origin = event.origin
-                    event.fn(*event.args)
-                    executed += 1
-                    self._events_executed += 1
+                    continue
+                if max_events is not None and executed >= max_events:
+                    self._note_exhausted(max_events, exhaust)
+                    return executed
+                when = head[0]
+                if until is not None and when > until:
+                    break
+                pop(heap)
+                self.now = when
+                self._origin = event.origin
+                event.fn(*event.args)
+                executed += 1
+                self._events_executed += 1
         finally:
             # Code running after the drain (scenario drivers, reporters)
             # is root context again.
@@ -285,56 +239,33 @@ class Simulator:
         tick = profiler.tick if profiler is not None else None
         heartbeat = observe.heartbeat_tick
         executed = 0
-        wheel = self._wheel
+        heap = self._heap
+        pop = heapq.heappop
         if profiler is not None:
             profiler.start()
         try:
-            if wheel is None:
-                heap = self._heap
-                pop = heapq.heappop
-                while heap:
-                    head = heap[0]
-                    event = head[2]
-                    if event.cancelled:
-                        pop(heap)
-                        continue
-                    if max_events is not None and executed >= max_events:
-                        self._note_exhausted(max_events, exhaust)
-                        return executed
-                    when = head[0]
-                    if until is not None and when > until:
-                        break
+            while heap:
+                head = heap[0]
+                event = head[2]
+                if event.cancelled:
                     pop(heap)
-                    self.now = when
-                    self._origin = event.origin
-                    event.fn(*event.args)
-                    executed += 1
-                    self._events_executed += 1
-                    if tick is not None:
-                        tick(event.fn)
-                    if heartbeat is not None:
-                        heartbeat(self.now)
-            else:
-                pop_due = wheel.pop_due
-                while True:
-                    if max_events is not None and executed >= max_events:
-                        if wheel.head() is not None:
-                            self._note_exhausted(max_events, exhaust)
-                            return executed
-                        break
-                    entry = pop_due(until)
-                    if entry is None:
-                        break
-                    self.now = entry[0]
-                    event = entry[2]
-                    self._origin = event.origin
-                    event.fn(*event.args)
-                    executed += 1
-                    self._events_executed += 1
-                    if tick is not None:
-                        tick(event.fn)
-                    if heartbeat is not None:
-                        heartbeat(self.now)
+                    continue
+                if max_events is not None and executed >= max_events:
+                    self._note_exhausted(max_events, exhaust)
+                    return executed
+                when = head[0]
+                if until is not None and when > until:
+                    break
+                pop(heap)
+                self.now = when
+                self._origin = event.origin
+                event.fn(*event.args)
+                executed += 1
+                self._events_executed += 1
+                if tick is not None:
+                    tick(event.fn)
+                if heartbeat is not None:
+                    heartbeat(self.now)
         finally:
             self._origin = None
         return executed
@@ -411,9 +342,7 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of events still queued (including cancelled tombstones)."""
-        if self._wheel is None:
-            return len(self._heap)
-        return len(self._wheel)
+        return len(self._heap)
 
     @property
     def events_executed(self) -> int:

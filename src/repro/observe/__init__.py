@@ -25,10 +25,6 @@ so it cannot perturb event sequence numbers.
 :class:`Observe` is the bundle the simulator's
 :meth:`~repro.net.simulator.Simulator.attach_observe` consumes;
 :func:`attach` builds and attaches one in one call.
-
-The fourth leg — the perf-trajectory spine (``repro.tools bench
---record`` and the ``BENCH_TRAJECTORY.json`` regression gate) — lives
-in :mod:`repro.observe.trajectory`.
 """
 
 from __future__ import annotations

@@ -1,68 +1,25 @@
-"""The perf-trajectory spine: normalized throughput history + CI gate.
+"""Two pinned wall-clock probes: the raw event loop and the full pipeline.
 
-Wall-clock benchmarks answer "how fast is this machine today"; the
-trajectory answers "is the *code* getting slower". ``repro.tools bench
---record`` measures the two committed figures — the event-loop pipeline
-and the fast-path steady-state scenario — and appends one entry per
-figure to ``BENCH_TRAJECTORY.json`` at the repository root. ``--check``
-compares a fresh measurement against each figure's last committed entry
-and fails (exit code, CI gate) on a throughput regression beyond
-:data:`REGRESSION_THRESHOLD`.
-
-Raw packets/s is useless across machines, so every figure is stored
-twice: raw, and **normalized** by the same run's raw timer-churn
-event-loop rate (:func:`run_raw_eventloop`). The raw loop exercises only
-the scheduler heap — the floor under everything else — so the normalized
-figure ("pipeline packets per raw-loop event") cancels the machine's
-single-thread speed and survives comparing a laptop entry against a CI
-runner. The gate reads only normalized figures.
-
-Entries carry wall-clock metadata (when recorded, interpreter version)
-for humans; the gate never reads it.
-
-The measurement functions here are the single source of truth:
-``benchmarks/test_perf_eventloop.py`` imports them, so the committed
-``BENCH_eventloop.json`` baseline and the trajectory measure exactly the
-same workloads.
+:func:`run_raw_eventloop` is timer churn only — the heap floor under
+everything else; ``python -m bench run`` reports it as
+``net.simulator.raw_events_per_s`` so a reader can tell a slow machine
+from slow code. :func:`run_pipeline` is the full stack on Sync-Counter
+and exists for the self-profiler overhead gate
+(``benchmarks/test_perf_eventloop.py``). Throughput itself is measured
+by ``python -m bench run`` and nowhere else (see ``bench/README.md``).
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform
-import time
-from typing import Callable, Dict, List, Optional
-
 from repro.telemetry import ScopedTimer
-
-#: Fail the gate when a normalized figure drops by more than this
-#: fraction vs the figure's last committed entry.
-REGRESSION_THRESHOLD = 0.20
-
-#: Default trajectory file, at the repository root next to
-#: BENCH_eventloop.json.
-DEFAULT_PATH = os.path.normpath(
-    os.path.join(os.path.dirname(__file__), "..", "..", "..",
-                 "BENCH_TRAJECTORY.json")
-)
 
 RAW_EVENTS = 200_000
 PIPELINE_PACKETS = 2_000
 SEED = 5
 
-#: Shard-figure shape: small enough to measure in seconds, large enough
-#: that per-shard work dominates the shared (ghost) overhead.
-SHARD_WORKERS = 2
-SHARD_PACKETS = 2_000
-SHARD_POPULATION = 50_000
-
-
-# -- measurements (shared with benchmarks/test_perf_eventloop.py) --------------
-
 
 def run_raw_eventloop() -> dict:
-    """Timer churn only: the scheduler/heap floor of everything else."""
+    """Timer churn only: the heap floor of everything else."""
     from repro import Simulator
 
     sim = Simulator(seed=SEED)
@@ -124,174 +81,3 @@ def run_pipeline(observe: bool = False) -> dict:
         result["profile"] = bundle.profiler.to_dict()
         sim.detach_observe()
     return result
-
-
-def measure() -> List[dict]:
-    """Measure both committed figures; return trajectory entries.
-
-    One raw event-loop run normalizes both figures, so each entry's
-    ``normalized`` field is comparable across machines.
-    """
-    from repro.fastpath.bench import run_scenario
-    from repro.shard.bench import bench_point
-
-    raw = run_raw_eventloop()
-    pipe = run_pipeline()
-    fast = run_scenario(fastpath=True)
-    shard = bench_point(SHARD_WORKERS, packets=SHARD_PACKETS,
-                        population=SHARD_POPULATION, fastpath=True)
-    meta = {
-        "recorded_unix": int(time.time()),  # repro: noqa[RD201] -- benchmark record metadata
-        "python": platform.python_version(),
-    }
-    return [
-        {
-            "schema": 1,
-            "bench": "eventloop",
-            "raw_events_per_s": round(raw["events_per_s"], 1),
-            "throughput": round(pipe["packets_per_s"], 1),
-            "unit": "pipeline_packets_per_s",
-            "normalized": _normalize(pipe["packets_per_s"],
-                                     raw["events_per_s"]),
-            "meta": meta,
-        },
-        {
-            "schema": 1,
-            "bench": "fastpath",
-            "raw_events_per_s": round(raw["events_per_s"], 1),
-            "throughput": round(fast["packets_per_s"], 1),
-            "unit": "nat_packets_per_s",
-            "normalized": _normalize(fast["packets_per_s"],
-                                     raw["events_per_s"]),
-            "meta": meta,
-        },
-        {
-            "schema": 1,
-            "bench": "shard",
-            "raw_events_per_s": round(raw["events_per_s"], 1),
-            "throughput": round(shard["pps_critical_path"], 1),
-            "unit": f"shard{SHARD_WORKERS}_critical_path_pps",
-            "normalized": _normalize(shard["pps_critical_path"],
-                                     raw["events_per_s"]),
-            "meta": meta,
-        },
-    ]
-
-
-def _normalize(throughput: float, raw_events_per_s: float) -> float:
-    """Machine-independent figure: throughput per raw-loop event/s."""
-    if raw_events_per_s <= 0:
-        return 0.0
-    return round(throughput / raw_events_per_s, 6)
-
-
-# -- the committed trajectory file ---------------------------------------------
-
-
-def load(path: str = DEFAULT_PATH) -> Dict[str, object]:
-    """Load the trajectory document ({"schema": 1, "entries": [...]})."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        return {"schema": 1, "entries": []}
-    if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
-        raise ValueError(f"{path}: not a trajectory document")
-    return doc
-
-
-def last_by_bench(doc: Dict[str, object]) -> Dict[str, dict]:
-    """Each figure's most recent committed entry."""
-    latest: Dict[str, dict] = {}
-    for entry in doc["entries"]:  # type: ignore[union-attr]
-        latest[str(entry["bench"])] = entry
-    return latest
-
-
-def append(entries: List[dict], path: str = DEFAULT_PATH) -> Dict[str, object]:
-    """Append measured entries to the trajectory file; return the doc."""
-    doc = load(path)
-    doc["entries"].extend(entries)  # type: ignore[union-attr]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return doc
-
-
-def check(
-    entries: List[dict],
-    baseline: Dict[str, dict],
-    threshold: float = REGRESSION_THRESHOLD,
-) -> Dict[str, object]:
-    """Gate fresh measurements against each figure's last committed entry.
-
-    Pure function (measurement and file I/O stay outside) so the gate
-    logic is unit-testable without running benchmarks. A figure with no
-    committed baseline passes trivially (first recording seeds it).
-    """
-    comparisons: List[dict] = []
-    ok = True
-    for entry in entries:
-        bench = str(entry["bench"])
-        prev = baseline.get(bench)
-        if prev is None:
-            comparisons.append({"bench": bench, "status": "no-baseline"})
-            continue
-        before = float(prev["normalized"])
-        after = float(entry["normalized"])
-        ratio = after / before if before > 0 else 1.0
-        regressed = ratio < (1.0 - threshold)
-        if regressed:
-            ok = False
-        comparisons.append({
-            "bench": bench,
-            "status": "REGRESSED" if regressed else "ok",
-            "normalized_before": before,
-            "normalized_after": after,
-            "ratio": round(ratio, 4),
-        })
-    return {"ok": ok, "threshold": threshold, "comparisons": comparisons}
-
-
-def render_check(report: Dict[str, object]) -> str:
-    """Human-readable gate report."""
-    lines = []
-    for comp in report["comparisons"]:  # type: ignore[union-attr]
-        if comp["status"] == "no-baseline":
-            lines.append(f"{comp['bench']:<12} no committed baseline "
-                         f"(first --record seeds it)")
-            continue
-        lines.append(
-            f"{comp['bench']:<12} {comp['status']:<9} "
-            f"normalized {comp['normalized_before']:.6f} -> "
-            f"{comp['normalized_after']:.6f} (x{comp['ratio']:.3f})"
-        )
-    pct = int(round(float(report["threshold"]) * 100))
-    verdict = "PASS" if report["ok"] else "FAIL"
-    lines.append(f"gate       : {verdict} (fails on >{pct}% normalized "
-                 f"throughput drop)")
-    return "\n".join(lines)
-
-
-def record_and_check(
-    path: str = DEFAULT_PATH,
-    record: bool = True,
-    gate: bool = False,
-    measure_fn: Optional[Callable[[], List[dict]]] = None,
-) -> Dict[str, object]:
-    """The ``repro.tools bench --record/--check`` entry point.
-
-    Measures once; gates against the committed baseline *before*
-    appending (so a regressing commit fails even when it also records);
-    then appends when ``record`` is set.
-    """
-    entries = (measure_fn or measure)()
-    baseline = last_by_bench(load(path))
-    report = check(entries, baseline) if gate \
-        else {"ok": True, "threshold": REGRESSION_THRESHOLD,
-              "comparisons": []}
-    if record:
-        append(entries, path)
-    report["entries"] = entries
-    report["recorded"] = bool(record)
-    return report

@@ -18,11 +18,10 @@ module             role
 ``recorder``       per-shard sidecars: origins, uid births, observations
 ``window``         conservative window protocol (lookahead law, controller)
 ``frames``         length-prefixed worker protocol frames
-``scenarios``      shard-disciplined campaign drivers
+``scenarios``      shard-disciplined campaign drivers (incl. million-flow)
 ``runner``         reference / inline / process drive modes + identity gate
 ``worker``         spawned-process worker entry point
 ``merge``          deterministic stream reassembly + identity report
-``bench``          million-flow scaling bench (BENCH_shard.json)
 =================  ==========================================================
 
 See docs/SHARDING.md for the end-to-end story.

@@ -6,12 +6,11 @@ Three drive modes share one scenario definition
 * **reference** — the plain single-process run, the bit-identity truth;
 * **inline** — every shard (plus the ghost) runs sequentially in this
   process. Deterministic, debuggable, and the mode the identity tests
-  and the scaling bench use: the plan proves shards causally
-  independent, so each shard's isolated wall time is an honest measure
-  of what a dedicated core would spend (critical-path throughput);
+  use;
 * **process** — shards run in spawned worker processes synchronized by
   the conservative window protocol over length-prefixed frames
-  (:mod:`repro.shard.worker`).
+  (:mod:`repro.shard.worker`) — the mode ``python -m bench run`` times
+  as ``flow_churn_shard2``.
 
 Every sharded entry point gates on the committed shard plan first:
 :func:`repro.shard.plan.check_conformance` recomputes the plan from the

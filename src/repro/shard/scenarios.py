@@ -23,6 +23,7 @@ docs/SHARDING.md):
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
@@ -56,6 +57,26 @@ NATQS_FAIL_SWITCH = "agg2"
 
 #: Seed every chaos campaign runs under (the chaos CLI default).
 CHAOS_SEED = 42
+
+#: Million-flow campaign: Zipf exponent of the flow-popularity draw.
+MF_ZIPF_S = 1.05
+#: Lease tuning: head flows renew, tail flows expire and recycle SRAM.
+MF_LEASE_US = 400_000.0
+MF_RECLAIM_EVERY_US = 800_000.0
+MF_SPACING_US = 32.0  # paced to the 88 us serial control-plane install cost
+#: The scripted mid-campaign victim (ECMP spreads flows over both agg
+#: switches; failing either one exercises migration the same way).
+MF_FAIL_SWITCH = "agg1"
+#: Injections scheduled per driver batch: bounds the event heap.
+MF_BATCH = 4096
+
+#: Default campaign shape.
+MF_PACKETS = 130_000
+MF_POPULATION = 1_000_000
+#: Draw-stream seed (independent of the simulator seed; the draw RNG
+#: lives in the driver, runs in lockstep on every shard, and never
+#: touches ``sim.rng``).
+MF_DRAW_SEED = 24
 
 
 @dataclass
@@ -196,6 +217,123 @@ def run_nat_quickstart(
     return {"packets": 2 * packets, "translated": translated}
 
 
+def zipf_rank(u: float, population: int, s: float = MF_ZIPF_S) -> int:
+    """Analytic inverse-CDF Zipf: map uniform ``u`` to a 1-based rank.
+
+    Continuous bounded-Pareto approximation of the zeta distribution —
+    O(1) per draw and streamable, unlike bisection over a cumulative
+    mass table (which materializes ``population`` floats up front).
+    Exact enough for a popularity workload: the head ranks keep their
+    mass within a fraction of a percent of the discrete law.
+    """
+    if population < 1:
+        raise ValueError("population must be >= 1")
+    if s == 1.0:
+        rank = int(population ** u)
+    else:
+        rank = int(
+            (u * (population ** (1.0 - s) - 1.0) + 1.0) ** (1.0 / (1.0 - s))
+        )
+    return min(max(rank, 1), population)
+
+
+def flow_ports(flow_id: int) -> tuple:
+    """Distinct (sport, dport) per flow rank — millions of 5-tuples."""
+    return 2000 + flow_id % 60000, 1000 + flow_id // 60000
+
+
+def run_million_flow_scenario(
+    sim: Any,
+    pace: Callable[[float], None],
+    fastpath: bool = False,
+    packets: int = MF_PACKETS,
+    population: int = MF_POPULATION,
+    fail_switch: Optional[str] = MF_FAIL_SWITCH,
+    batch: int = MF_BATCH,
+) -> Dict[str, Any]:
+    """The million-flow campaign: a Zipf packet stream over a huge
+    distinct-flow population through RedPlane-NAT, periodic reclamation
+    of expired flow slots, and one scripted mid-campaign failover.
+
+    The population is *streamed* (O(1) :func:`zipf_rank` per draw,
+    injections scheduled in bounded batches between ``pace()`` calls), so
+    neither a 10M-entry table nor a 10M-event heap ever materializes.
+    """
+    from repro import RedPlaneConfig, deploy
+    from repro.apps.nat import NatApp, install_nat_routes
+    from repro.net.packet import Packet
+
+    dep = deploy(sim, NatApp, config=RedPlaneConfig(
+        lease_period_us=MF_LEASE_US,
+        renew_interval_us=MF_LEASE_US / 2,
+        max_flows=65_536,
+        record_history=False,
+    ))
+    install_nat_routes(dep.bed)
+    if fastpath:
+        from repro.fastpath.runtime import FastPath
+
+        FastPath.install(sim)
+    sender = dep.bed.servers[0]
+    dst_ip = dep.bed.externals[0].ip
+
+    t_traffic_end = packets * MF_SPACING_US
+    t_end = t_traffic_end + 3 * MF_LEASE_US
+    t_fail = t_traffic_end / 2.0 if fail_switch else None
+
+    def reclaim() -> None:
+        freed = sum(e.reclaim_idle_flows() for e in dep.engines.values())
+        if freed:
+            sim.count("example.reclaimed", freed)  # repro: noqa[RT304] -- campaign-local bookkeeping counter shared with examples/million_flow_campaign.py
+        if sim.now < t_end:
+            sim.schedule(MF_RECLAIM_EVERY_US, reclaim)
+
+    sim.schedule_at(MF_RECLAIM_EVERY_US, reclaim)
+
+    # Stream the draw sequence: one uniform draw per packet, scheduled
+    # in bounded batches with a pace() between them. The driver runs in
+    # lockstep on every shard, so each shard sees the identical stream
+    # and the admission filter picks its own flows out of it.
+    draws = random.Random(MF_DRAW_SEED)
+    failed = False
+    sent = 0
+    while sent < packets:
+        batch_end = min(sent + batch, packets)
+        for i in range(sent, batch_end):
+            when = i * MF_SPACING_US
+            if t_fail is not None and not failed and when >= t_fail:
+                # Reach the failover point before injecting past it.
+                pace(t_fail)
+                dep.bed.topology.fail_node(
+                    dep.engines[fail_switch].switch,
+                    detect_delay_us=25_000.0,
+                )
+                failed = True
+            rank = zipf_rank(draws.random(), population)
+            sport, dport = flow_ports(rank)
+            sim.schedule_at(
+                when, sender.send,
+                Packet.udp(sender.ip, dst_ip, sport, dport),
+            )
+        sent = batch_end
+        pace(sent * MF_SPACING_US)
+    if t_fail is not None and not failed:
+        pace(t_fail)
+        dep.bed.topology.fail_node(
+            dep.engines[fail_switch].switch, detect_delay_us=25_000.0,
+        )
+    pace(t_end)
+
+    apps = {id(e.app): e.app for e in dep.engines.values()}
+    translated = sum(a.translated_out for a in apps.values())
+    return {
+        "packets": packets,
+        "population": population,
+        "translated": translated,
+        "reclaimed": int(sim.counters.get("example.reclaimed", 0)),
+    }
+
+
 def _make_chaos_runner(campaign_name: str) -> Callable[..., Dict[str, Any]]:
     def run_chaos(
         sim: Any,
@@ -234,8 +372,6 @@ def get_scenario(name: str) -> Scenario:
     if name == "nat_steady":
         return Scenario(name, app="nat", seed=5, fn=run_nat_steady)
     if name == "million_flow":
-        from repro.shard.bench import run_million_flow_scenario
-
         return Scenario(name, app="nat", seed=23,
                         fn=run_million_flow_scenario)
     if name.startswith("chaos:"):

@@ -121,8 +121,9 @@ def run_process_shards(config: Any) -> List[Dict[str, Any]]:
     """Spawn one worker per shard, serve window grants, collect results.
 
     ``config`` is a :class:`repro.shard.runner.ShardRunConfig`. Returns
-    the shard results in shard order. A worker error tears the whole
-    run down with its traceback — a partial merge would be meaningless.
+    the shard results in shard order. A worker error or death tears the
+    whole run down, naming the shard — a partial merge would be
+    meaningless, so the surviving workers are not waited for.
     """
     ctx = multiprocessing.get_context("spawn")
     controller = WindowController(config.workers, config.schedule)
@@ -170,7 +171,16 @@ def run_process_shards(config: Any) -> List[Dict[str, Any]]:
             for raw in ready:
                 index = index_of[id(raw)]
                 fc = conns[index]
-                ftype, body = fc.recv()
+                try:
+                    ftype, body = fc.recv()
+                except (EOFError, OSError) as exc:
+                    # The worker closed its pipe without RESULT or ERROR:
+                    # killed, or crashed before it could frame anything.
+                    procs[index].join(timeout=5.0)
+                    raise RuntimeError(
+                        f"shard worker {index} died before sending a "
+                        f"result (exit code {procs[index].exitcode})"
+                    ) from exc
                 if ftype == F_HELLO:
                     continue
                 if ftype == F_WINDOW_REQ:
@@ -194,6 +204,10 @@ def run_process_shards(config: Any) -> List[Dict[str, Any]]:
                     raise RuntimeError(
                         f"unexpected frame type {ftype} from worker {index}"
                     )
+    except BaseException:
+        for proc in procs:
+            proc.terminate()
+        raise
     finally:
         for proc in procs:
             proc.join(timeout=10.0)

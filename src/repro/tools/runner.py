@@ -14,15 +14,13 @@ Usage::
     python -m repro.tools chaos --list      # chaos campaign inventory
     python -m repro.tools chaos gray_link   # one chaos campaign + verdict
     python -m repro.tools fastpath          # fast-path cache statistics
-    python -m repro.tools fastpath --diff   # on/off A/B identity + speedup
+    python -m repro.tools fastpath --diff   # on/off A/B identity + ratio
     python -m repro.tools profile gray_link --flame f.txt  # self-profiler
     python -m repro.tools watch hb.ndjson -f  # live campaign health console
     python -m repro.tools watch hb/heartbeat.*.ndjson -f  # merged shard view
-    python -m repro.tools bench --record --check  # perf-trajectory gate
     python -m repro.tools shard plan nat    # shard plan + worker assignment
     python -m repro.tools shard run nat_steady --workers 4  # sharded run
     python -m repro.tools shard diff nat_quickstart --workers 2  # identity
-    python -m repro.tools shard bench --workers-list 1,2,4,8  # scaling curve
 
 Each experiment is a pytest benchmark under ``benchmarks/``; the runner
 invokes pytest with the right selection so the printed rows land on
@@ -220,14 +218,13 @@ def run_bench_diff(name: str) -> int:
     return 0
 
 
-def run_fastpath(flows: int, packets: int, seed: int, scheduler: str,
+def run_fastpath(flows: int, packets: int, seed: int,
                  diff: bool, as_json: bool) -> int:
     """Fast-path statistics, or an on/off A/B identity + speedup check."""
     from repro.fastpath.bench import run_ab, run_scenario
 
     if diff:
-        result = run_ab(flows=flows, packets_per_flow=packets, seed=seed,
-                        scheduler=scheduler)
+        result = run_ab(flows=flows, packets_per_flow=packets, seed=seed)
         if as_json:
             slim = dict(result)
             for key in ("off", "on"):
@@ -240,9 +237,7 @@ def run_fastpath(flows: int, packets: int, seed: int, scheduler: str,
                   f"({off['packets']} packets, {off['events']} events)")
             print(f"fast path : {on['packets_per_s']:>10.1f} pkt/s "
                   f"({on['packets']} packets, {on['events']} events)")
-            print(f"speedup   : {result['speedup_vs_committed']:.2f}x vs "
-                  f"committed baseline ({result['baseline_pps']:.1f} "
-                  f"pkt/s), {result['speedup_same_scenario']:.2f}x "
+            print(f"speedup   : {result['speedup_same_scenario']:.2f}x "
                   f"same-scenario")
             for axis, same in result["identity"].items():
                 print(f"identity  : {axis:<16s} "
@@ -253,7 +248,7 @@ def run_fastpath(flows: int, packets: int, seed: int, scheduler: str,
             return 1
         return 0
     result = run_scenario(flows=flows, packets_per_flow=packets, seed=seed,
-                          fastpath=True, scheduler=scheduler)
+                          fastpath=True)
     stats = result["fastpath_stats"]
     if as_json:
         print(json.dumps(stats, indent=2, sort_keys=True))
@@ -725,26 +720,6 @@ def run_shard_diff(args: "argparse.Namespace") -> int:
     return 0 if out["identical"] else 1
 
 
-def run_shard_bench(args: "argparse.Namespace") -> int:
-    """``repro.tools shard bench``: the worker scaling curve."""
-    from repro.shard import bench as shard_bench
-
-    workers_list = [int(w) for w in args.workers_list.split(",")]
-    curve = shard_bench.run_scaling_curve(
-        workers_list,
-        packets=args.packets or shard_bench.DEFAULT_PACKETS,
-        population=args.population or shard_bench.DEFAULT_POPULATION,
-        progress=lambda msg: print(msg, file=sys.stderr),
-    )
-    payload = shard_bench.bench_payload(curve)
-    if args.record or args.out:
-        path = args.out or shard_bench.BENCH_PATH
-        shard_bench.write_bench(path, **payload)
-        print(f"recorded -> {path}", file=sys.stderr)
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    return 0
-
-
 def run_shard_cli(args: "argparse.Namespace") -> int:
     if args.shard_command == "plan":
         return run_shard_plan(args.app, args.workers, args.json)
@@ -752,30 +727,8 @@ def run_shard_cli(args: "argparse.Namespace") -> int:
         return run_shard_run(args)
     if args.shard_command == "diff":
         return run_shard_diff(args)
-    if args.shard_command == "bench":
-        return run_shard_bench(args)
-    print("shard: give a subcommand (plan/run/diff/bench)", file=sys.stderr)
+    print("shard: give a subcommand (plan/run/diff)", file=sys.stderr)
     return 2
-
-
-def run_bench_trajectory(record: bool, gate: bool,
-                         path: Optional[str]) -> int:
-    """``repro.tools bench --record/--check``: the perf-trajectory spine."""
-    from repro.observe import trajectory
-
-    report = trajectory.record_and_check(
-        path=path or trajectory.DEFAULT_PATH,
-        record=record, gate=gate)
-    for entry in report["entries"]:
-        print(f"measured   : {entry['bench']:<12} "
-              f"{entry['throughput']:>10.1f} {entry['unit']} "
-              f"(normalized {entry['normalized']:.6f})")
-    if gate:
-        print(trajectory.render_check(report))
-    if record:
-        print(f"recorded   : {len(report['entries'])} entries -> "
-              f"{path or trajectory.DEFAULT_PATH}", file=sys.stderr)
-    return 0 if report["ok"] else 1
 
 
 def run_fuzz_cli(args: "argparse.Namespace") -> int:
@@ -887,7 +840,9 @@ def run_fuzz_cli(args: "argparse.Namespace") -> int:
     return 1 if failures else 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``python -m repro.tools`` argument parser (construction only;
+    ``tests/test_tools.py`` parses every documented command through it)."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.tools",
         description="Regenerate the paper's tables and figures.",
@@ -900,24 +855,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     bench_parser = sub.add_parser(
         "bench", help="rerun one experiment and diff its tables against "
                       "the committed bench_results.txt/EXPERIMENTS.md "
-                      "values (nonzero exit on drift); or --record/--check "
-                      "the wall-clock perf trajectory")
-    bench_parser.add_argument("experiment", nargs="?",
+                      "values (nonzero exit on drift)")
+    bench_parser.add_argument("experiment",
                               help="fig8..fig15, table1, table2, appc, "
-                                   "or ablation-* (omit with "
-                                   "--record/--check)")
-    bench_parser.add_argument("--record", action="store_true",
-                              help="measure the committed perf figures and "
-                                   "append normalized entries to "
-                                   "BENCH_TRAJECTORY.json")
-    bench_parser.add_argument("--check", action="store_true",
-                              help="gate the fresh measurement against the "
-                                   "last committed trajectory entry; "
-                                   "nonzero exit on >20%% normalized "
-                                   "throughput regression")
-    bench_parser.add_argument("--trajectory", metavar="PATH",
-                              help="trajectory file (default: "
-                                   "BENCH_TRAJECTORY.json at the repo root)")
+                                   "or ablation-*")
     fastpath_parser = sub.add_parser(
         "fastpath", help="run the NAT steady-state scenario with the "
                          "fast path and print cache statistics")
@@ -931,9 +872,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                                  help="packets per flow (default 400)")
     fastpath_parser.add_argument("--seed", type=int, default=5,
                                  help="simulator seed (default 5)")
-    fastpath_parser.add_argument("--scheduler", default="heap",
-                                 choices=("heap", "wheel"),
-                                 help="event scheduler (default heap)")
     fastpath_parser.add_argument("--json", action="store_true",
                                  help="machine-readable output")
     metrics_parser = sub.add_parser(
@@ -995,8 +933,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     watch_parser.add_argument("--max-lines", type=int, dest="max_lines",
                               help="stop after N snapshots")
     shard_parser = sub.add_parser(
-        "shard", help="sharded parallel simulation: plan / run / diff / "
-                      "bench")
+        "shard", help="sharded parallel simulation: plan / run / diff")
     shard_sub = shard_parser.add_subparsers(dest="shard_command")
     shard_plan = shard_sub.add_parser(
         "plan", help="render an app's committed shard plan + worker "
@@ -1039,22 +976,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     shard_diff.add_argument("--mode", choices=("inline", "process"),
                             default="inline")
     shard_diff.add_argument("--fastpath", action="store_true")
-    shard_bench = shard_sub.add_parser(
-        "bench", help="worker scaling curve on the million-flow campaign")
-    shard_bench.add_argument("--workers-list", dest="workers_list",
-                             default="1,2,4,8",
-                             help="comma-separated worker counts "
-                                  "(default 1,2,4,8)")
-    shard_bench.add_argument("--packets", type=int, default=None,
-                             help="packets per point (default: the "
-                                  "committed-bench size)")
-    shard_bench.add_argument("--population", type=int, default=None,
-                             help="Zipf flow population (default: the "
-                                  "committed-bench size)")
-    shard_bench.add_argument("--record", action="store_true",
-                             help="merge the curve into BENCH_shard.json")
-    shard_bench.add_argument("--out", help="record to this path instead "
-                                           "of the committed file")
     spans_parser = sub.add_parser(
         "spans", help="run the quickstart scenario and verify packet-span "
                       "completeness + RTT attribution")
@@ -1205,7 +1126,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                                   "clean (default)")
     fuzz_replay.add_argument("--json", action="store_true",
                              help="print each replay outcome JSON")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
 
     if args.command == "list":
         width = max(len(k) for k in EXPERIMENTS)
@@ -1252,17 +1177,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "fuzz":
         return run_fuzz_cli(args)
     if args.command == "bench":
-        if args.record or args.check:
-            return run_bench_trajectory(args.record, args.check,
-                                        args.trajectory)
-        if args.experiment is None:
-            print("bench: give an experiment name, or --record/--check "
-                  "for the perf trajectory", file=sys.stderr)
-            return 2
         return run_bench_diff(args.experiment)
     if args.command == "fastpath":
         return run_fastpath(args.flows, args.packets, args.seed,
-                            args.scheduler, args.diff, args.json)
+                            args.diff, args.json)
     return run_experiment(args.experiment)
 
 

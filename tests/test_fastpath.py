@@ -1,106 +1,18 @@
-"""Tests for the fast-path subsystem: timer wheel, invalidation bus,
-flow cache, and the bit-identity contract. (The compiled link direction
-and the route cache are the default hop path; tests/test_links.py and
+"""Tests for the fast-path subsystem: invalidation bus, flow cache, and
+the bit-identity contract. (The compiled link direction and the route
+cache are the default hop path; tests/test_links.py and
 tests/test_routing.py cover them.)"""
-
-import random
 
 import pytest
 
 from repro import Simulator, deploy
 from repro.apps.counter import SyncCounterApp
 from repro.apps.nat import NatApp, install_nat_routes
-from repro.fastpath import FLOW_SCOPES, SCOPES, FastPath, InvalidationBus, \
-    TimerWheel
+from repro.fastpath import FLOW_SCOPES, SCOPES, FastPath, InvalidationBus
 from repro.fastpath.bench import identity_report, run_scenario
 from repro.fastpath.flowcache import ENTRY_DEPS, Entry
 from repro.net.links import Link, SinkNode
 from repro.net.packet import Packet
-from repro.net.simulator import Event
-
-
-# -- timer wheel --------------------------------------------------------------
-
-
-def _drain_wheel(wheel):
-    order = []
-    while True:
-        entry = wheel.pop_due(None)
-        if entry is None:
-            break
-        order.append((entry[0], entry[1]))
-    return order
-
-
-def test_wheel_matches_heap_order_on_mixed_workload():
-    """The correctness contract: exactly the heap's (time, seq) order."""
-    rng = random.Random(11)
-    entries = []
-    for seq in range(2000):
-        # Calendar-shaped mix: dense near-future, sparse far tail, plus
-        # sub-microsecond offsets that land several entries in one bucket.
-        time = rng.choice([
-            rng.uniform(0.0, 10.0),
-            float(rng.randrange(0, 8)),           # exact bucket edges
-            rng.uniform(0.0, 10.0) + 1e-4,
-            rng.uniform(1000.0, 500000.0),
-        ])
-        entries.append((time, seq, Event(time, seq, lambda: None)))
-    wheel = TimerWheel()
-    for time, seq, event in entries:
-        wheel.push(time, seq, event)
-    expected = sorted((t, s) for t, s, _e in entries)
-    assert _drain_wheel(wheel) == expected
-
-
-def test_wheel_insert_into_draining_bucket():
-    """A sub-microsecond relative delay lands in the bucket currently
-    being drained and must still fire in (time, seq) position."""
-    wheel = TimerWheel()
-    wheel.push(1.0, 0, Event(1.0, 0, lambda: None))
-    wheel.push(1.5, 1, Event(1.5, 1, lambda: None))
-    first = wheel.pop_due(None)
-    assert first[0] == 1.0
-    # Now 1.2 goes into the bucket being drained, ahead of 1.5.
-    wheel.push(1.2, 2, Event(1.2, 2, lambda: None))
-    assert [e[0] for e in (wheel.pop_due(None), wheel.pop_due(None))] == \
-        [1.2, 1.5]
-    assert wheel.pop_due(None) is None
-
-
-def test_wheel_pop_due_respects_until():
-    wheel = TimerWheel()
-    for seq, time in enumerate([0.5, 2.5, 7.0]):
-        wheel.push(time, seq, Event(time, seq, lambda: None))
-    assert wheel.pop_due(1.0)[0] == 0.5
-    assert wheel.pop_due(1.0) is None      # 2.5 is beyond until
-    assert wheel.pop_due(None)[0] == 2.5   # still there, not lost
-    assert len(wheel) == 1
-
-
-def test_wheel_skips_cancelled_tombstones():
-    wheel = TimerWheel()
-    events = [Event(float(i), i, lambda: None) for i in range(6)]
-    for i, event in enumerate(events):
-        wheel.push(float(i), i, event)
-    for i in (0, 2, 3):
-        events[i].cancel()
-    assert [e[1] for e in iter(lambda: wheel.pop_due(None), None)] == \
-        [1, 4, 5]
-
-
-def test_wheel_scheduler_runs_simulation_identically():
-    """Simulator(scheduler='wheel') is event-order identical to the heap
-    on a full RedPlane run (no fast path involved)."""
-    results = [run_scenario(flows=6, packets_per_flow=30, fastpath=False,
-                            scheduler=s) for s in ("heap", "wheel")]
-    report = identity_report(results[0], results[1])
-    assert all(report.values()), report
-
-
-def test_unknown_scheduler_rejected():
-    with pytest.raises(ValueError):
-        Simulator(scheduler="calendar")
 
 
 # -- invalidation bus ---------------------------------------------------------

@@ -1,6 +1,6 @@
 """The observability layer: profiler identity + attribution, heartbeat
-stream identity, health detectors, the perf-trajectory gate, and the
-``profile``/``watch``/``bench --record`` CLI surfaces.
+stream identity, health detectors, and the ``profile``/``watch`` CLI
+surfaces.
 
 The load-bearing tests are the identity ones: attaching the profiler
 and the heartbeat emitter to a chaos campaign must leave the verdict
@@ -332,56 +332,6 @@ def test_perfetto_faults_share_one_track():
     health = [e for e in instants if e["name"].startswith("health.")]
     assert len(health) == 1
     assert health[0]["tid"] != fault_events[0]["tid"]
-
-
-# -- the trajectory gate -------------------------------------------------------
-
-
-def test_trajectory_gate_logic():
-    from repro.observe import trajectory as tj
-
-    baseline = {"eventloop": {"bench": "eventloop", "normalized": 0.0020}}
-    ok_entry = {"bench": "eventloop", "normalized": 0.0019}
-    bad_entry = {"bench": "eventloop", "normalized": 0.0015}
-    fresh_entry = {"bench": "fastpath", "normalized": 0.0180}
-
-    report = tj.check([ok_entry, fresh_entry], baseline)
-    assert report["ok"]
-    statuses = {c["bench"]: c["status"] for c in report["comparisons"]}
-    assert statuses == {"eventloop": "ok", "fastpath": "no-baseline"}
-
-    report = tj.check([bad_entry], baseline)
-    assert not report["ok"]
-    assert report["comparisons"][0]["status"] == "REGRESSED"
-    assert "FAIL" in tj.render_check(report)
-
-
-def test_trajectory_record_and_check_roundtrip(tmp_path):
-    from repro.observe import trajectory as tj
-
-    path = tmp_path / "traj.json"
-    fake = [{"schema": 1, "bench": "eventloop", "raw_events_per_s": 100.0,
-             "throughput": 10.0, "unit": "x", "normalized": 0.1,
-             "meta": {}}]
-    report = tj.record_and_check(path=str(path), record=True, gate=True,
-                                 measure_fn=lambda: [dict(e) for e in fake])
-    assert report["ok"] and report["recorded"]
-    doc = tj.load(str(path))
-    assert len(doc["entries"]) == 1
-
-    # Second recording gates against the first and passes (identical).
-    report = tj.record_and_check(path=str(path), record=True, gate=True,
-                                 measure_fn=lambda: [dict(e) for e in fake])
-    assert report["ok"]
-    assert tj.last_by_bench(tj.load(str(path)))["eventloop"]["normalized"] \
-        == 0.1
-
-    # A >20% normalized drop fails the gate but still records.
-    slow = [dict(fake[0], normalized=0.07)]
-    report = tj.record_and_check(path=str(path), record=True, gate=True,
-                                 measure_fn=lambda: [dict(e) for e in slow])
-    assert not report["ok"]
-    assert len(tj.load(str(path))["entries"]) == 3
 
 
 # -- CLI surfaces --------------------------------------------------------------

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import os
+import time
+
 import pytest
 
+from repro.shard import worker
+from repro.shard.frames import F_HELLO, F_WINDOW_GRANT, F_WINDOW_REQ, FrameConn
 from repro.shard.runner import resolve, run_identity, run_sharded
 from repro.shard.worker import ShardSpec
 
@@ -48,3 +53,37 @@ def test_unknown_mode_is_rejected():
     config = resolve("nat_quickstart", 2)
     with pytest.raises(ValueError, match="mode"):
         run_sharded(config, mode="threads")
+
+
+# Spawned children unpickle the worker target by module path, so the
+# dying stand-ins live at module level here (importable as
+# ``tests.test_shard_worker``); shard 0 stays a real worker.
+
+
+def _dies_on_import(conn, spec_dict):
+    if spec_dict["shard_index"] == 1:
+        os._exit(3)
+    worker.worker_main(conn, spec_dict)
+
+
+def _dies_mid_run(conn, spec_dict):
+    if spec_dict["shard_index"] != 1:
+        return worker.worker_main(conn, spec_dict)
+    fc = FrameConn(conn)
+    fc.send(F_HELLO, {"shard": 1, "scenario": spec_dict["scenario"]})
+    fc.send(F_WINDOW_REQ, {"shard": 1, "now": 0.0, "target": 1_000.0})
+    fc.recv_expect(F_WINDOW_GRANT)
+    os._exit(3)
+
+
+@pytest.mark.parametrize("target", [_dies_on_import, _dies_mid_run])
+def test_dead_worker_is_named_promptly(monkeypatch, target):
+    """A worker that closes its pipe without RESULT or ERROR is a typed
+    error naming the shard and its exit code, within seconds — not a
+    bare EOFError, and not the 300 s stall timeout."""
+    monkeypatch.setattr(worker, "worker_main", target)
+    config = resolve("nat_steady", 2)
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match=r"shard worker 1 died.*exit code 3"):
+        run_sharded(config, mode="process")
+    assert time.monotonic() - started < 30.0

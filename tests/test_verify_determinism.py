@@ -192,10 +192,9 @@ def test_repro_source_tree_is_deterministic():
     offending = report.active()
     assert offending == [], "\n".join(d.render() for d in offending)
     # The sanctioned wall-clock readers are waived, with justification:
-    # the ScopedTimer profiler, the event-loop self-profiler, and the
-    # perf-trajectory benchmark recorder. Nothing else — the simulator
-    # itself included — may read the host clock.
-    sanctioned = ("timers.py", "profiler.py", "trajectory.py")
+    # the ScopedTimer profiler and the event-loop self-profiler. Nothing
+    # else — the simulator itself included — may read the host clock.
+    sanctioned = ("timers.py", "profiler.py")
     suppressed = [d for d in report.diagnostics if d.suppressed]
     assert {d.rule for d in suppressed} == {"RD201"}
     assert all(d.file.endswith(sanctioned) for d in suppressed), \
