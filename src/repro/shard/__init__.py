@@ -3,10 +3,11 @@
 The horizontal-scaling subsystem: partition a campaign's flow
 population across N workers according to the committed per-app shard
 plan (``shard_plans/<app>.json``, produced and drift-checked by
-``repro.verify`` pass 5), synchronize them with a conservative
-time-window protocol bounded by the plan's cross-shard min-latency
-lookahead, and deterministically merge the per-shard streams back into
-the exact byte stream the single-process reference produces.
+``repro.verify`` pass 5), run every worker straight through — each
+simulates the whole topology and admits only its own flows, so shards
+exchange nothing and need no clock protocol — and deterministically
+merge the per-shard streams back into the exact byte stream the
+single-process reference produces.
 
 Package map:
 
@@ -16,11 +17,10 @@ module             role
 ``plan``           committed-plan loading, legality, launch-time RS408 gate
 ``assign``         flow -> shard hashing from the plan's partition key
 ``recorder``       per-shard sidecars: origins, uid births, observations
-``window``         conservative window protocol (lookahead law, controller)
-``frames``         length-prefixed worker protocol frames
+``frames``         length-prefixed worker report frames
 ``scenarios``      shard-disciplined campaign drivers (incl. million-flow)
 ``runner``         reference / inline / process drive modes + identity gate
-``worker``         spawned-process worker entry point
+``worker``         spawned-process workers + the parent's collect loop
 ``merge``          deterministic stream reassembly + identity report
 =================  ==========================================================
 
@@ -44,23 +44,13 @@ from repro.shard.runner import (
     run_reference,
     run_sharded,
 )
-from repro.shard.window import (
-    BoundaryBuffer,
-    BoundaryViolation,
-    WindowController,
-    WindowSchedule,
-)
 
 __all__ = [
-    "BoundaryBuffer",
-    "BoundaryViolation",
     "MergeError",
     "PlanDriftError",
     "PlanError",
     "ShardRecorder",
     "ShardRunConfig",
-    "WindowController",
-    "WindowSchedule",
     "check_conformance",
     "identity_report",
     "load_plan",

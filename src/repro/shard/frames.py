@@ -1,8 +1,8 @@
 """Length-prefixed control frames for the shard worker protocol.
 
-Workers and the controller exchange small typed messages (window
-requests and grants, heartbeat deltas, results). Each message is one
-self-delimiting frame::
+Workers tell the parent that they started, that they are still
+advancing, and what they computed; the parent answers only with a
+final goodbye. Each message is one self-delimiting frame::
 
     !I   frame length (type byte + payload, not counting this prefix)
     !B   frame type (one of the ``F_*`` constants)
@@ -12,45 +12,35 @@ The same codec discipline as :mod:`repro.statestore.codec`: module-level
 :class:`struct.Struct` instances, and every ``unpack_*`` raises
 :class:`ValueError` on malformed input (truncated buffers, unknown
 types, bad JSON) rather than leaking :class:`struct.error` — a torn
-frame from a dying worker is a recoverable condition for the controller.
+frame from a dying worker is a recoverable condition for the parent.
 
 Frames are transport-agnostic bytes. In process mode they travel over
 ``multiprocessing.Connection.send_bytes``/``recv_bytes`` (which preserve
-message boundaries, so one ``recv_bytes`` is one frame); the length
-prefix makes the same bytes safe over any stream transport too, and
-:func:`read_frames` reassembles a concatenated byte stream.
+message boundaries, so one ``recv_bytes`` is one frame).
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from typing import Any, Dict, Iterator, List, Tuple
+from typing import Any, Dict, Tuple
 
 _LEN = struct.Struct("!I")
 _TYPE = struct.Struct("!B")
 
-#: Worker -> controller: identify (shard index, pid, scenario).
+#: Worker -> parent: identify (shard index, scenario).
 F_HELLO = 1
-#: Worker -> controller: request permission to advance to a target time.
-F_WINDOW_REQ = 2
-#: Controller -> worker: grant advancement up to ``upto`` microseconds.
-F_WINDOW_GRANT = 3
-#: Worker -> controller: window finished; carries a heartbeat delta.
-F_WINDOW_DONE = 4
-#: Either direction: a boundary packet crossing shards (plan-open mode).
-F_BOUNDARY = 5
-#: Worker -> controller: the shard's final result payload.
-F_RESULT = 6
-#: Worker -> controller: unrecoverable failure (payload: error text).
-F_ERROR = 7
-#: Controller -> worker: shut down cleanly.
-F_BYE = 8
+#: Worker -> parent: reached a ``pace()`` boundary (payload: shard, now).
+#: One-way liveness for the parent's stall detector; never answered.
+F_PROGRESS = 2
+#: Worker -> parent: the shard's final result payload.
+F_RESULT = 3
+#: Worker -> parent: unrecoverable failure (payload: error text).
+F_ERROR = 4
+#: Parent -> worker: shut down cleanly.
+F_BYE = 5
 
-_KNOWN_TYPES = frozenset({
-    F_HELLO, F_WINDOW_REQ, F_WINDOW_GRANT, F_WINDOW_DONE,
-    F_BOUNDARY, F_RESULT, F_ERROR, F_BYE,
-})
+_KNOWN_TYPES = frozenset({F_HELLO, F_PROGRESS, F_RESULT, F_ERROR, F_BYE})
 
 #: Hard ceiling on one frame's payload; a result frame for a merged-off
 #: campaign stays far below this, and anything larger is a protocol bug.
@@ -98,20 +88,6 @@ def unpack_frame(data: bytes) -> Tuple[int, Dict[str, Any], int]:
     if not isinstance(body, dict):
         raise ValueError("frame payload must be a JSON object")
     return ftype, body, end
-
-
-def read_frames(data: bytes) -> Iterator[Tuple[int, Dict[str, Any]]]:
-    """Iterate every complete frame in a concatenated byte stream.
-
-    Raises :class:`ValueError` if the stream ends mid-frame — a torn
-    tail is corruption, not a clean end.
-    """
-    offset = 0
-    view = memoryview(data)
-    while offset < len(data):
-        ftype, body, consumed = unpack_frame(bytes(view[offset:]))
-        yield ftype, body
-        offset += consumed
 
 
 class FrameConn:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.telemetry.metrics import Histogram
 from repro.telemetry.trace import TraceRecord
@@ -64,6 +64,65 @@ def _is_peak_gauge(ident: str) -> bool:
     return ident.split("{", 1)[0] in PEAK_GAUGE_SOURCES
 
 
+# -- shared/owned log reassembly ----------------------------------------------
+
+
+def _replica_label(replica: int, num_shards: int) -> str:
+    """Replicas are numbered shards first, then the ghost."""
+    return "ghost" if replica == num_shards else f"shard {replica}"
+
+
+def _merge_stream(
+    stream: str,
+    key: str,
+    rank_at: int,
+    shards: Sequence[Dict[str, Any]],
+    ghost: Dict[str, Any],
+    transform: Optional[Callable[[tuple, int], tuple]] = None,
+) -> List[tuple]:
+    """Merge one ``(..., ts, rank, idx, ...)`` log across replicas.
+
+    ``res[key]`` is the log and ``rank_at`` the position of its rank
+    column (``ts`` sits just before it, ``idx`` just after). Entries of
+    shared ranks must be identical on every shard and the ghost — the
+    first divergence raises :class:`MergeError` naming ``stream`` and
+    the replica — and enter the merged log once; each shard then
+    contributes the entries of the flow ranks it owns. The result is
+    sorted by ``(ts, rank, idx)``, the order the reference produced them
+    in. ``transform(entry, replica)`` (replica ``len(shards)`` is the
+    ghost) rewrites entries before they are compared.
+    """
+    flow_ranks = set(shards[0]["flow_ranks"])
+    replicas = list(shards) + [ghost]
+
+    def select(replica: int, wanted: Callable[[int], bool]) -> List[tuple]:
+        picked = (
+            tuple(e) for e in replicas[replica][key] if wanted(e[rank_at])
+        )
+        if transform is None:
+            return list(picked)
+        return [transform(e, replica) for e in picked]
+
+    def shared(rank: int) -> bool:
+        return rank not in flow_ranks
+
+    merged = select(0, shared)
+    for replica in range(1, len(replicas)):
+        other = select(replica, shared)
+        if other != merged:
+            raise MergeError(
+                f"shared {stream} diverge between shard 0 and "
+                f"{_replica_label(replica, len(shards))}: "
+                f"{_first_diff(merged, other)}"
+            )
+    for replica, res in enumerate(shards):
+        merged.extend(
+            select(replica, set(res["owned_flow_ranks"]).__contains__)
+        )
+    merged.sort(key=lambda e: e[rank_at - 1:rank_at + 2])
+    return merged
+
+
 # -- uid renumbering ----------------------------------------------------------
 
 
@@ -72,30 +131,9 @@ def _merge_births(
 ) -> Tuple[List[Tuple[float, int, int]], List[Dict[int, int]]]:
     """Merge uid-birth logs; returns (merged births, per-shard uid maps).
 
-    Shared-rank births must be identical on every shard (and the ghost);
-    they enter the merged order once. Each shard's owned-flow births are
-    unique to it. The merged position (1-based) is the global uid.
+    The merged position (1-based) of a birth is its global uid.
     """
-    flow_ranks = set(shards[0]["flow_ranks"])
-    shared_seqs = []
-    for res in list(shards) + [ghost]:
-        shared_seqs.append([
-            tuple(b) for b in res["births"] if b[1] not in flow_ranks
-        ])
-    for i, seq in enumerate(shared_seqs[1:], start=1):
-        if seq != shared_seqs[0]:
-            label = "ghost" if i == len(shards) else f"shard {i}"
-            raise MergeError(
-                f"shared uid births diverge between shard 0 and {label}: "
-                f"{_first_diff(shared_seqs[0], seq)}"
-            )
-    entries: List[Tuple[float, int, int]] = list(shared_seqs[0])
-    for res in shards:
-        owned = set(res["owned_flow_ranks"])
-        entries.extend(
-            tuple(b) for b in res["births"] if b[1] in owned
-        )
-    entries.sort()
+    entries = _merge_stream("uid births", "births", 1, shards, ghost)
     position = {
         (rank, idx): uid
         for uid, (_ts, rank, idx) in enumerate(entries, start=1)
@@ -173,39 +211,15 @@ def _merge_rows(
     uid_maps: Sequence[Dict[int, int]],
     ghost_uid_map: Dict[int, int],
 ) -> List[Tuple[float, int, int, str, Dict[str, Any]]]:
-    flow_ranks = set(shards[0]["flow_ranks"])
+    maps = list(uid_maps) + [ghost_uid_map]
 
-    def shared_rows(res, uid_map):
-        label = "ghost" if res is ghost else f"shard {res['shard']}"
-        return [
-            (ts, rank, idx, type_,
-             _remap_fields(fields, uid_map, f"{label} rank {rank}"))
-            for ts, rank, idx, type_, fields in res["rows"]
-            if rank not in flow_ranks
-        ]
+    def remap(row: tuple, replica: int) -> tuple:
+        ts, rank, idx, type_, fields = row
+        where = f"{_replica_label(replica, len(shards))} rank {rank}"
+        return (ts, rank, idx, type_,
+                _remap_fields(fields, maps[replica], where))
 
-    reference_shared = shared_rows(shards[0], uid_maps[0])
-    for res, uid_map in list(zip(shards[1:], uid_maps[1:])) + [
-        (ghost, ghost_uid_map)
-    ]:
-        other = shared_rows(res, uid_map)
-        if other != reference_shared:
-            label = "ghost" if res is ghost else f"shard {res['shard']}"
-            raise MergeError(
-                f"shared trace records diverge between shard 0 and "
-                f"{label}: {_first_diff(reference_shared, other)}"
-            )
-    merged = list(reference_shared)
-    for res, uid_map in zip(shards, uid_maps):
-        owned = set(res["owned_flow_ranks"])
-        merged.extend(
-            (ts, rank, idx, type_,
-             _remap_fields(fields, uid_map, f"shard {res['shard']}"))
-            for ts, rank, idx, type_, fields in res["rows"]
-            if rank in owned
-        )
-    merged.sort(key=lambda row: (row[0], row[1], row[2]))
-    return merged
+    return _merge_stream("trace records", "rows", 1, shards, ghost, remap)
 
 
 def trace_digest(records: Sequence[TraceRecord]) -> str:
@@ -259,36 +273,11 @@ def _replay_peak_gauges(
 ) -> Dict[str, float]:
     """Recompute peak gauges from the merged gauge-operation log.
 
-    Same dedup discipline as the observation replay: shared-rank
-    operations are validated identical across shards (and the ghost) and
-    replayed once, owned-flow operations come from their owner, and the
-    merged ``(ts, rank, idx)`` order is the order the reference mutated
-    in. The running maximum of each source gauge's level is the
-    reference's peak.
+    The log merged by :func:`_merge_stream` is in the order the
+    reference mutated in, so the running maximum of each source gauge's
+    level is the reference's peak.
     """
-    flow_ranks = set(shards[0]["flow_ranks"])
-
-    def shared_ops(res):
-        return [
-            tuple(o) for o in res["gauge_ops"] if o[2] not in flow_ranks
-        ]
-
-    reference_shared = shared_ops(shards[0])
-    for res in list(shards[1:]) + [ghost]:
-        other = shared_ops(res)
-        if other != reference_shared:
-            label = "ghost" if res is ghost else f"shard {res['shard']}"
-            raise MergeError(
-                f"shared gauge operations diverge between shard 0 and "
-                f"{label}: {_first_diff(reference_shared, other)}"
-            )
-    entries = list(reference_shared)
-    for res in shards:
-        owned = set(res["owned_flow_ranks"])
-        entries.extend(
-            tuple(o) for o in res["gauge_ops"] if o[2] in owned
-        )
-    entries.sort(key=lambda o: (o[1], o[2], o[3]))
+    entries = _merge_stream("gauge operations", "gauge_ops", 2, shards, ghost)
     level: Dict[str, float] = {}
     peak: Dict[str, float] = {}
     for describe, _ts, _rank, _idx, op, amount in entries:
@@ -312,36 +301,13 @@ def _merge_histograms(
 ) -> Dict[str, Dict[str, float]]:
     """Rebuild reference reservoirs from the merged observation log.
 
-    Shared-rank observations are validated identical across shards (and
-    the ghost) and replayed once; owned-flow observations come from
-    their one owner. The replay feeds a fresh :class:`Histogram` in
-    global ``(ts, rank, idx)`` order — the order the reference observed
+    The replay feeds a fresh :class:`Histogram` in the order of the log
+    merged by :func:`_merge_stream` — the order the reference observed
     in — so decimation makes the same choices byte for byte.
     """
-    flow_ranks = set(shards[0]["flow_ranks"])
-
-    def shared_obs(res):
-        return [
-            tuple(o) for o in res["observations"] if o[2] not in flow_ranks
-        ]
-
-    reference_shared = shared_obs(shards[0])
-    for res in list(shards[1:]) + [ghost]:
-        other = shared_obs(res)
-        if other != reference_shared:
-            label = "ghost" if res is ghost else f"shard {res['shard']}"
-            raise MergeError(
-                f"shared histogram observations diverge between shard 0 "
-                f"and {label}: {_first_diff(reference_shared, other)}"
-            )
-    entries = list(reference_shared)
-    for res in shards:
-        owned = set(res["owned_flow_ranks"])
-        entries.extend(
-            tuple(o) for o in res["observations"] if o[2] in owned
-        )
-    # Sort by (ts, rank, idx); the describe string rides along.
-    entries.sort(key=lambda o: (o[1], o[2], o[3]))
+    entries = _merge_stream(
+        "histogram observations", "observations", 2, shards, ghost
+    )
     replay: Dict[str, Histogram] = {}
     for describe, _ts, _rank, _idx, value, max_samples in entries:
         hist = replay.get(describe)

@@ -8,9 +8,10 @@ The verify pass 5 analyzer commits one machine-checked plan per app in
   refuses to shard when the committed plan has drifted (the launch-time
   face of verify rule RS408 — the same byte comparison ``verify --all``
   applies offline);
-* :func:`sync_window_us` derives the conservative-sync lookahead and
-  asserts it equals the minimum cross-shard link latency, the invariant
-  that makes the window protocol safe;
+* :func:`sync_window_us` derives the plan's cross-shard lookahead and
+  asserts it equals the minimum cross-shard link latency — a
+  consistency check on the verify artifact (no runtime protocol
+  consumes the value: shards exchange nothing);
 * :func:`shardability` decides whether flows may be hash-partitioned or
   must be pinned to one owner shard (global residue, hashed payload
   keys — the Cascone/Muqaddas state-access constraints the analyzer
@@ -108,11 +109,11 @@ def check_conformance(app: str, root: Optional[str] = None) -> Dict[str, object]
 
 
 def sync_window_us(plan: Dict[str, object]) -> float:
-    """The conservative-sync lookahead: min cross-shard link latency.
+    """The plan's cross-shard lookahead: min cross-shard link latency.
 
     Validates the plan's own ``sync_lookahead_us`` against the link set
     it was derived from; a mismatch means the artifact is internally
-    inconsistent and no window schedule built from it is trustworthy.
+    inconsistent (tampered or hand-edited) and must not license a run.
     """
     cross = plan.get("cross_shard") or {}
     links = cross.get("links") or []
@@ -129,8 +130,7 @@ def sync_window_us(plan: Dict[str, object]) -> float:
     if derived <= 0.0:
         raise PlanError(
             f"plan for {plan.get('app')!r} has a non-positive cross-shard "
-            f"link latency ({derived}); zero-lookahead windows cannot "
-            "make progress"
+            f"link latency ({derived})"
         )
     if declared is None or abs(float(declared) - derived) > 1e-12:
         raise PlanError(

@@ -7,10 +7,14 @@ Three drive modes share one scenario definition
 * **inline** — every shard (plus the ghost) runs sequentially in this
   process. Deterministic, debuggable, and the mode the identity tests
   use;
-* **process** — shards run in spawned worker processes synchronized by
-  the conservative window protocol over length-prefixed frames
-  (:mod:`repro.shard.worker`) — the mode ``python -m bench run`` times
-  as ``flow_churn_shard2``.
+* **process** — shards run in spawned worker processes that report
+  over length-prefixed frames (:mod:`repro.shard.worker`) — the mode
+  ``python -m bench run`` times as ``flow_churn_shard2``.
+
+In both sharded modes a shard is :func:`run_one_shard` running its
+scenario straight through with ``sim.run(until=...)``: every shard
+simulates the whole topology and admits only the flows its plan-checked
+key hashes to it, so shards exchange nothing and need no clock protocol.
 
 Every sharded entry point gates on the committed shard plan first:
 :func:`repro.shard.plan.check_conformance` recomputes the plan from the
@@ -27,11 +31,6 @@ from repro.shard import merge as merge_mod
 from repro.shard import plan as plan_mod
 from repro.shard.recorder import ShardRecorder
 from repro.shard.scenarios import Scenario, get_scenario
-from repro.shard.window import (
-    DEFAULT_CHUNK_US,
-    WindowController,
-    WindowSchedule,
-)
 from repro.telemetry import ScopedTimer
 
 
@@ -45,8 +44,6 @@ class ShardRunConfig:
     key_fields: List[str]
     pinned: bool
     pin_reason: str
-    lookahead_us: float
-    schedule: WindowSchedule
     seed: int
     fastpath: bool = False
     capture: bool = True
@@ -61,30 +58,28 @@ def resolve(
     seed: Optional[int] = None,
     fastpath: bool = False,
     capture: bool = True,
-    chunk_us: Optional[float] = None,
     heartbeat_dir: Optional[str] = None,
     heartbeat_interval_us: float = 1_000.0,
     conformance: bool = True,
     root: Optional[str] = None,
     params: Optional[Dict[str, Any]] = None,
 ) -> ShardRunConfig:
-    """Load scenario + plan, run the launch-time RS408 gate, and build
-    the window schedule. Raises before any worker starts on drift or an
-    inconsistent plan."""
+    """Load scenario + plan and run the launch-time RS408 gate. Raises
+    before any worker starts on drift or an inconsistent plan."""
     scenario = get_scenario(scenario_name)
     if conformance:
         committed = plan_mod.check_conformance(scenario.app, root)
     else:
         committed = plan_mod.load_plan(scenario.app, root)
-    lookahead = plan_mod.sync_window_us(committed)
-    shardable, reason = plan_mod.shardability(committed)
+    # Consistency check only (the value is unused): a plan whose declared
+    # lookahead disagrees with its own link set has been tampered with,
+    # and is refused even when the conformance gate is off.
+    plan_mod.sync_window_us(committed)
     # Flow-partitioned plans have an empty boundary set (every structure
     # is flow-local, so no packet of one shard's flows ever needs state
-    # on another shard): windows become a pacing quantum. Pinned plans
-    # put all flows on shard 0, which empties the boundary set too.
-    schedule = WindowSchedule(
-        lookahead, chunk_us=chunk_us or DEFAULT_CHUNK_US, boundary_free=True
-    )
+    # on another shard). Pinned plans put all flows on shard 0, which
+    # empties the boundary set too.
+    shardable, reason = plan_mod.shardability(committed)
     return ShardRunConfig(
         scenario=scenario,
         workers=workers,
@@ -92,8 +87,6 @@ def resolve(
         key_fields=plan_mod.key_fields(committed),
         pinned=not shardable,
         pin_reason="" if shardable else reason,
-        lookahead_us=lookahead,
-        schedule=schedule,
         seed=scenario.seed if seed is None else seed,
         fastpath=fastpath,
         capture=capture,
@@ -150,14 +143,13 @@ def run_one_shard(
     config: ShardRunConfig,
     shard_index: int,
     ghost: bool = False,
-    pace_hook: Optional[Callable[[Simulator, float], None]] = None,
+    progress: Optional[Callable[[float], None]] = None,
 ) -> Dict[str, Any]:
     """Run one shard (or the ghost) to completion in this process.
 
-    ``pace_hook(sim, until)`` overrides the drive loop (the process-mode
-    worker passes its window-request loop); the default advances
-    directly, optionally chunked by the window schedule so inline runs
-    exercise the same windowed clock advancement.
+    ``progress(now)`` is called after every ``pace()`` boundary the
+    scenario reaches (the process-mode worker reports liveness with it);
+    it observes the run and cannot steer it.
     """
     recorder = ShardRecorder(
         shard_index=0 if ghost else shard_index,
@@ -172,12 +164,10 @@ def run_one_shard(
     label = "ghost" if ghost else f"shard{shard_index}"
     bundle = _attach_heartbeat(sim, config, label)
 
-    if pace_hook is not None:
-        def pace(until: float) -> None:
-            pace_hook(sim, until)
-    else:
-        def pace(until: float) -> None:
-            sim.run(until=until)
+    def pace(until: float) -> None:
+        sim.run(until=until)
+        if progress is not None:
+            progress(sim.now)
 
     with ScopedTimer("shard_worker") as timer:
         extra = config.scenario.fn(
@@ -191,57 +181,24 @@ def run_one_shard(
     return result
 
 
-def _windowed_pace(controller: WindowController, shard: int):
-    """Inline windowed drive: same grant/commit discipline the process
-    workers follow, against an in-process controller."""
-
-    def hook(sim: Simulator, until: float) -> None:
-        while sim.now < until:
-            upto = controller.request(shard, sim.now, until)
-            sim.run(until=upto)
-            controller.done(shard, sim.now)
-
-    return hook
-
-
 def run_sharded(
     config: ShardRunConfig,
     mode: str = "inline",
-    windowed: bool = True,
 ) -> Dict[str, Any]:
     """Run all shards plus the ghost and merge.
 
     Returns the merged result (see :func:`repro.shard.merge.merge_results`)
-    plus per-shard wall times and scheduling metadata. ``mode`` is
-    ``"inline"`` (sequential, this process) or ``"process"`` (spawned
-    workers exchanging frames).
+    plus per-shard wall times. ``mode`` is ``"inline"`` (sequential,
+    this process) or ``"process"`` (spawned workers reporting frames).
     """
     if mode == "process":
         from repro.shard.worker import run_process_shards
 
         shard_results = run_process_shards(config)
     elif mode == "inline":
-        shard_results = []
-        if windowed:
-            # One controller spanning all shards: inline runs still
-            # exercise grant/commit clock discipline, shard by shard
-            # (legal: the plan proves the boundary set empty, so a
-            # shard never waits on another's events).
-            for index in range(config.workers):
-                controller = WindowController(config.workers, config.schedule)
-                # Peers that have not run yet hold clock 0; lift them to
-                # the horizon so a sequential shard is never throttled
-                # by a peer that cannot send it anything.
-                for other in range(config.workers):
-                    if other != index:
-                        controller.clocks[other] = float("inf")
-                shard_results.append(run_one_shard(
-                    config, index,
-                    pace_hook=_windowed_pace(controller, index),
-                ))
-        else:
-            for index in range(config.workers):
-                shard_results.append(run_one_shard(config, index))
+        shard_results = [
+            run_one_shard(config, index) for index in range(config.workers)
+        ]
     else:
         raise ValueError(f"unknown shard run mode {mode!r}")
 
@@ -255,8 +212,6 @@ def run_sharded(
     merged["app"] = config.plan.get("app")
     merged["pinned"] = config.pinned
     merged["pin_reason"] = config.pin_reason
-    merged["lookahead_us"] = config.lookahead_us
-    merged["window_us"] = config.schedule.window_us
     merged["seed"] = config.seed
     merged["wall_s_per_shard"] = [r["wall_s"] for r in shard_results]
     merged["wall_s_ghost"] = ghost["wall_s"]

@@ -345,7 +345,7 @@ def _make_chaos_runner(campaign_name: str) -> Callable[..., Dict[str, Any]]:
 
         campaign = CAMPAIGNS[campaign_name]
         # The chaos runner owns its drive loop (absolute times
-        # throughout), so the whole campaign is one window.
+        # throughout), so the whole campaign is one pace() boundary.
         result = run_campaign_result(
             campaign,
             seed=CHAOS_SEED,

@@ -3,13 +3,18 @@
 Process mode: the parent spawns one worker per shard (``spawn`` context
 — a fresh interpreter, so bootstrap state must be picklable JSON
 scalars, see :class:`ShardSpec`), connects each over a
-``multiprocessing.Pipe``, and serves conservative window grants while
-workers simulate. All traffic is length-prefixed frames
-(:mod:`repro.shard.frames`):
+``multiprocessing.Pipe``, and collects results. Workers never wait on
+the parent or on each other: every shard runs the whole topology and
+admits only its own flows, so there is nothing to synchronize (see
+docs/SHARDING.md, "Why there is no clock synchronisation"). All
+traffic is length-prefixed frames (:mod:`repro.shard.frames`):
 
-worker -> controller: ``HELLO``, then ``WINDOW_REQ``/``WINDOW_DONE``
-per window, finally ``RESULT`` (the full shard result) or ``ERROR``;
-controller -> worker: ``WINDOW_GRANT`` per request, ``BYE`` at the end.
+worker -> parent: ``HELLO``, one ``PROGRESS`` per ``pace()`` boundary
+reached, finally ``RESULT`` (the full shard result) or ``ERROR``;
+parent -> worker: ``BYE`` after the result.
+
+``PROGRESS`` is liveness only — it restarts the parent's stall clock
+and is never answered or compared across shards.
 
 The ghost run stays in the parent (it admits no flows and is cheap),
 executed after every worker result is in.
@@ -26,13 +31,16 @@ from repro.shard.frames import (
     F_BYE,
     F_ERROR,
     F_HELLO,
+    F_PROGRESS,
     F_RESULT,
-    F_WINDOW_DONE,
-    F_WINDOW_GRANT,
-    F_WINDOW_REQ,
     FrameConn,
 )
-from repro.shard.window import WindowController, WindowSchedule
+
+#: The parent gives up when no worker has framed anything for this long:
+#: "no shard reached a ``pace()`` boundary in 300 s". A worker that dies
+#: is caught at once by its closed pipe; this bound is for one that is
+#: alive but hung.
+STALL_TIMEOUT_S = 300.0
 
 
 @dataclass
@@ -50,8 +58,6 @@ class ShardSpec:
     seed: int
     key_fields: List[str]
     pinned: bool
-    lookahead_us: float
-    window_us: float
     fastpath: bool = False
     capture: bool = True
     heartbeat_dir: Optional[str] = None
@@ -60,7 +66,7 @@ class ShardSpec:
 
 
 def worker_main(conn: Any, spec_dict: Dict[str, Any]) -> None:
-    """Worker process entry point: run one shard, frame-synchronized."""
+    """Worker process entry point: run one shard straight through."""
     spec = ShardSpec(**spec_dict)
     fc = FrameConn(conn)
     try:
@@ -77,11 +83,6 @@ def worker_main(conn: Any, spec_dict: Dict[str, Any]) -> None:
             key_fields=list(spec.key_fields),
             pinned=spec.pinned,
             pin_reason="",
-            lookahead_us=spec.lookahead_us,
-            schedule=WindowSchedule(
-                spec.lookahead_us, chunk_us=spec.window_us,
-                boundary_free=True,
-            ),
             seed=spec.seed,
             fastpath=spec.fastpath,
             capture=spec.capture,
@@ -90,22 +91,10 @@ def worker_main(conn: Any, spec_dict: Dict[str, Any]) -> None:
             params=dict(spec.params),
         )
 
-        def pace_hook(sim: Any, until: float) -> None:
-            while sim.now < until:
-                fc.send(F_WINDOW_REQ, {
-                    "shard": spec.shard_index,
-                    "now": sim.now,
-                    "target": until,
-                })
-                _ftype, body = fc.recv_expect(F_WINDOW_GRANT)
-                sim.run(until=float(body["upto"]))
-                fc.send(F_WINDOW_DONE, {
-                    "shard": spec.shard_index, "now": sim.now,
-                })
+        def progress(now: float) -> None:
+            fc.send(F_PROGRESS, {"shard": spec.shard_index, "now": now})
 
-        result = run_one_shard(
-            config, spec.shard_index, pace_hook=pace_hook
-        )
+        result = run_one_shard(config, spec.shard_index, progress=progress)
         fc.send(F_RESULT, result)
         fc.recv_expect(F_BYE)
     except Exception:
@@ -118,7 +107,7 @@ def worker_main(conn: Any, spec_dict: Dict[str, Any]) -> None:
 
 
 def run_process_shards(config: Any) -> List[Dict[str, Any]]:
-    """Spawn one worker per shard, serve window grants, collect results.
+    """Spawn one worker per shard and collect their results.
 
     ``config`` is a :class:`repro.shard.runner.ShardRunConfig`. Returns
     the shard results in shard order. A worker error or death tears the
@@ -126,7 +115,6 @@ def run_process_shards(config: Any) -> List[Dict[str, Any]]:
     meaningless, so the surviving workers are not waited for.
     """
     ctx = multiprocessing.get_context("spawn")
-    controller = WindowController(config.workers, config.schedule)
     conns: List[Any] = []
     procs: List[Any] = []
     for index in range(config.workers):
@@ -138,8 +126,6 @@ def run_process_shards(config: Any) -> List[Dict[str, Any]]:
             seed=config.seed,
             key_fields=list(config.key_fields),
             pinned=config.pinned,
-            lookahead_us=config.lookahead_us,
-            window_us=config.schedule.window_us,
             fastpath=config.fastpath,
             capture=config.capture,
             heartbeat_dir=config.heartbeat_dir,
@@ -162,7 +148,7 @@ def run_process_shards(config: Any) -> List[Dict[str, Any]]:
         while pending:
             ready = multiprocessing.connection.wait(
                 [conns[i]._conn for i in sorted(pending)],
-                timeout=300.0,
+                timeout=STALL_TIMEOUT_S,
             )
             if not ready:
                 raise RuntimeError(
@@ -181,17 +167,14 @@ def run_process_shards(config: Any) -> List[Dict[str, Any]]:
                         f"shard worker {index} died before sending a "
                         f"result (exit code {procs[index].exitcode})"
                     ) from exc
-                if ftype == F_HELLO:
+                except ValueError as exc:
+                    raise RuntimeError(
+                        f"shard worker {index} sent a malformed frame: {exc}"
+                    ) from exc
+                if ftype in (F_HELLO, F_PROGRESS):
+                    # Receiving it already restarted the stall clock.
                     continue
-                if ftype == F_WINDOW_REQ:
-                    upto = controller.request(
-                        int(body["shard"]), float(body["now"]),
-                        float(body["target"]),
-                    )
-                    fc.send(F_WINDOW_GRANT, {"upto": upto})
-                elif ftype == F_WINDOW_DONE:
-                    controller.done(int(body["shard"]), float(body["now"]))
-                elif ftype == F_RESULT:
+                if ftype == F_RESULT:
                     results[index] = body
                     fc.send(F_BYE, {})
                     pending.discard(index)

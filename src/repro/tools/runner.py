@@ -686,9 +686,7 @@ def run_shard_run(args: "argparse.Namespace") -> int:
         return 0
     print(f"scenario    : {merged['scenario']} (app {merged['app']}, "
           f"seed {merged['seed']})")
-    print(f"workers     : {merged['num_shards']} ({merged['mode']}), "
-          f"window {merged['window_us']} us, "
-          f"lookahead {merged['lookahead_us']} us"
+    print(f"workers     : {merged['num_shards']} ({merged['mode']})"
           + (f", PINNED: {merged['pin_reason']}" if merged["pinned"] else ""))
     print(f"events      : {merged['events']:,}")
     print(f"records     : {merged['records_emitted']:,}")

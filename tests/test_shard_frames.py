@@ -11,23 +11,21 @@ from repro.shard.frames import (
     F_BYE,
     F_ERROR,
     F_HELLO,
+    F_PROGRESS,
     F_RESULT,
-    F_WINDOW_GRANT,
-    F_WINDOW_REQ,
     MAX_FRAME_BYTES,
     FrameConn,
     pack_frame,
-    read_frames,
     unpack_frame,
 )
 
 
 def test_round_trip():
     body = {"shard": 3, "now": 12.5, "items": [1, 2, 3], "name": "x"}
-    ftype, decoded, consumed = unpack_frame(pack_frame(F_WINDOW_REQ, body))
-    assert ftype == F_WINDOW_REQ
+    ftype, decoded, consumed = unpack_frame(pack_frame(F_PROGRESS, body))
+    assert ftype == F_PROGRESS
     assert decoded == body
-    assert consumed == len(pack_frame(F_WINDOW_REQ, body))
+    assert consumed == len(pack_frame(F_PROGRESS, body))
 
 
 def test_key_order_survives_the_round_trip():
@@ -38,17 +36,6 @@ def test_key_order_survives_the_round_trip():
     assert list(decoded["fields"]) == ["zebra", "alpha", "mid"]
     raw = pack_frame(F_RESULT, body)
     assert raw[5:].decode().index("zebra") < raw[5:].decode().index("alpha")
-
-
-def test_read_frames_streams_back_to_back_frames_in_order():
-    stream = (
-        pack_frame(F_HELLO, {"shard": 0})
-        + pack_frame(F_WINDOW_GRANT, {"upto": 50.0})
-        + pack_frame(F_BYE, {})
-    )
-    frames = list(read_frames(stream))
-    assert [f[0] for f in frames] == [F_HELLO, F_WINDOW_GRANT, F_BYE]
-    assert frames[1][1] == {"upto": 50.0}
 
 
 def test_truncated_and_malformed_frames_raise():
@@ -82,12 +69,12 @@ def test_oversized_frame_rejected():
 def test_frame_conn_over_a_pipe():
     a, b = multiprocessing.Pipe()
     left, right = FrameConn(a), FrameConn(b)
-    left.send(F_WINDOW_REQ, {"shard": 1, "now": 0.0, "target": 100.0})
+    left.send(F_PROGRESS, {"shard": 1, "now": 100.0})
     ftype, body = right.recv()
-    assert (ftype, body["shard"]) == (F_WINDOW_REQ, 1)
-    right.send(F_WINDOW_GRANT, {"upto": 50.0})
-    _ftype, body = left.recv_expect(F_WINDOW_GRANT)
-    assert body == {"upto": 50.0}
+    assert (ftype, body["shard"]) == (F_PROGRESS, 1)
+    right.send(F_BYE, {})
+    _ftype, body = left.recv_expect(F_BYE)
+    assert body == {}
     left.close()
     right.close()
 
@@ -97,7 +84,7 @@ def test_recv_expect_surfaces_peer_errors():
     left, right = FrameConn(a), FrameConn(b)
     left.send(F_ERROR, {"error": "boom"})
     with pytest.raises(ValueError, match="boom"):
-        right.recv_expect(F_WINDOW_GRANT)
+        right.recv_expect(F_BYE)
     left.close()
     right.close()
 

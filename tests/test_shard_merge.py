@@ -8,6 +8,9 @@ from repro.shard.merge import (
     PEAK_GAUGE_SOURCES,
     UID_FIELDS,
     MergeError,
+    _merge_births,
+    _merge_histograms,
+    _merge_rows,
     _replay_peak_gauges,
     strip_non_identity,
     summary_results,
@@ -112,14 +115,55 @@ def test_peak_replay_set_resets_the_level():
     assert peaks == {PEAK: 50.0}
 
 
-def test_peak_replay_validates_shared_ops_across_replicas():
-    shared_op = (SRC, 1.0, 0, 0, "add", 10.0)  # rank 0 is not a flow root
-    s0 = _shard(0, {5}, {5}, [shared_op])
-    s1 = _shard(1, {5}, set(), [(SRC, 1.0, 0, 0, "add", 999.0)])
-    ghost = _shard(0, {5}, set(), [shared_op])
+# One shared-rank entry (rank 0 is not a flow root) per merged stream,
+# and the same entry as a diverging replica reports it.
+_SHARED_DIVERGENCE = {
+    "births": (
+        "uid births", (1.0, 0, 0), (1.0, 0, 1),
+        _merge_births,
+    ),
+    "rows": (
+        "trace records",
+        (1.0, 0, 0, "pkt", {"port": 1}), (1.0, 0, 0, "pkt", {"port": 2}),
+        lambda shards, ghost: _merge_rows(shards, ghost, [{}, {}], {}),
+    ),
+    "observations": (
+        "histogram observations",
+        ("latency_us", 1.0, 0, 0, 5.0, 64), ("latency_us", 1.0, 0, 0, 6.0, 64),
+        _merge_histograms,
+    ),
+    "gauge_ops": (
+        "gauge operations",
+        (SRC, 1.0, 0, 0, "add", 10.0), (SRC, 1.0, 0, 0, "add", 999.0),
+        _replay_peak_gauges,
+    ),
+}
+
+
+@pytest.mark.parametrize("culprit", ["shard 1", "ghost"],
+                         ids=["shard1", "ghost"])
+@pytest.mark.parametrize("key", sorted(_SHARED_DIVERGENCE))
+def test_shared_divergence_names_the_stream_and_the_replica(key, culprit):
+    """Every merged log validates its shared-rank entries across all
+    replicas: a shard or a ghost that disagrees with shard 0 is a
+    MergeError saying which stream and which replica, never a merge."""
+    stream, good, bad, merge = _SHARED_DIVERGENCE[key]
+
+    def replica(shard, owned, entry):
+        res = _shard(shard, {5}, owned, [])
+        res[key] = [list(entry)]
+        return res
+
+    shards = [
+        replica(0, {5}, good),
+        replica(1, set(), bad if culprit == "shard 1" else good),
+    ]
+    ghost = replica(0, set(), bad if culprit == "ghost" else good)
     ghost["ghost"] = True
-    with pytest.raises(MergeError, match="diverge"):
-        _replay_peak_gauges([s0, s1], ghost)
+    with pytest.raises(
+        MergeError, match=rf"shared {stream} diverge.*shard 0 and {culprit}:"
+    ):
+        merge(shards, ghost)
 
 
 def test_peak_sources_table_names_real_instruments():

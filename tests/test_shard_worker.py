@@ -1,14 +1,16 @@
-"""Process mode: spawned workers, framed window sync, identical merge."""
+"""Process mode: spawned workers reporting over frames, identical merge,
+and the parent's typed errors for dead, torn and hung workers."""
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
 
 import pytest
 
 from repro.shard import worker
-from repro.shard.frames import F_HELLO, F_WINDOW_GRANT, F_WINDOW_REQ, FrameConn
+from repro.shard.frames import F_HELLO, F_PROGRESS, FrameConn
 from repro.shard.runner import resolve, run_identity, run_sharded
 from repro.shard.worker import ShardSpec
 
@@ -38,8 +40,7 @@ def test_shard_spec_is_json_scalars_only():
     numbers, never live objects."""
     spec = ShardSpec(
         scenario="nat_steady", shard_index=0, num_shards=2, seed=5,
-        key_fields=["ip.src"], pinned=False, lookahead_us=0.35,
-        window_us=50_000.0,
+        key_fields=["ip.src"], pinned=False,
     )
     import json
 
@@ -56,8 +57,19 @@ def test_unknown_mode_is_rejected():
 
 
 # Spawned children unpickle the worker target by module path, so the
-# dying stand-ins live at module level here (importable as
+# misbehaving stand-ins live at module level here (importable as
 # ``tests.test_shard_worker``); shard 0 stays a real worker.
+
+
+def _stand_in(conn, spec_dict):
+    """Shard 1's frame connection after its HELLO; None for shard 0,
+    which has run the real worker to completion."""
+    if spec_dict["shard_index"] != 1:
+        worker.worker_main(conn, spec_dict)
+        return None
+    fc = FrameConn(conn)
+    fc.send(F_HELLO, {"shard": 1, "scenario": spec_dict["scenario"]})
+    return fc
 
 
 def _dies_on_import(conn, spec_dict):
@@ -67,23 +79,72 @@ def _dies_on_import(conn, spec_dict):
 
 
 def _dies_mid_run(conn, spec_dict):
-    if spec_dict["shard_index"] != 1:
-        return worker.worker_main(conn, spec_dict)
-    fc = FrameConn(conn)
-    fc.send(F_HELLO, {"shard": 1, "scenario": spec_dict["scenario"]})
-    fc.send(F_WINDOW_REQ, {"shard": 1, "now": 0.0, "target": 1_000.0})
-    fc.recv_expect(F_WINDOW_GRANT)
-    os._exit(3)
+    fc = _stand_in(conn, spec_dict)
+    if fc is not None:
+        fc.send(F_PROGRESS, {"shard": 1, "now": 1_000.0})
+        os._exit(3)
 
 
-@pytest.mark.parametrize("target", [_dies_on_import, _dies_mid_run])
-def test_dead_worker_is_named_promptly(monkeypatch, target):
-    """A worker that closes its pipe without RESULT or ERROR is a typed
-    error naming the shard and its exit code, within seconds — not a
-    bare EOFError, and not the 300 s stall timeout."""
+def _sends_torn_frame(conn, spec_dict):
+    if _stand_in(conn, spec_dict) is not None:
+        conn.send_bytes(b"\x00\x00")
+        time.sleep(60.0)
+
+
+def _hangs_alive(conn, spec_dict):
+    if _stand_in(conn, spec_dict) is not None:
+        time.sleep(60.0)
+
+
+def _slow_but_progressing(conn, spec_dict):
+    fc = _stand_in(conn, spec_dict)
+    if fc is not None:
+        for tick in range(7):
+            time.sleep(0.3)
+            fc.send(F_PROGRESS, {"shard": 1, "now": float(tick)})
+        worker.worker_main(conn, spec_dict)
+
+
+@pytest.mark.parametrize("target, message", [
+    (_dies_on_import, r"shard worker 1 died.*exit code 3"),
+    (_dies_mid_run, r"shard worker 1 died.*exit code 3"),
+    (_sends_torn_frame, r"shard worker 1 sent a malformed frame.*truncated"),
+], ids=["_dies_on_import", "_dies_mid_run", "_sends_torn_frame"])
+def test_dead_worker_is_named_promptly(monkeypatch, target, message):
+    """A worker that closes its pipe without RESULT or ERROR, or frames
+    garbage, is a typed error naming the shard (and its exit code or
+    the codec's complaint), within seconds — not a bare EOFError or
+    ValueError, and not the stall timeout."""
     monkeypatch.setattr(worker, "worker_main", target)
     config = resolve("nat_steady", 2)
     started = time.monotonic()
-    with pytest.raises(RuntimeError, match=r"shard worker 1 died.*exit code 3"):
+    with pytest.raises(RuntimeError, match=message):
         run_sharded(config, mode="process")
     assert time.monotonic() - started < 30.0
+    assert multiprocessing.active_children() == []
+
+
+def test_hung_but_alive_worker_trips_the_stall_detector(monkeypatch):
+    """No frame from any pending worker for STALL_TIMEOUT_S is a typed
+    error naming who is still pending, and the hung child is reaped."""
+    monkeypatch.setattr(worker, "STALL_TIMEOUT_S", 1.5)
+    monkeypatch.setattr(worker, "worker_main", _hangs_alive)
+    config = resolve("nat_steady", 2)
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match=r"stalled.*pending: \[1\]"):
+        run_sharded(config, mode="process")
+    assert time.monotonic() - started < 30.0
+    assert multiprocessing.active_children() == []
+
+
+def test_progress_frames_keep_a_slow_worker_alive(monkeypatch):
+    """A worker that takes longer than STALL_TIMEOUT_S overall but keeps
+    reaching pace() boundaries is not stalled: each PROGRESS frame
+    restarts the clock, and the run merges as usual."""
+    monkeypatch.setattr(worker, "STALL_TIMEOUT_S", 1.5)
+    monkeypatch.setattr(worker, "worker_main", _slow_but_progressing)
+    config = resolve("nat_steady", 2)
+    started = time.monotonic()
+    merged = run_sharded(config, mode="process")
+    assert time.monotonic() - started > 1.5
+    assert merged["extra"]["packets"] == 480
