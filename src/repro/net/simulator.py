@@ -12,8 +12,8 @@ The simulator also roots the telemetry spine: it owns the run's
 :class:`~repro.telemetry.metrics.MetricRegistry` (:attr:`Simulator.metrics`)
 and :class:`~repro.telemetry.trace.Tracer` (:attr:`Simulator.tracer`),
 which every component publishes through. The historical free-form
-``Simulator.counters`` dict survives as a read view over the registry;
-direct writes to it are deprecated.
+``Simulator.counters`` dict survives as a read-only view over the
+registry; item assignment raises :class:`TypeError`.
 
 The queue is a binary heap whose entries are ``(time, seq, Event)``
 tuples, so ordering is decided entirely by C tuple comparison and never
@@ -71,9 +71,13 @@ class Simulator:
         Seed for the simulator-owned :class:`random.Random`. All stochastic
         behaviour (link loss, reordering, workload generation) must draw
         from :attr:`rng` so that a run is reproducible from its seed.
+    trace_ring:
+        Capacity of the trace ring; ``None`` keeps every record (identity
+        oracles, which digest the whole run).
     """
 
-    def __init__(self, seed: int = 0, trace_ring: int = 65536) -> None:
+    def __init__(self, seed: int = 0,
+                 trace_ring: Optional[int] = 65536) -> None:
         self.now: float = 0.0
         self.rng = random.Random(seed)
         self._heap: List[Tuple[float, int, Event]] = []
@@ -88,7 +92,7 @@ class Simulator:
         #: The run's trace ring; timestamps are this clock's simulated time.
         self.tracer = Tracer(clock=lambda: self.now, maxlen=trace_ring)
         #: Legacy per-run counters, now a live view over :attr:`metrics`.
-        #: Reads work as before; direct writes raise ``DeprecationWarning``.
+        #: Reads work as before; the view is read-only.
         self.counters = LegacyCounters(self.metrics)
         #: Per-run memo of flow-tag strings (``str(FlowKey)``) by raw
         #: 5-tuple, filled by :mod:`repro.net.links` and bounded by

@@ -6,7 +6,7 @@ plan (``shard_plans/<app>.json``, produced and drift-checked by
 ``repro.verify`` pass 5), run every worker straight through — each
 simulates the whole topology and admits only its own flows, so shards
 exchange nothing and need no clock protocol — and deterministically
-merge the per-shard streams back into the exact byte stream the
+merge the per-shard logs back into the exact byte stream the
 single-process reference produces.
 
 Package map:
@@ -16,12 +16,12 @@ module             role
 =================  ==========================================================
 ``plan``           committed-plan loading, legality, launch-time RS408 gate
 ``assign``         flow -> shard hashing from the plan's partition key
-``recorder``       per-shard sidecars: origins, uid births, observations
-``frames``         length-prefixed worker report frames
+``recorder``       per-shard sidecar: origin ranks and the one ordered log
+``frames``         length-prefixed worker report frames (3 types)
 ``scenarios``      shard-disciplined campaign drivers (incl. million-flow)
 ``runner``         reference / inline / process drive modes + identity gate
 ``worker``         spawned-process workers + the parent's collect loop
-``merge``          deterministic stream reassembly + identity report
+``merge``          one-pass log merge, ghost subtraction, identity report
 =================  ==========================================================
 
 See docs/SHARDING.md for the end-to-end story.
@@ -34,7 +34,6 @@ from repro.shard.plan import (
     check_conformance,
     load_plan,
     shardability,
-    sync_window_us,
 )
 from repro.shard.recorder import ShardRecorder
 from repro.shard.runner import (
@@ -60,5 +59,4 @@ __all__ = [
     "run_reference",
     "run_sharded",
     "shardability",
-    "sync_window_us",
 ]

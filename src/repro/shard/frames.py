@@ -1,8 +1,9 @@
-"""Length-prefixed control frames for the shard worker protocol.
+"""Length-prefixed report frames for the shard worker protocol.
 
-Workers tell the parent that they started, that they are still
-advancing, and what they computed; the parent answers only with a
-final goodbye. Each message is one self-delimiting frame::
+Workers tell the parent that they are still advancing and, last, what
+they computed or why they could not (``PROGRESS``* then ``RESULT`` |
+``ERROR``); the parent never answers. Each message is one
+self-delimiting frame::
 
     !I   frame length (type byte + payload, not counting this prefix)
     !B   frame type (one of the ``F_*`` constants)
@@ -28,19 +29,15 @@ from typing import Any, Dict, Tuple
 _LEN = struct.Struct("!I")
 _TYPE = struct.Struct("!B")
 
-#: Worker -> parent: identify (shard index, scenario).
-F_HELLO = 1
 #: Worker -> parent: reached a ``pace()`` boundary (payload: shard, now).
 #: One-way liveness for the parent's stall detector; never answered.
-F_PROGRESS = 2
+F_PROGRESS = 1
 #: Worker -> parent: the shard's final result payload.
-F_RESULT = 3
+F_RESULT = 2
 #: Worker -> parent: unrecoverable failure (payload: error text).
-F_ERROR = 4
-#: Parent -> worker: shut down cleanly.
-F_BYE = 5
+F_ERROR = 3
 
-_KNOWN_TYPES = frozenset({F_HELLO, F_PROGRESS, F_RESULT, F_ERROR, F_BYE})
+_KNOWN_TYPES = frozenset({F_PROGRESS, F_RESULT, F_ERROR})
 
 #: Hard ceiling on one frame's payload; a result frame for a merged-off
 #: campaign stays far below this, and anything larger is a protocol bug.
@@ -93,8 +90,8 @@ def unpack_frame(data: bytes) -> Tuple[int, Dict[str, Any], int]:
 class FrameConn:
     """Typed frame send/recv over a ``multiprocessing`` connection.
 
-    Thin wrapper: one frame per underlying message, decode errors and
-    unexpected frame types surface as :class:`ValueError`.
+    Thin wrapper: one frame per underlying message, decode errors
+    surface as :class:`ValueError`.
     """
 
     def __init__(self, conn: Any) -> None:
@@ -109,18 +106,6 @@ class FrameConn:
         if consumed != len(data):
             raise ValueError(
                 f"trailing bytes after frame ({len(data) - consumed})"
-            )
-        return ftype, body
-
-    def recv_expect(self, *types: int) -> Tuple[int, Dict[str, Any]]:
-        ftype, body = self.recv()
-        if ftype == F_ERROR and F_ERROR not in types:
-            raise ValueError(
-                f"peer reported error: {body.get('error', '?')}"
-            )
-        if ftype not in types:
-            raise ValueError(
-                f"unexpected frame type {ftype}, wanted one of {types}"
             )
         return ftype, body
 

@@ -4,34 +4,36 @@ Given N shard results plus one *ghost* result (a run that admitted no
 flows — exactly the shared events every shard replicates), reassemble
 what the single-process reference run would have produced:
 
-* **trace stream** — shared-rank records (validated identical on every
-  shard, kept once) plus each shard's owned-flow records, globally
-  sorted by ``(ts, rank, within-rank index)``;
-* **uids** — per-shard uid-birth logs merged with the same comparator;
-  a local uid's global value is its birth's position in the merged
-  order, and every uid-bearing trace field is rewritten;
-* **metrics** — counters and gauges obey
-  ``merged = sum(shards) - (N-1) * ghost`` (shared instruments are
-  replicated N times and the ghost run measures exactly the replicated
-  part once); peak-tracking gauges are instead recomputed by replaying
-  their source gauge's operation log in global order (the reference's
+* **the log** — each replica's sidecar log
+  (:mod:`repro.shard.recorder`) first has its uid fields rewritten from
+  local ints to the birth key ``(rank, idx)``, which is the same on
+  every replica. Shared-rank entries (validated identical on every
+  shard and the ghost, kept once) plus each shard's owned-flow entries
+  are then sorted by ``(ts, rank, idx)`` — the order the reference
+  produced them in — and that one merged log is walked once: a birth's
+  global uid is its position among the births, records get those
+  numbers back, gauge ops rebuild the running peaks (the reference's
   instantaneous level couples flows across shards, so no per-shard
-  combination of final values can recover it); histogram summaries are
-  rebuilt by replaying the globally merged observation log through a
-  fresh reservoir, because decimation is order-dependent.
+  combination of final values can recover it), observations refill
+  fresh reservoirs (decimation is order-dependent);
+* **scalars** — counters, gauges, event and record counts obey
+  ``merged = sum(shards) - (N-1) * ghost``: shared work is replicated N
+  times and the ghost run measures exactly the replicated part once.
 
-Every assumption is checked, not trusted: shards that disagree on a
-shared record, a birth, or an instrument raise :class:`MergeError`
-with the first divergence — an honest failure beats a silently wrong
-merge.
+Every assumption is checked, not trusted: replicas that disagree on a
+shared entry, a partition that does not cover the flow ranks exactly
+once, a uid field that references no birth, or a record count that
+does not add up raise :class:`MergeError` with the first divergence —
+an honest failure beats a silently wrong merge.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.shard.recorder import K_BIRTH, K_GAUGE_OP, K_OBSERVATION, K_RECORD
 from repro.telemetry.metrics import Histogram
 from repro.telemetry.trace import TraceRecord
 
@@ -44,9 +46,8 @@ UID_FIELDS = frozenset({"uid", "parent", "req_uid", "parent_uid", "cause"})
 #: instantaneous level (all flows interleaved) can exceed every
 #: per-shard peak, so neither max-across-shards nor sum-minus-ghost is
 #: right. Each peak is recomputed by replaying its *source* gauge's
-#: operation stream in global order and taking the running maximum
-#: (labels carry over unchanged; a subtract can never raise a maximum,
-#: so the running max over the full add/set stream is exact).
+#: operations in global order and taking the running maximum (labels
+#: carry over unchanged).
 PEAK_GAUGE_SOURCES = {
     "switch.buffer_peak_bytes": "switch.buffer_occupancy_bytes",
 }
@@ -64,90 +65,12 @@ def _is_peak_gauge(ident: str) -> bool:
     return ident.split("{", 1)[0] in PEAK_GAUGE_SOURCES
 
 
-# -- shared/owned log reassembly ----------------------------------------------
+# -- log reassembly -----------------------------------------------------------
 
 
 def _replica_label(replica: int, num_shards: int) -> str:
     """Replicas are numbered shards first, then the ghost."""
     return "ghost" if replica == num_shards else f"shard {replica}"
-
-
-def _merge_stream(
-    stream: str,
-    key: str,
-    rank_at: int,
-    shards: Sequence[Dict[str, Any]],
-    ghost: Dict[str, Any],
-    transform: Optional[Callable[[tuple, int], tuple]] = None,
-) -> List[tuple]:
-    """Merge one ``(..., ts, rank, idx, ...)`` log across replicas.
-
-    ``res[key]`` is the log and ``rank_at`` the position of its rank
-    column (``ts`` sits just before it, ``idx`` just after). Entries of
-    shared ranks must be identical on every shard and the ghost — the
-    first divergence raises :class:`MergeError` naming ``stream`` and
-    the replica — and enter the merged log once; each shard then
-    contributes the entries of the flow ranks it owns. The result is
-    sorted by ``(ts, rank, idx)``, the order the reference produced them
-    in. ``transform(entry, replica)`` (replica ``len(shards)`` is the
-    ghost) rewrites entries before they are compared.
-    """
-    flow_ranks = set(shards[0]["flow_ranks"])
-    replicas = list(shards) + [ghost]
-
-    def select(replica: int, wanted: Callable[[int], bool]) -> List[tuple]:
-        picked = (
-            tuple(e) for e in replicas[replica][key] if wanted(e[rank_at])
-        )
-        if transform is None:
-            return list(picked)
-        return [transform(e, replica) for e in picked]
-
-    def shared(rank: int) -> bool:
-        return rank not in flow_ranks
-
-    merged = select(0, shared)
-    for replica in range(1, len(replicas)):
-        other = select(replica, shared)
-        if other != merged:
-            raise MergeError(
-                f"shared {stream} diverge between shard 0 and "
-                f"{_replica_label(replica, len(shards))}: "
-                f"{_first_diff(merged, other)}"
-            )
-    for replica, res in enumerate(shards):
-        merged.extend(
-            select(replica, set(res["owned_flow_ranks"]).__contains__)
-        )
-    merged.sort(key=lambda e: e[rank_at - 1:rank_at + 2])
-    return merged
-
-
-# -- uid renumbering ----------------------------------------------------------
-
-
-def _merge_births(
-    shards: Sequence[Dict[str, Any]], ghost: Dict[str, Any]
-) -> Tuple[List[Tuple[float, int, int]], List[Dict[int, int]]]:
-    """Merge uid-birth logs; returns (merged births, per-shard uid maps).
-
-    The merged position (1-based) of a birth is its global uid.
-    """
-    entries = _merge_stream("uid births", "births", 1, shards, ghost)
-    position = {
-        (rank, idx): uid
-        for uid, (_ts, rank, idx) in enumerate(entries, start=1)
-    }
-    uid_maps: List[Dict[int, int]] = []
-    for res in shards:
-        mapping = {
-            local: position[(rank, idx)]
-            for local, (_ts, rank, idx) in enumerate(
-                (tuple(b) for b in res["births"]), start=1
-            )
-        }
-        uid_maps.append(mapping)
-    return entries, uid_maps
 
 
 def _first_diff(a: Sequence[Any], b: Sequence[Any]) -> str:
@@ -157,23 +80,119 @@ def _first_diff(a: Sequence[Any], b: Sequence[Any]) -> str:
     return f"length {len(a)} != {len(b)}"
 
 
-def _remap_fields(
-    fields: Dict[str, Any], uid_map: Dict[int, int], where: str
-) -> Dict[str, Any]:
-    out = dict(fields)
-    for key, value in fields.items():
-        if key in UID_FIELDS and isinstance(value, int):
-            mapped = uid_map.get(value)
-            if mapped is None:
-                raise MergeError(
-                    f"{where}: field {key}={value} references a uid "
-                    "never born on that shard"
-                )
-            out[key] = mapped
+def _rekey_uids(res: Dict[str, Any], label: str) -> List[tuple]:
+    """One replica's log with every uid field rewritten from the local
+    int to the ``(rank, idx)`` of the birth entry that allocated it.
+
+    Local uids count a replica's own births, so the same packet has a
+    different one on every replica; its birth key is the same on all of
+    them, which is what lets shared entries be compared directly.
+    """
+    log = [tuple(entry) for entry in res["log"]]
+    born = [(rank, idx) for _ts, rank, idx, kind, _p in log if kind == K_BIRTH]
+    out: List[tuple] = []
+    for entry in log:
+        ts, rank, idx, kind, payload = entry
+        if kind == K_RECORD:
+            type_, fields = payload
+            fields = dict(fields)
+            for key, value in fields.items():
+                if key in UID_FIELDS and isinstance(value, int):
+                    if not 1 <= value <= len(born):
+                        raise MergeError(
+                            f"{label} rank {rank}: field {key}={value} "
+                            "references a uid never born on that replica"
+                        )
+                    fields[key] = born[value - 1]
+            entry = (ts, rank, idx, kind, [type_, fields])
+        out.append(entry)
     return out
 
 
-# -- trace merge --------------------------------------------------------------
+def _merge_stream(
+    shards: Sequence[Dict[str, Any]], ghost: Dict[str, Any]
+) -> List[tuple]:
+    """Merge the replicas' ``(ts, rank, idx, kind, payload)`` logs.
+
+    Entries of shared ranks must be identical on every shard and the
+    ghost — the first divergence raises :class:`MergeError` naming the
+    replica and showing the entry — and enter the merged log once; each
+    shard then contributes the entries of the flow ranks it owns. The
+    result is sorted by ``(ts, rank, idx)``, the order the reference
+    produced them in.
+    """
+    flow_ranks = set(shards[0]["flow_ranks"])
+    logs = [
+        _rekey_uids(res, _replica_label(replica, len(shards)))
+        for replica, res in enumerate(list(shards) + [ghost])
+    ]
+    merged = [e for e in logs[0] if e[1] not in flow_ranks]
+    for replica in range(1, len(logs)):
+        other = [e for e in logs[replica] if e[1] not in flow_ranks]
+        if other != merged:
+            raise MergeError(
+                "shared log entries diverge between shard 0 and "
+                f"{_replica_label(replica, len(shards))}: "
+                f"{_first_diff(merged, other)}"
+            )
+    for res, log in zip(shards, logs):
+        owned = set(res["owned_flow_ranks"])
+        merged.extend(e for e in log if e[1] in owned)
+    merged.sort(key=lambda e: e[:3])
+    return merged
+
+
+def _merge_log(
+    shards: Sequence[Dict[str, Any]], ghost: Dict[str, Any]
+) -> Tuple[List[TraceRecord], int, Dict[str, float], Dict[str, Histogram]]:
+    """Merge the logs and replay the result in reference order.
+
+    Returns the reference's trace records (global uids restored), the
+    number of uids it allocated, its peak gauges and its histograms.
+    """
+    merged = _merge_stream(shards, ghost)
+    # Numbered ahead of the walk: a record may sort before the birth it
+    # names when both carry the same ``ts`` under different ranks.
+    births = [(e[1], e[2]) for e in merged if e[3] == K_BIRTH]
+    uid_of = {key: uid for uid, key in enumerate(births, start=1)}
+    records: List[TraceRecord] = []
+    level: Dict[str, float] = {}
+    peak: Dict[str, float] = {}
+    histograms: Dict[str, Histogram] = {}
+    for ts, _rank, _idx, kind, payload in merged:
+        if kind == K_RECORD:
+            type_, fields = payload
+            for key, value in fields.items():
+                if key in UID_FIELDS and isinstance(value, tuple):
+                    fields[key] = uid_of[value]
+            records.append(TraceRecord(ts, type_, fields))
+        elif kind == K_GAUGE_OP:
+            # A subtract can never raise a maximum, so the running max
+            # over the full add/set stream is the reference's peak.
+            describe, op, amount = payload
+            value = amount if op == "set" else level.get(describe, 0.0) + amount
+            level[describe] = value
+            if value > peak.get(describe, 0.0):
+                peak[describe] = value
+        elif kind == K_OBSERVATION:
+            describe, value, max_samples = payload
+            hist = histograms.get(describe)
+            if hist is None:
+                hist = histograms[describe] = Histogram(
+                    describe, max_samples=max_samples
+                )
+            hist.observe(value)
+    peaks: Dict[str, float] = {}
+    for peak_name, source_name in PEAK_GAUGE_SOURCES.items():
+        prefix = source_name + "{"
+        for describe in level:
+            if describe == source_name or describe.startswith(prefix):
+                suffix = describe[len(source_name):]
+                peaks[peak_name + suffix] = peak.get(describe, 0.0)
+    return records, len(births), peaks, histograms
+
+
+# -- partition checks and digests ----------------------------------------------
 
 
 def _validate_partition(shards: Sequence[Dict[str, Any]]) -> None:
@@ -205,23 +224,6 @@ def _validate_partition(shards: Sequence[Dict[str, Any]]) -> None:
         )
 
 
-def _merge_rows(
-    shards: Sequence[Dict[str, Any]],
-    ghost: Dict[str, Any],
-    uid_maps: Sequence[Dict[int, int]],
-    ghost_uid_map: Dict[int, int],
-) -> List[Tuple[float, int, int, str, Dict[str, Any]]]:
-    maps = list(uid_maps) + [ghost_uid_map]
-
-    def remap(row: tuple, replica: int) -> tuple:
-        ts, rank, idx, type_, fields = row
-        where = f"{_replica_label(replica, len(shards))} rank {rank}"
-        return (ts, rank, idx, type_,
-                _remap_fields(fields, maps[replica], where))
-
-    return _merge_stream("trace records", "rows", 1, shards, ghost, remap)
-
-
 def trace_digest(records: Sequence[TraceRecord]) -> str:
     """Same digest formula as :func:`repro.fastpath.bench._trace_digest`."""
     h = hashlib.sha256()
@@ -231,12 +233,6 @@ def trace_digest(records: Sequence[TraceRecord]) -> str:
             .encode()
         )
     return h.hexdigest()
-
-
-def rows_to_records(
-    rows: Sequence[Tuple[float, int, int, str, Dict[str, Any]]]
-) -> List[TraceRecord]:
-    return [TraceRecord(ts, type_, fields) for ts, _r, _i, type_, fields in rows]
 
 
 # -- metric merge -------------------------------------------------------------
@@ -249,15 +245,11 @@ def _merge_scalar_section(
     peaks: Optional[Dict[str, float]] = None,
 ) -> Dict[str, float]:
     replicas = len(shards)
-    keys: List[str] = []
-    seen = set()
+    idents = set()
     for res in list(shards) + [ghost]:
-        for ident in res["metrics"][section]:
-            if ident not in seen:
-                seen.add(ident)
-                keys.append(ident)
+        idents.update(res["metrics"][section])
     out: Dict[str, float] = {}
-    for ident in sorted(keys):
+    for ident in sorted(idents):
         if section == "gauges" and _is_peak_gauge(ident):
             out[ident] = (peaks or {}).get(ident, 0.0)
             continue
@@ -267,62 +259,19 @@ def _merge_scalar_section(
     return out
 
 
-def _replay_peak_gauges(
+def _histogram_section(
     shards: Sequence[Dict[str, Any]],
     ghost: Dict[str, Any],
-) -> Dict[str, float]:
-    """Recompute peak gauges from the merged gauge-operation log.
-
-    The log merged by :func:`_merge_stream` is in the order the
-    reference mutated in, so the running maximum of each source gauge's
-    level is the reference's peak.
-    """
-    entries = _merge_stream("gauge operations", "gauge_ops", 2, shards, ghost)
-    level: Dict[str, float] = {}
-    peak: Dict[str, float] = {}
-    for describe, _ts, _rank, _idx, op, amount in entries:
-        value = amount if op == "set" else level.get(describe, 0.0) + amount
-        level[describe] = value
-        if value > peak.get(describe, 0.0):
-            peak[describe] = value
-    out: Dict[str, float] = {}
-    for peak_name, source_name in PEAK_GAUGE_SOURCES.items():
-        prefix = source_name + "{"
-        for describe in level:
-            if describe == source_name or describe.startswith(prefix):
-                suffix = describe[len(source_name):]
-                out[peak_name + suffix] = peak.get(describe, 0.0)
-    return out
-
-
-def _merge_histograms(
-    shards: Sequence[Dict[str, Any]],
-    ghost: Dict[str, Any],
+    replayed: Dict[str, Histogram],
 ) -> Dict[str, Dict[str, float]]:
-    """Rebuild reference reservoirs from the merged observation log.
-
-    The replay feeds a fresh :class:`Histogram` in the order of the log
-    merged by :func:`_merge_stream` — the order the reference observed
-    in — so decimation makes the same choices byte for byte.
-    """
-    entries = _merge_stream(
-        "histogram observations", "observations", 2, shards, ghost
-    )
-    replay: Dict[str, Histogram] = {}
-    for describe, _ts, _rank, _idx, value, max_samples in entries:
-        hist = replay.get(describe)
-        if hist is None:
-            hist = Histogram(describe, max_samples=max_samples)
-            replay[describe] = hist
-        hist.observe(value)
-    out: Dict[str, Dict[str, float]] = {}
     idents = set()
     for res in list(shards) + [ghost]:
         idents.update(res["metrics"]["histograms"])
-    for ident in sorted(idents):
-        hist = replay.get(ident)
-        out[ident] = hist.summary() if hist is not None else {"count": 0.0}
-    return out
+    return {
+        ident: replayed[ident].summary() if ident in replayed
+        else {"count": 0.0}
+        for ident in sorted(idents)
+    }
 
 
 def strip_non_identity(snapshot: Dict[str, Dict[str, Any]]) -> Dict[str, Dict[str, Any]]:
@@ -357,24 +306,7 @@ def merge_results(
     _validate_partition(list(shards) + [ghost])
     replicas = len(shards)
 
-    _births, uid_maps = _merge_births(shards, ghost)
-    # The ghost's births are all shared (validated above), so its map
-    # falls out of the shared prefix of the merged order directly.
-    flow_ranks = set(shards[0]["flow_ranks"])
-    shared_positions = {
-        (rank, idx): uid
-        for uid, (_ts, rank, idx) in enumerate(_births, start=1)
-        if rank not in flow_ranks
-    }
-    ghost_uid_map = {
-        local: shared_positions[(rank, idx)]
-        for local, (_ts, rank, idx) in enumerate(
-            (tuple(b) for b in ghost["births"]), start=1
-        )
-    }
-
-    rows = _merge_rows(shards, ghost, uid_maps, ghost_uid_map)
-    records = rows_to_records(rows)
+    records, uids_allocated, peaks, histograms = _merge_log(shards, ghost)
     maxlen = shards[0]["trace_maxlen"]
     ring_tail = records[-maxlen:] if maxlen else records
 
@@ -386,26 +318,26 @@ def merge_results(
         sum(res["records_emitted"] for res in shards)
         - (replicas - 1) * ghost["records_emitted"]
     )
-    if records_emitted != len(rows):
+    if records_emitted != len(records):
         raise MergeError(
-            f"merged record count {len(rows)} != ghost-subtracted "
+            f"merged record count {len(records)} != ghost-subtracted "
             f"records_emitted {records_emitted}"
         )
 
-    peaks = _replay_peak_gauges(shards, ghost)
     metrics = {
         "counters": _merge_scalar_section("counters", shards, ghost),
         "gauges": _merge_scalar_section("gauges", shards, ghost, peaks),
-        "histograms": _merge_histograms(shards, ghost),
+        "histograms": _histogram_section(shards, ghost, histograms),
     }
 
     return {
         "num_shards": replicas,
         "events": events,
         "records_emitted": records_emitted,
-        "uids_allocated": len(_births),
+        "uids_allocated": uids_allocated,
         "trace": ring_tail,
         "trace_digest": trace_digest(ring_tail),
+        "records_dropped": len(records) - len(ring_tail),
         "records": records,
         "metrics": metrics,
         "rng_draws": sum(res["rng_draws"] for res in shards)
@@ -421,9 +353,9 @@ def summary_results(
 ) -> Dict[str, Any]:
     """Count-level merge for capture-off (throughput-bench) runs.
 
-    Without captured rows, births, and operation logs there is nothing
-    to reassemble byte-for-byte; the ghost-subtraction identities on the
-    counts still hold and are what a scaling bench needs.
+    Without a captured log there is nothing to reassemble
+    byte-for-byte; the ghost-subtraction identities on the counts still
+    hold and are what a scaling bench needs.
     """
     if not shards:
         raise MergeError("no shard results to merge")
@@ -453,6 +385,7 @@ def reference_result(sim: Any) -> Dict[str, Any]:
     return {
         "events": sim.events_executed,
         "records_emitted": sim.tracer.records_emitted,
+        "records_dropped": sim.tracer.records_dropped,
         "trace": ring,
         "trace_digest": trace_digest(ring),
         "metrics": sim.metrics.snapshot(),

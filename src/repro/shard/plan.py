@@ -8,10 +8,6 @@ The verify pass 5 analyzer commits one machine-checked plan per app in
   refuses to shard when the committed plan has drifted (the launch-time
   face of verify rule RS408 — the same byte comparison ``verify --all``
   applies offline);
-* :func:`sync_window_us` derives the plan's cross-shard lookahead and
-  asserts it equals the minimum cross-shard link latency — a
-  consistency check on the verify artifact (no runtime protocol
-  consumes the value: shards exchange nothing);
 * :func:`shardability` decides whether flows may be hash-partitioned or
   must be pinned to one owner shard (global residue, hashed payload
   keys — the Cascone/Muqaddas state-access constraints the analyzer
@@ -66,7 +62,7 @@ def load_plan(app: str, root: Optional[str] = None) -> Dict[str, object]:
         ) from exc
     except json.JSONDecodeError as exc:
         raise PlanError(f"malformed shard plan {path}: {exc}") from exc
-    if plan.get("format") != 1:
+    if plan.get("format") != 2:
         raise PlanError(
             f"unsupported shard plan format {plan.get('format')!r} in {path}"
         )
@@ -106,38 +102,6 @@ def check_conformance(app: str, root: Optional[str] = None) -> Dict[str, object]
             "'verify --all --emit-plans shard_plans' and review the diff."
         )
     return committed
-
-
-def sync_window_us(plan: Dict[str, object]) -> float:
-    """The plan's cross-shard lookahead: min cross-shard link latency.
-
-    Validates the plan's own ``sync_lookahead_us`` against the link set
-    it was derived from; a mismatch means the artifact is internally
-    inconsistent (tampered or hand-edited) and must not license a run.
-    """
-    cross = plan.get("cross_shard") or {}
-    links = cross.get("links") or []
-    declared = cross.get("sync_lookahead_us")
-    if not links:
-        if declared in (None, 0, 0.0):
-            return 0.0
-        raise PlanError(
-            f"plan for {plan.get('app')!r} declares lookahead {declared} "
-            "with no cross-shard links"
-        )
-    latencies = [float(link["latency_us"]) for link in links]
-    derived = min(latencies)
-    if derived <= 0.0:
-        raise PlanError(
-            f"plan for {plan.get('app')!r} has a non-positive cross-shard "
-            f"link latency ({derived})"
-        )
-    if declared is None or abs(float(declared) - derived) > 1e-12:
-        raise PlanError(
-            f"plan for {plan.get('app')!r}: sync_lookahead_us={declared} "
-            f"but min cross-shard link latency is {derived}"
-        )
-    return derived
 
 
 def shardability(plan: Dict[str, object]) -> Tuple[bool, str]:

@@ -1,23 +1,23 @@
-"""Per-shard capture: origins, uid births, observations, RNG guard.
+"""Per-shard capture: origins, the sidecar log, RNG guard.
 
-The merge layer (:mod:`repro.shard.merge`) reassembles per-shard streams
+The merge layer (:mod:`repro.shard.merge`) reassembles per-shard runs
 into the exact byte stream the single-process reference produces. That
-needs three sidecars the normal run does not keep:
+needs two things the normal run does not keep:
 
 * **origins** — every root event (scheduled outside any event) gets a
   monotonically increasing *rank*; children inherit it. Setup code runs
   in lockstep on every shard, and ranks advance even for flow
   injections a shard skips, so rank N names the same root everywhere.
-  Trace records are tagged with the emitting event's rank plus a
-  within-rank emission index: ``(ts, rank, idx)`` is a total order that
-  every shard agrees on.
-* **uid births** — packet-span uids are allocated in execution order,
-  so each shard's uid sequence is a subsequence of the reference's.
-  Logging ``(ts, rank, birth_idx)`` per allocation lets the merge
-  renumber local uids into the reference's global numbering.
-* **histogram observations** — reservoir decimation is order-dependent,
-  so merged summaries are rebuilt by replaying the globally merged
-  observation log, not by combining per-shard reservoirs.
+* **the log** — one ``(ts, rank, idx, kind, payload)`` entry per thing
+  whose order matters, ``idx`` counting the entries of its rank:
+  ``(ts, rank, idx)`` is a total order every shard agrees on. The four
+  kinds are a uid *birth* (packet-span uids are allocated in execution
+  order, so a shard's uid sequence is a subsequence of the reference's
+  and ``(rank, idx)`` names a birth on every replica), a trace
+  *record*, a histogram *observation* (reservoir decimation is
+  order-dependent, so summaries are rebuilt by replay, not by combining
+  per-shard reservoirs) and a *gauge* op (running peaks couple flows
+  across shards).
 
 The recorder also replaces the simulator RNG with a draw-counting
 subclass: a campaign whose shards draw randomness *at all* would
@@ -28,16 +28,23 @@ runs assert zero draws and anything else is reported honestly.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Sequence, Set, Tuple
 
 from repro.shard.assign import find_packet, shard_of
 from repro.telemetry.metrics import Gauge, Histogram
 from repro.telemetry.trace import TraceRecord
 
-#: Rank used for records emitted outside any event (driver code between
+#: Rank used for entries logged outside any event (driver code between
 #: ``run()`` calls). Driver code runs in lockstep on every shard, so
-#: these are shared records like any shared-rank emission.
+#: these are shared entries like any shared-rank emission.
 DRIVER_RANK = -1
+
+#: Log entry kinds and their payloads (lists, so an entry reads the same
+#: whether it reached the merge in-process or through a JSON frame).
+K_BIRTH = "birth"  # None; the n-th birth of a run is its local uid n
+K_RECORD = "record"  # [type, fields]
+K_OBSERVATION = "observation"  # [describe, value, max_samples]
+K_GAUGE_OP = "gauge_op"  # [describe, op, amount]
 
 
 class _CountingRandom(random.Random):
@@ -79,8 +86,8 @@ class ShardRecorder:
         (non-flow) events every shard replicates; the merge subtracts
         its metrics ``N-1`` times to undo that replication.
     capture_records:
-        Keep full trace-record rows for byte-identity merging. Off for
-        throughput benches, where only counts and metrics are needed.
+        Keep the log for byte-identity merging. Off for throughput
+        benches, where only counts and metrics are needed.
     """
 
     def __init__(
@@ -111,21 +118,9 @@ class ShardRecorder:
         #: rank -> "flow" ranks (injection roots); absent means shared.
         self.flow_ranks: Set[int] = set()
         self.owned_flow_ranks: Set[int] = set()
-        #: (ts, rank, idx, TraceRecord) per emitted record, in order.
-        self.rows: List[Tuple[float, int, int, TraceRecord]] = []
-        self._emit_counts: Dict[int, int] = {}
-        #: (ts, rank, birth_idx) per uid; entry i is local uid i+1.
-        self.births: List[Tuple[float, int, int]] = []
-        self._birth_counts: Dict[int, int] = {}
-        #: (describe, ts, rank, obs_idx, value, max_samples) per
-        #: histogram observation, in order.
-        self.observations: List[Tuple[str, float, int, int, float, Optional[int]]] = []
-        self._obs_counts: Dict[int, int] = {}
-        #: (describe, ts, rank, op_idx, op, amount) per gauge mutation.
-        #: The merge replays these in global order to rebuild gauges
-        #: whose value couples flows across shards (running peaks).
-        self.gauge_ops: List[Tuple[str, float, int, int, str, float]] = []
-        self._gauge_counts: Dict[int, int] = {}
+        #: ``(ts, rank, idx, kind, payload)`` in execution order.
+        self.log: List[Tuple[float, int, int, str, Any]] = []
+        self._rank_counts: Dict[int, int] = {}
 
     # -- wiring ---------------------------------------------------------------
 
@@ -181,19 +176,19 @@ class ShardRecorder:
         self.flows_skipped += 1
         return rank, False
 
+    def _log(self, ts: float, kind: str, payload: Any) -> None:
+        origin = self.sim._origin
+        rank = DRIVER_RANK if origin is None else origin
+        idx = self._rank_counts.get(rank, 0)
+        self._rank_counts[rank] = idx + 1
+        self.log.append((ts, rank, idx, kind, payload))
+
     def note_uid(self, uid: int) -> None:
-        if not self.capture_records:
-            return
-        rank = self._current_rank()
-        idx = self._birth_counts.get(rank, 0)
-        self._birth_counts[rank] = idx + 1
-        self.births.append((self.sim.now, rank, idx))
+        if self.capture_records:
+            self._log(self.sim.now, K_BIRTH, None)
 
     def _on_trace_emit(self, record: TraceRecord) -> None:
-        rank = self._current_rank()
-        idx = self._emit_counts.get(rank, 0)
-        self._emit_counts[rank] = idx + 1
-        self.rows.append((record.ts, rank, idx, record))
+        self._log(record.ts, K_RECORD, [record.type, record.fields])
 
     def _on_instrument(self, inst: Any) -> None:
         if isinstance(inst, Histogram):
@@ -202,36 +197,18 @@ class ShardRecorder:
             inst.on_change = self._on_gauge_change
 
     def _on_observe(self, hist: Histogram, value: float) -> None:
-        rank = self._current_rank()
-        idx = self._obs_counts.get(rank, 0)
-        self._obs_counts[rank] = idx + 1
-        self.observations.append(
-            (hist.describe(), self.sim.now, rank, idx, value,
-             hist.max_samples)
-        )
+        self._log(self.sim.now, K_OBSERVATION,
+                  [hist.describe(), value, hist.max_samples])
 
     def _on_gauge_change(self, gauge: Gauge, op: str, amount: float) -> None:
         # ``set_max`` amounts are *local* absolutes (the shard's own
         # running level), meaningless across shards; the merge derives
         # peaks by replaying the source gauge's add/set stream instead.
-        if op == "set_max":
-            return
-        rank = self._current_rank()
-        idx = self._gauge_counts.get(rank, 0)
-        self._gauge_counts[rank] = idx + 1
-        self.gauge_ops.append(
-            (gauge.describe(), self.sim.now, rank, idx, op, float(amount))
-        )
-
-    def _current_rank(self) -> int:
-        origin = self.sim._origin
-        return DRIVER_RANK if origin is None else origin
+        if op != "set_max":
+            self._log(self.sim.now, K_GAUGE_OP,
+                      [gauge.describe(), op, float(amount)])
 
     # -- export ---------------------------------------------------------------
-
-    @property
-    def rank_count(self) -> int:
-        return self._next_rank
 
     def result(self) -> Dict[str, Any]:
         """Plain-data shard result, JSON-serializable for worker frames."""
@@ -251,13 +228,7 @@ class ShardRecorder:
             "rank_count": self._next_rank,
             "flow_ranks": sorted(self.flow_ranks),
             "owned_flow_ranks": sorted(self.owned_flow_ranks),
-            "rows": [
-                [ts, rank, idx, rec.type, rec.fields]
-                for ts, rank, idx, rec in self.rows
-            ],
-            "births": [list(b) for b in self.births],
-            "observations": [list(o) for o in self.observations],
-            "gauge_ops": [list(o) for o in self.gauge_ops],
+            "log": [list(entry) for entry in self.log],
             "metrics": sim.metrics.snapshot(),
             "final_now": sim.now,
         }

@@ -48,7 +48,6 @@ class ShardRunConfig:
     fastpath: bool = False
     capture: bool = True
     heartbeat_dir: Optional[str] = None
-    heartbeat_interval_us: float = 1_000.0
     params: Dict[str, Any] = field(default_factory=dict)
 
 
@@ -59,26 +58,16 @@ def resolve(
     fastpath: bool = False,
     capture: bool = True,
     heartbeat_dir: Optional[str] = None,
-    heartbeat_interval_us: float = 1_000.0,
-    conformance: bool = True,
     root: Optional[str] = None,
     params: Optional[Dict[str, Any]] = None,
 ) -> ShardRunConfig:
     """Load scenario + plan and run the launch-time RS408 gate. Raises
-    before any worker starts on drift or an inconsistent plan."""
+    before any worker starts when the committed plan has drifted."""
     scenario = get_scenario(scenario_name)
-    if conformance:
-        committed = plan_mod.check_conformance(scenario.app, root)
-    else:
-        committed = plan_mod.load_plan(scenario.app, root)
-    # Consistency check only (the value is unused): a plan whose declared
-    # lookahead disagrees with its own link set has been tampered with,
-    # and is refused even when the conformance gate is off.
-    plan_mod.sync_window_us(committed)
-    # Flow-partitioned plans have an empty boundary set (every structure
-    # is flow-local, so no packet of one shard's flows ever needs state
-    # on another shard). Pinned plans put all flows on shard 0, which
-    # empties the boundary set too.
+    committed = plan_mod.check_conformance(scenario.app, root)
+    # Every structure of a flow-partitioned plan is flow-local, so no
+    # packet of one shard's flows ever needs state on another shard;
+    # anything else pins all flows to shard 0.
     shardable, reason = plan_mod.shardability(committed)
     return ShardRunConfig(
         scenario=scenario,
@@ -91,13 +80,22 @@ def resolve(
         fastpath=fastpath,
         capture=capture,
         heartbeat_dir=heartbeat_dir,
-        heartbeat_interval_us=heartbeat_interval_us,
         params=dict(params or {}),
     )
 
 
 def _new_sim(config: ShardRunConfig) -> Simulator:
+    # A captured run is compared record for record: no ring bound, so
+    # nothing can fall off before it is compared.
+    if config.capture:
+        return Simulator(seed=config.seed, trace_ring=None)
     return Simulator(seed=config.seed)
+
+
+#: Shard campaigns can finish their event activity in a few sim
+#: milliseconds (the heartbeat only ticks while events execute), so the
+#: observe layer's 10 ms default can yield an empty file.
+_HEARTBEAT_INTERVAL_US = 1_000.0
 
 
 def _attach_heartbeat(sim: Simulator, config: ShardRunConfig,
@@ -106,16 +104,14 @@ def _attach_heartbeat(sim: Simulator, config: ShardRunConfig,
         return None
     import os
 
-    from repro.observe import attach
+    from repro.observe import HeartbeatEmitter, Observe
 
     os.makedirs(config.heartbeat_dir, exist_ok=True)
     path = os.path.join(config.heartbeat_dir, f"heartbeat.{label}.ndjson")
-    # Shard campaigns can finish their event activity in a few sim
-    # milliseconds (the heartbeat only ticks while events execute), so
-    # the default 10ms cadence can yield an empty file; shard runs use a
-    # finer default.
-    return attach(sim, profile=False, heartbeat_path=path,
-                  heartbeat_interval_us=config.heartbeat_interval_us)
+    bundle = Observe(heartbeat=HeartbeatEmitter(
+        sim, interval_us=_HEARTBEAT_INTERVAL_US, path=path))
+    sim.attach_observe(bundle)
+    return bundle
 
 
 def run_reference(config: ShardRunConfig) -> Dict[str, Any]:
@@ -255,23 +251,24 @@ def run_identity(
     workers: int = 2,
     fastpath: bool = False,
     mode: str = "inline",
-    conformance: bool = True,
     params: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Reference vs merged N-shard run; returns the axis-by-axis report.
 
     The identity contract additionally requires zero RNG draws — a
     shard that drew randomness saw a different draw sequence than the
-    reference, so agreement would be coincidence, not construction.
+    reference, so agreement would be coincidence, not construction —
+    and that no trace ring dropped a record, so the trace axes cover the
+    whole run and not its tail.
     """
-    config = resolve(
-        scenario_name, workers, conformance=conformance, fastpath=fastpath,
-        params=params,
-    )
+    config = resolve(scenario_name, workers, fastpath=fastpath, params=params)
     reference = run_reference(config)
     merged = run_sharded(config, mode=mode)
     report = merge_mod.identity_report(reference, merged)
     report["rng_silent"] = merged["rng_draws"] == 0
+    report["trace_complete"] = (
+        reference["records_dropped"] == 0 and merged["records_dropped"] == 0
+    )
     return {
         "scenario": scenario_name,
         "workers": workers,

@@ -1,17 +1,17 @@
 """Spawned-process shard workers and their frame protocol.
 
 Process mode: the parent spawns one worker per shard (``spawn`` context
-— a fresh interpreter, so bootstrap state must be picklable JSON
-scalars, see :class:`ShardSpec`), connects each over a
-``multiprocessing.Pipe``, and collects results. Workers never wait on
-the parent or on each other: every shard runs the whole topology and
-admits only its own flows, so there is nothing to synchronize (see
-docs/SHARDING.md, "Why there is no clock synchronisation"). All
-traffic is length-prefixed frames (:mod:`repro.shard.frames`):
-
-worker -> parent: ``HELLO``, one ``PROGRESS`` per ``pace()`` boundary
-reached, finally ``RESULT`` (the full shard result) or ``ERROR``;
-parent -> worker: ``BYE`` after the result.
+— a fresh interpreter, so the bootstrap must be picklable JSON scalars,
+see :func:`_bootstrap`), connects each over a ``multiprocessing.Pipe``,
+and collects results. Workers never wait on the parent or on each
+other: every shard runs the whole topology and admits only its own
+flows, so there is nothing to synchronize (see docs/SHARDING.md, "Why
+there is no clock synchronisation"). All traffic is worker -> parent,
+in length-prefixed frames (:mod:`repro.shard.frames`): one ``PROGRESS``
+per ``pace()`` boundary reached, finally ``RESULT`` (the full shard
+result) or ``ERROR``. The worker then closes its end and exits; bytes
+written to a pipe outlive the writer's ``close``, so the parent needs
+no acknowledgement to read them.
 
 ``PROGRESS`` is liveness only — it restarts the parent's stall clock
 and is never answered or compared across shards.
@@ -22,19 +22,12 @@ executed after every worker result is in.
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import traceback
-from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.shard.frames import (
-    F_BYE,
-    F_ERROR,
-    F_HELLO,
-    F_PROGRESS,
-    F_RESULT,
-    FrameConn,
-)
+from repro.shard.frames import F_ERROR, F_PROGRESS, F_RESULT, FrameConn
 
 #: The parent gives up when no worker has framed anything for this long:
 #: "no shard reached a ``pace()`` boundary in 300 s". A worker that dies
@@ -43,60 +36,36 @@ from repro.shard.frames import (
 STALL_TIMEOUT_S = 300.0
 
 
-@dataclass
-class ShardSpec:
-    """Picklable worker bootstrap: nothing but JSON scalars.
-
-    The spawn context re-imports everything in the child, so the spec
-    carries names and numbers, never live objects — the worker rebuilds
-    scenario, plan-derived key fields, and recorder from these.
-    """
-
-    scenario: str
-    shard_index: int
-    num_shards: int
-    seed: int
-    key_fields: List[str]
-    pinned: bool
-    fastpath: bool = False
-    capture: bool = True
-    heartbeat_dir: Optional[str] = None
-    heartbeat_interval_us: float = 1_000.0
-    params: Dict[str, Any] = field(default_factory=dict)
+def _bootstrap(config: Any, shard_index: int) -> Dict[str, Any]:
+    """What a spawned worker is started with: the run config's own
+    fields, with the live scenario replaced by its name and the plan
+    (already consumed by ``resolve``) dropped, plus the shard index.
+    Names and numbers only — the child re-imports everything else."""
+    spec = {
+        f.name: getattr(config, f.name) for f in dataclasses.fields(config)
+    }
+    spec.update(scenario=config.scenario.name, plan={},
+                shard_index=shard_index)
+    return spec
 
 
-def worker_main(conn: Any, spec_dict: Dict[str, Any]) -> None:
+def worker_main(conn: Any, spec: Dict[str, Any]) -> None:
     """Worker process entry point: run one shard straight through."""
-    spec = ShardSpec(**spec_dict)
     fc = FrameConn(conn)
     try:
         from repro.shard.runner import ShardRunConfig, run_one_shard
         from repro.shard.scenarios import get_scenario
 
-        fc.send(F_HELLO, {
-            "shard": spec.shard_index, "scenario": spec.scenario,
-        })
-        config = ShardRunConfig(
-            scenario=get_scenario(spec.scenario),
-            workers=spec.num_shards,
-            plan={},
-            key_fields=list(spec.key_fields),
-            pinned=spec.pinned,
-            pin_reason="",
-            seed=spec.seed,
-            fastpath=spec.fastpath,
-            capture=spec.capture,
-            heartbeat_dir=spec.heartbeat_dir,
-            heartbeat_interval_us=spec.heartbeat_interval_us,
-            params=dict(spec.params),
-        )
+        spec = dict(spec)
+        shard_index = spec.pop("shard_index")
+        spec["scenario"] = get_scenario(spec["scenario"])
+        config = ShardRunConfig(**spec)
 
         def progress(now: float) -> None:
-            fc.send(F_PROGRESS, {"shard": spec.shard_index, "now": now})
+            fc.send(F_PROGRESS, {"shard": shard_index, "now": now})
 
-        result = run_one_shard(config, spec.shard_index, progress=progress)
-        fc.send(F_RESULT, result)
-        fc.recv_expect(F_BYE)
+        fc.send(F_RESULT, run_one_shard(config, shard_index,
+                                        progress=progress))
     except Exception:
         try:
             fc.send(F_ERROR, {"error": traceback.format_exc()})
@@ -119,21 +88,9 @@ def run_process_shards(config: Any) -> List[Dict[str, Any]]:
     procs: List[Any] = []
     for index in range(config.workers):
         parent_conn, child_conn = ctx.Pipe()
-        spec = ShardSpec(
-            scenario=config.scenario.name,
-            shard_index=index,
-            num_shards=config.workers,
-            seed=config.seed,
-            key_fields=list(config.key_fields),
-            pinned=config.pinned,
-            fastpath=config.fastpath,
-            capture=config.capture,
-            heartbeat_dir=config.heartbeat_dir,
-            heartbeat_interval_us=config.heartbeat_interval_us,
-            params=dict(config.params),
-        )
         proc = ctx.Process(
-            target=worker_main, args=(child_conn, asdict(spec)),
+            target=worker_main,
+            args=(child_conn, _bootstrap(config, index)),
             daemon=True,
         )
         proc.start()
@@ -171,22 +128,15 @@ def run_process_shards(config: Any) -> List[Dict[str, Any]]:
                     raise RuntimeError(
                         f"shard worker {index} sent a malformed frame: {exc}"
                     ) from exc
-                if ftype in (F_HELLO, F_PROGRESS):
-                    # Receiving it already restarted the stall clock.
-                    continue
                 if ftype == F_RESULT:
                     results[index] = body
-                    fc.send(F_BYE, {})
                     pending.discard(index)
                 elif ftype == F_ERROR:
                     raise RuntimeError(
                         f"shard worker {index} failed:\n"
                         f"{body.get('error', '?')}"
                     )
-                else:
-                    raise RuntimeError(
-                        f"unexpected frame type {ftype} from worker {index}"
-                    )
+                # else PROGRESS: receiving it restarted the stall clock.
     except BaseException:
         for proc in procs:
             proc.terminate()

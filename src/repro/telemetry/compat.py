@@ -3,15 +3,14 @@
 The pre-telemetry code exposed free-form stat dicts (``Simulator.counters``,
 ``RedPlaneEngine.stats``). Those dicts are now *views* over registry
 instruments, so existing experiments and tests keep working unchanged
-while the registry is the single source of truth. Direct writes through
-the legacy ``Simulator.counters`` mapping raise a ``DeprecationWarning``;
-new code should use ``sim.metrics.counter(name).inc()``.
+while the registry is the single source of truth. The views are
+read-only; code that counts uses ``sim.metrics.counter(name).inc()`` /
+``sim.count()``.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Dict, Iterator, Mapping, MutableMapping
+from typing import Dict, Iterator, Mapping
 
 from repro.telemetry.metrics import Counter, MetricRegistry
 
@@ -21,16 +20,15 @@ from repro.telemetry.metrics import Counter, MetricRegistry
 _FLAT_LINK_DROPS = "link.drops."
 
 
-class LegacyCounters(MutableMapping):
-    """``Simulator.counters`` shim: a dict view of unlabeled counters.
+class LegacyCounters(Mapping):
+    """``Simulator.counters`` shim: a read-only dict view of unlabeled
+    counters.
 
-    Reads reflect the registry live. Writes still work (some old
-    experiment code resets counters between phases) but warn; deletion
-    likewise. Labeled instruments never appear here — the legacy dict
-    only ever held the flat ``sim.count()`` namespace — with one
-    exception: the historical ``link.drops.<reason>`` names read as
-    reason-wise totals over the labeled ``link.drops`` counters that
-    replaced them.
+    Reads reflect the registry live. Labeled instruments never appear
+    here — the legacy dict only ever held the flat ``sim.count()``
+    namespace — with one exception: the historical
+    ``link.drops.<reason>`` names read as reason-wise totals over the
+    labeled ``link.drops`` counters that replaced them.
     """
 
     def __init__(self, registry: MetricRegistry) -> None:
@@ -60,25 +58,6 @@ class LegacyCounters(MutableMapping):
                 if reason in set(self._link_drop_reasons()):
                     return self._registry.total("link.drops", reason=reason)
             raise
-
-    def __setitem__(self, key: str, value: float) -> None:
-        warnings.warn(
-            "writing Simulator.counters directly is deprecated; use "
-            "sim.metrics.counter(name).inc() / sim.count()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._registry.counter(key)._force(value)
-
-    def __delitem__(self, key: str) -> None:
-        warnings.warn(
-            "deleting from Simulator.counters is deprecated; counters are "
-            "registry-owned",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._counter(key)  # raise KeyError if absent
-        self._registry.remove(key)
 
     def __iter__(self) -> Iterator[str]:
         for inst in self._registry.instruments():

@@ -93,10 +93,6 @@ class Counter(Instrument):
     def value(self) -> float:
         return self._value
 
-    def _force(self, value: float) -> None:
-        """Overwrite the total. Only the deprecation shim may call this."""
-        self._value = float(value)
-
 
 class Gauge(Instrument):
     """A level that can move both ways."""
@@ -307,9 +303,6 @@ class MetricRegistry:
             if all(labels.get(k) in vals for k, vals in allowed.items()):
                 total += inst.value
         return total
-
-    def remove(self, name: str, **labels: object) -> None:
-        self._instruments.pop((name, _label_items(labels)), None)
 
     def __len__(self) -> int:
         return len(self._instruments)

@@ -101,11 +101,13 @@ class Tracer:
         Returns the current *simulated* time; the simulator passes its own
         ``now``. Wall-clock time must never enter a record.
     maxlen:
-        Ring capacity. Old records fall off the front; ``records_emitted``
-        keeps counting so truncation is detectable.
+        Ring capacity (``None``: unbounded). Old records fall off the
+        front; ``records_emitted`` keeps counting so truncation is
+        detectable.
     """
 
-    def __init__(self, clock: Callable[[], float], maxlen: int = 65536) -> None:
+    def __init__(self, clock: Callable[[], float],
+                 maxlen: Optional[int] = 65536) -> None:
         self._clock = clock
         self.maxlen = maxlen
         self.enabled = True

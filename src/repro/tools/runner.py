@@ -609,7 +609,7 @@ def run_watch(paths: List[str], follow: bool,
 
 def _shard_assignment_table(plan: dict, workers: int) -> str:
     """Which worker owns what, for ``repro.tools shard plan``."""
-    from repro.shard.plan import shardability, sync_window_us
+    from repro.shard.plan import shardability
 
     lines: List[str] = []
     shardable, reason = shardability(plan)
@@ -634,8 +634,6 @@ def _shard_assignment_table(plan: dict, workers: int) -> str:
                      f"{', '.join(residue)}")
     lines.append(f"  state store : replicated chain on every worker "
                  f"(shared events run in lockstep)")
-    lines.append(f"  sync window : {sync_window_us(plan)} us lookahead "
-                 f"(min cross-shard link latency)")
     return "\n".join(lines)
 
 

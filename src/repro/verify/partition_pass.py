@@ -34,9 +34,8 @@ declare a weaker one (``shard_class = "global"`` with a mandatory
 ``shard_reason``) but never a tighter one (RS402).
 
 The result is a deterministic shard plan per app — partitionable state,
-inferred keys, global residue, and the cross-shard link set whose
-minimum latency defines the conservative-sync lookahead — committed
-under ``shard_plans/<app>.json`` (drift is RS408) and rendered by
+inferred keys and global residue — committed under
+``shard_plans/<app>.json`` (drift is RS408) and rendered by
 ``repro.tools verify --plan``.
 
 RS410-412 are companion tree lints over the shard-boundary packages
@@ -614,7 +613,6 @@ class _AppAnalysis:
     plan: Dict[str, object]
     effective: str
     structures: int
-    links: int
 
 
 class _PartitionAnalyzer:
@@ -795,7 +793,6 @@ class _PartitionAnalyzer:
         return _AppAnalysis(
             plan=plan, effective=effective,
             structures=len(plan["structures"]),  # type: ignore[arg-type]
-            links=len(plan["cross_shard"]["links"]),  # type: ignore[index]
         )
 
     # -- plan construction -----------------------------------------------------
@@ -866,32 +863,8 @@ class _PartitionAnalyzer:
             if e["partition_class"] == "global"
         )
 
-        # Cross-shard links: each programmable agg switch is one shard
-        # group, everything else (cores, tors, hosts, stores) is shared
-        # infrastructure every shard talks to. The minimum latency of a
-        # crossing link bounds the conservative-sync window.
-        agg_ids = {id(a) for a in self.dep.bed.aggs}
-
-        def group(node) -> str:
-            return node.name if id(node) in agg_ids else "shared"
-
-        links: List[Dict[str, object]] = []
-        for link in self.dep.bed.topology.links:
-            ga, gb = group(link.a.node), group(link.b.node)
-            if ga == gb or (ga == "shared" and gb == "shared"):
-                continue
-            links.append({
-                "link": link.name,
-                "between": sorted((ga, gb)),
-                "latency_us": link.latency_us,
-            })
-        links.sort(key=lambda d: d["link"])  # type: ignore[arg-type]
-        lookahead = min(
-            (float(d["latency_us"]) for d in links), default=None
-        )
-
         return {
-            "format": 1,
+            "format": 2,
             "app": self.label,
             "app_class": type(app).__name__,
             "partition_class": effective,
@@ -910,11 +883,6 @@ class _PartitionAnalyzer:
             },
             "structures": entries,
             "global_residue": residue,
-            "cross_shard": {
-                "shards": sorted(a.name for a in self.dep.bed.aggs),
-                "links": links,
-                "sync_lookahead_us": lookahead,
-            },
         }
 
 
@@ -948,8 +916,7 @@ def verify_partition_app(
     analyzer = _PartitionAnalyzer(dep, name, structures, report, supp, root)
     analysis = analyzer.run()
     report.analyzed[f"partition:{name}"] = (
-        f"{analysis.effective}; {analysis.structures} structure(s), "
-        f"{analysis.links} cross-shard link(s)"
+        f"{analysis.effective}; {analysis.structures} structure(s)"
     )
     return report, analysis.plan
 
@@ -993,12 +960,6 @@ def render_plan(plan: Dict[str, object]) -> str:
         + (f" ({', '.join(residue[:4])}"
            + (", ..." if len(residue) > 4 else "") + ")"
            if residue else "")
-    )
-    cs = plan["cross_shard"]
-    lines.append(
-        f"  shards: {', '.join(cs['shards'])}; "
-        f"{len(cs['links'])} cross-shard link(s), "
-        f"sync lookahead {cs['sync_lookahead_us']} us"
     )
     return "\n".join(lines)
 

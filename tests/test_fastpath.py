@@ -124,6 +124,29 @@ def test_fastpath_run_is_bit_identical_to_reference():
     assert on["fastpath_stats"]["flow_cache"]["hits"] > 0
 
 
+def test_identity_digest_covers_every_record_not_a_ring_tail():
+    """The oracle's simulator keeps every record: a scenario that emits
+    more than a default ring holds still digests all of them."""
+    result = run_scenario(flows=50, packets_per_flow=160)
+    assert result["records_emitted"] > 65536
+    assert result["records_dropped"] == 0
+
+
+def test_ab_verdict_fails_when_a_ring_truncated(monkeypatch):
+    """Equal digests over two truncated rings vouch for the tails only;
+    the A/B verdict says so instead of passing."""
+    from repro.fastpath import bench
+
+    monkeypatch.setattr(
+        bench, "Simulator",
+        lambda seed, trace_ring: Simulator(seed=seed, trace_ring=256))
+    result = bench.run_ab(flows=4, packets_per_flow=20)
+    assert result["off"]["records_dropped"] > 0
+    assert result["identity"].pop("trace_complete") is False
+    assert all(result["identity"].values())
+    assert not result["identical"]
+
+
 def test_fastpath_identical_under_sync_counter_writes():
     """A write-per-packet app exercises the replication protocol on
     every replay; identity must hold there too."""

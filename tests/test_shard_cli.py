@@ -28,14 +28,15 @@ def test_shard_plan_renders_assignment_table(capsys):
     out = capsys.readouterr().out
     assert "partition_class=flow_local" in out
     assert "% 4 -> owner worker" in out
-    assert "sync window : 0.35 us lookahead" in out
+    assert "state store : replicated chain on every worker" in out
 
 
 def test_shard_plan_json_is_the_committed_artifact(capsys):
     assert tools_main(["shard", "plan", "nat", "--json"]) == 0
     plan = json.loads(capsys.readouterr().out)
     assert plan["app"] == "nat"
-    assert plan["cross_shard"]["sync_lookahead_us"] == 0.35
+    assert plan["format"] == 2
+    assert plan["partition_key"]["fields"]
 
 
 def test_shard_plan_unknown_app_fails(capsys):
@@ -49,6 +50,22 @@ def test_shard_diff_exit_code_reflects_identity(capsys):
     out = capsys.readouterr().out
     assert "IDENTICAL" in out
     assert "DIFFERS" not in out
+
+
+def test_shard_diff_fails_when_a_ring_truncated(capsys, monkeypatch):
+    """Identical ring tails are not an identical run: with bounded rings
+    every other axis still agrees and the verdict is DIFFERS."""
+    from repro import Simulator
+    from repro.shard import runner
+
+    monkeypatch.setattr(
+        runner, "_new_sim",
+        lambda config: Simulator(seed=config.seed, trace_ring=128))
+    assert tools_main(["shard", "diff", "nat_quickstart",
+                       "--workers", "2"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("DIFFERS") == 2  # trace_complete and the verdict
+    assert "trace_complete  : DIFFERS" in out
 
 
 def test_shard_run_prints_merged_summary(capsys, tmp_path):

@@ -7,10 +7,9 @@ import multiprocessing
 
 import pytest
 
+from repro.shard import frames
 from repro.shard.frames import (
-    F_BYE,
     F_ERROR,
-    F_HELLO,
     F_PROGRESS,
     F_RESULT,
     MAX_FRAME_BYTES,
@@ -18,6 +17,13 @@ from repro.shard.frames import (
     pack_frame,
     unpack_frame,
 )
+
+
+def test_the_protocol_has_exactly_three_frame_types():
+    """PROGRESS* then RESULT | ERROR, all worker -> parent."""
+    names = {n for n in vars(frames) if n.startswith("F_")}
+    assert names == {"F_PROGRESS", "F_RESULT", "F_ERROR"}
+    assert len({F_PROGRESS, F_RESULT, F_ERROR}) == 3
 
 
 def test_round_trip():
@@ -39,7 +45,7 @@ def test_key_order_survives_the_round_trip():
 
 
 def test_truncated_and_malformed_frames_raise():
-    good = pack_frame(F_HELLO, {"shard": 0})
+    good = pack_frame(F_PROGRESS, {"shard": 0})
     with pytest.raises(ValueError):
         unpack_frame(good[:3])  # missing length prefix
     with pytest.raises(ValueError):
@@ -53,7 +59,7 @@ def test_truncated_and_malformed_frames_raise():
 def test_unknown_frame_type_rejected_both_ways():
     with pytest.raises(ValueError):
         pack_frame(99, {})
-    raw = bytearray(pack_frame(F_HELLO, {}))
+    raw = bytearray(pack_frame(F_ERROR, {}))
     raw[4] = 99
     with pytest.raises(ValueError):
         unpack_frame(bytes(raw))
@@ -61,7 +67,7 @@ def test_unknown_frame_type_rejected_both_ways():
 
 def test_oversized_frame_rejected():
     # Forge the length prefix rather than building a 256MB payload.
-    raw = (MAX_FRAME_BYTES + 1).to_bytes(4, "big") + bytes([F_HELLO])
+    raw = (MAX_FRAME_BYTES + 1).to_bytes(4, "big") + bytes([F_RESULT])
     with pytest.raises(ValueError):
         unpack_frame(raw + b"{}")
 
@@ -72,24 +78,13 @@ def test_frame_conn_over_a_pipe():
     left.send(F_PROGRESS, {"shard": 1, "now": 100.0})
     ftype, body = right.recv()
     assert (ftype, body["shard"]) == (F_PROGRESS, 1)
-    right.send(F_BYE, {})
-    _ftype, body = left.recv_expect(F_BYE)
-    assert body == {}
-    left.close()
-    right.close()
-
-
-def test_recv_expect_surfaces_peer_errors():
-    a, b = multiprocessing.Pipe()
-    left, right = FrameConn(a), FrameConn(b)
-    left.send(F_ERROR, {"error": "boom"})
-    with pytest.raises(ValueError, match="boom"):
-        right.recv_expect(F_BYE)
+    right.send(F_ERROR, {"error": "boom"})
+    assert left.recv() == (F_ERROR, {"error": "boom"})
     left.close()
     right.close()
 
 
 def test_payload_is_compact_json():
-    raw = pack_frame(F_HELLO, {"a": 1, "b": [2, 3]})
+    raw = pack_frame(F_RESULT, {"a": 1, "b": [2, 3]})
     assert json.loads(raw[5:]) == {"a": 1, "b": [2, 3]}
     assert b" " not in raw[5:]

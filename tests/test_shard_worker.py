@@ -10,9 +10,8 @@ import time
 import pytest
 
 from repro.shard import worker
-from repro.shard.frames import F_HELLO, F_PROGRESS, FrameConn
-from repro.shard.runner import resolve, run_identity, run_sharded
-from repro.shard.worker import ShardSpec
+from repro.shard.frames import F_PROGRESS, FrameConn
+from repro.shard.runner import ShardRunConfig, resolve, run_identity, run_sharded
 
 
 def test_process_mode_is_byte_identical_to_the_reference():
@@ -35,19 +34,36 @@ def test_process_mode_matches_inline_mode():
     assert inline["flows_per_shard"] == proc["flows_per_shard"]
 
 
+def test_parent_collects_results_without_sending_a_frame(monkeypatch):
+    """The protocol is one-way: a worker exits right after RESULT and
+    the parent reads it from the pipe with no handshake either side.
+    (Spawned workers re-import the module, so only the parent is
+    patched.)"""
+
+    def refuse(self, ftype, body):
+        raise AssertionError("the parent sent a frame")
+
+    monkeypatch.setattr(FrameConn, "send", refuse)
+    merged = run_sharded(resolve("nat_quickstart", 2), mode="process")
+    assert merged["flows_per_shard"] and merged["rng_draws"] == 0
+    assert multiprocessing.active_children() == []
+
+
 def test_shard_spec_is_json_scalars_only():
-    """The spawn bootstrap must stay picklable-by-value: names and
-    numbers, never live objects."""
-    spec = ShardSpec(
-        scenario="nat_steady", shard_index=0, num_shards=2, seed=5,
-        key_fields=["ip.src"], pinned=False,
-    )
+    """What ``run_process_shards`` hands ``ctx.Process`` must stay
+    picklable-by-value — names and numbers, never live objects — and be
+    the run config's own field list plus the shard index."""
+    import dataclasses
     import json
 
-    from dataclasses import asdict
-
-    round_tripped = json.loads(json.dumps(asdict(spec)))
-    assert ShardSpec(**round_tripped) == spec
+    config = resolve("nat_steady", 2, params={"flows": 3})
+    spec = worker._bootstrap(config, 1)
+    assert json.loads(json.dumps(spec)) == spec
+    assert spec["scenario"] == "nat_steady" and spec["shard_index"] == 1
+    assert spec["params"] == {"flows": 3}
+    assert set(spec) - {"shard_index"} == {
+        f.name for f in dataclasses.fields(ShardRunConfig)
+    }
 
 
 def test_unknown_mode_is_rejected():
@@ -62,14 +78,12 @@ def test_unknown_mode_is_rejected():
 
 
 def _stand_in(conn, spec_dict):
-    """Shard 1's frame connection after its HELLO; None for shard 0,
-    which has run the real worker to completion."""
+    """Shard 1's frame connection; None for shard 0, which has run the
+    real worker to completion."""
     if spec_dict["shard_index"] != 1:
         worker.worker_main(conn, spec_dict)
         return None
-    fc = FrameConn(conn)
-    fc.send(F_HELLO, {"shard": 1, "scenario": spec_dict["scenario"]})
-    return fc
+    return FrameConn(conn)
 
 
 def _dies_on_import(conn, spec_dict):

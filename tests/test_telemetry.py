@@ -231,14 +231,14 @@ def test_legacy_counters_reads_reflect_registry():
         sim.counters["never.seen"]
 
 
-def test_legacy_counters_write_warns_but_works():
+def test_legacy_counters_are_read_only():
     sim = Simulator(seed=0)
-    with pytest.warns(DeprecationWarning):
+    sim.count("drops.loss", 2)
+    with pytest.raises(TypeError):
         sim.counters["drops.loss"] = 5
-    assert sim.metrics.value("drops.loss") == 5.0
-    with pytest.warns(DeprecationWarning):
+    with pytest.raises(TypeError):
         del sim.counters["drops.loss"]
-    assert sim.metrics.get("drops.loss") is None
+    assert sim.metrics.value("drops.loss") == 2.0
 
 
 def test_legacy_counters_hide_labeled_instruments():

@@ -98,14 +98,18 @@ def test_heavy_hitter_is_declared_global_with_reason():
     assert all(s["partition_class"] == "global" for s in sketch_rows)
 
 
-def test_cross_shard_links_and_lookahead_present():
+def test_plan_commits_to_state_classification_and_nothing_else():
+    """Every key is either read by ``repro.shard`` at launch or is the
+    analysis RS408 pins; nothing describes a topology partition the
+    runtime does not have."""
     from repro.apps.nat import NatApp
 
     _, plan = analyze(lambda: NatApp(), label="nat")
-    cross = plan["cross_shard"]
-    assert sorted(cross["shards"]) == ["agg1", "agg2"]
-    assert cross["links"]
-    assert cross["sync_lookahead_us"] > 0
+    assert plan["format"] == 2
+    assert set(plan) == {
+        "format", "app", "app_class", "partition_class", "declared",
+        "partition_key", "structures", "global_residue",
+    }
 
 
 # -- declaration lattice violations -------------------------------------------
@@ -190,19 +194,20 @@ def test_plan_json_is_canonical_json():
     text = plan_json(plan)
     assert text.endswith("\n")
     doc = json.loads(text)
-    assert doc["format"] == 1
+    assert doc["format"] == 2
     assert doc["app"] == "nat"
     roundtrip = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     assert roundtrip == text
 
 
-def test_render_plan_mentions_key_and_shards():
+def test_render_plan_mentions_key_and_residue():
     from repro.apps.nat import NatApp
 
     _, plan = analyze(lambda: NatApp(), label="nat")
     text = render_plan(plan)
     assert "partition_class=flow_local" in text
-    assert "shards: agg1, agg2" in text
+    assert "key: class=flow_local" in text
+    assert text.endswith("global residue: 0 structure(s)")
 
 
 def test_committed_plans_match_fresh_analysis():
