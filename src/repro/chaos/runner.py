@@ -63,9 +63,9 @@ class RunResult:
     schedule: FailureSchedule
     monitor: InvariantMonitor
     metrics: object  # the run's MetricRegistry
-    #: The run's :class:`repro.observe.Observe` bundle (profiler,
-    #: heartbeat snapshots, health detections), or ``None`` when the
-    #: campaign ran unobserved.
+    #: The run's :class:`repro.observe.Observe` bundle (heartbeat
+    #: snapshots, health detections), or ``None`` when the campaign ran
+    #: unobserved.
     observe: Optional[object] = None
 
 
@@ -176,20 +176,17 @@ def _run_deployed(campaign, seed, sim, trace_path, fastpath,
 
     bundle = None
     if observe is not None and observe.enabled:
-        from repro.observe import attach as attach_observe
+        from repro.observe import attach
 
         providers = {
             "delivered": lambda: workload.delivered,
             "faults_active": lambda: len(schedule.active_at(sim.now)),
             "stores_down": lambda: schedule.stores_down_at(sim.now),
         }
-        bundle = attach_observe(
+        bundle = attach(
             sim,
-            profile=observe.profile,
             heartbeat_path=observe.heartbeat_path,
-            heartbeat_interval_us=(
-                observe.heartbeat_interval_us if observe.wants_heartbeat
-                else None),
+            heartbeat_interval_us=observe.heartbeat_interval_us,
             links=list(dep.bed.topology.links),
             providers=providers,
             health=observe.health,
@@ -201,10 +198,8 @@ def _run_deployed(campaign, seed, sim, trace_path, fastpath,
         coordinator.stop()
     sim.run(until=campaign.duration_us + DRAIN_US)
     if bundle is not None:
-        if bundle.profiler is not None:
-            bundle.profiler.publish(sim.metrics)
         bundle.close()
-        sim.detach_observe()
+        sim.on_event = None
     if trace_path is not None:
         sim.tracer.close_sink()
 

@@ -56,7 +56,6 @@ from repro.statestore.netchain import NETCHAIN_UDP_PORT
 from repro.statestore.server import CHAIN_UDP_PORT
 from repro.statestore.sharding import ShardMap
 from repro.telemetry import trace as tt
-from repro.telemetry.compat import StatGroupView
 
 #: UDP ports whose traffic is never treated as application traffic.
 _PROTOCOL_PORTS = {STORE_UDP_PORT, SWITCH_UDP_PORT, CHAIN_UDP_PORT, NETCHAIN_UDP_PORT}
@@ -192,8 +191,7 @@ class RedPlaneEngine(ControlBlock):
 
         self.history: List[HistoryEvent] = []
         # Protocol statistics live in the run's metric registry, one
-        # counter per stat labeled by switch; ``stats`` keeps the historical
-        # dict reading surface as a view over them.
+        # counter per stat labeled by switch; :attr:`stats` reads them.
         metrics = switch.sim.metrics
         self.tracer = switch.sim.tracer
         self._c = {
@@ -222,7 +220,6 @@ class RedPlaneEngine(ControlBlock):
         # distinct held packets with identical wire bytes (apps whose
         # requests carry no client-side id) are never conflated.
         self._reinjected: set = set()
-        self.stats = StatGroupView(self._c)
         #: Replication round trips as the switch observes them: time from a
         #: request's (re)send to the release of its mirrored copy.
         self._h_ack_rtt = metrics.histogram(
@@ -240,6 +237,11 @@ class RedPlaneEngine(ControlBlock):
         self._g_flow_table = metrics.gauge(
             "redplane.flow_table_entries", switch=switch.name
         )
+
+    @property
+    def stats(self) -> Dict[str, int]:
+        """This engine's ``redplane.<stat>`` counters, as plain ints."""
+        return {stat: int(c.value) for stat, c in self._c.items()}
 
     # ------------------------------------------------------------------
     # pipeline entry point

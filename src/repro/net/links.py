@@ -217,9 +217,8 @@ class Link:
         self._lane_b = Lane(self, b, a)
         self._ctr_queue_drops = m.counter("link.queue_drops", link=self.name)
         self._ctr_duplicated = m.counter("link.duplicated", link=self.name)
-        #: ``link.drops{link,reason}`` handles, created lazily per reason
-        #: (the legacy flat ``link.drops.<reason>`` names remain readable
-        #: through ``Simulator.counters`` as compat views).
+        #: ``link.drops{link,reason}`` handles, created lazily per reason;
+        #: read with ``sim.metrics.total("link.drops", reason=...)``.
         self._ctr_drops: Dict[str, object] = {}
         #: Optional taps invoked for every transmitted packet: fn(pkt, src_port).
         self.taps: List[Callable[[Packet, Port], None]] = []

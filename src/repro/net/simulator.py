@@ -11,9 +11,8 @@ loop. Nothing uses wall-clock time.
 The simulator also roots the telemetry spine: it owns the run's
 :class:`~repro.telemetry.metrics.MetricRegistry` (:attr:`Simulator.metrics`)
 and :class:`~repro.telemetry.trace.Tracer` (:attr:`Simulator.tracer`),
-which every component publishes through. The historical free-form
-``Simulator.counters`` dict survives as a read-only view over the
-registry; item assignment raises :class:`TypeError`.
+which every component publishes through and every reader queries
+(``sim.metrics.value(name)``, ``.total(name, **labels)``, ``.snapshot()``).
 
 The queue is a binary heap whose entries are ``(time, seq, Event)``
 tuples, so ordering is decided entirely by C tuple comparison and never
@@ -29,7 +28,6 @@ import warnings
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.telemetry import MetricRegistry, Tracer
-from repro.telemetry.compat import LegacyCounters
 
 
 class Event:
@@ -91,9 +89,6 @@ class Simulator:
         self.metrics = MetricRegistry()
         #: The run's trace ring; timestamps are this clock's simulated time.
         self.tracer = Tracer(clock=lambda: self.now, maxlen=trace_ring)
-        #: Legacy per-run counters, now a live view over :attr:`metrics`.
-        #: Reads work as before; the view is read-only.
-        self.counters = LegacyCounters(self.metrics)
         #: Per-run memo of flow-tag strings (``str(FlowKey)``) by raw
         #: 5-tuple, filled by :mod:`repro.net.links` and bounded by
         #: :data:`repro.net.constants.CACHE_CAP`.
@@ -103,11 +98,13 @@ class Simulator:
         #: sites that invalidate its entries consult this; ``None`` means
         #: every packet runs the full pipeline.
         self.fastpath = None
-        #: The attached :class:`repro.observe.Observe` bundle (profiler +
-        #: heartbeat hooks), or ``None``. When ``None`` the drain loop is
-        #: the untouched fast path; when set, :meth:`_drain_observed`
-        #: runs instead. Observation reads state, never mutates it.
-        self._observe = None
+        #: Optional observer called with the event's time after each
+        #: executed event (:meth:`repro.observe.HeartbeatEmitter.tick` is
+        #: the one producer). It is *called*, never scheduled, and must
+        #: only read: no RNG draw, no ``schedule``, no non-``observe.*``
+        #: metric — so an observed run is bit-identical to an unobserved
+        #: one (tests/test_observe.py enforces this).
+        self.on_event: Optional[Callable[[float], None]] = None
         #: The attached :class:`repro.shard.recorder.ShardRecorder`, or
         #: ``None``. When set, root events (scheduled outside any event)
         #: are assigned monotonically increasing *ranks* and may be
@@ -173,11 +170,10 @@ class Simulator:
         # termination condition reads ``sim.events_executed``) must observe
         # a live count, or a self-rescheduling chain never sees progress
         # and spins until the ``max_events`` guard trips.
-        if self._observe is not None:
-            return self._drain_observed(until, max_events, exhaust)
         executed = 0
         heap = self._heap
         pop = heapq.heappop
+        after = self.on_event
         try:
             while heap:
                 head = heap[0]
@@ -197,6 +193,8 @@ class Simulator:
                 event.fn(*event.args)
                 executed += 1
                 self._events_executed += 1
+                if after is not None:
+                    after(when)
         finally:
             # Code running after the drain (scenario drivers, reporters)
             # is root context again.
@@ -217,83 +215,6 @@ class Simulator:
             RuntimeWarning,
             stacklevel=3,
         )
-
-    def _drain_observed(
-        self,
-        until: Optional[float],
-        max_events: Optional[int],
-        exhaust: Optional[str],
-    ) -> int:
-        """:meth:`_drain` with the :mod:`repro.observe` hooks applied.
-
-        Identical event-selection semantics (same ``(time, seq)`` order,
-        same ``until``/``max_events``/``exhaust`` behaviour) — only the
-        per-event epilogue differs: the elapsed wall time since the last
-        epilogue is attributed to the finished callback, and the
-        heartbeat hook gets a chance to snapshot. Both hooks read
-        simulator state; neither mutates it, touches the RNG, or puts
-        events on the queue, so an observed run is bit-identical to an
-        unobserved one (tests/test_observe.py enforces this).
-
-        Kept separate from :meth:`_drain` so the unobserved hot loop
-        pays nothing — not even a dead branch per event.
-        """
-        observe = self._observe
-        profiler = observe.profiler
-        tick = profiler.tick if profiler is not None else None
-        heartbeat = observe.heartbeat_tick
-        executed = 0
-        heap = self._heap
-        pop = heapq.heappop
-        if profiler is not None:
-            profiler.start()
-        try:
-            while heap:
-                head = heap[0]
-                event = head[2]
-                if event.cancelled:
-                    pop(heap)
-                    continue
-                if max_events is not None and executed >= max_events:
-                    self._note_exhausted(max_events, exhaust)
-                    return executed
-                when = head[0]
-                if until is not None and when > until:
-                    break
-                pop(heap)
-                self.now = when
-                self._origin = event.origin
-                event.fn(*event.args)
-                executed += 1
-                self._events_executed += 1
-                if tick is not None:
-                    tick(event.fn)
-                if heartbeat is not None:
-                    heartbeat(self.now)
-        finally:
-            self._origin = None
-        return executed
-
-    # -- observation -----------------------------------------------------------
-
-    def attach_observe(self, observe: Any) -> None:
-        """Attach a :class:`repro.observe.Observe` bundle to the drain loop.
-
-        ``observe`` must expose ``profiler`` (``None`` or an object with
-        ``start()``/``tick(fn)``) and ``heartbeat_tick`` (``None`` or a
-        callable taking the current simulated time). Pass-through
-        replaces any previous bundle.
-        """
-        self._observe = observe
-
-    def detach_observe(self) -> None:
-        """Return the drain loop to the unobserved fast path."""
-        self._observe = None
-
-    @property
-    def observe(self) -> Any:
-        """The attached observe bundle, or ``None``."""
-        return self._observe
 
     def step(self) -> bool:
         """Execute the next pending event. Returns False if none remain."""

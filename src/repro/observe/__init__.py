@@ -1,11 +1,7 @@
 """``repro.observe`` — the observability layer.
 
-Three parts, one contract:
+Two parts, one contract:
 
-* :mod:`repro.observe.profiler` — a deterministic self-profiler hooked
-  into the simulator's drain loop: exact per-handler and per-subsystem
-  event counts with wall-time attribution, a component table, and
-  collapsed-stack flamegraph output (``repro.tools profile``).
 * :mod:`repro.observe.heartbeat` — periodic NDJSON health snapshots
   whose content is a pure function of simulator state
   (``repro.tools watch`` tails them live).
@@ -18,28 +14,32 @@ The contract: **observation never changes the run.** An observed
 campaign's events, trace stream, records, and metrics (minus the
 ``observe.*`` namespace, and minus ``health.*`` trace events when
 detectors are armed) are byte-identical to the unobserved run. The
-profiler reads the wall clock for its own accounting only; the
-heartbeat emitter is called from the drain loop rather than scheduled,
-so it cannot perturb event sequence numbers.
+heartbeat emitter is called from the drain loop
+(:attr:`~repro.net.simulator.Simulator.on_event`) rather than
+scheduled, so it cannot perturb event sequence numbers, and nothing
+here reads the wall clock: where wall time goes is answered by
+``python -m bench run --trace 1`` (docs/TELEMETRY.md).
 
-:class:`Observe` is the bundle the simulator's
-:meth:`~repro.net.simulator.Simulator.attach_observe` consumes;
-:func:`attach` builds and attaches one in one call.
+:func:`attach` builds an emitter (and, with ``health=True``, a monitor),
+sets ``sim.on_event`` to the emitter's ``tick`` and returns both as an
+:class:`Observe`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.observe.health import HealthMonitor, default_detectors
-from repro.observe.heartbeat import HeartbeatEmitter, read_heartbeats
-from repro.observe.profiler import Profiler
+from repro.observe.heartbeat import (
+    DEFAULT_INTERVAL_US,
+    HeartbeatEmitter,
+    read_heartbeats,
+)
 
 __all__ = [
     "Observe",
     "ObserveOptions",
-    "Profiler",
     "HeartbeatEmitter",
     "HealthMonitor",
     "attach",
@@ -57,81 +57,52 @@ class ObserveOptions:
     when building the live bundle from these options.
     """
 
-    profile: bool = False
     heartbeat: bool = False
-    heartbeat_interval_us: float = 10_000.0
+    heartbeat_interval_us: float = DEFAULT_INTERVAL_US
     heartbeat_path: Optional[str] = None
     health: bool = False
 
     @property
-    def wants_heartbeat(self) -> bool:
-        return bool(self.heartbeat or self.heartbeat_path or self.health)
-
-    @property
     def enabled(self) -> bool:
-        return bool(self.profile or self.wants_heartbeat)
+        return bool(self.heartbeat or self.heartbeat_path or self.health)
 
 
 class Observe:
-    """What the simulator's observed drain loop consults per event.
+    """What :func:`attach` built: the emitter behind ``sim.on_event`` and
+    the :class:`HealthMonitor` fed by it (``None`` unless ``health=True``)."""
 
-    ``profiler`` is ``None`` or a :class:`Profiler`; ``heartbeat_tick``
-    is ``None`` or a callable taking the current simulated time (a
-    :meth:`HeartbeatEmitter.tick` bound method, usually). Keeping the
-    two as plain attributes lets the drain loop hoist them into locals
-    once per drain.
-    """
+    __slots__ = ("heartbeat", "health")
 
-    __slots__ = ("profiler", "heartbeat", "heartbeat_tick", "health")
-
-    def __init__(
-        self,
-        profiler: Optional[Profiler] = None,
-        heartbeat: Optional[HeartbeatEmitter] = None,
-        health: Optional[HealthMonitor] = None,
-    ) -> None:
-        self.profiler = profiler
+    def __init__(self, heartbeat: HeartbeatEmitter,
+                 health: Optional[HealthMonitor] = None) -> None:
         self.heartbeat = heartbeat
-        self.heartbeat_tick: Optional[Callable[[float], None]] = (
-            heartbeat.tick if heartbeat is not None else None
-        )
         self.health = health
 
     def close(self) -> None:
-        """Flush and close owned sinks (the heartbeat NDJSON file)."""
-        if self.heartbeat is not None:
-            self.heartbeat.close()
+        """Close the heartbeat NDJSON file, if one was opened."""
+        self.heartbeat.close()
 
 
 def attach(
     sim,
-    profile: bool = True,
     heartbeat_path: Optional[str] = None,
-    heartbeat_interval_us: Optional[float] = None,
+    heartbeat_interval_us: float = DEFAULT_INTERVAL_US,
     links: Optional[list] = None,
     providers: Optional[dict] = None,
     health: bool = False,
 ) -> Observe:
-    """Build an :class:`Observe` bundle for ``sim`` and attach it.
+    """Start heartbeats on ``sim``: one emitter, called after every event.
 
-    ``health=True`` arms the default detector set over the heartbeat
-    stream (requires a heartbeat; detectors without snapshots see
-    nothing). Returns the bundle; call ``bundle.close()`` (or let the
-    campaign runner do it) when the run ends.
+    ``health=True`` arms the default detector set over the snapshot
+    stream. Returns the bundle; when the run ends call ``bundle.close()``
+    and set ``sim.on_event = None`` (the campaign runner does both).
     """
-    profiler = Profiler() if profile else None
-    heartbeat = None
+    heartbeat = HeartbeatEmitter(sim, interval_us=heartbeat_interval_us,
+                                 path=heartbeat_path, links=links,
+                                 providers=providers)
     monitor = None
-    if heartbeat_path is not None or heartbeat_interval_us is not None \
-            or health:
-        kwargs = {}
-        if heartbeat_interval_us is not None:
-            kwargs["interval_us"] = heartbeat_interval_us
-        heartbeat = HeartbeatEmitter(sim, path=heartbeat_path, links=links,
-                                     providers=providers, **kwargs)
-        if health:
-            monitor = HealthMonitor(sim)
-            heartbeat.add_monitor(monitor.observe)
-    bundle = Observe(profiler=profiler, heartbeat=heartbeat, health=monitor)
-    sim.attach_observe(bundle)
-    return bundle
+    if health:
+        monitor = HealthMonitor(sim)
+        heartbeat.add_monitor(monitor.observe)
+    sim.on_event = heartbeat.tick
+    return Observe(heartbeat, monitor)

@@ -24,7 +24,7 @@ import json
 import os
 import sys
 import time
-from typing import Dict, IO, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, IO, List, Optional, Sequence, Union
 
 #: Seconds between polls of a followed file.
 POLL_S = 0.25
@@ -80,34 +80,69 @@ def render_snapshot(snap: Dict[str, object], label: Optional[str] = None) -> str
     )
 
 
-def _lines(fh: IO[str], follow: bool) -> Iterator[str]:
-    """Complete lines from ``fh``; in follow mode, poll for growth.
-
-    A partially-written trailing line (no newline yet) is held back until
-    its newline arrives, so a snapshot is never rendered half-parsed.
-    """
-    buffer = ""
-    while True:
-        chunk = fh.readline()
-        if chunk:
-            buffer += chunk
-            if buffer.endswith("\n"):
-                yield buffer.strip()
-                buffer = ""
-            continue
-        if not follow:
-            if buffer.strip():
-                yield buffer.strip()
-            return
-        time.sleep(POLL_S)
-
-
 def _parse(line: str) -> Optional[Dict[str, object]]:
+    """``line`` as a snapshot dict, or ``None`` if it is not one.
+
+    The file comes from outside this process (another run, a copy, an
+    editor), so everything :func:`render_snapshot` dereferences is
+    checked here: a JSON object with a numeric ``t_us`` whose
+    ``queues``/``counters``, when present, are objects.
+    """
     try:
-        return json.loads(line)
+        snap = json.loads(line)
     except ValueError:
-        print(f"skipping unparseable line: {line[:60]}...", file=sys.stderr)
         return None
+    if not isinstance(snap, dict):
+        return None
+    t_us = snap.get("t_us")
+    if isinstance(t_us, bool) or not isinstance(t_us, (int, float)):
+        return None
+    if not all(isinstance(snap.get(group, {}), dict)
+               for group in ("queues", "counters")):
+        return None
+    return snap
+
+
+class _Source:
+    """One heartbeat file being read: complete lines in, snapshots out."""
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self.label = source_label(path)
+        self.fh = open(path, encoding="utf-8")
+        self.lineno = 0
+        self.partial = ""
+        self.rejected = 0
+
+    def poll(self, final: bool) -> List[Dict[str, object]]:
+        """Snapshots on the complete lines available now.
+
+        A newline-less last line is held back until its newline arrives
+        (a snapshot is never rendered half-written) unless ``final``: a
+        finished file's last line is taken as it stands. A complete line
+        that is not a snapshot is reported on stderr by file and line
+        number, counted in :attr:`rejected`, and skipped.
+        """
+        snaps: List[Dict[str, object]] = []
+        while True:
+            chunk = self.fh.readline()
+            self.partial += chunk
+            if not self.partial.endswith("\n"):
+                if chunk:
+                    continue
+                if not (final and self.partial):
+                    return snaps
+            line, self.partial = self.partial.strip(), ""
+            self.lineno += 1
+            if not line:
+                continue
+            snap = _parse(line)
+            if snap is None:
+                self.rejected += 1
+                print(f"{self.path}:{self.lineno}: not a heartbeat "
+                      f"snapshot: {line[:60]}", file=sys.stderr)
+            else:
+                snaps.append(snap)
 
 
 def watch(
@@ -116,117 +151,47 @@ def watch(
     out: Optional[IO[str]] = None,
     max_lines: Optional[int] = None,
 ) -> int:
-    """Render heartbeat file(s) to ``out`` (default stdout); 0 on success.
+    """Render heartbeat file(s) to ``out`` (default stdout).
 
-    ``follow=True`` keeps tailing until interrupted. ``max_lines`` stops
-    after that many snapshots (tests use it to bound follow mode). A
-    list of paths merges the streams with per-line source labels — the
-    sharded-campaign console.
+    Returns 0 when every complete line was a snapshot, 1 if any was
+    rejected (the good lines are still rendered), 2 if a file cannot be
+    opened. ``follow=True`` keeps tailing until interrupted.
+    ``max_lines`` stops after that many snapshots (tests use it to bound
+    follow mode). A list of paths merges the streams with per-line
+    source labels — the sharded-campaign console; each poll's batch is
+    sorted by simulated time.
     """
     paths = [path] if isinstance(path, str) else list(path)
-    if len(paths) > 1:
-        return _watch_merged(paths, follow, out, max_lines)
+    labeled = len(paths) > 1
     sink = out if out is not None else sys.stdout
-    try:
-        fh = open(paths[0], encoding="utf-8")
-    except OSError as exc:
-        print(f"cannot open {paths[0]}: {exc}", file=sys.stderr)
-        return 2
-    shown = 0
-    with fh:
-        print(render_header(), file=sink)
-        try:
-            for line in _lines(fh, follow):
-                if not line:
-                    continue
-                snap = _parse(line)
-                if snap is None:
-                    continue
-                print(render_snapshot(snap), file=sink, flush=follow)
-                shown += 1
-                if max_lines is not None and shown >= max_lines:
-                    break
-        except KeyboardInterrupt:  # pragma: no cover - interactive only
-            pass
-    return 0
-
-
-def _read_complete_lines(fh: IO[str], buffers: Dict[int, str],
-                         key: int) -> List[str]:
-    """Drain currently-available complete lines from one file handle."""
-    lines: List[str] = []
-    while True:
-        chunk = fh.readline()
-        if not chunk:
-            return lines
-        buf = buffers.get(key, "") + chunk
-        if buf.endswith("\n"):
-            buffers[key] = ""
-            if buf.strip():
-                lines.append(buf.strip())
-        else:
-            buffers[key] = buf
-
-
-def _watch_merged(
-    paths: Sequence[str],
-    follow: bool,
-    out: Optional[IO[str]],
-    max_lines: Optional[int],
-) -> int:
-    """Merge several heartbeat streams into one labeled console."""
-    sink = out if out is not None else sys.stdout
-    handles: List[Tuple[str, IO[str]]] = []
+    sources: List[_Source] = []
     try:
         for p in paths:
-            handles.append((source_label(p), open(p, encoding="utf-8")))
+            sources.append(_Source(p))
     except OSError as exc:
-        for _label, fh in handles:
-            fh.close()
+        for src in sources:
+            src.fh.close()
         print(f"cannot open heartbeat file: {exc}", file=sys.stderr)
         return 2
-    buffers: Dict[int, str] = {}
     shown = 0
-    print(render_header(labeled=True), file=sink)
+    print(render_header(labeled), file=sink)
     try:
         while True:
-            batch: List[Tuple[float, str, Dict[str, object]]] = []
-            for i, (label, fh) in enumerate(handles):
-                for line in _read_complete_lines(fh, buffers, i):
-                    snap = _parse(line)
-                    if snap is not None:
-                        batch.append(
-                            (float(snap.get("t_us", 0.0)), label, snap)
-                        )
-            batch.sort(key=lambda item: (item[0], item[1]))
-            for _t, label, snap in batch:
-                print(render_snapshot(snap, label=label), file=sink,
-                      flush=follow)
-                shown += 1
-                if max_lines is not None and shown >= max_lines:
-                    return 0
-            if not follow:
-                # Flush any final newline-less lines before finishing.
-                tail: List[Tuple[float, str, Dict[str, object]]] = []
-                for i, (label, _fh) in enumerate(handles):
-                    line = buffers.get(i, "").strip()
-                    if line:
-                        snap = _parse(line)
-                        if snap is not None:
-                            tail.append(
-                                (float(snap.get("t_us", 0.0)), label, snap)
-                            )
-                for _t, label, snap in sorted(
-                    tail, key=lambda item: (item[0], item[1])
-                ):
-                    print(render_snapshot(snap, label=label), file=sink)
-                    shown += 1
-                    if max_lines is not None and shown >= max_lines:
-                        break
-                return 0
+            batch = [(src.label if labeled else None, snap)
+                     for src in sources for snap in src.poll(not follow)]
+            if labeled:
+                batch.sort(key=lambda item: (item[1]["t_us"], item[0]))
+            if max_lines is not None:
+                batch = batch[:max_lines - shown]
+            for label, snap in batch:
+                print(render_snapshot(snap, label), file=sink, flush=follow)
+            shown += len(batch)
+            if not follow or shown == max_lines:
+                break
             time.sleep(POLL_S)
     except KeyboardInterrupt:  # pragma: no cover - interactive only
-        return 0
+        pass
     finally:
-        for _label, fh in handles:
-            fh.close()
+        for src in sources:
+            src.fh.close()
+    return 1 if any(src.rejected for src in sources) else 0

@@ -1,11 +1,12 @@
 """Periodic campaign health snapshots as newline-delimited JSON.
 
-A :class:`HeartbeatEmitter` rides the simulator's observed drain loop
-(it is *called*, never scheduled — it puts no events on the queue, so
-attaching it cannot perturb event sequence numbers or anything else
-ordering-sensitive). After each executed event
-it checks whether the simulated clock crossed the next heartbeat
-boundary and, if so, emits one snapshot of the run's health:
+A :class:`HeartbeatEmitter` rides the simulator's drain loop as its
+:attr:`~repro.net.simulator.Simulator.on_event` hook (it is *called*,
+never scheduled — it puts no events on the queue, so attaching it cannot
+perturb event sequence numbers or anything else ordering-sensitive).
+After each executed event it checks whether the simulated clock crossed
+the next heartbeat boundary and, if so, emits one snapshot of the run's
+health:
 
 * simulated time, events executed, pending events, and the event rate
   over the last interval in events per simulated millisecond;
@@ -19,12 +20,12 @@ boundary and, if so, emits one snapshot of the run's health:
 Every field is a **pure function of simulator state** — no wall clock,
 no randomness, no allocation-order artifacts — so two same-seed runs
 produce byte-identical snapshot streams, and an A/B pair (fastpath
-on/off, profiler on/off) that keeps the bit-identity contract produces
-identical streams too. ``tests/test_observe.py`` enforces it.
+on/off) that keeps the bit-identity contract produces identical streams
+too. ``tests/test_observe.py`` enforces it.
 
 Snapshots append to an in-memory list and, when ``path`` is given, to an
-NDJSON sink (one canonically-serialized JSON object per line) that
-``repro.tools watch`` tails live.
+NDJSON sink (one canonically-serialized JSON object per line, flushed
+as written) that ``repro.tools watch`` tails live.
 """
 
 from __future__ import annotations
@@ -117,10 +118,10 @@ class HeartbeatEmitter:
             self._sink.close()
             self._sink = None
 
-    # -- the observed-drain hook ----------------------------------------------
+    # -- the drain-loop hook ---------------------------------------------------
 
     def tick(self, now: float) -> None:
-        """Called by the observed drain after every executed event."""
+        """``Simulator.on_event``: called after every executed event."""
         if now < self._next_due:
             return
         snap = self.snapshot()
@@ -128,6 +129,9 @@ class HeartbeatEmitter:
         self._ctr.inc()
         if self._sink is not None:
             self._sink.write(snapshot_json(snap) + "\n")
+            # ``watch -f`` in another process must see it now, not at
+            # close(); one flush per heartbeat interval.
+            self._sink.flush()
         self._last_t = now
         self._last_events = self.sim.events_executed
         while self._next_due <= now:

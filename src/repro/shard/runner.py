@@ -104,20 +104,20 @@ def _attach_heartbeat(sim: Simulator, config: ShardRunConfig,
         return None
     import os
 
-    from repro.observe import HeartbeatEmitter, Observe
+    from repro.observe import HeartbeatEmitter
 
     os.makedirs(config.heartbeat_dir, exist_ok=True)
     path = os.path.join(config.heartbeat_dir, f"heartbeat.{label}.ndjson")
-    bundle = Observe(heartbeat=HeartbeatEmitter(
-        sim, interval_us=_HEARTBEAT_INTERVAL_US, path=path))
-    sim.attach_observe(bundle)
-    return bundle
+    emitter = HeartbeatEmitter(
+        sim, interval_us=_HEARTBEAT_INTERVAL_US, path=path)
+    sim.on_event = emitter.tick
+    return emitter
 
 
 def run_reference(config: ShardRunConfig) -> Dict[str, Any]:
     """The plain single-process run of the scenario (no recorder)."""
     sim = _new_sim(config)
-    bundle = _attach_heartbeat(sim, config, "reference")
+    heartbeat = _attach_heartbeat(sim, config, "reference")
 
     def pace(until: float) -> None:
         sim.run(until=until)
@@ -126,8 +126,8 @@ def run_reference(config: ShardRunConfig) -> Dict[str, Any]:
         extra = config.scenario.fn(
             sim, pace, fastpath=config.fastpath, **config.params
         )
-    if bundle is not None:
-        bundle.close()
+    if heartbeat is not None:
+        heartbeat.close()
     result = merge_mod.reference_result(sim)
     result["wall_s"] = timer.elapsed_s
     result["extra"] = extra
@@ -158,7 +158,7 @@ def run_one_shard(
     sim = _new_sim(config)
     recorder.attach(sim, config.seed)
     label = "ghost" if ghost else f"shard{shard_index}"
-    bundle = _attach_heartbeat(sim, config, label)
+    heartbeat = _attach_heartbeat(sim, config, label)
 
     def pace(until: float) -> None:
         sim.run(until=until)
@@ -169,8 +169,8 @@ def run_one_shard(
         extra = config.scenario.fn(
             sim, pace, fastpath=config.fastpath, **config.params
         )
-    if bundle is not None:
-        bundle.close()
+    if heartbeat is not None:
+        heartbeat.close()
     result = recorder.result()
     result["wall_s"] = timer.elapsed_s
     result["extra"] = extra

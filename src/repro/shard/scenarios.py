@@ -330,7 +330,7 @@ def run_million_flow_scenario(
         "packets": packets,
         "population": population,
         "translated": translated,
-        "reclaimed": int(sim.counters.get("example.reclaimed", 0)),
+        "reclaimed": int(sim.metrics.value("example.reclaimed")),
     }
 
 

@@ -11,10 +11,12 @@ flows through this package instead of bespoke per-component attributes:
   lease transitions, retransmissions, snapshots, failovers) in a bounded
   ring buffer with an optional JSONL sink;
 * :class:`ScopedTimer` — wall-clock timing for profiling the event-loop
-  hot path (the only place wall-clock time is allowed).
+  hot path (the only place in ``src/`` wall-clock time is read).
 
-Components *publish* through the registry/tracer; analysis modules and
-the ``python -m repro.tools metrics|trace`` CLI *read* from them. See
+Components *publish* through the registry/tracer; analysis modules, tests
+and the ``python -m repro.tools metrics|trace`` CLI *read* from them with
+``registry.value(name, **labels)``, ``.total(name, **label_filter)`` and
+``.snapshot()`` — there is no second, dict-shaped reading surface. See
 docs/TELEMETRY.md for naming conventions and the label schema.
 """
 

@@ -110,7 +110,6 @@ LABEL_DOMAINS: Dict[str, str] = {
     "shard": "store shards (fixed per deployment)",
     "scope": "fast-path invalidation scopes (fixed set, repro.fastpath)",
     "detector": "health detector names (fixed set, repro.observe.health)",
-    "subsystem": "profiler subsystem names (fixed set, repro.observe)",
 }
 
 
@@ -175,13 +174,12 @@ METRICS: Tuple[MetricSpec, ...] = (
     _m("store.backend.netchain_register_bits", "gauge", "node"),
     _m("store.backend.*", "counter", "node"),
     _m("store.*", "counter", "node"),
-    # Observability layer (repro.observe): heartbeat/profiler/health
+    # Observability layer (repro.observe): heartbeat/health
     # accounting. The whole ``observe.*`` namespace is excluded from
     # every bit-identity contract — it describes the run, it is not the
     # run — so instruments here may exist in an observed run only.
     _m("observe.heartbeats", "counter"),
     _m("observe.health.detections", "counter", "detector"),
-    _m("observe.profile.events", "counter", "subsystem"),
 )
 
 #: Name patterns reachable through the flat legacy ``Simulator.count``

@@ -67,14 +67,6 @@ class PacketSpan:
     drops: int = 0
 
     @property
-    def first_ts(self) -> Optional[float]:
-        return self.events[0].ts if self.events else None
-
-    @property
-    def last_ts(self) -> Optional[float]:
-        return self.events[-1].ts if self.events else None
-
-    @property
     def status(self) -> str:
         """``delivered`` / ``dropped`` / ``internal`` / ``in_flight``.
 
@@ -248,14 +240,6 @@ class SpanBuilder:
             if span.superseded_by is not None:
                 stack.append(span.superseded_by)
         return [self.spans[u] for u in sorted(seen)]
-
-    def flow_events(self, flow: str) -> List[TraceRecord]:
-        """All events of :meth:`flow_spans`, in original emission order."""
-        member = {span.uid for span in self.flow_spans(flow)}
-        return [
-            r for r in self.records
-            if r.type in SPAN_TYPES and int(r.fields.get("uid", 0)) in member
-        ]
 
     def flows(self) -> List[str]:
         """Every flow tag seen, in first-seen order."""

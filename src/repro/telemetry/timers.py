@@ -1,9 +1,10 @@
 """Wall-clock scoped timers for profiling the event-loop hot path.
 
 Everything else in the reproduction runs on simulated time; this is the
-one sanctioned use of the wall clock, for answering "how many simulated
-events per wall-second does this machine execute" (the
-``benchmarks/test_perf_eventloop.py`` baseline). Timer results may feed a
+one sanctioned use of the wall clock in ``src/``, for answering "how many
+simulated events per wall-second does this machine execute"
+(``repro.observe.trajectory.run_raw_eventloop``, the shard runner's
+per-worker wall times). Timer results may feed a
 :class:`~repro.telemetry.metrics.Histogram`, but never a metric that a
 paper figure reads — wall clock must not leak into reported physics.
 """

@@ -114,7 +114,6 @@ class Tracer:
         self.records_emitted = 0
         self._ring: Deque[TraceRecord] = deque(maxlen=maxlen)
         self._sink: Optional[TextIO] = None
-        self._sink_owned = False
         #: Optional observer called with each record *after* it is
         #: appended to the ring (shard mode records origin sidecars
         #: through this). Must not emit records itself.
@@ -162,19 +161,11 @@ class Tracer:
         """Stream every future record to ``path`` as one JSON object/line."""
         self.close_sink()
         self._sink = open(path, "w")
-        self._sink_owned = True
-
-    def set_sink(self, stream: Optional[TextIO]) -> None:
-        """Attach an already-open stream (caller keeps ownership)."""
-        self.close_sink()
-        self._sink = stream
-        self._sink_owned = False
 
     def close_sink(self) -> None:
-        if self._sink is not None and self._sink_owned:
+        if self._sink is not None:
             self._sink.close()
         self._sink = None
-        self._sink_owned = False
 
     def flush_to(self, path: str) -> int:
         """Write the currently retained records to ``path``; returns count."""

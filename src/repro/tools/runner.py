@@ -13,9 +13,9 @@ Usage::
     python -m repro.tools timeline <flow>   # one flow's causal timeline
     python -m repro.tools chaos --list      # chaos campaign inventory
     python -m repro.tools chaos gray_link   # one chaos campaign + verdict
+    python -m repro.tools chaos gray_link --heartbeat hb.ndjson  # + health stream
     python -m repro.tools fastpath          # fast-path cache statistics
     python -m repro.tools fastpath --diff   # on/off A/B identity + ratio
-    python -m repro.tools profile gray_link --flame f.txt  # self-profiler
     python -m repro.tools watch hb.ndjson -f  # live campaign health console
     python -m repro.tools watch hb/heartbeat.*.ndjson -f  # merged shard view
     python -m repro.tools shard plan nat    # shard plan + worker assignment
@@ -270,8 +270,7 @@ def run_fastpath(flows: int, packets: int, seed: int,
 
 
 def demo_run(seed: int = 7, packets: int = 10, fail_owner: bool = True,
-             trace_path: Optional[str] = None, profile: bool = False,
-             heartbeat_path: Optional[str] = None):
+             trace_path: Optional[str] = None):
     """Run the quickstart scenario in-process; returns the simulator.
 
     Deploys :class:`~repro.apps.counter.SyncCounterApp` on the paper
@@ -281,10 +280,6 @@ def demo_run(seed: int = 7, packets: int = 10, fail_owner: bool = True,
     a representative population of counters, gauges, and histograms.
     ``trace_path`` streams the full record stream to a JSONL sink (the
     ring can truncate; the sink cannot).
-
-    ``profile``/``heartbeat_path`` attach the :mod:`repro.observe` layer
-    for the run; the bundle stays attached on return (``sim.observe``) so
-    the caller can read it — close and detach it when done.
     """
     from repro import Simulator, deploy
     from repro.apps.counter import SyncCounterApp
@@ -294,11 +289,6 @@ def demo_run(seed: int = 7, packets: int = 10, fail_owner: bool = True,
     if trace_path is not None:
         sim.tracer.open_sink(trace_path)
     dep = deploy(sim, SyncCounterApp)
-    if profile or heartbeat_path:
-        from repro.observe import attach
-
-        attach(sim, profile=profile, heartbeat_path=heartbeat_path,
-               links=list(dep.bed.topology.links))
     sender = dep.bed.externals[0]
     receiver = dep.bed.servers[0]
 
@@ -503,18 +493,27 @@ def show_timeline(flow: Optional[str], seed: int, packets: int,
 
 def run_chaos(campaign: Optional[str], seed: int, as_json: bool,
               out: Optional[str], check_determinism: bool,
-              list_campaigns: bool, trace: Optional[str] = None) -> int:
-    """Run one chaos campaign; exit nonzero on FAIL or a verdict mismatch."""
+              list_campaigns: bool, trace: Optional[str] = None,
+              heartbeat: Optional[str] = None) -> int:
+    """Run one chaos campaign; exit nonzero on FAIL or a verdict mismatch.
+
+    ``heartbeat`` streams the run's NDJSON health snapshots to that path
+    (first run only; view with ``repro.tools watch``)."""
     from repro.chaos import CAMPAIGNS, render_report, run_campaign, \
         verdict_json
+    from repro.observe import ObserveOptions
 
     if list_campaigns or campaign is None:
         width = max(len(name) for name in CAMPAIGNS)
         for name, c in CAMPAIGNS.items():
             print(f"{name.ljust(width)}  {c.description}")
         return 0
-    report = run_campaign(campaign, seed=seed, trace_path=trace)
+    report = run_campaign(campaign, seed=seed, trace_path=trace,
+                          observe=ObserveOptions(heartbeat_path=heartbeat))
     serialized = verdict_json(report)
+    if heartbeat:
+        print(f"wrote heartbeats to {heartbeat} (view with: python -m "
+              f"repro.tools watch {heartbeat})", file=sys.stderr)
     if trace:
         print(f"wrote {report['trace']['records_emitted']} trace records "
               f"to {trace}", file=sys.stderr)
@@ -539,57 +538,6 @@ def run_chaos(campaign: Optional[str], seed: int, as_json: bool,
         print(f"wrote verdict report to {out}", file=sys.stderr)
     print(serialized if as_json else render_report(report))
     return 0 if report["verdict"] == "PASS" else 1
-
-
-def run_profile(name: str, seed: int, packets: int, flame: Optional[str],
-                heartbeat: Optional[str], as_json: bool,
-                top: int = 12) -> int:
-    """Profile the quickstart scenario or a chaos campaign.
-
-    Runs with the :mod:`repro.observe` self-profiler attached, prints
-    the per-subsystem table and hottest handlers, and optionally writes
-    a collapsed-stack flamegraph (``--flame``, Brendan Gregg format —
-    feed to flamegraph.pl or speedscope) and a heartbeat NDJSON stream
-    (``--heartbeat``, view with ``repro.tools watch``).
-    """
-    from repro.observe import ObserveOptions
-
-    if name == "quickstart":
-        sim = demo_run(seed=seed, packets=packets, profile=True,
-                       heartbeat_path=heartbeat)
-        bundle = sim.observe
-        bundle.profiler.publish(sim.metrics)
-        bundle.close()
-        sim.detach_observe()
-    else:
-        from repro.chaos.campaigns import CAMPAIGNS
-        from repro.chaos.runner import run_campaign_result
-
-        if name not in CAMPAIGNS:
-            known = ", ".join(["quickstart"] + sorted(CAMPAIGNS))
-            print(f"unknown profile target {name!r}; known: {known}",
-                  file=sys.stderr)
-            return 2
-        result = run_campaign_result(
-            CAMPAIGNS[name], seed=seed,
-            observe=ObserveOptions(profile=True,
-                                   heartbeat=heartbeat is not None,
-                                   heartbeat_path=heartbeat))
-        bundle = result.observe
-    profiler = bundle.profiler
-    if flame:
-        profiler.write_flamegraph(flame)
-        print(f"wrote {len(profiler.collapsed_stacks())} collapsed stacks "
-              f"to {flame}", file=sys.stderr)
-    if heartbeat:
-        print(f"wrote {len(bundle.heartbeat.snapshots)} heartbeats to "
-              f"{heartbeat} (view with: python -m repro.tools watch "
-              f"{heartbeat})", file=sys.stderr)
-    if as_json:
-        print(json.dumps(profiler.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(profiler.render(top=top))
-    return 0
 
 
 def run_watch(paths: List[str], follow: bool,
@@ -895,27 +843,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace_parser.add_argument("--since", type=float, metavar="T_US",
                               help="only records at/after this simulated "
                                    "time (microseconds)")
-    profile_parser = sub.add_parser(
-        "profile", help="run a campaign (or 'quickstart') with the "
-                        "deterministic self-profiler and print per-"
-                        "subsystem wall-time attribution")
-    profile_parser.add_argument("target",
-                                help="'quickstart' or a chaos campaign name")
-    profile_parser.add_argument("--seed", type=int, default=7,
-                                help="simulator seed (default 7)")
-    profile_parser.add_argument("--packets", type=int, default=10,
-                                help="quickstart packets per phase "
-                                     "(default 10)")
-    profile_parser.add_argument("--flame", metavar="PATH",
-                                help="write a collapsed-stack flamegraph "
-                                     "(flamegraph.pl / speedscope format)")
-    profile_parser.add_argument("--heartbeat", metavar="PATH",
-                                help="also stream NDJSON health heartbeats "
-                                     "to PATH (view with 'watch')")
-    profile_parser.add_argument("--top", type=int, default=12,
-                                help="hottest handlers to list (default 12)")
-    profile_parser.add_argument("--json", action="store_true",
-                                help="machine-readable profile")
     watch_parser = sub.add_parser(
         "watch", help="render a campaign's heartbeat NDJSON stream as a "
                       "live health console")
@@ -1056,6 +983,10 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_parser.add_argument("--trace", metavar="PATH",
                               help="stream the full trace record stream "
                                    "to PATH as JSONL (first run only)")
+    chaos_parser.add_argument("--heartbeat", metavar="PATH",
+                              help="stream NDJSON health heartbeats to "
+                                   "PATH (first run only; view with "
+                                   "'watch')")
     fuzz_parser = sub.add_parser(
         "fuzz", help="seeded fault-schedule fuzzing: randomized schedules, "
                      "automatic shrinking, resilience scorecard")
@@ -1139,9 +1070,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "trace":
         return show_trace(args.seed, args.packets, args.tail, args.json,
                           args.out, args.since)
-    if args.command == "profile":
-        return run_profile(args.target, args.seed, args.packets,
-                           args.flame, args.heartbeat, args.json, args.top)
     if args.command == "watch":
         return run_watch(args.file, args.follow, args.max_lines)
     if args.command == "shard":
@@ -1169,7 +1097,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "chaos":
         return run_chaos(args.campaign, args.seed, args.json, args.out,
                          args.check_determinism, args.list_campaigns,
-                         args.trace)
+                         args.trace, args.heartbeat)
     if args.command == "fuzz":
         return run_fuzz_cli(args)
     if args.command == "bench":

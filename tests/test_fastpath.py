@@ -184,7 +184,8 @@ def test_impaired_link_falls_back_to_reference_path():
         for _ in range(200):
             a.ports[0].send(Packet.udp(1, 2, 3, 4))
         sim.run_until_idle()
-        return len(b.received), dict(sim.counters), sim.rng.getstate()
+        return (len(b.received), sim.metrics.snapshot()["counters"],
+                sim.rng.getstate())
 
     off = run(False)
     assert off == run(True)

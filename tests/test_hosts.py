@@ -50,7 +50,7 @@ def test_wrong_destination_dropped():
     a.send(Packet.udp(1, 99, 1, 2))
     sim.run_until_idle()
     assert b.rx_packets == 0
-    assert sim.counters.get("b.drops.wrong_dst") == 1
+    assert sim.metrics.value("b.drops.wrong_dst") == 1
 
 
 def test_extra_ips_accepted():

@@ -46,7 +46,8 @@ def test_loss_rate_drops_packets():
         a.ports[0].send(Packet.udp(1, 2, 3, 4))
     sim.run_until_idle()
     assert 100 < len(b.received) < 300
-    assert sim.counters["link.drops.loss"] == 400 - len(b.received)
+    assert sim.metrics.total("link.drops", reason="loss") == \
+        400 - len(b.received)
 
 
 def test_zero_loss_delivers_everything():
@@ -100,7 +101,7 @@ def test_failed_node_drops_deliveries():
     a.ports[0].send(Packet.udp(1, 2, 3, 4))
     sim.run_until_idle()
     assert b.received == []
-    assert sim.counters["link.drops.node_failed"] == 1
+    assert sim.metrics.total("link.drops", reason="node_failed") == 1
 
 
 def test_tx_counters_and_taps():
@@ -124,7 +125,7 @@ def test_blocked_direction_is_asymmetric():
     sim.run_until_idle()
     assert b.received == []          # a -> b blackholed
     assert len(a.received) == 1      # b -> a untouched
-    assert sim.counters["link.drops.partition"] == 1
+    assert sim.metrics.total("link.drops", reason="partition") == 1
     assert link.impairment_of(a.ports[0]).blocked
     assert link.impairment_of(b.ports[0]) is None
 
@@ -137,7 +138,8 @@ def test_corruption_drops_at_receiver_after_spending_bandwidth():
         a.ports[0].send(Packet.udp(1, 2, 3, 4))
     sim.run_until_idle()
     assert 100 < len(b.received) < 300
-    assert sim.counters["link.drops.corrupt"] == 400 - len(b.received)
+    assert sim.metrics.total("link.drops", reason="corrupt") == \
+        400 - len(b.received)
     # Corrupted frames were serialized before dying: tx counts all 400.
     assert sim.metrics.total("link.tx_packets", link=link.name) == 400
 

@@ -1,14 +1,11 @@
-"""The observability layer: profiler identity + attribution, heartbeat
-stream identity, health detectors, and the ``profile``/``watch`` CLI
-surfaces.
+"""The observability layer: heartbeat stream identity, health detectors,
+and the ``chaos --heartbeat``/``watch`` CLI surfaces.
 
-The load-bearing tests are the identity ones: attaching the profiler
-and the heartbeat emitter to a chaos campaign must leave the verdict
-report, the trace stream, and every non-``observe.*`` metric
+The load-bearing tests are the identity ones: attaching the heartbeat
+emitter (and the health detectors) to a chaos campaign must leave the
+verdict report, the trace stream, and every non-``observe.*`` metric
 byte-identical to the unobserved run. Observation never changes the run.
 """
-
-import json
 
 import pytest
 
@@ -23,7 +20,6 @@ from repro.observe.health import (
     WalStallDetector,
 )
 from repro.observe.heartbeat import read_heartbeats, snapshot_json
-from repro.observe.profiler import CACHE_LIMIT, Profiler, subsystem_of
 from repro.tools.runner import main as tools_main
 
 
@@ -39,9 +35,13 @@ def _metrics_without_observe(registry):
 # -- the identity contract -----------------------------------------------------
 
 
-def test_profiled_campaign_is_byte_identical(tmp_path):
-    """Profiler + heartbeats on: verdict, trace, and metrics (minus
-    observe.*) match the unobserved run byte for byte."""
+@pytest.mark.parametrize("health", [False, True],
+                         ids=["heartbeat", "health"])
+def test_observed_campaign_is_byte_identical(tmp_path, health):
+    """Heartbeat file + in-memory heartbeat on: verdict, trace, and
+    metrics (minus observe.*) match the unobserved run byte for byte.
+    With the detectors armed too, the only difference is the ``health.*``
+    trace lines themselves."""
     campaign = CAMPAIGNS["single_failover"]
     trace_a = tmp_path / "a.jsonl"
     trace_b = tmp_path / "b.jsonl"
@@ -50,20 +50,30 @@ def test_profiled_campaign_is_byte_identical(tmp_path):
     plain = run_campaign_result(campaign, seed=7, trace_path=str(trace_a))
     observed = run_campaign_result(
         campaign, seed=7, trace_path=str(trace_b),
-        observe=ObserveOptions(profile=True, heartbeat=True,
-                               heartbeat_path=str(hb)))
+        observe=ObserveOptions(heartbeat=True, heartbeat_path=str(hb),
+                               health=health))
 
-    assert verdict_json(plain.report) == verdict_json(observed.report)
-    assert trace_a.read_bytes() == trace_b.read_bytes()
     assert _metrics_without_observe(plain.metrics) == \
         _metrics_without_observe(observed.metrics)
-
-    # The profiler actually saw the run: every simulator event, classified.
-    profiler = observed.observe.profiler
-    assert profiler.events > 0
-    assert profiler.events == sum(
-        row["calls"] for row in profiler.subsystem_table())
     assert hb.exists() and len(read_heartbeats(str(hb))) > 0
+    assert read_heartbeats(str(hb)) == observed.observe.heartbeat.snapshots
+    # health=False adds no trace line (so the filter below is the
+    # identity and the comparison is byte for byte); health=True must
+    # fire, or that case tests nothing.
+    lines = trace_b.read_bytes().splitlines(keepends=True)
+    health_lines = [ln for ln in lines if b'"type":"health.' in ln]
+    detections = observed.observe.health.counts() if health else {}
+    assert bool(health_lines) == health
+    assert len(health_lines) == sum(detections.values())
+    assert b"".join(ln for ln in lines if ln not in health_lines) == \
+        trace_a.read_bytes()
+    # The verdict differs by exactly that many emitted records.
+    expected = dict(plain.report)
+    expected["trace"] = dict(
+        expected["trace"],
+        records_emitted=plain.report["trace"]["records_emitted"]
+        + len(health_lines))
+    assert verdict_json(expected) == verdict_json(observed.report)
 
 
 @pytest.mark.parametrize("seed", [3, 11])
@@ -88,79 +98,9 @@ def test_health_events_are_opt_in(tmp_path):
     campaign = CAMPAIGNS["single_failover"]
     plain = run_campaign_result(campaign, seed=7)
     observed = run_campaign_result(
-        campaign, seed=7, observe=ObserveOptions(profile=True,
-                                                 heartbeat=True))
+        campaign, seed=7, observe=ObserveOptions(heartbeat=True))
     assert plain.report["trace"]["records_emitted"] == \
         observed.report["trace"]["records_emitted"]
-
-
-# -- profiler unit behavior ----------------------------------------------------
-
-
-def test_subsystem_mapping():
-    assert subsystem_of("repro.core.engine") == "engine"
-    assert subsystem_of("repro.net.links") == "links"
-    assert subsystem_of("repro.net.routing") == "net"
-    assert subsystem_of("repro.statestore.server") == "statestore"
-    assert subsystem_of("repro.chaos.workload") == "chaos"
-    assert subsystem_of("__main__") == "other"
-
-
-def test_profiler_counts_and_flamegraph(tmp_path):
-    prof = Profiler()
-
-    def handler():
-        pass
-
-    for _ in range(5):
-        prof.record(handler, 0.001)
-    assert prof.events == 5
-    assert prof.wall_s == pytest.approx(0.005)
-    rows = prof.handler_rows()
-    assert len(rows) == 1 and rows[0]["calls"] == 5
-    assert rows[0]["handler"].endswith("handler")
-
-    stacks = prof.collapsed_stacks()
-    assert len(stacks) == 1
-    frame, value = stacks[0].rsplit(" ", 1)
-    assert frame.startswith("sim;") and frame.count(";") == 3
-    assert int(value) == 5000  # 0.005 s in integer microseconds
-
-    out = tmp_path / "flame.txt"
-    assert prof.write_flamegraph(str(out)) == 1
-    assert out.read_text().strip() == stacks[0]
-
-
-def test_profiler_bound_method_memoization():
-    """Bound methods of the same function share one stats entry."""
-
-    class Thing:
-        def cb(self):
-            pass
-
-    prof = Profiler()
-    a, b = Thing(), Thing()
-    prof.record(a.cb, 0.001)
-    prof.record(b.cb, 0.001)
-    rows = prof.handler_rows()
-    assert len(rows) == 1 and rows[0]["calls"] == 2
-    assert len(prof._cache) == 1
-
-
-def test_profiler_cache_cap():
-    prof = Profiler()
-    prof._cache = {i: [0, 0.0] for i in range(CACHE_LIMIT)}
-    before = dict(prof._stats)
-
-    def uncached():
-        pass
-
-    prof.record(uncached, 0.002)
-    prof.record(uncached, 0.002)
-    assert prof.cache_overflows == 2
-    assert prof.events == 2  # still counted, just resolved uncached
-    assert len(prof._cache) == CACHE_LIMIT
-    assert before == {}  # sanity: stats grew via the uncached path
 
 
 # -- health detectors on synthetic series --------------------------------------
@@ -337,30 +277,14 @@ def test_perfetto_faults_share_one_track():
 # -- CLI surfaces --------------------------------------------------------------
 
 
-def test_cli_profile_quickstart_with_flame_and_heartbeat(tmp_path, capsys):
-    flame = tmp_path / "flame.txt"
+def test_cli_chaos_heartbeat_then_watch(tmp_path, capsys):
     hb = tmp_path / "hb.ndjson"
-    code = tools_main(["profile", "quickstart", "--flame", str(flame),
-                       "--heartbeat", str(hb)])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "subsystem" in out and "hottest handlers" in out
-    lines = flame.read_text().splitlines()
-    assert lines and all(" " in ln and ln.startswith("sim;") for ln in lines)
+    assert tools_main(["chaos", "gray_link", "--heartbeat", str(hb)]) == 0
     assert read_heartbeats(str(hb))
-
-
-def test_cli_profile_campaign_json(capsys):
-    code = tools_main(["profile", "single_failover", "--json"])
-    assert code == 0
-    profile = json.loads(capsys.readouterr().out)
-    assert profile["events"] > 0
-    assert {row["subsystem"] for row in profile["subsystems"]} >= \
-        {"links", "statestore"}
-
-
-def test_cli_profile_unknown_target(capsys):
-    assert tools_main(["profile", "nope"]) == 2
+    capsys.readouterr()
+    assert tools_main(["watch", str(hb)]) == 0
+    out = capsys.readouterr().out
+    assert len(out.strip().splitlines()) == 1 + len(read_heartbeats(str(hb)))
 
 
 def test_cli_watch_renders_heartbeats(tmp_path, capsys):
@@ -377,6 +301,62 @@ def test_cli_watch_renders_heartbeats(tmp_path, capsys):
 
 def test_cli_watch_missing_file():
     assert tools_main(["watch", "/nonexistent/hb.ndjson"]) == 2
+
+
+@pytest.mark.parametrize("merged", [False, True], ids=["single", "merged"])
+def test_cli_watch_rejects_non_snapshot_lines(tmp_path, capsys, merged):
+    """Valid JSON that is not a snapshot, and invalid JSON, are named by
+    file and line on stderr; the good line still renders; exit 1."""
+    path = tmp_path / "hb.ndjson"
+    path.write_text(
+        '{"t_us":1000.0}\n[1,2]\n{"t_us":"x"}\n'
+        '{"t_us":2000.0,"queues":3}\nnot json\n')
+    argv = ["watch", str(path)]
+    if merged:
+        clean = tmp_path / "heartbeat.clean.ndjson"
+        clean.write_text(snapshot_json(_snap(500.0)) + "\n")
+        argv.append(str(clean))
+    assert tools_main(argv) == 1
+    captured = capsys.readouterr()
+    rows = captured.out.strip().splitlines()[1:]
+    assert len(rows) == (2 if merged else 1)
+    assert "1.0ms" in rows[-1]
+    diagnostics = captured.err.strip().splitlines()
+    assert [d.split(": ")[0] for d in diagnostics] == \
+        [f"{path}:{n}" for n in (2, 3, 4, 5)]
+    assert all("not a heartbeat snapshot: " in d for d in diagnostics)
+    assert diagnostics[-1].endswith("not json")
+
+
+def test_watch_follow_holds_back_a_newline_less_last_line(tmp_path, capsys):
+    from repro.observe.console import watch
+
+    path = tmp_path / "hb.ndjson"
+    path.write_text(snapshot_json(_snap(10_000.0)) + '\n{"t_us":20')
+    assert watch(str(path), follow=True, max_lines=1) == 0
+    captured = capsys.readouterr()
+    assert len(captured.out.strip().splitlines()) == 2 and not captured.err
+    # The same bytes as a finished file: the torn tail is a rejected line.
+    assert watch(str(path)) == 1
+
+
+def test_heartbeat_sink_is_readable_before_close(tmp_path):
+    """``watch -f`` in another process reads the file while the campaign
+    runs, so every emitted snapshot must be on disk as it is emitted."""
+    from repro.net.simulator import Simulator
+
+    path = tmp_path / "hb.ndjson"
+    sim = Simulator(seed=1)
+    bundle = attach(sim, heartbeat_path=str(path),
+                    heartbeat_interval_us=1_000.0)
+    for i in range(1, 20):
+        sim.schedule(i * 1_000.0, lambda: None)
+    sim.run_until_idle()
+    assert len(bundle.heartbeat.snapshots) == 19
+    assert path.stat().st_size > 0
+    assert read_heartbeats(str(path)) == bundle.heartbeat.snapshots
+    bundle.close()
+    assert read_heartbeats(str(path)) == bundle.heartbeat.snapshots
 
 
 def test_cli_metrics_filter_and_csv(capsys):
@@ -401,13 +381,22 @@ def test_cli_trace_since(capsys):
 
 
 def test_attach_and_detach_roundtrip():
+    """``attach`` sets ``sim.on_event``; the hook sees one call per
+    executed event with that event's time; clearing it restores silence."""
     from repro.net.simulator import Simulator
 
     sim = Simulator(seed=1)
-    bundle = attach(sim, profile=True)
-    assert sim.observe is bundle
+    assert sim.on_event is None
+    bundle = attach(sim)
+    assert sim.on_event == bundle.heartbeat.tick
+    seen = []
+    sim.on_event = seen.append
+    for delay in (1.0, 2.5, 2.5):
+        sim.schedule(delay, lambda: None)
+    sim.run_until_idle()
+    assert seen == [1.0, 2.5, 2.5]
+    sim.on_event = None
     sim.schedule(1.0, lambda: None)
     sim.run_until_idle()
-    assert bundle.profiler.events == 1
-    sim.detach_observe()
-    assert sim.observe is None
+    assert seen == [1.0, 2.5, 2.5]
+    assert sim.events_executed == 4

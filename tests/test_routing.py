@@ -232,14 +232,14 @@ def test_route_cache_never_holds_a_drop():
     for _ in range(3):
         sw.forward(Packet.udp(1, 2, 3, 4))
     assert sw.dropped_no_route == 3
-    assert sim.counters["route.drops.no_route"] == 3
+    assert sim.metrics.value("route.drops.no_route") == 3
 
     sw.table.add(0, 0, [sw.ports[0]])
     sw.set_port_belief(sw.ports[0], False)
     for _ in range(3):
         sw.forward(Packet.udp(1, 2, 3, 4))
     assert sw.dropped_no_next_hop == 3
-    assert sim.counters["route.drops.no_next_hop"] == 3
+    assert sim.metrics.value("route.drops.no_next_hop") == 3
 
     # And the drops left nothing behind: the flow forwards once it can.
     sw.set_port_belief(sw.ports[0], True)

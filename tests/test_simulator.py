@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event simulator."""
 
+import warnings
+
 import pytest
 
 from repro.net.simulator import Simulator
@@ -101,7 +103,7 @@ def test_counters():
     sim = Simulator()
     sim.count("drops")
     sim.count("drops", 2)
-    assert sim.counters["drops"] == 3
+    assert sim.metrics.value("drops") == 3
 
 
 def test_run_until_idle_guards_against_storms():
@@ -122,3 +124,86 @@ def test_max_events_limit():
         sim.schedule(i, fired.append, i)
     sim.run(max_events=4)
     assert len(fired) == 4
+
+
+# -- the on_event hook never changes what the drain does -----------------------
+#
+# Each driver schedules only ``note`` callbacks, so the log of
+# ``(label, time)`` pairs is the exact list of executed events.
+
+
+def _drive_until(sim, note):
+    sim.schedule(10, note, "early")
+    sim.schedule(100, note, "late")
+    sim.run(until=50)
+
+
+def _drive_max_events_warn(sim, note):
+    for i in range(10):
+        sim.schedule(i, note, i)
+    sim.run(max_events=4)
+
+
+def _drive_run_until_idle_raise(sim, note):
+    def storm():
+        note("storm")
+        sim.schedule(1, storm)
+
+    sim.schedule(1, storm)
+    sim.run_until_idle(max_events=25)
+
+
+def _drive_step(sim, note):
+    sim.schedule(5, note, "a")
+    sim.schedule(7, note, "b")
+    return [sim.step(), sim.step(), sim.step()]
+
+
+def _drive_cancelled(sim, note):
+    victim = sim.schedule(10, note, "cancelled")
+
+    def cancel():
+        note("cancel")
+        victim.cancel()
+
+    sim.schedule(5, cancel)
+    sim.schedule(20, note, "after")
+    sim.run_until_idle()
+
+
+@pytest.mark.parametrize("drive", [
+    _drive_until, _drive_max_events_warn, _drive_run_until_idle_raise,
+    _drive_step, _drive_cancelled,
+], ids=lambda fn: fn.__name__[len("_drive_"):])
+def test_on_event_hook_is_passive(drive):
+    """Every drain mode executes the same events in the same order, ends
+    at the same time and warns/raises the same with a hook set as
+    without; the hook is called exactly once per executed event, with
+    that event's time, and never for a cancelled one."""
+    def run(hook):
+        sim = Simulator()
+        sim.on_event = hook
+        log = []
+        result = error = None
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                result = drive(sim,
+                               lambda label: log.append((label, sim.now)))
+            except RuntimeError as exc:
+                error = str(exc)
+        warned = [str(w.message) for w in caught]
+        return (log, result, error, warned, sim.now, sim.events_executed,
+                sim.pending_events, sim.metrics.snapshot()["counters"])
+
+    calls = []
+    plain, hooked = run(None), run(calls.append)
+    assert plain == hooked
+    log = plain[0]
+    assert log and calls == [when for _label, when in log]
+    assert "cancelled" not in [label for label, _when in log]
+    # The cases do what their names say.
+    _log, result, error, warned = plain[:4]
+    assert (error is not None) == (drive is _drive_run_until_idle_raise)
+    assert (len(warned) == 1) == (drive is _drive_max_events_warn)
+    assert (result == [True, True, False]) == (drive is _drive_step)

@@ -82,7 +82,7 @@ def test_packet_to_switch_ip_dropped_if_unconsumed():
     sw.process(Packet.udp(1, sw.ip, 3, 4))
     sim.run_until_idle()
     assert sink.received == []
-    assert sim.counters.get("sw.drops.to_self") == 1
+    assert sim.metrics.value("sw.drops.to_self") == 1
 
 
 def test_emitted_packets_forwarded():
@@ -256,7 +256,7 @@ def test_punt_without_handler_counts():
     sw.add_block(AlwaysPunt())
     sw.process(Packet.udp(1, 2, 3, 4))
     sim.run_until_idle()
-    assert sim.counters.get("sw.cp.unhandled_punt") == 1
+    assert sim.metrics.value("sw.cp.unhandled_punt") == 1
 
 
 def test_cp_ops_dropped_when_switch_failed():

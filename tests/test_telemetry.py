@@ -1,4 +1,4 @@
-"""The telemetry spine: metric registry, trace ring, shims, timers."""
+"""The telemetry spine: metric registry, trace ring, timers."""
 
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from repro.telemetry import (
     Tracer,
     read_jsonl,
 )
-from repro.telemetry.compat import LegacyCounters, StatGroupView
 from repro.telemetry import trace as tt
 
 
@@ -219,44 +218,33 @@ def test_end_to_end_metrics_population():
     assert snap["counters"] and snap["gauges"] and snap["histograms"]
 
 
-# -- legacy shims -------------------------------------------------------------
+# -- one counter API ----------------------------------------------------------
 
-def test_legacy_counters_reads_reflect_registry():
-    sim = Simulator(seed=0)
-    sim.count("drops.loss", 2)
-    assert sim.counters["drops.loss"] == 2.0
-    assert "drops.loss" in sim.counters
-    assert dict(sim.counters) == {"drops.loss": 2.0}
-    with pytest.raises(KeyError):
-        sim.counters["never.seen"]
-
-
-def test_legacy_counters_are_read_only():
-    sim = Simulator(seed=0)
-    sim.count("drops.loss", 2)
-    with pytest.raises(TypeError):
-        sim.counters["drops.loss"] = 5
-    with pytest.raises(TypeError):
-        del sim.counters["drops.loss"]
-    assert sim.metrics.value("drops.loss") == 2.0
-
-
-def test_legacy_counters_hide_labeled_instruments():
-    sim = Simulator(seed=0)
-    sim.metrics.counter("switch.pkts_processed", switch="agg1").inc()
-    assert "switch.pkts_processed" not in sim.counters
-
-
-def test_stat_group_view_is_read_only_ints():
-    reg = MetricRegistry()
-    counters = {"app_packets": reg.counter("redplane.app_packets", switch="s")}
-    view = StatGroupView(counters)
-    counters["app_packets"].inc(2)
-    assert view["app_packets"] == 2
-    assert isinstance(view["app_packets"], int)
-    assert dict(view) == {"app_packets": 2}
-    with pytest.raises(TypeError):
-        view["app_packets"] = 3  # Mapping: no __setitem__
+def test_registry_is_the_only_counter_surface():
+    """No dict-shaped second view: the simulator has no ``counters``
+    attribute, and ``eng.stats`` is a fresh dict of plain ints equal to
+    the registry's ``redplane.<stat>{switch}`` counters."""
+    sim = Simulator(seed=11)
+    assert not hasattr(sim, "counters")
+    dep = deploy(sim, SyncCounterApp)
+    sender = dep.bed.externals[0]
+    receiver = dep.bed.servers[0]
+    for i in range(5):
+        sim.schedule(
+            i * 200.0,
+            lambda: sender.send(Packet.udp(sender.ip, receiver.ip, 5555, 7777)),
+        )
+    sim.run_until_idle()
+    assert sum(e.stats["app_packets"] for e in dep.engines.values()) >= 5
+    for eng in dep.engines.values():
+        stats_now = eng.stats
+        assert type(stats_now) is dict
+        assert all(type(v) is int for v in stats_now.values())
+        assert stats_now == {
+            stat: sim.metrics.value(f"redplane.{stat}",
+                                    switch=eng.switch.name)
+            for stat in stats_now
+        }
 
 
 # -- timers -------------------------------------------------------------------

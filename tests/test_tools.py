@@ -41,13 +41,14 @@ def test_benchmark_files_exist():
 # -- every documented command still parses ------------------------------------
 
 _REPO = os.path.normpath(os.path.join(os.path.dirname(__file__), ".."))
-_INVOCATION = re.compile(r"python -m\s+repro\.tools\b")
+_INVOCATION = re.compile(r"-m\s+repro\.tools\b")
 _SHELL_CUT = re.compile(r"\s(?:2?>|\||&&|;)\s|\s#|$")
 
 
 def _documented_commands():
-    """Yield ``(where, argv)`` for every ``python -m repro.tools …`` in the
-    README, docs/, the CI workflow and the runner's own docstring.
+    """Yield ``(where, argv)`` for every ``-m repro.tools …`` (under
+    ``python`` or ``python -m cProfile``) in the README, docs/, the CI
+    workflow and the runner's own docstring.
 
     An inline-code mention runs to its closing backtick (prose wraps);
     anything else runs to the end of its line, plus following lines while

@@ -191,10 +191,10 @@ def test_repro_source_tree_is_deterministic():
     report.finalize_suppressions(supp, rules=("RD",))
     offending = report.active()
     assert offending == [], "\n".join(d.render() for d in offending)
-    # The sanctioned wall-clock readers are waived, with justification:
-    # the ScopedTimer profiler and the event-loop self-profiler. Nothing
-    # else — the simulator itself included — may read the host clock.
-    sanctioned = ("timers.py", "profiler.py")
+    # The one sanctioned wall-clock reader is waived, with justification:
+    # the ScopedTimer. Nothing else — the simulator itself included —
+    # may read the host clock.
+    sanctioned = ("timers.py",)
     suppressed = [d for d in report.diagnostics if d.suppressed]
     assert {d.rule for d in suppressed} == {"RD201"}
     assert all(d.file.endswith(sanctioned) for d in suppressed), \
