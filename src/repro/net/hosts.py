@@ -46,9 +46,16 @@ class Host(Node):
     def send(self, pkt: Packet, delay: float = 0.0) -> None:
         """Transmit a packet after host-stack processing delay."""
         self.tx_packets += 1
-        self.sim.schedule(
-            delay + constants.HOST_PROC_US, self.nic.send, pkt
-        )
+        sim = self.sim
+        nic = self.nic
+        link = nic.link
+        delay += constants.HOST_PROC_US
+        if link is None or delay < 0:
+            # Unlinked: ``Port.send`` raises when the event fires. In the
+            # past: ``schedule`` raises here.
+            sim.schedule(delay, nic.send, pkt)
+        else:
+            sim.schedule_at(sim.now + delay, link.transmit, pkt, nic)
 
     def receive(self, pkt: Packet, port: Port) -> None:
         if pkt.ip is not None and pkt.ip.dst != self.ip and (

@@ -17,7 +17,9 @@ routing beliefs untouched.
 
 Each direction is a :class:`Lane`: what is fixed by the topology is
 resolved once there, and ``Link.transmit`` does constant work per packet
-while the direction is healthy (docs/PERFORMANCE.md).
+while the direction is healthy (docs/PERFORMANCE.md). A hop is two
+events: ``transmit``, scheduled by the sender (``L3Switch.forward``,
+``Host.send``), and the ``_deliver`` it schedules.
 """
 
 from __future__ import annotations
@@ -116,7 +118,7 @@ class Port:
         self.link: Optional[Link] = None
 
     def send(self, pkt: Packet) -> None:
-        """Transmit a packet out of this port onto the attached link."""
+        """Transmit a packet onto the attached link, synchronously."""
         if self.link is None:
             raise RuntimeError(f"{self} has no link attached")
         self.link.transmit(pkt, self)
@@ -262,7 +264,8 @@ class Link:
         )
 
     def transmit(self, pkt: Packet, src_port: Port) -> None:
-        """Send a packet from ``src_port`` toward the other end.
+        """Send a packet from ``src_port`` toward the other end — the
+        first event of a hop, or ``Port.send``'s synchronous call.
 
         A direction in the trivial condition (link up, no loss, reorder,
         tap, queue limit or impairment) draws no randomness and can drop
@@ -468,7 +471,9 @@ class Link:
         observability heartbeat reports. 0.0 when both directions are
         idle. Pure read of serialization state; no side effects."""
         now = self.sim.now
-        return sum(max(0.0, lane.busy_until - now) for lane in self._lanes())
+        a = self._lane_a.busy_until - now
+        b = self._lane_b.busy_until - now
+        return (a if a > 0.0 else 0.0) + (b if b > 0.0 else 0.0)
 
     # -- registry-backed accounting views ---------------------------------------
 
@@ -476,19 +481,9 @@ class Link:
     def queue_drops(self) -> int:
         return int(self._ctr_queue_drops.value)
 
-    @property
-    def tx_bytes(self) -> Dict[int, int]:
-        """Per-direction bytes, keyed by ``id(sending port)`` (legacy shape)."""
-        return {id(lane.src_port): int(lane.ctr_tx_bytes.value)
-                for lane in self._lanes()}
-
-    @property
-    def tx_packets(self) -> Dict[int, int]:
-        return {id(lane.src_port): int(lane.ctr_tx_packets.value)
-                for lane in self._lanes()}
-
     def total_tx_bytes(self) -> int:
-        return sum(self.tx_bytes.values())
+        return (int(self._lane_a.ctr_tx_bytes.value)
+                + int(self._lane_b.ctr_tx_bytes.value))
 
     def __repr__(self) -> str:
         state = "up" if self.up else "DOWN"

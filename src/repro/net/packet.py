@@ -312,12 +312,14 @@ class Packet:
             size += 4
         if self.ip is not None:
             size += IPV4_HEADER_LEN
-        if isinstance(self.l4, UDPHeader):
-            size += UDP_HEADER_LEN
-        elif isinstance(self.l4, TCPHeader):
-            size += TCP_HEADER_LEN
+        l4 = self.l4
+        if l4 is not None:
+            if isinstance(l4, UDPHeader):
+                size += UDP_HEADER_LEN
+            elif isinstance(l4, TCPHeader):
+                size += TCP_HEADER_LEN
         size += len(self.payload)
-        return max(size, MIN_FRAME_BYTES)
+        return size if size > MIN_FRAME_BYTES else MIN_FRAME_BYTES
 
     def copy(self) -> "Packet":
         """Deep-enough copy: headers and meta are duplicated."""

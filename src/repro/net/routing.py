@@ -158,7 +158,14 @@ class L3Switch(Node):
             return
         pkt.ip.ttl -= 1
         self.forwarded += 1
-        self.sim.schedule(constants.SWITCH_PIPELINE_US, out_port.send, pkt)
+        sim = self.sim
+        link = out_port.link
+        if link is None:
+            # Unlinked: ``Port.send`` raises when the event fires.
+            sim.schedule(constants.SWITCH_PIPELINE_US, out_port.send, pkt)
+        else:
+            sim.schedule_at(sim.now + constants.SWITCH_PIPELINE_US,
+                            link.transmit, pkt, out_port)
 
     def select_port(self, pkt: Packet) -> Optional[Port]:
         """Pick the output port for a packet without sending it.

@@ -21,6 +21,7 @@ calls back into Python.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import random
@@ -88,7 +89,8 @@ class Simulator:
         #: The run's metric registry: every component publishes through it.
         self.metrics = MetricRegistry()
         #: The run's trace ring; timestamps are this clock's simulated time.
-        self.tracer = Tracer(clock=lambda: self.now, maxlen=trace_ring)
+        self.tracer = Tracer(clock=functools.partial(getattr, self, "now"),
+                             maxlen=trace_ring)
         #: Per-run memo of flow-tag strings (``str(FlowKey)``) by raw
         #: 5-tuple, filled by :mod:`repro.net.links` and bounded by
         #: :data:`repro.net.constants.CACHE_CAP`.
@@ -131,7 +133,7 @@ class Simulator:
                 f"cannot schedule at t={when} before current time t={self.now}"
             )
         origin = self._origin
-        if self.shard_ctx is not None and origin is None:
+        if origin is None and self.shard_ctx is not None:
             # Root event: allocate its rank. Ranks advance even for roots
             # this shard does not own (every shard runs the same setup
             # code in lockstep), so rank N means the same root on every
@@ -142,8 +144,9 @@ class Simulator:
                 event = Event(when, next(self._seq), fn, args, origin)
                 event.cancelled = True
                 return event
-        event = Event(when, next(self._seq), fn, args, origin)
-        heapq.heappush(self._heap, (when, event.seq, event))
+        seq = next(self._seq)
+        event = Event(when, seq, fn, args, origin)
+        heapq.heappush(self._heap, (when, seq, event))
         return event
 
     # -- execution ------------------------------------------------------------

@@ -142,7 +142,8 @@ class HeartbeatEmitter:
     # -- snapshot content ------------------------------------------------------
 
     def snapshot(self) -> Dict[str, object]:
-        """One health snapshot; a pure function of simulator state."""
+        """One health snapshot; a pure function of simulator state. Costs
+        the instruments named here plus the links, not the registry's size."""
         sim = self.sim
         metrics = sim.metrics
         dt_ms = (sim.now - self._last_t) / 1000.0

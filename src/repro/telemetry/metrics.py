@@ -225,6 +225,9 @@ class MetricRegistry:
 
     def __init__(self) -> None:
         self._instruments: Dict[Tuple[str, LabelItems], Instrument] = {}
+        #: ``name -> [instrument, ...]``, each list in creation order: a sum
+        #: over it adds the same floats in the same order as the dict walk.
+        self._by_name: Dict[str, List[Instrument]] = {}
         #: Optional observer called with each newly created instrument
         #: (shard mode hooks histogram observation logging through this).
         self.on_create = None
@@ -245,6 +248,7 @@ class MetricRegistry:
         if inst is None:
             inst = Histogram(name, key[1], max_samples=max_samples)
             self._instruments[key] = inst
+            self._by_name.setdefault(name, []).append(inst)
             if self.on_create is not None:
                 self.on_create(inst)
         elif not isinstance(inst, Histogram):
@@ -261,6 +265,7 @@ class MetricRegistry:
         if inst is None:
             inst = cls(name, key[1])
             self._instruments[key] = inst
+            self._by_name.setdefault(name, []).append(inst)
             if self.on_create is not None:
                 self.on_create(inst)
         elif type(inst) is not cls:
@@ -279,9 +284,10 @@ class MetricRegistry:
         return inst.value if inst is not None else default
 
     def instruments(self, name: Optional[str] = None) -> Iterator[Instrument]:
-        for (inst_name, _labels), inst in self._instruments.items():
-            if name is None or inst_name == name:
-                yield inst
+        """Every instrument, or those called ``name``, in creation order."""
+        if name is None:
+            return iter(self._instruments.values())
+        return iter(self._by_name.get(name, ()))
 
     def total(self, name: str, **label_filter: object) -> float:
         """Sum ``value`` across instruments matching a label filter.
@@ -289,16 +295,22 @@ class MetricRegistry:
         A filter value may be a scalar (exact match) or a set/list/tuple
         (match any). Aggregating across label dimensions — e.g. protocol
         bytes over all switches — is how the analysis layer reads without
-        touching component internals.
+        touching component internals. The cost is the number of
+        instruments called ``name``, not the size of the registry.
         """
+        named = self._by_name.get(name, ())
+        total = 0.0
+        if not label_filter:
+            for inst in named:
+                total += inst.value
+            return total
         allowed: Dict[str, set] = {}
         for k, v in label_filter.items():
             if isinstance(v, (set, frozenset, list, tuple)):
                 allowed[k] = {str(item) for item in v}
             else:
                 allowed[k] = {str(v)}
-        total = 0.0
-        for inst in self.instruments(name):
+        for inst in named:
             labels = inst.label_dict
             if all(labels.get(k) in vals for k, vals in allowed.items()):
                 total += inst.value

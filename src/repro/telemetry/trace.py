@@ -110,7 +110,6 @@ class Tracer:
                  maxlen: Optional[int] = 65536) -> None:
         self._clock = clock
         self.maxlen = maxlen
-        self.enabled = True
         self.records_emitted = 0
         self._ring: Deque[TraceRecord] = deque(maxlen=maxlen)
         self._sink: Optional[TextIO] = None
@@ -121,8 +120,6 @@ class Tracer:
 
     def emit(self, type_: str, **fields: Any) -> None:
         """Record one event at the current simulated time."""
-        if not self.enabled:
-            return
         record = TraceRecord(self._clock(), type_, fields)
         self.records_emitted += 1
         self._ring.append(record)
@@ -151,9 +148,6 @@ class Tracer:
 
     def __len__(self) -> int:
         return len(self._ring)
-
-    def clear(self) -> None:
-        self._ring.clear()
 
     # -- JSONL sink ------------------------------------------------------------
 

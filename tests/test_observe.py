@@ -359,6 +359,45 @@ def test_heartbeat_sink_is_readable_before_close(tmp_path):
     assert read_heartbeats(str(path)) == bundle.heartbeat.snapshots
 
 
+def test_link_backlog_is_the_sum_of_both_lanes_bit_for_bit():
+    """``Link.backlog_us`` reads its two lanes directly; the heartbeat's
+    queue depth must be the float the generator expression summed to."""
+    from repro.net.links import Link, SinkNode
+    from repro.net.packet import Packet
+    from repro.net.simulator import Simulator
+    from repro.observe.heartbeat import HeartbeatEmitter
+
+    sim = Simulator(seed=1)
+    a, b = SinkNode(sim, "a"), SinkNode(sim, "b")
+    link = Link(sim, a.new_port(), b.new_port(), bandwidth_gbps=0.003)
+    heartbeat = HeartbeatEmitter(sim, links=[link])
+
+    def reference():
+        now = sim.now
+        return sum(max(0.0, lane.busy_until - now)
+                   for lane in (link._lane_a, link._lane_b))
+
+    seen = []
+
+    def check():
+        assert link.backlog_us().hex() == reference().hex()
+        assert heartbeat.snapshot()["queues"]["link_backlog_us"] == \
+            round(reference(), 3)
+        seen.append(tuple(lane.busy_until > sim.now
+                          for lane in (link._lane_a, link._lane_b)))
+
+    check()                                                      # never used
+    sim.schedule(0.1, a.ports[0].send, Packet.udp(1, 2, 3, 4, payload=b"x" * 70))
+    sim.schedule(0.7, check)                                     # a busy
+    sim.schedule(0.9, b.ports[0].send, Packet.udp(2, 1, 4, 3, payload=b"y" * 333))
+    sim.schedule(1.3, check)                                     # both busy
+    sim.schedule(400.3, check)                                   # b busy
+    sim.schedule(5000.1, check)                                  # both drained
+    sim.run_until_idle()
+    assert seen == [(False, False), (True, False), (True, True),
+                    (False, True), (False, False)]
+
+
 def test_cli_metrics_filter_and_csv(capsys):
     assert tools_main(["metrics", "--filter", "redplane.*",
                        "--format", "csv"]) == 0

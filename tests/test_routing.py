@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.net import constants
 from repro.net.links import Link, SinkNode
 from repro.net.packet import FlowKey, Packet, ip_aton
 from repro.net.routing import L3Switch, RoutingTable, Route, ecmp_hash
@@ -79,6 +80,19 @@ def test_forwarding_decrements_ttl_and_drops_at_zero():
     sim.run_until_idle()
     assert len(sink.received) == 1
     assert sw.dropped_ttl == 1
+
+
+def test_forward_to_an_unlinked_port_raises_when_the_event_fires():
+    sim = Simulator()
+    sw = L3Switch(sim, "sw")
+    sw.table.add(0, 0, [sw.new_port()])
+    sim.schedule(5.0, sw.forward, Packet.udp(1, 2, 3, 4))
+    sim.run(until=5.0)  # ``forward`` itself returns
+    assert sw.forwarded == 1 and sim.pending_events == 1
+    with pytest.raises(RuntimeError,
+                       match=r"^<Port sw\[0\]> has no link attached$"):
+        sim.run_until_idle()
+    assert sim.now == 5.0 + constants.SWITCH_PIPELINE_US
 
 
 def test_no_route_drops():

@@ -55,6 +55,109 @@ def test_registry_total_filters_scalar_and_set():
     assert reg.total("bytes", switch="missing") == 0.0
 
 
+def _mixed_registry():
+    """Counters, gauges and histograms under several names and label
+    sets, with values whose sum depends on the order of addition."""
+    reg = MetricRegistry()
+    made = []
+    for i, value in enumerate((1e16, 1.0, -1e16, 3.0, 0.1, -0.3)):
+        g = reg.gauge("x", switch=f"s{i % 3}", idx=i)
+        g.set(value)
+        made.append(g)
+        reg.counter("y", switch=f"s{i % 3}").inc(i)
+        if i % 2:
+            # Same name, no ``switch`` label at all.
+            c = reg.counter("x", lane=i)
+            c.inc(0.7 * i)
+            made.append(c)
+        for _ in range(i):
+            reg.histogram("z", switch=f"s{i % 2}").observe(1.0)
+    h = reg.histogram("x", switch="s1", kind="rtt")
+    h.observe(5.0)
+    made.append(h)
+    return reg, made
+
+
+def _brute_total(reg, name, **label_filter):
+    """``total`` as the registry-wide walk computed it."""
+    allowed = {
+        k: ({str(i) for i in v} if isinstance(v, (set, list, tuple))
+            else {str(v)})
+        for k, v in label_filter.items()
+    }
+    total = 0.0
+    for inst in reg.instruments():
+        labels = dict(inst.labels)
+        if inst.name == name and all(
+                labels.get(k) in vals for k, vals in allowed.items()):
+            total += inst.value
+    return total
+
+
+def test_instruments_by_name_are_in_creation_order():
+    reg, made = _mixed_registry()
+    assert list(reg.instruments("x")) == made
+    assert [i for i in reg.instruments() if i.name == "x"] == made
+    assert isinstance(made[-1], Histogram)
+    assert list(reg.instruments("nope")) == []
+    assert len(list(reg.instruments())) == len(reg)
+    # The fixture is order-sensitive: another order gives another float.
+    assert sum(sorted(i.value for i in made)) != reg.total("x")
+
+
+@pytest.mark.parametrize("label_filter", [
+    {},
+    {"switch": "s1"},
+    {"switch": {"s0", "s2"}},
+    {"lane": [1, 3]},            # a label most instruments lack
+    {"switch": "s1", "kind": "rtt"},
+    {"switch": "missing"},
+])
+def test_total_equals_the_registry_wide_walk(label_filter):
+    reg, _made = _mixed_registry()
+    for name in ("x", "y", "z", "nope"):
+        assert reg.total(name, **label_filter) == \
+            _brute_total(reg, name, **label_filter)
+
+
+def _bytecodes(fn):
+    """Bytecodes executed by ``fn()``, frames it calls included."""
+    import sys
+
+    executed = [0]
+
+    def trace(frame, event, arg):
+        frame.f_trace_opcodes = True
+        frame.f_trace_lines = False
+        if event == "opcode":
+            executed[0] += 1
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        fn()
+    finally:
+        sys.settrace(previous)
+    return executed[0]
+
+
+def test_total_cost_does_not_grow_with_unrelated_instruments():
+    """Deterministic complexity check. Counted in bytecodes, not Python
+    calls: a generator skipping 5 000 instruments makes no call, so the
+    call count was already flat when ``total`` walked the registry."""
+    counts = []
+    for unrelated in (10, 5000):
+        reg = MetricRegistry()
+        for i in range(3):
+            reg.counter("x", switch=i).inc(i)
+        for i in range(unrelated):
+            reg.counter("other", idx=i)
+        counts.append(_bytecodes(lambda: reg.total("x")))
+        assert reg.total("x") == 3.0
+    assert counts[0] == counts[1]
+
+
 def test_counter_monotonic_and_gauge_ratchet():
     reg = MetricRegistry()
     c = reg.counter("c")
@@ -138,6 +241,9 @@ def test_tracer_ring_truncation():
     assert [r.fields["i"] for r in tracer.tail()] == list(range(12, 20))
     assert [r.fields["i"] for r in tracer.tail(3)] == [17, 18, 19]
     assert tracer.tail(0) == []  # not the whole ring ([-0:] pitfall)
+    # Nothing but the ring's bound removes a record, so ``records_dropped``
+    # can only mean truncation; and emitting has no off switch.
+    assert not hasattr(tracer, "clear") and not hasattr(tracer, "enabled")
 
 
 def test_tracer_jsonl_round_trip(tmp_path):
