@@ -49,8 +49,6 @@ class Campaign:
     build: Optional[Callable[[FailureSchedule], None]] = None
     #: Run a StoreFailoverCoordinator (needed when store nodes die).
     coordinator: bool = False
-    heartbeat_interval_us: float = 50_000.0
-    retransmit_timeout_us: Optional[float] = None
     #: Routing failure-detection delay for fail-stop faults (gray faults
     #: are never detected — that is what makes them gray).
     detect_delay_us: float = 50_000.0

@@ -41,6 +41,9 @@ from repro.workloads.failures import FailureSchedule
 #: buffered packets, and chain traffic to drain.
 DRAIN_US = 500_000.0
 
+#: Heartbeat period of a campaign's store failover coordinator.
+COORDINATOR_HEARTBEAT_US = 50_000.0
+
 #: Fault kinds that end a fault (ignored when measuring recovery).
 _CLEAR_KINDS = frozenset(
     {"recover_node", "recover_link", "clear_link", "restore_store",
@@ -109,9 +112,6 @@ def run_campaign_result(
     sim = Simulator(seed=seed) if sim_factory is None else sim_factory(seed)
     if trace_path is not None:
         sim.tracer.open_sink(trace_path)
-    config_kwargs = {"lease_period_us": campaign.lease_period_us}
-    if campaign.retransmit_timeout_us is not None:
-        config_kwargs["retransmit_timeout_us"] = campaign.retransmit_timeout_us
 
     # Durable campaigns run each store node on a WAL backend rooted in a
     # scratch directory that lives exactly as long as the run. The path
@@ -131,16 +131,17 @@ def run_campaign_result(
 
     try:
         return _run_deployed(campaign, seed, sim, trace_path, fastpath,
-                             backend_factory, config_kwargs, observe)
+                             backend_factory, observe)
     finally:
         if scratch is not None:
             shutil.rmtree(scratch, ignore_errors=True)
 
 
 def _run_deployed(campaign, seed, sim, trace_path, fastpath,
-                  backend_factory, config_kwargs,
+                  backend_factory,
                   observe: Optional[ObserveOptions] = None) -> RunResult:
-    dep = deploy(sim, EchoCounterApp, config=RedPlaneConfig(**config_kwargs),
+    config = RedPlaneConfig(lease_period_us=campaign.lease_period_us)
+    dep = deploy(sim, EchoCounterApp, config=config,
                  num_shards=campaign.num_shards,
                  chain_length=campaign.chain_length,
                  backend_factory=backend_factory)
@@ -158,7 +159,7 @@ def _run_deployed(campaign, seed, sim, trace_path, fastpath,
     if campaign.coordinator:
         coordinator = StoreFailoverCoordinator(
             sim, dep.shard_map, dep.chains, switches=dep.bed.aggs,
-            heartbeat_interval_us=campaign.heartbeat_interval_us,
+            heartbeat_interval_us=COORDINATOR_HEARTBEAT_US,
         )
         coordinator.start()
 
@@ -186,7 +187,6 @@ def _run_deployed(campaign, seed, sim, trace_path, fastpath,
         bundle = attach(
             sim,
             heartbeat_path=observe.heartbeat_path,
-            heartbeat_interval_us=observe.heartbeat_interval_us,
             links=list(dep.bed.topology.links),
             providers=providers,
             health=observe.health,

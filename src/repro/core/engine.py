@@ -86,15 +86,7 @@ class RedPlaneConfig:
     lease_period_us: float = constants.LEASE_PERIOD_US
     renew_interval_us: float = constants.LEASE_RENEW_INTERVAL_US
     retransmit_timeout_us: float = constants.RETRANSMIT_TIMEOUT_US
-    #: Retransmission backoff: each resend multiplies the timeout by this
-    #: factor (capped) so a request buffered at the store for a full lease
-    #: period does not generate tens of thousands of duplicates.
-    retransmit_backoff: float = 2.0
-    retransmit_timeout_max_us: float = 5_000.0
     max_flows: int = 4096
-    #: Safety margin subtracted from the switch's view of its own lease so
-    #: it always expires locally before it does at the store.
-    lease_margin_us: float = 10_000.0
     #: Record input/output events for linearizability checking.
     record_history: bool = True
 
@@ -782,8 +774,8 @@ class RedPlaneEngine(ControlBlock):
             rtx.sent_at = now
             rtx.resends += 1
             rtx.timeout_us = min(
-                rtx.timeout_us * self.config.retransmit_backoff,
-                self.config.retransmit_timeout_max_us,
+                rtx.timeout_us * constants.RETRANSMIT_BACKOFF,
+                constants.RETRANSMIT_TIMEOUT_MAX_US,
             )
         # Skip the no-op recirculation passes until the deadline.
         meta["next_pass_us"] = max(0.0, rtx.sent_at + rtx.timeout_us - now)
@@ -817,7 +809,7 @@ class RedPlaneEngine(ControlBlock):
         # The safety margin must leave a usable lease window: clamp it to
         # half the period (a margin >= the period would make the switch
         # disbelieve every lease it is granted and loop on re-acquisition).
-        margin = min(self.config.lease_margin_us,
+        margin = min(constants.LEASE_MARGIN_US,
                      self.config.lease_period_us / 2.0)
         expiry = int(now + self.config.lease_period_us - margin)
         self.reg_lease_expiry.access(

@@ -69,6 +69,17 @@ LEASE_RENEW_INTERVAL_US = 500_000.0
 #: Retransmission timeout for unacknowledged replication requests (us).
 RETRANSMIT_TIMEOUT_US = 48.0
 
+#: Retransmission backoff: each resend multiplies the timeout by this
+#: factor, up to the cap below (us), so a request buffered at the store
+#: for a full lease period does not generate tens of thousands of
+#: duplicates.
+RETRANSMIT_BACKOFF = 2.0
+RETRANSMIT_TIMEOUT_MAX_US = 5_000.0
+
+#: Safety margin subtracted from the switch's view of its own lease so
+#: it always expires locally before it does at the store (us).
+LEASE_MARGIN_US = 10_000.0
+
 #: Default snapshot period for bounded-inconsistency mode (us) == 1 ms.
 SNAPSHOT_PERIOD_US = 1_000.0
 

@@ -58,7 +58,6 @@ class ObserveOptions:
     """
 
     heartbeat: bool = False
-    heartbeat_interval_us: float = DEFAULT_INTERVAL_US
     heartbeat_path: Optional[str] = None
     health: bool = False
 

@@ -21,13 +21,13 @@ module             role
 ``scenarios``      shard-disciplined campaign drivers (incl. million-flow)
 ``runner``         reference / inline / process drive modes + identity gate
 ``worker``         spawned-process workers + the parent's collect loop
-``merge``          one-pass log merge, ghost subtraction, identity report
+``merge``          one-pass log merge, ghost subtraction, merged fingerprint
 =================  ==========================================================
 
 See docs/SHARDING.md for the end-to-end story.
 """
 
-from repro.shard.merge import MergeError, identity_report, merge_results
+from repro.shard.merge import MergeError, merge_results
 from repro.shard.plan import (
     PlanDriftError,
     PlanError,
@@ -51,7 +51,6 @@ __all__ = [
     "ShardRecorder",
     "ShardRunConfig",
     "check_conformance",
-    "identity_report",
     "load_plan",
     "merge_results",
     "resolve",

@@ -25,14 +25,18 @@ shared entry, a partition that does not cover the flow ranks exactly
 once, a uid field that references no birth, or a record count that
 does not add up raise :class:`MergeError` with the first divergence —
 an honest failure beats a silently wrong merge.
+
+The merged result is a :mod:`repro.identity` fingerprint — its
+``trace_digest`` covers every reassembled record — so whether it
+equals the reference is :func:`repro.identity.compare`'s call, not
+this module's.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro import identity
 from repro.shard.recorder import K_BIRTH, K_GAUGE_OP, K_OBSERVATION, K_RECORD
 from repro.telemetry.metrics import Histogram
 from repro.telemetry.trace import TraceRecord
@@ -51,10 +55,6 @@ UID_FIELDS = frozenset({"uid", "parent", "req_uid", "parent_uid", "cause"})
 PEAK_GAUGE_SOURCES = {
     "switch.buffer_peak_bytes": "switch.buffer_occupancy_bytes",
 }
-
-#: Metric families excluded from identity comparison: per-shard
-#: bookkeeping, cache internals, and observation-layer output.
-NON_IDENTITY_PREFIXES = ("shard.", "fastpath.", "observe.")
 
 
 class MergeError(RuntimeError):
@@ -192,14 +192,13 @@ def _merge_log(
     return records, len(births), peaks, histograms
 
 
-# -- partition checks and digests ----------------------------------------------
+# -- partition checks ---------------------------------------------------------
 
 
 def _validate_partition(shards: Sequence[Dict[str, Any]]) -> None:
     base = shards[0]
     for res in shards[1:]:
-        for field in ("rank_count", "flow_ranks", "num_shards",
-                      "trace_maxlen"):
+        for field in ("rank_count", "flow_ranks", "num_shards"):
             if res[field] != base[field]:
                 raise MergeError(
                     f"shard {res['shard']} disagrees on {field}: "
@@ -222,17 +221,6 @@ def _validate_partition(shards: Sequence[Dict[str, Any]]) -> None:
             f"flow rank(s) {missing} owned by no shard "
             "(population/assignment mismatch)"
         )
-
-
-def trace_digest(records: Sequence[TraceRecord]) -> str:
-    """Same digest formula as :func:`repro.fastpath.bench._trace_digest`."""
-    h = hashlib.sha256()
-    for record in records:
-        h.update(
-            repr((record.ts, record.type, tuple(record.fields.items())))
-            .encode()
-        )
-    return h.hexdigest()
 
 
 # -- metric merge -------------------------------------------------------------
@@ -274,18 +262,6 @@ def _histogram_section(
     }
 
 
-def strip_non_identity(snapshot: Dict[str, Dict[str, Any]]) -> Dict[str, Dict[str, Any]]:
-    """Drop metric families excluded from the identity contract."""
-    return {
-        section: {
-            ident: value
-            for ident, value in entries.items()
-            if not ident.startswith(NON_IDENTITY_PREFIXES)
-        }
-        for section, entries in snapshot.items()
-    }
-
-
 # -- top level ----------------------------------------------------------------
 
 
@@ -295,33 +271,20 @@ def merge_results(
 ) -> Dict[str, Any]:
     """Merge N shard results + the ghost into one reference-equivalent run.
 
-    Returns a dict with ``events``, ``records_emitted``, ``trace``
-    (ring-tail :class:`TraceRecord` list), ``trace_digest``, ``metrics``
-    (full merged snapshot), ``rng_draws``, and bookkeeping counts.
+    Returns the run's :func:`repro.identity.fingerprint_of` (``events``,
+    ``records_emitted``, ``records_hashed``, ``trace_digest`` over every
+    merged record, ``metrics`` as the full merged snapshot) plus
+    ``records`` (the :class:`TraceRecord` list) and the counts of
+    :func:`summary_results`.
     """
-    if not shards:
-        raise MergeError("no shard results to merge")
-    if not ghost.get("ghost"):
-        raise MergeError("ghost result was not run in ghost mode")
+    counts = summary_results(shards, ghost)
     _validate_partition(list(shards) + [ghost])
-    replicas = len(shards)
 
     records, uids_allocated, peaks, histograms = _merge_log(shards, ghost)
-    maxlen = shards[0]["trace_maxlen"]
-    ring_tail = records[-maxlen:] if maxlen else records
-
-    events = (
-        sum(res["events_executed"] for res in shards)
-        - (replicas - 1) * ghost["events_executed"]
-    )
-    records_emitted = (
-        sum(res["records_emitted"] for res in shards)
-        - (replicas - 1) * ghost["records_emitted"]
-    )
-    if records_emitted != len(records):
+    if counts["records_emitted"] != len(records):
         raise MergeError(
             f"merged record count {len(records)} != ghost-subtracted "
-            f"records_emitted {records_emitted}"
+            f"records_emitted {counts['records_emitted']}"
         )
 
     metrics = {
@@ -331,19 +294,13 @@ def merge_results(
     }
 
     return {
-        "num_shards": replicas,
-        "events": events,
-        "records_emitted": records_emitted,
+        **counts,
+        **identity.fingerprint_of(
+            counts["events"], counts["records_emitted"],
+            identity.TraceHasher(records), metrics,
+        ),
         "uids_allocated": uids_allocated,
-        "trace": ring_tail,
-        "trace_digest": trace_digest(ring_tail),
-        "records_dropped": len(records) - len(ring_tail),
         "records": records,
-        "metrics": metrics,
-        "rng_draws": sum(res["rng_draws"] for res in shards)
-        + ghost["rng_draws"],
-        "flows_injected": sum(res["flows_injected"] for res in shards),
-        "final_now": max(res["final_now"] for res in shards),
     }
 
 
@@ -351,7 +308,7 @@ def summary_results(
     shards: Sequence[Dict[str, Any]],
     ghost: Dict[str, Any],
 ) -> Dict[str, Any]:
-    """Count-level merge for capture-off (throughput-bench) runs.
+    """Count-level merge: all a capture-off (throughput-bench) run has.
 
     Without a captured log there is nothing to reassemble
     byte-for-byte; the ghost-subtraction identities on the counts still
@@ -380,45 +337,6 @@ def summary_results(
 
 
 def reference_result(sim: Any) -> Dict[str, Any]:
-    """Snapshot a finished reference simulator for identity comparison."""
-    ring = sim.tracer.tail()
-    return {
-        "events": sim.events_executed,
-        "records_emitted": sim.tracer.records_emitted,
-        "records_dropped": sim.tracer.records_dropped,
-        "trace": ring,
-        "trace_digest": trace_digest(ring),
-        "metrics": sim.metrics.snapshot(),
-    }
-
-
-def identity_report(
-    reference: Dict[str, Any], merged: Dict[str, Any]
-) -> Dict[str, bool]:
-    """Axis-by-axis identity verdicts, mirroring the fastpath A/B gate.
-
-    Metrics are compared minus the ``shard.*`` / ``fastpath.*`` /
-    ``observe.*`` families (per-shard bookkeeping by construction); the
-    trace is compared byte-for-byte via canonical JSONL.
-    """
-    ref_trace = b"".join(
-        (r.to_json() + "\n").encode() for r in reference["trace"]
-    )
-    merged_trace = b"".join(
-        (r.to_json() + "\n").encode() for r in merged["trace"]
-    )
-    ref_metrics = json.dumps(
-        strip_non_identity(reference["metrics"]), sort_keys=True
-    )
-    merged_metrics = json.dumps(
-        strip_non_identity(merged["metrics"]), sort_keys=True
-    )
-    return {
-        "events": reference["events"] == merged["events"],
-        "records_emitted":
-            reference["records_emitted"] == merged["records_emitted"],
-        "trace": ref_trace == merged_trace,
-        "trace_digest":
-            reference["trace_digest"] == merged["trace_digest"],
-        "metrics": ref_metrics == merged_metrics,
-    }
+    """Fingerprint a finished simulator nobody watched: the digest is
+    over its retained ring (``python -m bench run`` calls this by name)."""
+    return identity.fingerprint(sim)

@@ -62,7 +62,7 @@ def load_plan(app: str, root: Optional[str] = None) -> Dict[str, object]:
         ) from exc
     except json.JSONDecodeError as exc:
         raise PlanError(f"malformed shard plan {path}: {exc}") from exc
-    if plan.get("format") != 2:
+    if plan.get("format") != 3:
         raise PlanError(
             f"unsupported shard plan format {plan.get('format')!r} in {path}"
         )

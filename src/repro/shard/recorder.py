@@ -221,7 +221,6 @@ class ShardRecorder:
             "capture": self.capture_records,
             "events_executed": sim.events_executed,
             "records_emitted": sim.tracer.records_emitted,
-            "trace_maxlen": sim.tracer.maxlen,
             "rng_draws": self.rng_draws,
             "flows_injected": self.flows_injected,
             "flows_skipped": self.flows_skipped,

@@ -3,7 +3,9 @@
 Three drive modes share one scenario definition
 (:mod:`repro.shard.scenarios`):
 
-* **reference** — the plain single-process run, the bit-identity truth;
+* **reference** — the plain single-process run, the bit-identity truth
+  (its tracer feeds a :func:`repro.identity.watch` hasher, so its
+  digest covers every record whatever the ring retains);
 * **inline** — every shard (plus the ghost) runs sequentially in this
   process. Deterministic, debuggable, and the mode the identity tests
   use;
@@ -26,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
+from repro import identity
 from repro.net.simulator import Simulator
 from repro.shard import merge as merge_mod
 from repro.shard import plan as plan_mod
@@ -85,10 +88,6 @@ def resolve(
 
 
 def _new_sim(config: ShardRunConfig) -> Simulator:
-    # A captured run is compared record for record: no ring bound, so
-    # nothing can fall off before it is compared.
-    if config.capture:
-        return Simulator(seed=config.seed, trace_ring=None)
     return Simulator(seed=config.seed)
 
 
@@ -117,6 +116,7 @@ def _attach_heartbeat(sim: Simulator, config: ShardRunConfig,
 def run_reference(config: ShardRunConfig) -> Dict[str, Any]:
     """The plain single-process run of the scenario (no recorder)."""
     sim = _new_sim(config)
+    hasher = identity.watch(sim)
     heartbeat = _attach_heartbeat(sim, config, "reference")
 
     def pace(until: float) -> None:
@@ -128,7 +128,7 @@ def run_reference(config: ShardRunConfig) -> Dict[str, Any]:
         )
     if heartbeat is not None:
         heartbeat.close()
-    result = merge_mod.reference_result(sim)
+    result = identity.fingerprint(sim, hasher)
     result["wall_s"] = timer.elapsed_s
     result["extra"] = extra
     result["final_now"] = sim.now
@@ -255,20 +255,16 @@ def run_identity(
 ) -> Dict[str, Any]:
     """Reference vs merged N-shard run; returns the axis-by-axis report.
 
-    The identity contract additionally requires zero RNG draws — a
-    shard that drew randomness saw a different draw sequence than the
-    reference, so agreement would be coincidence, not construction —
-    and that no trace ring dropped a record, so the trace axes cover the
-    whole run and not its tail.
+    The axes are :func:`repro.identity.compare`'s; the contract
+    additionally requires zero RNG draws — a shard that drew randomness
+    saw a different draw sequence than the reference, so agreement
+    would be coincidence, not construction.
     """
     config = resolve(scenario_name, workers, fastpath=fastpath, params=params)
     reference = run_reference(config)
     merged = run_sharded(config, mode=mode)
-    report = merge_mod.identity_report(reference, merged)
+    report = identity.compare(reference, merged)
     report["rng_silent"] = merged["rng_draws"] == 0
-    report["trace_complete"] = (
-        reference["records_dropped"] == 0 and merged["records_dropped"] == 0
-    )
     return {
         "scenario": scenario_name,
         "workers": workers,

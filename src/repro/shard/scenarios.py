@@ -148,6 +148,12 @@ def run_nat_steady(
     from repro.apps.nat import NatApp, install_nat_routes
     from repro.net.packet import Packet
 
+    last_injection = ((flows - 1) * NAT_FLOW_STAGGER_US
+                      + (packets_per_flow - 1) * NAT_SPACING_US)
+    if last_injection >= NAT_END:
+        raise ValueError(
+            f"nat_steady: {flows} flows x {packets_per_flow} packets inject "
+            f"until {last_injection:.0f} us; the run ends at {NAT_END:.0f} us")
     dep = deploy(sim, NatApp)
     install_nat_routes(dep.bed)
     if fastpath:
@@ -168,7 +174,10 @@ def run_nat_steady(
 
     apps = {id(e.app): e.app for e in dep.engines.values()}
     packets = sum(app.translated_out for app in apps.values())
-    return {"packets": packets, "flows": flows}
+    result = {"packets": packets, "flows": flows}
+    if fastpath:  # what ``repro.tools fastpath`` prints
+        result["fastpath_stats"] = sim.fastpath.stats()
+    return result
 
 
 def run_nat_quickstart(

@@ -69,13 +69,6 @@ from repro.telemetry import trace as tt
 #: UDP port used for chain-replication propagation between store nodes.
 CHAIN_UDP_PORT = 4802
 
-#: Backward-compatible aliases: the chain codec moved to
-#: :mod:`repro.statestore.codec`.
-_CHAIN_UPDATE = CHAIN_UPDATE
-_CHAIN_ACK = CHAIN_ACK
-_pack_chain_update = pack_chain_update
-_unpack_chain_update = unpack_chain_update
-
 #: ACK aux values: did the flow's state already exist at the store?
 AUX_FRESH_FLOW = 0
 AUX_MIGRATED_STATE = 1

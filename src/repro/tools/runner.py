@@ -220,43 +220,58 @@ def run_bench_diff(name: str) -> int:
 
 def run_fastpath(flows: int, packets: int, seed: int,
                  diff: bool, as_json: bool) -> int:
-    """Fast-path statistics, or an on/off A/B identity + speedup check."""
-    from repro.fastpath.bench import run_ab, run_scenario
+    """Fast-path statistics, or an on/off A/B identity + speedup check,
+    on the registry's ``nat_steady`` scenario run in one process."""
+    from repro import identity
+    from repro.shard.runner import resolve, run_reference
 
+    def run(fastpath: bool) -> dict:
+        result = run_reference(resolve(
+            "nat_steady", 1, seed=seed, fastpath=fastpath,
+            params={"flows": flows, "packets_per_flow": packets}))
+        result["packets"] = result["extra"]["packets"]
+        result["packets_per_s"] = result["packets"] / result["wall_s"]
+        return result
+
+    try:
+        off = run(False) if diff else None
+        on = run(True)
+    except ValueError as exc:
+        print(f"fastpath: {exc}", file=sys.stderr)
+        return 2
     if diff:
-        result = run_ab(flows=flows, packets_per_flow=packets, seed=seed)
+        report = identity.compare(off, on)
+        identical = all(report.values())
+        speedup = on["packets_per_s"] / off["packets_per_s"]
         if as_json:
-            slim = dict(result)
-            for key in ("off", "on"):
-                slim[key] = {k: v for k, v in result[key].items()
-                             if k not in ("metrics", "trace_digest")}
-            print(json.dumps(slim, indent=2, sort_keys=True))
+            for result in (off, on):
+                del result["metrics"]  # compared above; too big to print
+            print(json.dumps({
+                "off": off, "on": on, "identity": report,
+                "identical": identical, "speedup_same_scenario": speedup,
+            }, indent=2, sort_keys=True))
         else:
-            off, on = result["off"], result["on"]
             print(f"reference : {off['packets_per_s']:>10.1f} pkt/s "
                   f"({off['packets']} packets, {off['events']} events)")
             print(f"fast path : {on['packets_per_s']:>10.1f} pkt/s "
                   f"({on['packets']} packets, {on['events']} events)")
-            print(f"speedup   : {result['speedup_same_scenario']:.2f}x "
-                  f"same-scenario")
-            for axis, same in result["identity"].items():
+            print(f"speedup   : {speedup:.2f}x same-scenario")
+            for axis, same in report.items():
                 print(f"identity  : {axis:<16s} "
                       f"{'identical' if same else 'DIVERGED'}")
-        if not result["identical"]:
+        if not identical:
             print("fast path DIVERGED from the reference path",
                   file=sys.stderr)
             return 1
         return 0
-    result = run_scenario(flows=flows, packets_per_flow=packets, seed=seed,
-                          fastpath=True)
-    stats = result["fastpath_stats"]
+    stats = on["extra"]["fastpath_stats"]
     if as_json:
         print(json.dumps(stats, indent=2, sort_keys=True))
         return 0
     flow = stats["flow_cache"]
     total = flow["hits"] + flow["misses"]
-    print(f"throughput : {result['packets_per_s']:.1f} pkt/s "
-          f"({result['packets']} packets, {result['events']} events)")
+    print(f"throughput : {on['packets_per_s']:.1f} pkt/s "
+          f"({on['packets']} packets, {on['events']} events)")
     print(f"flow cache : {flow['hits']} hits / {flow['misses']} misses "
           f"({100.0 * flow['hits'] / total if total else 0.0:.1f}% hit), "
           f"{flow['entries']} entries")
@@ -605,8 +620,7 @@ def run_shard_plan(app: str, workers: int, as_json: bool) -> int:
 
 def _merged_summary(merged: dict) -> dict:
     """JSON-safe summary of a merged shard run (drops record objects)."""
-    return {k: v for k, v in merged.items()
-            if k not in ("trace", "records")}
+    return {k: v for k, v in merged.items() if k != "records"}
 
 
 def run_shard_run(args: "argparse.Namespace") -> int:

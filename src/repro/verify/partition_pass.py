@@ -787,8 +787,7 @@ class _PartitionAnalyzer:
         plan = self._build_plan(
             declared, reason, effective,
             key_class, key_class_eff, key_fields, key_tokens,
-            (key_file, key_line),
-            structs, struct_classes,
+            key_file, structs, struct_classes,
         )
         return _AppAnalysis(
             plan=plan, effective=effective,
@@ -799,16 +798,19 @@ class _PartitionAnalyzer:
 
     def _build_plan(self, declared, reason, effective,
                     key_class, key_class_eff, key_fields, key_tokens,
-                    key_site, structs, struct_classes) -> Dict[str, object]:
+                    key_file, structs, struct_classes) -> Dict[str, object]:
         app = self.app
         engine = self.engine
 
-        def site(file: str, line: int) -> str:
-            return f"{astutil.relpath(file, self.root)}:{line}"
+        def site(file: str, definition: object) -> str:
+            # ``path::QualName``, not a line: a plan must not drift
+            # because code above the definition it cites moved.
+            return (f"{astutil.relpath(file, self.root)}::"
+                    f"{definition.__qualname__}")
 
         entries: List[Dict[str, object]] = []
         engine_class = "global" if effective == "global" else key_class_eff
-        eng_file, eng_line = _class_site(engine)
+        eng_site = site(_class_site(engine)[0], type(engine))
         engine_regs = [
             engine.reg_lease_expiry, engine.reg_cur_seq,
             engine.reg_last_acked, engine.reg_lease_pending,
@@ -820,7 +822,7 @@ class _PartitionAnalyzer:
                 "kind": "engine_register",
                 "partition_class": engine_class,
                 "key_fields": sorted(key_fields),
-                "site": site(eng_file, eng_line),
+                "site": eng_site,
             })
 
         store_keys: Dict[int, List[str]] = {}
@@ -836,7 +838,7 @@ class _PartitionAnalyzer:
                     f"{fkey.sport}.{fkey.dport}"
                 )
 
-        cls_file, cls_line = _class_site(app)
+        cls_site = site(_class_site(app)[0], type(app))
         for s in structs:
             klass, fields, note = struct_classes[s.attr]
             final = "global" if effective == "global" else klass
@@ -849,7 +851,7 @@ class _PartitionAnalyzer:
                     f for f in fields if f in _HEADER_FIELDS
                     or f == _T_PAYLOAD
                 ),
-                "site": site(cls_file, cls_line),
+                "site": cls_site,
             }
             if note:
                 entry["note"] = note
@@ -864,7 +866,7 @@ class _PartitionAnalyzer:
         )
 
         return {
-            "format": 2,
+            "format": 3,
             "app": self.label,
             "app_class": type(app).__name__,
             "partition_class": effective,
@@ -879,7 +881,7 @@ class _PartitionAnalyzer:
                     if f in _HEADER_FIELDS or f == _T_PAYLOAD
                 ),
                 "hashed": _T_HASH in key_tokens,
-                "site": site(*key_site),
+                "site": site(key_file, app.partition_key),
             },
             "structures": entries,
             "global_residue": residue,

@@ -11,7 +11,7 @@ a real request).
 from repro.core.protocol import MessageType, RedPlaneMessage
 from repro.net.packet import FlowKey
 from repro.net.simulator import Simulator
-from repro.statestore.server import StateStoreNode, _pack_chain_update
+from repro.statestore.server import StateStoreNode
 
 from tests.test_statestore import FakeSwitch, KEY, micro_net
 

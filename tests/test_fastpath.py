@@ -3,16 +3,18 @@ the bit-identity contract. (The compiled link direction and the route
 cache are the default hop path; tests/test_links.py and
 tests/test_routing.py cover them.)"""
 
+import json
+
 import pytest
 
-from repro import Simulator, deploy
+from repro import Simulator, deploy, identity
 from repro.apps.counter import SyncCounterApp
 from repro.apps.nat import NatApp, install_nat_routes
 from repro.fastpath import FLOW_SCOPES, SCOPES, FastPath, InvalidationBus
-from repro.fastpath.bench import identity_report, run_scenario
 from repro.fastpath.flowcache import ENTRY_DEPS, Entry
 from repro.net.links import Link, SinkNode
 from repro.net.packet import Packet
+from repro.shard.runner import resolve, run_reference
 
 
 # -- invalidation bus ---------------------------------------------------------
@@ -114,37 +116,72 @@ def test_fastpath_install_is_idempotent_and_uninstalls():
 # -- bit-identity -------------------------------------------------------------
 
 
+def _nat_steady(fastpath, **params):
+    """The registry's NAT steady state, single process: the scenario
+    ``repro.tools fastpath`` runs."""
+    return run_reference(
+        resolve("nat_steady", 1, fastpath=fastpath, params=params))
+
+
 def test_fastpath_run_is_bit_identical_to_reference():
-    """The whole contract in one assertion: events, trace ring (types,
-    timestamps, field order), and metrics are identical on vs off."""
-    off = run_scenario(flows=8, packets_per_flow=40, fastpath=False)
-    on = run_scenario(flows=8, packets_per_flow=40, fastpath=True)
-    report = identity_report(off, on)
+    """The whole contract in one assertion: events, every trace record
+    (types, timestamps, field order), and metrics are identical on vs
+    off."""
+    off = _nat_steady(False, flows=8, packets_per_flow=40)
+    on = _nat_steady(True, flows=8, packets_per_flow=40)
+    report = identity.compare(off, on)
     assert all(report.values()), report
-    assert on["fastpath_stats"]["flow_cache"]["hits"] > 0
+    assert on["extra"]["fastpath_stats"]["flow_cache"]["hits"] > 0
 
 
 def test_identity_digest_covers_every_record_not_a_ring_tail():
-    """The oracle's simulator keeps every record: a scenario that emits
-    more than a default ring holds still digests all of them."""
-    result = run_scenario(flows=50, packets_per_flow=160)
+    """The digest is streamed from ``Tracer.on_emit``: a scenario that
+    emits more than the default ring holds still hashes all of it."""
+    result = _nat_steady(False, flows=50, packets_per_flow=160)
     assert result["records_emitted"] > 65536
-    assert result["records_dropped"] == 0
+    assert result["records_hashed"] == result["records_emitted"]
 
 
-def test_ab_verdict_fails_when_a_ring_truncated(monkeypatch):
-    """Equal digests over two truncated rings vouch for the tails only;
-    the A/B verdict says so instead of passing."""
+def test_ab_verdict_holds_and_is_complete_when_a_ring_truncated(
+        capsys, monkeypatch):
+    """Nothing the verdict reads comes from the ring, so a ring that
+    keeps 256 records of each run changes no axis."""
+    from repro.shard import runner
+    from repro.tools.runner import main as tools_main
+
+    sims = []
+
+    def small_ring(config):
+        sims.append(Simulator(seed=config.seed, trace_ring=256))
+        return sims[-1]
+
+    monkeypatch.setattr(runner, "_new_sim", small_ring)
+    assert tools_main(["fastpath", "--diff", "--json", "--flows", "4",
+                       "--packets", "20"]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert all(sim.tracer.records_dropped > 0 for sim in sims)
+    assert result["identity"]["trace_complete"] is True
+    assert all(result["identity"].values()) and result["identical"]
+    assert result["off"]["records_hashed"] == result["off"]["records_emitted"]
+
+
+def test_nat_steady_refuses_a_shape_that_outlasts_the_run(capsys):
+    """500 flows would still be injecting when the scenario ends; the
+    driver names both times instead of truncating the run."""
+    from repro.tools.runner import main as tools_main
+
+    with pytest.raises(ValueError, match=r"200398 us.*150000 us"):
+        _nat_steady(False, flows=500, packets_per_flow=400)
+    assert tools_main(["fastpath", "--flows", "500"]) == 2
+    assert "200398 us" in capsys.readouterr().err
+
+
+def test_bench_module_keeps_only_the_name_the_benchmark_imports():
     from repro.fastpath import bench
 
-    monkeypatch.setattr(
-        bench, "Simulator",
-        lambda seed, trace_ring: Simulator(seed=seed, trace_ring=256))
-    result = bench.run_ab(flows=4, packets_per_flow=20)
-    assert result["off"]["records_dropped"] > 0
-    assert result["identity"].pop("trace_complete") is False
-    assert all(result["identity"].values())
-    assert not result["identical"]
+    public = [name for name, value in vars(bench).items()
+              if getattr(value, "__module__", None) == bench.__name__]
+    assert public == ["identity_report"]
 
 
 def test_fastpath_identical_under_sync_counter_writes():

@@ -1,8 +1,8 @@
 """Retransmission backoff: geometric growth, the cap, and telemetry.
 
 §5.2's reliability layer resends unacknowledged request copies on a
-timeout that doubles per resend (``retransmit_backoff``) up to
-``retransmit_timeout_max_us``, so a request stranded behind a long
+timeout that doubles per resend (``RETRANSMIT_BACKOFF``) up to
+``RETRANSMIT_TIMEOUT_MAX_US``, so a request stranded behind a long
 outage cannot generate an unbounded duplicate storm. These tests drive
 the ``partitioned_store_head`` campaign (a 150ms egress blackhole — far
 longer than the cap-reaching backoff ladder) and check the ladder from
@@ -75,10 +75,10 @@ def test_backoff_is_geometric_and_capped(partitioned):
         assert timeouts[0] == pytest.approx(_CONFIG.retransmit_timeout_us)
         # ...and each later one at exactly min(prev * backoff, cap).
         for prev, cur in zip(timeouts, timeouts[1:]):
-            expected = min(prev * _CONFIG.retransmit_backoff,
-                           _CONFIG.retransmit_timeout_max_us)
+            expected = min(prev * constants.RETRANSMIT_BACKOFF,
+                           constants.RETRANSMIT_TIMEOUT_MAX_US)
             assert cur == pytest.approx(expected)
-        assert max(timeouts) <= _CONFIG.retransmit_timeout_max_us
+        assert max(timeouts) <= constants.RETRANSMIT_TIMEOUT_MAX_US
 
 
 def test_long_outage_reaches_the_cap(partitioned):
@@ -86,11 +86,11 @@ def test_long_outage_reaches_the_cap(partitioned):
     chains = _resend_chains(records)
     capped = [
         c for c in chains
-        if any(r.fields["timeout_us"] == _CONFIG.retransmit_timeout_max_us
+        if any(r.fields["timeout_us"] == constants.RETRANSMIT_TIMEOUT_MAX_US
                for r in c)
     ]
     # 48us doubling reaches the 5ms cap within ~10ms; the outage is 150ms.
-    assert capped, "no ladder reached retransmit_timeout_max_us"
+    assert capped, "no ladder reached RETRANSMIT_TIMEOUT_MAX_US"
 
 
 def test_resends_histogram_counts_acknowledged_requests(partitioned):

@@ -12,7 +12,6 @@ from repro.shard.merge import (
     MergeError,
     _merge_log,
     merge_results,
-    strip_non_identity,
     summary_results,
 )
 from repro.shard.recorder import K_BIRTH, K_GAUGE_OP, K_OBSERVATION, K_RECORD
@@ -53,22 +52,6 @@ def test_uid_fields_cover_every_correlation_slot():
     assert {"uid", "parent", "req_uid", "parent_uid", "cause"} <= UID_FIELDS
 
 
-def test_strip_non_identity_drops_bookkeeping_families():
-    snap = {
-        "counters": {
-            "packets_total": 7.0,
-            "shard.flows_owned": 3.0,
-            "fastpath.hits": 5.0,
-            "observe.heartbeats": 1.0,
-        },
-        "gauges": {"switch.buffer_peak_bytes{sw=agg1}": 240.0},
-        "histograms": {},
-    }
-    stripped = strip_non_identity(snap)
-    assert set(stripped["counters"]) == {"packets_total"}
-    assert "switch.buffer_peak_bytes{sw=agg1}" in stripped["gauges"]
-
-
 # -- the one log ---------------------------------------------------------------
 
 SRC = "switch.buffer_occupancy_bytes{switch=agg1}"
@@ -84,7 +67,6 @@ def _replica(shard, flow_ranks, owned, log, ghost=False):
         "ghost": ghost,
         "num_shards": 2,
         "rank_count": 3,
-        "trace_maxlen": None,
         "flow_ranks": sorted(flow_ranks),
         "owned_flow_ranks": sorted(owned),
         "log": [list(entry) for entry in log],

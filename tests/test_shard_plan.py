@@ -4,7 +4,10 @@ the one the live code produces, and nothing can switch that off."""
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -56,6 +59,35 @@ def test_resolve_refuses_a_plan_that_differs_from_the_live_code(plans, edit):
 
 
 def test_a_format_1_plan_is_refused_before_the_comparison(plans):
-    _rewrite(plans, lambda plan: plan.update(format=1))
-    with pytest.raises(PlanError, match="unsupported shard plan format 1"):
-        resolve("nat_steady", 2)
+    """Format 2 as well: its sites were ``path:line``."""
+    for stale in (1, 2):
+        _rewrite(plans, lambda plan: plan.update(format=stale))
+        with pytest.raises(
+                PlanError, match=f"unsupported shard plan format {stale}"):
+            resolve("nat_steady", 2)
+
+
+def test_a_line_inserted_above_a_cited_class_is_not_drift(tmp_path):
+    """Sites are ``path::QualName``: every plan cites ``RedPlaneEngine``,
+    and moving that class down a line — in a scratch copy of the tree,
+    analysed by a fresh interpreter — leaves the live plan byte-equal
+    to the committed one."""
+    root = os.path.dirname(plan_mod.plan_dir())
+    shutil.copytree(os.path.join(root, "src", "repro"),
+                    tmp_path / "src" / "repro",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(plan_mod.plan_dir(), tmp_path / "shard_plans")
+    engine = tmp_path / "src" / "repro" / "core" / "engine.py"
+    text = engine.read_text()
+    assert text.count("\nclass RedPlaneEngine") == 1
+    engine.write_text(
+        text.replace("\nclass RedPlaneEngine", "\n\nclass RedPlaneEngine"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.tools", "shard", "plan", "nat",
+         "--json"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(tmp_path / "src")},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (tmp_path / "shard_plans" / "nat.json").read_text()
+    assert '"site": "src/repro/core/engine.py::RedPlaneEngine"' in proc.stdout

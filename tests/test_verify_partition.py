@@ -105,7 +105,7 @@ def test_plan_commits_to_state_classification_and_nothing_else():
     from repro.apps.nat import NatApp
 
     _, plan = analyze(lambda: NatApp(), label="nat")
-    assert plan["format"] == 2
+    assert plan["format"] == 3
     assert set(plan) == {
         "format", "app", "app_class", "partition_class", "declared",
         "partition_key", "structures", "global_residue",
@@ -194,7 +194,7 @@ def test_plan_json_is_canonical_json():
     text = plan_json(plan)
     assert text.endswith("\n")
     doc = json.loads(text)
-    assert doc["format"] == 2
+    assert doc["format"] == 3
     assert doc["app"] == "nat"
     roundtrip = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     assert roundtrip == text
