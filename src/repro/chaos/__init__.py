@@ -11,7 +11,8 @@ randomized schedules, shrinks every violation to a minimal reproducer
 scorecard (:mod:`repro.chaos.scorecard`).
 
 Run from the CLI: ``python -m repro.tools chaos <campaign>`` or
-``python -m repro.tools fuzz run --seed 1 --budget 20``.
+``python -m repro.tools fuzz run --seed 1 --budget 20``
+(:mod:`repro.chaos.cli` declares both).
 """
 
 from repro.chaos.campaigns import CAMPAIGNS, Campaign

@@ -195,3 +195,20 @@ def watch(
         for src in sources:
             src.fh.close()
     return 1 if any(src.rejected for src in sources) else 0
+
+
+def register(sub) -> None:
+    """Declare ``watch`` on the ``repro.tools`` subparsers."""
+    p = sub.add_parser(
+        "watch", help="render a campaign's heartbeat NDJSON stream as a "
+                      "live health console")
+    p.set_defaults(run=lambda args: watch(
+        args.file, follow=args.follow, max_lines=args.max_lines))
+    p.add_argument("file", nargs="+",
+                   help="heartbeat NDJSON file(s); several files (a sharded "
+                        "run's per-worker heartbeats) merge into one labeled "
+                        "console")
+    p.add_argument("-f", "--follow", action="store_true",
+                   help="keep tailing as the files grow")
+    p.add_argument("--max-lines", type=int, dest="max_lines",
+                   help="stop after N snapshots")

@@ -22,6 +22,7 @@ module             role
 ``runner``         reference / inline / process drive modes + identity gate
 ``worker``         spawned-process workers + the parent's collect loop
 ``merge``          one-pass log merge, ghost subtraction, merged fingerprint
+``cli``            ``repro.tools shard plan|run|diff``: flags and handlers
 =================  ==========================================================
 
 See docs/SHARDING.md for the end-to-end story.

@@ -27,11 +27,17 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
+from repro.net import constants
+
 #: Quickstart phase boundaries (absolute simulated microseconds).
 QS_PHASE1_END = 100_000.0
 QS_FAIL_RECOVER_US = 400_000.0
 QS_PHASE2_START = QS_PHASE1_END + QS_FAIL_RECOVER_US
-QS_END = 700_000.0
+#: Past the *store-side* expiry of the failed owner's lease: the store
+#: counts ``LEASE_PERIOD_US`` from the last phase-1 write (~2 ms in), so
+#: it buffers the second burst's lease request until ~1.002 s and only
+#: then grants the lease that migrates the flow's state.
+QS_END = QS_PHASE1_END + constants.LEASE_PERIOD_US + 100_000.0
 #: The switch carrying the quickstart flow (ECMP is deterministic for
 #: the fixed 5-tuple; scripted so every shard fails the same node).
 QS_FAIL_SWITCH = "agg2"
@@ -97,10 +103,11 @@ def run_quickstart(
     fastpath: bool = False,
     packets: int = 10,
 ) -> Dict[str, Any]:
-    """The ``repro.tools run`` quickstart, shard-disciplined.
+    """The quickstart the ``repro.tools`` demo views run, shard-disciplined.
 
     One Sync-Counter flow, a scripted owner failover mid-run, a second
-    burst after lease migration, resource gauges at the end.
+    burst that waits at the store until the dead owner's lease expires
+    and is released by the migration grant, resource gauges at the end.
     """
     from repro import deploy
     from repro.apps.counter import SyncCounterApp
@@ -188,7 +195,8 @@ def run_nat_quickstart(
 ) -> Dict[str, Any]:
     """The quickstart story on the NAT app: one translated flow, a
     scripted failover of the switch holding its translation entry, a
-    second burst served after lease migration."""
+    second burst buffered at the store until the dead owner's lease
+    expires, then translated from the migrated entry."""
     from repro import deploy
     from repro.apps.nat import NatApp, install_nat_routes
     from repro.net.packet import Packet
@@ -401,11 +409,3 @@ def get_scenario(name: str) -> Scenario:
         "nat_steady, million_flow, chaos:<campaign>"
     )
 
-
-def scenario_names() -> list:
-    """The fixed scenarios plus one entry per chaos campaign."""
-    from repro.chaos.campaigns import CAMPAIGNS
-
-    return ["quickstart", "nat_quickstart", "nat_steady", "million_flow"] + [
-        f"chaos:{name}" for name in sorted(CAMPAIGNS)
-    ]

@@ -340,19 +340,18 @@ class MetricRegistry:
                 out["counters"][inst.describe()] = inst.value
         return out
 
-    def render(self) -> str:
-        """Human-readable snapshot for the ``repro.tools metrics`` CLI."""
-        snap = self.snapshot()
-        lines: List[str] = []
-        for section in ("counters", "gauges", "histograms"):
-            entries = snap[section]
-            lines.append(f"{section} ({len(entries)}):")
-            for ident, value in entries.items():
-                if isinstance(value, dict):
-                    detail = "  ".join(
-                        f"{k}={v:.2f}" for k, v in value.items()
-                    )
-                    lines.append(f"  {ident}  {detail}")
-                else:
-                    lines.append(f"  {ident} = {value:g}")
-        return "\n".join(lines)
+
+def render_snapshot(snap: Dict[str, Dict[str, object]]) -> str:
+    """Human-readable form of a :meth:`MetricRegistry.snapshot` (whole or
+    filtered) for the ``repro.tools metrics`` CLI."""
+    lines: List[str] = []
+    for section in ("counters", "gauges", "histograms"):
+        entries = snap[section]
+        lines.append(f"{section} ({len(entries)}):")
+        for ident, value in entries.items():
+            if isinstance(value, dict):
+                detail = "  ".join(f"{k}={v:.2f}" for k, v in value.items())
+                lines.append(f"  {ident}  {detail}")
+            else:
+                lines.append(f"  {ident} = {value:g}")
+    return "\n".join(lines)

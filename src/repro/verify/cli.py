@@ -1,4 +1,5 @@
-"""The ``repro.tools verify`` entry point.
+"""The ``repro.tools verify`` command: :func:`register` declares its
+flags, :func:`run_verify` is its handler.
 
 Runs the five passes with one shared suppression index and one report,
 so a single ``# repro: noqa[...]`` grammar covers all rule families and
@@ -24,6 +25,7 @@ while a cleanup burns existing ones down.
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import sys
@@ -123,28 +125,19 @@ def _check_plan_drift(
         ), suppressions=supp)
 
 
-def run_verify(
-    paths: Optional[List[str]] = None,
-    all_targets: bool = False,
-    app: Optional[str] = None,
-    as_json: bool = False,
-    out: Optional[str] = None,
-    strict: bool = False,
-    rules: Optional[str] = None,
-    baseline: Optional[str] = None,
-    write_baseline: Optional[str] = None,
-    show_plans: bool = False,
-    emit_plans: Optional[str] = None,
-) -> int:
+def run_verify(args: argparse.Namespace) -> int:
+    """``repro.tools verify``: run the passes, print the report."""
     from repro.apps import BUILTIN_APPS
 
+    app, paths, all_targets = args.app, args.paths, args.all_targets
     root = repo_root()
     report = Report()
     supp = SuppressionIndex()
 
     wanted: Optional[List[str]] = None
-    if rules:
-        wanted = sorted({r.strip() for r in rules.split(",") if r.strip()})
+    if args.rules:
+        wanted = sorted(
+            {r.strip() for r in args.rules.split(",") if r.strip()})
         unknown = [r for r in wanted if r not in RULES]
         if unknown:
             print(
@@ -171,7 +164,7 @@ def run_verify(
     else:
         apps = {}
 
-    lint_paths = list(paths or [])
+    lint_paths = list(paths)
     if all_targets or not paths:
         lint_paths.append(os.path.join(source_root(), "repro"))
 
@@ -213,14 +206,14 @@ def run_verify(
             lint_paths, report=report, suppressions=supp, root=root
         )
 
-    if emit_plans:
-        os.makedirs(emit_plans, exist_ok=True)
+    if args.emit_plans:
+        os.makedirs(args.emit_plans, exist_ok=True)
         for name in sorted(plans):
-            path = os.path.join(emit_plans, f"{name}.json")
+            path = os.path.join(args.emit_plans, f"{name}.json")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(plan_json(plans[name]))
         print(
-            f"wrote {len(plans)} shard plan(s) to {emit_plans}",
+            f"wrote {len(plans)} shard plan(s) to {args.emit_plans}",
             file=sys.stderr,
         )
     else:
@@ -235,28 +228,30 @@ def run_verify(
     else:
         report.finalize_suppressions(supp)
 
-    if write_baseline:
+    if args.write_baseline:
         doc = {"format": 1, "rule_counts": rule_counts(report)}
-        with open(write_baseline, "w", encoding="utf-8") as fh:
+        with open(args.write_baseline, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        print(f"wrote verify baseline to {write_baseline}", file=sys.stderr)
+        print(f"wrote verify baseline to {args.write_baseline}",
+              file=sys.stderr)
 
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(report.to_json() + "\n")
-        print(f"wrote verify report to {out}", file=sys.stderr)
-    if show_plans and plans:
+        print(f"wrote verify report to {args.out}", file=sys.stderr)
+    if args.show_plans and plans:
         for name in sorted(plans):
             print(render_plan(plans[name]))
             print()
-    print(report.to_json() if as_json else report.render())
+    print(report.to_json() if args.json else report.render())
 
-    if baseline:
+    if args.baseline:
         try:
-            with open(baseline, encoding="utf-8") as fh:
+            with open(args.baseline, encoding="utf-8") as fh:
                 base_counts = json.load(fh).get("rule_counts", {})
         except OSError as exc:
-            print(f"cannot read baseline {baseline}: {exc}", file=sys.stderr)
+            print(f"cannot read baseline {args.baseline}: {exc}",
+                  file=sys.stderr)
             return 2
         regressions = baseline_regressions(rule_counts(report), base_counts)
         if regressions:
@@ -272,4 +267,43 @@ def run_verify(
             file=sys.stderr,
         )
         return 0
-    return report.exit_code(strict=strict)
+    return report.exit_code(strict=args.strict)
+
+
+def register(sub: argparse._SubParsersAction) -> None:
+    """Declare ``verify`` on the ``repro.tools`` subparsers."""
+    p = sub.add_parser(
+        "verify", help="static analysis: pipeline constraints, determinism "
+                       "lint, telemetry schema (see docs/VERIFY.md)")
+    p.set_defaults(run=run_verify)
+    p.add_argument("paths", nargs="*",
+                   help="files/directories for the tree lints (default: the "
+                        "repro source tree)")
+    p.add_argument("--all", action="store_true", dest="all_targets",
+                   help="verify every builtin app's deployed pipeline plus "
+                        "the whole source tree")
+    p.add_argument("--app", metavar="NAME",
+                   help="verify one builtin app's pipeline")
+    p.add_argument("--json", action="store_true",
+                   help="print the JSON report")
+    p.add_argument("--out", metavar="PATH",
+                   help="also write the JSON report here")
+    p.add_argument("--strict", action="store_true",
+                   help="fail on warnings too, not just errors")
+    p.add_argument("--rule", metavar="ID[,ID]", dest="rules",
+                   help="report only these rule ids (plus QA001/QA002 "
+                        "suppression hygiene)")
+    p.add_argument("--baseline", metavar="PATH", nargs="?",
+                   const=default_baseline_path(),
+                   help="fail only on per-rule count regressions vs this "
+                        "baseline (default: verify_baseline.json)")
+    p.add_argument("--write-baseline", metavar="PATH", nargs="?",
+                   const=default_baseline_path(), dest="write_baseline",
+                   help="snapshot current per-rule counts (default: "
+                        "verify_baseline.json)")
+    p.add_argument("--plan", action="store_true", dest="show_plans",
+                   help="render the per-app shard plans the partition pass "
+                        "computed")
+    p.add_argument("--emit-plans", metavar="DIR", dest="emit_plans",
+                   help="write canonical shard_plan JSON for every analyzed "
+                        "app into DIR")

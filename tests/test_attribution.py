@@ -11,20 +11,19 @@ from repro.analysis.attribution import (
 from repro.chaos import run_campaign
 from repro.telemetry.metrics import Histogram
 from repro.telemetry.trace import read_jsonl
-from repro.tools.runner import demo_run
+from repro.tools.demo import quickstart_run
 
 
 @pytest.fixture(scope="module")
-def quickstart(tmp_path_factory):
-    path = str(tmp_path_factory.mktemp("attr") / "trace.jsonl")
-    sim = demo_run(seed=7, packets=10, trace_path=path)
-    return sim, read_jsonl(path)
+def quickstart():
+    return quickstart_run(seed=7, packets=10)
 
 
 def test_components_sum_to_measured_rtt(quickstart):
     _sim, records = quickstart
     breakdowns = attribute_acks(records)
-    assert breakdowns, "quickstart produced no acknowledged requests"
+    # 20 writes plus the two lease grants (initial and migration).
+    assert len(breakdowns) == 22
     assert verify_sums(breakdowns, tolerance_us=1.0) is None
 
 

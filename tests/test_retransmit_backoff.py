@@ -16,10 +16,11 @@ from repro.chaos.campaigns import CAMPAIGNS
 from repro.chaos.runner import run_campaign_result
 from repro.core.engine import RedPlaneConfig
 from repro.net import constants
+from repro.net.simulator import Simulator
+from repro.shard.scenarios import get_scenario
 from repro.telemetry import schema, trace
 from repro.telemetry.metrics import Histogram
 from repro.telemetry.trace import read_jsonl
-from repro.tools.runner import demo_run
 
 _CONFIG = RedPlaneConfig()
 
@@ -111,7 +112,8 @@ def test_resends_histogram_counts_acknowledged_requests(partitioned):
 
 
 def test_resends_histogram_quiet_without_faults():
-    sim = demo_run(seed=7, packets=10, fail_owner=False)
+    sim = Simulator(seed=5)
+    get_scenario("nat_steady").fn(sim, lambda until: sim.run(until=until))
     count = 0
     for inst in sim.metrics.instruments("redplane.resends_per_request"):
         assert isinstance(inst, Histogram)

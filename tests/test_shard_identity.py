@@ -25,6 +25,27 @@ def test_two_shard_run_is_byte_identical(scenario):
     _assert_identical(run_identity(scenario, workers=2))
 
 
+@pytest.mark.parametrize("mode", ["inline", "process"])
+@pytest.mark.parametrize("scenario", ["quickstart", "nat_quickstart"])
+def test_quickstarts_span_failover_and_lease_migration(scenario, mode):
+    """The second burst waits at the store until the dead owner's lease
+    expires and is served after the migration grant — on both sides of
+    the gate, so the diff compares a migration, not only a failover."""
+    out = run_identity(scenario, workers=2, mode=mode)
+    _assert_identical(out)
+    grants = [r for r in out["merged"]["records"] if r.type == "lease.grant"]
+    assert [r.fields["migrated"] for r in grants] == [False, True]
+    for side in (out["reference"], out["merged"]):
+        counters = side["metrics"]["counters"]
+        assert counters["store.leases_granted{node=st1}"] == 2
+        assert counters["store.requests_buffered{node=st1}"] == 10
+        if scenario == "nat_quickstart":
+            assert side["extra"]["translated"] == 20
+        else:
+            assert sum(v for k, v in counters.items() if k.startswith(
+                "redplane.piggybacks_released")) == 20
+
+
 def test_two_shard_nat_steady_splits_flows_and_stays_identical():
     """nat_steady is the only-real-multi-shard case in the gate: its 12
     flows hash onto both workers, so the merge actually interleaves."""

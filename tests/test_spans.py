@@ -15,8 +15,8 @@ from repro.telemetry.perfetto import (
     validate_chrome_trace,
 )
 from repro.telemetry.spans import SpanBuilder
-from repro.telemetry.trace import TraceRecord, read_jsonl
-from repro.tools.runner import demo_run
+from repro.telemetry.trace import TraceRecord
+from repro.tools.demo import quickstart_run
 
 
 # -- uid threading on the wire -------------------------------------------------
@@ -90,10 +90,9 @@ def test_verify_flags_unterminated_and_orphaned():
     assert report.orphaned == [2]
 
 
-def test_quickstart_spans_complete(tmp_path):
-    path = str(tmp_path / "trace.jsonl")
-    demo_run(seed=7, packets=10, trace_path=path)
-    builder = SpanBuilder.from_jsonl(path)
+def test_quickstart_spans_complete():
+    _sim, records = quickstart_run(seed=7, packets=10)
+    builder = SpanBuilder(records)
     report = builder.verify()
     assert report.ok, report.summary()
     assert report.spans > 0
@@ -126,10 +125,9 @@ def test_span_stream_byte_identical_across_same_seed_runs(campaign, tmp_path):
 # -- causal flow closure -------------------------------------------------------
 
 
-def test_flow_closure_reaches_protocol_spans(tmp_path):
-    path = str(tmp_path / "trace.jsonl")
-    demo_run(seed=7, packets=10, trace_path=path)
-    builder = SpanBuilder.from_jsonl(path)
+def test_flow_closure_reaches_protocol_spans():
+    _sim, records = quickstart_run(seed=7, packets=10)
+    builder = SpanBuilder(records)
     app_flow = builder.flows()[0]
     closure = builder.flow_spans(app_flow)
     kinds = {span.kind for span in closure}
@@ -143,12 +141,9 @@ def test_flow_closure_reaches_protocol_spans(tmp_path):
 # -- Perfetto export -----------------------------------------------------------
 
 
-def test_chrome_trace_validates_and_is_deterministic(tmp_path):
-    paths = [str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")]
-    docs = []
-    for path in paths:
-        demo_run(seed=7, packets=10, trace_path=path)
-        docs.append(export_chrome_trace(read_jsonl(path)))
+def test_chrome_trace_validates_and_is_deterministic():
+    docs = [export_chrome_trace(quickstart_run(seed=7, packets=10)[1])
+            for _ in range(2)]
     counts = validate_chrome_trace(docs[0])
     assert counts["X"] > 0 and counts["i"] > 0 and counts["M"] > 0
     assert dump_chrome_trace(docs[0]) == dump_chrome_trace(docs[1])

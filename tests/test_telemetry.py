@@ -19,6 +19,7 @@ from repro.telemetry import (
     read_jsonl,
 )
 from repro.telemetry import trace as tt
+from repro.telemetry.metrics import render_snapshot
 
 
 # -- registry ----------------------------------------------------------------
@@ -181,7 +182,7 @@ def test_snapshot_sections_and_describe():
     assert snap["counters"] == {"a.total{switch=s1}": 1.0}
     assert snap["gauges"] == {"b.level": 2.0}
     assert snap["histograms"]["c.dist"]["count"] == 1.0
-    rendered = reg.render()
+    rendered = render_snapshot(snap)
     assert "a.total{switch=s1}" in rendered
 
 

@@ -120,3 +120,79 @@ def test_documented_commands_parse():
                     assert flag in known, \
                         f"{where}: {command} has no flag {flag!r}"
     assert seen > 60
+
+
+# -- one declaration per command ----------------------------------------------
+
+
+def _leaves(parser, path=()):
+    """``(command path, parser)`` for every subparser without children."""
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from _leaves(child, path + (name,))
+
+
+def test_every_command_is_declared_by_the_module_the_table_names():
+    import ast
+
+    from repro.tools import runner
+
+    leaves = dict(_leaves(runner.build_parser()))
+    assert len(leaves) == 18
+    assert {path[0] for path in leaves} == set(runner.OWNERS)
+    for path, leaf in leaves.items():
+        handler = leaf.get_default("run")
+        assert handler is not None, f"{' '.join(path)} has no handler"
+        assert handler.__module__ == runner.OWNERS[path[0]], path
+    # The runner itself declares its own three commands and nothing else.
+    calls = [node for node in ast.walk(ast.parse(open(runner.__file__).read()))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)]
+    declared = {call.args[0].value for call in calls
+                if call.func.attr == "add_parser"}
+    assert declared == {"list", "run", "bench"}
+    assert sum(call.func.attr == "add_argument" for call in calls) <= 3
+
+
+@pytest.mark.parametrize("argv, loaded, absent", [
+    (["list"], [],
+     ["repro.verify", "repro.chaos", "repro.shard", "repro.fastpath"]),
+    (["shard", "plan", "nat"], ["repro.shard.cli"], ["repro.chaos"]),
+], ids=["list", "shard_plan"])
+def test_a_command_imports_only_its_owner(argv, loaded, absent):
+    """Checked on a cold interpreter: tier-1's ``sys.modules`` is warm."""
+    import subprocess
+    import sys
+
+    code = ("import sys; from repro.tools import main; "
+            f"rc = main({argv!r}); "
+            f"assert all(m in sys.modules for m in {loaded!r}); "
+            f"bad = [m for m in {absent!r} if m in sys.modules]; "
+            "assert not bad, bad; raise SystemExit(rc)")
+    env = dict(os.environ, PYTHONPATH=os.path.join(_REPO, "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=_REPO,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("argv, known", [
+    (["chaos", "nope"], "gray_link"),
+    (["shard", "run", "nope"], "nat_quickstart"),
+    (["shard", "diff", "nope"], "nat_quickstart"),
+    (["run", "fig99"], "fig14"),
+    (["bench", "fig99"], "fig14"),
+], ids=["chaos", "shard_run", "shard_diff", "run", "bench"])
+def test_unknown_name_is_a_message_and_exit_2(argv, known, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's own rejection (choices=)
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert argv[-1] in err and known in err
+    # One line from a handler; argparse adds its usage line.
+    assert "Traceback" not in err and len(err.splitlines()) <= 2
