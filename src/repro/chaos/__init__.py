@@ -3,10 +3,11 @@ always-on invariant auditing and linearizability checking.
 
 Gray failures (corruption, duplication, jitter, asymmetric partitions,
 degraded bandwidth), store crashes with mid-propagation chain repair,
-and lease-expiry races — composed into named campaigns whose verdict
-reports are byte-identical across same-seed runs, plus a seeded
-fault-schedule fuzzer (:mod:`repro.chaos.fuzz`) that generates
-randomized schedules, shrinks every violation to a minimal reproducer
+and lease-expiry races — written as data (one :class:`Campaign` type:
+run parameters plus a fault tuple) whose verdict reports are
+byte-identical across same-seed runs, plus a seeded fault-schedule
+fuzzer (:mod:`repro.chaos.fuzz`) that generates campaigns of the same
+type, shrinks every violation to a minimal reproducer
 (:mod:`repro.chaos.shrink`), and pools a per-fault-class resilience
 scorecard (:mod:`repro.chaos.scorecard`).
 
@@ -17,7 +18,6 @@ Run from the CLI: ``python -m repro.tools chaos <campaign>`` or
 
 from repro.chaos.campaigns import CAMPAIGNS, Campaign
 from repro.chaos.fuzz import (
-    ScheduleSpec,
     generate_spec,
     mutation_self_check,
     replay_regression,
@@ -42,7 +42,6 @@ __all__ = [
     "EchoCounterApp",
     "RunResult",
     "Scorecard",
-    "ScheduleSpec",
     "ShrinkResult",
     "generate_spec",
     "mutation_self_check",

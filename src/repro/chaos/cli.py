@@ -117,13 +117,13 @@ def run_fuzz_self_check(args: argparse.Namespace) -> int:
 
 def run_fuzz_shrink(args: argparse.Namespace) -> int:
     """``fuzz shrink``: re-shrink a saved regression file."""
-    from repro.chaos.fuzz import ScheduleSpec
+    from repro.chaos.campaigns import Campaign
     from repro.chaos.shrink import shrink_spec
     from repro.model.witness import ViolationWitness
 
     with open(args.file, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    spec = ScheduleSpec.from_dict(payload["spec"])
+    spec = Campaign.from_dict(payload["spec"])
     witness = ViolationWitness.from_dict(payload["witness"])
     bug = payload.get("fuzzer", {}).get("mutation")
     shrunk = shrink_spec(spec, witness, bug=bug, budget=args.budget)

@@ -1,19 +1,14 @@
 """Randomized fault-schedule fuzzing.
 
-The hand-written campaigns of :mod:`repro.chaos.campaigns` sample a few
-points of the reachable fault space; the fuzzer *generates* points. A
-fuzz run is seeded and fully deterministic: schedule ``(seed, index)``
-is always the same :class:`ScheduleSpec` — same topology shape, same
-workload pacing, same fault tuple, same simulator seed — so any
-violation it finds is replayable from two integers.
+The named campaigns of :mod:`repro.chaos.campaigns` sample a few points
+of the reachable fault space; the fuzzer *generates* points. A fuzz run
+is seeded and fully deterministic: schedule ``(seed, index)`` is always
+the same :class:`~repro.chaos.campaigns.Campaign` — same topology
+shape, same workload pacing, same fault tuple, same simulator seed — so
+any violation it finds is replayable from two integers.
 
 Layers:
 
-* :class:`ScheduleSpec` — a frozen, JSON-round-trippable description of
-  one generated campaign (run parameters + a tuple of
-  :class:`~repro.workloads.failures.FaultSpec`). ``to_campaign()`` turns
-  it into a regular :class:`~repro.chaos.campaigns.Campaign`, so the
-  whole chaos runner/verdict machinery is reused unchanged.
 * :func:`generate_spec` — the schedule generator. It draws fault groups
   from a weighted menu of composable patterns (switch failover, link
   flaps, gray links, duplicate+jitter storms on the store path,
@@ -22,10 +17,11 @@ Layers:
   before the drain, every fail has a matching recovery, crash faults
   only target WAL-backed stores, and impairment knobs stay inside the
   protocol's operating envelope (see docs/FAULTS.md).
-* :func:`run_spec` / :func:`run_fuzz` — execute one spec or a budgeted
-  sweep under the always-on auditors, optionally with a seeded bug from
-  :mod:`repro.mutation` enabled, shrinking every violation to a minimal
-  reproducer and pooling a per-fault-class resilience scorecard.
+* :func:`run_spec` / :func:`run_fuzz` — execute one campaign under its
+  own ``sim_seed`` or a budgeted sweep under the always-on auditors,
+  optionally with a seeded bug from :mod:`repro.mutation` enabled,
+  shrinking every violation to a minimal reproducer and pooling a
+  per-fault-class resilience scorecard.
 * :func:`mutation_self_check` — the fuzzer fuzzing itself: with a
   seeded bug enabled it must find a violation and shrink it within a
   bounded budget; with the bug disabled the same schedules must all
@@ -35,27 +31,23 @@ Layers:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from contextlib import nullcontext
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import mutation
-from repro.chaos.campaigns import Campaign
+from repro.chaos.campaigns import (
+    FABRIC_LINKS,
+    STORE_LINK,
+    STORE_NODE,
+    Campaign,
+)
 from repro.chaos.runner import RunResult, run_campaign_result, verdict_json
 from repro.model.witness import ViolationWitness
-from repro.workloads.failures import FailureSchedule, FaultSpec, apply_specs
+from repro.workloads.failures import FaultSpec
 
 #: Deployment shapes the generator draws from (num_shards, chain_length);
 #: the testbed has three physical store nodes.
 SHAPES: Tuple[Tuple[int, int], ...] = ((1, 3), (1, 3), (1, 2), (1, 1), (2, 1))
-
-#: ``topology.links`` indices of the fabric links (core-agg, agg-tor,
-#: core-core) that carry rerouteable traffic.
-FABRIC_LINKS: Tuple[int, ...] = (0, 1, 2, 3, 4, 5, 6, 7, 8)
-
-#: Store chain position -> (access-link index, node name). Only indices
-#: below ``num_shards * chain_length`` are active in a deployment.
-STORE_LINK: Dict[int, int] = {0: 11, 1: 14, 2: 19}
-STORE_NODE: Dict[int, str] = {0: "st1", 1: "st2", 2: "st3"}
 
 #: Faults never start before this (let the first lease settle) ...
 EARLIEST_FAULT_US = 50_000.0
@@ -66,80 +58,6 @@ SETTLE_BEFORE_END_US = 300_000.0
 #: All generated times snap to this grid (keeps shrinking's time search
 #: finite and reproducer files readable).
 TIME_GRID_US = 1_000.0
-
-
-@dataclass(frozen=True)
-class ScheduleSpec:
-    """One generated campaign: run parameters plus the fault tuple."""
-
-    name: str
-    sim_seed: int
-    duration_us: float
-    packets: int
-    gap_us: float
-    lease_period_us: float
-    detect_delay_us: float
-    coordinator: bool
-    store_backend: str
-    num_shards: int
-    chain_length: int
-    faults: Tuple[FaultSpec, ...]
-
-    def to_campaign(self) -> Campaign:
-        faults = self.faults
-
-        def build(schedule: FailureSchedule) -> None:
-            apply_specs(schedule, faults)
-
-        return Campaign(
-            name=self.name,
-            description="fuzz-generated schedule",
-            duration_us=self.duration_us,
-            packets=self.packets,
-            gap_us=self.gap_us,
-            lease_period_us=self.lease_period_us,
-            build=build,
-            coordinator=self.coordinator,
-            detect_delay_us=self.detect_delay_us,
-            store_backend=self.store_backend,
-            num_shards=self.num_shards,
-            chain_length=self.chain_length,
-        )
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "sim_seed": self.sim_seed,
-            "duration_us": self.duration_us,
-            "packets": self.packets,
-            "gap_us": self.gap_us,
-            "lease_period_us": self.lease_period_us,
-            "detect_delay_us": self.detect_delay_us,
-            "coordinator": self.coordinator,
-            "store_backend": self.store_backend,
-            "num_shards": self.num_shards,
-            "chain_length": self.chain_length,
-            "faults": [f.to_dict() for f in sorted(
-                self.faults, key=FaultSpec.sort_key)],
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, object]) -> "ScheduleSpec":
-        return cls(
-            name=str(d["name"]),
-            sim_seed=int(d["sim_seed"]),  # type: ignore[arg-type]
-            duration_us=float(d["duration_us"]),  # type: ignore[arg-type]
-            packets=int(d["packets"]),  # type: ignore[arg-type]
-            gap_us=float(d["gap_us"]),  # type: ignore[arg-type]
-            lease_period_us=float(d["lease_period_us"]),  # type: ignore[arg-type]
-            detect_delay_us=float(d["detect_delay_us"]),  # type: ignore[arg-type]
-            coordinator=bool(d["coordinator"]),
-            store_backend=str(d["store_backend"]),
-            num_shards=int(d["num_shards"]),  # type: ignore[arg-type]
-            chain_length=int(d["chain_length"]),  # type: ignore[arg-type]
-            faults=tuple(FaultSpec.from_dict(f)  # type: ignore[arg-type]
-                         for f in d["faults"]),  # type: ignore[union-attr]
-        )
 
 
 # -- schedule generation -------------------------------------------------------
@@ -296,7 +214,7 @@ _MENU: Tuple[Tuple[int, bool, Callable], ...] = (
 )
 
 
-def generate_spec(fuzz_seed: int, index: int) -> ScheduleSpec:
+def generate_spec(fuzz_seed: int, index: int) -> Campaign:
     """Deterministically generate schedule ``index`` of seed ``fuzz_seed``.
 
     The derived RNG is seeded from a string, which Python hashes with
@@ -340,45 +258,41 @@ def generate_spec(fuzz_seed: int, index: int) -> ScheduleSpec:
                 hard_store_fault_used = True
         faults.extend(gen(rng, ctx))
 
-    return ScheduleSpec(
+    return Campaign(
         name=f"fuzz-s{fuzz_seed}-i{index}",
         sim_seed=rng.randint(0, 2**31 - 1),
         duration_us=duration_us,
         packets=packets,
         gap_us=gap_us,
         lease_period_us=lease_period_us,
-        detect_delay_us=50_000.0,
         coordinator=coordinator,
         store_backend=store_backend,
         num_shards=num_shards,
         chain_length=chain_length,
-        faults=tuple(sorted(faults, key=FaultSpec.sort_key)),
+        faults=tuple(faults),
     )
 
 
 # -- execution -----------------------------------------------------------------
 
 
-def run_spec(spec: ScheduleSpec,
+def run_spec(spec: Campaign,
              bug: Optional[str] = None,
              trace_path: Optional[str] = None,
              observe=None) -> RunResult:
-    """Run one spec (optionally with a seeded bug from :mod:`repro.mutation`
-    enabled for the run's duration) and return the full result.
+    """Run one campaign under its own ``sim_seed`` (optionally with a
+    seeded bug from :mod:`repro.mutation` enabled for the run's duration)
+    and return the full result.
 
     ``observe`` takes a :class:`repro.observe.ObserveOptions`; the fuzz
     loop uses it to arm the health detectors so the scorecard can pool
     ``health.*`` detections per fault class."""
-    campaign = spec.to_campaign()
-    if bug is None:
-        return run_campaign_result(campaign, seed=spec.sim_seed,
-                                   trace_path=trace_path, observe=observe)
-    with mutation.seeded_bug(bug):
-        return run_campaign_result(campaign, seed=spec.sim_seed,
+    with mutation.seeded_bug(bug) if bug is not None else nullcontext():
+        return run_campaign_result(spec, seed=spec.sim_seed,
                                    trace_path=trace_path, observe=observe)
 
 
-def spec_witness(spec: ScheduleSpec,
+def spec_witness(spec: Campaign,
                  bug: Optional[str] = None) -> ViolationWitness:
     """Run a spec and distill its witness (empty witness == PASS)."""
     return ViolationWitness.from_report(run_spec(spec, bug=bug).report)
@@ -490,7 +404,7 @@ def replay_regression(payload: Dict[str, object]) -> Dict[str, object]:
     if payload.get("kind") != "chaos-fuzz-regression":
         raise ValueError(
             f"not a chaos-fuzz regression file (kind={payload.get('kind')!r})")
-    spec = ScheduleSpec.from_dict(payload["spec"])  # type: ignore[arg-type]
+    spec = Campaign.from_dict(payload["spec"])  # type: ignore[arg-type]
     recorded = ViolationWitness.from_dict(payload["witness"])  # type: ignore[arg-type]
     bug = payload["fuzzer"].get("mutation")  # type: ignore[union-attr]
     result = run_spec(spec, bug=bug)

@@ -35,7 +35,7 @@ from repro.observe import ObserveOptions
 from repro.statestore.failover import StoreFailoverCoordinator
 from repro.statestore.wal import WALBackend
 from repro.telemetry.metrics import percentile
-from repro.workloads.failures import FailureSchedule
+from repro.workloads.failures import FailureSchedule, apply_specs, is_clear
 
 #: Extra simulated time after the main phase for retransmissions,
 #: buffered packets, and chain traffic to drain.
@@ -43,12 +43,6 @@ DRAIN_US = 500_000.0
 
 #: Heartbeat period of a campaign's store failover coordinator.
 COORDINATOR_HEARTBEAT_US = 50_000.0
-
-#: Fault kinds that end a fault (ignored when measuring recovery).
-_CLEAR_KINDS = frozenset(
-    {"recover_node", "recover_link", "clear_link", "restore_store",
-     "restart_store"}
-)
 
 
 @dataclass
@@ -171,8 +165,7 @@ def _run_deployed(campaign, seed, sim, trace_path, fastpath,
 
     schedule = FailureSchedule(dep, detect_delay_us=campaign.detect_delay_us,
                                duration_us=campaign.duration_us)
-    if campaign.build is not None:
-        campaign.build(schedule)
+    apply_specs(schedule, campaign.faults)
     schedule.validate()
 
     bundle = None
@@ -209,22 +202,24 @@ def _run_deployed(campaign, seed, sim, trace_path, fastpath,
                      monitor=monitor, metrics=sim.metrics, observe=bundle)
 
 
-def _recovery_latencies(schedule: FailureSchedule,
-                        deliveries: List[float]) -> Dict[str, object]:
-    """Time from each fault injection to the next successful delivery."""
-    latencies: List[float] = []
-    unrecovered = 0
-    for fault in schedule.log:
-        if fault.kind in _CLEAR_KINDS:
-            continue
-        after = [t for t in deliveries if t > fault.time_us]
-        if after:
-            latencies.append(after[0] - fault.time_us)
-        else:
-            unrecovered += 1
+def recovery_latency_us(fault_time_us: float,
+                        deliveries: List[float]) -> Optional[float]:
+    """Time from a fault's injection to the next successful end-to-end
+    delivery (``deliveries`` ascending); ``None`` if none followed. The
+    verdict report and the fuzz scorecard both measure recovery here."""
+    return next((t - fault_time_us for t in deliveries
+                 if t > fault_time_us), None)
+
+
+def _recovery_summary(schedule: FailureSchedule,
+                      deliveries: List[float]) -> Dict[str, object]:
+    """Recovery latency over every injected fault (clears are not one)."""
+    measured = [recovery_latency_us(fault.time_us, deliveries)
+                for fault in schedule.log if not is_clear(fault.spec_kind)]
+    latencies = [latency for latency in measured if latency is not None]
     summary: Dict[str, object] = {
         "events": len(latencies),
-        "unrecovered": unrecovered,
+        "unrecovered": len(measured) - len(latencies),
     }
     if latencies:
         summary.update(
@@ -310,7 +305,7 @@ def _build_report(
         },
         "linearizable": linearizable,
         "linearizability_search_exhausted": lin_exhausted,
-        "recovery_latency_us": _recovery_latencies(
+        "recovery_latency_us": _recovery_summary(
             schedule, workload.delivery_times()),
         "counters": counters,
         "trace": {

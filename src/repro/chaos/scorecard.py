@@ -12,10 +12,9 @@ Per class it tracks:
 * how many schedules contained the class, how many individual faults
   of it ran, and how many of those schedules ended in a violation;
 * the pooled recovery-latency distribution (time from each fault's
-  injection to the next successful end-to-end delivery — the same
-  measurement the chaos verdict reports make, but attributable per
-  class because spec application order maps 1:1 onto the injected
-  fault log);
+  injection to the next successful end-to-end delivery —
+  :func:`repro.chaos.runner.recovery_latency_us`, the verdict report's
+  measurement, here attributed per class);
 * resend storms (the worst and pooled switch-side retransmission count
   over the runs containing the class) and records lost (inputs the
   workload sent that never produced a delivery — permitted under §4.2,
@@ -27,15 +26,13 @@ produces a byte-identical scorecard.
 
 from __future__ import annotations
 
-from typing import Dict, List, TYPE_CHECKING
+from typing import Dict, List
 
+from repro.chaos.campaigns import Campaign
+from repro.chaos.runner import RunResult, recovery_latency_us
 from repro.model.witness import ViolationWitness
 from repro.telemetry.metrics import percentile
-from repro.workloads.failures import SPEC_CLEAR_MATCHES, FaultSpec
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.chaos.fuzz import ScheduleSpec
-    from repro.chaos.runner import RunResult
+from repro.workloads.failures import is_clear
 
 
 class _ClassStats:
@@ -65,14 +62,14 @@ class Scorecard:
         #: that carried a :class:`repro.observe.HealthMonitor`).
         self.health_detections: Dict[str, int] = {}
 
-    def add(self, spec: "ScheduleSpec", result: "RunResult",
+    def add(self, spec: Campaign, result: RunResult,
             witness: ViolationWitness) -> None:
         """Fold one finished run into the scorecard."""
         self.schedules_run += 1
         if witness:
             self.schedules_violated += 1
 
-        deliveries = sorted(result.workload.delivery_times())
+        deliveries = result.workload.delivery_times()
         resends = int(result.metrics.total("redplane.retransmissions"))
         lost = spec.packets - result.workload.delivered
         health_counts: Dict[str, int] = {}
@@ -85,14 +82,14 @@ class Scorecard:
                     + health_counts[name])
 
         seen_classes = set()
-        for fault in sorted(spec.faults, key=FaultSpec.sort_key):
-            if fault.kind in SPEC_CLEAR_MATCHES:
+        for fault in spec.faults:
+            if is_clear(fault.kind):
                 continue  # clears end a fault; they are not one
             stats = self._classes.setdefault(fault.kind, _ClassStats())
             stats.faults += 1
-            after = [t for t in deliveries if t > fault.time_us]
-            if after:
-                stats.latencies.append(after[0] - fault.time_us)
+            latency = recovery_latency_us(fault.time_us, deliveries)
+            if latency is not None:
+                stats.latencies.append(latency)
             else:
                 stats.unrecovered += 1
             if fault.kind not in seen_classes:

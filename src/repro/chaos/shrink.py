@@ -28,9 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
-from repro.chaos.fuzz import ScheduleSpec, run_spec
+from repro.chaos.campaigns import Campaign
+from repro.chaos.fuzz import run_spec
 from repro.model.witness import ViolationWitness
-from repro.workloads.failures import SPEC_CLEAR_MATCHES, FaultSpec
+from repro.workloads.failures import FaultSpec, pair_clears
 
 #: Candidate durations (ascending) the duration-tightening pass tries.
 DURATION_MENU_US: Tuple[float, ...] = (800_000.0, 1_000_000.0, 1_200_000.0)
@@ -45,7 +46,7 @@ _DURATION_MARGIN_US = 200_000.0
 
 @dataclass
 class ShrinkResult:
-    spec: ScheduleSpec
+    spec: Campaign
     witness: ViolationWitness
     runs_used: int
     original_faults: int
@@ -61,33 +62,13 @@ def _units(faults: Sequence[FaultSpec]) -> List[Tuple[FaultSpec, ...]]:
     simply keeps its partner).
     """
     ordered = sorted(faults, key=FaultSpec.sort_key)
-    units: List[List[FaultSpec]] = []
-    # Open units eligible to absorb a clear: (kind, target_key, unit).
-    open_units: List[Tuple[str, Tuple[str, object], List[FaultSpec]]] = []
-    for fault in ordered:
-        matches = SPEC_CLEAR_MATCHES.get(fault.kind)
-        if matches is not None:
-            for i in range(len(open_units) - 1, -1, -1):
-                kind, key, unit = open_units[i]
-                if kind in matches and key == fault.target_key():
-                    unit.append(fault)
-                    del open_units[i]
-                    break
-            else:
-                unit = [fault]
-                units.append(unit)
-            continue
-        unit = [fault]
-        units.append(unit)
-        open_units.append((fault.kind, fault.target_key(), unit))
-    return [tuple(u) for u in units]
+    return [tuple(unit) for unit in
+            pair_clears(ordered, lambda f: (f.kind, f.target))]
 
 
-def _with_faults(spec: ScheduleSpec,
-                 units: Sequence[Tuple[FaultSpec, ...]]) -> ScheduleSpec:
-    faults = tuple(sorted((f for unit in units for f in unit),
-                          key=FaultSpec.sort_key))
-    return replace(spec, faults=faults)
+def _with_faults(spec: Campaign,
+                 units: Sequence[Tuple[FaultSpec, ...]]) -> Campaign:
+    return replace(spec, faults=tuple(f for unit in units for f in unit))
 
 
 class _Oracle:
@@ -104,13 +85,9 @@ class _Oracle:
     def exhausted(self) -> bool:
         return self.runs_used >= self.budget
 
-    def reproduces(self, spec: ScheduleSpec) -> Optional[ViolationWitness]:
+    def reproduces(self, spec: Campaign) -> Optional[ViolationWitness]:
         """The spec's witness if it covers the original, else None."""
-        key = (
-            tuple(tuple(sorted(f.to_dict().items()))
-                  for f in sorted(spec.faults, key=FaultSpec.sort_key)),
-            spec.duration_us,
-        )
+        key = (spec.faults, spec.duration_us)
         if key in self._seen:
             return self._seen[key]
         if self.exhausted():
@@ -129,7 +106,7 @@ class _Oracle:
         return verdict
 
 
-def _ddmin(units: List[Tuple[FaultSpec, ...]], spec: ScheduleSpec,
+def _ddmin(units: List[Tuple[FaultSpec, ...]], spec: Campaign,
            oracle: _Oracle) -> Tuple[List[Tuple[FaultSpec, ...]],
                                      ViolationWitness]:
     """Classic ddmin over fault units; returns (minimal units, witness)."""
@@ -156,12 +133,12 @@ def _ddmin(units: List[Tuple[FaultSpec, ...]], spec: ScheduleSpec,
     return units, witness
 
 
-def _tighten_times(spec: ScheduleSpec, witness: ViolationWitness,
-                   oracle: _Oracle) -> Tuple[ScheduleSpec,
+def _tighten_times(spec: Campaign, witness: ViolationWitness,
+                   oracle: _Oracle) -> Tuple[Campaign,
                                              ViolationWitness]:
     """Snap each fault time to the coarsest grid that still reproduces."""
     for grid in SNAP_GRIDS_US:
-        faults = list(sorted(spec.faults, key=FaultSpec.sort_key))
+        faults = list(spec.faults)
         for i, fault in enumerate(faults):
             if oracle.exhausted():
                 return spec, witness
@@ -170,17 +147,16 @@ def _tighten_times(spec: ScheduleSpec, witness: ViolationWitness,
                 continue
             candidate_faults = list(faults)
             candidate_faults[i] = replace(fault, time_us=snapped)
-            candidate = replace(spec, faults=tuple(
-                sorted(candidate_faults, key=FaultSpec.sort_key)))
+            candidate = replace(spec, faults=tuple(candidate_faults))
             got = oracle.reproduces(candidate)
             if got is not None:
                 spec, witness = candidate, got
-                faults = list(sorted(spec.faults, key=FaultSpec.sort_key))
+                faults = list(spec.faults)
     return spec, witness
 
 
-def _tighten_duration(spec: ScheduleSpec, witness: ViolationWitness,
-                      oracle: _Oracle) -> Tuple[ScheduleSpec,
+def _tighten_duration(spec: Campaign, witness: ViolationWitness,
+                      oracle: _Oracle) -> Tuple[Campaign,
                                                 ViolationWitness]:
     latest = max((f.time_us for f in spec.faults), default=0.0)
     for duration in DURATION_MENU_US:
@@ -196,7 +172,7 @@ def _tighten_duration(spec: ScheduleSpec, witness: ViolationWitness,
 
 
 def shrink_spec(
-    spec: ScheduleSpec,
+    spec: Campaign,
     witness: ViolationWitness,
     bug: Optional[str] = None,
     budget: int = 80,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import zip_longest
 from typing import Dict, List, Optional, Tuple
 
 from repro.shard.assign import extractable
@@ -69,6 +70,26 @@ def load_plan(app: str, root: Optional[str] = None) -> Dict[str, object]:
     return plan
 
 
+_ABSENT = "<absent>"
+
+
+def _first_difference(live: object, committed: object, path: str = "$") -> str:
+    """The first JSON path (keys sorted, lists by index) at which two
+    plans differ, with both values."""
+    pairs: List[Tuple[str, object, object]] = []
+    if isinstance(live, dict) and isinstance(committed, dict):
+        pairs = [(f"{path}.{key}", live.get(key, _ABSENT),
+                  committed.get(key, _ABSENT))
+                 for key in sorted(set(live) | set(committed))]
+    elif isinstance(live, list) and isinstance(committed, list):
+        pairs = [(f"{path}[{i}]", a, b) for i, (a, b) in enumerate(
+            zip_longest(live, committed, fillvalue=_ABSENT))]
+    for step, a, b in pairs:
+        if a != b:
+            return _first_difference(a, b, step)
+    return f"{path}: live code has {live!r}, committed plan has {committed!r}"
+
+
 def check_conformance(app: str, root: Optional[str] = None) -> Dict[str, object]:
     """Launch-time RS408: recompute the plan and byte-compare.
 
@@ -96,10 +117,13 @@ def check_conformance(app: str, root: Optional[str] = None) -> Dict[str, object]
         root=root or repo_root(),
     )
     if plan_json(fresh) != plan_json(committed):
+        where = _first_difference(json.loads(plan_json(fresh)),
+                                  json.loads(plan_json(committed)))
         raise PlanDriftError(
             f"committed shard plan for app {app!r} has drifted from the "
-            "live code (RS408); refusing to shard. Regenerate with "
-            "'verify --all --emit-plans shard_plans' and review the diff."
+            f"live code (RS408) at {where}; refusing to shard. Regenerate "
+            "with 'verify --all --emit-plans shard_plans' and review the "
+            "diff."
         )
     return committed
 

@@ -61,9 +61,6 @@ NAT_END = 150_000.0
 #: node).
 NATQS_FAIL_SWITCH = "agg2"
 
-#: Seed every chaos campaign runs under (the chaos CLI default).
-CHAOS_SEED = 42
-
 #: Million-flow campaign: Zipf exponent of the flow-popularity draw.
 MF_ZIPF_S = 1.05
 #: Lease tuning: head flows renew, tail flows expire and recycle SRAM.
@@ -351,27 +348,27 @@ def run_million_flow_scenario(
     }
 
 
-def _make_chaos_runner(campaign_name: str) -> Callable[..., Dict[str, Any]]:
+def _make_chaos_runner(campaign: Any) -> Callable[..., Dict[str, Any]]:
+    """A scenario body for any :class:`repro.chaos.campaigns.Campaign`,
+    named or generated, run under the campaign's own ``sim_seed``."""
     def run_chaos(
         sim: Any,
         pace: Callable[[float], None],
         fastpath: bool = False,
     ) -> Dict[str, Any]:
-        from repro.chaos.campaigns import CAMPAIGNS
         from repro.chaos.runner import run_campaign_result
 
-        campaign = CAMPAIGNS[campaign_name]
         # The chaos runner owns its drive loop (absolute times
         # throughout), so the whole campaign is one pace() boundary.
         result = run_campaign_result(
             campaign,
-            seed=CHAOS_SEED,
+            seed=campaign.sim_seed,
             fastpath=fastpath,
             sim_factory=lambda _seed: sim,
         )
         pace(sim.now)
         return {
-            "campaign": campaign_name,
+            "campaign": campaign.name,
             "packets": result.workload.delivered,
             "verdict": result.report.get("verdict"),
         }
@@ -402,8 +399,9 @@ def get_scenario(name: str) -> Scenario:
             )
         # EchoCounterApp subclasses SyncCounterApp, so the committed
         # sync_counter plan governs its state partition.
-        return Scenario(name, app="sync_counter", seed=CHAOS_SEED,
-                        fn=_make_chaos_runner(campaign))
+        chosen = CAMPAIGNS[campaign]
+        return Scenario(name, app="sync_counter", seed=chosen.sim_seed,
+                        fn=_make_chaos_runner(chosen))
     raise KeyError(
         f"unknown scenario {name!r}; have: quickstart, nat_quickstart, "
         "nat_steady, million_flow, chaos:<campaign>"

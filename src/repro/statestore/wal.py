@@ -11,9 +11,12 @@ Crash model: :meth:`~WALBackend.wipe` drops the in-memory dict and the
 open log handle — everything a process crash loses — while the files
 stay on disk. :meth:`~WALBackend.recover` rebuilds the record set by
 loading the snapshot and replaying the log on top, tolerating a torn
-tail (a frame cut mid-write by the crash is discarded, which is safe:
-a torn frame was never followed by a reply, so no switch saw that state
-acknowledged).
+tail (a last frame cut mid-write by the crash, or undecodable, is
+discarded and counted, which is safe: a torn frame was never followed
+by a reply, so no switch saw that state acknowledged). An undecodable
+frame with well-formed frames *after* it is not a torn tail: committed,
+acknowledged records sit behind it, and recovery refuses with a
+:class:`WALCorruptionError` rather than silently dropping them.
 
 Frames are self-delimiting (``u32`` length + body) and the body format
 is :func:`repro.statestore.codec.pack_record` — shared with the
@@ -33,22 +36,29 @@ from repro.statestore.codec import pack_record, unpack_record
 _FRAME_LEN = struct.Struct("!I")
 
 
+class WALCorruptionError(ValueError):
+    """A frame file is corrupt in the middle: an undecodable frame is
+    followed by well-formed ones, so dropping it as a torn tail would
+    discard committed records."""
+
+
 def _read_frames(path: str):
-    """Yield record bodies from a frame file, stopping at a torn tail."""
+    """Yield ``(byte offset, body)`` per frame of a frame file. A frame
+    the end of the file cuts short comes out with the bytes it has (too
+    few to decode)."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError:
         return
     offset = 0
-    while offset + _FRAME_LEN.size <= len(data):
-        (length,) = _FRAME_LEN.unpack_from(data, offset)
-        offset += _FRAME_LEN.size
-        body = data[offset : offset + length]
-        if len(body) != length:
-            return  # torn tail: the crash interrupted this append
-        offset += length
-        yield body
+    while offset < len(data):
+        start = offset
+        length = 0
+        if offset + _FRAME_LEN.size <= len(data):
+            (length,) = _FRAME_LEN.unpack_from(data, offset)
+        offset += _FRAME_LEN.size + length
+        yield start, data[start + _FRAME_LEN.size : offset]
 
 
 class WALBackend(StateStoreBackend):
@@ -67,6 +77,7 @@ class WALBackend(StateStoreBackend):
         self._c_appends = None
         self._c_snapshots = None
         self._c_replayed = None
+        self._c_torn = None
         self._g_bytes = None
 
     # -- paths / plumbing ---------------------------------------------------
@@ -88,6 +99,8 @@ class WALBackend(StateStoreBackend):
             "store.backend.wal_snapshots", node=node.name)
         self._c_replayed = m.counter(
             "store.backend.wal_replayed", node=node.name)
+        self._c_torn = m.counter(
+            "store.backend.wal_torn_tails", node=node.name)
         self._g_bytes = m.gauge("store.backend.wal_bytes", node=node.name)
 
     def _log_handle(self):
@@ -149,19 +162,36 @@ class WALBackend(StateStoreBackend):
         self._appends_since_snapshot = 0
 
     def recover(self) -> int:
-        """Rebuild the record set: snapshot first, then log replay."""
+        """Rebuild the record set: snapshot first, then log replay.
+
+        A short or undecodable *last* frame is a torn tail (dropped,
+        counted in ``store.backend.wal_torn_tails``); one with a
+        well-formed frame after it raises :class:`WALCorruptionError`.
+        """
         self._records.clear()
-        replayed = 0
+        replayed = torn = 0
         for path in (self.snapshot_path, self.log_path):
-            for body in _read_frames(path):
+            bad: Optional[int] = None
+            for offset, body in _read_frames(path):
                 try:
                     key, rec = unpack_record(body)
                 except ValueError:
-                    break  # corrupt frame: treat like a torn tail
+                    if bad is None:
+                        bad = offset
+                    continue
+                if bad is not None:
+                    raise WALCorruptionError(
+                        f"{path}: undecodable frame at byte offset {bad} "
+                        f"is followed by a well-formed frame at {offset}: "
+                        f"mid-file corruption, not a torn tail"
+                    )
                 self._records[key] = rec
                 replayed += 1
+            if bad is not None:
+                torn += 1
         if self._c_replayed is not None:
             self._c_replayed.inc(replayed)
+            self._c_torn.inc(torn)
         self._update_size_gauge()
         return len(self._records)
 

@@ -1,15 +1,17 @@
-"""Failure-scenario library.
+"""Fault primitives and the fault table.
 
-Parameterized failure schedules used by tests, benchmarks, examples, and
-the chaos engine (:mod:`repro.chaos`): the paper's single fail-stop
-(§7.3), link flapping (the Fig 7a stale-state hazard), rolling failures,
-correlated rack failures, and — beyond clean fail-stop — the gray-failure
-primitives of `repro.net.links.LinkImpairment` (corruption, duplication,
-jitter, asymmetric partition, degraded bandwidth), store crash+restart
-and degradation, and switch-side lease-expiry races.
+:class:`FailureSchedule` schedules faults on a deployment: fail-stop of
+switches, stores and links (§7.3), and — beyond clean fail-stop — the
+gray-failure primitives of `repro.net.links.LinkImpairment` (corruption,
+duplication, jitter, asymmetric partition, degraded bandwidth), store
+crash+restart and degradation, and switch-side lease-expiry races.
+:data:`FAULTS` is the one table of fault kinds, one row per primitive;
+a :class:`FaultSpec` is one row applied at one time, so a tuple of them
+is a schedule that serializes, replays and shrinks (the chaos engine,
+:mod:`repro.chaos`, writes every campaign that way).
 
-Each scenario schedules its events on a deployment and records what it
-did, so an experiment can correlate measurements with injected faults.
+A schedule records what it did, so an experiment can correlate
+measurements with injected faults.
 Every fault application and clearance is also emitted as a
 ``fault.inject`` / ``fault.clear`` trace event at the simulated time it
 fires, which is how chaos verdict reports reconstruct the timeline.
@@ -23,7 +25,7 @@ element. Two runs with the same seed inject byte-identical fault streams.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, TypeVar
 
 from repro.deploy import Deployment
 from repro.net import constants
@@ -32,29 +34,47 @@ from repro.telemetry import trace as tt
 
 
 class ScheduleError(ValueError):
-    """A fault schedule is malformed: a fault lands at/after the campaign's
-    ``duration_us`` (it would fire inside the drain window, or never), or a
-    recovery/clear has no earlier matching fault to undo."""
-
-
-#: Clearing fault kind -> the kinds it undoes. ``validate`` requires every
-#: clearing fault to be preceded (strictly earlier) by a matching fault on
-#: the same target.
-_CLEAR_MATCHES: Dict[str, Tuple[str, ...]] = {
-    "recover_node": ("fail_node",),
-    "recover_link": ("fail_link",),
-    "clear_link": ("impair_link",),
-    "restore_store": ("degrade_store",),
-    "restart_store": ("crash_store",),
-}
+    """A fault schedule is malformed: a fault names no kind of the table,
+    lacks a required parameter or targets a switch, store or link the
+    deployment does not have; it lands at/after the campaign's
+    ``duration_us`` (it would fire inside the drain window, or never); or
+    a recovery/clear has no earlier matching fault to undo."""
 
 
 @dataclass
 class InjectedFault:
     time_us: float
-    kind: str       # "fail_node" | "recover_node" | "fail_link" | ...
+    kind: str       # the table row's ``injected`` string ("fail_node", ...)
     target: str
+    spec_kind: str  # the :data:`FAULTS` kind that scheduled it
     detail: str = ""
+
+
+_F = TypeVar("_F")
+
+
+def pair_clears(ordered: Iterable[_F],
+                key: Callable[[_F], Tuple[str, object]]) -> List[List[_F]]:
+    """Group time-ordered faults into units: a fault opens a unit, and a
+    clearing fault joins the nearest earlier still-open unit of a kind it
+    ``undoes`` on the same target (one with no such unit stands alone).
+    ``key`` gives a fault's ``(FAULTS kind, target)``."""
+    units: List[List[_F]] = []
+    open_units: List[Tuple[Tuple[str, object], List[_F]]] = []
+    for fault in ordered:
+        kind, target = key(fault)
+        undoes = FAULTS[kind].undoes
+        for i in range(len(open_units) - 1, -1, -1):
+            (open_kind, open_target), unit = open_units[i]
+            if open_kind in undoes and open_target == target:
+                unit.append(fault)
+                del open_units[i]
+                break
+        else:
+            units.append([fault])
+            if not undoes:
+                open_units.append(((kind, target), units[-1]))
+    return units
 
 
 @dataclass
@@ -75,9 +95,28 @@ class FailureSchedule:
 
     # -- plumbing ----------------------------------------------------------
 
+    def _target(self, kind: str, value: object):
+        """The switch, store or link ``value`` names for a ``kind`` fault
+        (the table row's target type says which)."""
+        target = FAULTS[kind].target
+        topo = self.deployment.bed.topology
+        pool = {"switch": topo.nodes, "store": self.deployment.stores,
+                "link": topo.links}[target]
+        if isinstance(pool, dict):
+            if value in pool:
+                return pool[value]
+            valid = ", ".join(sorted(pool))
+        else:
+            if isinstance(value, int) and 0 <= value < len(pool):
+                return pool[value]
+            valid = f"0..{len(pool) - 1}"
+        raise ScheduleError(
+            f"fault {kind!r}: {TARGET_PARAM[target]}={value!r} names no "
+            f"{target} of this deployment (valid: {valid})"
+        )
+
     def _inject(self, time_us: float, kind: str, target: str,
-                fn: Callable[[], None], detail: str = "",
-                clear: bool = False) -> None:
+                fn: Callable[[], None], detail: str = "") -> None:
         """Schedule ``fn`` at ``time_us``, logging and tracing the fault."""
         if time_us < 0:
             raise ScheduleError(
@@ -91,29 +130,21 @@ class FailureSchedule:
                 f"would fire inside the drain window; move it earlier or "
                 f"extend the campaign"
             )
+        row = FAULTS[kind]
         tracer = self.deployment.sim.tracer
-        event_type = tt.FAULT_CLEAR if clear else tt.FAULT_INJECT
+        event_type = tt.FAULT_CLEAR if row.undoes else tt.FAULT_INJECT
 
         def fire() -> None:
-            tracer.emit(event_type, kind=kind, target=target, detail=detail)
+            tracer.emit(event_type, kind=row.injected, target=target,
+                        detail=detail)
             fp = self.deployment.sim.fastpath
             if fp is not None:
                 fp.bus.publish("chaos")
             fn()
 
         self.deployment.sim.schedule_at(time_us, fire)
-        self.log.append(InjectedFault(time_us, kind, target, detail))
-
-    def link(self, index: int) -> Link:
-        return self.deployment.bed.topology.links[index]
-
-    def link_between(self, name_a: str, name_b: str) -> Link:
-        """The (first) link whose endpoints are the two named nodes."""
-        for link in self.deployment.bed.topology.links:
-            ends = {link.a.node.name, link.b.node.name}
-            if ends == {name_a, name_b}:
-                return link
-        raise KeyError(f"no link between {name_a!r} and {name_b!r}")
+        self.log.append(
+            InjectedFault(time_us, row.injected, target, kind, detail))
 
     @staticmethod
     def _direction_port(link: Link, from_node: Optional[str]) -> Optional[Port]:
@@ -124,49 +155,43 @@ class FailureSchedule:
             return link.a
         if link.b.node.name == from_node:
             return link.b
-        raise KeyError(f"{from_node!r} is not an endpoint of {link.name}")
+        raise ScheduleError(
+            f"{from_node!r} is not an endpoint of {link.name}")
 
     # -- node / link fail-stop primitives ----------------------------------
+    # Parameter names are the FaultSpec param names: ``apply_specs`` calls
+    # a row's primitive as ``primitive(schedule, time_us, **params)``.
 
-    def fail_switch_at(self, time_us: float, name: str) -> None:
+    def fail_switch_at(self, time_us: float, switch: str) -> None:
         topo = self.deployment.bed.topology
-        node = topo.nodes[name]
-        self._inject(time_us, "fail_node", name,
+        node = self._target("fail_switch", switch)
+        self._inject(time_us, "fail_switch", node.name,
                      lambda: topo.fail_node(node, self.detect_delay_us))
 
-    def recover_switch_at(self, time_us: float, name: str) -> None:
+    def recover_switch_at(self, time_us: float, switch: str) -> None:
         topo = self.deployment.bed.topology
-        node = topo.nodes[name]
-        self._inject(time_us, "recover_node", name,
-                     lambda: topo.recover_node(node, self.detect_delay_us),
-                     clear=True)
+        node = self._target("recover_switch", switch)
+        self._inject(time_us, "recover_switch", node.name,
+                     lambda: topo.recover_node(node, self.detect_delay_us))
 
     def fail_store_at(self, time_us: float, index: int) -> None:
-        store = self.deployment.stores[index]
-        self._inject(time_us, "fail_node", store.name, store.fail)
+        """Fail-stop a store node. Its DRAM records survive a later
+        ``recover_store_at`` (a process pause, not a disk loss); whether
+        its chain still references it is up to the failover coordinator
+        running in the experiment."""
+        store = self._target("fail_store", index)
+        self._inject(time_us, "fail_store", store.name, store.fail)
 
     def recover_store_at(self, time_us: float, index: int) -> None:
-        store = self.deployment.stores[index]
-        self._inject(time_us, "recover_node", store.name, store.recover,
-                     clear=True)
-
-    def restart_store_at(self, time_us: float, index: int,
-                         down_for_us: float) -> None:
-        """Crash a store node and bring it back ``down_for_us`` later.
-
-        The node's DRAM records survive the restart (a process crash, not
-        a disk loss); whether its chain still references it is up to the
-        failover coordinator running in the experiment.
-        """
-        self.fail_store_at(time_us, index)
-        self.recover_store_at(time_us + down_for_us, index)
+        store = self._target("recover_store", index)
+        self._inject(time_us, "recover_store", store.name, store.recover)
 
     def crash_store_at(self, time_us: float, index: int) -> None:
         """Hard-crash a store node: the process dies AND its in-memory
         record set is lost. What comes back on restart is whatever the
         node's storage backend can rebuild — everything for a WAL
         backend, nothing for a volatile one."""
-        store = self.deployment.stores[index]
+        store = self._target("crash_store", index)
         self._inject(time_us, "crash_store", store.name, store.crash,
                      detail=f"backend={store.backend.name}")
 
@@ -174,57 +199,55 @@ class FailureSchedule:
         """Restart a crashed store node, rebuilding records through
         ``backend.recover()`` (snapshot + WAL replay for durable
         backends) before it serves requests again."""
-        store = self.deployment.stores[index]
-        self._inject(time_us, "restart_store", store.name,
+        store = self._target("recover_store_from_disk", index)
+        self._inject(time_us, "recover_store_from_disk", store.name,
                      lambda: store.restart(),
-                     detail=f"backend={store.backend.name}", clear=True)
+                     detail=f"backend={store.backend.name}")
 
-    def fail_link_at(self, time_us: float, link_index: int) -> None:
+    def fail_link_at(self, time_us: float, link: int) -> None:
         topo = self.deployment.bed.topology
-        link = self.link(link_index)
-        self._inject(time_us, "fail_link", link.name,
-                     lambda: topo.fail_link(link, self.detect_delay_us))
+        target = self._target("fail_link", link)
+        self._inject(time_us, "fail_link", target.name,
+                     lambda: topo.fail_link(target, self.detect_delay_us))
 
-    def recover_link_at(self, time_us: float, link_index: int) -> None:
+    def recover_link_at(self, time_us: float, link: int) -> None:
         topo = self.deployment.bed.topology
-        link = self.link(link_index)
-        self._inject(time_us, "recover_link", link.name,
-                     lambda: topo.recover_link(link, self.detect_delay_us),
-                     clear=True)
+        target = self._target("recover_link", link)
+        self._inject(time_us, "recover_link", target.name,
+                     lambda: topo.recover_link(target, self.detect_delay_us))
 
     # -- gray-failure primitives -------------------------------------------
 
-    def impair_link_at(self, time_us: float, link: Link,
-                       impairment: LinkImpairment,
-                       from_node: Optional[str] = None) -> None:
-        """Install a gray-failure impairment at ``time_us``.
+    def impair_link_at(self, time_us: float, link: int,
+                       from_node: Optional[str] = None,
+                       **impairment: object) -> None:
+        """Install a gray-failure impairment (the ``LinkImpairment``
+        fields given as keywords) on ``topology.links[link]``.
 
-        ``from_node`` names the sending side of the affected direction;
-        ``None`` impairs both directions. Routing beliefs are NOT updated:
-        gray failures are exactly the faults detection misses.
+        ``from_node`` names the sending side of the affected direction
+        (``blocked=True`` there is an asymmetric partition); ``None``
+        impairs both directions. Routing beliefs are NOT updated: gray
+        failures are exactly the faults detection misses.
         """
-        port = self._direction_port(link, from_node)
-        detail = impairment.describe() + (f" from={from_node}" if from_node else "")
-        self._inject(time_us, "impair_link", link.name,
-                     lambda: link.impair(impairment, port), detail=detail)
+        target = self._target("impair_link", link)
+        knobs = LinkImpairment(**impairment)  # type: ignore[arg-type]
+        port = self._direction_port(target, from_node)
+        detail = knobs.describe() + (f" from={from_node}" if from_node else "")
+        self._inject(time_us, "impair_link", target.name,
+                     lambda: target.impair(knobs, port), detail=detail)
 
-    def clear_link_at(self, time_us: float, link: Link,
+    def clear_link_at(self, time_us: float, link: int,
                       from_node: Optional[str] = None) -> None:
-        port = self._direction_port(link, from_node)
-        self._inject(time_us, "clear_link", link.name,
-                     lambda: link.clear_impairments(port), clear=True)
-
-    def block_direction_at(self, time_us: float, link: Link,
-                           from_node: str) -> None:
-        """Asymmetric partition: one-way blackhole starting at ``time_us``."""
-        self.impair_link_at(time_us, link, LinkImpairment(blocked=True),
-                            from_node=from_node)
+        target = self._target("clear_link", link)
+        port = self._direction_port(target, from_node)
+        self._inject(time_us, "clear_link", target.name,
+                     lambda: target.clear_impairments(port))
 
     def degrade_store_at(self, time_us: float, index: int,
                          proc_delay_us: Optional[float] = None,
                          service_time_us: Optional[float] = None) -> None:
         """Gray store: inflate a node's processing/service time."""
-        store = self.deployment.stores[index]
+        store = self._target("degrade_store", index)
 
         def apply() -> None:
             self._store_baseline.setdefault(
@@ -239,19 +262,21 @@ class FailureSchedule:
         self._inject(time_us, "degrade_store", store.name, apply, detail=detail)
 
     def restore_store_at(self, time_us: float, index: int) -> None:
-        store = self.deployment.stores[index]
+        store = self._target("restore_store", index)
 
         def restore() -> None:
             baseline = self._store_baseline.pop(store.name, None)
             if baseline is not None:
                 store.proc_delay_us, store.service_time_us = baseline
 
-        self._inject(time_us, "restore_store", store.name, restore, clear=True)
+        self._inject(time_us, "restore_store", store.name, restore)
 
     def expire_leases_at(self, time_us: float,
                          switch: Optional[str] = None) -> None:
         """Force switch-side lease expiry (the lease-race fault model)."""
         engines = self.deployment.engines
+        if switch is not None:
+            self._target("expire_leases", switch)
 
         def expire() -> None:
             for name, engine in engines.items():
@@ -260,107 +285,30 @@ class FailureSchedule:
 
         self._inject(time_us, "expire_leases", switch or "all-switches", expire)
 
-    # -- canned scenarios -----------------------------------------------------
-
-    def single_failover(self, fail_at_us: float,
-                        recover_at_us: Optional[float] = None,
-                        switch: str = "agg1") -> "FailureSchedule":
-        """The §7.3 scenario: one aggregation switch fails (and recovers)."""
-        self.fail_switch_at(fail_at_us, switch)
-        if recover_at_us is not None:
-            self.recover_switch_at(recover_at_us, switch)
-        return self
-
-    def flapping_link(self, first_fail_us: float, period_us: float,
-                      flaps: int, link_index: int = 0) -> "FailureSchedule":
-        """A link that fails and recovers repeatedly (Fig 7a's hazard:
-        a switch that keeps its state across connectivity loss)."""
-        for i in range(flaps):
-            down_at = first_fail_us + i * period_us
-            self.fail_link_at(down_at, link_index)
-            self.recover_link_at(down_at + period_us / 2, link_index)
-        return self
-
-    def gray_link(self, start_us: float, duration_us: float, link: Link,
-                  corrupt_rate: float = 0.02, drop_rate: float = 0.0,
-                  bandwidth_scale: float = 1.0,
-                  jitter_us: float = 0.0,
-                  from_node: Optional[str] = None) -> "FailureSchedule":
-        """LinkGuardian's hard case: a link that corrupts instead of dying,
-        so routing never reacts and retransmission has to carry the load."""
-        impairment = LinkImpairment(
-            corrupt_rate=corrupt_rate, drop_rate=drop_rate,
-            bandwidth_scale=bandwidth_scale, jitter_us=jitter_us,
-        )
-        self.impair_link_at(start_us, link, impairment, from_node=from_node)
-        self.clear_link_at(start_us + duration_us, link, from_node=from_node)
-        return self
-
-    def rolling_switch_failures(self, start_us: float, gap_us: float
-                                ) -> "FailureSchedule":
-        """Fail each aggregation switch in turn, recovering the previous
-        one first — state migrates around the cluster."""
-        aggs = [a.name for a in self.deployment.bed.aggs]
-        t = start_us
-        previous: Optional[str] = None
-        for name in aggs:
-            if previous is not None:
-                self.recover_switch_at(t - gap_us / 2, previous)
-            self.fail_switch_at(t, name)
-            previous = name
-            t += gap_us
-        if previous is not None:
-            self.recover_switch_at(t, previous)
-        return self
-
-    def rack_failure(self, time_us: float, rack: int) -> "FailureSchedule":
-        """Correlated failure: a rack's ToR and its store server die
-        together (fiber cut / PDU failure)."""
-        bed = self.deployment.bed
-        tor = bed.tors[rack - 1]
-        topo = bed.topology
-        self._inject(time_us, "fail_node", tor.name,
-                     lambda: topo.fail_node(tor, self.detect_delay_us))
-        for index, store in enumerate(self.deployment.stores):
-            if store.name == f"st{rack}":
-                self.fail_store_at(time_us, index)
-        return self
-
-    def rack_recovery(self, time_us: float, rack: int) -> "FailureSchedule":
-        """Bring a failed rack's ToR and store server back."""
-        bed = self.deployment.bed
-        tor = bed.tors[rack - 1]
-        topo = bed.topology
-        self._inject(time_us, "recover_node", tor.name,
-                     lambda: topo.recover_node(tor, self.detect_delay_us),
-                     clear=True)
-        for index, store in enumerate(self.deployment.stores):
-            if store.name == f"st{rack}":
-                self.recover_store_at(time_us, index)
-        return self
-
     # -- validation -----------------------------------------------------------
 
     def validate(self) -> None:
         """Reject recover-before-fail orderings.
 
-        Every clearing fault (recover/clear/restore/restart) must be
-        preceded — strictly earlier on the schedule's timeline — by a
-        matching fault on the same target; otherwise the recovery is a
-        no-op at best and a double-recovery hazard at worst. Raises
+        Every clearing fault (a kind whose table row ``undoes`` others)
+        must be preceded — strictly earlier on the schedule's timeline —
+        by a fault it undoes on the same target; otherwise the recovery is
+        a no-op at best and a double-recovery hazard at worst. Raises
         :class:`ScheduleError` naming the offending fault.
         """
         ordered = sorted(self.log, key=lambda f: f.time_us)
         for i, fault in enumerate(ordered):
-            matches = _CLEAR_MATCHES.get(fault.kind)
-            if matches is None:
+            undoes = FAULTS[fault.spec_kind].undoes
+            if not undoes:
                 continue
-            if not any(prior.kind in matches and prior.target == fault.target
+            if not any(prior.spec_kind in undoes
+                       and prior.target == fault.target
                        and prior.time_us < fault.time_us
                        for prior in ordered[:i]):
+                matches = "/".join(FAULTS[k].injected for k in undoes)
                 raise ScheduleError(
                     f"{fault.kind!r} on {fault.target!r} at t={fault.time_us}us "
-                    f"has no earlier matching {'/'.join(matches)} fault to "
+                    f"has no earlier matching {matches} fault to "
                     f"undo: recover-before-fail ordering"
                 )
 
@@ -368,26 +316,16 @@ class FailureSchedule:
         """The injected faults still in effect at simulated time ``t_us``.
 
         A fault is active once its injection time has passed and no
-        later matching clear (same target, a kind ``_CLEAR_MATCHES``
-        maps onto it) has fired by ``t_us``. Pure function of the
-        schedule — the observability heartbeat reports its length as
-        ``faults_active``, so it must never read live topology state.
+        later clear that undoes it on the same target has fired by
+        ``t_us``. Pure function of the schedule — the observability
+        heartbeat reports its length as ``faults_active``, so it must
+        never read live topology state.
         """
-        active: List[InjectedFault] = []
-        for fault in sorted(self.log, key=lambda f: (f.time_us, f.kind,
-                                                     f.target)):
-            if fault.time_us > t_us:
-                break
-            matches = _CLEAR_MATCHES.get(fault.kind)
-            if matches is None:
-                active.append(fault)
-                continue
-            for i in range(len(active) - 1, -1, -1):
-                prior = active[i]
-                if prior.kind in matches and prior.target == fault.target:
-                    del active[i]
-                    break
-        return active
+        fired = sorted((f for f in self.log if f.time_us <= t_us),
+                       key=lambda f: (f.time_us, f.kind, f.target))
+        units = pair_clears(fired, lambda f: (f.spec_kind, f.target))
+        return [unit[0] for unit in units
+                if len(unit) == 1 and not is_clear(unit[0].spec_kind)]
 
     def stores_down_at(self, t_us: float) -> int:
         """How many store nodes are hard-crashed (lost DRAM, backend not
@@ -410,80 +348,122 @@ class FailureSchedule:
         ]
 
 
-# -- serializable fault grammar ------------------------------------------------
+# -- the fault table -------------------------------------------------------------
 
-#: FaultSpec kind -> the FailureSchedule primitive it dispatches to, plus
-#: the parameter names it accepts. This is the fuzzer's (and the regression
-#: replayer's) schedule grammar: a schedule is a sorted tuple of FaultSpecs,
-#: each of which round-trips through JSON byte-identically.
-FAULT_GRAMMAR: Dict[str, Tuple[str, ...]] = {
-    "fail_switch": ("switch",),
-    "recover_switch": ("switch",),
-    "fail_store": ("index",),
-    "recover_store": ("index",),
-    "crash_store": ("index",),
-    "recover_store_from_disk": ("index",),
-    "fail_link": ("link",),
-    "recover_link": ("link",),
-    "impair_link": ("link", "corrupt_rate", "drop_rate", "duplicate_rate",
-                    "jitter_us", "bandwidth_scale", "blocked", "from_node"),
-    "clear_link": ("link", "from_node"),
-    "degrade_store": ("index", "proc_delay_us", "service_time_us"),
-    "restore_store": ("index",),
-    "expire_leases": ("switch",),
-}
+#: Target type -> the FaultSpec parameter that names the target.
+TARGET_PARAM: Dict[str, str] = {
+    "switch": "switch", "store": "index", "link": "link"}
 
-#: FaultSpec kinds that clear an earlier fault -> the spec kinds they undo.
-#: This is the grammar-level mirror of ``_CLEAR_MATCHES`` (which works on
-#: the injected-fault kinds); the shrinker uses it to drop fault/clear
-#: pairs together.
-SPEC_CLEAR_MATCHES: Dict[str, Tuple[str, ...]] = {
-    "recover_switch": ("fail_switch",),
-    "recover_store": ("fail_store",),
-    "recover_store_from_disk": ("crash_store",),
-    "recover_link": ("fail_link",),
-    "clear_link": ("impair_link",),
-    "restore_store": ("degrade_store",),
+
+@dataclass(frozen=True)
+class FaultKind:
+    """One row of :data:`FAULTS`."""
+
+    #: ``"switch"`` | ``"store"`` | ``"link"``.
+    target: str
+    #: Kind string of the ``fault.inject`` / ``fault.clear`` trace records
+    #: and of the verdict report's fault list.
+    injected: str
+    #: The :class:`FailureSchedule` primitive, called as
+    #: ``primitive(schedule, time_us, **params)``.
+    primitive: Callable[..., None]
+    required: Tuple[str, ...] = ()
+    optional: Tuple[str, ...] = ()
+    #: The kinds this one clears; empty for a fault proper.
+    undoes: Tuple[str, ...] = ()
+
+    @property
+    def params(self) -> Tuple[str, ...]:
+        """Accepted parameter names, in canonical (serialized) order."""
+        return self.required + self.optional
+
+
+_S = FailureSchedule
+_IMPAIRMENT = ("corrupt_rate", "drop_rate", "duplicate_rate", "jitter_us",
+               "bandwidth_scale", "blocked")
+
+#: Every fault kind, one row each. Parameter validation, spec replay,
+#: schedule validation, fault/clear pairing (the shrinker's units, the
+#: heartbeat's ``faults_active``) and the "a clear is not a fault" filter
+#: of the recovery-latency measurements all read this table; a new fault
+#: kind is one primitive and one row. docs/FAULTS.md writes it out.
+FAULTS: Dict[str, FaultKind] = {
+    "fail_switch": FaultKind(
+        "switch", "fail_node", _S.fail_switch_at, ("switch",)),
+    "recover_switch": FaultKind(
+        "switch", "recover_node", _S.recover_switch_at, ("switch",),
+        undoes=("fail_switch",)),
+    "fail_store": FaultKind(
+        "store", "fail_node", _S.fail_store_at, ("index",)),
+    "recover_store": FaultKind(
+        "store", "recover_node", _S.recover_store_at, ("index",),
+        undoes=("fail_store",)),
+    "crash_store": FaultKind(
+        "store", "crash_store", _S.crash_store_at, ("index",)),
+    "recover_store_from_disk": FaultKind(
+        "store", "restart_store", _S.recover_store_from_disk_at, ("index",),
+        undoes=("crash_store",)),
+    "fail_link": FaultKind(
+        "link", "fail_link", _S.fail_link_at, ("link",)),
+    "recover_link": FaultKind(
+        "link", "recover_link", _S.recover_link_at, ("link",),
+        undoes=("fail_link",)),
+    "impair_link": FaultKind(
+        "link", "impair_link", _S.impair_link_at, ("link",),
+        optional=_IMPAIRMENT + ("from_node",)),
+    "clear_link": FaultKind(
+        "link", "clear_link", _S.clear_link_at, ("link",),
+        optional=("from_node",), undoes=("impair_link",)),
+    "degrade_store": FaultKind(
+        "store", "degrade_store", _S.degrade_store_at, ("index",),
+        optional=("proc_delay_us", "service_time_us")),
+    "restore_store": FaultKind(
+        "store", "restore_store", _S.restore_store_at, ("index",),
+        undoes=("degrade_store",)),
+    "expire_leases": FaultKind(
+        "switch", "expire_leases", _S.expire_leases_at,
+        optional=("switch",)),
 }
 
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """One fault of the serializable schedule grammar.
-
-    ``kind`` names a ``FAULT_GRAMMAR`` entry; ``params`` holds only that
-    entry's JSON-scalar parameters. ``apply_to`` dispatches to the
-    corresponding :class:`FailureSchedule` primitive, so a tuple of specs
-    IS a schedule — buildable, serializable, and replayable.
-    """
+    """One fault as data: a :data:`FAULTS` kind, a time, and that row's
+    JSON-scalar parameters. A tuple of specs IS a schedule — buildable
+    (:func:`apply_specs`), serializable, and replayable."""
 
     kind: str
     time_us: float
     params: Tuple[Tuple[str, object], ...] = ()
 
     def __post_init__(self) -> None:
-        allowed = FAULT_GRAMMAR.get(self.kind)
-        if allowed is None:
+        row = FAULTS.get(self.kind)
+        if row is None:
             raise ScheduleError(f"unknown fault kind {self.kind!r}")
-        for name, _ in self.params:
-            if name not in allowed:
-                raise ScheduleError(
-                    f"fault kind {self.kind!r} takes no parameter {name!r} "
-                    f"(allowed: {', '.join(allowed)})"
-                )
+        given = [name for name, _ in self.params]
+        extra = [name for name in given if name not in row.params]
+        if extra:
+            raise ScheduleError(
+                f"fault kind {self.kind!r} takes no parameter "
+                f"{', '.join(map(repr, extra))} "
+                f"(allowed: {', '.join(row.params)})"
+            )
+        missing = [name for name in row.required if name not in given]
+        if missing:
+            raise ScheduleError(
+                f"fault kind {self.kind!r} at t={self.time_us}us lacks "
+                f"required parameter {', '.join(map(repr, missing))}"
+            )
 
     @property
     def param_dict(self) -> Dict[str, object]:
         return dict(self.params)
 
-    #: The same-target pairing key the shrinker and validator use.
-    def target_key(self) -> Tuple[str, object]:
-        p = self.param_dict
-        if "index" in FAULT_GRAMMAR[self.kind]:
-            return ("store", p.get("index"))
-        if "link" in FAULT_GRAMMAR[self.kind]:
-            return ("link", p.get("link"))
-        return ("switch", p.get("switch"))
+    @property
+    def target(self) -> Tuple[str, object]:
+        """``(target type, value)``: what fault/clear pairing compares."""
+        target = FAULTS[self.kind].target
+        return (target, self.param_dict.get(TARGET_PARAM[target]))
 
     def describe(self) -> str:
         inner = " ".join(f"{k}={v}" for k, v in self.params)
@@ -493,19 +473,12 @@ class FaultSpec:
 
     @classmethod
     def make(cls, kind: str, time_us: float, **params: object) -> "FaultSpec":
-        """Build a spec with params canonically ordered by the grammar."""
-        allowed = FAULT_GRAMMAR.get(kind)
-        if allowed is None:
-            raise ScheduleError(f"unknown fault kind {kind!r}")
-        ordered = tuple((name, params[name]) for name in allowed
-                        if name in params)
-        extra = set(params) - set(allowed)
-        if extra:
-            raise ScheduleError(
-                f"fault kind {kind!r} takes no parameter "
-                f"{', '.join(sorted(map(repr, extra)))}"
-            )
-        return cls(kind=kind, time_us=float(time_us), params=ordered)
+        """Build a spec with params in the table's canonical order."""
+        names = FAULTS[kind].params if kind in FAULTS else ()
+        ordered = [(name, params.pop(name)) for name in names
+                   if name in params]
+        # Anything left is not the row's: __post_init__ names it.
+        return cls(kind, float(time_us), tuple(ordered + sorted(params.items())))
 
     def to_dict(self) -> Dict[str, object]:
         d: Dict[str, object] = {"kind": self.kind, "time_us": self.time_us}
@@ -522,60 +495,14 @@ class FaultSpec:
         return (self.time_us, self.kind, tuple(
             (k, repr(v)) for k, v in self.params))
 
-    # -- replay -------------------------------------------------------------
 
-    def apply_to(self, schedule: FailureSchedule) -> None:
-        """Schedule this fault on a live :class:`FailureSchedule`."""
-        p = self.param_dict
-        t = self.time_us
-        kind = self.kind
-        if kind == "fail_switch":
-            schedule.fail_switch_at(t, str(p["switch"]))
-        elif kind == "recover_switch":
-            schedule.recover_switch_at(t, str(p["switch"]))
-        elif kind == "fail_store":
-            schedule.fail_store_at(t, int(p["index"]))  # type: ignore[arg-type]
-        elif kind == "recover_store":
-            schedule.recover_store_at(t, int(p["index"]))  # type: ignore[arg-type]
-        elif kind == "crash_store":
-            schedule.crash_store_at(t, int(p["index"]))  # type: ignore[arg-type]
-        elif kind == "recover_store_from_disk":
-            schedule.recover_store_from_disk_at(t, int(p["index"]))  # type: ignore[arg-type]
-        elif kind == "fail_link":
-            schedule.fail_link_at(t, int(p["link"]))  # type: ignore[arg-type]
-        elif kind == "recover_link":
-            schedule.recover_link_at(t, int(p["link"]))  # type: ignore[arg-type]
-        elif kind == "impair_link":
-            impairment = LinkImpairment(
-                corrupt_rate=float(p.get("corrupt_rate", 0.0)),  # type: ignore[arg-type]
-                drop_rate=float(p.get("drop_rate", 0.0)),  # type: ignore[arg-type]
-                duplicate_rate=float(p.get("duplicate_rate", 0.0)),  # type: ignore[arg-type]
-                jitter_us=float(p.get("jitter_us", 0.0)),  # type: ignore[arg-type]
-                bandwidth_scale=float(p.get("bandwidth_scale", 1.0)),  # type: ignore[arg-type]
-                blocked=bool(p.get("blocked", False)),
-            )
-            schedule.impair_link_at(
-                t, schedule.link(int(p["link"])), impairment,  # type: ignore[arg-type]
-                from_node=p.get("from_node"))  # type: ignore[arg-type]
-        elif kind == "clear_link":
-            schedule.clear_link_at(
-                t, schedule.link(int(p["link"])),  # type: ignore[arg-type]
-                from_node=p.get("from_node"))  # type: ignore[arg-type]
-        elif kind == "degrade_store":
-            schedule.degrade_store_at(
-                t, int(p["index"]),  # type: ignore[arg-type]
-                proc_delay_us=p.get("proc_delay_us"),  # type: ignore[arg-type]
-                service_time_us=p.get("service_time_us"))  # type: ignore[arg-type]
-        elif kind == "restore_store":
-            schedule.restore_store_at(t, int(p["index"]))  # type: ignore[arg-type]
-        elif kind == "expire_leases":
-            schedule.expire_leases_at(t, switch=p.get("switch"))  # type: ignore[arg-type]
-        else:  # pragma: no cover - __post_init__ rejects unknown kinds
-            raise ScheduleError(f"unknown fault kind {kind!r}")
+def is_clear(kind: str) -> bool:
+    """Whether a :data:`FAULTS` kind ends a fault rather than being one."""
+    return bool(FAULTS[kind].undoes)
 
 
 def apply_specs(schedule: FailureSchedule,
-                specs: Tuple[FaultSpec, ...]) -> None:
-    """Apply a spec tuple to a live schedule in deterministic order."""
+                specs: Iterable[FaultSpec]) -> None:
+    """Schedule a spec tuple on a live schedule, in ``sort_key`` order."""
     for spec in sorted(specs, key=FaultSpec.sort_key):
-        spec.apply_to(schedule)
+        FAULTS[spec.kind].primitive(schedule, spec.time_us, **spec.param_dict)

@@ -16,7 +16,7 @@ from repro.net.packet import FlowKey
 from repro.net.simulator import Simulator
 from repro.statestore.backend import InMemoryBackend
 from repro.statestore.netchain import NETCHAIN_VALUE_SLOTS, NetChainBackend
-from repro.statestore.wal import WALBackend
+from repro.statestore.wal import WALBackend, WALCorruptionError
 
 
 class _Node:
@@ -173,6 +173,44 @@ def test_wal_stops_at_corrupt_frame_keeping_earlier_records(wal):
         fh.write(len(garbage).to_bytes(4, "big") + garbage)
     wal.wipe()
     assert wal.recover() == 2  # the corrupt tail frame is discarded
+
+
+def _torn_tails(wal):
+    return wal.node.sim.metrics.total("store.backend.wal_torn_tails")
+
+
+def test_wal_counts_a_torn_tail_across_wipe_and_recover(wal):
+    _populate(wal, n=3)
+    wal.wipe()
+    assert wal.recover() == 3 and _torn_tails(wal) == 0
+    size = os.path.getsize(wal.log_path)
+    wal.close()
+    with open(wal.log_path, "r+b") as fh:
+        fh.truncate(size - 5)  # the crash cut the last append short
+    wal.wipe()
+    assert wal.recover() == 2
+    assert _torn_tails(wal) == 1
+    assert wal.get(_key(2)) is None
+
+
+def test_wal_refuses_mid_file_corruption_instead_of_dropping_records(wal):
+    _populate(wal, n=3)
+    wal.close()
+    with open(wal.log_path, "rb") as fh:
+        data = bytearray(fh.read())
+    frame = len(data) // 3
+    # Garble the second frame's value count (byte 13 of the record head)
+    # so it overruns the frame; the length prefix survives, so the third
+    # frame is still found, and still decodes.
+    data[frame + 4 + 13] = 0xFF
+    with open(wal.log_path, "wb") as fh:
+        fh.write(data)
+    wal.wipe()
+    with pytest.raises(WALCorruptionError) as err:
+        wal.recover()
+    assert "records.wal" in str(err.value)
+    assert f"byte offset {frame}" in str(err.value)
+    assert _torn_tails(wal) == 0
 
 
 def test_wal_compaction_snapshots_and_truncates_log(wal):

@@ -1,12 +1,34 @@
 """Tests for the chaos engine: campaigns, verdict reports, determinism,
 and the CLI entry point."""
 
+import hashlib
 import json
 
 import pytest
 
-from repro.chaos import CAMPAIGNS, run_campaign, verdict_json
+from repro import Simulator, deploy
+from repro.chaos import CAMPAIGNS, Campaign, run_campaign, verdict_json
+from repro.chaos import campaigns as topo
+from repro.chaos.fuzz import run_spec
+from repro.chaos.workload import EchoCounterApp
 from repro.tools.runner import main as tools_main
+
+#: sha256(verdict_json(report))[:16] of every named campaign at seed 42.
+#: A verdict is a pure function of (campaign data, seed): these move only
+#: when the protocol, a campaign or the report format is changed on purpose.
+VERDICT_SHA16 = {
+    "corruption_storm": "80b9c0eaad7c44b3",
+    "corruption_storm_store": "0daf1d3e1140a642",
+    "corruption_sweep": "237d14ad35c55c6e",
+    "duplicate_storm": "f1de8adb40b78d27",
+    "flapping_link": "0fc05a59f5215e13",
+    "gray_link": "a3024e3d9bd5e115",
+    "lease_race": "761193ce893bc4bb",
+    "partitioned_store_head": "13e8f7a983f1190b",
+    "rolling_rack_failure": "c339c0805d52b512",
+    "single_failover": "ffe85fad75e6da61",
+    "store_crash_recover_wal": "4852aea9680f3f36",
+}
 
 
 def test_campaign_inventory_is_complete():
@@ -20,7 +42,45 @@ def test_campaign_inventory_is_complete():
     for name, campaign in CAMPAIGNS.items():
         assert campaign.name == name
         assert campaign.description
-        assert campaign.build is not None
+        assert campaign.faults
+        assert campaign.sim_seed == 42
+
+
+def test_topology_indices_name_the_links_and_stores_they_say():
+    dep = deploy(Simulator(seed=1), EchoCounterApp)
+    names = [link.name for link in dep.bed.topology.links]
+    assert names[topo.AGG1_TOR1] == "agg1<->tor1"
+    assert names[topo.TOR1_ST1] == "tor1<->st1"
+    assert [names[i] for i in topo.CORE_AGG_LINKS] == [
+        "core1<->agg1", "core1<->agg2", "core2<->agg1", "core2<->agg2"]
+    hosts = {"s11", "s12", "s21", "s22", "e1", "e2", "e3", "e4",
+             "st1", "st2", "st3"}
+    assert all(not hosts & set(names[i].split("<->"))
+               for i in topo.FABRIC_LINKS)
+    for position, store in enumerate(dep.stores):
+        assert store.name == topo.STORE_NODE[position]
+        assert store.name in names[topo.STORE_LINK[position]].split("<->")
+
+
+def test_every_campaign_round_trips_through_json():
+    for campaign in CAMPAIGNS.values():
+        again = Campaign.from_dict(json.loads(json.dumps(campaign.to_dict())))
+        assert again == campaign
+    # ... and the copy is the same experiment, not just an equal record.
+    copy = Campaign.from_dict(CAMPAIGNS["lease_race"].to_dict())
+    digest = hashlib.sha256(verdict_json(run_spec(copy).report).encode())
+    assert digest.hexdigest()[:16] == VERDICT_SHA16["lease_race"]
+
+
+def test_campaign_file_with_a_misspelt_or_missing_field_is_refused():
+    from repro.workloads.failures import ScheduleError
+
+    d = CAMPAIGNS["lease_race"].to_dict()
+    with pytest.raises(ScheduleError, match="lease_us"):
+        Campaign.from_dict({**d, "lease_us": 1.0})
+    del d["packets"]
+    with pytest.raises(ScheduleError, match="packets"):
+        Campaign.from_dict(d)
 
 
 @pytest.mark.parametrize("name", sorted(CAMPAIGNS))
@@ -37,6 +97,8 @@ def test_every_campaign_passes_with_zero_violations(name):
     # The sync counter must never hand two packets the same state value.
     assert report["traffic"]["duplicate_values"] == 0
     assert report["faults"], "a chaos campaign with no faults is a no-op"
+    digest = hashlib.sha256(verdict_json(report).encode()).hexdigest()
+    assert digest[:16] == VERDICT_SHA16[name]
 
 
 def test_same_seed_runs_are_byte_identical():

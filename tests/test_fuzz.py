@@ -6,12 +6,11 @@ import os
 
 import pytest
 
+from repro.chaos.campaigns import STORE_LINK, Campaign
 from repro.chaos.fuzz import (
     EARLIEST_FAULT_US,
     SETTLE_BEFORE_END_US,
-    STORE_LINK,
     TIME_GRID_US,
-    ScheduleSpec,
     generate_spec,
     mutation_self_check,
     regression_payload,
@@ -29,9 +28,9 @@ _REGRESSION = os.path.join(os.path.dirname(__file__), "regressions",
                            "fuzz-s5-i5.json")
 
 
-def _minimal_spec() -> ScheduleSpec:
+def _minimal_spec() -> Campaign:
     with open(_REGRESSION, "r", encoding="utf-8") as fh:
-        return ScheduleSpec.from_dict(json.load(fh)["spec"])
+        return Campaign.from_dict(json.load(fh)["spec"])
 
 
 # -- generation ----------------------------------------------------------------
@@ -54,7 +53,7 @@ def test_generation_varies_with_seed_and_index():
 def test_spec_round_trips_through_json():
     for index in range(8):
         spec = generate_spec(9, index)
-        again = ScheduleSpec.from_dict(
+        again = Campaign.from_dict(
             json.loads(json.dumps(spec.to_dict())))
         assert again == spec
 

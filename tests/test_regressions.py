@@ -13,7 +13,8 @@ import os
 
 import pytest
 
-from repro.chaos.fuzz import ScheduleSpec, replay_regression
+from repro.chaos.campaigns import Campaign
+from repro.chaos.fuzz import replay_regression
 from repro.mutation import MUTATIONS
 
 _DIR = os.path.join(os.path.dirname(__file__), "regressions")
@@ -37,7 +38,7 @@ def test_payload_is_well_formed(path):
     assert payload["schema"] == 1
     mutation = payload["fuzzer"]["mutation"]
     assert mutation is None or mutation in MUTATIONS
-    spec = ScheduleSpec.from_dict(payload["spec"])
+    spec = Campaign.from_dict(payload["spec"])
     # Reproducers are committed post-shrink: small enough to read.
     assert len(spec.faults) <= 3
     assert payload["witness"]["kinds"]

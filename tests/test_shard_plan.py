@@ -58,6 +58,17 @@ def test_resolve_refuses_a_plan_that_differs_from_the_live_code(plans, edit):
         resolve("nat_steady", 2)
 
 
+def test_the_refusal_names_the_first_path_that_drifted(plans):
+    _rewrite(plans, _moves_a_site)
+    with pytest.raises(PlanDriftError) as err:
+        resolve("nat_steady", 2)
+    assert "at $.structures[0].site: live code has " in str(err.value)
+    assert "committed plan has 'src/repro/elsewhere.py:1'" in str(err.value)
+    _rewrite(plans, _drops_a_key_field)
+    with pytest.raises(PlanDriftError, match=r"\$\.partition_key\.fields\["):
+        resolve("nat_steady", 2)
+
+
 def test_a_format_1_plan_is_refused_before_the_comparison(plans):
     """Format 2 as well: its sites were ``path:line``."""
     for stale in (1, 2):
