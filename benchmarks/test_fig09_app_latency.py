@@ -10,7 +10,7 @@ packet, adds ~20 us, of which ~12 us is the 3-way chain replication
 
 from __future__ import annotations
 
-from repro import RedPlaneConfig, Simulator, deploy
+from repro import Simulator, deploy
 from repro.analysis import summarize
 from repro.apps import (
     EpcSgwApp,
@@ -24,8 +24,6 @@ from repro.apps import (
     make_dip_allocator,
 )
 from repro.apps.counter import AsyncCounterApp, SyncCounterApp
-from repro.core.api import attach_snapshot_replication
-from repro.core.engine import RedPlaneMode
 from repro.net.packet import Packet, TCP_SYN
 from repro.workloads.harness import EchoResponder, RttProbe
 from repro.workloads.traces import epc_trace, five_tuple_trace, vlan_trace
@@ -105,13 +103,7 @@ def run_hh():
     dep = deploy(
         sim,
         lambda: HeavyHitterApp(vlans=[10, 20, 30], threshold=10 ** 6),
-        config=RedPlaneConfig(mode=RedPlaneMode.BOUNDED_INCONSISTENCY),
     )
-    for agg in dep.bed.aggs:
-        attach_snapshot_replication(
-            dep.engines[agg.name], dep.apps[agg.name].snapshot_structures(),
-            period_us=1_000.0,
-        )
     e1, s11 = dep.bed.externals[0], dep.bed.servers[0]
     EchoResponder(s11)
     probe = RttProbe(e1)
@@ -126,14 +118,7 @@ def run_hh():
 
 def run_async_counter():
     sim = Simulator(seed=SEED)
-    dep = deploy(sim, lambda: AsyncCounterApp(slots=64),
-                 config=RedPlaneConfig(mode=RedPlaneMode.BOUNDED_INCONSISTENCY))
-    for agg in dep.bed.aggs:
-        attach_snapshot_replication(
-            dep.engines[agg.name],
-            {AsyncCounterApp.STORE_KEY: dep.apps[agg.name].counters},
-            period_us=1_000.0,
-        )
+    dep = deploy(sim, lambda: AsyncCounterApp(slots=64))
     e1, s11 = dep.bed.externals[0], dep.bed.servers[0]
     EchoResponder(s11)
     probe = RttProbe(e1)

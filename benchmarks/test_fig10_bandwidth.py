@@ -9,7 +9,7 @@ read-centric apps (NAT, firewall, load balancer) ~0.1-0.9 %; EPC-SGW
 
 from __future__ import annotations
 
-from repro import RedPlaneConfig, Simulator, deploy
+from repro import Simulator, deploy
 from repro.analysis import fig10_row
 from repro.apps import (
     EpcSgwApp,
@@ -23,8 +23,6 @@ from repro.apps import (
     make_dip_allocator,
 )
 from repro.apps.counter import SyncCounterApp
-from repro.core.api import attach_snapshot_replication
-from repro.core.engine import RedPlaneMode
 from repro.net.packet import Packet, TCP_SYN
 from repro.workloads.traces import epc_trace, five_tuple_trace, vlan_trace
 
@@ -119,13 +117,7 @@ def run_hh():
     dep = deploy(
         sim,
         lambda: HeavyHitterApp(vlans=[10, 20, 30], threshold=10 ** 6),
-        config=RedPlaneConfig(mode=RedPlaneMode.BOUNDED_INCONSISTENCY),
     )
-    for agg in dep.bed.aggs:
-        attach_snapshot_replication(
-            dep.engines[agg.name], dep.apps[agg.name].snapshot_structures(),
-            period_us=1_000.0,
-        )
     e1, s11 = dep.bed.externals[0], dep.bed.servers[0]
     for event in _small_packets(
         vlan_trace(NUM_PACKETS, [10, 20, 30], 40, e1.ip, s11.ip, seed=SEED)

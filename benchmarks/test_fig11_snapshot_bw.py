@@ -16,8 +16,6 @@ import pytest
 from repro import RedPlaneConfig, Simulator, deploy
 from repro.analysis import fig11_series, snapshot_bandwidth_mbps
 from repro.apps import HeavyHitterApp
-from repro.core.api import attach_snapshot_replication
-from repro.core.engine import RedPlaneMode
 
 from _bench_utils import emit, print_header, print_rows
 
@@ -32,15 +30,12 @@ def measure_simulated_mbps(freq_hz: float, num_rows: int = 3,
     dep = deploy(
         sim,
         lambda: HeavyHitterApp(vlans=[10], threshold=10 ** 6, depth=num_rows),
-        config=RedPlaneConfig(mode=RedPlaneMode.BOUNDED_INCONSISTENCY),
+        config=RedPlaneConfig(snapshot_period_us=1e6 / freq_hz),
     )
     agg = dep.bed.aggs[0]
-    attach_snapshot_replication(
-        dep.engines[agg.name], dep.apps[agg.name].snapshot_structures(),
-        period_us=1e6 / freq_hz,
-    )
     sim.run(until=duration_us)
-    agg.pktgen.stop()
+    for a in dep.bed.aggs:
+        a.pktgen.stop()
     sim.run_until_idle()
     bits = agg.bytes_protocol_out * 8
     return bits / duration_us  # bits per us == Mbps

@@ -10,7 +10,7 @@ restores the state and the impact disappears.
 
 from __future__ import annotations
 
-from repro import RedPlaneConfig, Simulator, deploy
+from repro import Simulator, deploy
 from repro.apps import (
     EpcSgwApp,
     FirewallApp,
@@ -35,8 +35,6 @@ from repro.apps import (
     parse_stamp,
 )
 from repro.baselines import PlainAppBlock
-from repro.core.api import attach_snapshot_replication
-from repro.core.engine import RedPlaneMode
 from repro.net.packet import Packet, TCP_ACK, TCP_SYN
 from repro.net.topology import build_testbed
 from repro.switch.asic import SwitchASIC
@@ -155,15 +153,8 @@ def scenario_hh(redplane: bool) -> bool:
     sim = Simulator(seed=45)
     packets = 40
     if redplane:
-        dep = deploy(sim, lambda: HeavyHitterApp(vlans=[10], threshold=10 ** 6),
-                     config=RedPlaneConfig(mode=RedPlaneMode.BOUNDED_INCONSISTENCY))
+        dep = deploy(sim, lambda: HeavyHitterApp(vlans=[10], threshold=10 ** 6))
         bed = dep.bed
-        reps = {}
-        for agg in bed.aggs:
-            reps[agg.name] = attach_snapshot_replication(
-                dep.engines[agg.name], dep.apps[agg.name].snapshot_structures(),
-                period_us=1_000.0,
-            )
         apps = dep.apps
     else:
         bed, blocks = _plain_bed(sim, lambda: HeavyHitterApp(
@@ -175,7 +166,7 @@ def scenario_hh(redplane: bool) -> bool:
                      Packet.udp(e1.ip, s11.ip, 5555, 7777, vlan=10))
     sim.run(until=5_000)
     if redplane:
-        for rep in reps.values():
+        for rep in dep.replicators.values():
             rep.stop()
     sim.run_until_idle()
     active = max(bed.aggs, key=lambda a: apps[a.name].packets_sketched)

@@ -14,10 +14,8 @@ evaluate, both implemented in this reproduction:
 Run:  python examples/operations_playbook.py
 """
 
-from repro import RedPlaneConfig, Simulator, deploy
+from repro import Simulator, deploy
 from repro.apps.counter import AsyncCounterApp, SyncCounterApp
-from repro.core.api import attach_snapshot_replication
-from repro.core.engine import RedPlaneMode
 from repro.core.epsilon import EpsilonGuard, EpsilonPolicy
 from repro.net.packet import Packet
 from repro.statestore import StoreFailoverCoordinator
@@ -62,14 +60,9 @@ def store_failover_demo() -> None:
 def epsilon_watchdog_demo() -> None:
     print("=== 2. epsilon watchdog under store outage (bounded mode) ===")
     sim = Simulator(seed=9)
-    dep = deploy(sim, lambda: AsyncCounterApp(slots=8),
-                 config=RedPlaneConfig(mode=RedPlaneMode.BOUNDED_INCONSISTENCY))
+    dep = deploy(sim, lambda: AsyncCounterApp(slots=8))
     agg = dep.bed.aggs[0]
-    replicator = attach_snapshot_replication(
-        dep.engines[agg.name],
-        {AsyncCounterApp.STORE_KEY: dep.apps[agg.name].counters},
-        period_us=1_000.0,
-    )
+    replicator = dep.replicators[agg.name]
     guard = EpsilonGuard(replicator, epsilon_us=5_000.0,
                          policy=EpsilonPolicy.DROP_PACKETS,
                          on_violation=lambda: print(
@@ -94,7 +87,8 @@ def epsilon_watchdog_demo() -> None:
     print(f"t=30 ms: guard dropped {guard.packets_dropped} packets; the "
           f"un-replicated state window stayed bounded instead of growing")
     guard.stop()
-    replicator.stop()
+    for rep in dep.replicators.values():
+        rep.stop()
     for a in dep.bed.aggs:
         a.pktgen.stop()
     for engine in dep.engines.values():

@@ -12,32 +12,20 @@ slightly stale, never garbage.
 Run:  python examples/tenant_heavy_hitters.py
 """
 
-from repro import RedPlaneConfig, Simulator, deploy
+from repro import Simulator, deploy
 from repro.apps import HeavyHitterApp
 from repro.apps.heavy_hitter import vlan_store_key
-from repro.core.api import attach_snapshot_replication
-from repro.core.engine import RedPlaneMode
 from repro.net.packet import Packet
 from repro.workloads.traces import vlan_trace
 
 TENANTS = [10, 20]
-SNAPSHOT_PERIOD_US = 1_000.0
 
 
 def main() -> None:
     sim = Simulator(seed=3)
-    dep = deploy(
-        sim,
-        lambda: HeavyHitterApp(vlans=TENANTS, threshold=50),
-        config=RedPlaneConfig(mode=RedPlaneMode.BOUNDED_INCONSISTENCY),
-    )
-    replicators = {}
-    for agg in dep.bed.aggs:
-        replicators[agg.name] = attach_snapshot_replication(
-            dep.engines[agg.name],
-            dep.apps[agg.name].snapshot_structures(),
-            period_us=SNAPSHOT_PERIOD_US,
-        )
+    # The app declares its sketches as snapshot structures, so deploy()
+    # runs it in bounded-inconsistency mode with a replicator per switch.
+    dep = deploy(sim, lambda: HeavyHitterApp(vlans=TENANTS, threshold=50))
 
     e1, s11 = dep.bed.externals[0], dep.bed.servers[0]
     # Tenant 10 sends a heavy flow plus background noise; tenant 20 only
@@ -56,7 +44,7 @@ def main() -> None:
     print(f"live sketch on {active.name}: tenant 10 heavy-flow estimate = "
           f"{app.estimate(10, heavy_key)} (threshold 50)")
     print(f"heavy-hitter flags raised: {app.heavy_hits}")
-    rep = replicators[active.name]
+    rep = dep.replicators[active.name]
     print(f"snapshots completed: {rep.epoch}, inconsistency bound "
           f"epsilon ~= {rep.staleness_us():.0f} us")
 
@@ -83,7 +71,7 @@ def main() -> None:
     print(f"restored estimate on {standby.name}: {restored} "
           f"(truth at failure: {truth})")
     lost = truth - restored
-    max_loss_window = SNAPSHOT_PERIOD_US
+    max_loss_window = rep.period_us
     print(f"counts lost to the failure: {lost} "
           f"(bounded by ~one snapshot period of traffic, epsilon = "
           f"{max_loss_window:.0f} us)")

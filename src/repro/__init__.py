@@ -39,7 +39,6 @@ from repro.core import (
     RedPlaneMode,
     StateSpec,
     attach_redplane,
-    attach_snapshot_replication,
 )
 from repro.statestore import ShardAddress, ShardMap, StateStoreNode, build_chain
 from repro.deploy import Deployment, deploy
@@ -62,7 +61,6 @@ __all__ = [
     "RedPlaneMode",
     "StateSpec",
     "attach_redplane",
-    "attach_snapshot_replication",
     "ShardAddress",
     "ShardMap",
     "StateStoreNode",

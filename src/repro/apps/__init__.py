@@ -45,33 +45,21 @@ from repro.apps.sequencer import (
 from repro.apps.superspreader import SPREAD_STORE_KEY, SuperSpreaderApp
 from repro.apps.syn_defense import SynDefenseApp, syn_cookie
 
-#: Every §6 application, deployable with defaults — the set
-#: ``repro.tools verify --all`` sweeps. Each spec gives a zero-argument
-#: factory and, for apps whose state lives in lazy-snapshot structures,
-#: a ``structures`` callable (app -> {store_key: LazySnapshotArray})
-#: so verification runs with the snapshot replicator in the pipeline,
-#: exactly as the experiments deploy them.
+#: Every §6 application by name, as a zero-argument factory deployable
+#: with defaults (``deploy(sim, BUILTIN_APPS[name])``) — the set
+#: ``repro.tools verify --all`` sweeps.
 BUILTIN_APPS = {
-    "async_counter": {
-        "factory": AsyncCounterApp,
-        "structures": lambda app: {AsyncCounterApp.STORE_KEY: app.counters},
-    },
-    "sync_counter": {"factory": SyncCounterApp},
-    "epc_sgw": {"factory": EpcSgwApp},
-    "firewall": {"factory": FirewallApp},
-    "heavy_hitter": {
-        "factory": lambda: HeavyHitterApp(vlans=[10, 20]),
-        "structures": lambda app: app.snapshot_structures(),
-    },
-    "kv_store": {"factory": KvStoreApp},
-    "load_balancer": {"factory": LoadBalancerApp},
-    "nat": {"factory": NatApp},
-    "sequencer": {"factory": SequencerApp},
-    "superspreader": {
-        "factory": SuperSpreaderApp,
-        "structures": lambda app: app.snapshot_structures(),
-    },
-    "syn_defense": {"factory": SynDefenseApp},
+    "async_counter": AsyncCounterApp,
+    "sync_counter": SyncCounterApp,
+    "epc_sgw": EpcSgwApp,
+    "firewall": FirewallApp,
+    "heavy_hitter": lambda: HeavyHitterApp(vlans=[10, 20]),
+    "kv_store": KvStoreApp,
+    "load_balancer": LoadBalancerApp,
+    "nat": NatApp,
+    "sequencer": SequencerApp,
+    "superspreader": SuperSpreaderApp,
+    "syn_defense": SynDefenseApp,
 }
 
 __all__ = [

@@ -10,7 +10,7 @@ inconsistency).
 from __future__ import annotations
 
 import zlib
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.net.packet import FlowKey, Packet
 from repro.apps.nat import is_internal
@@ -62,6 +62,9 @@ class AsyncCounterApp(InSwitchApp):
 
     def __init__(self, slots: int = 64) -> None:
         self.counters = LazySnapshotArray("async-counter", slots)
+
+    def snapshot_structures(self) -> Dict[FlowKey, LazySnapshotArray]:
+        return {self.STORE_KEY: self.counters}
 
     def partition_key(self, pkt: Packet) -> Optional[FlowKey]:
         if pkt.ip is None or not is_internal(pkt.ip.dst):

@@ -109,19 +109,4 @@ class KvStoreApp(InSwitchApp):
 
 def install_kv_routes(bed: Testbed, service_ip: int = KV_SERVICE_IP) -> None:
     """ECMP the KV service /32 to both aggregation switches."""
-    for core in bed.cores:
-        agg_ports = [
-            port
-            for port in core.ports
-            if port.link is not None and port.link.other_end(port).node in bed.aggs
-        ]
-        if agg_ports:
-            core.table.add(service_ip, 32, agg_ports)
-    for tor in bed.tors:
-        uplinks = [
-            port
-            for port in tor.ports
-            if port.link is not None and port.link.other_end(port).node in bed.aggs
-        ]
-        if uplinks:
-            tor.table.add(service_ip, 32, uplinks)
+    bed.anycast_to_aggs(service_ip, from_racks=True)

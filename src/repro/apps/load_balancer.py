@@ -85,11 +85,4 @@ def make_dip_allocator(dips: List[int]):
 
 def install_vip_routes(bed: Testbed, vip: int = VIP) -> None:
     """ECMP the VIP /32 to both aggregation switches at the core layer."""
-    for core in bed.cores:
-        agg_ports = [
-            port
-            for port in core.ports
-            if port.link is not None and port.link.other_end(port).node in bed.aggs
-        ]
-        if agg_ports:
-            core.table.add(vip, 32, agg_ports)
+    bed.anycast_to_aggs(vip)

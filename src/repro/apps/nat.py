@@ -116,20 +116,7 @@ class NatApp(InSwitchApp):
 
 
 def install_nat_routes(bed: Testbed, public_ip: int = NAT_PUBLIC_IP) -> None:
-    """Route the NAT public address to the aggregation switches.
-
-    Core switches ECMP the public /32 across both programmable switches —
-    the anycast deployment of §4.3 — so inbound traffic reaches *some*
-    NAT instance, and RedPlane's lease migration covers the rest.
+    """Route the NAT public address to the aggregation switches (internal
+    servers already reach it by their default route).
     """
-    for core in bed.cores:
-        agg_ports = []
-        for port in core.ports:
-            if port.link is not None and port.link.other_end(port).node in bed.aggs:
-                agg_ports.append(port)
-        if agg_ports:
-            core.table.add(public_ip, 32, agg_ports)
-    for tor in bed.tors:
-        # Internal servers send to the public IP via their default route
-        # (already installed); nothing to add at the ToR layer.
-        pass
+    bed.anycast_to_aggs(public_ip)

@@ -110,17 +110,4 @@ class SequencerApp(InSwitchApp):
 
 def install_sequencer_routes(bed: Testbed, service_ip: int = SEQUENCER_IP) -> None:
     """ECMP the sequencer service /32 to both aggregation switches."""
-    for core in bed.cores:
-        agg_ports = [
-            p for p in core.ports
-            if p.link is not None and p.link.other_end(p).node in bed.aggs
-        ]
-        if agg_ports:
-            core.table.add(service_ip, 32, agg_ports)
-    for tor in bed.tors:
-        uplinks = [
-            p for p in tor.ports
-            if p.link is not None and p.link.other_end(p).node in bed.aggs
-        ]
-        if uplinks:
-            tor.table.add(service_ip, 32, uplinks)
+    bed.anycast_to_aggs(service_ip, from_racks=True)

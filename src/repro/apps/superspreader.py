@@ -47,8 +47,7 @@ class SuperSpreaderApp(InSwitchApp):
     shard_class = "global"
     shard_reason = (
         "Bloom membership and per-source spread counters aggregate over "
-        "all (src, dst) pairs; any two flows may collide in both "
-        "structures"
+        "all (src, dst) pairs; any two flows may collide in both structures"
     )
 
     def __init__(self, threshold: int = 32, membership_bits: int = 512,

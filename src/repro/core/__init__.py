@@ -1,6 +1,6 @@
 """RedPlane core: the fault-tolerant state store protocol for switches."""
 
-from repro.core.api import attach_redplane, attach_snapshot_replication
+from repro.core.api import attach_redplane
 from repro.core.app import AppVerdict, InSwitchApp
 from repro.core.epsilon import EpsilonGuard, EpsilonPolicy
 from repro.core.engine import (
@@ -24,7 +24,6 @@ from repro.core.snapshot import LazySnapshotArray, SnapshotReplicator
 
 __all__ = [
     "attach_redplane",
-    "attach_snapshot_replication",
     "AppVerdict",
     "InSwitchApp",
     "EpsilonGuard",

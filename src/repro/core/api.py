@@ -3,20 +3,19 @@
 Where the P4 prototype has developers ``#include "redplane_core.p4"`` and
 instantiate ``RedPlaneIngress``/``RedPlaneEgress`` around their app, here
 they call :func:`attach_redplane` on a switch with their
-:class:`~repro.core.app.InSwitchApp`, and optionally
-:func:`attach_snapshot_replication` for bounded-inconsistency structures.
+:class:`~repro.core.app.InSwitchApp`; :func:`repro.deploy.deploy` does that
+for every aggregation switch and starts snapshot replication for apps
+that declare ``snapshot_structures()``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.net import constants
-from repro.net.packet import FlowKey
 from repro.switch.asic import SwitchASIC
 from repro.core.app import InSwitchApp
-from repro.core.engine import RedPlaneConfig, RedPlaneEngine, RedPlaneMode
-from repro.core.snapshot import LazySnapshotArray, SnapshotReplicator
+from repro.core.engine import RedPlaneConfig, RedPlaneEngine
 from repro.statestore.netchain import NetChainBackend, NetChainStoreBlock
 from repro.statestore.server import StateAllocator
 from repro.statestore.sharding import ShardMap
@@ -38,26 +37,6 @@ def attach_redplane(
     switch.add_block(engine)
     switch.resources.register(app.resource_usage())
     return engine
-
-
-def attach_snapshot_replication(
-    engine: RedPlaneEngine,
-    structures: Dict[FlowKey, LazySnapshotArray],
-    period_us: float,
-    start: bool = True,
-) -> SnapshotReplicator:
-    """Enable bounded-inconsistency snapshot replication (§5.4).
-
-    ``structures`` maps a store partition key (e.g. a per-VLAN pseudo flow
-    key) to the lazy-snapshot array holding that partition's state. The
-    replicator block is inserted *before* the engine so it claims the
-    packet-generator's snapshot-read packets.
-    """
-    replicator = SnapshotReplicator(engine, period_us, structures)
-    engine.switch.pipeline.blocks.insert(0, replicator)
-    if start:
-        replicator.start()
-    return replicator
 
 
 def attach_netchain_store(

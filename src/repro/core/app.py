@@ -15,12 +15,13 @@ sandwich is :class:`repro.core.engine.RedPlaneEngine` wrapping ``process``.
 from __future__ import annotations
 
 import enum
-from typing import Optional, TYPE_CHECKING
+from typing import Dict, Optional, TYPE_CHECKING
 
 from repro.net.packet import FlowKey, Packet
 from repro.core.flowstate import FlowStateView, StateSpec
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.snapshot import LazySnapshotArray
     from repro.switch.asic import SwitchASIC
     from repro.switch.pipeline import PipelineContext
 
@@ -102,6 +103,18 @@ class InSwitchApp:
         as a NAT port pool is owned by the store, §3).
         """
         return None
+
+    def snapshot_structures(self) -> Dict[FlowKey, "LazySnapshotArray"]:
+        """The app's bounded-inconsistency state (§4.4), by store key.
+
+        This is the app's whole consistency declaration. Empty (the
+        default): per-flow state is replicated synchronously and the app
+        is linearizable. Non-empty: the app keeps its state in these
+        lazy-snapshot arrays, the engine runs it in bounded-inconsistency
+        mode, and ``deploy()`` replicates a snapshot of each array every
+        ``RedPlaneConfig.snapshot_period_us``.
+        """
+        return {}
 
     def resource_usage(self) -> dict:
         """Baseline ASIC resources of the app itself (Table 2 context)."""

@@ -72,7 +72,12 @@ _HOLD_HEADER_LEN = len(_HOLD_TAG) + 8
 
 
 class RedPlaneMode(enum.Enum):
-    """The two consistency modes of §4."""
+    """The two consistency modes of §4.
+
+    Which one an engine runs is a property of its app
+    (:meth:`~repro.core.app.InSwitchApp.snapshot_structures`), read back
+    as :attr:`RedPlaneEngine.mode`; it is not configurable.
+    """
 
     LINEARIZABLE = "linearizable"
     BOUNDED_INCONSISTENCY = "bounded"
@@ -82,10 +87,11 @@ class RedPlaneMode(enum.Enum):
 class RedPlaneConfig:
     """Tunable protocol parameters (defaults match the prototype)."""
 
-    mode: RedPlaneMode = RedPlaneMode.LINEARIZABLE
     lease_period_us: float = constants.LEASE_PERIOD_US
     renew_interval_us: float = constants.LEASE_RENEW_INTERVAL_US
     retransmit_timeout_us: float = constants.RETRANSMIT_TIMEOUT_US
+    #: T_snap of bounded-inconsistency apps (§5.4); Fig 11 sweeps it.
+    snapshot_period_us: float = constants.SNAPSHOT_PERIOD_US
     max_flows: int = 4096
     #: Record input/output events for linearizability checking.
     record_history: bool = True
@@ -141,6 +147,12 @@ class RedPlaneEngine(ControlBlock):
         self.shard_map = shard_map
         self.config = config or RedPlaneConfig()
         cfg = self.config
+        #: Derived from the app once, here; nothing sets it afterwards.
+        self.mode = (
+            RedPlaneMode.BOUNDED_INCONSISTENCY
+            if app.snapshot_structures()
+            else RedPlaneMode.LINEARIZABLE
+        )
 
         # Flow-key -> register index. Models the hash-indexed flow table.
         self._flow_idx: Dict[FlowKey, int] = {}
@@ -263,7 +275,7 @@ class RedPlaneEngine(ControlBlock):
         if not pkt.meta.get("rp_reinjected"):
             self._record("input", key, pkt)
 
-        if self.config.mode is RedPlaneMode.BOUNDED_INCONSISTENCY:
+        if self.mode is RedPlaneMode.BOUNDED_INCONSISTENCY:
             # Bounded mode has no per-packet coordination at all (§4.4):
             # state lives in lazy-snapshot structures replicated
             # asynchronously, several switches may update their own copies
@@ -348,7 +360,6 @@ class RedPlaneEngine(ControlBlock):
         view = FlowStateView(self.app.state_spec, vals)
         verdict = self.app.process(view, pkt, ctx, self.switch)
 
-        wrote = view.write_occurred and self.config.mode is RedPlaneMode.LINEARIZABLE
         if view.write_occurred:
             # Commit new values to the state registers: one atomic RMW per
             # array for this packet (the cp_read above models the read
@@ -356,8 +367,6 @@ class RedPlaneEngine(ControlBlock):
             new_vals = view.vals()
             for reg, new_val in zip(self.state_regs, new_vals):
                 reg.access(ctx, idx, lambda _old, v=new_val: (v, v))
-
-        if wrote:
             seq = self.reg_cur_seq.access(ctx, idx, lambda old: (old + 1, old + 1))
             # Every output derived from this packet — the forwarded packet
             # and anything the app emitted (Definition 1 allows multiple

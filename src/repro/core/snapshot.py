@@ -160,16 +160,13 @@ class SnapshotReplicator(ControlBlock):
 
     name = "snapshot-replicator"
 
-    def __init__(
-        self,
-        engine: RedPlaneEngine,
-        period_us: float,
-        structures: Optional[Dict[FlowKey, LazySnapshotArray]] = None,
-    ) -> None:
+    def __init__(self, engine: RedPlaneEngine) -> None:
         self.engine = engine
         self.switch = engine.switch
-        self.period_us = period_us
-        self.structures: Dict[FlowKey, LazySnapshotArray] = dict(structures or {})
+        self.period_us = engine.config.snapshot_period_us
+        self.structures: Dict[FlowKey, LazySnapshotArray] = (
+            engine.app.snapshot_structures()
+        )
         self.epoch = 0
         #: (store key, slot) -> unacknowledged epoch.
         self._outstanding: Dict[Tuple[FlowKey, int], int] = {}
@@ -184,9 +181,6 @@ class SnapshotReplicator(ControlBlock):
         # called for each SNAPSHOT_REPL_ACK and consulted (``is_acked``) by
         # the mirror-based retransmitter.
         engine.snapshot_ack_handler = self
-
-    def add_structure(self, key: FlowKey, array: LazySnapshotArray) -> None:
-        self.structures[key] = array
 
     # -- pktgen wiring --------------------------------------------------------
 

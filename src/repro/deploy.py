@@ -11,17 +11,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.net import constants
 from repro.net.routing import L3Switch
 from repro.net.simulator import Simulator
 from repro.net.topology import Testbed, build_testbed
 from repro.switch.asic import SwitchASIC
 from repro.core.app import InSwitchApp
-from repro.core.engine import RedPlaneConfig, RedPlaneEngine
+from repro.core.engine import RedPlaneConfig, RedPlaneEngine, RedPlaneMode
 from repro.core.api import attach_netchain_store, attach_redplane
 from repro.core.protocol import STORE_UDP_PORT
+from repro.core.snapshot import SnapshotReplicator
 from repro.statestore.backend import StateStoreBackend
-from repro.statestore.failover import MutableShardMap
 from repro.statestore.netchain import (
     NETCHAIN_UDP_PORT,
     NetChainBackend,
@@ -53,6 +52,9 @@ class Deployment:
     chains: List[List[StateStoreNode]] = field(default_factory=list)
     #: The in-switch store block when deployed via :func:`deploy_netchain`.
     netchain: Optional[NetChainStoreBlock] = None
+    #: The running snapshot replicator of each agg switch whose app
+    #: declares ``snapshot_structures()``; empty for linearizable apps.
+    replicators: Dict[str, SnapshotReplicator] = field(default_factory=dict)
 
     @property
     def switches(self) -> List[SwitchASIC]:
@@ -60,6 +62,36 @@ class Deployment:
 
     def engine_of(self, switch: SwitchASIC) -> RedPlaneEngine:
         return self.engines[switch.name]
+
+
+def _attach_apps(
+    deployment: Deployment,
+    app_factory: AppFactory,
+    config: RedPlaneConfig,
+) -> Deployment:
+    """The tail both deploy functions share: a RedPlane-enabled app on
+    every agg switch, then snapshot replication for the apps that declare
+    ``snapshot_structures()``.
+
+    The replicators go in a second pass, after every engine is attached,
+    so the packet generators' first events are scheduled after all engine
+    construction. Each replicator sits at pipeline index 0, ahead of its
+    engine, so it claims the generator's snapshot-read packets.
+    """
+    for agg in deployment.bed.aggs:
+        app = app_factory()
+        engine = attach_redplane(
+            agg, app, deployment.shard_map, config  # type: ignore[arg-type]
+        )
+        deployment.apps[agg.name] = app
+        deployment.engines[agg.name] = engine
+    for name, engine in deployment.engines.items():
+        if engine.mode is not RedPlaneMode.LINEARIZABLE:
+            replicator = SnapshotReplicator(engine)
+            engine.switch.pipeline.blocks.insert(0, replicator)
+            replicator.start()
+            deployment.replicators[name] = replicator
+    return deployment
 
 
 def deploy(
@@ -71,7 +103,6 @@ def deploy(
     allocator: Optional[StateAllocator] = None,
     link_loss: float = 0.0,
     link_reorder: float = 0.0,
-    lease_period_us: float = constants.LEASE_PERIOD_US,
     backend_factory: Optional[BackendFactory] = None,
 ) -> Deployment:
     """Build the testbed and attach a RedPlane-enabled app to each agg switch.
@@ -91,8 +122,7 @@ def deploy(
             "the testbed has 3 store servers; "
             f"{num_shards} shards x {chain_length} chain nodes do not fit"
         )
-    if config is not None:
-        lease_period_us = config.lease_period_us
+    config = config or RedPlaneConfig()
 
     def make_agg(sim_: Simulator, name: str, loopback_ip: int) -> SwitchASIC:
         return SwitchASIC(sim_, name, loopback_ip)
@@ -100,8 +130,8 @@ def deploy(
     def make_store(sim_: Simulator, name: str, ip: int) -> StateStoreNode:
         backend = backend_factory(name) if backend_factory is not None else None
         return StateStoreNode(
-            sim_, name, ip, lease_period_us=lease_period_us, allocator=allocator,
-            backend=backend,
+            sim_, name, ip, lease_period_us=config.lease_period_us,
+            allocator=allocator, backend=backend,
         )
 
     bed = build_testbed(
@@ -120,16 +150,12 @@ def deploy(
         build_chain(chain)
         chains.append(chain)
         heads.append(ShardAddress(ip=chain[0].ip, udp_port=STORE_UDP_PORT))
-    shard_map = MutableShardMap(heads)
+    shard_map = ShardMap(heads)
 
-    deployment = Deployment(sim=sim, bed=bed, stores=stores, shard_map=shard_map)
-    deployment.chains = chains
-    for agg in bed.aggs:
-        app = app_factory()
-        engine = attach_redplane(agg, app, shard_map, config)  # type: ignore[arg-type]
-        deployment.apps[agg.name] = app
-        deployment.engines[agg.name] = engine
-    return deployment
+    deployment = Deployment(
+        sim=sim, bed=bed, stores=stores, shard_map=shard_map, chains=chains
+    )
+    return _attach_apps(deployment, app_factory, config)
 
 
 def deploy_netchain(
@@ -139,7 +165,6 @@ def deploy_netchain(
     allocator: Optional[StateAllocator] = None,
     link_loss: float = 0.0,
     link_reorder: float = 0.0,
-    lease_period_us: float = constants.LEASE_PERIOD_US,
     store_size: int = 1024,
 ) -> Deployment:
     """Deploy with a NetChain-style *in-switch* store instead of servers.
@@ -157,8 +182,7 @@ def deploy_netchain(
     ride the normal up-routes. The store servers of the testbed are
     built but left idle (``deployment.stores`` is empty).
     """
-    if config is not None:
-        lease_period_us = config.lease_period_us
+    config = config or RedPlaneConfig()
 
     def make_agg(sim_: Simulator, name: str, loopback_ip: int) -> SwitchASIC:
         return SwitchASIC(sim_, name, loopback_ip)
@@ -179,18 +203,14 @@ def deploy_netchain(
     assert isinstance(tor, SwitchASIC)
     backend = NetChainBackend(label=f"{tor.name}.netchain", size=store_size)
     block = attach_netchain_store(
-        tor, backend=backend, lease_period_us=lease_period_us, allocator=allocator
+        tor, backend=backend, lease_period_us=config.lease_period_us,
+        allocator=allocator,
     )
-    shard_map = MutableShardMap(
+    shard_map = ShardMap(
         [ShardAddress(ip=tor.ip, udp_port=NETCHAIN_UDP_PORT)]
     )
 
     deployment = Deployment(
         sim=sim, bed=bed, stores=[], shard_map=shard_map, netchain=block
     )
-    for agg in bed.aggs:
-        app = app_factory()
-        engine = attach_redplane(agg, app, shard_map, config)  # type: ignore[arg-type]
-        deployment.apps[agg.name] = app
-        deployment.engines[agg.name] = engine
-    return deployment
+    return _attach_apps(deployment, app_factory, config)

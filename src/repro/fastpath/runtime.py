@@ -139,7 +139,7 @@ class FastPath:
         else:
             if meta.get("rp_kind") is not None:
                 return False  # protocol-tagged but oddly addressed: be safe
-            if ac.engine.config.mode is not RedPlaneMode.LINEARIZABLE:
+            if ac.engine.mode is not RedPlaneMode.LINEARIZABLE:
                 return False  # bounded mode: snapshot paths stay reference
             kind = "app"
             if is_udp or type(l4) is TCPHeader:

@@ -129,6 +129,26 @@ class Testbed:
                 return host
         raise KeyError(f"no host with ip {ip}")
 
+    def anycast_to_aggs(self, ip: int, from_racks: bool = False) -> None:
+        """Route the service address ``ip``/32 to the aggregation switches.
+
+        Core switches ECMP it across both programmable switches — the
+        anycast deployment of §4.3 — so traffic from outside reaches
+        *some* app instance and RedPlane's lease migration covers the
+        rest. ``from_racks`` adds the same route on the ToR uplinks for
+        services that in-rack clients address directly; without it rack
+        traffic reaches the aggs by the ToRs' default route.
+        """
+        for switch in self.cores + (self.tors if from_racks else []):
+            agg_ports = [
+                port
+                for port in switch.ports
+                if port.link is not None
+                and port.link.other_end(port).node in self.aggs
+            ]
+            if agg_ports:
+                switch.table.add(ip, 32, agg_ports)
+
 
 AggFactory = Callable[[Simulator, str, int], L3Switch]
 TorFactory = Callable[[Simulator, str, int], L3Switch]

@@ -40,16 +40,6 @@ def plan_dir(root: Optional[str] = None) -> str:
     return shard_plan_dir()
 
 
-def available_plans(root: Optional[str] = None) -> List[str]:
-    """App names with a committed plan, sorted."""
-    directory = plan_dir(root)
-    if not os.path.isdir(directory):
-        return []
-    return sorted(
-        name[:-5] for name in os.listdir(directory) if name.endswith(".json")
-    )
-
-
 def load_plan(app: str, root: Optional[str] = None) -> Dict[str, object]:
     """Read the committed plan for ``app``; PlanError when absent/bad."""
     path = os.path.join(plan_dir(root), f"{app}.json")
@@ -103,8 +93,8 @@ def check_conformance(app: str, root: Optional[str] = None) -> Dict[str, object]
     from repro.verify.cli import repo_root
     from repro.verify.partition_pass import plan_json, verify_partition_app
 
-    spec = BUILTIN_APPS.get(app)
-    if spec is None:
+    factory = BUILTIN_APPS.get(app)
+    if factory is None:
         raise PlanError(
             f"unknown app {app!r}; builtin apps: "
             f"{', '.join(sorted(BUILTIN_APPS))}"
@@ -113,8 +103,7 @@ def check_conformance(app: str, root: Optional[str] = None) -> Dict[str, object]
     # Site paths in the fresh plan must relativize against the repo, not
     # the caller's cwd, or conformance fails for runs launched elsewhere.
     _, fresh = verify_partition_app(
-        spec["factory"], label=app, structures=spec.get("structures"),
-        root=root or repo_root(),
+        factory, label=app, root=root or repo_root()
     )
     if plan_json(fresh) != plan_json(committed):
         where = _first_difference(json.loads(plan_json(fresh)),

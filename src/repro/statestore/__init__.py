@@ -38,7 +38,7 @@ from repro.statestore.netchain import (
     NetChainBackend,
     NetChainStoreBlock,
 )
-from repro.statestore.failover import MutableShardMap, StoreFailoverCoordinator
+from repro.statestore.failover import StoreFailoverCoordinator
 from repro.statestore.sharding import ShardAddress, ShardMap
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
     "reconfigure_chain",
     "ShardAddress",
     "ShardMap",
-    "MutableShardMap",
     "StoreFailoverCoordinator",
     "CHAIN_UDP_PORT",
     "NETCHAIN_UDP_PORT",

@@ -29,15 +29,6 @@ from repro.statestore.sharding import ShardAddress, ShardMap
 from repro.telemetry import trace as tt
 
 
-class MutableShardMap(ShardMap):
-    """A shard map whose heads can be repointed after chain failover."""
-
-    def set_head(self, shard_index: int, address: ShardAddress) -> None:
-        if not 0 <= shard_index < len(self._shards):
-            raise IndexError(f"no shard {shard_index}")
-        self._shards[shard_index] = address
-
-
 @dataclass
 class _ShardChain:
     nodes: List[StateStoreNode]
@@ -53,7 +44,7 @@ class StoreFailoverCoordinator:
     def __init__(
         self,
         sim: Simulator,
-        shard_map: MutableShardMap,
+        shard_map: ShardMap,
         chains: List[List[StateStoreNode]],
         switches: Optional[List] = None,
         heartbeat_interval_us: float = 100_000.0,

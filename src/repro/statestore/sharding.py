@@ -24,7 +24,12 @@ class ShardAddress:
 
 
 class ShardMap:
-    """Deterministic flow-key -> shard mapping, identical on every switch."""
+    """Deterministic flow-key -> shard mapping, identical on every switch.
+
+    One object is shared by reference with every switch's engine, so
+    repointing a shard's head after chain failover (:meth:`set_head`) is
+    one in-place update.
+    """
 
     def __init__(self, shard_addresses: Sequence[ShardAddress]) -> None:
         if not shard_addresses:
@@ -43,3 +48,8 @@ class ShardMap:
 
     def addresses(self) -> List[ShardAddress]:
         return list(self._shards)
+
+    def set_head(self, shard_index: int, address: ShardAddress) -> None:
+        if not 0 <= shard_index < len(self._shards):
+            raise IndexError(f"no shard {shard_index}")
+        self._shards[shard_index] = address

@@ -150,15 +150,15 @@ def run_verify(args: argparse.Namespace) -> int:
     if app == "netchain":
         apps = {}
     elif app is not None:
-        spec = BUILTIN_APPS.get(app)
-        if spec is None:
+        factory = BUILTIN_APPS.get(app)
+        if factory is None:
             print(
                 f"unknown app {app!r}; builtin apps: "
                 f"{', '.join(sorted(BUILTIN_APPS))}, netchain",
                 file=sys.stderr,
             )
             return 2
-        apps = {app: spec}
+        apps = {app: factory}
     elif all_targets or not paths:
         apps = dict(BUILTIN_APPS)
     else:
@@ -170,22 +170,12 @@ def run_verify(args: argparse.Namespace) -> int:
 
     plans: Dict[str, dict] = {}
     for name in sorted(apps):
-        spec = apps[name]
+        factory = apps[name]
         verify_app(
-            spec["factory"],
-            label=name,
-            structures=spec.get("structures"),
-            report=report,
-            suppressions=supp,
-            root=root,
+            factory, label=name, report=report, suppressions=supp, root=root
         )
         _, plan = verify_partition_app(
-            spec["factory"],
-            label=name,
-            structures=spec.get("structures"),
-            report=report,
-            suppressions=supp,
-            root=root,
+            factory, label=name, report=report, suppressions=supp, root=root
         )
         plans[name] = plan
     # The NetChain in-switch store is a deployable switch program too:

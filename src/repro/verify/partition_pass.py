@@ -619,12 +619,11 @@ class _PartitionAnalyzer:
     """Runs the RS400-405/407 checks over one deployed app and builds
     its shard plan."""
 
-    def __init__(self, dep, label: str, structures,
+    def __init__(self, dep, label: str,
                  report: Report, supp: SuppressionIndex,
                  root: Optional[str]) -> None:
         self.dep = dep
         self.label = label
-        self.structures_fn = structures
         self.report = report
         self.supp = supp
         self.root = root
@@ -826,17 +825,15 @@ class _PartitionAnalyzer:
             })
 
         store_keys: Dict[int, List[str]] = {}
-        if self.structures_fn is not None:
-            keyed = self.structures_fn(app)
-            for fkey in sorted(
-                keyed,
-                key=lambda k: (k.src_ip, k.dst_ip, k.proto, k.sport,
-                               k.dport),
-            ):
-                store_keys.setdefault(id(keyed[fkey]), []).append(
-                    f"{fkey.src_ip}.{fkey.dst_ip}.{fkey.proto}."
-                    f"{fkey.sport}.{fkey.dport}"
-                )
+        keyed = app.snapshot_structures()
+        for fkey in sorted(
+            keyed,
+            key=lambda k: (k.src_ip, k.dst_ip, k.proto, k.sport, k.dport),
+        ):
+            store_keys.setdefault(id(keyed[fkey]), []).append(
+                f"{fkey.src_ip}.{fkey.dst_ip}.{fkey.proto}."
+                f"{fkey.sport}.{fkey.dport}"
+            )
 
         cls_site = site(_class_site(app)[0], type(app))
         for s in structs:
@@ -894,28 +891,22 @@ class _PartitionAnalyzer:
 def verify_partition_app(
     factory,
     label: Optional[str] = None,
-    structures=None,
     report: Optional[Report] = None,
     suppressions: Optional[SuppressionIndex] = None,
     root: Optional[str] = None,
 ) -> Tuple[Report, Dict[str, object]]:
     """Deploy ``factory()`` exactly as the experiments do, run the
     partition analysis, and return (report, shard plan)."""
-    from repro.core.engine import RedPlaneConfig, RedPlaneMode
     from repro.deploy import deploy
     from repro.net.simulator import Simulator
 
-    sim = Simulator(seed=0)
-    config = None
-    if structures is not None:
-        config = RedPlaneConfig(mode=RedPlaneMode.BOUNDED_INCONSISTENCY)
-    dep = deploy(sim, factory, config=config)
+    dep = deploy(Simulator(seed=0), factory)
     report = report if report is not None else Report()
     supp = suppressions if suppressions is not None else SuppressionIndex()
     name = label or getattr(
         dep.apps[dep.switches[0].name], "name", "app"
     )
-    analyzer = _PartitionAnalyzer(dep, name, structures, report, supp, root)
+    analyzer = _PartitionAnalyzer(dep, name, report, supp, root)
     analysis = analyzer.run()
     report.analyzed[f"partition:{name}"] = (
         f"{analysis.effective}; {analysis.structures} structure(s)"

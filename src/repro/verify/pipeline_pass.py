@@ -1269,36 +1269,19 @@ def verify_asic(
 def verify_app(
     factory,
     label: Optional[str] = None,
-    structures=None,
     report: Optional[Report] = None,
     suppressions: Optional[SuppressionIndex] = None,
     root: Optional[str] = None,
 ) -> Report:
     """Deploy ``factory()`` on a fresh simulated testbed and verify the
-    resulting switch program.
-
-    ``structures`` — optional callable ``app -> {store_key: LazySnapshotArray}``
-    enabling snapshot replication, so bounded-inconsistency apps are
-    verified with the replicator block in the pipeline exactly as the
-    experiments run them.
-    """
-    from repro.core.api import attach_snapshot_replication
-    from repro.core.engine import RedPlaneConfig, RedPlaneMode
+    resulting switch program — for a bounded-inconsistency app that
+    includes the replicator block ``deploy()`` put in the pipeline."""
     from repro.deploy import deploy
     from repro.net.simulator import Simulator
 
-    sim = Simulator(seed=0)
-    config = None
-    if structures is not None:
-        config = RedPlaneConfig(mode=RedPlaneMode.BOUNDED_INCONSISTENCY)
-    dep = deploy(sim, factory, config=config)
+    dep = deploy(Simulator(seed=0), factory)
     switch = dep.switches[0]
     app = dep.apps[switch.name]
-    if structures is not None:
-        attach_snapshot_replication(
-            dep.engines[switch.name], structures(app),
-            period_us=1_000.0, start=False,
-        )
     report = report if report is not None else Report()
     verify_asic(switch, report=report, suppressions=suppressions, root=root)
     name = label or getattr(app, "name", type(app).__name__)

@@ -3,7 +3,6 @@
 from repro.workloads.failures import FailureSchedule, InjectedFault
 from repro.workloads.harness import EchoResponder, RttProbe
 from repro.workloads.tcp import TcpReceiver, TcpSender
-from repro.workloads.trace_io import load_trace, save_trace
 from repro.workloads.traces import (
     SIZE_BUCKETS,
     TraceEvent,
@@ -22,8 +21,6 @@ __all__ = [
     "RttProbe",
     "TcpReceiver",
     "TcpSender",
-    "load_trace",
-    "save_trace",
     "SIZE_BUCKETS",
     "TraceEvent",
     "epc_trace",

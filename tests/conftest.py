@@ -31,3 +31,11 @@ def nat_deployment(sim):
 def drain(sim: Simulator, max_events: int = 5_000_000) -> None:
     """Run the simulation until no events remain."""
     sim.run_until_idle(max_events=max_events)
+
+
+def stop_snapshots(dep) -> None:
+    """For tests that read a snapshot app's switch state, not the store:
+    stop the replicators ``deploy()`` started, so ``run_until_idle()``
+    can drain (a running packet generator never goes idle)."""
+    for rep in dep.replicators.values():
+        rep.stop()

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro import Simulator, deploy, RedPlaneConfig
-from repro.core.engine import RedPlaneMode
+from repro import Simulator, deploy
 from repro.apps import (
     EpcSgwApp,
     FirewallApp,
@@ -25,8 +24,8 @@ from repro.apps import (
     OP_UPDATE,
 )
 from repro.apps.heavy_hitter import vlan_store_key
-from repro.core.api import attach_snapshot_replication
 from repro.net.packet import Packet, TCP_SYN, TCP_ACK, ip_ntoa
+from tests.conftest import stop_snapshots
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +271,8 @@ class TestHeavyHitter:
         dep = deploy(
             sim,
             lambda: HeavyHitterApp(vlans=[10], threshold=20),
-            config=RedPlaneConfig(mode=RedPlaneMode.BOUNDED_INCONSISTENCY),
         )
+        stop_snapshots(dep)
         e1, s11 = dep.bed.externals[0], dep.bed.servers[0]
         for i in range(30):
             pkt = Packet.udp(e1.ip, s11.ip, 5555, 7777, vlan=10)
@@ -288,8 +287,8 @@ class TestHeavyHitter:
         dep = deploy(
             sim,
             lambda: HeavyHitterApp(vlans=[10, 20], threshold=1000),
-            config=RedPlaneConfig(mode=RedPlaneMode.BOUNDED_INCONSISTENCY),
         )
+        stop_snapshots(dep)
         e1, s11 = dep.bed.externals[0], dep.bed.servers[0]
         for i in range(10):
             sim.schedule(i * 10.0, e1.send,
@@ -304,20 +303,14 @@ class TestHeavyHitter:
         dep = deploy(
             sim,
             lambda: HeavyHitterApp(vlans=[10], threshold=1000, width=16),
-            config=RedPlaneConfig(mode=RedPlaneMode.BOUNDED_INCONSISTENCY),
         )
-        reps = {}
-        for agg in dep.bed.aggs:
-            app = dep.apps[agg.name]
-            reps[agg.name] = attach_snapshot_replication(
-                dep.engines[agg.name], app.snapshot_structures(), period_us=1_000.0
-            )
+        assert sorted(dep.replicators) == [agg.name for agg in dep.bed.aggs]
         e1, s11 = dep.bed.externals[0], dep.bed.servers[0]
         for i in range(25):
             sim.schedule(i * 10.0, e1.send,
                          Packet.udp(e1.ip, s11.ip, 5555, 7777, vlan=10))
         sim.run(until=5_000)
-        for rep in reps.values():
+        for rep in dep.replicators.values():
             rep.stop()
         sim.run_until_idle()
         # The store holds a snapshot of every sketch row whose total equals

@@ -13,9 +13,8 @@ from repro.apps import (
     parse_stamp,
     syn_cookie,
 )
-from repro.core.api import attach_snapshot_replication
-from repro.core.engine import RedPlaneMode
 from repro.net.packet import Packet, TCP_ACK, TCP_SYN
+from tests.conftest import stop_snapshots
 
 
 # ---------------------------------------------------------------------------
@@ -94,11 +93,9 @@ class TestSynDefense:
 
 class TestSuperSpreader:
     def make(self, sim, threshold=8):
-        return deploy(
-            sim,
-            lambda: SuperSpreaderApp(threshold=threshold),
-            config=RedPlaneConfig(mode=RedPlaneMode.BOUNDED_INCONSISTENCY),
-        )
+        dep = deploy(sim, lambda: SuperSpreaderApp(threshold=threshold))
+        stop_snapshots(dep)
+        return dep
 
     def test_spread_counts_distinct_destinations(self, sim):
         dep = self.make(sim)

@@ -3,9 +3,12 @@
 import pytest
 
 from repro import RedPlaneConfig, Simulator, deploy
-from repro.apps.counter import SyncCounterApp
-from repro.core.engine import RedPlaneEngine
-from repro.statestore import MutableShardMap, StateStoreNode
+from repro.apps import BUILTIN_APPS
+from repro.apps.counter import AsyncCounterApp, SyncCounterApp
+from repro.core.engine import RedPlaneEngine, RedPlaneMode
+from repro.core.snapshot import SnapshotReplicator
+from repro.deploy import deploy_netchain
+from repro.statestore import ShardMap, StateStoreNode
 
 
 def test_default_deployment_shape(sim):
@@ -16,7 +19,7 @@ def test_default_deployment_shape(sim):
     assert len(dep.stores) == 3
     assert all(isinstance(st, StateStoreNode) for st in dep.stores)
     assert dep.shard_map.num_shards == 1
-    assert isinstance(dep.shard_map, MutableShardMap)
+    assert isinstance(dep.shard_map, ShardMap)
     # One chain of three: st1 -> st2 -> st3.
     assert dep.stores[0].successor_ip == dep.stores[1].ip
     assert dep.stores[1].successor_ip == dep.stores[2].ip
@@ -53,6 +56,60 @@ def test_config_propagates(sim):
     assert all(st.lease_period_us == 123_456.0 for st in dep.stores)
 
 
+@pytest.mark.parametrize("deploy_fn", [deploy, deploy_netchain])
+def test_store_and_switch_agree_on_the_lease_period(sim, deploy_fn):
+    """Mechanism 4: the store must not re-grant a flow while a switch
+    still believes it owns it, so there is one lease period per run."""
+    dep = deploy_fn(sim, SyncCounterApp,
+                    config=RedPlaneConfig(lease_period_us=100_000.0))
+    granters = dep.stores or [dep.netchain]
+    assert {g.lease_period_us for g in granters} == {100_000.0}
+    assert {e.config.lease_period_us for e in dep.engines.values()} == {
+        100_000.0
+    }
+    with pytest.raises(TypeError):
+        deploy_fn(sim, SyncCounterApp, lease_period_us=100_000.0)
+
+
+# -- the app declares its consistency mode; deploy() wires it -----------------
+
+SNAPSHOT_APPS = {"async_counter", "heavy_hitter", "superspreader"}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_APPS))
+def test_mode_and_replicator_follow_the_app(name):
+    dep = deploy(Simulator(seed=0), BUILTIN_APPS[name])
+    for agg in dep.bed.aggs:
+        engine, first = dep.engines[agg.name], agg.pipeline.blocks[0]
+        if name in SNAPSHOT_APPS:
+            assert engine.mode is RedPlaneMode.BOUNDED_INCONSISTENCY
+            assert first is dep.replicators[agg.name]
+            assert isinstance(first, SnapshotReplicator)
+            assert first.structures == engine.app.snapshot_structures()
+            assert agg.pktgen.enabled
+        else:
+            assert engine.mode is RedPlaneMode.LINEARIZABLE
+            assert not any(isinstance(b, SnapshotReplicator)
+                           for b in agg.pipeline.blocks)
+    assert sorted(dep.replicators) == (
+        ["agg1", "agg2"] if name in SNAPSHOT_APPS else []
+    )
+
+
+def test_mode_is_not_configurable():
+    with pytest.raises(TypeError):
+        RedPlaneConfig(mode=RedPlaneMode.BOUNDED_INCONSISTENCY)
+
+
+@pytest.mark.parametrize("deploy_fn", [deploy, deploy_netchain])
+def test_snapshot_period_reaches_the_replicators(sim, deploy_fn):
+    dep = deploy_fn(sim, AsyncCounterApp,
+                    config=RedPlaneConfig(snapshot_period_us=250.0))
+    assert [r.period_us for r in dep.replicators.values()] == [250.0, 250.0]
+    default = deploy(Simulator(seed=0), AsyncCounterApp)
+    assert {r.period_us for r in default.replicators.values()} == {1_000.0}
+
+
 def test_allocator_reaches_stores(sim):
     allocator = lambda key: [7]
     dep = deploy(sim, SyncCounterApp, allocator=allocator)
@@ -68,7 +125,6 @@ def test_oversized_chain_rejected(sim):
 
 
 def test_deploy_netchain_wiring(sim):
-    from repro.deploy import deploy_netchain
     from repro.statestore.netchain import (
         NETCHAIN_UDP_PORT,
         NetChainBackend,
@@ -96,7 +152,6 @@ def test_deploy_netchain_end_to_end(sim):
     """Counter traffic commits through the in-switch store: every packet's
     synchronous write is acked by tor1's pipeline, and the record mirror
     tracks the register state."""
-    from repro.deploy import deploy_netchain
     from repro.net.packet import Packet
 
     dep = deploy_netchain(sim, SyncCounterApp)

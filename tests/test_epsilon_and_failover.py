@@ -4,28 +4,18 @@ import pytest
 
 from repro import RedPlaneConfig, Simulator, deploy
 from repro.apps.counter import AsyncCounterApp, SyncCounterApp
-from repro.core.api import attach_snapshot_replication
-from repro.core.engine import RedPlaneMode
 from repro.core.epsilon import EpsilonGuard, EpsilonPolicy
 from repro.net.packet import Packet
 from repro.statestore import (
-    MutableShardMap,
+    ShardMap,
     ShardAddress,
     StoreFailoverCoordinator,
 )
 
 
-def bounded_deployment(sim, period_us=1_000.0):
-    dep = deploy(sim, lambda: AsyncCounterApp(slots=8),
-                 config=RedPlaneConfig(mode=RedPlaneMode.BOUNDED_INCONSISTENCY))
-    reps = {}
-    for agg in dep.bed.aggs:
-        reps[agg.name] = attach_snapshot_replication(
-            dep.engines[agg.name],
-            {AsyncCounterApp.STORE_KEY: dep.apps[agg.name].counters},
-            period_us=period_us,
-        )
-    return dep, reps
+def bounded_deployment(sim):
+    dep = deploy(sim, lambda: AsyncCounterApp(slots=8))
+    return dep, dep.replicators
 
 
 # ---------------------------------------------------------------------------
@@ -182,12 +172,12 @@ class TestStoreFailover:
             sim.run(until=sim.now + 100_000)
 
     def test_shard_chain_mismatch_rejected(self, sim):
-        shard_map = MutableShardMap([ShardAddress(1, 4800)])
+        shard_map = ShardMap([ShardAddress(1, 4800)])
         with pytest.raises(ValueError):
             StoreFailoverCoordinator(sim, shard_map, chains=[])
 
     def test_detection_latency(self, sim):
-        shard_map = MutableShardMap([ShardAddress(1, 4800)])
+        shard_map = ShardMap([ShardAddress(1, 4800)])
         from repro.statestore.server import StateStoreNode
 
         node = StateStoreNode(sim, "n", 1)

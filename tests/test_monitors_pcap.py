@@ -1,15 +1,11 @@
-"""Tests for runtime invariant monitors and pcap export."""
-
-import io
+"""Tests for runtime invariant monitors."""
 
 import pytest
 
-from repro import RedPlaneConfig, Simulator, deploy
+from repro import RedPlaneConfig, deploy
 from repro.apps.counter import SyncCounterApp
 from repro.model.monitors import InvariantMonitor
 from repro.net.packet import Packet
-from repro.net.pcap import LinkCapture, PcapWriter, read_pcap
-from repro.core.protocol import STORE_UDP_PORT
 
 
 # ---------------------------------------------------------------------------
@@ -81,63 +77,3 @@ class TestInvariantMonitor:
     def test_invalid_interval_rejected(self, sim, counter_deployment):
         with pytest.raises(ValueError):
             InvariantMonitor(sim, counter_deployment.stores, interval_us=0)
-
-
-# ---------------------------------------------------------------------------
-# pcap
-# ---------------------------------------------------------------------------
-
-
-class TestPcap:
-    def test_writer_roundtrip(self):
-        buf = io.BytesIO()
-        writer = PcapWriter(buf)
-        pkt = Packet.udp(1, 2, 3, 4, payload=b"hello")
-        writer.write(pkt, time_us=1_234_567.0)
-        writer.close()
-        buf.seek(0)
-        records = read_pcap(buf)
-        assert len(records) == 1
-        t, back = records[0]
-        assert t == 1_234_567
-        assert back.payload == b"hello"
-        assert back.l4.dport == 4
-
-    def test_bad_magic_rejected(self):
-        with pytest.raises(ValueError):
-            read_pcap(io.BytesIO(b"\x00" * 24))
-
-    def test_link_capture_records_protocol_traffic(self, sim,
-                                                   counter_deployment):
-        dep = counter_deployment
-        # Tap the rack-1 ToR -> store-server link: replication requests to
-        # the chain head cross it.
-        store_link = dep.stores[0].nic.link
-        buf = io.BytesIO()
-        capture = LinkCapture(store_link, buf)
-        e1, s11 = dep.bed.externals[0], dep.bed.servers[0]
-        e1.send(Packet.udp(e1.ip, s11.ip, 5555, 7777))
-        sim.run_until_idle()
-        capture.detach()
-        buf.seek(0)
-        records = read_pcap(buf)
-        assert records, "no packets captured"
-        dports = {pkt.l4.dport for _t, pkt in records if pkt.l4}
-        assert STORE_UDP_PORT in dports
-        # Timestamps are simulated-time microseconds, monotone.
-        times = [t for t, _p in records]
-        assert times == sorted(times)
-
-    def test_directional_capture(self, sim, counter_deployment):
-        dep = counter_deployment
-        link = dep.stores[0].nic.link
-        switch_side = link.other_end(dep.stores[0].nic)
-        buf = io.BytesIO()
-        capture = LinkCapture(link, buf, direction=switch_side)
-        e1, s11 = dep.bed.externals[0], dep.bed.servers[0]
-        e1.send(Packet.udp(e1.ip, s11.ip, 5555, 7777))
-        sim.run_until_idle()
-        capture.detach()
-        buf.seek(0)
-        for _t, pkt in read_pcap(buf):
-            assert pkt.l4.dport in (STORE_UDP_PORT, 4802)  # toward the store

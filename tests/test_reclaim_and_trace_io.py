@@ -1,14 +1,8 @@
-"""Tests for flow-table reclamation and trace file I/O."""
+"""Tests for flow-table reclamation."""
 
-import io
-
-import pytest
-
-from repro import RedPlaneConfig, Simulator, deploy
+from repro import RedPlaneConfig, deploy
 from repro.apps.counter import SyncCounterApp
-from repro.net.packet import PROTO_TCP, PROTO_UDP, Packet, ip_aton
-from repro.workloads.trace_io import load_trace, save_trace
-from repro.workloads.traces import five_tuple_trace
+from repro.net.packet import Packet
 
 
 # ---------------------------------------------------------------------------
@@ -85,68 +79,3 @@ class TestReclamation:
         assert eng.reclaim_idle_flows() == 0  # lease still pending
         eng.shutdown()
         sim.run_until_idle(max_events=2_000_000)
-
-
-# ---------------------------------------------------------------------------
-# trace I/O
-# ---------------------------------------------------------------------------
-
-
-class TestTraceIO:
-    def test_save_load_roundtrip(self):
-        events = five_tuple_trace(50, 5, ip_aton("10.0.1.11"),
-                                  ip_aton("172.16.0.11"), seed=3)
-        buf = io.StringIO()
-        assert save_trace(buf, events) == 50
-        buf.seek(0)
-        back = load_trace(buf)
-        assert len(back) == 50
-        for original, loaded in zip(events, back):
-            assert loaded.time_us == pytest.approx(original.time_us, abs=1e-3)
-            assert loaded.pkt.ip.src == original.pkt.ip.src
-            assert loaded.pkt.l4.sport == original.pkt.l4.sport
-            assert loaded.pkt.byte_size() == original.pkt.byte_size()
-            assert loaded.pkt.ip.identification == loaded.trace_id
-
-    def test_load_handles_comments_dotted_ips_and_vlan(self):
-        csv_text = (
-            "# a hand-written trace\n"
-            "time_us,src_ip,dst_ip,proto,sport,dport,size_bytes,vlan\n"
-            "0.0,10.0.1.11,172.16.0.11,17,1234,80,128,\n"
-            "5.5,10.0.1.12,172.16.0.12,6,4321,443,1500,100\n"
-        )
-        events = load_trace(io.StringIO(csv_text))
-        assert len(events) == 2
-        assert events[0].pkt.ip.src == ip_aton("10.0.1.11")
-        assert events[0].pkt.ip.proto == PROTO_UDP
-        assert events[1].pkt.ip.proto == PROTO_TCP
-        assert events[1].pkt.vlan == 100
-        assert events[1].pkt.byte_size() == 1500
-
-    def test_load_limit(self):
-        events = five_tuple_trace(20, 3, 1, 2, seed=1)
-        buf = io.StringIO()
-        save_trace(buf, events)
-        buf.seek(0)
-        assert len(load_trace(buf, limit=7)) == 7
-
-    def test_malformed_rows_rejected(self):
-        with pytest.raises(ValueError):
-            load_trace(io.StringIO("1.0,1,2,17\n"))
-        with pytest.raises(ValueError):
-            load_trace(io.StringIO("1.0,1,2,99,1,2,64\n"))  # bad proto
-
-    def test_replayed_trace_drives_deployment(self, sim, counter_deployment):
-        dep = counter_deployment
-        e1, s11 = dep.bed.externals[0], dep.bed.servers[0]
-        events = five_tuple_trace(30, 3, e1.ip, s11.ip, seed=9)
-        buf = io.StringIO()
-        save_trace(buf, events)
-        buf.seek(0)
-        loaded = load_trace(buf)
-        got = []
-        s11.default_handler = got.append
-        for event in loaded:
-            sim.schedule_at(event.time_us, e1.send, event.pkt)
-        sim.run_until_idle()
-        assert len(got) == 30

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro import Simulator, deploy, RedPlaneConfig
 from repro.apps.counter import AsyncCounterApp
-from repro.core.api import attach_snapshot_replication
 from repro.core.snapshot import LazySnapshotArray
 from repro.net.packet import FlowKey, Packet
 from repro.switch.pipeline import PipelineContext
@@ -118,18 +117,8 @@ def test_lazy_snapshot_matches_reference_model(ops):
 def test_periodic_replication_end_to_end():
     """Async-Counter: snapshots reach the store within one period."""
     sim = Simulator(seed=4)
-    from repro.core.engine import RedPlaneMode
-
-    dep = deploy(sim, lambda: AsyncCounterApp(slots=8),
-                 config=RedPlaneConfig(mode=RedPlaneMode.BOUNDED_INCONSISTENCY))
-    # Wire a replicator on each switch for its app's counter array.
-    reps = {}
-    for agg in dep.bed.aggs:
-        app = dep.apps[agg.name]
-        eng = dep.engines[agg.name]
-        reps[agg.name] = attach_snapshot_replication(
-            eng, {AsyncCounterApp.STORE_KEY: app.counters}, period_us=1_000.0
-        )
+    dep = deploy(sim, lambda: AsyncCounterApp(slots=8))
+    reps = dep.replicators
     e1, s11 = dep.bed.externals[0], dep.bed.servers[0]
     for i in range(20):
         pkt = Packet.udp(e1.ip, s11.ip, 5555, 7777)
@@ -152,19 +141,14 @@ def test_periodic_replication_end_to_end():
 
 def test_staleness_bound_tracked():
     sim = Simulator(seed=4)
-    from repro.core.engine import RedPlaneMode
-
     dep = deploy(sim, lambda: AsyncCounterApp(slots=4),
-                 config=RedPlaneConfig(mode=RedPlaneMode.BOUNDED_INCONSISTENCY))
-    agg = dep.bed.aggs[0]
-    rep = attach_snapshot_replication(
-        dep.engines[agg.name],
-        {AsyncCounterApp.STORE_KEY: dep.apps[agg.name].counters},
-        period_us=500.0,
-    )
+                 config=RedPlaneConfig(snapshot_period_us=500.0))
+    rep = dep.replicators[dep.bed.aggs[0].name]
+    assert rep.period_us == 500.0
     assert rep.staleness_us() == float("inf")
     sim.run(until=2_000)
-    rep.stop()
+    for r in dep.replicators.values():
+        r.stop()
     sim.run_until_idle()
     # Epsilon: time since last complete snapshot stays near the period.
     assert rep.staleness_us() <= 2_000

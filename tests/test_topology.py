@@ -119,3 +119,39 @@ def test_store_factory_used():
     sim = Simulator()
     bed = build_testbed(sim, store_factory=lambda s, n, ip: MyStore(s, n, ip))
     assert all(isinstance(st, MyStore) for st in bed.store_servers)
+
+
+# -- service-address routes (Testbed.anycast_to_aggs) -------------------------
+
+
+def _route_rows(switch):
+    return [
+        (r.prefix, r.mask_len,
+         tuple(p.link.other_end(p).node.name for p in r.ports))
+        for r in switch.table.routes()
+    ]
+
+
+@pytest.mark.parametrize("installer, ip_name, from_racks", [
+    ("install_nat_routes", "NAT_PUBLIC_IP", False),
+    ("install_vip_routes", "VIP", False),
+    ("install_kv_routes", "KV_SERVICE_IP", True),
+    ("install_sequencer_routes", "SEQUENCER_IP", True),
+])
+def test_route_installers_add_exactly_the_anycast_routes(
+        installer, ip_name, from_racks):
+    """Each installer adds one /32 over both agg-facing ports on every
+    core (and, for the services rack clients address, every ToR) and
+    touches nothing else — the tables the four hand-written loops built."""
+    import repro.apps as apps
+
+    bed = build_testbed(Simulator())
+    switches = bed.cores + bed.aggs + bed.tors
+    before = {sw.name: _route_rows(sw) for sw in switches}
+    getattr(apps, installer)(bed)
+    anycast = (getattr(apps, ip_name), 32, ("agg1", "agg2"))
+    expected_on = bed.cores + (bed.tors if from_racks else [])
+    for sw in switches:
+        added = [r for r in _route_rows(sw) if r not in before[sw.name]]
+        assert added == ([anycast] if sw in expected_on else []), sw.name
+        assert [r for r in _route_rows(sw) if r != anycast] == before[sw.name]

@@ -13,11 +13,8 @@ from repro.verify.rules import RULES, Rule, register
 from repro.verify.diagnostics import Diagnostic
 
 
-def analyze(factory, label=None, structures=None):
-    report, plan = verify_partition_app(
-        factory, label=label, structures=structures
-    )
-    return report, plan
+def analyze(factory, label=None):
+    return verify_partition_app(factory, label=label)
 
 
 def active_rules(report):
@@ -67,11 +64,7 @@ def test_nat_is_flow_local():
 def test_kv_store_is_flow_hash_over_payload():
     from repro.apps import BUILTIN_APPS
 
-    spec = BUILTIN_APPS["kv_store"]
-    report, plan = analyze(
-        spec["factory"], label="kv_store",
-        structures=spec.get("structures"),
-    )
+    report, plan = analyze(BUILTIN_APPS["kv_store"], label="kv_store")
     assert active_rules(report) == []
     assert plan["partition_class"] == "flow_hash"
     assert plan["partition_key"]["fields"] == ["payload"]
@@ -80,11 +73,7 @@ def test_kv_store_is_flow_hash_over_payload():
 def test_heavy_hitter_is_declared_global_with_reason():
     from repro.apps import BUILTIN_APPS
 
-    spec = BUILTIN_APPS["heavy_hitter"]
-    report, plan = analyze(
-        spec["factory"], label="heavy_hitter",
-        structures=spec.get("structures"),
-    )
+    report, plan = analyze(BUILTIN_APPS["heavy_hitter"], label="heavy_hitter")
     assert active_rules(report) == []
     assert plan["partition_class"] == "global"
     assert plan["declared"]["shard_class"] == "global"
@@ -179,11 +168,8 @@ def test_plan_json_is_byte_deterministic_across_runs():
     from repro.apps import BUILTIN_APPS
 
     for name in ("nat", "heavy_hitter", "kv_store"):
-        spec = BUILTIN_APPS[name]
-        _, p1 = analyze(spec["factory"], label=name,
-                        structures=spec.get("structures"))
-        _, p2 = analyze(spec["factory"], label=name,
-                        structures=spec.get("structures"))
+        _, p1 = analyze(BUILTIN_APPS[name], label=name)
+        _, p2 = analyze(BUILTIN_APPS[name], label=name)
         assert plan_json(p1) == plan_json(p2)
 
 
@@ -221,9 +207,7 @@ def test_committed_plans_match_fresh_analysis():
     if not os.path.isdir(plan_dir):
         pytest.skip("no committed shard_plans/ directory")
     for name in sorted(BUILTIN_APPS):
-        spec = BUILTIN_APPS[name]
-        _, plan = analyze(spec["factory"], label=name,
-                          structures=spec.get("structures"))
+        _, plan = analyze(BUILTIN_APPS[name], label=name)
         path = os.path.join(plan_dir, f"{name}.json")
         with open(path, encoding="utf-8") as fh:
             assert fh.read() == plan_json(plan), f"stale plan for {name}"
@@ -252,9 +236,7 @@ def test_every_builtin_app_classifies_cleanly():
 
     assert sorted(BUILTIN_APPS) == sorted(EXPECTED_CLASSES)
     for name in sorted(BUILTIN_APPS):
-        spec = BUILTIN_APPS[name]
-        report, plan = analyze(spec["factory"], label=name,
-                               structures=spec.get("structures"))
+        report, plan = analyze(BUILTIN_APPS[name], label=name)
         assert active_rules(report) == [], f"{name}: {active_rules(report)}"
         assert plan["partition_class"] == EXPECTED_CLASSES[name], name
 

@@ -392,15 +392,10 @@ def test_suppressed_double_access_keeps_exit_code_zero():
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_APPS))
 def test_builtin_app_verifies_clean(name):
-    spec = BUILTIN_APPS[name]
     supp = SuppressionIndex()
     report = Report()
     verify_app(
-        spec["factory"],
-        label=name,
-        structures=spec.get("structures"),
-        report=report,
-        suppressions=supp,
+        BUILTIN_APPS[name], label=name, report=report, suppressions=supp
     )
     # Standalone pass run: restrict QA002 to pipeline rules — the pass
     # walks live code into files (the simulator, say) whose suppressions
@@ -416,11 +411,9 @@ def test_builtin_app_verifies_clean(name):
 def test_lazy_snapshot_apps_declare_metadata_sram(name):
     # Regression for the RP132 fixes: the declared SRAM must cover the
     # active-flag and last-updated registers, not just the data slots.
-    spec = BUILTIN_APPS[name]
-    app = spec["factory"]()
+    app = BUILTIN_APPS[name]()
     declared = app.resource_usage()["sram_bits"]
-    structures = spec["structures"](app)
-    for array in structures.values():
+    for array in app.snapshot_structures().values():
         assert declared >= array.sram_bits()
 
 
