@@ -35,6 +35,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple, cast
 
 from repro.mutation import mutation_active
 from repro.net import constants
+from repro.net.links import flow_tag_of
 from repro.net.packet import FlowKey, Packet, UDPHeader
 from repro.switch.asic import SwitchASIC
 from repro.switch.mirror import MirrorCopy
@@ -97,7 +98,7 @@ class RedPlaneConfig:
     record_history: bool = True
 
 
-@dataclass
+@dataclass(slots=True)
 class HistoryEvent:
     """One event of a history (Definition 2): an input or an output."""
 
@@ -312,7 +313,7 @@ class RedPlaneEngine(ControlBlock):
             self.tracer.emit(
                 tt.LEASE_EXPIRY,
                 switch=self.switch.name,
-                flow=str(key),
+                flow=flow_tag_of(self.switch.sim, key),
                 expired_at=lease_expiry,
             )
         msg = RedPlaneMessage(
@@ -329,7 +330,9 @@ class RedPlaneEngine(ControlBlock):
             # packets on later requests may be lost, which the correctness
             # model permits (a lost input, §4.2).
             self.tracer.emit(
-                tt.LEASE_REQUEST, switch=self.switch.name, flow=str(key)
+                tt.LEASE_REQUEST,
+                switch=self.switch.name,
+                flow=flow_tag_of(self.switch.sim, key),
             )
             self._mirror_request(msg, kind="lease_new", idx=idx,
                                  req_uid=req_uid)
@@ -440,7 +443,9 @@ class RedPlaneEngine(ControlBlock):
             self._mirror_request(msg, kind="renew", idx=idx, req_uid=req_uid)
             self._c["lease_renewals"].inc()
             self.tracer.emit(
-                tt.LEASE_RENEW, switch=self.switch.name, flow=str(key)
+                tt.LEASE_RENEW,
+                switch=self.switch.name,
+                flow=flow_tag_of(self.switch.sim, key),
             )
 
     # ------------------------------------------------------------------
@@ -503,7 +508,7 @@ class RedPlaneEngine(ControlBlock):
         fields: Dict[str, object] = {
             "switch": self.switch.name,
             "kind": kind,
-            "flow": str(flow),
+            "flow": flow_tag_of(self.switch.sim, flow),
             "seq": seq,
             "uid": meta.get("uid", 0),
             "req_uid": rtx.uid,
@@ -530,7 +535,7 @@ class RedPlaneEngine(ControlBlock):
             self.tracer.emit(
                 tt.LEASE_GRANT,
                 switch=self.switch.name,
-                flow=str(msg.flow_key),
+                flow=flow_tag_of(self.switch.sim, msg.flow_key),
                 seq=msg.seq,
                 migrated=bool(msg.vals),
             )
@@ -690,7 +695,7 @@ class RedPlaneEngine(ControlBlock):
         fields: Dict[str, object] = {
             "switch": self.switch.name,
             "kind": msg.msg_type.name.lower(),
-            "flow": str(msg.flow_key),
+            "flow": flow_tag_of(self.switch.sim, msg.flow_key),
             "seq": msg.seq,
             "uid": uid,
         }
@@ -771,7 +776,7 @@ class RedPlaneEngine(ControlBlock):
                 tt.RETRANSMIT,
                 switch=self.switch.name,
                 kind=rtx.kind,
-                flow=str(rtx.msg.flow_key),
+                flow=flow_tag_of(self.switch.sim, rtx.msg.flow_key),
                 seq=rtx.msg.seq,
                 timeout_us=rtx.timeout_us,
                 uid=new_uid,

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.net import constants
-from repro.net.packet import Packet, TCPHeader, UDPHeader
+from repro.net.packet import FlowKey, Packet, TCPHeader, UDPHeader
 from repro.net.simulator import Simulator
 from repro.telemetry import trace as tt
 
@@ -163,21 +163,32 @@ class Lane:
         self.impairment: Optional[LinkImpairment] = None
 
 
+def _new_flow_tag(tags: dict, raw: tuple) -> str:
+    """Memo miss: format the raw 5-tuple as ``str(FlowKey)`` and keep it."""
+    if len(tags) >= constants.CACHE_CAP:
+        tags.clear()
+    tag = tags[raw] = str(FlowKey(*raw))
+    return tag
+
+
+def flow_tag_of(sim: Simulator, key: FlowKey) -> str:
+    """``str(key)`` through the run's 5-tuple memo (``sim.flow_tags``)."""
+    raw = (key.src_ip, key.dst_ip, key.proto, key.sport, key.dport)
+    tags = sim.flow_tags
+    return tags.get(raw) or _new_flow_tag(tags, raw)
+
+
 def _flow_tag(sim: Simulator, pkt: Packet) -> str:
-    """``str(pkt.flow_key())`` through the run's 5-tuple memo."""
+    """``str(pkt.flow_key())`` through the same memo, without building
+    the :class:`FlowKey` on a hit."""
     ip = pkt.ip
     l4 = pkt.l4
     if isinstance(l4, (UDPHeader, TCPHeader)):
-        key = (ip.src, ip.dst, ip.proto, l4.sport, l4.dport)
+        raw = (ip.src, ip.dst, ip.proto, l4.sport, l4.dport)
     else:
-        key = (ip.src, ip.dst, ip.proto, 0, 0)
+        raw = (ip.src, ip.dst, ip.proto, 0, 0)
     tags = sim.flow_tags
-    tag = tags.get(key)
-    if tag is None:
-        if len(tags) >= constants.CACHE_CAP:
-            tags.clear()
-        tag = tags[key] = str(pkt.flow_key())
-    return tag
+    return tags.get(raw) or _new_flow_tag(tags, raw)
 
 
 class Link:

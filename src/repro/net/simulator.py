@@ -22,6 +22,7 @@ calls back into Python.
 from __future__ import annotations
 
 import functools
+import gc
 import heapq
 import itertools
 import random
@@ -73,6 +74,14 @@ class Simulator:
     trace_ring:
         Capacity of the trace ring; ``None`` keeps every record (identity
         oracles, which digest the whole run).
+
+    While events execute, CPython's cyclic garbage collector is paused
+    (``gc.isenabled()`` is false inside every handler) and put back as it
+    was found when the drain returns. That rests on a contract: executing
+    events creates no reference cycles, so the collector has nothing to
+    free and reference counting alone reclaims every packet, event and
+    record (tests/test_gc_contract.py pins it). A handler that does build
+    cycles keeps them until its drain returns.
     """
 
     def __init__(self, seed: int = 0,
@@ -167,6 +176,14 @@ class Simulator:
         ``sim.max_events_exhausted`` counter plus a ``RuntimeWarning``,
         ``"raise"`` emits the counter and raises, ``None`` is silent
         (used by :meth:`step`). Returns the number of events executed.
+
+        The cyclic collector is disabled for the length of the loop and
+        re-enabled in the ``finally`` only if it was enabled on entry, so
+        a re-entrant :meth:`step` from a handler, a caller that had
+        disabled it, an exception out of a handler and the ``max_events``
+        ``raise`` all leave the process as they found it. Nothing the
+        loop runs makes cyclic garbage (see the class docstring), and a
+        collection that frees nothing still walks the whole live heap.
         """
         # ``_events_executed`` is bumped per event, not batched at drain
         # exit: callbacks running *inside* the drain (e.g. a workload whose
@@ -177,6 +194,8 @@ class Simulator:
         heap = self._heap
         pop = heapq.heappop
         after = self.on_event
+        collecting = gc.isenabled()
+        gc.disable()
         try:
             while heap:
                 head = heap[0]
@@ -202,6 +221,8 @@ class Simulator:
             # Code running after the drain (scenario drivers, reporters)
             # is root context again.
             self._origin = None
+            if collecting:
+                gc.enable()
         return executed
 
     def _note_exhausted(self, max_events: int, exhaust: Optional[str]) -> None:

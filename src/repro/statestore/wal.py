@@ -61,6 +61,13 @@ def _read_frames(path: str):
         yield start, data[start + _FRAME_LEN.size : offset]
 
 
+def _size(path: str) -> int:
+    try:
+        return os.path.getsize(path)
+    except OSError:
+        return 0
+
+
 class WALBackend(StateStoreBackend):
     """Append-only write-ahead log with periodic snapshot + compaction."""
 
@@ -73,6 +80,12 @@ class WALBackend(StateStoreBackend):
         self.snapshot_every = snapshot_every
         self._records: Dict[FlowKey, FlowRecord] = {}
         self._log_fh = None
+        #: Running sizes of the two files, so ``store.backend.wal_bytes``
+        #: costs no ``stat`` per commit. Re-read from disk wherever the
+        #: files can have changed behind the backend's back: when the log
+        #: handle is (re)opened and in :meth:`recover`.
+        self._log_bytes = 0
+        self._snapshot_bytes = 0
         self._appends_since_snapshot = 0
         self._c_appends = None
         self._c_snapshots = None
@@ -107,18 +120,17 @@ class WALBackend(StateStoreBackend):
         if self._log_fh is None:
             os.makedirs(self.directory, exist_ok=True)
             self._log_fh = open(self.log_path, "ab")
+            self._stat_sizes()
         return self._log_fh
 
+    def _stat_sizes(self) -> None:
+        """Read both running sizes back from the files (cold paths only)."""
+        self._log_bytes = _size(self.log_path)
+        self._snapshot_bytes = _size(self.snapshot_path)
+
     def _update_size_gauge(self) -> None:
-        if self._g_bytes is None:
-            return
-        total = 0
-        for path in (self.log_path, self.snapshot_path):
-            try:
-                total += os.path.getsize(path)
-            except OSError:
-                pass
-        self._g_bytes.set(total)
+        if self._g_bytes is not None:
+            self._g_bytes.set(self._log_bytes + self._snapshot_bytes)
 
     # -- backend contract ---------------------------------------------------
 
@@ -129,7 +141,7 @@ class WALBackend(StateStoreBackend):
     def commit(self, key: FlowKey, rec: FlowRecord) -> None:
         body = pack_record(key, rec)
         fh = self._log_handle()
-        fh.write(_FRAME_LEN.pack(len(body)) + body)
+        self._log_bytes += fh.write(_FRAME_LEN.pack(len(body)) + body)
         fh.flush()
         if self._c_appends is not None:
             self._c_appends.inc()
@@ -141,15 +153,18 @@ class WALBackend(StateStoreBackend):
     def _write_snapshot(self) -> None:
         """Dump every record, then truncate the log (compaction)."""
         tmp = self.snapshot_path + ".tmp"
+        written = 0
         with open(tmp, "wb") as fh:
             for key, rec in self._records.items():
                 body = pack_record(key, rec)
-                fh.write(_FRAME_LEN.pack(len(body)) + body)
+                written += fh.write(_FRAME_LEN.pack(len(body)) + body)
         os.replace(tmp, self.snapshot_path)
+        self._snapshot_bytes = written
         # The snapshot supersedes every logged frame: start the log over.
         if self._log_fh is not None:
             self._log_fh.close()
         self._log_fh = open(self.log_path, "wb")
+        self._log_bytes = 0
         self._appends_since_snapshot = 0
         if self._c_snapshots is not None:
             self._c_snapshots.inc()
@@ -192,6 +207,7 @@ class WALBackend(StateStoreBackend):
         if self._c_replayed is not None:
             self._c_replayed.inc(replayed)
             self._c_torn.inc(torn)
+        self._stat_sizes()
         self._update_size_gauge()
         return len(self._records)
 

@@ -228,6 +228,53 @@ def test_wal_compaction_snapshots_and_truncates_log(wal):
     assert wal.get(key).vals == [10]
 
 
+def test_wal_bytes_gauge_equals_file_sizes_without_a_stat_per_commit(
+        wal, monkeypatch):
+    """``store.backend.wal_bytes`` is kept from running byte counts; it
+    must read what ``getsize`` reads after every commit — across
+    appends, compaction, a wipe, a torn tail and the recovery after it,
+    and for a backend opened on a directory that already has files."""
+    gauge = lambda b: b.node.sim.metrics.total("store.backend.wal_bytes")
+    on_disk = lambda b: sum(
+        os.path.getsize(p) for p in (b.log_path, b.snapshot_path)
+        if os.path.exists(p))
+    stats = []
+    real_getsize = os.path.getsize
+
+    def commit(b, i):
+        rec = b.record(_key(i))
+        rec.vals = [i] * (1 + i % 3)  # frames of different lengths
+        rec.last_seq = i + 1
+        with monkeypatch.context() as patch:
+            patch.setattr(os.path, "getsize",
+                          lambda p: stats.append(p) or real_getsize(p))
+            b.commit(_key(i), rec)
+        assert gauge(b) == on_disk(b) > 0
+
+    for i in range(10):  # snapshot_every=4: two compactions on the way
+        commit(wal, i)
+    assert os.path.exists(wal.snapshot_path)
+    assert len(stats) == 2  # the handle's first open, not the commits
+    wal.wipe()
+    commit(wal, 10)  # a commit before any recover(): log reopened
+    size = os.path.getsize(wal.log_path)
+    wal.close()
+    with open(wal.log_path, "r+b") as fh:
+        fh.truncate(size - 5)  # the crash cut the last append short
+    wal.wipe()
+    assert wal.recover() == 10 and _torn_tails(wal) == 1
+    assert gauge(wal) == on_disk(wal)
+    commit(wal, 11)
+    # A second backend on the same directory starts from the files' sizes.
+    wal.close()
+    other = WALBackend(wal.directory, snapshot_every=4)
+    other.bind(_Node(Simulator()))
+    try:
+        commit(other, 12)
+    finally:
+        other.close()
+
+
 def test_wal_recover_from_snapshot_plus_log(wal):
     # 5 commits with snapshot_every=4: a snapshot and a one-frame log.
     for i in range(5):

@@ -1,5 +1,6 @@
 """Unit tests for the discrete-event simulator."""
 
+import gc
 import warnings
 
 import pytest
@@ -207,3 +208,81 @@ def test_on_event_hook_is_passive(drive):
     assert (error is not None) == (drive is _drive_run_until_idle_raise)
     assert (len(warned) == 1) == (drive is _drive_max_events_warn)
     assert (result == [True, True, False]) == (drive is _drive_step)
+
+
+# -- the drain pauses the cyclic collector and puts it back as found -----------
+#
+# tests/test_gc_contract.py pins why that is safe (events make no cyclic
+# garbage); these pin that no way out of the drain leaks the pause.
+
+
+@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+def collector(request):
+    """Enter the test with the collector in the given state; restore it."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    try:
+        yield request.param
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_collector_is_paused_inside_handlers_and_restored(collector):
+    sim = Simulator()
+    seen = []
+
+    def note():
+        seen.append(gc.isenabled())
+
+    for t in (1, 2, 3, 60, 70):
+        sim.schedule(t, note)
+    assert sim.step() and gc.isenabled() is collector
+    sim.run(until=50)
+    assert gc.isenabled() is collector
+    sim.run_until_idle()
+    assert gc.isenabled() is collector
+    assert not sim.step() and gc.isenabled() is collector  # an empty drain
+    assert seen == [False] * 5
+
+
+def test_collector_restored_when_a_handler_raises(collector):
+    sim = Simulator()
+    sim.schedule(1, lambda: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        sim.run_until_idle()
+    assert gc.isenabled() is collector
+
+
+def test_collector_restored_when_max_events_raises_or_warns(collector):
+    sim = Simulator()
+
+    def storm():
+        sim.schedule(1, storm)
+
+    sim.schedule(1, storm)
+    with pytest.raises(RuntimeError):
+        sim.run_until_idle(max_events=10)
+    assert gc.isenabled() is collector
+    with pytest.warns(RuntimeWarning):
+        sim.run(max_events=10)
+    assert gc.isenabled() is collector
+
+
+def test_reentrant_step_does_not_resume_the_collector_mid_drain(collector):
+    """A handler that steps the simulator itself ends an inner drain; the
+    inner drain found the collector off, so it must leave it off for the
+    rest of the outer one."""
+    sim = Simulator()
+    seen = []
+
+    def reenter():
+        assert sim.step()  # runs "inner" from inside this handler
+        seen.append(("after-step", gc.isenabled()))
+
+    sim.schedule(1, reenter)
+    sim.schedule(2, lambda: seen.append(("inner", gc.isenabled())))
+    sim.schedule(3, lambda: seen.append(("later", gc.isenabled())))
+    sim.run_until_idle()
+    assert seen == [("inner", False), ("after-step", False),
+                    ("later", False)]
+    assert gc.isenabled() is collector
