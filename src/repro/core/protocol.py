@@ -18,6 +18,12 @@ Layout (network byte order)::
     vals     nvals * u32
     [plen    u16   piggybacked packet length]
     [packet  plen bytes]
+
+The codec here is the definition of the format. Every message is encoded
+into its packet's payload, but a receiver gets the sender's object back
+(:meth:`~repro.net.packet.Packet.decoded`) instead of re-parsing bytes
+nothing has touched; :meth:`RedPlaneMessage.unpack` runs for any payload
+that is not the bytes the object was encoded into.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.net.packet import FlowKey, Packet
 
@@ -36,6 +42,20 @@ SWITCH_UDP_PORT = 4801
 
 _FIXED = struct.Struct("!IBBH")  # seq, type, flags, aux
 _FLAG_PIGGYBACK = 0x01
+
+
+def field_range_error(
+    fields: List[Tuple[str, object, int]], exc: struct.error
+) -> ValueError:
+    """The error for the first ``(name, value, bits)`` the wire cannot carry.
+
+    Encoders pack unmasked values and call this only once ``struct`` has
+    refused one, so checking costs nothing while every field fits.
+    """
+    for name, value, bits in fields:
+        if not isinstance(value, int) or not 0 <= value < 1 << bits:
+            return ValueError(f"{name}={value!r} does not fit in u{bits}")
+    return ValueError(f"value out of range for the wire format: {exc}")
 
 
 class MessageType(enum.IntEnum):
@@ -76,22 +96,27 @@ class RedPlaneMessage:
     MAX_VALS = 255
 
     def pack(self) -> bytes:
-        if len(self.vals) > self.MAX_VALS:
-            raise ValueError(f"too many state values: {len(self.vals)}")
+        """Encode; :class:`ValueError` names a field the wire cannot carry
+        (``seq`` and ``vals`` are u32, ``aux`` u16) instead of masking it."""
+        vals = self.vals
+        if len(vals) > self.MAX_VALS:
+            raise ValueError(f"too many state values: {len(vals)}")
         flags = _FLAG_PIGGYBACK if self.piggyback is not None else 0
-        out = bytearray(
-            _FIXED.pack(self.seq & 0xFFFFFFFF, int(self.msg_type), flags, self.aux)
-        )
-        out += self.flow_key.pack()
-        out += bytes([len(self.vals)])
-        for val in self.vals:
-            out += struct.pack("!I", val & 0xFFFFFFFF)
+        try:
+            head = _FIXED.pack(self.seq, int(self.msg_type), flags, self.aux)
+            body = struct.pack(f"!B{len(vals)}I", len(vals), *vals)
+        except struct.error as exc:
+            raise field_range_error(
+                [("seq", self.seq, 32), ("aux", self.aux, 16)]
+                + [(f"vals[{i}]", v, 32) for i, v in enumerate(vals)],
+                exc,
+            ) from None
+        out = head + self.flow_key.pack() + body
         if self.piggyback is not None:
             if len(self.piggyback) > 0xFFFF:
                 raise ValueError("piggybacked packet too large")
-            out += struct.pack("!H", len(self.piggyback))
-            out += self.piggyback
-        return bytes(out)
+            out += struct.pack("!H", len(self.piggyback)) + self.piggyback
+        return out
 
     @classmethod
     def unpack(cls, data: bytes) -> "RedPlaneMessage":
@@ -181,13 +206,18 @@ def make_protocol_packet(
     a piggybacked original packet: bandwidth accounting (Fig 10) attributes
     those to application traffic and only the encapsulation + RedPlane
     header to protocol overhead.
+
+    The payload is still encoded (its length is the packet's wire size),
+    and ``msg`` itself rides beside it for :func:`parse_protocol_packet`.
     """
     pkt = Packet.udp(src_ip, dst_ip, sport, dport, payload=msg.pack())
     pkt.meta["rp_kind"] = "request" if msg.msg_type.is_request() else "response"
     pkt.meta["rp_piggyback_len"] = len(msg.piggyback) if msg.piggyback else 0
+    pkt.attach_decoded(msg)
     return pkt
 
 
 def parse_protocol_packet(pkt: Packet) -> RedPlaneMessage:
-    """Extract the RedPlane message from a protocol packet."""
-    return RedPlaneMessage.unpack(pkt.payload)
+    """The RedPlane message of a protocol packet: the sender's object while
+    the payload is the bytes it was encoded into, else a fresh parse."""
+    return pkt.decoded(RedPlaneMessage.unpack)

@@ -8,13 +8,19 @@ protocol header, Fig 4) live in :attr:`Packet.payload` as raw bytes; the
 
 A per-packet ``meta`` dict carries simulation bookkeeping (timestamps,
 mirror metadata, provenance) and contributes nothing to the wire size.
+One of its entries lets a receiver skip a parse: a sender that encodes an
+object into the payload records the object beside the exact bytes
+(:meth:`Packet.attach_decoded`), and :meth:`Packet.decoded` hands it back
+only while the payload is still those bytes.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional, TypeVar
+
+T = TypeVar("T")
 
 PROTO_TCP = 6
 PROTO_UDP = 17
@@ -331,6 +337,32 @@ class Packet:
             vlan=self.vlan,
             meta=dict(self.meta),
         )
+
+    # -- decode once --------------------------------------------------------------
+
+    def attach_decoded(self, obj: object) -> None:
+        """Record ``obj`` as what the current ``payload`` decodes to.
+
+        Called by a sender right after encoding ``obj`` into the payload.
+        The record is pinned to that exact bytes object, so assigning a new
+        ``payload`` voids it; :meth:`copy` shares it along with the bytes.
+        The object is shared with every receiver: treat it as read-only.
+        """
+        self.meta["decoded"] = (self.payload, obj)
+
+    def decoded(self, decode: Callable[[bytes], T]) -> T:
+        """``decode(payload)``, without running it when it is known.
+
+        If the sender recorded an object for exactly the bytes the payload
+        holds now, that object is the answer (it equals what ``decode``
+        returns; tests/test_decode_once.py checks this on whole runs).
+        A rewritten payload, a packet parsed from bytes or one built by
+        hand gets the real parse.
+        """
+        view = self.meta.get("decoded")
+        if view is not None and view[0] is self.payload:
+            return view[1]
+        return decode(self.payload)
 
     # -- serialization ----------------------------------------------------------
 

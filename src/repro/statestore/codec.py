@@ -13,15 +13,22 @@ Three record-shaped byte formats live here, out of the transport layer:
 All ``unpack_*`` functions raise :class:`ValueError` on malformed input
 (truncated buffers, inconsistent length fields) rather than leaking
 :class:`struct.error`, so a corrupted chain packet or a torn log tail is
-a recoverable condition for the caller.
+a recoverable condition for the caller. All ``pack_*`` functions raise
+:class:`ValueError` naming the field when a value does not fit its width
+(u32 sequence numbers, values and IPs; u16 snapshot slots) instead of
+masking it: what a receiver is handed must be exactly what it would decode.
+
+These functions are the definition of the formats. A chain packet still
+carries its encoded bytes, while the receiving node is handed the
+sender's fields (:func:`unpack_chain_packet` is what they must equal).
 """
 
 from __future__ import annotations
 
 import struct
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
-from repro.core.protocol import RedPlaneMessage
+from repro.core.protocol import RedPlaneMessage, field_range_error
 from repro.net.packet import FlowKey
 
 #: First byte of a chain packet: a state update travelling head-to-tail,
@@ -32,6 +39,8 @@ CHAIN_ACK = 1
 #: A chain update's record state: (vals, initialized, last_seq, owner_ip,
 #: lease_expiry) — the version-carrying subset of a FlowRecord.
 ChainState = Tuple[List[int], bool, int, Optional[int], float]
+#: A decoded chain update: (key, state, reply, requester_ip).
+ChainUpdate = Tuple[FlowKey, ChainState, RedPlaneMessage, int]
 
 _CHAIN_HEAD = struct.Struct("!13sB?IIdH")
 _CHAIN_ACK_BODY = struct.Struct("!13sId")
@@ -43,30 +52,47 @@ _U32 = struct.Struct("!I")
 # -- chain update (head -> tail) ----------------------------------------------
 
 
+def _record_fields(rec) -> List[Tuple[str, object, int]]:
+    """``(name, value, bits)`` of a record's fixed-width fields, in the
+    order :func:`field_range_error` reports the first misfit."""
+    return (
+        [("len(vals)", len(rec.vals), 8), ("last_seq", rec.last_seq, 32),
+         ("owner_ip", rec.owner_ip or 0, 32)]
+        + [(f"vals[{i}]", v, 32) for i, v in enumerate(rec.vals)]
+    )
+
+
 def pack_chain_update(
     key: FlowKey,
     rec,
     reply: RedPlaneMessage,
     requester_ip: int,
 ) -> bytes:
-    """Serialize one chain update: record state + reply + requester."""
+    """Serialize one chain update: record state + reply + requester.
+
+    Raises :class:`ValueError` naming a field the wire cannot carry."""
     reply_bytes = reply.pack()
-    head = _CHAIN_HEAD.pack(
-        key.pack(),
-        len(rec.vals),
-        rec.initialized,
-        rec.last_seq & 0xFFFFFFFF,
-        (rec.owner_ip or 0) & 0xFFFFFFFF,
-        rec.lease_expiry,
-        len(reply_bytes),
-    )
-    vals = b"".join(_U32.pack(v & 0xFFFFFFFF) for v in rec.vals)
-    return head + vals + reply_bytes + _U32.pack(requester_ip & 0xFFFFFFFF)
+    vals = rec.vals
+    try:
+        head = _CHAIN_HEAD.pack(
+            key.pack(),
+            len(vals),
+            rec.initialized,
+            rec.last_seq,
+            rec.owner_ip or 0,
+            rec.lease_expiry,
+            len(reply_bytes),
+        )
+        body = struct.pack(f"!{len(vals)}I", *vals)
+        requester = _U32.pack(requester_ip)
+    except struct.error as exc:
+        raise field_range_error(
+            _record_fields(rec) + [("requester_ip", requester_ip, 32)], exc
+        ) from None
+    return head + body + reply_bytes + requester
 
 
-def unpack_chain_update(
-    data: bytes,
-) -> Tuple[FlowKey, ChainState, RedPlaneMessage, int]:
+def unpack_chain_update(data: bytes) -> ChainUpdate:
     """Inverse of :func:`pack_chain_update`; ValueError on malformed input."""
     try:
         key_bytes, nvals, initialized, last_seq, owner_ip, expiry, reply_len = (
@@ -94,8 +120,12 @@ def unpack_chain_update(
 
 
 def pack_chain_ack(key: FlowKey, seq: int, expiry: float) -> bytes:
-    """Serialize one hop-by-hop chain acknowledgment."""
-    return _CHAIN_ACK_BODY.pack(key.pack(), seq & 0xFFFFFFFF, expiry)
+    """Serialize one hop-by-hop chain acknowledgment (ValueError if
+    ``seq`` does not fit in u32)."""
+    try:
+        return _CHAIN_ACK_BODY.pack(key.pack(), seq, expiry)
+    except struct.error as exc:
+        raise field_range_error([("seq", seq, 32)], exc) from None
 
 
 def unpack_chain_ack(data: bytes) -> Tuple[FlowKey, int, float]:
@@ -105,6 +135,19 @@ def unpack_chain_ack(data: bytes) -> Tuple[FlowKey, int, float]:
     except struct.error as exc:
         raise ValueError(f"malformed chain ack: {exc}") from exc
     return FlowKey.unpack(key_bytes), seq, expiry
+
+
+def unpack_chain_packet(
+    data: bytes,
+) -> Tuple[int, Union[Tuple[FlowKey, int, float], ChainUpdate]]:
+    """A chain packet's payload, kind byte first: ``(CHAIN_ACK, (key, seq,
+    expiry))`` or ``(CHAIN_UPDATE, (key, state, reply, requester_ip))``.
+    The sender records the same pair on the packet
+    (:meth:`~repro.net.packet.Packet.attach_decoded`)."""
+    kind, body = data[0], data[1:]
+    if kind == CHAIN_ACK:
+        return kind, unpack_chain_ack(body)
+    return kind, unpack_chain_update(body)
 
 
 # -- durable record frames (WAL / snapshot) -----------------------------------
@@ -118,26 +161,37 @@ def pack_record(key: FlowKey, rec) -> bytes:
     snapshot slots. The volatile parts of a record (buffered ``pending``
     requests) are deliberately not persisted: a crash may lose buffered
     inputs (§4.2 permits lost inputs), never acknowledged state.
+    Raises :class:`ValueError` naming a field the frame cannot carry.
     """
-    head = _RECORD_HEAD.pack(
-        key.pack(),
-        len(rec.vals),
-        rec.initialized,
-        rec.last_seq & 0xFFFFFFFF,
-        (rec.owner_ip or 0) & 0xFFFFFFFF,
-        rec.lease_expiry,
-        len(rec.snapshot_vals),
-    )
-    vals = b"".join(_U32.pack(v & 0xFFFFFFFF) for v in rec.vals)
-    snaps = b"".join(
-        _SNAPSHOT_ENTRY.pack(
-            slot & 0xFFFF,
-            rec.snapshot_vals[slot] & 0xFFFFFFFF,
-            rec.snapshot_seqs.get(slot, 0) & 0xFFFFFFFF,
+    vals = rec.vals
+    slots = sorted(rec.snapshot_vals)
+    try:
+        head = _RECORD_HEAD.pack(
+            key.pack(),
+            len(vals),
+            rec.initialized,
+            rec.last_seq,
+            rec.owner_ip or 0,
+            rec.lease_expiry,
+            len(slots),
         )
-        for slot in sorted(rec.snapshot_vals)
-    )
-    return head + vals + snaps
+        body = struct.pack(f"!{len(vals)}I", *vals)
+        snaps = b"".join(
+            _SNAPSHOT_ENTRY.pack(
+                slot, rec.snapshot_vals[slot], rec.snapshot_seqs.get(slot, 0)
+            )
+            for slot in slots
+        )
+    except struct.error as exc:
+        fields = _record_fields(rec) + [("len(snapshot_vals)", len(slots), 16)]
+        for slot in slots:
+            fields += [
+                ("snapshot slot", slot, 16),
+                (f"snapshot_vals[{slot}]", rec.snapshot_vals[slot], 32),
+                (f"snapshot_seqs[{slot}]", rec.snapshot_seqs.get(slot, 0), 32),
+            ]
+        raise field_range_error(fields, exc) from None
+    return head + body + snaps
 
 
 def unpack_record(data: bytes):

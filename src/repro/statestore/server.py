@@ -31,7 +31,9 @@ live is a pluggable decision: every mutation is committed through a
 or chain propagation leaves the node (write-ahead semantics), so a
 durable backend guarantees any acknowledged state survives a
 :meth:`StateStoreNode.crash` + :meth:`StateStoreNode.restart` cycle.
-The wire formats live in :mod:`repro.statestore.codec`.
+The wire formats live in :mod:`repro.statestore.codec`; a chain packet
+carries its encoded bytes and, beside them, the fields they encode, which
+the receiving node uses instead of parsing the bytes back.
 """
 
 from __future__ import annotations
@@ -61,8 +63,7 @@ from repro.statestore.codec import (
     CHAIN_UPDATE,
     pack_chain_ack,
     pack_chain_update,
-    unpack_chain_ack,
-    unpack_chain_update,
+    unpack_chain_packet,
 )
 from repro.telemetry import trace as tt
 
@@ -426,6 +427,9 @@ class StateStoreNode(Host):
         pkt = Packet.udp(
             self.ip, self.successor_ip, CHAIN_UDP_PORT, CHAIN_UDP_PORT, payload
         )
+        state = (list(rec.vals), rec.initialized, rec.last_seq,
+                 rec.owner_ip or None, rec.lease_expiry)
+        pkt.attach_decoded((CHAIN_UPDATE, (key, state, reply, requester_ip)))
         pkt.meta["rp_kind"] = "chain"
         if origin_uid:
             # Chain updates (and, at the tail, the reply) descend from the
@@ -440,18 +444,18 @@ class StateStoreNode(Host):
     ) -> None:
         payload = bytes([CHAIN_ACK]) + pack_chain_ack(key, seq, expiry)
         pkt = Packet.udp(self.ip, to_ip, CHAIN_UDP_PORT, CHAIN_UDP_PORT, payload)
+        pkt.attach_decoded((CHAIN_ACK, (key, seq, expiry)))
         pkt.meta["rp_kind"] = "chain"
         if origin_uid:
             pkt.meta["parent_uid"] = origin_uid
         self.send(pkt)
 
     def _on_chain_packet(self, pkt: Packet) -> None:
-        kind, body = pkt.payload[0], pkt.payload[1:]
+        kind, fields = pkt.decoded(unpack_chain_packet)
         if kind == CHAIN_ACK:
-            key, seq, expiry = unpack_chain_ack(body)
-            self._handle_chain_ack(key, seq, expiry)
+            self._handle_chain_ack(*fields)
             return
-        key, state, reply, requester_ip = unpack_chain_update(body)
+        key, state, reply, requester_ip = fields
         origin_uid = int(pkt.meta.get("parent_uid", 0))
         self.sim.schedule(
             self.proc_delay_us, self._apply_chain, key, state, reply,

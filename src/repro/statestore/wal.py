@@ -12,8 +12,10 @@ open log handle — everything a process crash loses — while the files
 stay on disk. :meth:`~WALBackend.recover` rebuilds the record set by
 loading the snapshot and replaying the log on top, tolerating a torn
 tail (a last frame cut mid-write by the crash, or undecodable, is
-discarded and counted, which is safe: a torn frame was never followed
-by a reply, so no switch saw that state acknowledged). An undecodable
+discarded, counted and truncated off the file, which is safe: a torn
+frame was never followed by a reply, so no switch saw that state
+acknowledged; the truncation keeps the next append from landing behind
+the torn frame's length prefix). An undecodable
 frame with well-formed frames *after* it is not a torn tail: committed,
 acknowledged records sit behind it, and recovery refuses with a
 :class:`WALCorruptionError` rather than silently dropping them.
@@ -179,9 +181,12 @@ class WALBackend(StateStoreBackend):
     def recover(self) -> int:
         """Rebuild the record set: snapshot first, then log replay.
 
-        A short or undecodable *last* frame is a torn tail (dropped,
-        counted in ``store.backend.wal_torn_tails``); one with a
-        well-formed frame after it raises :class:`WALCorruptionError`.
+        A short or undecodable *last* frame is a torn tail: dropped,
+        counted in ``store.backend.wal_torn_tails``, and cut off the file
+        so the next append starts on a frame boundary (left in place, its
+        length prefix would swallow the next frame at the next recovery).
+        One with a well-formed frame after it raises
+        :class:`WALCorruptionError`.
         """
         self._records.clear()
         replayed = torn = 0
@@ -203,6 +208,7 @@ class WALBackend(StateStoreBackend):
                 self._records[key] = rec
                 replayed += 1
             if bad is not None:
+                os.truncate(path, bad)
                 torn += 1
         if self._c_replayed is not None:
             self._c_replayed.inc(replayed)

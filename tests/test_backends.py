@@ -193,6 +193,39 @@ def test_wal_counts_a_torn_tail_across_wipe_and_recover(wal):
     assert wal.get(_key(2)) is None
 
 
+def test_wal_recovery_cuts_a_torn_tail_so_a_second_crash_loses_nothing(
+        tmp_path):
+    """Commit 0, 1, 2; a crash tears record 2; recover; commit 3; crash
+    again. Left in the log, the torn frame's length prefix would swallow
+    the start of record 3 at the second recovery: record 3, acknowledged,
+    would be gone and torn record 2 back ({0, 1, 2}, two torn tails)."""
+    wal = WALBackend(str(tmp_path / "store"), snapshot_every=1000)
+    wal.bind(_Node(Simulator()))
+    gauge = lambda: wal.node.sim.metrics.total("store.backend.wal_bytes")
+    on_disk = lambda: os.path.getsize(wal.log_path)
+
+    def commit(i):
+        rec = wal.record(_key(i))
+        rec.vals = [i]
+        rec.last_seq = i + 1
+        wal.commit(_key(i), rec)
+        assert gauge() == on_disk()
+
+    for i in range(3):
+        commit(i)
+    wal.wipe()
+    with open(wal.log_path, "r+b") as fh:
+        fh.truncate(on_disk() - 5)  # the crash cut the last append short
+    assert wal.recover() == 2 and gauge() == on_disk()
+    commit(3)
+    wal.wipe()
+    assert wal.recover() == 3 and gauge() == on_disk()
+    assert sorted(wal.get(_key(i)).vals[0] for i in range(4)
+                  if wal.get(_key(i)) is not None) == [0, 1, 3]
+    assert _torn_tails(wal) == 1
+    wal.close()
+
+
 def test_wal_refuses_mid_file_corruption_instead_of_dropping_records(wal):
     _populate(wal, n=3)
     wal.close()

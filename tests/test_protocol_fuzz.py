@@ -216,6 +216,71 @@ def test_record_frame_roundtrip(key, rec):
     assert len(out.pending) == 0  # volatile state never travels
 
 
+_KEY = FlowKey(1, 2, 17, 10, 20)
+_REPLY = RedPlaneMessage(1, MessageType.REPL_WRITE_ACK, _KEY)
+
+
+def _rec(**fields):
+    rec = FlowRecord(vals=[1], initialized=True, last_seq=1, owner_ip=9,
+                     lease_expiry=1.0)
+    for name, value in fields.items():
+        setattr(rec, name, value)
+    return rec
+
+
+def _snap_rec(slot=0, val=0, seq=0):
+    rec = _rec()
+    rec.snapshot_vals[slot] = val
+    rec.snapshot_seqs[slot] = seq
+    return rec
+
+
+#: encoder field -> (encode with the field set to v, name in the error, bits)
+RANGE_CASES = {
+    "message.seq": (lambda v: RedPlaneMessage(
+        v, MessageType.REPL_WRITE_REQ, _KEY).pack(), "seq", 32),
+    "message.vals": (lambda v: RedPlaneMessage(
+        1, MessageType.REPL_WRITE_REQ, _KEY, vals=[0, v]).pack(),
+        "vals[1]", 32),
+    "message.aux": (lambda v: RedPlaneMessage(
+        1, MessageType.SNAPSHOT_REPL_REQ, _KEY, aux=v).pack(), "aux", 16),
+    "chain_update.last_seq": (lambda v: pack_chain_update(
+        _KEY, _rec(last_seq=v), _REPLY, 7), "last_seq", 32),
+    "chain_update.owner_ip": (lambda v: pack_chain_update(
+        _KEY, _rec(owner_ip=v), _REPLY, 7), "owner_ip", 32),
+    "chain_update.vals": (lambda v: pack_chain_update(
+        _KEY, _rec(vals=[v]), _REPLY, 7), "vals[0]", 32),
+    "chain_update.requester_ip": (lambda v: pack_chain_update(
+        _KEY, _rec(), _REPLY, v), "requester_ip", 32),
+    "chain_ack.seq": (lambda v: pack_chain_ack(_KEY, v, 1.0), "seq", 32),
+    "record.last_seq": (lambda v: pack_record(
+        _KEY, _rec(last_seq=v)), "last_seq", 32),
+    "record.owner_ip": (lambda v: pack_record(
+        _KEY, _rec(owner_ip=v)), "owner_ip", 32),
+    "record.vals": (lambda v: pack_record(
+        _KEY, _rec(vals=[3, v])), "vals[1]", 32),
+    "record.snapshot_slot": (lambda v: pack_record(
+        _KEY, _snap_rec(slot=v)), "snapshot slot", 16),
+    "record.snapshot_vals": (lambda v: pack_record(
+        _KEY, _snap_rec(val=v)), "snapshot_vals[0]", 32),
+    "record.snapshot_seqs": (lambda v: pack_record(
+        _KEY, _snap_rec(seq=v)), "snapshot_seqs[0]", 32),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RANGE_CASES))
+def test_encoders_refuse_a_value_the_wire_cannot_carry(case):
+    """No silent masking: a receiver handed the sender's object must be
+    handed exactly what the bytes decode to, so a value that does not
+    fit is the sender's error, named, never a wrapped number."""
+    encode, field, bits = RANGE_CASES[case]
+    encode((1 << bits) - 1)  # the widest value fits
+    for bad in (1 << bits, -1):
+        with pytest.raises(ValueError) as err:
+            encode(bad)
+        assert f"{field}={bad} " in str(err.value)
+
+
 def test_truncated_codec_input_raises_valueerror_not_struct_error():
     """Every strict prefix of a valid frame is a recoverable ValueError."""
     key = FlowKey(1, 2, 17, 10, 20)
