@@ -6,8 +6,8 @@ The verify pass 5 analyzer commits one machine-checked plan per app in
 * :func:`load_plan` reads the committed artifact;
 * :func:`check_conformance` recomputes the plan from the live code and
   refuses to shard when the committed plan has drifted (the launch-time
-  face of verify rule RS408 — the same byte comparison ``verify --all``
-  applies offline);
+  face of verify rule RS408 — the same function, ``plan_drift``, that
+  ``verify --all`` applies offline);
 * :func:`shardability` decides whether flows may be hash-partitioned or
   must be pinned to one owner shard (global residue, hashed payload
   keys — the Cascone/Muqaddas state-access constraints the analyzer
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import os
-from itertools import zip_longest
 from typing import Dict, List, Optional, Tuple
 
 from repro.shard.assign import extractable
@@ -42,10 +41,16 @@ def plan_dir(root: Optional[str] = None) -> str:
 
 def load_plan(app: str, root: Optional[str] = None) -> Dict[str, object]:
     """Read the committed plan for ``app``; PlanError when absent/bad."""
+    return _read_plan(app, root)[1]
+
+
+def _read_plan(app: str, root: Optional[str]) -> Tuple[str, Dict[str, object]]:
+    """(committed bytes, parsed plan) for ``app``."""
     path = os.path.join(plan_dir(root), f"{app}.json")
     try:
         with open(path, encoding="utf-8") as fh:
-            plan = json.load(fh)
+            text = fh.read()
+        plan = json.loads(text)
     except OSError as exc:
         raise PlanError(
             f"no committed shard plan for app {app!r} "
@@ -57,41 +62,22 @@ def load_plan(app: str, root: Optional[str] = None) -> Dict[str, object]:
         raise PlanError(
             f"unsupported shard plan format {plan.get('format')!r} in {path}"
         )
-    return plan
-
-
-_ABSENT = "<absent>"
-
-
-def _first_difference(live: object, committed: object, path: str = "$") -> str:
-    """The first JSON path (keys sorted, lists by index) at which two
-    plans differ, with both values."""
-    pairs: List[Tuple[str, object, object]] = []
-    if isinstance(live, dict) and isinstance(committed, dict):
-        pairs = [(f"{path}.{key}", live.get(key, _ABSENT),
-                  committed.get(key, _ABSENT))
-                 for key in sorted(set(live) | set(committed))]
-    elif isinstance(live, list) and isinstance(committed, list):
-        pairs = [(f"{path}[{i}]", a, b) for i, (a, b) in enumerate(
-            zip_longest(live, committed, fillvalue=_ABSENT))]
-    for step, a, b in pairs:
-        if a != b:
-            return _first_difference(a, b, step)
-    return f"{path}: live code has {live!r}, committed plan has {committed!r}"
+    return text, plan
 
 
 def check_conformance(app: str, root: Optional[str] = None) -> Dict[str, object]:
     """Launch-time RS408: recompute the plan and byte-compare.
 
-    Deploys the app exactly as ``verify --all`` does, serializes the
-    fresh plan canonically, and compares against the committed bytes.
+    Deploys the app exactly as ``verify --all`` does and compares the
+    fresh plan's canonical serialization with the committed bytes
+    (:func:`repro.verify.partition_pass.plan_drift`).
     Returns the (validated) plan on success; raises
     :class:`PlanDriftError` on any difference — a sharded run against a
     stale plan could partition state the code no longer keys that way.
     """
     from repro.apps import BUILTIN_APPS
     from repro.verify.cli import repo_root
-    from repro.verify.partition_pass import plan_json, verify_partition_app
+    from repro.verify.partition_pass import plan_drift, verify_partition_app
 
     factory = BUILTIN_APPS.get(app)
     if factory is None:
@@ -99,15 +85,14 @@ def check_conformance(app: str, root: Optional[str] = None) -> Dict[str, object]
             f"unknown app {app!r}; builtin apps: "
             f"{', '.join(sorted(BUILTIN_APPS))}"
         )
-    committed = load_plan(app, root)
+    text, committed = _read_plan(app, root)
     # Site paths in the fresh plan must relativize against the repo, not
     # the caller's cwd, or conformance fails for runs launched elsewhere.
     _, fresh = verify_partition_app(
         factory, label=app, root=root or repo_root()
     )
-    if plan_json(fresh) != plan_json(committed):
-        where = _first_difference(json.loads(plan_json(fresh)),
-                                  json.loads(plan_json(committed)))
+    where = plan_drift(fresh, text)
+    if where is not None:
         raise PlanDriftError(
             f"committed shard plan for app {app!r} has drifted from the "
             f"live code (RS408) at {where}; refusing to shard. Regenerate "

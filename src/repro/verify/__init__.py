@@ -31,8 +31,11 @@ JSON + human rendering, ``# repro: noqa[RULE]`` suppressions):
   shard plan per app (``shard_plans/``) plus Python-level shard-hazard
   lints (RS4xx).
 
-``python -m repro.tools verify --all`` runs everything; the CI ``verify``
-job gates on it with ``--baseline`` and archives the shard plans.
+The pipeline and partition passes read live code through one symbolic
+walker (:class:`repro.verify.astutil.Walker`), each with its own
+lattice. ``python -m repro.tools verify --all`` runs everything; the CI
+``verify`` job gates on it with ``--strict`` and archives the shard
+plans.
 """
 
 from repro.verify.diagnostics import (
@@ -41,7 +44,7 @@ from repro.verify.diagnostics import (
     Severity,
     SuppressionIndex,
 )
-from repro.verify.rules import RULES, Rule, rule
+from repro.verify.rules import RULES, Rule
 from repro.verify.pipeline_pass import verify_asic, verify_app
 from repro.verify.determinism_pass import verify_determinism
 from repro.verify.telemetry_pass import verify_telemetry
@@ -59,7 +62,6 @@ __all__ = [
     "SuppressionIndex",
     "RULES",
     "Rule",
-    "rule",
     "verify_asic",
     "verify_app",
     "verify_determinism",

@@ -1,10 +1,26 @@
-"""Shared AST plumbing for the verifier passes."""
+"""Shared AST plumbing for the verifier passes.
+
+Besides parsing and import tables, this module owns the one way the
+verifier reads *live* code: :class:`Walker`, a symbolic interpreter of a
+function body over the deployed object graph. The pipeline pass (RP1xx)
+and the partition pass (RS4xx) subclass it and supply only their lattice
+(what an expression is worth, which events it records) and their rules.
+"""
 
 from __future__ import annotations
 
 import ast
 import os
-from typing import Dict, Iterator, List, Optional, Tuple
+import sys
+from types import FunctionType
+from typing import (
+    Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union,
+)
+
+from repro.core.snapshot import LazySnapshotArray
+from repro.switch.registers import PairedRegisterArray, RegisterArray
+from repro.switch.tables import MatchTable
+from repro.verify.diagnostics import Report, SuppressionIndex
 
 
 class SourceFile:
@@ -72,6 +88,21 @@ def iter_py_files(root: str) -> Iterator[str]:
                 yield os.path.join(dirpath, name)
 
 
+def parsed_files(paths: Sequence[str], supp: SuppressionIndex,
+                 root: Optional[str], keep=None
+                 ) -> Iterator[Tuple[SourceFile, str]]:
+    """(parsed file, repo-relative path) for every ``.py`` file under
+    ``paths`` that ``keep`` (a path predicate) accepts, with its
+    suppressions registered; unparseable files are skipped."""
+    for path in paths:
+        for filename in iter_py_files(path):
+            sf = load(filename) if keep is None or keep(filename) else None
+            if sf is not None:
+                rel = relpath(sf.path, root)
+                supp.scan(rel, source=sf.text)
+                yield sf, rel
+
+
 class ImportTable:
     """What top-level module names mean inside one file.
 
@@ -123,3 +154,586 @@ class ImportTable:
             ):
                 return True
         return False
+
+
+# -- live definitions ---------------------------------------------------------
+
+#: file -> (def name, line) -> def node; a decorated def is indexed under
+#: both its ``def`` line and its first decorator's line.
+_DEFS: Dict[str, Dict[Tuple[str, int], ast.AST]] = {}
+#: file -> class name -> line of the first ``class`` statement so named.
+_CLASSES: Dict[str, Dict[str, int]] = {}
+
+
+def find_def(fn) -> Optional[Tuple[ast.FunctionDef, SourceFile]]:
+    """The def node of a live function in its own file, matched exactly
+    by its code object: name plus ``co_firstlineno`` (which is the first
+    decorator's line for a decorated def). None for lambdas, builtins
+    and code without a readable source."""
+    code = getattr(getattr(fn, "__func__", fn), "__code__", None)
+    sf = load(code.co_filename) if code is not None else None
+    if sf is None:
+        return None
+    index = _DEFS.get(sf.path)
+    if index is None:
+        index = _DEFS[sf.path] = {}
+        for n in ast.walk(sf.tree):
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                index[(n.name, n.lineno)] = n
+                if n.decorator_list:
+                    index[(n.name, n.decorator_list[0].lineno)] = n
+    node = index.get((code.co_name, code.co_firstlineno))
+    return (node, sf) if node is not None else None  # type: ignore[return-value]
+
+
+def class_file(cls: type) -> str:
+    """The file that defines ``cls``, from its module; parses nothing."""
+    mod = sys.modules.get(cls.__module__)
+    return getattr(mod, "__file__", None) or "<unknown>"
+
+
+def class_site(cls: type) -> Tuple[str, int]:
+    """(file, ``class`` line) of ``cls`` from the cached AST of its
+    module; line 1 when the module has no parseable source or the class
+    was not written with a ``class`` statement."""
+    sf = load(class_file(cls))
+    if sf is None:
+        return "<unknown>", 1
+    lines = _CLASSES.get(sf.path)
+    if lines is None:
+        lines = _CLASSES[sf.path] = {}
+        for n in ast.walk(sf.tree):
+            if isinstance(n, ast.ClassDef):
+                lines.setdefault(n.name, n.lineno)
+    return sf.path, lines.get(cls.__name__, 1)
+
+
+#: The objects that hold data-plane state.
+STATEFUL_TYPES = (RegisterArray, PairedRegisterArray, LazySnapshotArray,
+                  MatchTable)
+
+
+def stateful_objects(obj: object) -> List[Tuple[str, object]]:
+    """(instance attribute, stateful object) for every register array,
+    lazy-snapshot array and match table reachable from ``obj``'s
+    attributes through at most three levels of lists, tuples and dicts;
+    each object once, in sorted attribute order."""
+    out: List[Tuple[str, object]] = []
+    seen: Set[int] = set()
+
+    def visit(attr: str, value: object, depth: int) -> None:
+        if depth > 4 or id(value) in seen:
+            return
+        if isinstance(value, STATEFUL_TYPES):
+            seen.add(id(value))
+            out.append((attr, value))
+        elif isinstance(value, (list, tuple)):
+            for v in value:
+                visit(attr, v, depth + 1)
+        elif isinstance(value, dict):
+            for k in sorted(value, key=repr):
+                visit(attr, value[k], depth + 1)
+
+    attrs = vars(obj)
+    for attr in sorted(attrs):
+        visit(attr, attrs[attr], 1)
+    return out
+
+
+# -- the symbolic walker ------------------------------------------------------
+
+
+class Ref:
+    """A resolved expression: a concrete live object, or one *member* of a
+    collection of such objects (``self.state_regs[i]`` for unknown i).
+
+    ``key`` names what the reference stands for (stable within one walk);
+    ``width`` is how many physical objects it stands for (1 for concrete
+    objects and single-element selections, ``len(collection)`` per
+    iterated collection level).
+    """
+
+    __slots__ = ("exemplar", "key", "width", "member")
+
+    def __init__(self, exemplar: object, key: Tuple, width: int = 1,
+                 member: bool = False) -> None:
+        self.exemplar = exemplar
+        self.key = key
+        self.width = width
+        self.member = member
+
+
+def concrete(obj: object) -> Ref:
+    return Ref(obj, ("obj", id(obj)), 1, False)
+
+
+def first_member(container: object) -> Optional[object]:
+    if isinstance(container, (list, tuple)) and container:
+        return container[0]
+    if isinstance(container, dict) and container:
+        return next(iter(container.values()))
+    return None
+
+
+class Frame:
+    """One function being walked."""
+
+    __slots__ = ("file", "ns", "refs", "vals", "loops")
+
+    def __init__(self, file: str, ns: Dict[str, object]) -> None:
+        self.file = file
+        #: The function's module globals.
+        self.ns = ns
+        #: Local name -> the live object it denotes (None: not resolvable).
+        self.refs: Dict[str, Optional[Ref]] = {}
+        #: Local name -> its value in the lattice.
+        self.vals: Dict[str, object] = {}
+        #: Stack of active loops; each entry is the tuple of member-key
+        #: prefixes that loop binds (empty: it iterates no collection).
+        self.loops: List[Tuple[Tuple, ...]] = []
+
+
+class Path:
+    """One way through a function: the multiset of events recorded on it
+    (``c``: event key -> count), its return value and whether it ended.
+
+    An expression's *effect* (one way it can evaluate) is a Path too,
+    whose ``ret`` is the expression's value."""
+
+    __slots__ = ("c", "ret", "term")
+
+    def __init__(self, c: Optional[Dict] = None, ret: object = None,
+                 term: bool = False) -> None:
+        self.c = {} if c is None else c
+        self.ret = ret
+        self.term = term
+
+    def fork(self) -> "Path":
+        return Path(dict(self.c), self.ret, self.term)
+
+
+#: Paths / effects kept per step. Beyond this the walk stops adding
+#: alternatives; the cap is far above anything the codebase produces.
+PATH_CAP = 256
+#: Calls inlined inside one another before a call is left opaque.
+MAX_DEPTH = 8
+
+
+def merge(into: Dict, counts: Dict) -> None:
+    for k, v in counts.items():
+        into[k] = into.get(k, 0) + v
+
+
+def _freeze(counts: Dict) -> Tuple:
+    return tuple(sorted(counts.items(), key=repr))
+
+
+def _signature(p: Path) -> Tuple:
+    return (_freeze(p.c), p.ret, p.term)
+
+
+def dedupe(paths: List[Path]) -> List[Path]:
+    seen: Set[Tuple] = set()
+    out: List[Path] = []
+    for p in paths:
+        sig = _signature(p)
+        if sig not in seen:
+            seen.add(sig)
+            out.append(p)
+        if len(out) >= PATH_CAP:
+            break
+    return out
+
+
+def combine(pre: List[Path], post: List[Path]) -> List[Path]:
+    """Cartesian sequencing of two effect lists; value taken from ``post``."""
+    out: List[Path] = []
+    for a in pre:
+        for b in post:
+            c = dict(a.c)
+            merge(c, b.c)
+            out.append(Path(c, b.ret))
+    return dedupe(out)
+
+
+def worst(counts_list: Sequence[Dict]) -> Dict:
+    """Pointwise maximum: one loop iteration's worst case."""
+    out: Dict = {}
+    for counts in counts_list:
+        for k, v in counts.items():
+            out[k] = max(out.get(k, 0), v)
+    return out
+
+
+class Walker:
+    """Symbolic walk of live functions over the deployed object graph.
+
+    The walker owns statement dispatch, name binding, live-name
+    resolution, loop binding and helper inlining. A subclass is a
+    *lattice*: :meth:`eval` says what an expression is worth (a list of
+    effects) and records whatever events its rules need, :meth:`join`
+    merges values, and the class constants name the values the walker
+    itself produces. Paths carry event multisets and a return value;
+    every ``if`` forks them, every loop composes its worst iteration.
+    """
+
+    #: Value of a call whose effect is unknown (recursion).
+    UNKNOWN: object = None
+    #: Return value of a bare ``return``/``return None``/falling off the end.
+    NONE: object = None
+    #: Return value of a path that raises.
+    RAISE: object = None
+    #: Value of a loop counter or dict key over a fixed collection: the
+    #: same for every packet.
+    CONFIG: object = None
+
+    def __init__(self, report: Report, supp: SuppressionIndex,
+                 root: Optional[str]) -> None:
+        self.report = report
+        self.supp = supp
+        self.root = root
+        #: The logical site diagnostics cite unless told otherwise.
+        self.site = ""
+        self._summaries: Dict[Tuple, Optional[List[Path]]] = {}
+        self._active: Set[Tuple] = set()
+        self._once: Set[Tuple] = set()
+
+    # -- the lattice -----------------------------------------------------------
+
+    def eval(self, node: Optional[ast.AST], frame: Frame) -> List[Path]:
+        raise NotImplementedError
+
+    def join(self, values: Sequence[object]) -> object:
+        raise NotImplementedError
+
+    def loop_done(self, body: Dict, prefixes: Tuple, frame: Frame,
+                  node: ast.AST) -> None:
+        """Called with a finished loop's worst-iteration events."""
+
+    # -- diagnostics -----------------------------------------------------------
+
+    def diag(self, rule_id: str, message: str, file: str, line: int,
+             site: Optional[str] = None,
+             once: Union[bool, Tuple] = False) -> None:
+        """File a diagnostic at ``file:line`` (made repo-relative) citing
+        ``site``, by default :attr:`site`. With ``once``, only the first
+        one per key is filed: the given tuple, or (rule, file, line) for
+        ``once=True``."""
+        if once:
+            key = once if isinstance(once, tuple) else (rule_id, file, line)
+            if key in self._once:
+                return
+            self._once.add(key)
+        rel = relpath(file, self.root)
+        sf = load(file)
+        self.supp.scan(rel, source=sf.text if sf else "")
+        self.report.flag(rule_id, message, rel, line, self.supp,
+                         self.site if site is None else site)
+
+    # -- live-name resolution ----------------------------------------------------
+
+    def resolve(self, node: Optional[ast.AST],
+                frame: Frame) -> Optional[Ref]:
+        if isinstance(node, ast.Name):
+            return frame.refs.get(node.id)
+        if isinstance(node, ast.Attribute):
+            base = self.resolve(node.value, frame)
+            if base is None:
+                return None
+            try:
+                obj = getattr(base.exemplar, node.attr)
+            except Exception:
+                return None
+            if base.member:
+                return Ref(obj, base.key + ("." + node.attr,),
+                           base.width, True)
+            return concrete(obj)
+        if isinstance(node, ast.Subscript):
+            base = self.resolve(node.value, frame)
+            if base is None:
+                return None
+            container = base.exemplar
+            sl = node.slice
+            if isinstance(sl, ast.Constant) and not base.member:
+                try:
+                    return concrete(container[sl.value])  # type: ignore[index]
+                except Exception:
+                    return None
+            member = first_member(container)
+            if member is None:
+                return None
+            # Subscripting *selects* one member per packet: width unchanged.
+            if base.member:
+                return Ref(member, base.key + ("[]",), base.width, True)
+            return Ref(member, ("sub", id(container)), base.width, True)
+        return None
+
+    def method(self, ref: Optional[Ref], name: str) -> Optional[FunctionType]:
+        """The function behind ``ref.name(...)`` when that is an ordinary
+        method (not a static/class method or property) of its class."""
+        if ref is None:
+            return None
+        for klass in type(ref.exemplar).__mro__:
+            if name in klass.__dict__:
+                fn = klass.__dict__[name]
+                return fn if isinstance(fn, FunctionType) else None
+        return None
+
+    # -- loop binding -----------------------------------------------------------
+
+    @staticmethod
+    def _members(ref: Optional[Ref], values: Optional[List] = None):
+        """(member ref, statically empty?) for iterating a resolved list,
+        tuple, or (with ``values``) a dict's values."""
+        if ref is None:
+            return None, False
+        items = values if values is not None else ref.exemplar
+        if not isinstance(items, (list, tuple)):
+            return None, False
+        if not items:
+            return None, True
+        if ref.member:
+            return Ref(items[0], ref.key + ("[*]",),
+                       ref.width * len(items), True), False
+        return Ref(items[0], ("iter", id(ref.exemplar)),
+                   len(items), True), False
+
+    def bind_loop(self, target: ast.AST, iter_node: ast.AST, value: object,
+                  frame: Frame) -> Tuple[Tuple, bool]:
+        """Bind a loop target over ``iter_node`` (whose lattice value is
+        ``value``): members of a resolved collection bind to member refs,
+        ``enumerate`` counters and ``.items()`` keys to :attr:`CONFIG`.
+        Returns (member-key prefixes the loop binds, statically empty?)."""
+        tnodes = list(target.elts) if isinstance(target, ast.Tuple) else [
+            target]
+        call = iter_node if isinstance(iter_node, ast.Call) else None
+        fname = call.func.id if call is not None and isinstance(
+            call.func, ast.Name) else None
+        fattr = call.func.attr if call is not None and isinstance(
+            call.func, ast.Attribute) and not call.args else None
+        pairs: List[Tuple[ast.AST, Optional[Ref], bool]] = []
+        empty = False
+        if fname == "zip":
+            for t, a in zip(tnodes, call.args):  # type: ignore[union-attr]
+                m, e = self._members(self.resolve(a, frame))
+                empty = empty or e
+                pairs.append((t, m, False))
+        elif fname == "enumerate" and call.args and len(tnodes) == 2:  # type: ignore[union-attr]
+            m, empty = self._members(self.resolve(call.args[0], frame))  # type: ignore[union-attr]
+            pairs = [(tnodes[0], None, True), (tnodes[1], m, False)]
+        elif fname == "enumerate":
+            pairs = [(tnodes[0], None, True)]
+        elif fattr in ("values", "items"):
+            base = self.resolve(call.func.value, frame)  # type: ignore[union-attr]
+            m = None
+            if base is not None and isinstance(base.exemplar, dict):
+                m, empty = self._members(base, list(base.exemplar.values()))
+            if fattr == "items" and len(tnodes) == 2:
+                pairs = [(tnodes[0], None, True), (tnodes[1], m, False)]
+            else:
+                pairs = [(tnodes[0], m, False)]
+        elif len(tnodes) == 1:
+            m, empty = self._members(self.resolve(iter_node, frame))
+            pairs = [(tnodes[0], m, False)]
+        else:
+            pairs = [(t, None, False) for t in tnodes]
+        for t, m, position in pairs:
+            if isinstance(t, ast.Name):
+                frame.refs[t.id] = m
+                frame.vals[t.id] = self.CONFIG if position else value
+        return tuple(m.key for _, m, _ in pairs if m is not None), empty
+
+    # -- statements ---------------------------------------------------------------
+
+    def apply(self, paths: List[Path], effects: List[Path]) -> List[Path]:
+        out = []
+        for p in paths:
+            for e in effects:
+                q = p.fork()
+                merge(q.c, e.c)
+                out.append(q)
+        return dedupe(out)
+
+    def value(self, effects: List[Path]) -> object:
+        return self.join([e.ret for e in effects])
+
+    def walk_body(self, stmts: Sequence[ast.stmt], paths: List[Path],
+                  frame: Frame) -> List[Path]:
+        for stmt in stmts:
+            live = [p for p in paths if not p.term]
+            if not live:
+                return paths
+            done = [p for p in paths if p.term]
+            paths = dedupe(done + self.walk_stmt(stmt, live, frame))
+        return paths
+
+    def walk_stmt(self, stmt: ast.stmt, live: List[Path],
+                  frame: Frame) -> List[Path]:
+        if isinstance(stmt, ast.If):
+            live = self.apply(live, self.eval(stmt.test, frame))
+            body = self.walk_body(stmt.body, [p.fork() for p in live], frame)
+            return body + self.walk_body(
+                stmt.orelse, [p.fork() for p in live], frame)
+        if isinstance(stmt, ast.Return):
+            value = stmt.value
+            if value is None or (
+                    isinstance(value, ast.Constant) and value.value is None):
+                effs = [Path({}, self.NONE)]
+            else:
+                effs = self.eval(value, frame)
+            out = combine(live, effs)  # each path ends with each value
+            for q in out:
+                q.term = True
+            return out
+        if isinstance(stmt, ast.Raise):
+            live = self.apply(live, self.eval(stmt.exc, frame))
+            for p in live:
+                p.term, p.ret = True, self.RAISE
+            return live
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            return self._walk_assign(stmt, live, frame)
+        if isinstance(stmt, (ast.Expr, ast.Assert)):
+            node = stmt.value if isinstance(stmt, ast.Expr) else stmt.test
+            return self.apply(live, self.eval(node, frame))
+        if isinstance(stmt, ast.For):
+            effs = self.eval(stmt.iter, frame)
+            live = self.apply(live, effs)
+            prefixes, empty = self.bind_loop(
+                stmt.target, stmt.iter, self.value(effs), frame)
+            if empty:
+                return self.walk_body(stmt.orelse, live, frame)
+            return self._walk_loop(stmt, prefixes, live, frame)
+        if isinstance(stmt, ast.While):
+            live = self.apply(live, self.eval(stmt.test, frame))
+            return self._walk_loop(stmt, (), live, frame)
+        if isinstance(stmt, (ast.With, ast.AsyncWith)):
+            for item in stmt.items:
+                live = self.apply(live, self.eval(item.context_expr, frame))
+            return self.walk_body(stmt.body, live, frame)
+        if isinstance(stmt, ast.Try):
+            body = self.walk_body(stmt.body, [p.fork() for p in live], frame)
+            out = list(body)
+            for h in stmt.handlers:
+                out += self.walk_body(h.body, [p.fork() for p in live], frame)
+            if stmt.orelse:
+                survivors = [p for p in body if not p.term]
+                running = {_signature(p) for p in survivors}
+                out = [p for p in out
+                       if p.term or _signature(p) not in running]
+                out += self.walk_body(
+                    stmt.orelse, [p.fork() for p in survivors], frame)
+            if stmt.finalbody:
+                out = self.walk_body(stmt.finalbody, out, frame)
+            return out
+        # Nested defs, classes, imports, pass, break/continue, del, global:
+        # no data-plane effect at packet time.
+        return live
+
+    def _walk_assign(self, stmt, live: List[Path],
+                     frame: Frame) -> List[Path]:
+        value = stmt.value
+        if value is None:
+            return live
+        effs = self.eval(value, frame)
+        live = self.apply(live, effs)
+        v = self.value(effs)
+        if isinstance(stmt, ast.AugAssign):
+            t = stmt.target
+            if isinstance(t, ast.Name):
+                prev = frame.vals.get(t.id)
+                frame.vals[t.id] = v if prev is None else self.join([prev, v])
+            return live
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [
+            stmt.target]
+        for t in targets:
+            if isinstance(t, ast.Name):
+                frame.refs[t.id] = self.resolve(value, frame)
+                frame.vals[t.id] = v
+            elif isinstance(t, ast.Tuple):
+                # Each name takes the value of the whole right-hand side;
+                # a literal tuple on the right resolves element-wise.
+                parts = value.elts if isinstance(value, ast.Tuple) else [
+                    None] * len(t.elts)
+                for tn, vn in zip(t.elts, parts):
+                    if isinstance(tn, ast.Name):
+                        frame.refs[tn.id] = self.resolve(vn, frame)
+                        frame.vals[tn.id] = v
+        return live
+
+    def _walk_loop(self, stmt, prefixes: Tuple, live: List[Path],
+                   frame: Frame) -> List[Path]:
+        """One symbolic iteration, composed at its worst case; a ``return``
+        inside the body ends the function after that worst iteration."""
+        frame.loops.append(prefixes)
+        body = self.walk_body(stmt.body, [Path()], frame)
+        frame.loops.pop()
+        once = worst([bp.c for bp in body])
+        self.loop_done(once, prefixes, frame, stmt)
+        out: List[Path] = []
+        for p in live:
+            cont = p.fork()
+            merge(cont.c, once)
+            out.append(cont)
+            for bp in body:
+                if bp.term:
+                    t = p.fork()
+                    merge(t.c, once)
+                    t.term, t.ret = True, bp.ret
+                    out.append(t)
+        out = dedupe(out)
+        if stmt.orelse:
+            finished = [p for p in out if p.term]
+            survivors = [p for p in out if not p.term]
+            return finished + self.walk_body(stmt.orelse, survivors, frame)
+        return out
+
+    # -- helper inlining -----------------------------------------------------------
+
+    def source(self, fn) -> Optional[Tuple[ast.FunctionDef, SourceFile]]:
+        """:func:`find_def`, registering the file's suppressions: every
+        file whose code is read can then report an unused noqa (QA002)."""
+        found = find_def(fn)
+        if found is not None:
+            sf = found[1]
+            self.supp.scan(relpath(sf.path, self.root), source=sf.text)
+        return found
+
+    def summarize(self, fn, self_ref: Optional[Ref] = None,
+                  bindings: Optional[Dict[str, object]] = None
+                  ) -> Optional[List[Path]]:
+        """The terminated paths of ``fn``'s body, with its first parameter
+        bound to ``self_ref`` and other parameters to ``bindings``
+        values. Memoized per (code, receiver, bindings); a recursive call
+        is one opaque path returning :attr:`UNKNOWN`. None when ``fn`` has
+        no analyzable source or is nested deeper than :data:`MAX_DEPTH`."""
+        fn = getattr(fn, "__func__", fn)
+        bindings = bindings or {}
+        key = (id(fn.__code__), self_ref.key if self_ref else None,
+               tuple(sorted(bindings.items())))
+        if key in self._summaries:
+            return self._summaries[key]
+        if key in self._active:
+            return [Path({}, self.UNKNOWN, True)]
+        if len(self._active) >= MAX_DEPTH:
+            return None
+        found = self.source(fn)
+        if found is None:
+            self._summaries[key] = None
+            return None
+        node, sf = found
+        frame = Frame(sf.path, getattr(fn, "__globals__", {}))
+        params = [a.arg for a in node.args.args]
+        if self_ref is not None and params:
+            frame.refs[params[0]] = self_ref
+        frame.vals.update(bindings)
+        self._active.add(key)
+        try:
+            paths = self.walk_body(node.body, [Path()], frame)
+        finally:
+            self._active.discard(key)
+        for p in paths:
+            if not p.term:
+                p.term, p.ret = True, self.NONE
+        paths = dedupe(paths)
+        self._summaries[key] = paths
+        return paths

@@ -16,28 +16,21 @@ The partition pass additionally produces one shard plan per analyzed
 app. ``--plan`` renders the plans, ``--emit-plans DIR`` writes their
 canonical JSON, and RS408 reports drift between freshly computed plans
 and the committed ``shard_plans/`` artifacts.
-
-``--baseline`` compares per-rule active-diagnostic counts against a
-committed ``verify_baseline.json`` and fails only on *regressions*
-(counts above the baseline), so CI can gate on "no new findings"
-while a cleanup burns existing ones down.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Dict, List, Optional
 
 from repro.verify.determinism_pass import verify_determinism
-from repro.verify.diagnostics import (
-    Diagnostic, Report, Severity, SuppressionIndex,
-)
+from repro.verify.diagnostics import Report, SuppressionIndex
 from repro.verify.fastpath_pass import verify_fastpath
 from repro.verify.partition_pass import (
-    plan_json, render_plan, verify_partition_app, verify_shard_hazards,
+    plan_drift, plan_json, render_plan, verify_partition_app,
+    verify_shard_hazards,
 )
 from repro.verify.pipeline_pass import verify_app, verify_netchain
 from repro.verify.rules import RULES
@@ -55,38 +48,9 @@ def repo_root() -> str:
     return os.path.normpath(os.path.join(source_root(), ".."))
 
 
-def default_baseline_path() -> str:
-    return os.path.join(repo_root(), "verify_baseline.json")
-
-
 def shard_plan_dir() -> str:
     """Where the committed per-app shard plans live."""
     return os.path.join(repo_root(), "shard_plans")
-
-
-def rule_counts(report: Report) -> Dict[str, int]:
-    """Active (unsuppressed) diagnostics per rule id, for baselines."""
-    counts: Dict[str, int] = {}
-    for diag in report.active():
-        counts[diag.rule] = counts.get(diag.rule, 0) + 1
-    return counts
-
-
-def baseline_regressions(
-    counts: Dict[str, int], baseline: Dict[str, int]
-) -> Dict[str, Dict[str, int]]:
-    """Rules whose active count exceeds the baselined count.
-
-    Rules absent from the baseline count as baselined at zero, so a
-    brand-new finding is always a regression; counts at or below the
-    baseline (including rules fixed since) never fail.
-    """
-    out: Dict[str, Dict[str, int]] = {}
-    for rule, count in sorted(counts.items()):
-        allowed = int(baseline.get(rule, 0))
-        if count > allowed:
-            out[rule] = {"count": count, "baseline": allowed}
-    return out
 
 
 def _check_plan_drift(
@@ -107,22 +71,19 @@ def _check_plan_drift(
         return
     for name in sorted(plans):
         path = os.path.join(plan_dir, f"{name}.json")
-        rel = os.path.relpath(path, root)
-        fresh = plan_json(plans[name])
         try:
             with open(path, encoding="utf-8") as fh:
-                committed = fh.read()
+                where = plan_drift(plans[name], fh.read())
+            state = None if where is None else f"stale at {where}"
         except OSError:
-            committed = None
-        if committed == fresh:
-            continue
-        what = "missing" if committed is None else "stale"
-        report.add(Diagnostic(
-            "RS408", Severity.ERROR,
-            f"committed shard plan for app {name!r} is {what}; "
-            "regenerate with 'verify --all --emit-plans shard_plans'",
-            rel, 1, site=f"app={name}",
-        ), suppressions=supp)
+            state = "missing"
+        if state is not None:
+            report.flag(
+                "RS408",
+                f"committed shard plan for app {name!r} is {state}; "
+                "regenerate with 'verify --all --emit-plans shard_plans'",
+                os.path.relpath(path, root), 1, supp, site=f"app={name}",
+            )
 
 
 def run_verify(args: argparse.Namespace) -> int:
@@ -168,33 +129,20 @@ def run_verify(args: argparse.Namespace) -> int:
     if all_targets or not paths:
         lint_paths.append(os.path.join(source_root(), "repro"))
 
+    shared = dict(report=report, suppressions=supp, root=root)
     plans: Dict[str, dict] = {}
     for name in sorted(apps):
-        factory = apps[name]
-        verify_app(
-            factory, label=name, report=report, suppressions=supp, root=root
-        )
-        _, plan = verify_partition_app(
-            factory, label=name, report=report, suppressions=supp, root=root
-        )
-        plans[name] = plan
+        verify_app(apps[name], label=name, **shared)
+        plans[name] = verify_partition_app(apps[name], label=name,
+                                           **shared)[1]
     # The NetChain in-switch store is a deployable switch program too:
     # verify its ToR pipeline whenever the full app registry is verified.
     if app == "netchain" or (app is None and (all_targets or not paths)):
-        verify_netchain(report=report, suppressions=supp, root=root)
+        verify_netchain(**shared)
     if lint_paths:
-        verify_determinism(
-            lint_paths, report=report, suppressions=supp, root=root
-        )
-        verify_telemetry(
-            lint_paths, report=report, suppressions=supp, root=root
-        )
-        verify_fastpath(
-            lint_paths, report=report, suppressions=supp, root=root
-        )
-        verify_shard_hazards(
-            lint_paths, report=report, suppressions=supp, root=root
-        )
+        for lint in (verify_determinism, verify_telemetry, verify_fastpath,
+                     verify_shard_hazards):
+            lint(lint_paths, **shared)
 
     if args.emit_plans:
         os.makedirs(args.emit_plans, exist_ok=True)
@@ -218,13 +166,6 @@ def run_verify(args: argparse.Namespace) -> int:
     else:
         report.finalize_suppressions(supp)
 
-    if args.write_baseline:
-        doc = {"format": 1, "rule_counts": rule_counts(report)}
-        with open(args.write_baseline, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        print(f"wrote verify baseline to {args.write_baseline}",
-              file=sys.stderr)
-
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(report.to_json() + "\n")
@@ -235,28 +176,6 @@ def run_verify(args: argparse.Namespace) -> int:
             print()
     print(report.to_json() if args.json else report.render())
 
-    if args.baseline:
-        try:
-            with open(args.baseline, encoding="utf-8") as fh:
-                base_counts = json.load(fh).get("rule_counts", {})
-        except OSError as exc:
-            print(f"cannot read baseline {args.baseline}: {exc}",
-                  file=sys.stderr)
-            return 2
-        regressions = baseline_regressions(rule_counts(report), base_counts)
-        if regressions:
-            for rule, info in regressions.items():
-                print(
-                    f"baseline regression: {rule} has {info['count']} "
-                    f"active finding(s), baseline allows {info['baseline']}",
-                    file=sys.stderr,
-                )
-            return 1
-        print(
-            "baseline check passed: no rule above its baselined count",
-            file=sys.stderr,
-        )
-        return 0
     return report.exit_code(strict=args.strict)
 
 
@@ -283,14 +202,6 @@ def register(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--rule", metavar="ID[,ID]", dest="rules",
                    help="report only these rule ids (plus QA001/QA002 "
                         "suppression hygiene)")
-    p.add_argument("--baseline", metavar="PATH", nargs="?",
-                   const=default_baseline_path(),
-                   help="fail only on per-rule count regressions vs this "
-                        "baseline (default: verify_baseline.json)")
-    p.add_argument("--write-baseline", metavar="PATH", nargs="?",
-                   const=default_baseline_path(), dest="write_baseline",
-                   help="snapshot current per-rule counts (default: "
-                        "verify_baseline.json)")
     p.add_argument("--plan", action="store_true", dest="show_plans",
                    help="render the per-app shard plans the partition pass "
                         "computed")

@@ -26,11 +26,10 @@ crept into discrete-event simulators:
 from __future__ import annotations
 
 import ast
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Iterable, Optional, Tuple, Union
 
 from repro.verify import astutil
-from repro.verify.diagnostics import Diagnostic, Report, SuppressionIndex
-from repro.verify.rules import RULES
+from repro.verify.diagnostics import Report, SuppressionIndex
 
 #: (module suffix, attribute) pairs that read the host clock.
 _WALL_CLOCKS: Tuple[Tuple[str, str], ...] = (
@@ -74,13 +73,6 @@ class _DeterminismVisitor(ast.NodeVisitor):
         #: Node ids of expressions consumed by order-insensitive builtins
         #: (``sorted(x - y)``, ``any(t in s for ...)``): exempt from RD203.
         self._sanctioned: set = set()
-
-    def _diag(self, rule_id: str, message: str, node: ast.AST) -> None:
-        r = RULES[rule_id]
-        self.report.add(
-            Diagnostic(r.id, r.severity, message, self.rel, node.lineno),
-            self.supp,
-        )
 
     # -- RD201 ----------------------------------------------------------------
 
@@ -135,11 +127,11 @@ class _DeterminismVisitor(ast.NodeVisitor):
         if id(iter_node) in self._sanctioned:
             return
         if self._is_set_expr(iter_node):
-            self._diag(
+            self.report.flag(
                 "RD203",
                 "iteration over a set: element order depends on "
                 "PYTHONHASHSEED and varies between runs; wrap in sorted()",
-                iter_node,
+                self.rel, iter_node.lineno, self.supp,
             )
 
     # -- RD204 ----------------------------------------------------------------
@@ -161,20 +153,20 @@ class _DeterminismVisitor(ast.NodeVisitor):
     def visit_Call(self, node: ast.Call) -> None:
         clock = self._is_wall_clock(node.func)
         if clock is not None:
-            self._diag(
+            self.report.flag(
                 "RD201",
                 f"wall-clock read {clock}(): simulation code must use the "
                 "simulator's virtual clock (Simulator.now) so runs are "
                 "reproducible",
-                node,
+                self.rel, node.lineno, self.supp,
             )
         unseeded = self._is_unseeded_random(node)
         if unseeded is not None:
-            self._diag(
+            self.report.flag(
                 "RD202",
                 f"unseeded randomness via {unseeded}: derive every RNG "
                 "from the experiment seed (random.Random(seed))",
-                node,
+                self.rel, node.lineno, self.supp,
             )
         if (
             isinstance(node.func, ast.Name)
@@ -193,12 +185,12 @@ class _DeterminismVisitor(ast.NodeVisitor):
         ):
             for kw in node.keywords:
                 if kw.arg == "key" and self._key_uses_id(kw.value):
-                    self._diag(
+                    self.report.flag(
                         "RD204",
                         f"id() used as a {node.func.id}() key: CPython ids "
                         "are memory addresses and differ between runs; "
                         "key on a stable attribute instead",
-                        kw.value,
+                        self.rel, kw.value.lineno, self.supp,
                     )
         if (
             isinstance(node.func, ast.Attribute)
@@ -206,12 +198,12 @@ class _DeterminismVisitor(ast.NodeVisitor):
         ):
             for kw in node.keywords:
                 if kw.arg == "key" and self._key_uses_id(kw.value):
-                    self._diag(
+                    self.report.flag(
                         "RD204",
                         "id() used as a .sort() key: CPython ids are memory "
                         "addresses and differ between runs; key on a stable "
                         "attribute instead",
-                        kw.value,
+                        self.rel, kw.value.lineno, self.supp,
                     )
         self.generic_visit(node)
 
@@ -247,15 +239,9 @@ def verify_determinism(
     suppressions = (
         suppressions if suppressions is not None else SuppressionIndex()
     )
-    files: List[str] = []
-    for path in paths:
-        files.extend(astutil.iter_py_files(path))
-    for path in files:
-        sf = astutil.load(path)
-        if sf is None:
-            continue
-        rel = astutil.relpath(sf.path, root)
-        suppressions.scan(rel, source=sf.text)
+    files = 0
+    for sf, rel in astutil.parsed_files(paths, suppressions, root):
+        files += 1
         _DeterminismVisitor(sf, rel, report, suppressions).visit(sf.tree)
-    report.analyzed["determinism"] = f"{len(files)} file(s) linted"
+    report.analyzed["determinism"] = f"{files} file(s) linted"
     return report

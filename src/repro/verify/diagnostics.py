@@ -1,4 +1,4 @@
-"""The diagnostic engine shared by all three verifier passes.
+"""The diagnostic engine shared by all five verifier passes.
 
 Diagnostics carry a stable rule id, a severity, a source location
 (``file:line``), and a logical site (``block=... app=...`` — the same
@@ -173,9 +173,18 @@ class Report:
         self.diagnostics.append(diag)
         return diag
 
-    def extend(self, other: "Report") -> None:
-        self.diagnostics.extend(other.diagnostics)
-        self.analyzed.update(other.analyzed)
+    def flag(self, rule_id: str, message: str, file: str, line: int,
+             suppressions: Optional[SuppressionIndex] = None,
+             site: str = "") -> Diagnostic:
+        """File a diagnostic of rule ``rule_id`` with its registered
+        severity; ``file`` is already the path the report shows."""
+        from repro.verify.rules import RULES
+
+        rule = RULES[rule_id]
+        return self.add(
+            Diagnostic(rule.id, rule.severity, message, file, line, site),
+            suppressions,
+        )
 
     def finalize_suppressions(
         self,

@@ -24,14 +24,15 @@ table, and counter into the partition-class lattice::
   Bloom bits, sequencer counters): cannot be split; the sharded runner
   must serialize or replicate it.
 
-The classifier works symbolically, like the pipeline verifier: it walks
-the ``partition_key``/``process`` method ASTs of the live deployed app
-(``repro.verify.astutil`` supplies the parsing, live objects supply name
-resolution), propagating the set of packet-field inputs through local
-assignments, one level of helper-call inlining, struct unpacks, and
-hash calls. Inference assigns the *tightest provable* class; an app may
-declare a weaker one (``shard_class = "global"`` with a mandatory
-``shard_reason``) but never a tighter one (RS402).
+The classifier is the pipeline verifier's walker
+(:class:`repro.verify.astutil.Walker`) with a different lattice: it
+walks the ``partition_key``/``process`` methods of the live deployed
+app, and an expression's value is the set of packet-field inputs it
+derives from, propagated through local assignments, inlined helpers,
+struct unpacks and hash calls. Every structure access is recorded with
+the derivation of its index. Inference assigns the *tightest provable*
+class; an app may declare a weaker one (``shard_class = "global"`` with
+a mandatory ``shard_reason``) but never a tighter one (RS402).
 
 The result is a deterministic shard plan per app — partitionable state,
 inferred keys and global residue — committed under
@@ -48,19 +49,19 @@ from __future__ import annotations
 
 import ast
 import inspect
+import json
 import os
 from dataclasses import dataclass
-from typing import (
-    Dict, FrozenSet, List, Optional, Sequence, Set, Tuple,
-)
+from itertools import zip_longest
+from types import FunctionType
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.snapshot import LazySnapshotArray
 from repro.net.packet import FlowKey
-from repro.switch.registers import PairedRegisterArray, RegisterArray
 from repro.switch.tables import MatchTable
 from repro.verify import astutil
-from repro.verify.diagnostics import Diagnostic, Report, SuppressionIndex
-from repro.verify.rules import RULES
+from repro.verify.astutil import Frame, Path, Ref, concrete
+from repro.verify.diagnostics import Report, SuppressionIndex
 
 # -- the partition-class lattice ----------------------------------------------
 
@@ -107,60 +108,23 @@ _HASH_FUNCS = frozenset({"sketch_hash", "crc32", "adler32", "hash"})
 #: FlowKey methods that pass their receiver's derivation through.
 _PASS_THROUGH = frozenset({"canonical", "reversed", "pack", "to_bytes"})
 
+#: Builtins whose result derives from all of their arguments.
+_DERIVING = frozenset({"min", "max", "abs", "int", "sum", "enumerate", "zip"})
+
 #: Stateful-structure access methods; the index is always argument 1
 #: (after the pipeline ctx).
 _ACCESS_METHODS = frozenset(
     {"update", "test_and_set", "access", "read", "write"}
 )
 
-_STRUCT_TYPES = (RegisterArray, PairedRegisterArray, LazySnapshotArray,
-                 MatchTable)
+#: Live values that are the same for every packet.
+_CONST_TYPES = (int, float, str, bytes, bool, FlowKey)
 
 #: Packages whose Python-level state crosses shard-process boundaries.
 _SHARD_SCOPES = frozenset({"core", "statestore", "fastpath", "net", "shard"})
 
-
-def _find_def(func) -> Optional[Tuple[ast.FunctionDef, str]]:
-    """The AST def (and file) of a live function, via its code object."""
-    func = getattr(func, "__func__", func)
-    code = getattr(func, "__code__", None)
-    if code is None:
-        return None
-    sf = astutil.load(code.co_filename)
-    if sf is None:
-        return None
-    best: Optional[Tuple[int, ast.FunctionDef]] = None
-    for node in ast.walk(sf.tree):
-        if isinstance(node, ast.FunctionDef) and node.name == code.co_name:
-            delta = abs(node.lineno - code.co_firstlineno)
-            if best is None or delta < best[0]:
-                best = (delta, node)
-    if best is None or best[0] > 16:
-        return None
-    return best[1], sf.path
-
-
-def _class_site(obj: object) -> Tuple[str, int]:
-    try:
-        cls = obj if isinstance(obj, type) else type(obj)
-        file = inspect.getsourcefile(cls) or "<unknown>"
-        _, line = inspect.getsourcelines(cls)
-        return file, line
-    except (OSError, TypeError):  # pragma: no cover - builtins only
-        return "<unknown>", 1
-
-
-# -- structure inventory -------------------------------------------------------
-
-
-@dataclass
-class _Struct:
-    """One stateful object owned by the app, grouped by instance attr."""
-
-    attr: str            # the app attribute holding it
-    name: str            # the structure's own register/table name
-    kind: str            # snapshot_array | register_array | match_table
-    obj: object
+_CONST = frozenset({_T_CONST})
+_UNKNOWN = frozenset({_T_UNKNOWN})
 
 
 def _kind_of(obj: object) -> str:
@@ -171,418 +135,15 @@ def _kind_of(obj: object) -> str:
     return "register_array"
 
 
-def _inventory(app: object) -> List[_Struct]:
-    """Stateful structures reachable from the app's instance attributes."""
-    out: List[_Struct] = []
-    seen: Set[int] = set()
-
-    def visit(attr: str, value: object, depth: int) -> None:
-        if depth > 4 or id(value) in seen:
-            return
-        if isinstance(value, _STRUCT_TYPES):
-            seen.add(id(value))
-            name = getattr(value, "name", None) or f"{attr}[{len(out)}]"
-            out.append(_Struct(attr, str(name), _kind_of(value), value))
-        elif isinstance(value, (list, tuple)):
-            for v in value:
-                visit(attr, v, depth + 1)
-        elif isinstance(value, dict):
-            for k in sorted(value, key=repr):
-                visit(attr, value[k], depth + 1)
-
-    for attr in sorted(vars(app)):
-        visit(attr, vars(app)[attr], 1)
-    return out
-
-
-# -- the symbolic method scanner -----------------------------------------------
-
-
 @dataclass
 class _Access:
     """One packet-path access to an app-owned structure."""
 
-    struct: Optional[str]       # owning attr, None when unresolvable
+    struct: str                 # owning app attribute
     method: str
     index: FrozenSet[str]       # field tokens of the index expression
     file: str
     line: int
-
-
-class _MethodScan:
-    """Symbolically scan one packet-path method of a live app.
-
-    Propagates field-token sets through assignments and one level of
-    helper inlining; records every structure access with the derivation
-    of its index expression, and every return value's derivation.
-    """
-
-    def __init__(self, app: object, func, struct_attrs: Set[str],
-                 bound_env: Optional[Dict[str, FrozenSet[str]]] = None,
-                 depth: int = 0) -> None:
-        self.app = app
-        self.struct_attrs = struct_attrs
-        self.depth = depth
-        self.returns: List[Tuple[FrozenSet[str], int]] = []
-        self.accesses: List[_Access] = []
-        self.analyzable = False
-        self.file = "<unknown>"
-        self.def_line = 1
-
-        found = _find_def(func)
-        if found is None:
-            return
-        fn_def, self.file = found
-        self.def_line = fn_def.lineno
-        func = getattr(func, "__func__", func)
-        self.ns = getattr(func, "__globals__", {})
-
-        params = [a.arg for a in fn_def.args.args]
-        self.self_name = None
-        if params and params[0] == "self":
-            self.self_name = params[0]
-            params = params[1:]
-        self.env: Dict[str, FrozenSet[str]] = {}
-        self.env_structs: Dict[str, str] = {}
-        if bound_env is None:
-            # Top-level packet-path method: the packet rides in the
-            # first non-state parameter named pkt (or the first one).
-            for p in params:
-                self.env[p] = frozenset(
-                    {_T_PKT} if p == "pkt" else {_T_CONST}
-                )
-            if "pkt" not in params and params:
-                self.env[params[0]] = frozenset({_T_PKT})
-        else:
-            for p in params:
-                self.env[p] = bound_env.get(p, frozenset({_T_CONST}))
-        self.analyzable = True
-        self._walk_body(fn_def.body)
-
-    # -- statements -----------------------------------------------------------
-
-    def _walk_body(self, body: Sequence[ast.stmt]) -> None:
-        for stmt in body:
-            if isinstance(stmt, ast.Assign):
-                self._assign(stmt.targets, stmt.value)
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                self._assign([stmt.target], stmt.value)
-            elif isinstance(stmt, ast.AugAssign):
-                fields = self._fields(stmt.value)
-                if isinstance(stmt.target, ast.Name):
-                    prev = self.env.get(stmt.target.id, frozenset())
-                    self.env[stmt.target.id] = prev | fields
-            elif isinstance(stmt, ast.Return):
-                if stmt.value is not None and not (
-                    isinstance(stmt.value, ast.Constant)
-                    and stmt.value.value is None
-                ):
-                    self.returns.append(
-                        (frozenset(self._fields(stmt.value)), stmt.lineno)
-                    )
-            elif isinstance(stmt, ast.If):
-                self._fields(stmt.test)
-                self._walk_body(stmt.body)
-                self._walk_body(stmt.orelse)
-            elif isinstance(stmt, ast.For):
-                self._for(stmt)
-            elif isinstance(stmt, ast.While):
-                self._fields(stmt.test)
-                self._walk_body(stmt.body)
-                self._walk_body(stmt.orelse)
-            elif isinstance(stmt, ast.With):
-                self._walk_body(stmt.body)
-            elif isinstance(stmt, ast.Expr):
-                self._fields(stmt.value)
-            elif isinstance(stmt, (ast.Try,)):
-                self._walk_body(stmt.body)
-                for handler in stmt.handlers:
-                    self._walk_body(handler.body)
-                self._walk_body(stmt.orelse)
-                self._walk_body(stmt.finalbody)
-
-    def _assign(self, targets: Sequence[ast.expr], value: ast.expr) -> None:
-        sref = self._struct_ref(value)
-        vfields = (
-            None if sref is not None else frozenset(self._fields(value))
-        )
-        for target in targets:
-            if isinstance(target, ast.Name):
-                if sref is not None:
-                    self.env_structs[target.id] = sref
-                else:
-                    self.env[target.id] = vfields or frozenset()
-            elif isinstance(target, ast.Tuple):
-                each = (
-                    vfields if vfields is not None
-                    else frozenset({_T_UNKNOWN})
-                )
-                for elt in target.elts:
-                    if isinstance(elt, ast.Name):
-                        self.env[elt.id] = each
-
-    def _for(self, stmt: ast.For) -> None:
-        it = stmt.iter
-        is_enum = (
-            isinstance(it, ast.Call)
-            and isinstance(it.func, ast.Name)
-            and it.func.id == "enumerate"
-        )
-        src = it.args[0] if (is_enum and it.args) else it
-        sref = self._struct_ref(src)
-        target = stmt.target
-        if is_enum and isinstance(target, ast.Tuple) and len(target.elts) == 2:
-            counter, element = target.elts
-            if isinstance(counter, ast.Name):
-                # A row/slot counter over a fixed collection is the same
-                # for every packet: structure geometry, not a flow key.
-                self.env[counter.id] = frozenset({_T_CONST})
-            if isinstance(element, ast.Name):
-                if sref is not None:
-                    self.env_structs[element.id] = sref
-                else:
-                    self.env[element.id] = frozenset(self._fields(src))
-        elif isinstance(target, ast.Name):
-            if sref is not None:
-                self.env_structs[target.id] = sref
-            else:
-                self.env[target.id] = frozenset(self._fields(src))
-        self._walk_body(stmt.body)
-        self._walk_body(stmt.orelse)
-
-    # -- structure references --------------------------------------------------
-
-    def _struct_ref(self, node: ast.expr) -> Optional[str]:
-        if isinstance(node, ast.Subscript):
-            return self._struct_ref(node.value)
-        chain = astutil.attr_chain(node)
-        if (
-            chain is not None
-            and len(chain) >= 2
-            and chain[0] == self.self_name
-            and chain[1] in self.struct_attrs
-        ):
-            return chain[1]
-        if isinstance(node, ast.Name):
-            return self.env_structs.get(node.id)
-        return None
-
-    # -- expressions -----------------------------------------------------------
-
-    def _fields(self, node: ast.expr) -> Set[str]:
-        if isinstance(node, ast.Constant):
-            return {_T_CONST}
-        if isinstance(node, ast.Name):
-            return set(self._lookup(node.id))
-        if isinstance(node, ast.Attribute):
-            return self._attr(node)
-        if isinstance(node, ast.Call):
-            return self._call(node)
-        if isinstance(node, ast.Subscript):
-            return self._fields(node.value) | self._slice(node.slice)
-        if isinstance(node, ast.BinOp):
-            out = self._fields(node.left) | self._fields(node.right)
-            return out
-        if isinstance(node, ast.BoolOp):
-            out: Set[str] = set()
-            for v in node.values:
-                out |= self._fields(v)
-            return out
-        if isinstance(node, ast.Compare):
-            out = self._fields(node.left)
-            for comp in node.comparators:
-                out |= self._fields(comp)
-            return out
-        if isinstance(node, ast.UnaryOp):
-            return self._fields(node.operand)
-        if isinstance(node, ast.IfExp):
-            self._fields(node.test)
-            return self._fields(node.body) | self._fields(node.orelse)
-        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
-            out = set()
-            for elt in node.elts:
-                out |= self._fields(elt)
-            return out or {_T_CONST}
-        if isinstance(node, ast.JoinedStr):
-            return {_T_CONST}
-        return {_T_UNKNOWN}
-
-    def _slice(self, node: ast.expr) -> Set[str]:
-        if isinstance(node, ast.Slice):
-            out: Set[str] = set()
-            for part in (node.lower, node.upper, node.step):
-                if part is not None:
-                    out |= self._fields(part)
-            return out or {_T_CONST}
-        return self._fields(node)
-
-    def _lookup(self, name: str) -> FrozenSet[str]:
-        if name in self.env:
-            return self.env[name]
-        if name in self.env_structs:
-            # The structure object itself (e.g. ``array.size``): its
-            # geometry is configuration, not a key input.
-            return frozenset({_T_CONST})
-        if name in self.ns:
-            value = self.ns[name]
-            if isinstance(value, (int, float, str, bytes, bool, FlowKey)):
-                return frozenset({_T_CONST})
-            if inspect.ismodule(value) or isinstance(value, type):
-                return frozenset({_T_CONST})
-            if hasattr(value, "unpack_from"):  # struct.Struct instances
-                return frozenset({_T_CONST})
-            return frozenset({_T_UNKNOWN})
-        if name in ("True", "False", "None"):
-            return frozenset({_T_CONST})
-        return frozenset({_T_UNKNOWN})
-
-    def _attr(self, node: ast.Attribute) -> Set[str]:
-        chain = astutil.attr_chain(node)
-        if chain is not None:
-            base = self._lookup(chain[0]) if chain[0] != self.self_name \
-                else frozenset()
-            if chain[0] == self.self_name:
-                return self._self_attr(chain[1:])
-            if _T_PKT in base:
-                return self._pkt_attr(chain[1:])
-            if base == frozenset({_T_CONST}):
-                return {_T_CONST}
-            return {_T_UNKNOWN}
-        # Chain rooted in a call/subscript: derive from the base value
-        # (e.g. ``pkt.flow_key().pack`` handled by the Call visitor; a
-        # bare ``(a + b).attr`` inherits the base derivation).
-        return self._fields(node.value)
-
-    def _pkt_attr(self, rest: Sequence[str]) -> Set[str]:
-        if not rest:
-            return {_T_PKT}
-        if rest[0] == "payload":
-            return {_T_PAYLOAD}
-        if rest[0] == "vlan":
-            return {"vlan"}
-        dotted = ".".join(rest[:2])
-        if dotted in _HEADER_FIELDS:
-            return {dotted}
-        if rest[0] in ("ip", "l4") and len(rest) == 1:
-            # The header object itself (None checks); not a key input.
-            return {_T_PKT}
-        return {_T_UNKNOWN}
-
-    def _self_attr(self, rest: Sequence[str]) -> Set[str]:
-        value: object = self.app
-        for part in rest:
-            try:
-                value = getattr(value, part)
-            except AttributeError:
-                return {_T_UNKNOWN}
-        if isinstance(value, (int, float, str, bytes, bool, FlowKey)):
-            return {_T_CONST}
-        return {_T_UNKNOWN}
-
-    def _call(self, node: ast.Call) -> Set[str]:
-        func = node.func
-        if isinstance(func, ast.Attribute):
-            attr = func.attr
-            recv = func.value
-            sref = self._struct_ref(recv)
-            if sref is not None and attr in _ACCESS_METHODS:
-                if len(node.args) >= 2:
-                    idx = frozenset(self._fields(node.args[1]))
-                else:
-                    idx = frozenset({_T_UNKNOWN})
-                for extra in node.args[2:]:
-                    self._fields(extra)
-                self.accesses.append(
-                    _Access(sref, attr, idx, self.file, node.lineno)
-                )
-                # The stored value is mutable state, not a key input.
-                return {_T_UNKNOWN}
-            if attr == "flow_key":
-                return set(_FLOW_TUPLE)
-            if attr in _PASS_THROUGH:
-                return self._fields(recv)
-            if attr in ("unpack", "unpack_from", "from_bytes"):
-                return (
-                    self._fields(node.args[0]) if node.args
-                    else {_T_UNKNOWN}
-                )
-            if attr in _HASH_FUNCS:
-                out: Set[str] = {_T_HASH}
-                for a in node.args:
-                    out |= self._fields(a)
-                return out
-            if (
-                isinstance(recv, ast.Name)
-                and recv.id == self.self_name
-                and self.depth < 2
-            ):
-                target = getattr(self.app, attr, None)
-                if callable(target):
-                    return self._inline(target, node)
-            for a in node.args:
-                self._fields(a)
-            return {_T_UNKNOWN}
-
-        if isinstance(func, ast.Name):
-            name = func.id
-            if name in _HASH_FUNCS:
-                out = {_T_HASH}
-                for a in node.args:
-                    out |= self._fields(a)
-                return out
-            if name in ("len", "isinstance", "range"):
-                for a in node.args:
-                    self._fields(a)
-                return {_T_CONST}
-            if name in ("min", "max", "abs", "int", "sum"):
-                out = set()
-                for a in node.args:
-                    out |= self._fields(a)
-                return out or {_T_CONST}
-            resolved = self.ns.get(name)
-            if resolved is FlowKey:
-                out = set()
-                for a in node.args:
-                    out |= self._fields(a)
-                return out or {_T_CONST}
-            if callable(resolved) and self.depth < 2 and (
-                hasattr(resolved, "__code__")
-            ):
-                return self._inline(resolved, node)
-            for a in node.args:
-                self._fields(a)
-            return {_T_UNKNOWN}
-        return {_T_UNKNOWN}
-
-    def _inline(self, target, node: ast.Call) -> Set[str]:
-        """One level of helper inlining: bind arg derivations to params,
-        return the union of the helper's return derivations."""
-        found = _find_def(target)
-        if found is None:
-            return {_T_UNKNOWN}
-        fn_def, _path = found
-        params = [a.arg for a in fn_def.args.args]
-        if params and params[0] == "self" and (
-            inspect.ismethod(target) or getattr(target, "__self__", None)
-            is not None
-        ):
-            params = params[1:]
-        bound: Dict[str, FrozenSet[str]] = {}
-        for p, a in zip(params, node.args):
-            bound[p] = frozenset(self._fields(a))
-        for p in params[len(node.args):]:
-            bound[p] = frozenset({_T_CONST})
-        sub = _MethodScan(
-            self.app, target, self.struct_attrs,
-            bound_env=bound, depth=self.depth + 1,
-        )
-        if not sub.analyzable:
-            return {_T_UNKNOWN}
-        self.accesses.extend(sub.accesses)
-        out: Set[str] = set()
-        for fields, _line in sub.returns:
-            out |= fields
-        return out or {_T_UNKNOWN}
 
 
 # -- classification ------------------------------------------------------------
@@ -608,58 +169,246 @@ def _classify(tokens: FrozenSet[str]) -> Tuple[str, FrozenSet[str]]:
 # -- the per-app analyzer ------------------------------------------------------
 
 
-@dataclass
-class _AppAnalysis:
-    plan: Dict[str, object]
-    effective: str
-    structures: int
-
-
-class _PartitionAnalyzer:
+class _PartitionAnalyzer(astutil.Walker):
     """Runs the RS400-405/407 checks over one deployed app and builds
-    its shard plan."""
+    its shard plan.
+
+    The lattice: a value is the set of field tokens an expression
+    derives from; paths record no events. Structure accesses are facts
+    about the app's code, collected once each in walk order.
+    """
+
+    UNKNOWN = _UNKNOWN
+    NONE = None
+    RAISE = None
+    CONFIG = _CONST
 
     def __init__(self, dep, label: str,
                  report: Report, supp: SuppressionIndex,
                  root: Optional[str]) -> None:
-        self.dep = dep
+        super().__init__(report, supp, root)
         self.label = label
-        self.report = report
-        self.supp = supp
-        self.root = root
+        self.site = f"app={label}"
         switch = dep.switches[0]
-        self.switch = switch
         self.app = dep.apps[switch.name]
         self.engine = dep.engines[switch.name]
+        self.structs = astutil.stateful_objects(self.app)
+        self._owner = {id(obj): attr for attr, obj in self.structs}
+        self.accesses: List[_Access] = []
 
-    # -- diagnostics -----------------------------------------------------------
+    # -- the lattice ------------------------------------------------------------
 
-    def _rel(self, path: str, line_source: bool = True) -> str:
-        rel = astutil.relpath(path, self.root)
-        if line_source:
-            sf = astutil.load(path)
-            self.supp.scan(rel, source=sf.text if sf else "")
-        return rel
+    def join(self, values) -> FrozenSet[str]:
+        return frozenset().union(*values)
 
-    def _diag(self, rule_id: str, message: str, file: str, line: int) -> None:
-        rule = RULES[rule_id]
-        rel = self._rel(file)
-        self.report.add(
-            Diagnostic(rule.id, rule.severity, message, rel, line,
-                       site=f"app={self.label}"),
-            self.supp,
-        )
+    def eval(self, node: Optional[ast.AST], frame: Frame) -> List[Path]:
+        return [Path({}, _CONST if node is None
+                     else frozenset(self._fields(node, frame)))]
+
+    def _state_attr(self, ref: Optional[Ref]) -> Optional[str]:
+        """The app attribute owning the structure (or collection of
+        structures) ``ref`` denotes."""
+        obj = ref.exemplar if ref is not None else None
+        while isinstance(obj, (list, tuple, dict)):
+            obj = astutil.first_member(obj)
+        return self._owner.get(id(obj))
+
+    def _fields(self, node: ast.expr, frame: Frame) -> Set[str]:
+        if isinstance(node, ast.Constant):
+            return {_T_CONST}
+        if isinstance(node, ast.Name):
+            return set(self._lookup(node.id, frame))
+        if isinstance(node, ast.Attribute):
+            return self._attr(node, frame)
+        if isinstance(node, ast.Call):
+            return self._call(node, frame)
+        if isinstance(node, ast.Subscript):
+            return self._fields(node.value, frame) | self._slice(
+                node.slice, frame)
+        if isinstance(node, ast.BinOp):
+            return self._fields(node.left, frame) | self._fields(
+                node.right, frame)
+        if isinstance(node, ast.BoolOp):
+            return self._union(node.values, frame)
+        if isinstance(node, ast.Compare):
+            return self._union([node.left, *node.comparators], frame)
+        if isinstance(node, ast.UnaryOp):
+            return self._fields(node.operand, frame)
+        if isinstance(node, ast.IfExp):
+            self._fields(node.test, frame)
+            return self._fields(node.body, frame) | self._fields(
+                node.orelse, frame)
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return self._union(node.elts, frame) or {_T_CONST}
+        if isinstance(node, ast.JoinedStr):
+            return {_T_CONST}
+        return {_T_UNKNOWN}
+
+    def _union(self, nodes, frame: Frame) -> Set[str]:
+        out: Set[str] = set()
+        for n in nodes:
+            out |= self._fields(n, frame)
+        return out
+
+    def _slice(self, node: ast.expr, frame: Frame) -> Set[str]:
+        if isinstance(node, ast.Slice):
+            parts = [p for p in (node.lower, node.upper, node.step) if p]
+            return self._union(parts, frame) or {_T_CONST}
+        return self._fields(node, frame)
+
+    def _lookup(self, name: str, frame: Frame) -> FrozenSet[str]:
+        if self._state_attr(frame.refs.get(name)) is not None:
+            # A structure (e.g. ``array.size``): its geometry is
+            # configuration, not a key input.
+            return _CONST
+        if name in frame.vals:
+            return frame.vals[name]  # type: ignore[return-value]
+        if name in frame.ns:
+            value = frame.ns[name]
+            if isinstance(value, _CONST_TYPES):
+                return _CONST
+            if inspect.ismodule(value) or isinstance(value, type):
+                return _CONST
+            if hasattr(value, "unpack_from"):  # struct.Struct instances
+                return _CONST
+            return _UNKNOWN
+        if name in ("True", "False", "None"):
+            return _CONST
+        return _UNKNOWN
+
+    def _attr(self, node: ast.Attribute, frame: Frame) -> Set[str]:
+        chain = astutil.attr_chain(node)
+        if chain is None:
+            # Chain rooted in a call/subscript: derive from the base value
+            # (e.g. ``pkt.flow_key().pack`` handled by the Call visitor; a
+            # bare ``(a + b).attr`` inherits the base derivation).
+            return self._fields(node.value, frame)
+        if frame.refs.get(chain[0]) is not None:
+            # A live object: its configuration, or opaque.
+            ref = self.resolve(node, frame)
+            if ref is not None and isinstance(ref.exemplar, _CONST_TYPES):
+                return {_T_CONST}
+            return {_T_UNKNOWN}
+        base = self._lookup(chain[0], frame)
+        if _T_PKT in base:
+            return self._pkt_attr(chain[1:])
+        if base == _CONST:
+            return {_T_CONST}
+        return {_T_UNKNOWN}
+
+    @staticmethod
+    def _pkt_attr(rest: List[str]) -> Set[str]:
+        if not rest:
+            return {_T_PKT}
+        if rest[0] == "payload":
+            return {_T_PAYLOAD}
+        if rest[0] == "vlan":
+            return {"vlan"}
+        dotted = ".".join(rest[:2])
+        if dotted in _HEADER_FIELDS:
+            return {dotted}
+        if rest[0] in ("ip", "l4") and len(rest) == 1:
+            # The header object itself (None checks); not a key input.
+            return {_T_PKT}
+        return {_T_UNKNOWN}
+
+    def _call(self, node: ast.Call, frame: Frame) -> Set[str]:
+        func = node.func
+        if isinstance(func, ast.Attribute):
+            attr = func.attr
+            recv = func.value
+            ref = self.resolve(recv, frame)
+            sattr = self._state_attr(ref)
+            if sattr is not None and attr in _ACCESS_METHODS:
+                idx = (
+                    frozenset(self._fields(node.args[1], frame))
+                    if len(node.args) >= 2 else _UNKNOWN
+                )
+                self._union(node.args[2:], frame)
+                self.accesses.append(
+                    _Access(sattr, attr, idx, frame.file, node.lineno)
+                )
+                # The stored value is mutable state, not a key input.
+                return {_T_UNKNOWN}
+            if attr == "flow_key":
+                return set(_FLOW_TUPLE)
+            if attr in _PASS_THROUGH:
+                return self._fields(recv, frame)
+            if attr in ("unpack", "unpack_from", "from_bytes"):
+                return (
+                    self._fields(node.args[0], frame) if node.args
+                    else {_T_UNKNOWN}
+                )
+            if attr in _HASH_FUNCS:
+                return {_T_HASH} | self._union(node.args, frame)
+            fn = self.method(ref, attr)
+            if fn is not None:
+                return self._inline(fn, ref, node, frame)
+            self._union(node.args, frame)
+            return {_T_UNKNOWN}
+
+        if isinstance(func, ast.Name):
+            name = func.id
+            if name in _HASH_FUNCS:
+                return {_T_HASH} | self._union(node.args, frame)
+            if name in ("len", "isinstance", "range"):
+                self._union(node.args, frame)
+                return {_T_CONST}
+            resolved = frame.ns.get(name)
+            if name in _DERIVING or resolved is FlowKey:
+                return self._union(node.args, frame) or {_T_CONST}
+            if isinstance(resolved, FunctionType):
+                return self._inline(resolved, None, node, frame)
+            self._union(node.args, frame)
+            return {_T_UNKNOWN}
+        return {_T_UNKNOWN}
+
+    def _inline(self, fn: FunctionType, self_ref: Optional[Ref],
+                node: ast.Call, frame: Frame) -> Set[str]:
+        """Bind argument derivations to parameters (unpassed ones are
+        configuration) and take the union of the callee's returns."""
+        code = fn.__code__
+        params = code.co_varnames[int(self_ref is not None):code.co_argcount]
+        bound: Dict[str, object] = {p: _CONST for p in params}
+        for p, a in zip(params, node.args):
+            bound[p] = frozenset(self._fields(a, frame))
+        return self._returned(self.summarize(fn, self_ref, bound))
+
+    @staticmethod
+    def _returned(paths: Optional[List[Path]]) -> Set[str]:
+        out: Set[str] = set()
+        for p in paths or ():
+            if p.ret is not None:
+                out |= p.ret  # type: ignore[arg-type]
+        return out or {_T_UNKNOWN}
+
+    def _scan(self, method) -> Optional[List[Path]]:
+        """Walk one packet-path method of the app: the packet rides in
+        the parameter named ``pkt`` (or the first one), the rest are
+        configuration."""
+        fn = getattr(method, "__func__", method)
+        code = getattr(fn, "__code__", None)
+        if code is None:
+            return None
+        params = code.co_varnames[1:code.co_argcount]
+        carrier = "pkt" if "pkt" in params else (params[0] if params else "")
+        bound: Dict[str, object] = {
+            p: frozenset({_T_PKT}) if p == carrier else _CONST
+            for p in params
+        }
+        return self.summarize(fn, concrete(self.app), bound)
 
     # -- analysis --------------------------------------------------------------
 
-    def run(self) -> _AppAnalysis:
+    def run(self) -> Dict[str, object]:
+        """The checks, then the app's shard plan."""
         app = self.app
-        cls_file, cls_line = _class_site(app)
+        cls_file, cls_line = astutil.class_site(type(app))
 
         declared = getattr(app, "shard_class", None)
         reason = getattr(app, "shard_reason", None)
         if declared is not None and declared not in CLASSES:
-            self._diag(
+            self.diag(
                 "RS404",
                 f"{type(app).__name__}.shard_class is {declared!r}; the "
                 f"partition-class lattice is {', '.join(CLASSES)}",
@@ -667,28 +416,29 @@ class _PartitionAnalyzer:
             )
             declared = None
         if declared == "global" and not reason:
-            self._diag(
+            self.diag(
                 "RS403",
                 f"{type(app).__name__} declares shard_class = 'global' "
                 "without a shard_reason; say why the state is cross-flow",
                 cls_file, cls_line,
             )
 
-        structs = _inventory(app)
-        struct_attrs = {s.attr for s in structs}
+        struct_attrs = {attr for attr, _obj in self.structs}
 
         # Partition key inference.
-        key_scan = _MethodScan(app, app.partition_key, struct_attrs)
-        key_tokens: FrozenSet[str] = frozenset()
-        for fields, _line in key_scan.returns:
-            key_tokens |= fields
-        if key_scan.analyzable and key_scan.returns:
+        key_paths = self._scan(app.partition_key)
+        returned = [p.ret for p in key_paths or () if p.ret is not None]
+        key_tokens: FrozenSet[str] = frozenset().union(*returned)
+        if returned:
             key_class, key_fields = _classify(key_tokens)
         else:
             key_class, key_fields = "unknown", frozenset()
-        key_file, key_line = key_scan.file, key_scan.def_line
+        found = astutil.find_def(app.partition_key)
+        key_file, key_line = (
+            (found[1].path, found[0].lineno) if found else ("<unknown>", 1)
+        )
         if key_class == "unknown":
-            self._diag(
+            self.diag(
                 "RS407",
                 f"{type(app).__name__}.partition_key could not be "
                 "statically analyzed"
@@ -703,12 +453,10 @@ class _PartitionAnalyzer:
         key_class_eff = "global" if key_class == "unknown" else key_class
 
         # Packet-path structure accesses.
-        proc_scan = _MethodScan(app, app.process, struct_attrs)
-        accesses = key_scan.accesses + proc_scan.accesses
+        self._scan(app.process)
         by_attr: Dict[str, List[_Access]] = {}
-        for acc in accesses:
-            if acc.struct is not None:
-                by_attr.setdefault(acc.struct, []).append(acc)
+        for acc in self.accesses:
+            by_attr.setdefault(acc.struct, []).append(acc)
 
         waived = declared == "global"
         struct_classes: Dict[str, Tuple[str, FrozenSet[str], str]] = {}
@@ -726,7 +474,7 @@ class _PartitionAnalyzer:
             note = ""
             if klass == "unknown":
                 if not waived:
-                    self._diag(
+                    self.diag(
                         "RS400",
                         f"access to {type(app).__name__}.{attr} has an "
                         f"index the analyzer cannot classify (unresolved "
@@ -739,7 +487,7 @@ class _PartitionAnalyzer:
             elif not waived and klass != "global" and not (
                 fields <= key_fields
             ):
-                self._diag(
+                self.diag(
                     "RS401",
                     f"{type(app).__name__}.{attr} is indexed by "
                     f"{{{', '.join(sorted(fields))}}} but the app "
@@ -760,7 +508,7 @@ class _PartitionAnalyzer:
         if declared is not None and class_rank(declared) < class_rank(
             inferred
         ):
-            self._diag(
+            self.diag(
                 "RS402",
                 f"{type(app).__name__} declares shard_class = "
                 f"{declared!r} but inference proves only {inferred!r}; "
@@ -774,7 +522,7 @@ class _PartitionAnalyzer:
         if declared is None and inferred == "global" and (
             key_class != "unknown"
         ):
-            self._diag(
+            self.diag(
                 "RS405",
                 f"{type(app).__name__} is inferred 'global' (its state "
                 "is cross-flow) but declares no shard_class; annotate "
@@ -783,21 +531,17 @@ class _PartitionAnalyzer:
             )
 
         effective = declared if declared is not None else inferred
-        plan = self._build_plan(
+        return self._build_plan(
             declared, reason, effective,
             key_class, key_class_eff, key_fields, key_tokens,
-            key_file, structs, struct_classes,
-        )
-        return _AppAnalysis(
-            plan=plan, effective=effective,
-            structures=len(plan["structures"]),  # type: ignore[arg-type]
+            key_file, struct_classes,
         )
 
     # -- plan construction -----------------------------------------------------
 
     def _build_plan(self, declared, reason, effective,
                     key_class, key_class_eff, key_fields, key_tokens,
-                    key_file, structs, struct_classes) -> Dict[str, object]:
+                    key_file, struct_classes) -> Dict[str, object]:
         app = self.app
         engine = self.engine
 
@@ -809,7 +553,7 @@ class _PartitionAnalyzer:
 
         entries: List[Dict[str, object]] = []
         engine_class = "global" if effective == "global" else key_class_eff
-        eng_site = site(_class_site(engine)[0], type(engine))
+        eng_site = site(astutil.class_file(type(engine)), type(engine))
         engine_regs = [
             engine.reg_lease_expiry, engine.reg_cur_seq,
             engine.reg_last_acked, engine.reg_lease_pending,
@@ -835,14 +579,14 @@ class _PartitionAnalyzer:
                 f"{fkey.sport}.{fkey.dport}"
             )
 
-        cls_site = site(_class_site(app)[0], type(app))
-        for s in structs:
-            klass, fields, note = struct_classes[s.attr]
+        cls_site = site(astutil.class_file(type(app)), type(app))
+        for i, (attr, obj) in enumerate(self.structs):
+            klass, fields, note = struct_classes[attr]
             final = "global" if effective == "global" else klass
             entry: Dict[str, object] = {
-                "name": s.name,
-                "kind": s.kind,
-                "attr": s.attr,
+                "name": str(getattr(obj, "name", None) or f"{attr}[{i}]"),
+                "kind": _kind_of(obj),
+                "attr": attr,
                 "partition_class": final,
                 "key_fields": sorted(
                     f for f in fields if f in _HEADER_FIELDS
@@ -852,8 +596,8 @@ class _PartitionAnalyzer:
             }
             if note:
                 entry["note"] = note
-            if id(s.obj) in store_keys:
-                entry["store_keys"] = store_keys[id(s.obj)]
+            if id(obj) in store_keys:
+                entry["store_keys"] = store_keys[id(obj)]
             entries.append(entry)
         entries.sort(key=lambda e: (e["name"], e["kind"]))
 
@@ -906,19 +650,55 @@ def verify_partition_app(
     name = label or getattr(
         dep.apps[dep.switches[0].name], "name", "app"
     )
-    analyzer = _PartitionAnalyzer(dep, name, report, supp, root)
-    analysis = analyzer.run()
+    plan = _PartitionAnalyzer(dep, name, report, supp, root).run()
     report.analyzed[f"partition:{name}"] = (
-        f"{analysis.effective}; {analysis.structures} structure(s)"
+        f"{plan['partition_class']}; "
+        f"{len(plan['structures'])} structure(s)"  # type: ignore[arg-type]
     )
-    return report, analysis.plan
+    return report, plan
 
 
 def plan_json(plan: Dict[str, object]) -> str:
     """The canonical byte-deterministic serialization of a shard plan."""
-    import json
-
     return json.dumps(plan, indent=2, sort_keys=True) + "\n"
+
+
+_ABSENT = "<absent>"
+
+
+def _first_difference(live: object, committed: object, path: str = "$") -> str:
+    """The first JSON path (keys sorted, lists by index) at which two
+    plans differ, with both values."""
+    pairs: List[Tuple[str, object, object]] = []
+    if isinstance(live, dict) and isinstance(committed, dict):
+        pairs = [(f"{path}.{key}", live.get(key, _ABSENT),
+                  committed.get(key, _ABSENT))
+                 for key in sorted(set(live) | set(committed))]
+    elif isinstance(live, list) and isinstance(committed, list):
+        pairs = [(f"{path}[{i}]", a, b) for i, (a, b) in enumerate(
+            zip_longest(live, committed, fillvalue=_ABSENT))]
+    for step, a, b in pairs:
+        if a != b:
+            return _first_difference(a, b, step)
+    return f"{path}: live code has {live!r}, committed plan has {committed!r}"
+
+
+def plan_drift(plan: Dict[str, object], committed: str) -> Optional[str]:
+    """RS408, the one comparison ``verify`` and a sharded launch share:
+    None when ``committed`` is byte-for-byte :func:`plan_json` of the
+    live ``plan``, else where it differs — the first differing JSON path
+    with both values."""
+    fresh = plan_json(plan)
+    if committed == fresh:
+        return None
+    try:
+        stale = json.loads(committed)
+    except ValueError:
+        return "$: the committed file is not JSON"
+    live = json.loads(fresh)
+    if stale == live:
+        return "$: the committed file is not in canonical form"
+    return _first_difference(live, stale)
 
 
 def render_plan(plan: Dict[str, object]) -> str:
@@ -991,7 +771,6 @@ def _is_empty_mutable(node: ast.expr) -> bool:
 def _check_module_globals(sf: astutil.SourceFile, rel: str,
                           report: Report, supp: SuppressionIndex) -> None:
     """RS410: mutable module-level accumulators and ``global`` rebinding."""
-    rule = RULES["RS410"]
     for stmt in sf.tree.body:
         targets: List[ast.expr] = []
         value: Optional[ast.expr] = None
@@ -1003,38 +782,36 @@ def _check_module_globals(sf: astutil.SourceFile, rel: str,
             continue
         for target in targets:
             if isinstance(target, ast.Name):
-                report.add(Diagnostic(
-                    rule.id, rule.severity,
+                report.flag(
+                    "RS410",
                     f"module-level mutable accumulator {target.id!r}: "
                     "per-process state that sharded workers would "
                     "populate divergently; move it onto a simulator- or "
                     "engine-owned object",
-                    rel, stmt.lineno,
-                ), supp)
+                    rel, stmt.lineno, supp,
+                )
     for node in ast.walk(sf.tree):
         if isinstance(node, ast.Global):
-            report.add(Diagnostic(
-                rule.id, rule.severity,
+            report.flag(
+                "RS410",
                 f"function rebinds module global(s) "
                 f"{', '.join(node.names)}: per-process simulation state "
                 "that sharded workers would not share",
-                rel, node.lineno,
-            ), supp)
+                rel, node.lineno, supp,
+            )
 
 
 def _check_unpicklable(sf: astutil.SourceFile, rel: str,
                        report: Report, supp: SuppressionIndex) -> None:
     """RS411: lambdas stored where shard handoff would pickle them."""
-    rule = RULES["RS411"]
-
     def flag(target_desc: str, line: int) -> None:
-        report.add(Diagnostic(
-            rule.id, rule.severity,
+        report.flag(
+            "RS411",
             f"lambda stored on {target_desc}: the owning object cannot "
             "cross a shard-process boundary (pickle rejects lambdas); "
             "use a named function or a bound method",
-            rel, line,
-        ), supp)
+            rel, line, supp,
+        )
 
     for node in ast.walk(sf.tree):
         if not isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -1067,7 +844,6 @@ def _check_first_element_pick(sf: astutil.SourceFile, rel: str,
                               report: Report,
                               supp: SuppressionIndex) -> None:
     """RS412: ``next(iter(...))`` over an unordered container."""
-    rule = RULES["RS412"]
     for node in ast.walk(sf.tree):
         if not (
             isinstance(node, ast.Call)
@@ -1099,14 +875,14 @@ def _check_first_element_pick(sf: astutil.SourceFile, rel: str,
             )
         )
         if unordered:
-            report.add(Diagnostic(
-                rule.id, rule.severity,
+            report.flag(
+                "RS412",
                 "next(iter(...)) picks the first element of an "
                 "unordered container: shards filling it independently "
                 "pick different elements; use sorted(...) or an "
                 "explicit ordering",
-                rel, node.lineno,
-            ), supp)
+                rel, node.lineno, supp,
+            )
 
 
 def _check_entry_classes(report: Report, supp: SuppressionIndex,
@@ -1114,7 +890,6 @@ def _check_entry_classes(report: Report, supp: SuppressionIndex,
     """RS406: every ENTRY_DEPS row declares a valid partition class."""
     from repro.fastpath import flowcache
 
-    rule = RULES["RS406"]
     sf = astutil.load(flowcache.__file__)
     rel = astutil.relpath(
         sf.path if sf else flowcache.__file__, root
@@ -1133,13 +908,13 @@ def _check_entry_classes(report: Report, supp: SuppressionIndex,
     for kind in sorted(entry_deps):
         pc = getattr(entry_deps[kind], "partition_class", None)
         if pc not in ENTRY_CLASSES:
-            report.add(Diagnostic(
-                rule.id, rule.severity,
+            report.flag(
+                "RS406",
                 f"ENTRY_DEPS[{kind!r}] declares partition class "
                 f"{pc!r}; cohort replay needs one of "
                 f"{', '.join(sorted(ENTRY_CLASSES))}",
-                rel, line,
-            ), supp)
+                rel, line, supp,
+            )
     return len(entry_deps)
 
 
@@ -1154,19 +929,11 @@ def verify_shard_hazards(
     report = report if report is not None else Report()
     supp = suppressions if suppressions is not None else SuppressionIndex()
     files = 0
-    for path in paths:
-        for filename in astutil.iter_py_files(path):
-            if not _in_shard_scope(filename):
-                continue
-            sf = astutil.load(filename)
-            if sf is None:
-                continue
-            files += 1
-            rel = astutil.relpath(sf.path, root)
-            supp.scan(rel, source=sf.text)
-            _check_module_globals(sf, rel, report, supp)
-            _check_unpicklable(sf, rel, report, supp)
-            _check_first_element_pick(sf, rel, report, supp)
+    for sf, rel in astutil.parsed_files(paths, supp, root, _in_shard_scope):
+        files += 1
+        _check_module_globals(sf, rel, report, supp)
+        _check_unpicklable(sf, rel, report, supp)
+        _check_first_element_pick(sf, rel, report, supp)
     kinds = _check_entry_classes(report, supp, root)
     report.analyzed["partition-hazards"] = (
         f"{files} file(s) in shard scope, {kinds} entry kind(s)"

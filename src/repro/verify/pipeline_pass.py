@@ -3,10 +3,10 @@
 Walks a *configured* :class:`~repro.switch.asic.SwitchASIC` program the
 way the Tofino compiler walks a P4 program: every control block's
 ``process`` method (and every mirror-session pass handler) is summarized
-symbolically from its AST, with attribute chains resolved against the
-live block instances, producing the set of per-packet *paths* — each a
-multiset of register-array accesses plus a verdict (stop the pipeline /
-keep going). Paths compose across blocks exactly like
+symbolically by :class:`repro.verify.astutil.Walker` over the live block
+instances, producing the set of per-packet *paths* — each a multiset of
+register-array accesses plus a verdict (stop the pipeline / keep going).
+Paths compose across blocks exactly like
 :meth:`~repro.switch.pipeline.Pipeline.run` composes them (a block
 returning ``False`` ends the packet's traversal), so a double access
 split across two blocks is found just like one inside a single method.
@@ -16,8 +16,8 @@ pass both exploits and enforces:
 
 * data-plane state is only touched through
   ``RegisterArray.access/read/write(ctx, ...)`` — the ``ctx`` argument
-  *is* the packet, so only calls that receive the caller's ``ctx`` as a
-  bare name can touch registers, and only those calls are inlined;
+  *is* the packet, so only calls that receive a packet context as a bare
+  name can touch registers, and only those calls are inlined;
 * loops over *collections of arrays* (``zip(self.state_regs, ...)``,
   ``enumerate(rows)``) touch each member once — modeled with
   member-scoped access keys — while a loop re-touching one fixed array
@@ -33,11 +33,11 @@ from __future__ import annotations
 
 import ast
 import math
-import sys
 from types import FunctionType
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.snapshot import LazySnapshotArray
+from repro.statestore.backend import StateStoreBackend
 from repro.switch.asic import SwitchASIC
 from repro.switch.mirror import MirrorSession
 from repro.switch.pipeline import describe_block
@@ -45,8 +45,10 @@ from repro.switch.registers import PairedRegisterArray, RegisterArray
 from repro.switch.resources import CAPACITY
 from repro.switch.tables import MatchTable
 from repro.verify import astutil
-from repro.verify.diagnostics import Diagnostic, Report, SuppressionIndex
-from repro.verify.rules import RULES
+from repro.verify.astutil import (
+    Frame, Path, Ref, combine, concrete, dedupe, merge,
+)
+from repro.verify.diagnostics import Report, SuppressionIndex
 
 #: Tofino-1 geometry (Table 2): 12 match-action stages, 4 stateful ALUs each.
 STAGES = 12
@@ -57,119 +59,10 @@ _ACCESS_METHODS = ("access", "read", "write")
 #: RP150 error when reachable on a per-packet path.
 _CP_METHODS = ("cp_read", "cp_write")
 _REGISTER_TYPES = (RegisterArray, PairedRegisterArray)
-#: Paths kept per function summary / per composition step. Beyond this the
-#: analysis stays sound for RP101 (paths are only merged, never dropped
-#: silently — see _dedupe) but could in principle lose precision; the cap
-#: is far above anything the codebase produces.
-_PATH_CAP = 256
 
-
-class _Ref:
-    """A resolved expression: a concrete live object, or one *member* of a
-    collection of such objects (``self.state_regs[i]`` for unknown i).
-
-    ``key`` is the access-key prefix for register arrays reached through
-    this reference; ``width`` is how many physical arrays the reference
-    stands for (1 for concrete objects and single-element selections,
-    ``len(collection)`` per iterated collection level).
-    """
-
-    __slots__ = ("exemplar", "key", "width", "member")
-
-    def __init__(self, exemplar: object, key: Tuple, width: int = 1,
-                 member: bool = False) -> None:
-        self.exemplar = exemplar
-        self.key = key
-        self.width = width
-        self.member = member
-
-
-def _concrete(obj: object) -> _Ref:
-    return _Ref(obj, ("obj", id(obj)), 1, False)
-
-
-class _Frame:
-    """Per-function analysis state."""
-
-    __slots__ = ("env", "ctx", "file", "block", "loops")
-
-    def __init__(self, file: str, env: Dict[str, Optional[_Ref]],
-                 ctx: Optional[str], block: str) -> None:
-        self.env = env
-        self.ctx = ctx
-        self.file = file
-        self.block = block
-        #: Stack of active loops; each entry is the tuple of member-key
-        #: prefixes bound by that loop (empty tuple: loop binds no
-        #: collection of stateful objects).
-        self.loops: List[Tuple[Tuple, ...]] = []
-
-
-# -- path / effect plumbing ---------------------------------------------------
-#
-# A *path* is one way through a function: {"c": {access_key: count},
-# "ret": "T"|"F"|"N"|"U"|"R", "term": bool}.  An *effect* is the same for an
-# expression: {"c": counts, "v": value}.
-
-
-def _new_path() -> Dict:
-    return {"c": {}, "ret": None, "term": False}
-
-
-def _fork(p: Dict) -> Dict:
-    return {"c": dict(p["c"]), "ret": p["ret"], "term": p["term"]}
-
-
-def _merge(into: Dict, counts: Dict) -> None:
-    for k, v in counts.items():
-        into[k] = into.get(k, 0) + v
-
-
-def _freeze(counts: Dict) -> Tuple:
-    return tuple(sorted(counts.items(), key=repr))
-
-
-def _dedupe(paths: List[Dict]) -> List[Dict]:
-    seen: Set[Tuple] = set()
-    out: List[Dict] = []
-    for p in paths:
-        sig = (_freeze(p["c"]), p["ret"], p["term"])
-        if sig not in seen:
-            seen.add(sig)
-            out.append(p)
-        if len(out) >= _PATH_CAP:
-            break
-    return out
-
-
-def _dedupe_counts(counts_list: List[Dict]) -> List[Dict]:
-    seen: Set[Tuple] = set()
-    out: List[Dict] = []
-    for c in counts_list:
-        sig = _freeze(c)
-        if sig not in seen:
-            seen.add(sig)
-            out.append(c)
-        if len(out) >= _PATH_CAP:
-            break
-    return out
-
-
-def _combine(pre: List[Dict], post: List[Dict]) -> List[Dict]:
-    """Cartesian sequencing of two effect lists; value taken from ``post``."""
-    out: List[Dict] = []
-    seen: Set[Tuple] = set()
-    for a in pre:
-        for b in post:
-            c = dict(a["c"])
-            _merge(c, b["c"])
-            sig = (_freeze(c), b["v"])
-            if sig not in seen:
-                seen.add(sig)
-                out.append({"c": c, "v": b["v"]})
-            if len(out) >= _PATH_CAP:
-                return out
-    return out
+#: The value of a packet context: what a ``PipelineContext(...)`` call
+#: returns and what the parameter a context is passed to holds.
+_CTX = "C"
 
 
 def _const_value(node: Optional[ast.AST]) -> str:
@@ -183,176 +76,106 @@ def _const_value(node: Optional[ast.AST]) -> str:
     return "U"
 
 
-def _is_pipelinecontext_call(node: ast.AST) -> bool:
-    if not isinstance(node, ast.Call):
-        return False
+def _is_pipelinecontext_call(node: ast.Call) -> bool:
     fn = node.func
     return (isinstance(fn, ast.Name) and fn.id == "PipelineContext") or (
         isinstance(fn, ast.Attribute) and fn.attr == "PipelineContext"
     )
 
 
-class _PipelineAnalyzer:
-    """Analyzes one configured SwitchASIC."""
+class _PipelineAnalyzer(astutil.Walker):
+    """Analyzes one configured SwitchASIC.
+
+    The lattice: paths carry register-access counts, values are the
+    verdict a path returns (``T``/``F``/``N``one/``R``aise/``U``nknown,
+    plus the packet-context marker).
+    """
+
+    UNKNOWN = "U"
+    NONE = "N"
+    RAISE = "R"
+    CONFIG = "U"
 
     def __init__(self, asic: SwitchASIC, report: Report,
                  suppressions: SuppressionIndex,
                  root: Optional[str] = None) -> None:
+        super().__init__(report, suppressions, root)
         self.asic = asic
-        self.report = report
-        self.supp = suppressions
-        self.root = root
         # Access-key registry: display name, physical width, first site.
         self.key_names: Dict[Tuple, str] = {}
         self.key_widths: Dict[Tuple, int] = {}
         self.key_sites: Dict[Tuple, Tuple[str, int, str]] = {}
-        self._summaries: Dict[Tuple, List[Dict]] = {}
-        self._active: Set[Tuple] = set()
-        self._defs: Dict[str, Dict[Tuple[str, int], ast.AST]] = {}
-        self._once: Set[Tuple] = set()
-        self._class_sites: Dict[type, Tuple[str, int]] = {}
         # Registers owned by in-switch store backends (RP150): serving a
         # packet from these via cp_read/cp_write would dodge the pipeline
         # accounting. The engine's OWN registers legitimately mix access()
         # with documented cp_* modeling shortcuts, so the rule is scoped
         # to store-backend state only.
-        self._store_reg_ids: Set[int] = set()
-        from repro.statestore.backend import StateStoreBackend
+        self._store_reg_ids: Set[int] = {
+            id(reg)
+            for block in asic.pipeline.blocks
+            for value in vars(block).values()
+            if isinstance(value, StateStoreBackend)
+            for _attr, reg in astutil.stateful_objects(value)
+        }
 
-        for block in asic.pipeline.blocks:
-            for value in vars(block).values():
-                if isinstance(value, StateStoreBackend):
-                    for attr in vars(value).values():
-                        if isinstance(attr, _REGISTER_TYPES):
-                            self._store_reg_ids.add(id(attr))
-                        elif isinstance(attr, (list, tuple)):
-                            self._store_reg_ids.update(
-                                id(item) for item in attr
-                                if isinstance(item, _REGISTER_TYPES)
-                            )
+    # -- the lattice ------------------------------------------------------------
 
-    # -- diagnostics ----------------------------------------------------------
+    def join(self, values: Sequence[object]) -> object:
+        distinct = set(values)
+        return distinct.pop() if len(distinct) == 1 else "U"
 
-    def _rel(self, file: str) -> str:
-        return astutil.relpath(file, self.root)
+    @staticmethod
+    def _is_ctx(node: ast.AST, frame: Frame) -> bool:
+        return isinstance(node, ast.Name) and frame.vals.get(node.id) == _CTX
 
-    def _diag(self, rule_id: str, message: str, file: str, line: int,
-              site: str = "") -> None:
-        r = RULES[rule_id]
-        rel = self._rel(file)
-        sf = astutil.load(file)
-        self.supp.scan(rel, source=sf.text if sf else "")
-        self.report.add(
-            Diagnostic(r.id, r.severity, message, rel, line, site), self.supp
-        )
+    def eval(self, node: Optional[ast.AST], frame: Frame) -> List[Path]:
+        if node is None or isinstance(
+            node, (ast.Constant, ast.Name, ast.Lambda)
+        ):
+            return [Path({}, _const_value(node))]
+        if isinstance(node, ast.Call):
+            return self._eval_call(node, frame)
+        if isinstance(node, ast.IfExp):
+            pre = self.eval(node.test, frame)
+            branches = self.eval(node.body, frame) + self.eval(
+                node.orelse, frame
+            )
+            return combine(pre, branches)
+        if isinstance(node, ast.BoolOp):
+            effs = self.eval(node.values[0], frame)
+            for operand in node.values[1:]:
+                nxt = self.eval(operand, frame)
+                effs = dedupe(effs + combine(effs, nxt))
+            return effs
+        if isinstance(
+            node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
+        ):
+            return self._eval_comp(node, frame)
+        effs = [Path({}, "U")]
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.expr):
+                effs = combine(effs, self.eval(child, frame))
+            elif isinstance(child, ast.keyword):
+                effs = combine(effs, self.eval(child.value, frame))
+        return effs
 
-    def _diag_once(self, rule_id: str, message: str, file: str, line: int,
-                   site: str = "", dedupe: Optional[Tuple] = None) -> None:
-        key = dedupe if dedupe is not None else (rule_id, file, line)
-        if key in self._once:
-            return
-        self._once.add(key)
-        self._diag(rule_id, message, file, line, site)
-
-    # -- source lookup --------------------------------------------------------
-
-    def _find_def(self, code, name: str):
-        """The def node of a live function, in its original file (native
-        line numbers, so diagnostics and noqa comments line up)."""
-        file = code.co_filename
-        index = self._defs.get(file)
-        if index is None:
-            index = {}
-            sf = astutil.load(file)
-            if sf is not None:
-                # Scan suppressions for every file whose code we walk, so
-                # unused noqa comments surface as QA002 at finalize time.
-                self.supp.scan(self._rel(file), source=sf.text)
-                for n in ast.walk(sf.tree):
-                    if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        index[(n.name, n.lineno)] = n
-                        if n.decorator_list:
-                            index[(n.name, n.decorator_list[0].lineno)] = n
-            self._defs[file] = index
-        node = index.get((name, code.co_firstlineno))
-        sf = astutil.load(file)
-        return node, sf
-
-    def _class_site(self, obj: object) -> Tuple[str, int]:
-        cls = type(obj)
-        hit = self._class_sites.get(cls)
-        if hit is not None:
-            return hit
-        site = ("<unknown>", 1)
-        mod = sys.modules.get(cls.__module__)
-        file = getattr(mod, "__file__", None)
-        if file:
-            sf = astutil.load(file)
-            if sf is not None:
-                site = (sf.path, 1)
-                for n in ast.walk(sf.tree):
-                    if isinstance(n, ast.ClassDef) and n.name == cls.__name__:
-                        site = (sf.path, n.lineno)
-                        break
-        self._class_sites[cls] = site
-        return site
-
-    # -- reference resolution -------------------------------------------------
-
-    def _resolve(self, node: ast.AST, frame: _Frame) -> Optional[_Ref]:
-        if isinstance(node, ast.Name):
-            return frame.env.get(node.id)
-        if isinstance(node, ast.Attribute):
-            base = self._resolve(node.value, frame)
-            if base is None:
-                return None
-            try:
-                obj = getattr(base.exemplar, node.attr)
-            except Exception:
-                return None
-            if base.member:
-                return _Ref(obj, base.key + ("." + node.attr,),
-                            base.width, True)
-            return _concrete(obj)
-        if isinstance(node, ast.Subscript):
-            base = self._resolve(node.value, frame)
-            if base is None:
-                return None
-            container = base.exemplar
-            sl = node.slice
-            if isinstance(sl, ast.Constant) and not base.member:
-                try:
-                    return _concrete(container[sl.value])  # type: ignore[index]
-                except Exception:
-                    return None
-            member = _first_member(container)
-            if member is None:
-                return None
-            # Subscripting *selects* one member per packet: width unchanged.
-            if base.member:
-                return _Ref(member, base.key + ("[]",), base.width, True)
-            return _Ref(member, ("sub", id(container)), base.width, True)
-        return None
-
-    def _iter_members(self, ref: Optional[_Ref]):
-        """(member ref, statically-empty?) for iterating a resolved
-        collection; (None, False) when the collection is opaque."""
-        if ref is None:
-            return None, False
-        container = ref.exemplar
-        if isinstance(container, (list, tuple)):
-            if not container:
-                return None, True
-            if ref.member:
-                return _Ref(container[0], ref.key + ("[*]",),
-                            ref.width * len(container), True), False
-            return _Ref(container[0], ("iter", id(container)),
-                        len(container), True), False
-        return None, False
+    def loop_done(self, body: Dict, prefixes: Tuple, frame: Frame,
+                  node: ast.AST) -> None:
+        """RP102 for fixed-array accesses that reached the loop body only
+        through an inlined callee (the per-access check can't see them)."""
+        for key in body:
+            if not any(key[: len(p)] == p for p in prefixes):
+                self.diag(
+                    "RP102",
+                    f"register array {self.key_names[key]!r} accessed on "
+                    "every iteration of a per-packet loop (via a call made "
+                    "inside the loop body)",
+                    frame.file, node.lineno, once=("RP102", key),
+                )
 
     # -- access events --------------------------------------------------------
 
-    def _access_event(self, ref: _Ref, node: ast.AST, frame: _Frame) -> Tuple:
+    def _access_event(self, ref: Ref, node: ast.AST, frame: Frame) -> Tuple:
         key = ref.key
         if key not in self.key_names:
             name = getattr(ref.exemplar, "name", type(ref.exemplar).__name__)
@@ -360,538 +183,195 @@ class _PipelineAnalyzer:
                 name = f"{name}[*]"
             self.key_names[key] = name
             self.key_widths[key] = ref.width
-            self.key_sites[key] = (frame.file, node.lineno, frame.block)
+            self.key_sites[key] = (frame.file, node.lineno, self.site)
         if frame.loops:
             prefixes = frame.loops[-1]
-            scoped = any(key[: len(p)] == p for p in prefixes)
-            if not scoped:
-                self._diag_once(
+            if not any(key[: len(p)] == p for p in prefixes):
+                self.diag(
                     "RP102",
                     f"register array {self.key_names[key]!r} accessed inside "
                     "a per-packet loop: every iteration is another "
                     "stateful-ALU access to the same array (P4 has no "
                     "per-packet loops)",
-                    frame.file, node.lineno,
-                    site=f"block={frame.block}",
-                    dedupe=("RP102", key),
+                    frame.file, node.lineno, once=("RP102", key),
                 )
         return key
 
-    def _check_loop_worst(self, worst: Dict, prefixes: Tuple,
-                          frame: _Frame, node: ast.AST) -> None:
-        """RP102 for fixed-array accesses that reached the loop body only
-        through an inlined callee (the per-access check can't see them)."""
-        for key in worst:
-            if not any(key[: len(p)] == p for p in prefixes):
-                self._diag_once(
-                    "RP102",
-                    f"register array {self.key_names[key]!r} accessed on "
-                    "every iteration of a per-packet loop (via a call made "
-                    "inside the loop body)",
-                    frame.file, node.lineno,
-                    site=f"block={frame.block}",
-                    dedupe=("RP102", key),
-                )
+    # -- calls ------------------------------------------------------------------
 
-    # -- expression evaluation ------------------------------------------------
-
-    def _eval(self, node: Optional[ast.AST], frame: _Frame) -> List[Dict]:
-        if node is None or isinstance(
-            node, (ast.Constant, ast.Name, ast.Lambda)
-        ):
-            return [{"c": {}, "v": _const_value(node)}]
-        if isinstance(node, ast.Call):
-            return self._eval_call(node, frame)
-        if isinstance(node, ast.IfExp):
-            pre = self._eval(node.test, frame)
-            branches = self._eval(node.body, frame) + self._eval(
-                node.orelse, frame
-            )
-            return _combine(pre, branches)
-        if isinstance(node, ast.BoolOp):
-            effs = self._eval(node.values[0], frame)
-            for operand in node.values[1:]:
-                nxt = self._eval(operand, frame)
-                effs = _dedupe_effects(effs + _combine(effs, nxt))
-            return effs
-        if isinstance(
-            node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
-        ):
-            return self._eval_comp(node, frame)
-        effs: List[Dict] = [{"c": {}, "v": "U"}]
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.expr):
-                effs = _combine(effs, self._eval(child, frame))
-            elif isinstance(child, ast.keyword):
-                effs = _combine(effs, self._eval(child.value, frame))
-        return effs
-
-    def _call_passes_ctx(self, node: ast.Call, frame: _Frame) -> bool:
-        if frame.ctx is None:
-            return False
-        for a in node.args:
-            if isinstance(a, ast.Name) and a.id == frame.ctx:
-                return True
-        for kw in node.keywords:
-            if isinstance(kw.value, ast.Name) and kw.value.id == frame.ctx:
-                return True
-        return False
-
-    def _map_ctx_param(self, node: ast.Call, fn: FunctionType,
-                       frame: _Frame) -> Optional[str]:
-        code = fn.__code__
-        params = code.co_varnames[: code.co_argcount]
+    def _ctx_arg(self, node: ast.Call, frame: Frame) -> Union[int, str, None]:
+        """Where a call passes a packet context: the positional index or
+        the keyword; None when it passes none."""
         for i, a in enumerate(node.args):
-            if isinstance(a, ast.Name) and a.id == frame.ctx:
-                if i + 1 < len(params):
-                    return params[i + 1]  # +1: self
-                return None
+            if self._is_ctx(a, frame):
+                return i
         for kw in node.keywords:
-            if isinstance(kw.value, ast.Name) and kw.value.id == frame.ctx:
+            if self._is_ctx(kw.value, frame):
                 return kw.arg
         return None
 
-    def _eval_call(self, node: ast.Call, frame: _Frame) -> List[Dict]:
-        effs: List[Dict] = [{"c": {}, "v": "U"}]
+    def _inline(self, self_ref: Optional[Ref], fn: FunctionType,
+                ctx_param: Optional[str],
+                caller: Optional[Tuple[str, int]] = None) -> List[Path]:
+        """The paths of ``fn`` called on ``self_ref`` with the packet
+        context in ``ctx_param``; an opaque path plus RP103 when it
+        cannot be read."""
+        paths = self.summarize(
+            fn, self_ref, {ctx_param: _CTX} if ctx_param else None
+        )
+        if paths is not None:
+            return paths
+        code = fn.__code__
+        file, line = caller or (code.co_filename, code.co_firstlineno)
+        self.diag(
+            "RP103",
+            f"no analyzable source for '{fn.__qualname__}' (or it is "
+            f"inlined more than {astutil.MAX_DEPTH} calls deep)",
+            file, line, once=("RP103", id(code)),
+        )
+        return [Path({}, "U", True)]
+
+    def _eval_call(self, node: ast.Call, frame: Frame) -> List[Path]:
+        effs = [Path({}, "U")]
         if isinstance(node.func, ast.Attribute) and astutil.attr_chain(
             node.func
         ) is None:
-            effs = _combine(effs, self._eval(node.func.value, frame))
+            effs = combine(effs, self.eval(node.func.value, frame))
         for a in node.args:
             if isinstance(a, ast.Starred):
                 a = a.value
-            effs = _combine(effs, self._eval(a, frame))
+            effs = combine(effs, self.eval(a, frame))
         for kw in node.keywords:
-            effs = _combine(effs, self._eval(kw.value, frame))
+            effs = combine(effs, self.eval(kw.value, frame))
+        if _is_pipelinecontext_call(node):
+            return [Path(e.c, _CTX) for e in effs]
 
         if isinstance(node.func, ast.Attribute):
             base_node = node.func.value
             method = node.func.attr
             # ctx.emit / ctx.consume / ... — context bookkeeping, stateless.
-            if (
-                frame.ctx is not None
-                and isinstance(base_node, ast.Name)
-                and base_node.id == frame.ctx
-            ):
+            if self._is_ctx(base_node, frame):
                 return effs
-            base_ref = self._resolve(base_node, frame)
+            base_ref = self.resolve(base_node, frame)
+            exemplar = base_ref.exemplar if base_ref is not None else None
+            where = self._ctx_arg(node, frame)
             if (
-                base_ref is not None
-                and isinstance(base_ref.exemplar, _REGISTER_TYPES)
+                isinstance(exemplar, _REGISTER_TYPES)
                 and method in _ACCESS_METHODS
-                and self._call_passes_ctx(node, frame)
+                and where is not None
             ):
-                key = self._access_event(base_ref, node, frame)
-                out = []
-                for e in effs:
-                    c = dict(e["c"])
-                    c[key] = c.get(key, 0) + 1
-                    out.append({"c": c, "v": "U"})
-                return out
+                key = self._access_event(base_ref, node, frame)  # type: ignore[arg-type]
+                return combine(effs, [Path({key: 1}, "U")])
             if (
-                base_ref is not None
-                and isinstance(base_ref.exemplar, _REGISTER_TYPES)
+                isinstance(exemplar, _REGISTER_TYPES)
                 and method in _CP_METHODS
-                and id(base_ref.exemplar) in self._store_reg_ids
+                and id(exemplar) in self._store_reg_ids
             ):
-                self._diag_once(
+                self.diag(
                     "RP150",
                     f"store-backend register operation "
                     f"'{ast.unparse(node.func)}' is reachable on a "
                     "per-packet path; serve packets through access(ctx, "
                     "...) so the pipeline accounts the stateful-ALU use",
-                    frame.file, node.lineno, site=f"block={frame.block}",
+                    frame.file, node.lineno, once=True,
                 )
                 return effs
-            if base_ref is not None and isinstance(
-                base_ref.exemplar, MirrorSession
-            ):
+            if isinstance(exemplar, MirrorSession):
                 return effs
-            if self._call_passes_ctx(node, frame):
+            if where is not None:
                 if base_ref is None:
-                    self._diag_once(
+                    self.diag(
                         "RP103",
                         "cannot statically resolve the receiver of "
                         f"'{ast.unparse(node.func)}', which is passed the "
                         "packet context: register accesses inside it are "
                         "unverifiable",
-                        frame.file, node.lineno, site=f"block={frame.block}",
+                        frame.file, node.lineno, once=True,
                     )
                     return effs
-                fn = getattr(type(base_ref.exemplar), method, None)
-                fn = getattr(fn, "__func__", fn)
-                if not isinstance(fn, FunctionType):
-                    self._diag_once(
+                fn = self.method(base_ref, method)
+                if fn is None:
+                    self.diag(
                         "RP103",
                         f"no analyzable source for ctx-carrying call "
                         f"'{ast.unparse(node.func)}'",
-                        frame.file, node.lineno, site=f"block={frame.block}",
+                        frame.file, node.lineno, once=True,
                     )
                     return effs
-                ctx_param = self._map_ctx_param(node, fn, frame)
-                self_ref = base_ref
-                paths = self._summarize(
-                    self_ref, fn, ctx_param, frame.block,
-                    caller_site=(frame.file, node.lineno),
-                )
-                call_effs = [{"c": p["c"], "v": p["ret"]} for p in paths]
-                return _combine(effs, call_effs)
+                params = fn.__code__.co_varnames[:fn.__code__.co_argcount]
+                if isinstance(where, int):  # positional: +1 for self
+                    where = params[where + 1] if where + 1 < len(params) \
+                        else None
+                paths = self._inline(
+                    base_ref, fn, where, caller=(frame.file, node.lineno))
+                return combine(effs, paths)
             return effs
-        if isinstance(node.func, ast.Name) and self._call_passes_ctx(
+        if isinstance(node.func, ast.Name) and self._ctx_arg(
             node, frame
-        ):
-            self._diag_once(
+        ) is not None:
+            self.diag(
                 "RP103",
                 f"packet context passed to free function "
                 f"'{node.func.id}'; its register accesses are unverifiable",
-                frame.file, node.lineno, site=f"block={frame.block}",
+                frame.file, node.lineno, once=True,
             )
         return effs
 
-    def _eval_comp(self, node, frame: _Frame) -> List[Dict]:
+    def _eval_comp(self, node, frame: Frame) -> List[Path]:
         gen = node.generators[0]
-        pre = self._eval(gen.iter, frame)
-        prefixes, empty = self._bind_loop(gen.target, gen.iter, frame)
+        pre = self.eval(gen.iter, frame)
+        prefixes, empty = self.bind_loop(
+            gen.target, gen.iter, self.value(pre), frame)
         if empty:
             return pre
         frame.loops.append(prefixes)
-        inner: List[Dict] = [{"c": {}, "v": "U"}]
+        inner = [Path({}, "U")]
         for g in node.generators[1:]:
-            inner = _combine(inner, self._eval(g.iter, frame))
+            inner = combine(inner, self.eval(g.iter, frame))
         for g in node.generators:
             for cond in g.ifs:
-                inner = _combine(inner, self._eval(cond, frame))
+                inner = combine(inner, self.eval(cond, frame))
         if isinstance(node, ast.DictComp):
-            inner = _combine(inner, self._eval(node.key, frame))
-            inner = _combine(inner, self._eval(node.value, frame))
+            inner = combine(inner, self.eval(node.key, frame))
+            inner = combine(inner, self.eval(node.value, frame))
         else:
-            inner = _combine(inner, self._eval(node.elt, frame))
+            inner = combine(inner, self.eval(node.elt, frame))
         frame.loops.pop()
-        worst: Dict = {}
-        for e in inner:
-            for k, v in e["c"].items():
-                worst[k] = max(worst.get(k, 0), v)
-        self._check_loop_worst(worst, prefixes, frame, node)
-        return _combine(pre, [{"c": worst, "v": "U"}])
+        once = astutil.worst([e.c for e in inner])
+        self.loop_done(once, prefixes, frame, node)
+        return combine(pre, [Path(once, "U")])
 
-    # -- loop binding ---------------------------------------------------------
+    # -- entry points -----------------------------------------------------------
 
-    def _bind_loop(self, target: ast.AST, iter_node: ast.AST,
-                   frame: _Frame) -> Tuple[Tuple, bool]:
-        empty = [False]
-
-        def member_of(container_ref: Optional[_Ref]) -> Optional[_Ref]:
-            m, e = self._iter_members(container_ref)
-            if e:
-                empty[0] = True
-            return m
-
-        tnodes: List[ast.AST] = (
-            list(target.elts) if isinstance(target, ast.Tuple) else [target]
-        )
-        pairs: List[Tuple[ast.AST, Optional[_Ref]]] = []
-        if (
-            isinstance(iter_node, ast.Call)
-            and isinstance(iter_node.func, ast.Name)
-            and iter_node.func.id == "zip"
-        ):
-            srcs = [self._resolve(a, frame) for a in iter_node.args]
-            for t, s in zip(tnodes, srcs):
-                pairs.append((t, member_of(s)))
-        elif (
-            isinstance(iter_node, ast.Call)
-            and isinstance(iter_node.func, ast.Name)
-            and iter_node.func.id == "enumerate"
-            and iter_node.args
-        ):
-            src = self._resolve(iter_node.args[0], frame)
-            if len(tnodes) == 2:
-                pairs.append((tnodes[0], None))
-                pairs.append((tnodes[1], member_of(src)))
-            else:
-                pairs.append((tnodes[0], None))
-        elif (
-            isinstance(iter_node, ast.Call)
-            and isinstance(iter_node.func, ast.Attribute)
-            and iter_node.func.attr in ("values", "items")
-            and not iter_node.args
-        ):
-            base = self._resolve(iter_node.func.value, frame)
-            vals_ref: Optional[_Ref] = None
-            if base is not None and isinstance(base.exemplar, dict):
-                vals = list(base.exemplar.values())
-                if not vals:
-                    empty[0] = True
-                elif base.member:
-                    vals_ref = _Ref(vals[0], base.key + ("[*]",),
-                                    base.width * len(vals), True)
-                else:
-                    vals_ref = _Ref(vals[0], ("iter", id(base.exemplar)),
-                                    len(vals), True)
-            if iter_node.func.attr == "items" and len(tnodes) == 2:
-                pairs.append((tnodes[0], None))
-                pairs.append((tnodes[1], vals_ref))
-            else:
-                pairs.append((tnodes[0], vals_ref))
-        elif len(tnodes) == 1:
-            pairs.append((tnodes[0], member_of(self._resolve(iter_node, frame))))
-        else:
-            pairs = [(t, None) for t in tnodes]
-
-        for t, mref in pairs:
-            if isinstance(t, ast.Name):
-                frame.env[t.id] = mref
-        prefixes = tuple(m.key for _, m in pairs if m is not None)
-        return prefixes, empty[0]
-
-    # -- statement walking ----------------------------------------------------
-
-    def _apply(self, paths: List[Dict], effects: List[Dict]) -> List[Dict]:
-        out = []
-        for p in paths:
-            for e in effects:
-                q = _fork(p)
-                _merge(q["c"], e["c"])
-                out.append(q)
-        return _dedupe(out)
-
-    def _walk_body(self, stmts: Sequence[ast.stmt], paths: List[Dict],
-                   frame: _Frame) -> List[Dict]:
-        for stmt in stmts:
-            live = [p for p in paths if not p["term"]]
-            done = [p for p in paths if p["term"]]
-            if not live:
-                return paths
-            paths = _dedupe(done + self._walk_stmt(stmt, live, frame))
-        return paths
-
-    def _walk_stmt(self, stmt: ast.stmt, live: List[Dict],
-                   frame: _Frame) -> List[Dict]:
-        if isinstance(stmt, ast.If):
-            live = self._apply(live, self._eval(stmt.test, frame))
-            body = self._walk_body(stmt.body, [_fork(p) for p in live], frame)
-            orelse = self._walk_body(
-                stmt.orelse, [_fork(p) for p in live], frame
-            )
-            return body + orelse
-        if isinstance(stmt, ast.Return):
-            if stmt.value is None:
-                out = []
-                for p in live:
-                    q = _fork(p)
-                    q["term"], q["ret"] = True, "N"
-                    out.append(q)
-                return out
-            effs = self._eval(stmt.value, frame)
-            const = _const_value(stmt.value)
-            out = []
-            for p in live:
-                for e in effs:
-                    q = _fork(p)
-                    _merge(q["c"], e["c"])
-                    q["term"] = True
-                    q["ret"] = const if const != "U" else e["v"]
-                    out.append(q)
-            return out
-        if isinstance(stmt, ast.Raise):
-            live = self._apply(live, self._eval(stmt.exc, frame))
-            for p in live:
-                p["term"], p["ret"] = True, "R"
-            return live
-        if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-            return self._walk_assign(stmt, live, frame)
-        if isinstance(stmt, ast.Expr):
-            return self._apply(live, self._eval(stmt.value, frame))
-        if isinstance(stmt, ast.For):
-            return self._walk_for(stmt, live, frame)
-        if isinstance(stmt, ast.While):
-            return self._walk_while(stmt, live, frame)
-        if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            for item in stmt.items:
-                live = self._apply(live, self._eval(item.context_expr, frame))
-            return self._walk_body(stmt.body, live, frame)
-        if isinstance(stmt, ast.Try):
-            body = self._walk_body(stmt.body, [_fork(p) for p in live], frame)
-            out = list(body)
-            for h in stmt.handlers:
-                out += self._walk_body(
-                    h.body, [_fork(p) for p in live], frame
-                )
-            if stmt.orelse:
-                survivors = [p for p in body if not p["term"]]
-                out = [p for p in out if p["term"] or p not in survivors]
-                out += self._walk_body(
-                    stmt.orelse, [_fork(p) for p in survivors], frame
-                )
-            if stmt.finalbody:
-                out = self._walk_body(stmt.finalbody, out, frame)
-            return out
-        if isinstance(stmt, ast.Assert):
-            return self._apply(live, self._eval(stmt.test, frame))
-        # Nested defs, classes, imports, pass, break/continue, del, global:
-        # no data-plane effect at packet time.
-        return live
-
-    def _walk_assign(self, stmt, live: List[Dict],
-                     frame: _Frame) -> List[Dict]:
-        value = stmt.value
-        if value is not None:
-            live = self._apply(live, self._eval(value, frame))
-        targets = (
-            stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-        )
-        if isinstance(stmt, ast.AugAssign) or value is None:
-            return live
-        for t in targets:
-            if isinstance(t, ast.Name):
-                if _is_pipelinecontext_call(value):
-                    if frame.ctx is None:
-                        frame.ctx = t.id
-                    elif frame.ctx != t.id:
-                        self._diag_once(
-                            "RP103",
-                            "a second packet context is created in this "
-                            "function; the analysis tracks only the first",
-                            frame.file, stmt.lineno,
-                            site=f"block={frame.block}",
-                        )
-                else:
-                    frame.env[t.id] = self._resolve(value, frame)
-            elif isinstance(t, ast.Tuple) and isinstance(value, ast.Tuple):
-                for tn, vn in zip(t.elts, value.elts):
-                    if isinstance(tn, ast.Name):
-                        frame.env[tn.id] = self._resolve(vn, frame)
-            elif isinstance(t, ast.Tuple):
-                for tn in t.elts:
-                    if isinstance(tn, ast.Name):
-                        frame.env[tn.id] = None
-        return live
-
-    def _loop_out(self, live: List[Dict], body: List[Dict], worst: Dict,
-                  orelse: Sequence[ast.stmt], frame: _Frame) -> List[Dict]:
-        out: List[Dict] = []
-        for p in live:
-            cont = _fork(p)
-            _merge(cont["c"], worst)
-            out.append(cont)
-            for bp in body:
-                if bp["term"]:
-                    t = _fork(p)
-                    _merge(t["c"], worst)
-                    t["term"], t["ret"] = True, bp["ret"]
-                    out.append(t)
-        out = _dedupe(out)
-        if orelse:
-            survivors = [p for p in out if not p["term"]]
-            finished = [p for p in out if p["term"]]
-            return finished + self._walk_body(list(orelse), survivors, frame)
-        return out
-
-    def _walk_for(self, stmt: ast.For, live: List[Dict],
-                  frame: _Frame) -> List[Dict]:
-        live = self._apply(live, self._eval(stmt.iter, frame))
-        prefixes, empty = self._bind_loop(stmt.target, stmt.iter, frame)
-        if empty:
-            if stmt.orelse:
-                return self._walk_body(list(stmt.orelse), live, frame)
-            return live
-        frame.loops.append(prefixes)
-        body = self._walk_body(list(stmt.body), [_new_path()], frame)
-        frame.loops.pop()
-        worst: Dict = {}
-        for bp in body:
-            for k, v in bp["c"].items():
-                worst[k] = max(worst.get(k, 0), v)
-        self._check_loop_worst(worst, prefixes, frame, stmt)
-        return self._loop_out(live, body, worst, stmt.orelse, frame)
-
-    def _walk_while(self, stmt: ast.While, live: List[Dict],
-                    frame: _Frame) -> List[Dict]:
-        live = self._apply(live, self._eval(stmt.test, frame))
-        frame.loops.append(())
-        body = self._walk_body(list(stmt.body), [_new_path()], frame)
-        frame.loops.pop()
-        worst: Dict = {}
-        for bp in body:
-            for k, v in bp["c"].items():
-                worst[k] = max(worst.get(k, 0), v)
-        self._check_loop_worst(worst, (), frame, stmt)
-        return self._loop_out(live, body, worst, stmt.orelse, frame)
-
-    # -- function summaries ---------------------------------------------------
-
-    def _summarize(self, self_ref: Optional[_Ref], fn: FunctionType,
-                   ctx_param: Optional[str], block_desc: str,
-                   caller_site: Optional[Tuple[str, int]] = None
-                   ) -> List[Dict]:
-        code = fn.__code__
-        key = (id(code), self_ref.key if self_ref else None, ctx_param)
-        hit = self._summaries.get(key)
-        if hit is not None:
-            return hit
-        if key in self._active:  # recursion: unknown effect, stop unrolling
-            return [{"c": {}, "ret": "U", "term": True}]
-        self._active.add(key)
-        try:
-            node, sf = self._find_def(code, fn.__name__)
-            if node is None or sf is None:
-                where = caller_site or (code.co_filename, code.co_firstlineno)
-                self._diag_once(
-                    "RP103",
-                    f"no analyzable source for '{fn.__qualname__}'",
-                    where[0], where[1], site=f"block={block_desc}",
-                )
-                result = [{"c": {}, "ret": "U", "term": True}]
-                self._summaries[key] = result
-                return result
-            params = [a.arg for a in node.args.args]
-            env: Dict[str, Optional[_Ref]] = {}
-            if self_ref is not None and params:
-                env[params[0]] = self_ref
-            frame = _Frame(sf.path, env, ctx_param, block_desc)
-            paths = self._walk_body(list(node.body), [_new_path()], frame)
-            for p in paths:
-                if not p["term"]:
-                    p["term"], p["ret"] = True, "N"
-            paths = _dedupe(paths)
-            self._summaries[key] = paths
-            return paths
-        finally:
-            self._active.discard(key)
-
-    def _entry_paths(self, block: object) -> List[Dict]:
-        fn = getattr(type(block), "process", None)
-        fn = getattr(fn, "__func__", fn)
-        if not isinstance(fn, FunctionType):
-            file, line = self._class_site(block)
-            self._diag_once(
+    def _entry_paths(self, block: object) -> List[Path]:
+        self.site = f"block={describe_block(block)}"
+        ref = concrete(block)
+        fn = self.method(ref, "process")
+        if fn is None:
+            file, line = astutil.class_site(type(block))
+            self.diag(
                 "RP103",
                 f"control block {describe_block(block)!r} has no analyzable "
                 "process() method",
-                file, line,
+                file, line, site="", once=True,
             )
-            return [{"c": {}, "ret": "U", "term": True}]
+            return [Path({}, "U", True)]
         code = fn.__code__
-        ctx_param = (
-            code.co_varnames[1] if code.co_argcount >= 2 else None
-        )
-        return self._summarize(
-            _concrete(block), fn, ctx_param, describe_block(block)
-        )
+        ctx_param = code.co_varnames[1] if code.co_argcount >= 2 else None
+        return self._inline(ref, fn, ctx_param)
 
-    def _handler_paths(self, handler) -> Tuple[List[Dict], Optional[Tuple[str, int]]]:
+    def _handler_paths(self, handler) -> Tuple[List[Path], Optional[Tuple[str, int]]]:
         """Path summary of a mirror pass handler + its def site."""
         self_obj = getattr(handler, "__self__", None)
         fn = getattr(handler, "__func__", handler)
         if not isinstance(fn, FunctionType):
-            return [{"c": {}, "ret": "U", "term": True}], None
-        desc = (
-            f"handler:{describe_block(self_obj)}"
-            if self_obj is not None
-            else f"handler:{fn.__qualname__}"
+            return [Path({}, "U", True)], None
+        self.site = "block=handler:" + (
+            describe_block(self_obj) if self_obj is not None
+            else fn.__qualname__
         )
-        self_ref = _concrete(self_obj) if self_obj is not None else None
-        paths = self._summarize(self_ref, fn, None, desc)
+        self_ref = concrete(self_obj) if self_obj is not None else None
+        paths = self._inline(self_ref, fn, None)
         return paths, (fn.__code__.co_filename, fn.__code__.co_firstlineno)
 
     # -- mirror reachability --------------------------------------------------
@@ -900,22 +380,20 @@ class _PipelineAnalyzer:
                       seen: Set[Tuple], use: Set[int],
                       release: Set[int]) -> None:
         fn = getattr(fn, "__func__", fn)
-        if not isinstance(fn, FunctionType):
+        found = self.source(fn) if isinstance(fn, FunctionType) else None
+        if found is None:
             return
-        node, sf = self._find_def(fn.__code__, fn.__name__)
-        if node is None or sf is None:
-            return
+        node, sf = found
         params = [a.arg for a in node.args.args]
-        env: Dict[str, Optional[_Ref]] = {}
+        frame = Frame(sf.path, {})
         if self_obj is not None and params:
-            env[params[0]] = _concrete(self_obj)
-        frame = _Frame(sf.path, env, None, "")
+            frame.refs[params[0]] = concrete(self_obj)
         for call in ast.walk(node):
             if not isinstance(call, ast.Call) or not isinstance(
                 call.func, ast.Attribute
             ):
                 continue
-            ref = self._resolve(call.func.value, frame)
+            ref = self.resolve(call.func.value, frame)
             if ref is None:
                 continue
             ex = ref.exemplar
@@ -925,9 +403,8 @@ class _PipelineAnalyzer:
                 elif call.func.attr == "release":
                     release.add(ex.session_id)
                 continue
-            m = getattr(type(ex), call.func.attr, None)
-            m = getattr(m, "__func__", m)
-            if isinstance(m, FunctionType):
+            m = self.method(ref, call.func.attr)
+            if m is not None:
                 k = (id(m.__code__), id(ex))
                 if k not in seen:
                     seen.add(k)
@@ -935,51 +412,32 @@ class _PipelineAnalyzer:
 
     # -- resource checks ------------------------------------------------------
 
-    def _components(self, blocks: Sequence[object]) -> List[object]:
-        """Apps first (they own their structures), then blocks in order."""
-        comps: List[object] = []
-        seen: Set[int] = set()
-        for b in blocks:
-            app = getattr(b, "app", None)
-            if app is not None and callable(
-                getattr(app, "resource_usage", None)
-            ) and id(app) not in seen:
-                seen.add(id(app))
-                comps.append(app)
-        for b in blocks:
-            if id(b) not in seen:
-                seen.add(id(b))
-                comps.append(b)
-        return comps
+    @staticmethod
+    def _components(blocks: Sequence[object]) -> List[object]:
+        """Apps first (they own their structures), then blocks in order;
+        each object once."""
+        apps = [b.app for b in blocks if callable(
+            getattr(getattr(b, "app", None), "resource_usage", None))]
+        return list({id(c): c for c in [*apps, *blocks]}.values())
 
-    def _introspect(self, obj: object, claimed: Set[int]) -> Dict[str, float]:
+    @staticmethod
+    def _unclaimed_bits(obj: object, claimed: Set[int]) -> Dict[str, float]:
+        """SRAM/TCAM bits of the stateful objects ``obj`` instantiates and
+        no earlier component claimed (a lazy-snapshot array is its three
+        registers)."""
         found = {"sram_bits": 0.0, "tcam_bits": 0.0}
-
-        def visit(value: object, depth: int) -> None:
-            if depth > 4:
-                return
-            if isinstance(value, _REGISTER_TYPES):
-                if id(value) not in claimed:
-                    claimed.add(id(value))
-                    found["sram_bits"] += value.sram_bits()
-            elif isinstance(value, LazySnapshotArray):
-                for part in (value.data, value.active_flag,
-                             value.last_updated):
-                    visit(part, depth)
-            elif isinstance(value, MatchTable):
-                if id(value) not in claimed:
-                    claimed.add(id(value))
-                    found["sram_bits"] += value.sram_bits()
-                    found["tcam_bits"] += value.tcam_bits()
-            elif isinstance(value, (list, tuple)):
-                for v in value:
-                    visit(v, depth + 1)
-            elif isinstance(value, dict):
-                for v in value.values():
-                    visit(v, depth + 1)
-
-        for v in vars(obj).values():
-            visit(v, 1)
+        for _attr, s in astutil.stateful_objects(obj):
+            parts = (
+                (s.data, s.active_flag, s.last_updated)
+                if isinstance(s, LazySnapshotArray) else (s,)
+            )
+            for part in parts:
+                if id(part) in claimed:
+                    continue
+                claimed.add(id(part))
+                found["sram_bits"] += part.sram_bits()
+                if isinstance(part, MatchTable):
+                    found["tcam_bits"] += part.tcam_bits()
         return found
 
     def _check_resources(self, blocks: Sequence[object]) -> None:
@@ -990,31 +448,31 @@ class _PipelineAnalyzer:
         for comp in comps:
             usage_fn = getattr(comp, "resource_usage", None)
             usage = usage_fn() if callable(usage_fn) else {}
-            file, line = self._class_site(comp)
+            file, line = astutil.class_site(type(comp))
             unknown = sorted(set(usage) - set(CAPACITY))
             if unknown:
-                self._diag(
+                self.diag(
                     "RP131",
                     f"{type(comp).__name__} declares unknown resource(s) "
                     f"{', '.join(repr(u) for u in unknown)}; valid keys are "
                     f"the CAPACITY rows ({', '.join(sorted(CAPACITY))})",
-                    file, line,
+                    file, line, site="",
                 )
             for k, v in usage.items():
                 if k in CAPACITY:
                     expected[k] = expected.get(k, 0.0) + float(v)
-            found = self._introspect(comp, claimed)
+            found = self._unclaimed_bits(comp, claimed)
             for res in ("sram_bits", "tcam_bits"):
                 declared = float(usage.get(res, 0.0))
                 actual = found[res]
                 if actual > declared + 1e-6:
-                    self._diag(
+                    self.diag(
                         "RP132",
                         f"{type(comp).__name__} declares "
                         f"{int(declared)} {res} but instantiates stateful "
                         f"objects totalling {int(actual)} "
                         f"(under-declared by {int(actual - declared)})",
-                        file, line,
+                        file, line, site="",
                     )
         ledger = asic.resources.usage
         drift = sorted(
@@ -1022,7 +480,8 @@ class _PipelineAnalyzer:
             if abs(ledger.get(k, 0.0) - expected.get(k, 0.0)) > 1e-6
         )
         anchor_file, anchor_line = (
-            self._class_site(blocks[0]) if blocks else ("<unknown>", 1)
+            astutil.class_site(type(blocks[0])) if blocks
+            else ("<unknown>", 1)
         )
         if drift:
             detail = ", ".join(
@@ -1030,7 +489,7 @@ class _PipelineAnalyzer:
                 f"declared={expected.get(k, 0.0):g}"
                 for k in drift
             )
-            self._diag(
+            self.diag(
                 "RP133",
                 f"switch resource ledger disagrees with the block/app "
                 f"declarations ({detail}); register components via "
@@ -1038,7 +497,7 @@ class _PipelineAnalyzer:
                 anchor_file, anchor_line, site=f"switch={asic.name}",
             )
         for key in asic.resources.over_capacity():
-            self._diag(
+            self.diag(
                 "RP130",
                 f"declared {key} usage {asic.resources.usage[key]:g} exceeds "
                 f"chip capacity {CAPACITY[key]:g} "
@@ -1049,61 +508,60 @@ class _PipelineAnalyzer:
 
     # -- top level ------------------------------------------------------------
 
+    @staticmethod
+    def _owner_site(session: MirrorSession,
+                    blocks: Sequence[object]) -> Tuple[str, int]:
+        """The class of the block holding ``session`` (else the first
+        block's) — where its diagnostics point."""
+        for b in blocks:
+            if any(v is session for v in vars(b).values()):
+                return astutil.class_site(type(b))
+        return astutil.class_site(type(blocks[0])) if blocks else (
+            "<unknown>", 1)
+
     def run(self) -> None:
         asic = self.asic
         blocks = list(asic.pipeline.blocks)
 
-        # RP105: the same block instance twice is a cycle in the stage DAG.
+        block_paths: List[Tuple[object, List[Path]]] = []
         counted: Set[int] = set()
         for b in blocks:
-            if id(b) in counted:
-                file, line = self._class_site(b)
-                self._diag(
-                    "RP105",
-                    f"control block {describe_block(b)!r} appears more than "
-                    "once in the pipeline; block ordering must be an acyclic "
-                    "stage assignment",
-                    file, line, site=f"switch={asic.name}",
-                )
-            counted.add(id(b))
-
-        block_paths: List[Tuple[object, List[Dict]]] = []
-        analyzed_ids: Set[int] = set()
-        for b in blocks:
-            if id(b) in analyzed_ids:
+            if id(b) not in counted:
+                counted.add(id(b))
+                block_paths.append((b, self._entry_paths(b)))
                 continue
-            analyzed_ids.add(id(b))
-            block_paths.append((b, self._entry_paths(b)))
+            # RP105: the same instance twice is a cycle in the stage DAG.
+            file, line = astutil.class_site(type(b))
+            self.diag(
+                "RP105",
+                f"control block {describe_block(b)!r} appears more than "
+                "once in the pipeline; block ordering must be an acyclic "
+                "stage assignment",
+                file, line, site=f"switch={asic.name}",
+            )
 
         # Compose block paths the way Pipeline.run composes blocks.
-        composed: List[Dict] = [{}]
-        finals: List[Dict] = []
+        composed: List[Path] = [Path()]
+        finals: List[Path] = []
         for _b, paths in block_paths:
-            nxt: List[Dict] = []
+            nxt: List[Path] = []
             for pre in composed:
                 for p in paths:
-                    merged = dict(pre)
-                    _merge(merged, p["c"])
-                    if p["ret"] in ("F", "R"):
-                        finals.append(merged)
-                    else:
-                        nxt.append(merged)
-            composed = _dedupe_counts(nxt)
-            finals = _dedupe_counts(finals)
-        finals = _dedupe_counts(finals + composed)
+                    q = pre.fork()
+                    merge(q.c, p.c)
+                    (finals if p.ret in ("F", "R") else nxt).append(q)
+            composed, finals = dedupe(nxt), dedupe(finals)
+        finals = dedupe(finals + composed)
 
         # Mirror sessions: handlers are independent entry points (each
         # recirculation pass is its own packet context).
         sessions = sorted(asic._mirror_sessions.items())
         handler_sites: Dict[int, Optional[Tuple[str, int]]] = {}
-        handler_rets: Dict[int, List[Dict]] = {}
+        handler_rets: Dict[int, List[Path]] = {}
         for sid, session in sessions:
-            owner = self._session_owner(session, blocks)
-            file, line = self._class_site(owner) if owner else (
-                blocks and self._class_site(blocks[0]) or ("<unknown>", 1)
-            )
+            file, line = self._owner_site(session, blocks)
             if session.handler is None:
-                self._diag(
+                self.diag(
                     "RP120",
                     f"mirror session {sid} has no pass handler: the first "
                     "mirrored copy would raise at runtime (§5.2 requires "
@@ -1114,32 +572,31 @@ class _PipelineAnalyzer:
                 hpaths, hsite = self._handler_paths(session.handler)
                 handler_sites[sid] = hsite
                 handler_rets[sid] = hpaths
-                for p in hpaths:
-                    finals.append(dict(p["c"]))
+                finals += [Path(dict(p.c)) for p in hpaths]
             if session.truncate_to_bytes is None:
-                self._diag(
+                self.diag(
                     "RP121",
                     f"mirror session {sid} circulates untruncated copies; "
                     "§5.2 truncates to the RedPlane header so full payloads "
                     "do not sit in packet buffer (Fig 15)",
                     file, line, site=f"switch={asic.name}",
                 )
-        finals = _dedupe_counts(finals)
+        finals = dedupe(finals)
 
         # RP101 over every composed path.
         flagged: Set[Tuple] = set()
-        for counts in finals:
-            for key, cnt in counts.items():
+        for path in finals:
+            for key, cnt in path.c.items():
                 if cnt >= 2 and key not in flagged:
                     flagged.add(key)
-                    file, line, bdesc = self.key_sites[key]
-                    self._diag(
+                    file, line, site = self.key_sites[key]
+                    self.diag(
                         "RP101",
                         f"register array {self.key_names[key]!r} can be "
                         f"accessed {cnt}x while processing one packet; "
                         "Tofino allows a single access per array per packet "
                         "(PAPER §5.4)",
-                        file, line, site=f"block={bdesc} pkt=*",
+                        file, line, site=f"{site} pkt=*",
                     )
 
         # RP110: stage budget. Each block needs ceil(worst-path stateful
@@ -1151,7 +608,7 @@ class _PipelineAnalyzer:
             for p in paths:
                 p_ops = sum(
                     cnt * self.key_widths.get(key, 1)
-                    for key, cnt in p["c"].items()
+                    for key, cnt in p.c.items()
                 )
                 ops = max(ops, p_ops)
             st = math.ceil(ops / ALUS_PER_STAGE) if ops else 0
@@ -1159,8 +616,8 @@ class _PipelineAnalyzer:
             if st:
                 detail.append(f"{describe_block(b)}={st}")
         if total_stages > STAGES:
-            anchor_file, anchor_line = self._class_site(blocks[0])
-            self._diag(
+            anchor_file, anchor_line = astutil.class_site(type(blocks[0]))
+            self.diag(
                 "RP110",
                 f"pipeline needs {total_stages} stages "
                 f"({', '.join(detail)}) but the chip has {STAGES} "
@@ -1183,10 +640,9 @@ class _PipelineAnalyzer:
                     session.handler, seen, use, release,
                 )
         for sid, session in sessions:
-            owner = self._session_owner(session, blocks)
-            file, line = self._class_site(owner) if owner else ("<unknown>", 1)
+            file, line = self._owner_site(session, blocks)
             if sid not in use:
-                self._diag(
+                self.diag(
                     "RP122",
                     f"mirror session {sid} is configured but no pipeline "
                     "path can reach a mirror() call on it; it is dead "
@@ -1195,12 +651,12 @@ class _PipelineAnalyzer:
                 )
             if session.handler is not None:
                 releasing = any(
-                    p["ret"] == "F" for p in handler_rets.get(sid, [])
+                    p.ret == "F" for p in handler_rets.get(sid, [])
                 ) or sid in release
                 if not releasing:
                     hsite = handler_sites.get(sid)
                     hfile, hline = hsite if hsite else (file, line)
-                    self._diag(
+                    self.diag(
                         "RP123",
                         f"the pass handler of mirror session {sid} never "
                         "returns False and never calls release(): copies "
@@ -1209,37 +665,6 @@ class _PipelineAnalyzer:
                     )
 
         self._check_resources(blocks)
-
-    def _session_owner(self, session: MirrorSession,
-                       blocks: Sequence[object]) -> Optional[object]:
-        for b in blocks:
-            for v in vars(b).values():
-                if v is session:
-                    return b
-        if blocks:
-            return blocks[0]
-        return None
-
-
-def _dedupe_effects(effs: List[Dict]) -> List[Dict]:
-    seen: Set[Tuple] = set()
-    out = []
-    for e in effs:
-        sig = (_freeze(e["c"]), e["v"])
-        if sig not in seen:
-            seen.add(sig)
-            out.append(e)
-        if len(out) >= _PATH_CAP:
-            break
-    return out
-
-
-def _first_member(container: object) -> Optional[object]:
-    if isinstance(container, (list, tuple)) and container:
-        return container[0]
-    if isinstance(container, dict) and container:
-        return next(iter(container.values()))
-    return None
 
 
 # -- public entry points ------------------------------------------------------

@@ -226,7 +226,3 @@ def register(rules: Iterable[Rule]) -> Dict[str, Rule]:
 
 
 RULES: Dict[str, Rule] = register(_RULES)
-
-
-def rule(rule_id: str) -> Rule:
-    return RULES[rule_id]

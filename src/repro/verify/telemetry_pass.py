@@ -30,8 +30,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from repro.telemetry import schema
 from repro.telemetry import trace as _trace_mod
 from repro.verify import astutil
-from repro.verify.diagnostics import Diagnostic, Report, SuppressionIndex
-from repro.verify.rules import RULES
+from repro.verify.diagnostics import Report, SuppressionIndex
 
 _INSTRUMENT_METHODS = {
     "counter": "counter",
@@ -53,6 +52,12 @@ def _is_trace_module(dotted: Optional[str]) -> bool:
     )
 
 
+def _is_emit_site(path: str) -> bool:
+    """Everything but the telemetry subsystem's own machinery."""
+    norm = path.replace("\\", "/")
+    return "/telemetry/" not in norm or "/verify/" in norm
+
+
 class _FileLint:
     def __init__(self, sf: astutil.SourceFile, rel: str, report: Report,
                  supp: SuppressionIndex) -> None:
@@ -65,14 +70,6 @@ class _FileLint:
         self.aliases: Dict[str, Set[str]] = {}
         #: (type, lineno) per resolved trace emit in this file.
         self.emits: List[Tuple[str, int]] = []
-
-    # -- shared ----------------------------------------------------------------
-
-    def _diag(self, rule_id: str, message: str, line: int) -> None:
-        r = RULES[rule_id]
-        self.report.add(
-            Diagnostic(r.id, r.severity, message, self.rel, line), self.supp
-        )
 
     # -- trace-type resolution -------------------------------------------------
 
@@ -127,12 +124,12 @@ class _FileLint:
         for type_ in sorted(types):
             spec = schema.TRACE_EVENTS.get(type_)
             if spec is None:
-                self._diag(
+                self.report.flag(
                     "RT301",
                     f"trace type {type_!r} is not declared in "
                     "repro.telemetry.schema.TRACE_EVENTS; span "
                     "reconstruction will not know its role",
-                    node.lineno,
+                    self.rel, node.lineno, self.supp,
                 )
                 continue
             self.emits.append((type_, node.lineno))
@@ -140,20 +137,20 @@ class _FileLint:
                 continue  # field set is a runtime fact at **-sites
             missing = sorted(spec.required - present)
             if missing:
-                self._diag(
+                self.report.flag(
                     "RT302",
                     f"emit of {type_!r} is missing required field(s) "
                     f"{', '.join(missing)}",
-                    node.lineno,
+                    self.rel, node.lineno, self.supp,
                 )
             undeclared = sorted(present - spec.allowed)
             if undeclared:
-                self._diag(
+                self.report.flag(
                     "RT302",
                     f"emit of {type_!r} carries undeclared field(s) "
                     f"{', '.join(undeclared)}; declare them in "
                     "TRACE_EVENTS or drop them",
-                    node.lineno,
+                    self.rel, node.lineno, self.supp,
                 )
 
     # -- metric sites ----------------------------------------------------------
@@ -183,25 +180,25 @@ class _FileLint:
         }
         unbounded = sorted(labels - set(schema.LABEL_DOMAINS))
         if unbounded:
-            self._diag(
+            self.report.flag(
                 "RT303",
                 f"label key(s) {', '.join(unbounded)} on metric {name!r} "
                 "have no declared cardinality bound in LABEL_DOMAINS; "
                 "per-packet label values make the registry unbounded",
-                node.lineno,
+                self.rel, node.lineno, self.supp,
             )
         for spec in schema.METRICS:
             if fnmatchcase(name, spec.name):
                 if spec.kind != kind:
-                    self._diag(
+                    self.report.flag(
                         "RT306",
                         f"metric {name!r} created as a {kind} but declared "
                         f"as a {spec.kind} (registering a name as two kinds "
                         "raises at runtime)",
-                        node.lineno,
+                        self.rel, node.lineno, self.supp,
                     )
                 if labels != spec.labels:
-                    self._diag(
+                    self.report.flag(
                         "RT305",
                         f"metric {name!r} created with labels "
                         f"{{{', '.join(sorted(labels)) or ''}}} but the "
@@ -209,14 +206,14 @@ class _FileLint:
                         f"{{{', '.join(sorted(spec.labels)) or ''}}}; "
                         "aggregations keyed on the declared set will miss "
                         "this instrument",
-                        node.lineno,
+                        self.rel, node.lineno, self.supp,
                     )
                 return
-        self._diag(
+        self.report.flag(
             "RT304",
             f"metric {name!r} is not declared in "
             "repro.telemetry.schema.METRICS",
-            node.lineno,
+            self.rel, node.lineno, self.supp,
         )
 
     def _check_legacy_count(self, node: ast.Call) -> None:
@@ -225,12 +222,12 @@ class _FileLint:
             return
         if any(fnmatchcase(name, p) for p in schema.LEGACY_COUNT_PATTERNS):
             return
-        self._diag(
+        self.report.flag(
             "RT304",
             f"legacy counter name {name!r} matches no "
             "LEGACY_COUNT_PATTERNS entry; use a declared labeled "
             "instrument instead of sim.count()",
-            node.lineno,
+            self.rel, node.lineno, self.supp,
         )
 
     # -- drive -----------------------------------------------------------------
@@ -279,20 +276,9 @@ def verify_telemetry(
     suppressions = (
         suppressions if suppressions is not None else SuppressionIndex()
     )
-    files: List[str] = []
-    for path in paths:
-        for f in astutil.iter_py_files(path):
-            norm = f.replace("\\", "/")
-            if "/telemetry/" in norm and "/verify/" not in norm:
-                continue
-            files.append(f)
     lints: List[_FileLint] = []
-    for path in files:
-        sf = astutil.load(path)
-        if sf is None:
-            continue
-        rel = astutil.relpath(sf.path, root)
-        suppressions.scan(rel, source=sf.text)
+    for sf, rel in astutil.parsed_files(
+            paths, suppressions, root, keep=_is_emit_site):
         lint = _FileLint(sf, rel, report, suppressions)
         lint.run()
         lints.append(lint)
@@ -305,14 +291,14 @@ def verify_telemetry(
             for lint in lints:
                 for type_, line in lint.emits:
                     if type_ == opener:
-                        lint._diag(
+                        report.flag(
                             "RT310",
                             f"span-opening type {opener!r} is emitted but "
                             f"no closing type "
                             f"({', '.join(sorted(closers))}) is emitted "
                             "anywhere in the analyzed files: these spans "
                             "can never terminate",
-                            line,
+                            lint.rel, line, suppressions,
                         )
-    report.analyzed["telemetry"] = f"{len(files)} file(s) linted"
+    report.analyzed["telemetry"] = f"{len(lints)} file(s) linted"
     return report

@@ -102,3 +102,27 @@ def test_a_line_inserted_above_a_cited_class_is_not_drift(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (tmp_path / "shard_plans" / "nat.json").read_text()
     assert '"site": "src/repro/core/engine.py::RedPlaneEngine"' in proc.stdout
+
+
+def test_conformance_call_budget():
+    """Python frames entered by one warm ``check_conformance("nat")`` — a
+    count, so it reads the same on any machine. While the partition pass
+    searched a file's whole AST for every def it inlined and cited class
+    sites through ``inspect.getsourcelines`` (which tokenizes the class's
+    module), this made 50 754 calls; with the walker's cached def and
+    class lookups and file-only plan sites it makes 5 700. The budget is
+    that figure plus 5 %."""
+    check = plan_mod.check_conformance
+    check("nat")
+    calls = [0]
+
+    def prof(frame, event, arg):
+        if event == "call":
+            calls[0] += 1
+
+    sys.setprofile(prof)
+    try:
+        check("nat")
+    finally:
+        sys.setprofile(None)
+    assert calls[0] <= 6_000

@@ -1,16 +1,20 @@
 """Tests for the partition analyzer (repro.verify pass 5, RS4xx)."""
 
+import argparse
+import inspect
 import json
+import shutil
 
 import pytest
 
-from repro.verify import Report, Severity, SuppressionIndex
-from repro.verify.cli import baseline_regressions, rule_counts
+from repro.apps.counter import AsyncCounterApp
+from repro.core.app import AppVerdict
+from repro.net.packet import FlowKey
+from repro.verify import Severity, SuppressionIndex
 from repro.verify.partition_pass import (
     plan_json, render_plan, verify_partition_app, verify_shard_hazards,
 )
 from repro.verify.rules import RULES, Rule, register
-from repro.verify.diagnostics import Diagnostic
 
 
 def analyze(factory, label=None):
@@ -148,6 +152,47 @@ def test_inferred_global_without_declaration_is_rs405():
     assert plan["partition_class"] == "global"
 
 
+class MetaIndexedCounter(AsyncCounterApp):
+    """Indexes its counters by packet metadata, not a header field."""
+
+    def process(self, state, pkt, ctx, switch):
+        self.counters.update(ctx, pkt.meta["slot"], 1)  # unclassifiable
+        return AppVerdict.FORWARD
+
+
+class DstKeyedCounter(AsyncCounterApp):
+    """Keys flows by destination only, but counts per 5-tuple."""
+
+    def partition_key(self, pkt):
+        return FlowKey(pkt.ip.dst, 0, 0, 0, 0)
+
+
+def line_of(cls, needle):
+    lines, start = inspect.getsourcelines(cls)
+    return start + next(i for i, text in enumerate(lines) if needle in text)
+
+
+def test_unclassifiable_index_is_rs400():
+    report, plan = analyze(MetaIndexedCounter, label="meta_indexed")
+    hits = report.by_rule("RS400")
+    assert len(hits) == 1
+    assert hits[0].line == line_of(MetaIndexedCounter, "# unclassifiable")
+    assert "unresolved inputs: ?" in hits[0].message
+    counters = [s for s in plan["structures"] if s.get("attr") == "counters"]
+    assert counters[0]["note"] == "unclassifiable index"
+    assert counters[0]["partition_class"] == "global"
+
+
+def test_structure_keyed_outside_the_partition_key_is_rs401():
+    report, plan = analyze(DstKeyedCounter, label="dst_keyed")
+    hits = report.by_rule("RS401")
+    assert len(hits) == 1
+    assert "DstKeyedCounter.counters is indexed by {ip.dst, ip.proto, " \
+        "ip.src, l4.dport, l4.sport}" in hits[0].message
+    assert "partition key derives from {ip.dst}" in hits[0].message
+    assert plan["partition_key"]["fields"] == ["ip.dst"]
+
+
 def test_unanalyzable_partition_key_is_rs407():
     from repro.apps.nat import NatApp
 
@@ -211,6 +256,32 @@ def test_committed_plans_match_fresh_analysis():
         path = os.path.join(plan_dir, f"{name}.json")
         with open(path, encoding="utf-8") as fh:
             assert fh.read() == plan_json(plan), f"stale plan for {name}"
+
+
+def test_verify_names_the_first_path_a_committed_plan_drifted_at(
+        tmp_path, monkeypatch, capsys):
+    """RS408 from ``verify`` cites where the bytes differ, exactly as the
+    launch-time check does (one comparison, ``plan_drift``)."""
+    from repro.verify import cli
+
+    plans = tmp_path / "shard_plans"
+    shutil.copytree(cli.shard_plan_dir(), plans)
+    plan = json.loads((plans / "nat.json").read_text())
+    plan["partition_class"] = "global"
+    (plans / "nat.json").write_text(plan_json(plan))
+    monkeypatch.setattr(cli, "shard_plan_dir", lambda: str(plans))
+    (tmp_path / "lint").mkdir()
+    parser = argparse.ArgumentParser()
+    cli.register(parser.add_subparsers())
+    args = parser.parse_args(["verify", "--app", "nat", "--rule", "RS408",
+                              "--json", str(tmp_path / "lint")])
+    assert args.run(args) == 1
+    (diag,) = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert diag["rule"] == "RS408"
+    assert diag["message"].startswith(
+        "committed shard plan for app 'nat' is stale at "
+        "$.partition_class: live code has 'flow_local', committed plan "
+        "has 'global'")
 
 
 # -- conformance over the builtin registry ------------------------------------
@@ -339,25 +410,3 @@ def test_repro_tree_is_hazard_clean():
     tree = os.path.join(source_root(), "repro")
     report = verify_shard_hazards([tree])
     assert active_rules(report) == []
-
-
-# -- baseline comparison ------------------------------------------------------
-
-
-def test_baseline_regressions_only_flags_increases():
-    report = Report()
-    for _ in range(3):
-        report.add(Diagnostic("RS410", Severity.WARNING, "m", "f.py", 1))
-    report.add(Diagnostic("RS412", Severity.WARNING, "m", "f.py", 2))
-    counts = rule_counts(report)
-    assert counts == {"RS410": 3, "RS412": 1}
-    # At or below baseline: no regression, even with an extinct rule.
-    assert baseline_regressions(
-        counts, {"RS410": 3, "RS412": 2, "RD201": 5}
-    ) == {}
-    # Above baseline, or brand new: regression.
-    regs = baseline_regressions(counts, {"RS410": 2})
-    assert regs == {
-        "RS410": {"count": 3, "baseline": 2},
-        "RS412": {"count": 1, "baseline": 0},
-    }

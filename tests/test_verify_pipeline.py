@@ -177,6 +177,34 @@ class UnderDeclaredBlock(ControlBlock):
         return {"sram_bits": 64, "meter_alus": 1}  # reg is 32768 bits
 
 
+def touch(reg, ctx):
+    reg.read(ctx, 0)
+
+
+class FreeFunctionBlock(ControlBlock):
+    """Hands the packet context to a free function the verifier cannot
+    follow, so the accesses inside it are out of its sight."""
+
+    name = "free-function"
+
+    def __init__(self):
+        self.reg = RegisterArray("free.reg", 4, 32)
+
+    def process(self, ctx, switch):
+        touch(self.reg, ctx)  # ctx leaves the analysis
+        return True
+
+    def resource_usage(self):
+        return {"sram_bits": self.reg.sram_bits(), "meter_alus": 1}
+
+
+class MisspelledResourceBlock(GoodBlock):
+    name = "misspelled"
+
+    def resource_usage(self):
+        return {"sram_bitz": self.reg.sram_bits(), "meter_alus": 1}
+
+
 class SuppressedDoubleBlock(ControlBlock):
     name = "suppressed-double"
 
@@ -295,6 +323,21 @@ def test_loop_over_array_collection_is_legal():
     assert report.diagnostics == []
 
 
+# -- RP103: the proof has a hole -----------------------------------------------
+
+
+def test_ctx_passed_to_a_free_function_is_rp103():
+    sw = fresh_switch()
+    sw.add_block(FreeFunctionBlock())
+    report = run_pass(sw)
+    hits = report.by_rule("RP103")
+    assert len(hits) == 1
+    assert hits[0].severity is Severity.WARNING
+    assert "free function 'touch'" in hits[0].message
+    assert hits[0].line == line_of(FreeFunctionBlock.process, "# ctx leaves")
+    assert "block=free-function" in hits[0].site
+
+
 # -- RP105 / RP110: structure and stage budget --------------------------------
 
 
@@ -358,6 +401,21 @@ def test_under_declared_sram_detected():
     hits = report.by_rule("RP132")
     assert len(hits) == 1
     assert "UnderDeclaredBlock" in hits[0].message
+
+
+def test_unknown_resource_key_is_rp131():
+    """add_block() raises on the key at runtime; a block put in the
+    pipeline without registering it reaches only the static check."""
+    with pytest.raises(KeyError, match="sram_bitz"):
+        fresh_switch().add_block(MisspelledResourceBlock())
+    sw = fresh_switch()
+    sw.pipeline.append(MisspelledResourceBlock())
+    report = run_pass(sw)
+    hits = report.by_rule("RP131")
+    assert len(hits) == 1
+    assert "MisspelledResourceBlock declares unknown resource(s) " \
+        "'sram_bitz'" in hits[0].message
+    assert hits[0].line == line_of(MisspelledResourceBlock, "class ")
 
 
 def test_ledger_out_of_sync_detected():
