@@ -6,7 +6,7 @@ packet headers, links with latency / bandwidth / loss / reordering, L3
 switches with ECMP routing, and failure injection.
 """
 
-from repro.net.simulator import Simulator, Event
+from repro.net.simulator import Simulator
 from repro.net.packet import (
     EthernetHeader,
     IPv4Header,
@@ -26,7 +26,6 @@ from repro.net.topology import Topology, build_testbed, Testbed
 
 __all__ = [
     "Simulator",
-    "Event",
     "EthernetHeader",
     "IPv4Header",
     "UDPHeader",

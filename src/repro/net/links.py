@@ -206,6 +206,20 @@ class Link:
         queue_limit_bytes: Optional[int] = None,
         name: Optional[str] = None,
     ) -> None:
+        # Comparisons written so that NaN fails them.
+        for rate_name, rate in (("loss_rate", loss_rate),
+                                ("reorder_rate", reorder_rate)):
+            if not 0.0 <= rate <= 1.0:
+                raise ValueError(f"{rate_name} must be in [0, 1], got {rate}")
+        if not latency_us >= 0.0:
+            raise ValueError(
+                f"latency_us must be non-negative, got {latency_us}")
+        if not bandwidth_gbps > 0.0:
+            raise ValueError(
+                f"bandwidth_gbps must be positive, got {bandwidth_gbps}")
+        if queue_limit_bytes is not None and not queue_limit_bytes > 0:
+            raise ValueError("queue_limit_bytes must be None or positive, "
+                             f"got {queue_limit_bytes}")
         if a.link is not None or b.link is not None:
             raise RuntimeError("port already has a link attached")
         self.sim = sim

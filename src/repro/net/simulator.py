@@ -14,52 +14,44 @@ and :class:`~repro.telemetry.trace.Tracer` (:attr:`Simulator.tracer`),
 which every component publishes through and every reader queries
 (``sim.metrics.value(name)``, ``.total(name, **labels)``, ``.snapshot()``).
 
-The queue is a binary heap whose entries are ``(time, seq, Event)``
-tuples, so ordering is decided entirely by C tuple comparison and never
-calls back into Python.
+An event is one list, ``[time, seq, fn, args, origin]``: the queue entry
+and the handle :meth:`Simulator.schedule_at` returns are the same object,
+so scheduling allocates nothing else. Ordering is decided by C list
+comparison on ``(time, seq)`` (``seq`` is unique, so ``fn`` is never
+compared) and never calls back into Python. :meth:`Simulator.cancel`
+sets an entry's ``fn`` to ``None``; the drain discards such a tombstone
+when it reaches the head.
+
+The queue is a binary heap plus a FIFO beside it. An event whose time is
+at or after the FIFO's last entry is appended to the FIFO, which
+therefore stays sorted by ``(time, seq)``; any other event is pushed on
+the heap. Traffic sources schedule their whole input trace ahead, in time
+order, before the first event runs, so the trace waits in the FIFO in
+O(1) per event and the heap holds only what is in flight. The drain runs
+whichever head is smaller, so execution order, tie order and
+:attr:`Simulator.pending_events` are exactly those of a single heap.
 """
 
 from __future__ import annotations
 
 import functools
 import gc
-import heapq
 import itertools
 import random
 import warnings
-from typing import Any, Callable, List, Optional, Tuple
+from collections import deque
+from heapq import heappop, heappush
+from typing import Any, Callable, Deque, List, Optional
 
 from repro.telemetry import MetricRegistry, Tracer
 
-
-class Event:
-    """A scheduled callback.
-
-    Events execute in ``(time, seq)`` order, which makes the run
-    deterministic: two events at the same instant fire in the order they
-    were scheduled. The ordering itself lives in the heap
-    entries (plain tuples); ``Event`` is the cancellation handle.
-    ``__slots__`` because hot scenarios allocate one per hop.
-    """
-
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "origin")
-
-    def __init__(self, time: float, seq: int, fn: Callable[..., None],
-                 args: tuple = (), origin: Optional[int] = None) -> None:
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-        #: Root-event rank this event descends from (shard mode only;
-        #: ``None`` in ordinary runs). Children inherit it from the event
-        #: being executed when they are scheduled, which lets the shard
-        #: merge layer order records from different shards globally.
-        self.origin = origin
-
-    def cancel(self) -> None:
-        """Prevent the event from firing; cancelled events are skipped."""
-        self.cancelled = True
+#: A scheduled event, ``[time, seq, fn, args, origin]``; ``fn`` is
+#: ``None`` once cancelled. ``origin`` is the root-event rank the event
+#: descends from (shard mode only, ``None`` in ordinary runs): children
+#: inherit it from the event being executed when they are scheduled,
+#: which lets the shard merge layer order records from different shards
+#: globally.
+Entry = list
 
 
 class Simulator:
@@ -88,12 +80,13 @@ class Simulator:
                  trace_ring: Optional[int] = 65536) -> None:
         self.now: float = 0.0
         self.rng = random.Random(seed)
-        self._heap: List[Tuple[float, int, Event]] = []
+        self._heap: List[Entry] = []
+        self._fifo: Deque[Entry] = deque()
         self._seq = itertools.count()
         self._events_executed = 0
         # Correlation ids for packet-lifecycle spans: allocation order is
         # event-execution order, so ids are deterministic per seed and
-        # never touch the RNG or the event heap.
+        # never touch the RNG or the event queue.
         self._uid_seq = itertools.count(1)
         #: The run's metric registry: every component publishes through it.
         self.metrics = MetricRegistry()
@@ -129,17 +122,22 @@ class Simulator:
 
     # -- scheduling ---------------------------------------------------------
 
-    def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> Event:
+    def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> Entry:
         """Schedule ``fn(*args)`` to run ``delay`` microseconds from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
         return self.schedule_at(self.now + delay, fn, *args)
 
-    def schedule_at(self, when: float, fn: Callable[..., None], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` at absolute simulated time ``when``."""
-        if when < self.now:
+    def schedule_at(self, when: float, fn: Callable[..., None], *args: Any) -> Entry:
+        """Schedule ``fn(*args)`` at absolute simulated time ``when``.
+
+        Returns the event, which is its own queue entry; pass it to
+        :meth:`cancel` to keep it from firing. ``when`` must be at or
+        after the current time, which also rejects NaN.
+        """
+        if not when >= self.now:
             raise ValueError(
-                f"cannot schedule at t={when} before current time t={self.now}"
+                f"cannot schedule at t={when}: the current time is t={self.now}"
             )
         origin = self._origin
         if origin is None and self.shard_ctx is not None:
@@ -150,13 +148,20 @@ class Simulator:
             # never enter the queue.
             origin, admit = self.shard_ctx.root_origin(fn, args)
             if not admit:
-                event = Event(when, next(self._seq), fn, args, origin)
-                event.cancelled = True
-                return event
-        seq = next(self._seq)
-        event = Event(when, seq, fn, args, origin)
-        heapq.heappush(self._heap, (when, seq, event))
+                return [when, next(self._seq), None, args, origin]
+        event = [when, next(self._seq), fn, args, origin]
+        fifo = self._fifo
+        if fifo and when < fifo[-1][0]:
+            heappush(self._heap, event)
+        else:
+            fifo.append(event)
         return event
+
+    def cancel(self, event: Entry) -> None:
+        """Keep ``event`` from firing. It stays queued as a tombstone (and
+        in :attr:`pending_events`) until the drain reaches it. Cancelling
+        an event that already fired or was cancelled does nothing."""
+        event[2] = None
 
     # -- execution ------------------------------------------------------------
 
@@ -177,6 +182,11 @@ class Simulator:
         ``"raise"`` emits the counter and raises, ``None`` is silent
         (used by :meth:`step`). Returns the number of events executed.
 
+        Each turn pops the smaller of the two heads. An event that must
+        not run yet (beyond ``until``, or past ``max_events``) goes back
+        on the heap, which accepts any entry; it is still the smallest
+        queued, so the next turn pops it first.
+
         The cyclic collector is disabled for the length of the loop and
         re-enabled in the ``finally`` only if it was enabled on entry, so
         a re-entrant :meth:`step` from a handler, a caller that had
@@ -192,27 +202,36 @@ class Simulator:
         # and spins until the ``max_events`` guard trips.
         executed = 0
         heap = self._heap
-        pop = heapq.heappop
+        fifo = self._fifo
+        popleft = fifo.popleft
         after = self.on_event
         collecting = gc.isenabled()
         gc.disable()
         try:
-            while heap:
-                head = heap[0]
-                event = head[2]
-                if event.cancelled:
-                    pop(heap)
+            while True:
+                if fifo:
+                    if heap and heap[0] < fifo[0]:
+                        event = heappop(heap)
+                    else:
+                        event = popleft()
+                elif heap:
+                    event = heappop(heap)
+                else:
+                    break
+                fn = event[2]
+                if fn is None:
                     continue
                 if max_events is not None and executed >= max_events:
+                    heappush(heap, event)
                     self._note_exhausted(max_events, exhaust)
                     return executed
-                when = head[0]
+                when = event[0]
                 if until is not None and when > until:
+                    heappush(heap, event)
                     break
-                pop(heap)
                 self.now = when
-                self._origin = event.origin
-                event.fn(*event.args)
+                self._origin = event[4]
+                fn(*event[3])
                 executed += 1
                 self._events_executed += 1
                 if after is not None:
@@ -252,8 +271,11 @@ class Simulator:
         "at the end of the run" line up across runs. Exhausting
         ``max_events`` with work still pending is telemetry-visible: the
         ``sim.max_events_exhausted`` counter increments and a
-        ``RuntimeWarning`` is issued (it used to return silently).
+        ``RuntimeWarning`` is issued (it used to return silently). A NaN
+        ``until`` is rejected: no event time compares beyond it.
         """
+        if until is not None and until != until:
+            raise ValueError("cannot run until t=nan")
         self._drain(until=until, max_events=max_events, exhaust="warn")
         if until is not None and self.now < until:
             self.now = until
@@ -291,7 +313,7 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of events still queued (including cancelled tombstones)."""
-        return len(self._heap)
+        return len(self._heap) + len(self._fifo)
 
     @property
     def events_executed(self) -> int:

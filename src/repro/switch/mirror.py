@@ -113,7 +113,7 @@ class MirrorSession:
         self._g_active.add(-1)
         self.asic.buffer_release(copy.size)
         if copy.event is not None:
-            copy.event.cancel()
+            self.asic.sim.cancel(copy.event)
             copy.event = None
 
     def buffered_size(self, pkt: Packet) -> int:

@@ -148,7 +148,7 @@ class TcpSender(Host):
     def stop(self) -> None:
         self.running = False
         if self._rto_event is not None:
-            self._rto_event.cancel()
+            self.sim.cancel(self._rto_event)
             self._rto_event = None
 
     # -- sending -------------------------------------------------------------
@@ -171,7 +171,7 @@ class TcpSender(Host):
 
     def _arm_rto(self) -> None:
         if self._rto_event is not None:
-            self._rto_event.cancel()
+            self.sim.cancel(self._rto_event)
         self._rto_event = self.sim.schedule(self.rto_us, self._on_rto)
 
     # -- receiving acks --------------------------------------------------------
@@ -203,7 +203,7 @@ class TcpSender(Host):
             if self.inflight:
                 self._arm_rto()
             elif self._rto_event is not None:
-                self._rto_event.cancel()
+                self.sim.cancel(self._rto_event)
                 self._rto_event = None
             self._fill_window()
         else:

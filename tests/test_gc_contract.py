@@ -102,8 +102,8 @@ def test_nat_steady_state_run_makes_no_cyclic_garbage(drains):
 def test_lossy_write_path_makes_no_cyclic_garbage(drains):
     """Sync-Counter over lossy links: every packet is mirrored, the
     mirror pass resends what was lost, and an ack releases the copy and
-    cancels its pending pass — ``MirrorCopy.event`` points at an
-    ``Event`` whose args point back at the copy until then."""
+    cancels its pending pass — ``MirrorCopy.event`` points at the
+    pass's queue entry, whose args point back at the copy until then."""
     sim = Simulator(seed=3)
     bed = deploy(sim, SyncCounterApp, link_loss=0.02).bed
     sender, receiver = bed.externals[0], bed.servers[0]

@@ -1,9 +1,12 @@
 """Unit tests for the discrete-event simulator."""
 
 import gc
+import heapq
+import itertools
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.net.simulator import Simulator
 
@@ -50,11 +53,42 @@ def test_schedule_in_past_rejected():
         sim.schedule_at(5, lambda: None)
 
 
+def test_nan_time_rejected():
+    """NaN compares false against everything, so a NaN entry would break
+    the queue's order: events ran out of order and the clock went
+    backwards."""
+    sim = Simulator()
+    fired = []
+
+    def note(label):
+        fired.append((label, sim.now))
+
+    sim.schedule(10, note, "a")
+    with pytest.raises(ValueError):
+        sim.schedule(float("nan"), note, "b")
+    with pytest.raises(ValueError):
+        sim.schedule_at(float("nan"), note, "b")
+    for t, label in ((5, "c"), (7, "d"), (1, "e")):
+        sim.schedule(t, note, label)
+    assert sim.pending_events == 4
+    sim.run_until_idle()
+    assert fired == [("e", 1), ("c", 5), ("d", 7), ("a", 10)]
+
+
+def test_nan_until_rejected():
+    sim = Simulator()
+    fired = []
+    sim.schedule(1, fired.append, "a")
+    with pytest.raises(ValueError):
+        sim.run(until=float("nan"))
+    assert fired == [] and sim.now == 0.0 and sim.pending_events == 1
+
+
 def test_cancelled_events_do_not_fire():
     sim = Simulator()
     fired = []
     event = sim.schedule(10, fired.append, "x")
-    sim.schedule(5, event.cancel)
+    sim.schedule(5, sim.cancel, event)
     sim.run_until_idle()
     assert fired == []
 
@@ -165,7 +199,7 @@ def _drive_cancelled(sim, note):
 
     def cancel():
         note("cancel")
-        victim.cancel()
+        sim.cancel(victim)
 
     sim.schedule(5, cancel)
     sim.schedule(20, note, "after")
@@ -286,3 +320,156 @@ def test_reentrant_step_does_not_resume_the_collector_mid_drain(collector):
     assert seen == [("inner", False), ("after-step", False),
                     ("later", False)]
     assert gc.isenabled() is collector
+
+
+# -- the FIFO and the heap are one priority queue -------------------------------
+#
+# ``Simulator`` keeps events scheduled in time order in a FIFO beside its
+# heap. The oracle is a single binary heap with the same drain rules: any
+# mix of scheduling, cancelling and draining must execute the same events
+# in the same order and report the same ``pending_events`` throughout.
+
+
+class SingleHeap:
+    """Reference queue: one heap of ``[time, seq, fn, args]``, tombstones
+    popped when they reach the head, nothing popped that does not run."""
+
+    def __init__(self):
+        self.now = 0.0
+        self._heap = []
+        self._seq = itertools.count()
+
+    def schedule_at(self, when, fn, *args):
+        assert when >= self.now
+        event = [when, next(self._seq), fn, args]
+        heapq.heappush(self._heap, event)
+        return event
+
+    def cancel(self, event):
+        event[2] = None
+
+    def _drain(self, until=None, max_events=None):
+        executed = 0
+        heap = self._heap
+        while heap:
+            head = heap[0]
+            if head[2] is None:
+                heapq.heappop(heap)
+                continue
+            if max_events is not None and executed >= max_events:
+                break
+            if until is not None and head[0] > until:
+                break
+            heapq.heappop(heap)
+            self.now = head[0]
+            head[2](*head[3])
+            executed += 1
+        return executed
+
+    def step(self):
+        return self._drain(max_events=1) == 1
+
+    def run(self, until=None, max_events=None):
+        self._drain(until, max_events)
+        if until is not None and self.now < until:
+            self.now = until
+
+    def run_until_idle(self):
+        self._drain()
+
+    @property
+    def pending_events(self):
+        return len(self._heap)
+
+
+_offsets = st.integers(0, 12)
+_handles = st.integers(0, 63)
+#: What an event does when it fires: schedule a child (delay 0 ties with
+#: the running instant), cancel some event (pending, fired or already
+#: cancelled), or step the simulator re-entrantly.
+_actions = st.one_of(st.tuples(st.just("child"), _offsets),
+                     st.tuples(st.just("cancel"), _handles),
+                     st.tuples(st.just("step")))
+#: What the program does between drains. ``ahead`` schedules in time order
+#: after the last ``ahead`` (the traffic-source pattern); ``at`` anywhere
+#: from now on.
+_ops = st.one_of(st.tuples(st.just("ahead"), _offsets),
+                 st.tuples(st.just("at"), _offsets),
+                 st.tuples(st.just("cancel"), _handles),
+                 st.tuples(st.just("until"), _offsets),
+                 st.tuples(st.just("step")),
+                 st.tuples(st.just("max"), st.integers(0, 5)))
+_programs = st.tuples(st.lists(_ops, max_size=40),
+                      st.lists(st.lists(_actions, max_size=3), max_size=16))
+
+_MAX_EVENTS = 150
+_MAX_DEPTH = 3
+
+
+def _drive(sim, program):
+    """Run ``program`` on ``sim``; the log records every executed event
+    and the clock and queue length at every boundary."""
+    ops, scripts = program
+    log, handles = [], []
+    state = {"ahead": 0.0, "depth": 0}
+
+    def add(when):
+        label = len(handles)
+        handles.append(sim.schedule_at(when, fire, label))
+
+    def fire(label):
+        log.append(("fire", label, sim.now, sim.pending_events))
+        for action in scripts[label % len(scripts)] if scripts else ():
+            if action[0] == "child" and len(handles) < _MAX_EVENTS:
+                add(sim.now + action[1])
+            elif action[0] == "cancel" and handles:
+                sim.cancel(handles[action[1] % len(handles)])
+            elif action[0] == "step" and state["depth"] < _MAX_DEPTH:
+                state["depth"] += 1
+                log.append(("inner-step", sim.step(), sim.now,
+                            sim.pending_events))
+                state["depth"] -= 1
+
+    for op in ops:
+        kind = op[0]
+        if kind == "ahead":
+            state["ahead"] = max(state["ahead"], sim.now) + op[1]
+            add(state["ahead"])
+        elif kind == "at":
+            add(sim.now + op[1])
+        elif kind == "cancel" and handles:
+            sim.cancel(handles[op[1] % len(handles)])
+        elif kind == "until":
+            sim.run(until=sim.now + op[1])
+        elif kind == "step":
+            log.append(("step", sim.step()))
+        elif kind == "max":
+            sim.run(max_events=op[1])
+        log.append((kind, sim.now, sim.pending_events))
+    sim.run_until_idle()
+    log.append(("idle", sim.now, sim.pending_events))
+    return log
+
+
+@settings(max_examples=300, deadline=None)
+@given(_programs)
+def test_fifo_and_heap_drain_as_one_priority_queue(program):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # max_events
+        got = _drive(Simulator(), program)
+    assert got == _drive(SingleHeap(), program)
+
+
+def test_a_trace_scheduled_in_time_order_never_enters_the_heap():
+    """The property the FIFO serves: a source that schedules its input
+    ahead, in time order (ties included), costs no heap operation; an
+    event that would break the order goes to the heap instead."""
+    sim = Simulator()
+    fired = []
+    for i in range(100):
+        sim.schedule_at(i // 2, fired.append, i)
+    assert len(sim._heap) == 0 and sim.pending_events == 100
+    sim.schedule_at(10.5, fired.append, "late")
+    assert len(sim._heap) == 1 and sim.pending_events == 101
+    sim.run_until_idle()
+    assert fired == list(range(22)) + ["late"] + list(range(22, 100))
