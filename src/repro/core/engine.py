@@ -16,7 +16,9 @@ plane:
   numbers let the store discard stale updates despite reordering;
 * **switch-side retransmission** (§5.2) — a *truncated* copy of every
   replication request circulates through an egress-to-egress mirror
-  session and is resent if no acknowledgment arrives in time;
+  session and is resent if no acknowledgment arrives in time; the event
+  that settles the request (its ack, a newer snapshot epoch, teardown)
+  releases the copy through one ledger of in-flight copies;
 * **read gating** — packets that only read state pass through at line
   rate (the zero-overhead fast path of Fig 8/9) unless a state update is
   still in flight, in which case they are buffered through the network
@@ -30,6 +32,7 @@ acknowledged sequence number) lives in register arrays, sized by
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple, cast
 
@@ -60,10 +63,6 @@ from repro.telemetry import trace as tt
 
 #: UDP ports whose traffic is never treated as application traffic.
 _PROTOCOL_PORTS = {STORE_UDP_PORT, SWITCH_UDP_PORT, CHAIN_UDP_PORT, NETCHAIN_UDP_PORT}
-
-#: aux value marking a read-buffer request whose packet has not been
-#: processed yet (it arrived while the flow's lease was still pending).
-_AUX_UNPROCESSED = 1
 
 #: Tag prefixing a held packet inside a lease-request piggyback: the tag
 #: plus an 8-byte hold nonce let the switch re-inject each *hold* exactly
@@ -115,15 +114,13 @@ class RetransmitState:
     """Backoff state of one circulating truncated request copy (§5.2).
 
     Lives on the mirror copy's metadata under the ``"rtx"`` slot and is
-    the single mutable record the retransmitter reads and writes each
-    egress pass. Inspectable through
-    :meth:`RedPlaneEngine.retransmit_states`, which is how chaos verdict
-    reports show what a campaign left in flight.
+    the single mutable record the pass handler reads and writes each
+    egress pass. It decides when the copy is resent, never whether it is
+    released: the event that settles the request does that
+    (:meth:`RedPlaneEngine._release`).
     """
 
     kind: str             # "write" | "lease_new" | "renew" | "snapshot"
-    idx: int              # flow register index (-1 for snapshot copies)
-    seq: int              # sequence the acknowledgment must reach
     msg: RedPlaneMessage  # header-only request resent on timeout
     sent_at: float        # simulated time of the last (re)send
     timeout_us: float     # current deadline (grows by the backoff factor)
@@ -157,7 +154,6 @@ class RedPlaneEngine(ControlBlock):
 
         # Flow-key -> register index. Models the hash-indexed flow table.
         self._flow_idx: Dict[FlowKey, int] = {}
-        self._idx_key: Dict[int, FlowKey] = {}
         self._next_idx = 0
         self._free_indices: List[int] = []
 
@@ -183,16 +179,12 @@ class RedPlaneEngine(ControlBlock):
         #: Invoked for snapshot acknowledgments (bounded-inconsistency mode).
         self.snapshot_ack_handler: Optional[Callable[[RedPlaneMessage], None]] = None
 
-        #: Per-flow outstanding explicit renewals (cleared by renew acks).
-        self._renew_outstanding: Set[int] = set()
-
-        # Circulating mirror copies, released as their acks arrive: the
-        # hardware drops an acknowledged copy on its next egress pass; the
+        # The ledger of circulating mirror copies: request -> {seq: copy}.
+        # A request is ``(kind, flow index)`` or ``("snapshot", (store
+        # key, slot))``. Whatever settles a request calls _release: the
+        # hardware drops a settled copy on its next egress pass, and the
         # simulator collapses that to an immediate release.
-        self._copies_write: Dict[int, Dict[int, MirrorCopy]] = {}
-        self._copy_lease: Dict[int, MirrorCopy] = {}
-        self._copy_renew: Dict[int, MirrorCopy] = {}
-        self._copies_snapshot: Dict[Tuple[FlowKey, int], MirrorCopy] = {}
+        self._inflight: Dict[Tuple[str, object], Dict[int, MirrorCopy]] = {}
 
         self.history: List[HistoryEvent] = []
         # Protocol statistics live in the run's metric registry, one
@@ -334,8 +326,7 @@ class RedPlaneEngine(ControlBlock):
                 switch=self.switch.name,
                 flow=flow_tag_of(self.switch.sim, key),
             )
-            self._mirror_request(msg, kind="lease_new", idx=idx,
-                                 req_uid=req_uid)
+            self._mirror_request(msg, ("lease_new", idx), req_uid)
         ctx.consume()
 
     def _bounded_path(self, ctx: PipelineContext, key: FlowKey) -> bool:
@@ -389,8 +380,7 @@ class RedPlaneEngine(ControlBlock):
             )
             req_uid = self._send_request(ctx, msg,
                                          parent_uid=pkt.meta.get("uid"))
-            self._mirror_request(msg, kind="write", idx=idx, seq=seq,
-                                 req_uid=req_uid)
+            self._mirror_request(msg, ("write", idx), req_uid)
             self._c["writes_replicated"].inc()
             ctx.consume()
             return False
@@ -439,8 +429,10 @@ class RedPlaneEngine(ControlBlock):
             )
             req_uid = self._send_request(ctx, msg,
                                          parent_uid=ctx.pkt.meta.get("uid"))
-            self._renew_outstanding.add(idx)
-            self._mirror_request(msg, kind="renew", idx=idx, req_uid=req_uid)
+            # Like LEASE_NEW_REQ, only a flow's first outstanding renewal
+            # is mirrored; its ack settles the later ones too.
+            if ("renew", idx) not in self._inflight:
+                self._mirror_request(msg, ("renew", idx), req_uid)
             self._c["lease_renewals"].inc()
             self.tracer.emit(
                 tt.LEASE_RENEW,
@@ -457,10 +449,7 @@ class RedPlaneEngine(ControlBlock):
         self._c["acks_received"].inc()
 
         if msg.msg_type is MessageType.SNAPSHOT_REPL_ACK:
-            copy = self._copies_snapshot.get((msg.flow_key, msg.aux))
-            if copy is not None and self._rtx_of(copy).seq <= msg.seq:
-                self.mirror.release(copy)
-                del self._copies_snapshot[(msg.flow_key, msg.aux)]
+            self._release(("snapshot", (msg.flow_key, msg.aux)), msg.seq)
             if self.snapshot_ack_handler is not None:
                 self.snapshot_ack_handler(msg)
             return
@@ -476,10 +465,7 @@ class RedPlaneEngine(ControlBlock):
         elif msg.msg_type is MessageType.REPL_WRITE_ACK:
             self._handle_write_ack(ctx, msg, idx, now)
         elif msg.msg_type is MessageType.LEASE_RENEW_ACK:
-            self._renew_outstanding.discard(idx)
-            copy = self._copy_renew.pop(idx, None)
-            if copy is not None:
-                self.mirror.release(copy)
+            self._release(("renew", idx))
             self._extend_lease(ctx, idx, now)
         elif msg.msg_type is MessageType.READ_BUFFER_ACK:
             self._handle_read_buffer_ack(ctx, msg, idx)
@@ -493,7 +479,6 @@ class RedPlaneEngine(ControlBlock):
         flow: FlowKey,
         seq: int,
         rtx: RetransmitState,
-        rtt_us: float,
     ) -> None:
         """Trace one released request copy with its measured RTT.
 
@@ -504,6 +489,8 @@ class RedPlaneEngine(ControlBlock):
         (the latest resend — equal to ``cause`` unless an earlier copy's
         ack won the race).
         """
+        rtt_us = self.switch.sim.now - rtx.sent_at
+        self._h_ack_rtt.observe(rtt_us)
         meta = ctx.pkt.meta
         fields: Dict[str, object] = {
             "switch": self.switch.name,
@@ -523,13 +510,8 @@ class RedPlaneEngine(ControlBlock):
     def _handle_lease_new_ack(
         self, ctx: PipelineContext, msg: RedPlaneMessage, idx: int, now: float
     ) -> None:
-        copy = self._copy_lease.pop(idx, None)
-        if copy is not None:
-            rtx = self._rtx_of(copy)
-            rtt = now - rtx.sent_at
-            self._h_ack_rtt.observe(rtt)
-            self._emit_ack(ctx, "lease_new", msg.flow_key, msg.seq, rtx, rtt)
-            self.mirror.release(copy)
+        for _seq, rtx in self._release(("lease_new", idx), msg.seq):
+            self._emit_ack(ctx, "lease_new", msg.flow_key, msg.seq, rtx)
         was_pending = self.reg_lease_pending.access(ctx, idx, lambda old: (0, old))
         if was_pending:
             self.tracer.emit(
@@ -592,16 +574,9 @@ class RedPlaneEngine(ControlBlock):
         self.reg_last_acked.access(
             ctx, idx, lambda old: (max(old, msg.seq), max(old, msg.seq))
         )
-        # The ack covers every copy with seq <= acked: release them.
-        copies = self._copies_write.get(idx)
-        if copies:
-            for seq in [s for s in copies if s <= msg.seq]:
-                copy = copies.pop(seq)
-                rtx = self._rtx_of(copy)
-                rtt = now - rtx.sent_at
-                self._h_ack_rtt.observe(rtt)
-                self._emit_ack(ctx, "write", msg.flow_key, seq, rtx, rtt)
-                self.mirror.release(copy)
+        # The ack covers every copy with seq <= acked.
+        for seq, rtx in self._release(("write", idx), msg.seq):
+            self._emit_ack(ctx, "write", msg.flow_key, seq, rtx)
         self._extend_lease(ctx, idx, now)
         if msg.piggyback is not None:
             resp_uid = ctx.pkt.meta.get("uid")
@@ -619,11 +594,6 @@ class RedPlaneEngine(ControlBlock):
         if msg.piggyback is None:
             return
         resp_uid = ctx.pkt.meta.get("uid")
-        if msg.aux == _AUX_UNPROCESSED:
-            # The packet was never processed (lease was pending when it
-            # arrived); run it through the pipeline again.
-            self._reinject_piggyback(msg.piggyback, resp_uid)
-            return
         last_acked = self.reg_last_acked.read(ctx, idx)
         if last_acked >= msg.seq:
             for raw in unpack_packets(msg.piggyback):
@@ -709,7 +679,7 @@ class RedPlaneEngine(ControlBlock):
             self.switch.emit_from_pipeline(pkt)
         return uid
 
-    def send_snapshot_request(self, msg: RedPlaneMessage, retransmit: bool = True) -> None:
+    def send_snapshot_request(self, msg: RedPlaneMessage) -> None:
         """Used by the snapshot replicator (§5.4) to ship one slot value."""
         req_uid = self._send_request(None, msg)
         self.tracer.emit(
@@ -718,15 +688,15 @@ class RedPlaneEngine(ControlBlock):
             slot=msg.aux,
             epoch=msg.seq,
         )
-        if retransmit:
-            self._mirror_request(msg, kind="snapshot", idx=-1, seq=msg.seq,
-                                 req_uid=req_uid)
+        key = ("snapshot", (msg.flow_key, msg.aux))
+        self._release(key)  # a newer epoch settles the slot's older copy
+        self._mirror_request(msg, key, req_uid)
 
     def _mirror_request(
-        self, msg: RedPlaneMessage, kind: str, idx: int, seq: int = 0,
-        req_uid: int = 0,
+        self, msg: RedPlaneMessage, key: Tuple[str, object], req_uid: int
     ) -> None:
-        """Mirror a truncated copy of a request for retransmission (§5.2)."""
+        """Mirror a truncated copy of a request for retransmission (§5.2)
+        and enter it in the ledger under ``key`` at the request's seq."""
         header_only = RedPlaneMessage(
             seq=msg.seq,
             msg_type=msg.msg_type,
@@ -739,35 +709,51 @@ class RedPlaneEngine(ControlBlock):
         pkt = make_protocol_packet(
             self.switch.ip, shard.ip, header_only, dport=shard.udp_port
         )
-        # Lineage: the circulating copy descends from the request it would
-        # retransmit; the mirror session records this on the copy's meta.
-        if req_uid:
-            pkt.meta["parent_uid"] = req_uid
         rtx = RetransmitState(
-            kind=kind,
-            idx=idx,
-            seq=seq,
+            kind=key[0],
             msg=header_only,
             sent_at=self.switch.sim.now,
             timeout_us=self.config.retransmit_timeout_us,
             uid=req_uid,
         )
-        copy = self.mirror.mirror(pkt, meta={"rtx": rtx})
-        if kind == "write":
-            self._copies_write.setdefault(idx, {})[seq] = copy
-        elif kind == "lease_new":
-            self._copy_lease[idx] = copy
-        elif kind == "renew":
-            self._copy_renew[idx] = copy
-        elif kind == "snapshot":
-            self._copies_snapshot[(msg.flow_key, msg.aux)] = copy
+        copies = self._inflight.setdefault(key, {})
+        # Only a regressed sequence counter (the skip_lease_install_guard
+        # mutation) reuses a live seq; never orphan the copy it replaces.
+        replaced = copies.get(msg.seq)
+        if replaced is not None:
+            self.mirror.release(replaced)
+        copies[msg.seq] = self.mirror.mirror(pkt, meta={"rtx": rtx})
+
+    def _release(
+        self, key: Tuple[str, object], upto_seq: float = math.inf
+    ) -> List[Tuple[int, RetransmitState]]:
+        """Settle request ``key``: release its copies with seq <= ``upto_seq``.
+
+        The retransmitter's one release rule. Its callers are the events
+        that settle a request: a write ack (seq <= ack), the lease-new
+        ack, the renew ack, a snapshot ack (epoch <= ack), a newer epoch
+        for the same slot, ``SnapshotReplicator.stop`` and
+        :meth:`shutdown`. Returns ``(seq, rtx)`` for each copy it took out
+        of the mirror. A copy that died with its switch (the mirror
+        already dropped it) just leaves the ledger: no ack reached it.
+        """
+        copies = self._inflight.get(key)
+        if copies is None:
+            return []
+        settled = []
+        for seq in [s for s in copies if s <= upto_seq]:
+            copy = copies.pop(seq)
+            if not copy.released:
+                self.mirror.release(copy)
+                settled.append((seq, cast(RetransmitState, copy.meta["rtx"])))
+        if not copies:
+            del self._inflight[key]
+        return settled
 
     def _mirror_pass(self, pkt: Packet, meta: Dict[str, object]) -> bool:
-        """One egress pass of a circulating truncated request copy."""
+        """One egress pass of a circulating copy: resend it if its deadline
+        passed. Releasing is not this handler's job (see :meth:`_release`)."""
         rtx = cast(RetransmitState, meta["rtx"])
-        ctx = PipelineContext(pkt=pkt, now=self.switch.sim.now, block_obj=self)
-        if self._mirror_acked(ctx, rtx):
-            return False
         now = self.switch.sim.now
         if now - rtx.sent_at >= rtx.timeout_us:
             new_uid = self._send_request(None, rtx.msg, parent_uid=rtx.uid)
@@ -794,26 +780,6 @@ class RedPlaneEngine(ControlBlock):
         # Skip the no-op recirculation passes until the deadline.
         meta["next_pass_us"] = max(0.0, rtx.sent_at + rtx.timeout_us - now)
         return True
-
-    def _mirror_acked(self, ctx: PipelineContext, rtx: RetransmitState) -> bool:
-        if rtx.kind == "write":
-            return self.reg_last_acked.read(ctx, rtx.idx) >= rtx.seq
-        if rtx.kind == "lease_new":
-            return self.reg_lease_pending.read(ctx, rtx.idx) == 0
-        if rtx.kind == "renew":
-            return rtx.idx not in self._renew_outstanding
-        if rtx.kind == "snapshot":
-            if self.snapshot_ack_handler is None:
-                return True
-            acked = getattr(self.snapshot_ack_handler, "is_acked", None)
-            if acked is None:
-                return True
-            return acked(rtx.msg)
-        raise AssertionError(f"unknown mirror kind {rtx.kind!r}")
-
-    @staticmethod
-    def _rtx_of(copy: MirrorCopy) -> RetransmitState:
-        return cast(RetransmitState, copy.meta["rtx"])
 
     # ------------------------------------------------------------------
     # misc helpers
@@ -844,7 +810,6 @@ class RedPlaneEngine(ControlBlock):
                     f"({self.config.max_flows} flows)"
                 )
             self._flow_idx[key] = idx
-            self._idx_key[idx] = key
             self._g_flow_table.set(len(self._flow_idx))
         return idx
 
@@ -861,14 +826,15 @@ class RedPlaneEngine(ControlBlock):
         if idle_us is None:
             idle_us = self.config.lease_period_us
         now = self.switch.sim.now
+        inflight = self._inflight
         reclaimed = 0
         for key, idx in list(self._flow_idx.items()):
             expiry = self.reg_lease_expiry.cp_read(idx)
             busy = (
                 self.reg_lease_pending.cp_read(idx) == 1
-                or idx in self._copy_lease
-                or idx in self._copy_renew
-                or self._copies_write.get(idx)
+                or ("lease_new", idx) in inflight
+                or ("renew", idx) in inflight
+                or ("write", idx) in inflight
                 or self.reg_last_acked.cp_read(idx)
                 < self.reg_cur_seq.cp_read(idx)
             )
@@ -884,7 +850,6 @@ class RedPlaneEngine(ControlBlock):
                 reg.cp_write(idx, 0)
             self._state_installed.discard(idx)
             del self._flow_idx[key]
-            del self._idx_key[idx]
             self._free_indices.append(idx)
             reclaimed += 1
         if reclaimed:
@@ -927,19 +892,8 @@ class RedPlaneEngine(ControlBlock):
         (e.g. the store was failed on purpose): otherwise the
         retransmitter keeps the event loop alive indefinitely.
         """
-        for copies in self._copies_write.values():
-            for copy in copies.values():
-                self.mirror.release(copy)
-        self._copies_write.clear()
-        for copy in list(self._copy_lease.values()):
-            self.mirror.release(copy)
-        self._copy_lease.clear()
-        for copy in list(self._copy_renew.values()):
-            self.mirror.release(copy)
-        self._copy_renew.clear()
-        for copy in list(self._copies_snapshot.values()):
-            self.mirror.release(copy)
-        self._copies_snapshot.clear()
+        for key in list(self._inflight):
+            self._release(key)
 
     # -- introspection used by tests and experiments ------------------------
 
@@ -955,16 +909,6 @@ class RedPlaneEngine(ControlBlock):
         if idx is None:
             return False
         return self.reg_lease_expiry.cp_read(idx) > self.switch.sim.now
-
-    def retransmit_states(self) -> List[RetransmitState]:
-        """Backoff state of every circulating request copy, oldest first."""
-        states: List[RetransmitState] = []
-        for copies in self._copies_write.values():
-            states.extend(self._rtx_of(c) for c in copies.values())
-        states.extend(self._rtx_of(c) for c in self._copy_lease.values())
-        states.extend(self._rtx_of(c) for c in self._copy_renew.values())
-        states.extend(self._rtx_of(c) for c in self._copies_snapshot.values())
-        return sorted(states, key=lambda s: (s.sent_at, s.kind, s.idx, s.seq))
 
     def expire_lease_now(self, key: Optional[FlowKey] = None) -> int:
         """Chaos hook: make the switch-side lease view lapse immediately.

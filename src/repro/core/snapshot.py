@@ -155,7 +155,8 @@ class SnapshotReplicator(ControlBlock):
     the frozen slot value, and ships it to the state store. Each snapshot
     round is an *epoch*; the store applies a slot only if its epoch is not
     older than what it already has, and the mirror-based retransmitter
-    keeps resending a slot until its epoch is acknowledged.
+    keeps resending a slot until its epoch is acknowledged or a newer
+    epoch of the slot replaces it.
     """
 
     name = "snapshot-replicator"
@@ -177,10 +178,7 @@ class SnapshotReplicator(ControlBlock):
         #: used to monitor the inconsistency bound epsilon (§5.5).
         self.last_complete_snapshot_at: Optional[float] = None
         self._epoch_pending: Dict[int, int] = {}
-        # The replicator itself is the engine's snapshot-ack handler: it is
-        # called for each SNAPSHOT_REPL_ACK and consulted (``is_acked``) by
-        # the mirror-based retransmitter.
-        engine.snapshot_ack_handler = self
+        engine.snapshot_ack_handler = self._on_ack
 
     # -- pktgen wiring --------------------------------------------------------
 
@@ -204,11 +202,12 @@ class SnapshotReplicator(ControlBlock):
         self.switch.pktgen.start()
 
     def stop(self) -> None:
-        """Stop replicating: no new snapshot requests, and outstanding
-        copies are considered settled (their retransmitter drops them on
-        the next pass)."""
+        """Stop replicating: no new snapshot requests, and every
+        outstanding slot is settled, its circulating copy released now."""
         self.stopped = True
         self.switch.pktgen.stop()
+        for slot_key in self._outstanding:
+            self.engine._release(("snapshot", slot_key))
         self._outstanding.clear()
 
     # -- pipeline block --------------------------------------------------------
@@ -250,9 +249,6 @@ class SnapshotReplicator(ControlBlock):
 
     # -- acknowledgment handling --------------------------------------------------
 
-    def __call__(self, msg: RedPlaneMessage) -> None:
-        self._on_ack(msg)
-
     def _on_ack(self, msg: RedPlaneMessage) -> None:
         self.acks += 1
         slot_key = (msg.flow_key, msg.aux)
@@ -267,13 +263,6 @@ class SnapshotReplicator(ControlBlock):
                     self.last_complete_snapshot_at = self.switch.sim.now
                 else:
                     self._epoch_pending[cur] = remaining
-
-    def is_acked(self, msg: RedPlaneMessage) -> bool:
-        """Retransmission predicate: is this mirrored copy obsolete?"""
-        if self.stopped:
-            return True
-        cur = self._outstanding.get((msg.flow_key, msg.aux))
-        return cur is None or cur != msg.seq
 
     # -- inconsistency bound -----------------------------------------------------
 

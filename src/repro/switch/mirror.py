@@ -92,11 +92,7 @@ class MirrorSession:
             dup.meta["parent_uid"] = inherited_uid
         if self.truncate_to_bytes is not None:
             dup.meta["truncated_to"] = self.truncate_to_bytes
-        copy_meta: Dict[str, object] = dict(meta or {})
-        copy_meta["mirror_ts"] = self.asic.sim.now
-        if dup.meta.get("parent_uid") is not None:
-            copy_meta["parent_uid"] = dup.meta["parent_uid"]
-        copy = MirrorCopy(dup, copy_meta, self.buffered_size(dup))
+        copy = MirrorCopy(dup, dict(meta or {}), self.buffered_size(dup))
         self._g_active.add(1)
         self._c_mirrored.inc()
         self.asic.buffer_acquire(copy.size)

@@ -3,10 +3,15 @@
 import pytest
 
 from repro import RedPlaneConfig, Simulator, deploy
-from repro.apps.counter import SyncCounterApp
+from repro.apps.counter import AsyncCounterApp, SyncCounterApp
+from repro.chaos.workload import CounterWorkload, EchoCounterApp
+from repro.core.app import AppVerdict
+from repro.core.protocol import MessageType, RedPlaneMessage
 from repro.net.links import Link, SinkNode
 from repro.net.packet import Packet, ip_aton
 from repro.switch.asic import SwitchASIC
+from repro.telemetry import trace as tt
+from repro.workloads.failures import FailureSchedule
 
 
 def test_copy_released_when_ack_arrives_not_at_timeout():
@@ -72,3 +77,150 @@ def test_released_copy_pass_is_noop():
     session.release(copy)
     sim.run(until=50.0)
     assert len(passes) == count  # no further passes after release
+
+
+# -- the retransmission ledger ----------------------------------------------
+
+
+def _live(copies):
+    """Copies of one ledger entry the mirror still circulates."""
+    return sum(not copy.released for copy in copies.values())
+
+
+def _live_in_ledger(eng):
+    return sum(_live(copies) for copies in eng._inflight.values())
+
+
+def _watch_ledgers(sim, engines, every_us=25.0):
+    """Sample every ``every_us`` until the run is otherwise idle.
+
+    Returns ``(mismatches, peak)``: the samples at which an engine's
+    ledger disagreed with its mirror session's ``active_copies``, and
+    ``peak["<switch>"]`` (peak ``active_copies``) plus
+    ``peak["per_request"]`` (peak live copies of any one request).
+    """
+    mismatches = []
+    peak = dict.fromkeys([eng.switch.name for eng in engines] + ["per_request"], 0)
+
+    def sample():
+        for eng in engines:
+            active = eng.mirror.active_copies
+            peak[eng.switch.name] = max(peak[eng.switch.name], active)
+            live = _live_in_ledger(eng)
+            if live != active:
+                mismatches.append((sim.now, eng.switch.name, live, active))
+            for copies in eng._inflight.values():
+                peak["per_request"] = max(peak["per_request"], _live(copies))
+        if sim.pending_events:
+            sim.schedule(every_us, sample)
+
+    sim.schedule(0.0, sample)
+    return mismatches, peak
+
+
+def test_copy_that_died_with_its_switch_is_not_acked():
+    """A copy the mirror dropped on a failed switch stays unreported.
+
+    agg2 carries the flow and is down for 100 ms. The write copies in its
+    buffer die with it; after recovery a later write ack covers their
+    sequence numbers, and it must not trace them as acknowledged with the
+    outage as their round trip.
+    """
+    sim = Simulator(seed=42)
+    dep = deploy(sim, EchoCounterApp,
+                 config=RedPlaneConfig(lease_period_us=200_000.0))
+    acks = []
+    sim.tracer.on_emit = (
+        lambda r: acks.append(r.fields) if r.type == tt.RP_ACK else None)
+    CounterWorkload(dep, packets=6_000, gap_us=50.0, start_us=10_000.0).start()
+    schedule = FailureSchedule(dep, detect_delay_us=1_000.0)
+    schedule.fail_switch_at(60_010.0, "agg2")
+    schedule.recover_switch_at(160_010.0, "agg2")
+    mismatches, _peak = _watch_ledgers(sim, list(dep.engines.values()))
+    sim.run_until_idle()
+
+    agg2 = [a for a in acks if a["switch"] == "agg2"]
+    assert agg2, "the scenario must route the flow through agg2"
+    assert max(a["rtt_us"] for a in agg2) < 100.0
+    rtt = sim.metrics.histogram("redplane.ack_rtt_us", switch="agg2")
+    assert rtt.summary()["max"] < 100.0
+    assert mismatches == []
+    assert all(_live_in_ledger(e) == 0 for e in dep.engines.values())
+
+
+def test_store_outage_keeps_one_snapshot_copy_per_slot():
+    """Bounded mode, chain head down for 10 ms: each new epoch settles the
+    slot's older copy, so the ledger and the mirror agree at every sample
+    and no slot ever has two copies circulating."""
+    sim = Simulator(seed=4)
+    dep = deploy(sim, lambda: AsyncCounterApp(slots=4))
+    store = dep.stores[0]
+    sim.schedule_at(2_000.0, store.fail)
+    sim.schedule_at(12_000.0, store.recover)
+    engines = list(dep.engines.values())
+    mismatches, peak = _watch_ledgers(sim, engines)
+    sim.run(until=20_000.0)
+    for rep in dep.replicators.values():
+        rep.stop()
+    sim.run_until_idle()
+
+    assert sum(e.stats["retransmissions"] for e in engines) > 0
+    assert mismatches == []
+    assert peak["per_request"] == 1
+    assert max(peak[e.switch.name] for e in engines) == 4  # one per slot
+    assert all(e.mirror.active_copies == 0 for e in engines)
+
+
+class ReadOnlyCounterApp(SyncCounterApp):
+    """Reads its flow's state and never writes it: every packet after the
+    lease grant takes the fast path, where renewals are sent."""
+
+    name = "read-only-counter"
+
+    def process(self, state, pkt, ctx, switch):
+        state.get("count")
+        return AppVerdict.FORWARD
+
+
+def test_renewals_during_store_outage_hold_one_copy_per_flow():
+    """Renewals fall due every 200 us while the store is down for 2 ms:
+    each is sent, but only the first is mirrored, and the renew ack that
+    finally returns settles it."""
+    sim = Simulator(seed=4)
+    dep = deploy(sim, ReadOnlyCounterApp, chain_length=1,
+                 config=RedPlaneConfig(renew_interval_us=200.0))
+    e1, s11 = dep.bed.externals[0], dep.bed.servers[0]
+    for i in range(100):
+        sim.schedule_at(i * 50.0, e1.send,
+                        Packet.udp(e1.ip, s11.ip, 5555, 7777))
+    store = dep.stores[0]
+    sim.schedule_at(1_000.0, store.fail)
+    sim.schedule_at(3_000.0, store.recover)
+    engines = list(dep.engines.values())
+    mismatches, peak = _watch_ledgers(sim, engines)
+    sim.run_until_idle()
+
+    eng = max(engines, key=lambda e: e.stats["lease_renewals"])
+    assert eng.stats["lease_renewals"] >= 10
+    assert eng.stats["retransmissions"] > 0
+    assert mismatches == []
+    assert peak[eng.switch.name] == peak["per_request"] == 1
+    assert _live_in_ledger(eng) == 0
+
+
+def test_reused_sequence_number_never_orphans_a_copy():
+    """Only a regressed sequence counter (the skip_lease_install_guard
+    mutation) mirrors a second copy at a live seq; the one it replaces is
+    released rather than left circulating outside the ledger."""
+    sim = Simulator(seed=1)
+    dep = deploy(sim, SyncCounterApp, chain_length=1)
+    eng = dep.engines[dep.bed.aggs[0].name]
+    e1, s11 = dep.bed.externals[0], dep.bed.servers[0]
+    msg = RedPlaneMessage(
+        seq=1, msg_type=MessageType.REPL_WRITE_REQ,
+        flow_key=Packet.udp(e1.ip, s11.ip, 5555, 7777).flow_key(), vals=[1])
+    eng._mirror_request(msg, ("write", 0), req_uid=1)
+    eng._mirror_request(msg, ("write", 0), req_uid=2)
+    assert eng.mirror.active_copies == _live_in_ledger(eng) == 1
+    eng.shutdown()
+    assert eng.mirror.active_copies == 0
