@@ -16,12 +16,9 @@ from repro.analysis.bandwidth import (
 )
 from repro.analysis.latency import (
     LatencyBands,
-    histogram_overhead_vs_baseline,
     overhead_vs_baseline,
     slow_path_fraction,
     split_fast_slow,
-    split_histogram,
-    summarize_histogram,
 )
 from repro.analysis.plotting import ascii_cdf, ascii_series, ascii_timeline
 from repro.analysis.scale import (
@@ -38,7 +35,6 @@ from repro.analysis.throughput import (
     fig12_rows,
     fig13_series,
     kv_throughput_mpps,
-    measured_mpps,
     throughput_mpps,
 )
 
@@ -62,12 +58,9 @@ __all__ = [
     "per_switch_bandwidth",
     "scale_sweep",
     "LatencyBands",
-    "histogram_overhead_vs_baseline",
     "overhead_vs_baseline",
     "slow_path_fraction",
     "split_fast_slow",
-    "split_histogram",
-    "summarize_histogram",
     "cdf_points",
     "format_cdf_row",
     "percentile",
@@ -77,6 +70,5 @@ __all__ = [
     "fig12_rows",
     "fig13_series",
     "kv_throughput_mpps",
-    "measured_mpps",
     "throughput_mpps",
 ]

@@ -8,10 +8,9 @@ new-flow packets, and the synchronous-replication detour of writes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.analysis.stats import percentile
-from repro.telemetry import Histogram
 
 
 @dataclass
@@ -49,26 +48,3 @@ def overhead_vs_baseline(rtts: Sequence[float], baseline: Sequence[float],
                          p: float = 50.0) -> float:
     """Added latency at percentile ``p`` relative to a baseline run (us)."""
     return percentile(rtts, p) - percentile(baseline, p)
-
-
-# -- telemetry-histogram front-ends -------------------------------------------
-#
-# The probes publish RTTs into ``probe.rtt_us{host=...}`` histograms; these
-# helpers run the same decompositions straight off a registry instrument so
-# benchmark code does not need to keep its own sample lists around.
-
-def summarize_histogram(hist: Histogram) -> Dict[str, float]:
-    """Paper-style p50/p90/p99 summary of a telemetry histogram."""
-    return hist.summary()
-
-
-def split_histogram(hist: Histogram, factor: float = 3.0) -> LatencyBands:
-    """Fast/slow split over a histogram's retained sample reservoir."""
-    return split_fast_slow(hist.samples, factor)
-
-
-def histogram_overhead_vs_baseline(
-    hist: Histogram, baseline: Histogram, p: float = 50.0
-) -> float:
-    """Added latency at percentile ``p`` between two telemetry histograms."""
-    return hist.percentile(p) - baseline.percentile(p)

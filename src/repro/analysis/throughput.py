@@ -27,20 +27,6 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.net import constants
-from repro.telemetry import MetricRegistry
-
-
-def measured_mpps(
-    registry: MetricRegistry, switch_name: str, duration_us: float
-) -> float:
-    """Packet-level forwarding rate observed by one switch (Mpps).
-
-    Reads the ``switch.pkts_processed`` counter from the run's metric
-    registry — the packet-level cross-check of the fluid model below.
-    """
-    if duration_us <= 0:
-        raise ValueError("duration must be positive")
-    return registry.total("switch.pkts_processed", switch=switch_name) / duration_us
 
 
 @dataclass(frozen=True)

@@ -61,8 +61,6 @@ class NatApp(InSwitchApp):
     def __init__(self, public_ip: int = NAT_PUBLIC_IP) -> None:
         self.public_ip = public_ip
         self.translated_out = 0
-        self.translated_in = 0
-        self.dropped_unknown = 0
 
     def partition_key(self, pkt: Packet) -> Optional[FlowKey]:
         """One key for both directions: (remote endpoint, public port)."""
@@ -88,7 +86,6 @@ class NatApp(InSwitchApp):
             # why losing the table breaks established connections (Fig 1).
             if not state.get("established"):
                 if isinstance(pkt.l4, TCPHeader) and not pkt.l4.has(TCP_SYN):
-                    self.dropped_unknown += 1
                     return AppVerdict.DROP
                 state.set("int_ip", pkt.ip.src)
                 state.set("established", 1)
@@ -99,10 +96,8 @@ class NatApp(InSwitchApp):
         # connection is unknown (no translation state = broken connection,
         # exactly the Fig 1 failure mode when state is lost).
         if not state.get("established"):
-            self.dropped_unknown += 1
             return AppVerdict.DROP
         pkt.ip.dst = state.get("int_ip")
-        self.translated_in += 1
         return AppVerdict.FORWARD
 
     def resource_usage(self) -> dict:

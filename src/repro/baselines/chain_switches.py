@@ -33,7 +33,6 @@ class SwitchChainHead(ControlBlock):
         self.app = app
         self.backup_ip = backup_ip
         self.state: Dict[FlowKey, List[int]] = {}
-        self.updates_sent = 0
 
     def process(self, ctx: PipelineContext, switch: SwitchASIC) -> bool:
         pkt = ctx.pkt
@@ -62,7 +61,6 @@ class SwitchChainHead(ControlBlock):
             )
             update.meta["rp_kind"] = "request"
             ctx.emit(update)
-            self.updates_sent += 1
         if verdict is AppVerdict.DROP:
             ctx.drop()
             return False

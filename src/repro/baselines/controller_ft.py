@@ -57,16 +57,6 @@ class ExternalController:
             latency += CONTROLLER_CHAIN_US
         return latency
 
-    def record_update(self, key: FlowKey, vals: List[int], done) -> None:
-        """Synchronously mirror one state update, then call ``done``."""
-
-        def commit() -> None:
-            self.mirrored_state[key] = list(vals)
-            self.updates_recorded += 1
-            done()
-
-        self.sim.schedule(self.update_latency_us(), commit)
-
     def store_snapshot(self, state: Dict[FlowKey, List[int]]) -> None:
         self.snapshots.append({k: list(v) for k, v in state.items()})
         self.snapshot_times.append(self.sim.now)

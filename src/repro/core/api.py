@@ -17,7 +17,6 @@ from repro.switch.asic import SwitchASIC
 from repro.core.app import InSwitchApp
 from repro.core.engine import RedPlaneConfig, RedPlaneEngine
 from repro.statestore.netchain import NetChainBackend, NetChainStoreBlock
-from repro.statestore.server import StateAllocator
 from repro.statestore.sharding import ShardMap
 
 
@@ -43,7 +42,6 @@ def attach_netchain_store(
     switch: SwitchASIC,
     backend: Optional[NetChainBackend] = None,
     lease_period_us: float = constants.LEASE_PERIOD_US,
-    allocator: Optional[StateAllocator] = None,
 ) -> NetChainStoreBlock:
     """Serve a shard's state from ``switch`` itself, NetChain-style.
 
@@ -57,7 +55,7 @@ def attach_netchain_store(
     in the switch's resource ledger. Returns the block for introspection.
     """
     block = NetChainStoreBlock(
-        switch, backend=backend, lease_period_us=lease_period_us, allocator=allocator
+        switch, backend=backend, lease_period_us=lease_period_us
     )
     switch.add_block(block)
     return block

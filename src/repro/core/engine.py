@@ -813,18 +813,17 @@ class RedPlaneEngine(ControlBlock):
             self._g_flow_table.set(len(self._flow_idx))
         return idx
 
-    def reclaim_idle_flows(self, idle_us: Optional[float] = None) -> int:
+    def reclaim_idle_flows(self) -> int:
         """Free flow-table entries whose lease lapsed long ago.
 
         The per-flow SRAM is a fixed-size resource (Table 2 sizes it at
         ``max_flows``); a production deployment reclaims entries for dead
         flows from the control plane. An entry is reclaimable once its
-        lease has been expired for ``idle_us`` (default: one lease period
-        — by then the store would re-grant from scratch anyway) and it has
-        no in-flight protocol activity. Returns the number reclaimed.
+        lease has been expired for one lease period (by then the store
+        would re-grant from scratch anyway) and it has no in-flight
+        protocol activity. Returns the number reclaimed.
         """
-        if idle_us is None:
-            idle_us = self.config.lease_period_us
+        idle_us = self.config.lease_period_us
         now = self.switch.sim.now
         inflight = self._inflight
         reclaimed = 0
@@ -910,8 +909,8 @@ class RedPlaneEngine(ControlBlock):
             return False
         return self.reg_lease_expiry.cp_read(idx) > self.switch.sim.now
 
-    def expire_lease_now(self, key: Optional[FlowKey] = None) -> int:
-        """Chaos hook: make the switch-side lease view lapse immediately.
+    def expire_lease_now(self) -> int:
+        """Chaos hook: make every switch-side lease view lapse immediately.
 
         Models a local clock glitch or a renewal that never landed. The
         switch-side expiry is already conservative (margin below the
@@ -920,14 +919,9 @@ class RedPlaneEngine(ControlBlock):
         safety violation; the store still arbitrates ownership. Returns
         the number of flow entries whose lease was expired.
         """
-        if key is not None:
-            idx = self._flow_idx.get(key)
-            targets = [] if idx is None else [idx]
-        else:
-            targets = list(self._flow_idx.values())
         now = self.switch.sim.now
         expired = 0
-        for idx in targets:
+        for idx in self._flow_idx.values():
             if self.reg_lease_expiry.cp_read(idx) > now:
                 self.reg_lease_expiry.cp_write(idx, int(now))
                 expired += 1

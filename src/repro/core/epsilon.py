@@ -52,7 +52,6 @@ class EpsilonGuard(ControlBlock):
         epsilon_us: float,
         policy: EpsilonPolicy = EpsilonPolicy.DROP_PACKETS,
         on_violation: Optional[Callable[[], None]] = None,
-        check_interval_us: Optional[float] = None,
     ) -> None:
         if epsilon_us <= 0:
             raise ValueError("epsilon must be positive")
@@ -60,7 +59,8 @@ class EpsilonGuard(ControlBlock):
         self.epsilon_us = epsilon_us
         self.policy = policy
         self.on_violation = on_violation
-        self.check_interval_us = check_interval_us or (epsilon_us / 4)
+        #: Watchdog poll period: four checks per bound.
+        self.check_interval_us = epsilon_us / 4
         self.switch = replicator.switch
         self.violated = False
         self.violations = 0

@@ -162,9 +162,6 @@ def deploy_netchain(
     sim: Simulator,
     app_factory: AppFactory,
     config: Optional[RedPlaneConfig] = None,
-    allocator: Optional[StateAllocator] = None,
-    link_loss: float = 0.0,
-    link_reorder: float = 0.0,
     store_size: int = 1024,
 ) -> Deployment:
     """Deploy with a NetChain-style *in-switch* store instead of servers.
@@ -196,15 +193,12 @@ def deploy_netchain(
         sim,
         agg_factory=make_agg,
         tor_factory=make_tor,
-        link_loss=link_loss,
-        link_reorder=link_reorder,
     )
     tor = bed.tors[0]
     assert isinstance(tor, SwitchASIC)
     backend = NetChainBackend(label=f"{tor.name}.netchain", size=store_size)
     block = attach_netchain_store(
         tor, backend=backend, lease_period_us=config.lease_period_us,
-        allocator=allocator,
     )
     shard_map = ShardMap(
         [ShardAddress(ip=tor.ip, udp_port=NETCHAIN_UDP_PORT)]

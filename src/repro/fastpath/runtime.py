@@ -202,22 +202,3 @@ class FastPath:
             "invalidations": dict(self.bus.counts),
             "capacity_flushes": self.capacity_flushes,
         }
-
-    def publish_metrics(self) -> None:
-        """Export stats through the run's metric registry.
-
-        Called explicitly by harnesses *after* verdict reports are built:
-        chaos verdicts must not depend on whether a fast path was
-        installed, so these metrics never feed them.
-        """
-        m = self.sim.metrics
-        for ac in self._asics.values():
-            if ac is None:
-                continue
-            name = ac.engine.switch.name
-            m.counter("fastpath.cache_hits", switch=name).inc(ac.hits)
-            m.counter("fastpath.cache_misses", switch=name).inc(ac.misses)
-            m.gauge("fastpath.cache_entries", switch=name).set(len(ac.entries))
-        for scope, count in self.bus.counts.items():
-            if count:
-                m.counter("fastpath.invalidations", scope=scope).inc(count)

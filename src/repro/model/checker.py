@@ -46,7 +46,6 @@ class CheckResult:
 def model_check(
     cfg: Optional[ModelConfig] = None,
     max_states: int = 2_000_000,
-    check_deadlock: bool = True,
 ) -> CheckResult:
     """Explore the full reachable state space of the protocol model.
 
@@ -76,7 +75,7 @@ def model_check(
             result.violation = violation
             return result
         if not nexts:
-            if check_deadlock and not _is_expected_terminal(state, cfg):
+            if not _is_expected_terminal(state, cfg):
                 result.deadlocks.append(state)
             continue
         for nxt in nexts:

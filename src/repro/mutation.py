@@ -77,10 +77,6 @@ def disable(name: str) -> None:
     _active.pop(name, None)
 
 
-def disable_all() -> None:
-    _active.clear()
-
-
 @contextmanager
 def seeded_bug(name: str) -> Iterator[None]:
     """Enable a mutation for the duration of a ``with`` block, leak-proof."""

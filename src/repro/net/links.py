@@ -203,7 +203,6 @@ class Link:
         bandwidth_gbps: float = constants.LINK_BANDWIDTH_GBPS,
         loss_rate: float = 0.0,
         reorder_rate: float = 0.0,
-        queue_limit_bytes: Optional[int] = None,
         name: Optional[str] = None,
     ) -> None:
         # Comparisons written so that NaN fails them.
@@ -217,9 +216,6 @@ class Link:
         if not bandwidth_gbps > 0.0:
             raise ValueError(
                 f"bandwidth_gbps must be positive, got {bandwidth_gbps}")
-        if queue_limit_bytes is not None and not queue_limit_bytes > 0:
-            raise ValueError("queue_limit_bytes must be None or positive, "
-                             f"got {queue_limit_bytes}")
         if a.link is not None or b.link is not None:
             raise RuntimeError("port already has a link attached")
         self.sim = sim
@@ -231,8 +227,6 @@ class Link:
         self.bandwidth_gbps = bandwidth_gbps
         self.loss_rate = loss_rate
         self.reorder_rate = reorder_rate
-        #: Finite transmit queue (tail drop) per direction; None = infinite.
-        self.queue_limit_bytes = queue_limit_bytes
         self.up = True
         self.name = name or f"{a.node.name}<->{b.node.name}"
         # Counter handles are cached (here and per direction in the lanes)
@@ -242,13 +236,10 @@ class Link:
         m = sim.metrics
         self._lane_a = Lane(self, a, b)
         self._lane_b = Lane(self, b, a)
-        self._ctr_queue_drops = m.counter("link.queue_drops", link=self.name)
         self._ctr_duplicated = m.counter("link.duplicated", link=self.name)
         #: ``link.drops{link,reason}`` handles, created lazily per reason;
         #: read with ``sim.metrics.total("link.drops", reason=...)``.
         self._ctr_drops: Dict[str, object] = {}
-        #: Optional taps invoked for every transmitted packet: fn(pkt, src_port).
-        self.taps: List[Callable[[Packet, Port], None]] = []
 
     def other_end(self, port: Port) -> Port:
         return self._lane_of(port).dst_port
@@ -292,10 +283,10 @@ class Link:
         """Send a packet from ``src_port`` toward the other end — the
         first event of a hop, or ``Port.send``'s synchronous call.
 
-        A direction in the trivial condition (link up, no loss, reorder,
-        tap, queue limit or impairment) draws no randomness and can drop
-        nothing at the sending end, so it skips straight from the send
-        record to the serialization arithmetic; anything else runs every
+        A direction in the trivial condition (link up, no loss, reorder
+        or impairment) draws no randomness and can drop nothing at the
+        sending end, so it skips straight from the send record to the
+        serialization arithmetic; anything else runs every
         verdict below. The choice is re-made per packet from the link's
         current state, and both branches produce the same records,
         counters and event for a packet both could carry.
@@ -322,7 +313,7 @@ class Link:
         kind = meta.get("rp_kind", "app")
         parent = meta.get("parent_uid")
         # The send record marks the packet *entering* the link direction —
-        # emitted before the down/partition/loss/queue verdicts so every
+        # emitted before the down/partition/loss verdicts so every
         # wire-level drop pairs with an origin (span completeness).
         # ``flow`` and ``parent`` are present only when set, so each
         # combination is its own keyword call: one kwargs dict per record.
@@ -345,10 +336,8 @@ class Link:
         if (
             self.up
             and impairment is None
-            and not self.taps
             and not self.loss_rate
             and not self.reorder_rate
-            and self.queue_limit_bytes is None
         ):
             lane.ctr_tx_bytes.inc(nbytes)
             lane.ctr_tx_packets.inc()
@@ -369,8 +358,6 @@ class Link:
             return
         lane.ctr_tx_bytes.inc(nbytes)
         lane.ctr_tx_packets.inc()
-        for tap in self.taps:
-            tap(pkt, src_port)
         rng = sim.rng
         if self.loss_rate > 0.0 and rng.random() < self.loss_rate:
             self._drop(pkt, lane, "loss", nbytes)
@@ -393,13 +380,6 @@ class Link:
                 jitter_us = rng.random() * impairment.jitter_us
         # Store-and-forward with per-direction serialization queueing.
         start = max(now, lane.busy_until)
-        if self.queue_limit_bytes is not None:
-            backlog_bytes = (start - now) * rate_gbps * 1000.0 / 8.0
-            if backlog_bytes + nbytes > self.queue_limit_bytes:
-                # Tail drop: the transmit queue is full.
-                self._ctr_queue_drops.inc()
-                self._drop(pkt, lane, "queue", nbytes)
-                return
         copies = 2 if duplicated else 1
         ser_us = (nbytes * 8) / (rate_gbps * 1000.0)
         lane.busy_until = start + ser_us * copies
@@ -501,10 +481,6 @@ class Link:
         return (a if a > 0.0 else 0.0) + (b if b > 0.0 else 0.0)
 
     # -- registry-backed accounting views ---------------------------------------
-
-    @property
-    def queue_drops(self) -> int:
-        return int(self._ctr_queue_drops.value)
 
     def total_tx_bytes(self) -> int:
         return (int(self._lane_a.ctr_tx_bytes.value)

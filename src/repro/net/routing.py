@@ -34,8 +34,8 @@ def ecmp_hash(key: FlowKey, seed: int = 0) -> int:
     load balancer) pick the same next hop. IP addresses are excluded
     because address-translating apps rewrite them asymmetrically.
 
-    CRC32 mixed with a per-switch seed: different switches still spread
-    the same flows differently, like real silicon.
+    CRC32 mixed with a seed; the fabric uses one network-wide seed
+    (:attr:`L3Switch.ECMP_SEED`).
     """
     lo, hi = sorted((key.sport, key.dport))
     material = bytes([key.proto]) + lo.to_bytes(2, "big") + hi.to_bytes(2, "big")
@@ -72,11 +72,17 @@ class RoutingTable:
         self.version = 0
 
     def add(self, prefix: int, mask_len: int, ports: List[Port]) -> Route:
+        """Install the route for ``prefix/mask_len``, replacing the one
+        the table already holds for that exact prefix."""
         if not ports:
             raise ValueError("a route needs at least one next-hop port")
         route = Route(prefix, mask_len, tuple(ports))
-        self._routes.append(route)
         self.version += 1
+        for i, old in enumerate(self._routes):
+            if old.prefix == prefix and old.mask_len == mask_len:
+                self._routes[i] = route
+                return route
+        self._routes.append(route)
         # Keep sorted longest-prefix-first so lookup is a linear scan.
         self._routes.sort(key=lambda r: -r.mask_len)
         return route
@@ -98,20 +104,17 @@ class L3Switch(Node):
     the routing layer only spreads flows over believed-up next hops.
     """
 
-    #: Network-wide default ECMP seed. Sharing one seed across switches
-    #: (same silicon, same config) is what lets the fabric deliver the
-    #: per-partition affinity the paper's deployment relies on; per-switch
-    #: seeds can still be set to study affinity loss.
-    DEFAULT_ECMP_SEED = 0x5EED
+    #: Network-wide ECMP seed. Sharing one seed across switches (same
+    #: silicon, same config) is what lets the fabric deliver the
+    #: per-partition affinity the paper's deployment relies on.
+    ECMP_SEED = 0x5EED
 
-    def __init__(self, sim: Simulator, name: str, ecmp_seed: Optional[int] = None) -> None:
+    def __init__(self, sim: Simulator, name: str) -> None:
         super().__init__(sim, name)
         self.table = RoutingTable()
         self.port_up_belief: Dict[int, bool] = {}
-        #: Bumped on every belief or ECMP-seed change; see
-        #: :attr:`RoutingTable.version`.
+        #: Bumped on every belief change; see :attr:`RoutingTable.version`.
         self.belief_version = 0
-        self.ecmp_seed = ecmp_seed if ecmp_seed is not None else self.DEFAULT_ECMP_SEED
         #: ``(dst, proto, sport, dport) -> port`` results of
         #: :meth:`select_port`, valid for the versions stamped beside it.
         self._route_cache: Dict[tuple, Port] = {}
@@ -120,15 +123,6 @@ class L3Switch(Node):
         self.dropped_no_route = 0
         self.dropped_ttl = 0
         self.dropped_no_next_hop = 0
-
-    @property
-    def ecmp_seed(self) -> int:
-        return self._ecmp_seed
-
-    @ecmp_seed.setter
-    def ecmp_seed(self, seed: int) -> None:
-        self._ecmp_seed = seed
-        self.belief_version += 1
 
     # -- belief management --------------------------------------------------
 
@@ -171,9 +165,9 @@ class L3Switch(Node):
         """Pick the output port for a packet without sending it.
 
         The LPM + ECMP result depends only on the destination, the
-        hashed part of the flow identity, the table, the beliefs and the
-        seed, so it is cached per ``(dst, proto, sport, dport)`` until
-        one of the latter three changes version. Only successful
+        hashed part of the flow identity, the table and the beliefs, so
+        it is cached per ``(dst, proto, sport, dport)`` until one of the
+        latter two changes version. Only successful
         selections are cached: a drop re-walks the table so its counters
         fire per packet.
         """
@@ -209,5 +203,5 @@ class L3Switch(Node):
             self.dropped_no_next_hop += 1
             self.sim.count("route.drops.no_next_hop")
             return None
-        index = ecmp_hash(pkt.flow_key(), self.ecmp_seed) % len(alive)
+        index = ecmp_hash(pkt.flow_key(), self.ECMP_SEED) % len(alive)
         return alive[index]

@@ -103,14 +103,12 @@ def _attach_heartbeat(sim: Simulator, config: ShardRunConfig,
         return None
     import os
 
-    from repro.observe import HeartbeatEmitter
+    from repro import observe
 
     os.makedirs(config.heartbeat_dir, exist_ok=True)
     path = os.path.join(config.heartbeat_dir, f"heartbeat.{label}.ndjson")
-    emitter = HeartbeatEmitter(
-        sim, interval_us=_HEARTBEAT_INTERVAL_US, path=path)
-    sim.on_event = emitter.tick
-    return emitter
+    return observe.attach(sim, heartbeat_path=path,
+                          heartbeat_interval_us=_HEARTBEAT_INTERVAL_US)
 
 
 def run_reference(config: ShardRunConfig) -> Dict[str, Any]:

@@ -169,14 +169,12 @@ class NetChainStoreBlock(ControlBlock):
         switch,
         backend: Optional[NetChainBackend] = None,
         lease_period_us: float = constants.LEASE_PERIOD_US,
-        allocator=None,
     ) -> None:
         self.switch = switch
         self.backend = backend if backend is not None else NetChainBackend(
             label=f"{switch.name}.netchain"
         )
         self.lease_period_us = lease_period_us
-        self.allocator = allocator
         m = switch.sim.metrics
         self._c_requests = m.counter(
             "store.requests_processed", node=switch.name)
@@ -266,20 +264,14 @@ class NetChainStoreBlock(ControlBlock):
 
         if mt is MessageType.LEASE_NEW_REQ:
             was_init = self.backend.reg_init.access(ctx, idx, _set_one)
-            init_vals: List[int] = []
-            if not was_init and self.allocator is not None:
-                init_vals = list(self.allocator(key))
-            n_new = len(init_vals)
+            # A first lease starts the record empty: no values, zeroed slots.
             nvals = self.backend.reg_nvals.access(
-                ctx, idx,
-                lambda old: (old, old) if was_init else (n_new, n_new),
+                ctx, idx, lambda old: (old, old) if was_init else (0, 0),
             )
             vals: List[int] = []
-            for i, reg in enumerate(self.backend.reg_vals):
-                seed = init_vals[i] if i < n_new else 0
+            for reg in self.backend.reg_vals:
                 cur = reg.access(
-                    ctx, idx,
-                    lambda old, v=seed: (old, old) if was_init else (v, v),
+                    ctx, idx, lambda old: (old, old) if was_init else (0, 0),
                 )
                 vals.append(cur)
             last_seq = self.backend.reg_seq.access(ctx, idx, _keep)

@@ -89,13 +89,13 @@ class StateStoreNode(Host):
         name: str,
         ip: int,
         lease_period_us: float = constants.LEASE_PERIOD_US,
-        proc_delay_us: float = constants.STORE_PROC_US,
         allocator: Optional[StateAllocator] = None,
         backend: Optional[StateStoreBackend] = None,
     ) -> None:
         super().__init__(sim, name, ip)
         self.lease_period_us = lease_period_us
-        self.proc_delay_us = proc_delay_us
+        #: Per-request processing delay (us); ``degrade_store`` raises it.
+        self.proc_delay_us = constants.STORE_PROC_US
         #: Per-request service time (us). Zero models latency only; set to
         #: ``1 / capacity`` to model a finite-capacity server whose queue
         #: becomes the bottleneck for write-heavy workloads (Figs 12/13).

@@ -2,8 +2,8 @@
 
 Provides the abstractions the paper's P4 prototype is written against:
 match-action pipelines, register arrays (one access per array per packet),
-match tables, egress mirroring with truncation, a hardware packet
-generator, a slow control-plane channel, and static resource accounting.
+egress mirroring with truncation, a hardware packet generator, a slow
+control-plane channel, and static resource accounting.
 """
 
 from repro.switch.asic import SwitchASIC
@@ -19,7 +19,6 @@ from repro.switch.pipeline import (
 from repro.switch.pktgen import PacketGenerator
 from repro.switch.registers import PairedRegisterArray, RegisterArray
 from repro.switch.resources import CAPACITY, ResourceModel, TABLE2_ROWS
-from repro.switch.tables import ActionEntry, MatchKind, MatchTable
 
 __all__ = [
     "SwitchASIC",
@@ -36,7 +35,4 @@ __all__ = [
     "ResourceModel",
     "CAPACITY",
     "TABLE2_ROWS",
-    "ActionEntry",
-    "MatchKind",
-    "MatchTable",
 ]

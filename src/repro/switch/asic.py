@@ -41,8 +41,6 @@ class SwitchASIC(L3Switch):
         sim: Simulator,
         name: str,
         ip: int,
-        buffer_bytes: int = constants.SWITCH_BUFFER_BYTES,
-        capacity_mpps: float = constants.SWITCH_MAX_FORWARD_MPPS,
     ) -> None:
         super().__init__(sim, name)
         #: The switch's protocol address (for RedPlane messages).
@@ -51,8 +49,8 @@ class SwitchASIC(L3Switch):
         self.control_plane = SwitchControlPlane(self)
         self.pktgen = PacketGenerator(self)
         self.resources = ResourceModel()
-        self.buffer_bytes = buffer_bytes
-        self.capacity_mpps = capacity_mpps
+        #: Packet-buffer capacity; exceeding it is a modelling error.
+        self.buffer_bytes = constants.SWITCH_BUFFER_BYTES
         self._mirror_sessions: Dict[int, MirrorSession] = {}
         self._next_mirror_id = 1
         # All per-switch accounting lives in the run's metric registry,
@@ -74,13 +72,9 @@ class SwitchASIC(L3Switch):
     # -- peripherals -----------------------------------------------------------
 
     def new_mirror_session(
-        self,
-        truncate_to_bytes: Optional[int] = None,
-        pass_interval_us: float = constants.MIRROR_PASS_US,
+        self, truncate_to_bytes: Optional[int] = None
     ) -> MirrorSession:
-        session = MirrorSession(
-            self, self._next_mirror_id, truncate_to_bytes, pass_interval_us
-        )
+        session = MirrorSession(self, self._next_mirror_id, truncate_to_bytes)
         self._mirror_sessions[self._next_mirror_id] = session
         self._next_mirror_id += 1
         return session

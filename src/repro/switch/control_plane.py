@@ -33,23 +33,19 @@ class SwitchControlPlane:
         #: Application-installed handler for punted packets.
         self.punt_handler: Optional[PuntHandler] = None
         self._cpu_busy_until = 0.0
-        self.ops_executed = 0
-        self.packets_punted = 0
-        self.pcie_bytes = 0
 
     # -- scheduling helpers -------------------------------------------------------
 
-    def _cpu_run(self, cost_us: float, fn: Callable[..., None], *args: Any) -> None:
+    def _cpu_run(self, fn: Callable[..., None], *args: Any) -> None:
         """Serialize ``fn`` through the single control-plane CPU."""
         start = max(self.sim.now, self._cpu_busy_until)
-        finish = start + cost_us
+        finish = start + constants.CONTROL_PLANE_OP_US
         self._cpu_busy_until = finish
         self.sim.schedule_at(finish, self._execute, fn, args)
 
     def _execute(self, fn: Callable[..., None], args: tuple) -> None:
         if self.asic.failed:
             return
-        self.ops_executed += 1
         fp = self.sim.fastpath
         if fp is not None:
             # The callable is opaque and may install/remove table entries;
@@ -60,25 +56,17 @@ class SwitchControlPlane:
 
     # -- public API ----------------------------------------------------------------
 
-    def submit(
-        self,
-        fn: Callable[..., None],
-        *args: Any,
-        cost_us: float = constants.CONTROL_PLANE_OP_US,
-    ) -> None:
+    def submit(self, fn: Callable[..., None], *args: Any) -> None:
         """Run a control-plane operation (e.g. a table install).
 
-        The operation crosses PCIe, executes on the CPU for ``cost_us``,
-        and its effects (the callable) apply when it completes.
+        The operation crosses PCIe, executes on the CPU for
+        ``CONTROL_PLANE_OP_US``, and its effects (the callable) apply when
+        it completes.
         """
-        self.sim.schedule(
-            constants.PCIE_ONEWAY_US, self._cpu_run, cost_us, fn, *args
-        )
+        self.sim.schedule(constants.PCIE_ONEWAY_US, self._cpu_run, fn, *args)
 
     def punt(self, pkt: Packet) -> None:
         """Deliver a data-plane packet to the CPU (slow path)."""
-        self.packets_punted += 1
-        self.pcie_bytes += pkt.byte_size()
         pcie_delay = constants.PCIE_ONEWAY_US + self._pcie_serialization_us(pkt)
         self.sim.schedule(pcie_delay, self._deliver_punt, pkt)
 
@@ -88,11 +76,10 @@ class SwitchControlPlane:
         if self.punt_handler is None:
             self.sim.count(f"{self.asic.name}.cp.unhandled_punt")
             return
-        self._cpu_run(constants.CONTROL_PLANE_OP_US, self.punt_handler, pkt)
+        self._cpu_run(self.punt_handler, pkt)
 
     def reinject(self, pkt: Packet) -> None:
         """Send a packet from the CPU back into the data-plane pipeline."""
-        self.pcie_bytes += pkt.byte_size()
         pcie_delay = constants.PCIE_ONEWAY_US + self._pcie_serialization_us(pkt)
         self.sim.schedule(pcie_delay, self._reinject_arrive, pkt)
 

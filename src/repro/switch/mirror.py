@@ -56,12 +56,10 @@ class MirrorSession:
         asic: "SwitchASIC",
         session_id: int,
         truncate_to_bytes: Optional[int] = None,
-        pass_interval_us: float = constants.MIRROR_PASS_US,
     ) -> None:
         self.asic = asic
         self.session_id = session_id
         self.truncate_to_bytes = truncate_to_bytes
-        self.pass_interval_us = pass_interval_us
         self.handler: Optional[PassHandler] = None
         self._g_active = asic.sim.metrics.gauge(
             "mirror.active_copies", switch=asic.name, session=session_id
@@ -97,7 +95,7 @@ class MirrorSession:
         self._c_mirrored.inc()
         self.asic.buffer_acquire(copy.size)
         copy.event = self.asic.sim.schedule(
-            self.pass_interval_us, self._one_pass, copy
+            constants.MIRROR_PASS_US, self._one_pass, copy
         )
         return copy
 
@@ -134,7 +132,7 @@ class MirrorSession:
             # between now and the retransmission deadline (pure
             # event-count savings; releases happen via release()).
             delay = max(
-                self.pass_interval_us,
+                constants.MIRROR_PASS_US,
                 float(copy.meta.pop("next_pass_us", 0.0)),
             )
             copy.event = self.asic.sim.schedule(delay, self._one_pass, copy)

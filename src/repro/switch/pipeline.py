@@ -143,12 +143,12 @@ class ControlBlock:
 class Pipeline:
     """An ordered list of control blocks applied to each packet."""
 
-    def __init__(self, blocks: Optional[List[ControlBlock]] = None) -> None:
-        self.blocks: List[ControlBlock] = list(blocks or [])
+    def __init__(self) -> None:
+        self.blocks: List[ControlBlock] = []
         #: Composition version: bumped on every structural change so the
         #: fast path can cheaply detect that compiled per-switch state
         #: (which encodes this block sequence) is stale.
-        self.version = len(self.blocks)
+        self.version = 0
 
     def append(self, block: ControlBlock) -> None:
         self.blocks.append(block)

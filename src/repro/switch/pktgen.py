@@ -34,7 +34,6 @@ class PacketGenerator:
         self.builder: Optional[PacketBuilder] = None
         self.enabled = False
         self.batches_generated = 0
-        self.packets_generated = 0
 
     def configure(
         self, period_us: float, batch_size: int, builder: PacketBuilder
@@ -67,7 +66,6 @@ class PacketGenerator:
             pkt = self.builder(i)
             if pkt is None:
                 continue
-            self.packets_generated += 1
             self.asic.sim.schedule(
                 i * self.INTRA_BATCH_GAP_US, self.asic.inject, pkt
             )

@@ -131,7 +131,6 @@ def _m(name: str, kind: str, *labels: str) -> MetricSpec:
 METRICS: Tuple[MetricSpec, ...] = (
     _m("link.tx_bytes", "counter", "link", "dir"),
     _m("link.tx_packets", "counter", "link", "dir"),
-    _m("link.queue_drops", "counter", "link"),
     _m("link.duplicated", "counter", "link"),
     _m("link.drops", "counter", "link", "reason"),
     _m("mirror.active_copies", "gauge", "switch", "session"),

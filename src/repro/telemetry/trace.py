@@ -17,7 +17,7 @@ type                   emitted when
 =====================  ====================================================
 ``packet.send``        a packet enters a link direction (even if dropped)
 ``packet.deliver``     a packet reaches the node at the far end of a link
-``packet.drop``        a packet dies (loss, down link, queue, dead node)
+``packet.drop``        a packet dies (loss, down link, dead node)
 ``packet.reorder``     a link delays a packet past its successors
 ``packet.dup``         an impaired link duplicates a packet on the wire
 ``rp.request``         the protocol engine creates one request packet

@@ -19,7 +19,6 @@ from typing import (
 
 from repro.core.snapshot import LazySnapshotArray
 from repro.switch.registers import PairedRegisterArray, RegisterArray
-from repro.switch.tables import MatchTable
 from repro.verify.diagnostics import Report, SuppressionIndex
 
 
@@ -209,13 +208,12 @@ def class_site(cls: type) -> Tuple[str, int]:
 
 
 #: The objects that hold data-plane state.
-STATEFUL_TYPES = (RegisterArray, PairedRegisterArray, LazySnapshotArray,
-                  MatchTable)
+STATEFUL_TYPES = (RegisterArray, PairedRegisterArray, LazySnapshotArray)
 
 
 def stateful_objects(obj: object) -> List[Tuple[str, object]]:
-    """(instance attribute, stateful object) for every register array,
-    lazy-snapshot array and match table reachable from ``obj``'s
+    """(instance attribute, stateful object) for every register array
+    and lazy-snapshot array reachable from ``obj``'s
     attributes through at most three levels of lists, tuples and dicts;
     each object once, in sorted attribute order."""
     out: List[Tuple[str, object]] = []

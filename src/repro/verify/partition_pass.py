@@ -58,7 +58,6 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.snapshot import LazySnapshotArray
 from repro.net.packet import FlowKey
-from repro.switch.tables import MatchTable
 from repro.verify import astutil
 from repro.verify.astutil import Frame, Path, Ref, concrete
 from repro.verify.diagnostics import Report, SuppressionIndex
@@ -130,8 +129,6 @@ _UNKNOWN = frozenset({_T_UNKNOWN})
 def _kind_of(obj: object) -> str:
     if isinstance(obj, LazySnapshotArray):
         return "snapshot_array"
-    if isinstance(obj, MatchTable):
-        return "match_table"
     return "register_array"
 
 

@@ -43,7 +43,6 @@ from repro.switch.mirror import MirrorSession
 from repro.switch.pipeline import describe_block
 from repro.switch.registers import PairedRegisterArray, RegisterArray
 from repro.switch.resources import CAPACITY
-from repro.switch.tables import MatchTable
 from repro.verify import astutil
 from repro.verify.astutil import (
     Frame, Path, Ref, combine, concrete, dedupe, merge,
@@ -421,11 +420,12 @@ class _PipelineAnalyzer(astutil.Walker):
         return list({id(c): c for c in [*apps, *blocks]}.values())
 
     @staticmethod
-    def _unclaimed_bits(obj: object, claimed: Set[int]) -> Dict[str, float]:
-        """SRAM/TCAM bits of the stateful objects ``obj`` instantiates and
-        no earlier component claimed (a lazy-snapshot array is its three
-        registers)."""
-        found = {"sram_bits": 0.0, "tcam_bits": 0.0}
+    def _unclaimed_sram_bits(obj: object, claimed: Set[int]) -> float:
+        """SRAM bits of the stateful objects ``obj`` instantiates and no
+        earlier component claimed (a lazy-snapshot array is its three
+        registers). TCAM is declared, never introspected: no modelled
+        object occupies it."""
+        bits = 0.0
         for _attr, s in astutil.stateful_objects(obj):
             parts = (
                 (s.data, s.active_flag, s.last_updated)
@@ -435,10 +435,8 @@ class _PipelineAnalyzer(astutil.Walker):
                 if id(part) in claimed:
                     continue
                 claimed.add(id(part))
-                found["sram_bits"] += part.sram_bits()
-                if isinstance(part, MatchTable):
-                    found["tcam_bits"] += part.tcam_bits()
-        return found
+                bits += part.sram_bits()
+        return bits
 
     def _check_resources(self, blocks: Sequence[object]) -> None:
         asic = self.asic
@@ -461,19 +459,17 @@ class _PipelineAnalyzer(astutil.Walker):
             for k, v in usage.items():
                 if k in CAPACITY:
                     expected[k] = expected.get(k, 0.0) + float(v)
-            found = self._unclaimed_bits(comp, claimed)
-            for res in ("sram_bits", "tcam_bits"):
-                declared = float(usage.get(res, 0.0))
-                actual = found[res]
-                if actual > declared + 1e-6:
-                    self.diag(
-                        "RP132",
-                        f"{type(comp).__name__} declares "
-                        f"{int(declared)} {res} but instantiates stateful "
-                        f"objects totalling {int(actual)} "
-                        f"(under-declared by {int(actual - declared)})",
-                        file, line, site="",
-                    )
+            declared = float(usage.get("sram_bits", 0.0))
+            actual = self._unclaimed_sram_bits(comp, claimed)
+            if actual > declared + 1e-6:
+                self.diag(
+                    "RP132",
+                    f"{type(comp).__name__} declares "
+                    f"{int(declared)} sram_bits but instantiates stateful "
+                    f"objects totalling {int(actual)} "
+                    f"(under-declared by {int(actual - declared)})",
+                    file, line, site="",
+                )
         ledger = asic.resources.usage
         drift = sorted(
             k for k in set(ledger) | set(expected)

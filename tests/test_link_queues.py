@@ -1,4 +1,4 @@
-"""Tests for finite link transmit queues (tail drop) and queueing delay."""
+"""Tests for link transmit-queue (serialization) delay."""
 
 import pytest
 
@@ -26,36 +26,3 @@ def test_burst_queues_and_serializes():
     expected = pkt_bytes * 8 / 1000.0
     for gap in gaps:
         assert gap == pytest.approx(expected, rel=0.01)
-
-
-def test_tail_drop_when_queue_full():
-    sim = Simulator()
-    a, b, link = pair(sim, bandwidth_gbps=1.0, queue_limit_bytes=3000)
-    for _ in range(10):
-        a.ports[0].send(Packet.udp(1, 2, 3, 4, payload=b"\x00" * 1000))
-    sim.run_until_idle()
-    assert link.queue_drops > 0
-    assert len(b.received) + link.queue_drops == 10
-    assert len(b.received) < 10
-
-
-def test_queue_drains_over_time():
-    sim = Simulator()
-    a, b, link = pair(sim, bandwidth_gbps=1.0, queue_limit_bytes=3000)
-    # Send below the drain rate: no drops.
-    for i in range(10):
-        sim.schedule(i * 20.0, a.ports[0].send,
-                     Packet.udp(1, 2, 3, 4, payload=b"\x00" * 1000))
-    sim.run_until_idle()
-    assert link.queue_drops == 0
-    assert len(b.received) == 10
-
-
-def test_infinite_queue_by_default():
-    sim = Simulator()
-    a, b, link = pair(sim, bandwidth_gbps=0.001)
-    for _ in range(50):
-        a.ports[0].send(Packet.udp(1, 2, 3, 4, payload=b"\x00" * 1000))
-    sim.run_until_idle()
-    assert link.queue_drops == 0
-    assert len(b.received) == 50

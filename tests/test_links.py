@@ -104,16 +104,13 @@ def test_failed_node_drops_deliveries():
     assert sim.metrics.total("link.drops", reason="node_failed") == 1
 
 
-def test_tx_counters_and_taps():
+def test_tx_counters():
     sim = Simulator()
     a, b, link = make_pair(sim)
-    tapped = []
-    link.taps.append(lambda pkt, port: tapped.append(pkt.byte_size()))
     pkt = Packet.udp(1, 2, 3, 4, payload=b"\x00" * 100)
     a.ports[0].send(pkt)
     sim.run_until_idle()
     assert link.total_tx_bytes() == pkt.byte_size()
-    assert tapped == [pkt.byte_size()]
 
 
 def test_blocked_direction_is_asymmetric():
@@ -224,8 +221,6 @@ def test_impairment_validates_parameters():
     {"bandwidth_gbps": 0.0},
     {"bandwidth_gbps": -10.0},
     {"bandwidth_gbps": float("nan")},
-    {"queue_limit_bytes": 0},
-    {"queue_limit_bytes": -1500},
 ], ids=lambda kw: "{}={}".format(*next(iter(kw.items()))))
 def test_link_validates_parameters(link_kwargs):
     """A bad parameter fails at construction, before either port is
@@ -268,23 +263,24 @@ def test_base_node_receive_not_implemented():
 # -- one hop path: the compiled direction vs the general branch -----------------
 #
 # ``Link.transmit`` skips the sending-end verdicts while a direction is in
-# the trivial condition. A no-op tap takes a link out of that condition
-# without changing anything observable, so "the same run with every link
-# tapped" is the general branch's answer to compare against.
+# the trivial condition. A zeroed impairment takes a link out of that
+# condition without changing anything observable (it draws no randomness),
+# so "the same run with every link so impaired" is the general branch's
+# answer to compare against.
 
 
-def _noop_tap(pkt, port):
-    pass
+def _force_general_branch(link):
+    link.impair(LinkImpairment())
 
 
-def _tap_every_link(monkeypatch):
+def _force_every_link(monkeypatch):
     init = Link.__init__
 
-    def tapped_init(self, *args, **kwargs):
+    def forced_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        self.taps.append(_noop_tap)
+        _force_general_branch(self)
 
-    monkeypatch.setattr(Link, "__init__", tapped_init)
+    monkeypatch.setattr(Link, "__init__", forced_init)
 
 
 def _observables(sim):
@@ -321,11 +317,11 @@ def _run_single_failover():
                          [_run_nat_quickstart, _run_single_failover])
 def test_general_branch_equals_default_run(monkeypatch, scenario):
     default = scenario()
-    _tap_every_link(monkeypatch)
-    tapped = scenario()
-    assert default[0] == tapped[0]          # events executed
-    assert default[1] == tapped[1]          # trace: ts, type, field order
-    assert default[2:] == tapped[2:]        # metrics (and verdict)
+    _force_every_link(monkeypatch)
+    general = scenario()
+    assert default[0] == general[0]         # events executed
+    assert default[1] == general[1]         # trace: ts, type, field order
+    assert default[2:] == general[2:]       # metrics (and verdict)
 
 
 #: What happens to the link while one packet is in flight on it, and how
@@ -335,7 +331,7 @@ _TRANSITIONS = {
     "node_fail": (lambda link, b: b.fail(), 2),
     # Impairments are judged at the sending end: the packet in flight lands.
     "impair": (lambda link, b: link.impair(LinkImpairment(blocked=True)), 1),
-    "tap": (lambda link, b: link.taps.append(_noop_tap), 0),
+    "zero_impair": (lambda link, b: _force_general_branch(link), 0),
 }
 
 
@@ -347,7 +343,7 @@ def test_mid_flight_transition_matches_general_branch(transition):
         sim = Simulator(seed=4)
         a, b, link = make_pair(sim, latency_us=5.0)
         if general:
-            link.taps.append(_noop_tap)
+            _force_general_branch(link)
         a.ports[0].send(Packet.udp(1, 2, 3, 4))
         sim.schedule(1.0, change, link, b)
         sim.schedule(2.0, a.ports[0].send, Packet.udp(1, 2, 3, 4))
@@ -370,24 +366,26 @@ class _CountingRandom(random.Random):
 @pytest.mark.parametrize("link_kwargs, impairment, draws_per_packet", [
     ({"loss_rate": 0.5}, None, 1),
     ({"reorder_rate": 1.0}, None, 2),
-    ({"queue_limit_bytes": 200}, None, 0),
+    ({}, LinkImpairment(), 0),
     ({}, LinkImpairment(drop_rate=0.5), 1),
 ])
 def test_non_trivial_direction_always_takes_the_general_branch(
         link_kwargs, impairment, draws_per_packet):
     """Every condition the compiled direction skips the checks for keeps
     it from being taken: the same seeded draws, drops and records as on
-    a tapped (general-branch) link, packet for packet."""
+    a link forced down the general branch, packet for packet. A zeroed
+    impairment takes the general branch, draws nothing and drops
+    nothing."""
     packets = 40
 
     def run(general):
         sim = Simulator(seed=6)
         sim.rng = _CountingRandom(6)
         a, b, link = make_pair(sim, bandwidth_gbps=1.0, **link_kwargs)
+        if general:
+            _force_general_branch(link)
         if impairment is not None:
             link.impair(impairment, direction=a.ports[0])
-        if general:
-            link.taps.append(_noop_tap)
         for _ in range(packets):
             a.ports[0].send(Packet.udp(1, 2, 3, 4))
             b.ports[0].send(Packet.udp(2, 1, 4, 3))
@@ -401,11 +399,13 @@ def test_non_trivial_direction_always_takes_the_general_branch(
     if impairment is not None:
         # Only the impaired direction draws; the healthy reverse does not.
         assert draws == packets * draws_per_packet
-        assert 0 < a_to_b < packets and b_to_a == packets
+        assert b_to_a == packets
+        if draws_per_packet:
+            assert 0 < a_to_b < packets
+        else:
+            assert a_to_b == packets
     else:
         assert draws == 2 * packets * draws_per_packet
-        if "queue_limit_bytes" in link_kwargs:
-            assert 0 < a_to_b < packets  # the burst overran the queue
 
 
 def test_nat_hop_call_budget():

@@ -215,18 +215,23 @@ def test_route_cache_rewalks_after_table_add(monkeypatch):
     assert len(walks) == 2
 
 
-def test_route_cache_rewalks_after_ecmp_seed_change(monkeypatch):
+def test_re_adding_a_route_replaces_it(monkeypatch):
+    """Changing a route's next hops is adding the route again: the new
+    ports take effect (through the cache) and the table keeps one entry."""
     sim = Simulator()
     sw, _sinks = _two_way_switch(sim)
     walks = _lookups(sw, monkeypatch)
-    pkts = [Packet.udp(1, 2, 100 + i, 4) for i in range(32)]
-    before = [sw.select_port(p) for p in pkts]
-    sw.ecmp_seed = 1  # CRC32 is affine in the seed: this one flips every flow
-    after = [sw.select_port(p) for p in pkts]
-    assert len(walks) == 64
-    assert all(new is not old for new, old in zip(after, before))
-    assert [port.index for port in after] == [
-        ecmp_hash(p.flow_key(), 1) % 2 for p in pkts]
+    dst = ip_aton("10.0.0.1")
+    pkt = Packet.udp(1, dst, 33, 44)
+    sw.table.add(dst, 32, [sw.ports[0]])
+    assert sw.select_port(pkt) is sw.ports[0]
+    version = sw.table.version
+    sw.table.add(dst, 32, [sw.ports[1]])
+    assert sw.table.version == version + 1
+    assert sw.select_port(pkt) is sw.ports[1]
+    assert len(walks) == 2
+    assert [(r.prefix, r.mask_len) for r in sw.table.routes()] == [
+        (dst, 32), (0, 0)]
 
 
 def test_route_ports_cannot_be_edited_behind_the_cache():
