@@ -49,7 +49,6 @@ class ExternalController:
         self.mirrored_state: Dict[FlowKey, List[int]] = {}
         self.snapshots: List[Dict[FlowKey, List[int]]] = []
         self.snapshot_times: List[float] = []
-        self.updates_recorded = 0
 
     def update_latency_us(self) -> float:
         latency = 2 * MGMT_ONEWAY_US + CONTROLLER_OP_US
@@ -88,7 +87,6 @@ class ControllerFtBlock(PlainAppBlock):
         def released() -> None:
             super(ControllerFtBlock, self)._finish_install(key, pkt)
             self.controller.mirrored_state[key] = list(self.state[key])
-            self.controller.updates_recorded += 1
 
         self.switch.sim.schedule(self.controller.update_latency_us(), released)
 

@@ -68,17 +68,13 @@ class RunResult:
 
 def run_campaign(
     name: str, seed: int = 42, trace_path: Optional[str] = None,
-    fastpath: bool = False, observe: Optional[ObserveOptions] = None,
+    observe: Optional[ObserveOptions] = None,
 ) -> Dict[str, object]:
     """Run one named campaign and return its verdict report.
 
     When ``trace_path`` is given, every trace record is streamed to that
     JSONL file as it is emitted — unlike the in-memory ring, the sink
     never truncates, so the file supports full span reconstruction.
-
-    ``fastpath=True`` installs the :mod:`repro.fastpath` acceleration
-    layer for the run. The verdict report must be byte-identical either
-    way (the bit-identity contract); tests/test_chaos.py asserts it.
     """
     try:
         campaign = CAMPAIGNS[name]
@@ -86,13 +82,12 @@ def run_campaign(
         known = ", ".join(sorted(CAMPAIGNS))
         raise KeyError(f"unknown campaign {name!r}; known: {known}") from None
     return run_campaign_result(campaign, seed=seed, trace_path=trace_path,
-                               fastpath=fastpath, observe=observe).report
+                               observe=observe).report
 
 
 def run_campaign_result(
     campaign: Campaign, seed: int = 42, trace_path: Optional[str] = None,
-    fastpath: bool = False, observe: Optional[ObserveOptions] = None,
-    sim_factory=None,
+    observe: Optional[ObserveOptions] = None, sim_factory=None,
 ) -> RunResult:
     """Run a :class:`Campaign` object (named or generated) and return the
     full :class:`RunResult`. The schedule is validated after it is built:
@@ -102,7 +97,8 @@ def run_campaign_result(
 
     ``sim_factory`` (``seed -> Simulator``) overrides simulator
     construction; the shard runner uses it to hand in a simulator with a
-    :class:`~repro.shard.recorder.ShardRecorder` already attached."""
+    :class:`~repro.shard.recorder.ShardRecorder` (or a
+    :class:`~repro.fastpath.FastPath`) already attached."""
     sim = Simulator(seed=seed) if sim_factory is None else sim_factory(seed)
     if trace_path is not None:
         sim.tracer.open_sink(trace_path)
@@ -124,25 +120,20 @@ def run_campaign_result(
         )
 
     try:
-        return _run_deployed(campaign, seed, sim, trace_path, fastpath,
+        return _run_deployed(campaign, seed, sim, trace_path,
                              backend_factory, observe)
     finally:
         if scratch is not None:
             shutil.rmtree(scratch, ignore_errors=True)
 
 
-def _run_deployed(campaign, seed, sim, trace_path, fastpath,
-                  backend_factory,
+def _run_deployed(campaign, seed, sim, trace_path, backend_factory,
                   observe: Optional[ObserveOptions] = None) -> RunResult:
     config = RedPlaneConfig(lease_period_us=campaign.lease_period_us)
     dep = deploy(sim, EchoCounterApp, config=config,
                  num_shards=campaign.num_shards,
                  chain_length=campaign.chain_length,
                  backend_factory=backend_factory)
-    if fastpath:
-        from repro.fastpath import FastPath
-
-        FastPath.install(sim)
 
     monitor = InvariantMonitor(
         sim, dep.stores, engines=list(dep.engines.values()),

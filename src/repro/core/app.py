@@ -47,8 +47,12 @@ class InSwitchApp:
     #: adds slow-path latency to state initialization/migration (§5.1).
     requires_control_plane_install = False
 
-    #: What :meth:`partition_key` reads from the packet — the fast-path
-    #: flow cache keys compiled entries by exactly these inputs.
+    #: What :meth:`partition_key` reads from the packet. This is the
+    #: fast-path flow cache's purity contract: ``partition_key`` must be a
+    #: pure function of exactly these inputs for the whole run (same
+    #: inputs, same key, whatever state or faults intervene), because the
+    #: cache keys its entries by them and replays a recorded key without
+    #: ever invalidating it.
     #: ``"flow"``: headers only (5-tuple + VLAN); ``"packet"``: headers
     #: plus payload (apps that parse encapsulations or service requests
     #: out of the payload must declare this — verify rule RP141);

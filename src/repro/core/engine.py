@@ -542,9 +542,6 @@ class RedPlaneEngine(ControlBlock):
                         reg.cp_write(idx, val)
                 self.reg_cur_seq.cp_write(idx, msg.seq)
                 self.reg_last_acked.cp_write(idx, msg.seq)
-            # Control-plane register writes (state migration/init) happen
-            # outside any cached path; announce them.
-            self._publish_invalidation("register")
             self._extend_lease(ctx, idx, now)
             if (
                 self.app.requires_control_plane_install
@@ -853,15 +850,8 @@ class RedPlaneEngine(ControlBlock):
             reclaimed += 1
         if reclaimed:
             self._c_reclaimed.inc(reclaimed)
-            self._publish_invalidation("lease")
         self._g_flow_table.set(len(self._flow_idx))
         return reclaimed
-
-    def _publish_invalidation(self, scope: str) -> None:
-        """Tell an installed fast path that compiled flow state is stale."""
-        fp = self.switch.sim.fastpath
-        if fp is not None:
-            fp.bus.publish(scope)
 
     @staticmethod
     def _is_protocol_packet(pkt: Packet) -> bool:
@@ -925,8 +915,6 @@ class RedPlaneEngine(ControlBlock):
             if self.reg_lease_expiry.cp_read(idx) > now:
                 self.reg_lease_expiry.cp_write(idx, int(now))
                 expired += 1
-        if expired:
-            self._publish_invalidation("lease")
         return expired
 
     def resource_usage(self) -> Dict[str, float]:

@@ -227,11 +227,6 @@ class SnapshotReplicator(ControlBlock):
             self._epoch_pending[self.epoch] = sum(
                 array.size for array in self.structures.values()
             )
-            fp = self.switch.sim.fastpath
-            if fp is not None:
-                # Snapshot rotation: compiled flow-cache state must not
-                # straddle an epoch boundary.
-                fp.bus.publish("snapshot")
         array = self.structures[key]
         value = array.snapshot_read(ctx, slot)
         msg = RedPlaneMessage(

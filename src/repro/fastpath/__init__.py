@@ -2,9 +2,8 @@
 
 Layers (see docs/PERFORMANCE.md for the full design):
 
-* :mod:`repro.fastpath.flowcache` — per-switch flow fast-path cache with
-  explicit dependency sets;
-* :mod:`repro.fastpath.invalidation` — the scoped invalidation bus;
+* :mod:`repro.fastpath.flowcache` — per-switch flow fast-path cache whose
+  entries are pure functions of their packet;
 * :mod:`repro.fastpath.runtime` — installation and dispatch.
 
 The per-hop work (link directions, ECMP results) is compiled in
@@ -21,12 +20,6 @@ Enable with::
     print(fp.stats())
 """
 
-from repro.fastpath.invalidation import FLOW_SCOPES, SCOPES, InvalidationBus
 from repro.fastpath.runtime import FastPath
 
-__all__ = [
-    "FLOW_SCOPES",
-    "FastPath",
-    "InvalidationBus",
-    "SCOPES",
-]
+__all__ = ["FastPath"]

@@ -5,79 +5,33 @@ switch software stacks: the first packet of a flow walks the full
 :class:`~repro.switch.asic.SwitchASIC` pipeline (the reference
 interpreter) and the dispatcher records what the walk *decided* — the
 packet's classification and, for application flows, the resolved
-partition key and flow-table index. Subsequent packets of the same flow
-replay that decision without re-deriving it.
+partition key. Subsequent packets of the same flow replay that decision
+without re-deriving it.
 
-What is cached is deliberately narrow. A cache entry never captures
-register values, lease state, sequence numbers, or routing state —
-every replay reads those live and runs the application's state
-transition through the exact reference helpers
-(:meth:`RedPlaneEngine._leased_path` / ``_no_lease_path``). The entry
-caches only facts that are *pure functions of the packet's cache
-signature* (classification, partition key) or that are pinned by the
-entry's declared dependency scopes (the flow-table index, pinned by the
-``lease`` scope). That is what makes bit-identical replay provable: the
-``repro.verify`` RP140 rule statically checks that the ``replay_*``
-functions below touch nothing outside :data:`REPLAY_EFFECTS`, and RP141
-checks that every application declares whether its partition decision
-reads the payload (so the cache signature includes it).
+What is cached is deliberately narrow: an entry holds only its kind and
+its partition key, and both are *pure functions of the packet's cache
+signature* (the ``partition_inputs`` contract of
+:class:`~repro.core.app.InSwitchApp`). Everything else an entry's replay
+needs — the flow-table index, register values, lease state, sequence
+numbers, routing state — is read live, and the application's state
+transition runs through the exact reference helpers
+(:meth:`RedPlaneEngine._flow_index`, ``_leased_path``,
+``_no_lease_path``). The facts a signature does not determine are
+static per ASIC (protocol port set, ``switch.ip``, ``engine.mode``) or
+pinned by the pipeline's composition version, which the dispatcher
+checks on every packet. So there is nothing a mutation elsewhere could
+make stale, and no entry is ever invalidated.
 
-Dependency sets and invalidation
---------------------------------
-
-Every entry kind declares the :class:`~repro.fastpath.invalidation`
-scopes it depends on in :data:`ENTRY_DEPS`. Entries are stamped with the
-bus's combined flow generation at record time and die the moment any
-flow-relevant scope publishes (one integer compare per packet). The
-per-switch cache as a whole is additionally keyed to the pipeline's
-composition version, so inserting a block flushes everything.
+That is what makes bit-identical replay provable: the ``repro.verify``
+RP140 rule statically checks that the ``replay_*`` functions below touch
+nothing outside :data:`REPLAY_EFFECTS`, and RP141 checks that every
+application declares whether its partition decision reads the payload
+(so the cache signature includes it).
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, NamedTuple
-
 from repro.switch.pipeline import PipelineContext, Verdict
-
-
-class EntryDep(NamedTuple):
-    """The static contract of one cache-entry kind.
-
-    ``scopes`` is the invalidation dependency set (which bus scopes kill
-    the entry); ``partition_class`` is the cohort-safety class consumed by
-    the partition analyzer (verify pass 5, RS406) and by fastpath v2's
-    cohort replay: ``"flow_local"`` entries depend only on their own
-    flow's inputs and may replay inside any per-flow shard cohort, while
-    ``"app_keyed"`` entries inherit the deployed application's class from
-    its shard plan (``shard_plans/<app>.json``).
-    """
-
-    scopes: FrozenSet[str]
-    partition_class: str
-
-
-#: Scopes each entry kind depends on — the "dependency set" column of the
-#: invalidation matrix in docs/PERFORMANCE.md — plus its partition class.
-#: RP142 checks that every entry kind constructed below is declared here;
-#: RS406 checks every row carries a valid partition class.
-ENTRY_DEPS = {
-    # Classification only: depends on the protocol port set (static) and
-    # the pipeline composition; flushed conservatively on table/chaos
-    # churn because transit accounting mirrors the engine's position in
-    # the pipeline.
-    "transit": EntryDep(frozenset({"table", "chaos"}), "flow_local"),
-    # partition_key(pkt) is None: pure per signature, but flushed with
-    # the rest of the cache so a reconfigured app re-decides.
-    "bypass": EntryDep(frozenset({"table", "chaos"}), "flow_local"),
-    # Application flow: partition key (pure per signature) + flow-table
-    # index (pinned until lease reclamation / migration / snapshot churn
-    # publishes). NOT ``register``: replay reads register values live,
-    # so control-plane state installs for one flow must not flush the
-    # entries of every other flow.
-    "app": EntryDep(
-        frozenset({"table", "lease", "snapshot", "chaos"}), "app_keyed"
-    ),
-}
 
 #: Attributes/methods the ``replay_*`` functions may touch — the
 #: statically-enforced side-effect surface (verify rule RP140). Everything
@@ -92,30 +46,18 @@ REPLAY_EFFECTS = {
     # read-only accessors
     "get", "meta", "ip", "l4", "byte_size", "pkt", "verdict", "emitted",
     "block_obj", "sim", "now", "name", "control_plane", "reg_lease_expiry",
-    "key", "idx",
 }
 
 
 class Entry:
-    """One compiled flow-cache entry (see module docstring)."""
+    """One compiled flow-cache entry: ``"transit"``, ``"bypass"`` or
+    ``"app"``, plus the app flow's partition key (see module docstring)."""
 
-    __slots__ = ("kind", "key", "idx", "stamp")
+    __slots__ = ("kind", "key")
 
-    def __init__(self, kind, key, stamp):
+    def __init__(self, kind, key):
         self.kind = kind
         self.key = key
-        self.idx = None
-        self.stamp = stamp
-
-    @property
-    def deps(self):
-        """The entry's declared dependency scopes."""
-        return ENTRY_DEPS[self.kind].scopes
-
-    @property
-    def partition_class(self):
-        """The entry's cohort-safety partition class (see EntryDep)."""
-        return ENTRY_DEPS[self.kind].partition_class
 
 
 def replay_transit(switch, pkt, ip):
@@ -151,9 +93,10 @@ def replay_app(entry, eng, switch, pkt, ip):
     """Replay for an application-owned flow.
 
     Skips re-deriving classification and partition key, then hands the
-    packet to the *reference* per-packet paths — the application's state
-    transition, lease checks, and replication all execute live against
-    the real registers, so state evolution is the reference path's own.
+    packet to the *reference* per-packet paths — the flow-table lookup,
+    the application's state transition, lease checks, and replication
+    all execute live against the real tables and registers, so state
+    evolution is the reference path's own.
     """
     switch._c_pkts_processed.inc()
     ctx = PipelineContext(pkt=pkt, now=switch.sim.now)
@@ -162,9 +105,7 @@ def replay_app(entry, eng, switch, pkt, ip):
     eng._c["app_packets"].inc()
     if not pkt.meta.get("rp_reinjected"):
         eng._record("input", key, pkt)
-    idx = entry.idx
-    if idx is None:
-        idx = entry.idx = eng._flow_index(key)
+    idx = eng._flow_index(key)
     now = switch.sim.now
     lease_expiry = eng.reg_lease_expiry.read(ctx, idx)
     if lease_expiry <= now:

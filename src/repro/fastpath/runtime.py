@@ -3,17 +3,17 @@
 :class:`FastPath` is the single object the rest of the tree knows about.
 Installing it sets ``sim.fastpath``; :class:`~repro.switch.asic.SwitchASIC`
 consults that attribute per packet and hands the packet over when a
-compiled flow-cache entry exists, and the sites that can invalidate an
-entry publish on its bus. Uninstalling (or never installing) leaves every
-ASIC on the full pipeline — that is the A/B lever the identity tests and
-``repro.tools fastpath --diff`` pull.
+compiled flow-cache entry exists. Uninstalling (or never installing)
+leaves every ASIC on the full pipeline — that is the A/B lever the
+identity tests and ``repro.tools fastpath --diff`` pull.
 
 What lives here is the part of the acceleration that is genuinely
 optional: the per-ASIC **flow caches** (:mod:`repro.fastpath.flowcache`)
-— compiled classification/partition decisions, invalidated through the
-:class:`~repro.fastpath.invalidation.InvalidationBus`. The per-hop
-work (link directions, ECMP results) is compiled in :mod:`repro.net`
-itself and runs with or without a :class:`FastPath`.
+— compiled classification/partition decisions, each a pure function of
+its packet's cache signature, so only a change of the pipeline's
+composition retires them. The per-hop work (link directions, ECMP
+results) is compiled in :mod:`repro.net` itself and runs with or without
+a :class:`FastPath`.
 
 Everything is constructed lazily on first contact with a packet, so
 installation is O(1) and topology-agnostic.
@@ -30,7 +30,6 @@ from repro.core.engine import (
     _PROTOCOL_PORTS,
 )
 from repro.fastpath.flowcache import Entry, replay_app, replay_bypass, replay_transit
-from repro.fastpath.invalidation import InvalidationBus
 from repro.net.constants import CACHE_CAP
 from repro.net.packet import TCPHeader, UDPHeader
 
@@ -55,8 +54,8 @@ class FastPath:
 
     def __init__(self, sim) -> None:
         self.sim = sim
-        self.bus = InvalidationBus()
         self._asics = {}  # id(switch) -> _AsicCache or None (ineligible)
+        self.pipeline_invalidations = 0
         self.capacity_flushes = 0
 
     # -- lifecycle ----------------------------------------------------------
@@ -122,7 +121,7 @@ class FastPath:
             return False
         if ac.pipeline_version != switch.pipeline.version:
             ac = self._asics[sid] = self._compile_asic(switch)
-            self.bus.counts["table"] += 1
+            self.pipeline_invalidations += 1
             if ac is None:
                 return False
         ip = pkt.ip
@@ -149,9 +148,9 @@ class FastPath:
             if ac.payload_sensitive:
                 sig = sig + (pkt.payload,)
         entry = ac.entries.get(sig)
-        if entry is None or entry.stamp != self.bus.flow_gen:
-            # First packet (or invalidated): the reference pipeline runs
-            # and we record the compiled decision for the next packet.
+        if entry is None:
+            # First packet: the reference pipeline runs and we record the
+            # compiled decision for the next packet.
             ac.misses += 1
             if len(ac.entries) >= CACHE_CAP:
                 ac.entries.clear()
@@ -160,9 +159,9 @@ class FastPath:
                 key = ac.engine.app.partition_key(pkt)
                 if key is None:
                     kind = "bypass"
-                entry = Entry(kind, key, self.bus.flow_gen)
+                entry = Entry(kind, key)
             else:
-                entry = Entry("transit", None, self.bus.flow_gen)
+                entry = Entry("transit", None)
             ac.entries[sig] = entry
             return False
         ac.hits += 1
@@ -177,7 +176,7 @@ class FastPath:
     # -- stats --------------------------------------------------------------
 
     def stats(self) -> dict:
-        """Aggregated cache statistics (also published as metrics)."""
+        """Aggregated cache statistics (what ``repro.tools fastpath`` prints)."""
         per_switch = {}
         hits = misses = entries = 0
         for ac in self._asics.values():
@@ -199,6 +198,6 @@ class FastPath:
                 "entries": entries,
                 "per_switch": per_switch,
             },
-            "invalidations": dict(self.bus.counts),
+            "invalidations": {"pipeline": self.pipeline_invalidations},
             "capacity_flushes": self.capacity_flushes,
         }

@@ -98,9 +98,8 @@ class Simulator:
         #: :data:`repro.net.constants.CACHE_CAP`.
         self.flow_tags: dict = {}
         #: The installed :class:`repro.fastpath.runtime.FastPath` (the
-        #: optional ASIC flow cache), if any. The switch ASIC and the
-        #: sites that invalidate its entries consult this; ``None`` means
-        #: every packet runs the full pipeline.
+        #: optional ASIC flow cache), if any. The switch ASIC consults
+        #: this; ``None`` means every packet runs the full pipeline.
         self.fastpath = None
         #: Optional observer called with the event's time after each
         #: executed event (:meth:`repro.observe.HeartbeatEmitter.tick` is

@@ -358,12 +358,15 @@ def _make_chaos_runner(campaign: Any) -> Callable[..., Dict[str, Any]]:
     ) -> Dict[str, Any]:
         from repro.chaos.runner import run_campaign_result
 
+        if fastpath:
+            from repro.fastpath.runtime import FastPath
+
+            FastPath.install(sim)
         # The chaos runner owns its drive loop (absolute times
         # throughout), so the whole campaign is one pace() boundary.
         result = run_campaign_result(
             campaign,
             seed=campaign.sim_seed,
-            fastpath=fastpath,
             sim_factory=lambda _seed: sim,
         )
         pace(sim.now)

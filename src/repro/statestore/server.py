@@ -188,9 +188,7 @@ class StateStoreNode(Host):
         """Restart after a crash, rebuilding records from the backend.
 
         Returns the number of records recovered. Emits a ``store.recover``
-        trace event and flushes the fast-path lease/snapshot scopes: any
-        cached lease or snapshot decision predating the crash may refer to
-        state the (possibly non-durable) backend no longer holds.
+        trace event.
         """
         recovered = self.backend.recover()
         self.recover()
@@ -201,10 +199,6 @@ class StateStoreNode(Host):
             records=recovered,
             backend=self.backend.name,
         )
-        fp = self.sim.fastpath
-        if fp is not None:
-            fp.bus.publish("lease")
-            fp.bus.publish("snapshot")
         return recovered
 
     def _reply(self, msg: RedPlaneMessage, to_ip: int,

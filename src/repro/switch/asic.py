@@ -129,7 +129,7 @@ class SwitchASIC(L3Switch):
     def process(self, pkt: Packet) -> None:
         fp = self.sim.fastpath
         if fp is not None and fp.asic_process(self, pkt):
-            # A valid flow-cache entry replayed the pipeline decision;
+            # A flow-cache entry replayed the pipeline decision;
             # the replay's side effects match this path bit for bit.
             return
         self._c_pkts_processed.inc()

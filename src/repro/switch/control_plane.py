@@ -46,12 +46,6 @@ class SwitchControlPlane:
     def _execute(self, fn: Callable[..., None], args: tuple) -> None:
         if self.asic.failed:
             return
-        fp = self.sim.fastpath
-        if fp is not None:
-            # The callable is opaque and may install/remove table entries;
-            # conservatively flush compiled flow-cache state at the moment
-            # the operation's effects apply.
-            fp.bus.publish("table")
         fn(*args)
 
     # -- public API ----------------------------------------------------------------

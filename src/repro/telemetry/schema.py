@@ -108,7 +108,6 @@ LABEL_DOMAINS: Dict[str, str] = {
     "node": "state-store nodes (fixed per testbed)",
     "host": "end hosts (fixed per testbed)",
     "shard": "store shards (fixed per deployment)",
-    "scope": "fast-path invalidation scopes (fixed set, repro.fastpath)",
     "detector": "health detector names (fixed set, repro.observe.health)",
 }
 
@@ -144,10 +143,6 @@ METRICS: Tuple[MetricSpec, ...] = (
     _m("switch.pkts_processed", "counter", "switch"),
     _m("probe.rtt_us", "histogram", "host"),
     _m("sim.max_events_exhausted", "counter"),
-    _m("fastpath.cache_hits", "counter", "switch"),
-    _m("fastpath.cache_misses", "counter", "switch"),
-    _m("fastpath.cache_entries", "gauge", "switch"),
-    _m("fastpath.invalidations", "counter", "scope"),
     _m("redplane.ack_rtt_us", "histogram", "switch"),
     _m("redplane.resends_per_request", "histogram", "switch"),
     _m("redplane.flow_table_entries", "gauge", "switch"),

@@ -23,8 +23,8 @@ JSON + human rendering, ``# repro: noqa[RULE]`` suppressions):
   statically, not only empirically.
 * **fastpath** (:mod:`repro.verify.fastpath_pass`) — proves the flow
   cache's bit-identical-replay contract: replay functions stay inside
-  :data:`repro.fastpath.flowcache.REPLAY_EFFECTS`, partition inputs are
-  declared, entry kinds carry dependency scopes (RP14x).
+  :data:`repro.fastpath.flowcache.REPLAY_EFFECTS` and partition inputs
+  are declared (RP14x).
 * **partition** (:mod:`repro.verify.partition_pass`) — classifies every
   piece of per-app switch state as flow-local, flow-hash-partitionable,
   or global on the partition-class lattice; emits a machine-checked

@@ -7,9 +7,8 @@ statically-checkable properties, enforced here:
   :mod:`repro.fastpath.flowcache` may only produce side effects through
   the allowlisted surface :data:`~repro.fastpath.flowcache.REPLAY_EFFECTS`:
   every method they call and every attribute they assign must be in that
-  set. Anything else is an effect the dependency-set/invalidation story
-  does not cover, so a replayed packet could diverge from the reference
-  pipeline without any cache entry being invalidated.
+  set. Anything else is an effect the reference helpers do not perform,
+  so a replayed packet could diverge from the reference pipeline.
 
 * **RP141** — an application whose ``partition_key`` reads the packet
   payload must declare ``partition_inputs = "packet"``, so the flow-cache
@@ -17,24 +16,18 @@ statically-checkable properties, enforced here:
   one 5-tuple with different payloads would replay one cached partition
   decision — silently wrong for payload-keyed apps (KV store, sequencer).
 
-* **RP142** — every ``Entry(kind, ...)`` constructed in the fast path
-  must use a kind declared in
-  :data:`~repro.fastpath.flowcache.ENTRY_DEPS`: an entry kind without a
-  declared dependency set is an entry the invalidation bus can never
-  correctly flush.
-
 Like the other tree lints this pass is purely syntactic; the allowlist
-and dependency sets themselves are imported from the running fast-path
-package so the lint can never drift from the implementation.
+itself is imported from the running fast-path package so the lint can
+never drift from the implementation.
 """
 
 from __future__ import annotations
 
 import ast
 import os
-from typing import Dict, List, Optional, Set
+from typing import List, Optional
 
-from repro.fastpath.flowcache import ENTRY_DEPS, REPLAY_EFFECTS
+from repro.fastpath.flowcache import REPLAY_EFFECTS
 from repro.verify import astutil
 from repro.verify.diagnostics import Diagnostic, Report, SuppressionIndex
 from repro.verify.rules import RULES
@@ -44,20 +37,6 @@ def _diag(report: Report, supp: SuppressionIndex, rule_id: str,
           message: str, rel: str, line: int) -> None:
     r = RULES[rule_id]
     report.add(Diagnostic(r.id, r.severity, message, rel, line), supp)
-
-
-def _string_values(tree: ast.Module) -> Dict[str, Set[str]]:
-    """Name -> every string constant ever assigned to it in this module."""
-    values: Dict[str, Set[str]] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign):
-            if (isinstance(node.value, ast.Constant)
-                    and isinstance(node.value.value, str)):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        values.setdefault(target.id, set()).add(
-                            node.value.value)
-    return values
 
 
 def _check_replay(fn: ast.FunctionDef, rel: str, report: Report,
@@ -70,7 +49,7 @@ def _check_replay(fn: ast.FunctionDef, rel: str, report: Report,
                 _diag(report, supp, "RP140",
                       f"replay function {fn.name!r} calls {name!r}, which "
                       f"is not in the REPLAY_EFFECTS allowlist — an effect "
-                      f"the dependency sets do not cover",
+                      f"the reference helpers do not perform",
                       rel, node.lineno)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
             if node.attr not in REPLAY_EFFECTS:
@@ -127,39 +106,6 @@ def _check_app_class(cls: ast.ClassDef, rel: str, report: Report,
     return True
 
 
-def _check_entry_kinds(sf: astutil.SourceFile, rel: str, report: Report,
-                       supp: SuppressionIndex) -> int:
-    """RP142 over one file; returns the number of Entry(...) sites."""
-    imports = astutil.ImportTable(sf.tree)
-    names = _string_values(sf.tree)
-    sites = 0
-    for node in ast.walk(sf.tree):
-        if not (isinstance(node, ast.Call) and node.args):
-            continue
-        func = node.func
-        is_entry = (isinstance(func, ast.Name) and func.id == "Entry"
-                    and imports.resolves_to(func, "fastpath.flowcache",
-                                            "Entry"))
-        if not is_entry:
-            continue
-        sites += 1
-        kind_arg = node.args[0]
-        if (isinstance(kind_arg, ast.Constant)
-                and isinstance(kind_arg.value, str)):
-            kinds = {kind_arg.value}
-        elif isinstance(kind_arg, ast.Name):
-            kinds = names.get(kind_arg.id, set())
-        else:
-            kinds = set()
-        for kind in sorted(kinds):
-            if kind not in ENTRY_DEPS:
-                _diag(report, supp, "RP142",
-                      f"Entry kind {kind!r} has no dependency set in "
-                      f"ENTRY_DEPS; the invalidation bus cannot flush it",
-                      rel, node.lineno)
-    return sites
-
-
 def verify_fastpath(
     paths: List[str],
     report: Optional[Report] = None,
@@ -169,7 +115,7 @@ def verify_fastpath(
     """Run the fast-path lint over ``paths`` (files or directories)."""
     report = report if report is not None else Report()
     supp = suppressions if suppressions is not None else SuppressionIndex()
-    files = replays = app_classes = entry_sites = 0
+    files = replays = app_classes = 0
     for path in paths:
         for filename in astutil.iter_py_files(path):
             sf = astutil.load(filename)
@@ -190,11 +136,8 @@ def verify_fastpath(
                 elif isinstance(node, ast.ClassDef):
                     if _check_app_class(node, rel, report, supp):
                         app_classes += 1
-            if in_fastpath:
-                entry_sites += _check_entry_kinds(sf, rel, report, supp)
     report.analyzed["fastpath"] = (
         f"{files} file(s), {replays} replay function(s), "
-        f"{app_classes} partitioned app class(es), "
-        f"{entry_sites} Entry site(s)"
+        f"{app_classes} partitioned app class(es)"
     )
     return report

@@ -5,8 +5,7 @@ protocol is per-flow linearizable because every piece of protected state
 is keyed by the 5-tuple ``FlowKey`` and ECMP pins a partition to one
 switch. The ROADMAP's sharded parallel simulation needs that property
 *proven statically* per app before the flow population can be split
-across worker processes, and fastpath v2's cohort replay needs it per
-cache-entry kind. This pass is that gatekeeper.
+across worker processes. This pass is that gatekeeper.
 
 For every deployed application it classifies each register array, match
 table, and counter into the partition-class lattice::
@@ -67,10 +66,6 @@ from repro.verify.diagnostics import Report, SuppressionIndex
 #: Weakest-to-strongest is right to left: ``global`` makes no promise,
 #: ``flow_local`` the strongest one.
 CLASSES = ("flow_local", "flow_hash", "global")
-
-#: Valid ``EntryDep.partition_class`` values (RS406): the lattice plus
-#: "app_keyed", which defers to the deployed app's shard plan.
-ENTRY_CLASSES = frozenset(CLASSES) | {"app_keyed"}
 
 
 def class_rank(name: str) -> int:
@@ -882,47 +877,13 @@ def _check_first_element_pick(sf: astutil.SourceFile, rel: str,
             )
 
 
-def _check_entry_classes(report: Report, supp: SuppressionIndex,
-                         root: Optional[str]) -> int:
-    """RS406: every ENTRY_DEPS row declares a valid partition class."""
-    from repro.fastpath import flowcache
-
-    sf = astutil.load(flowcache.__file__)
-    rel = astutil.relpath(
-        sf.path if sf else flowcache.__file__, root
-    )
-    line = 1
-    if sf is not None:
-        supp.scan(rel, source=sf.text)
-        for stmt in sf.tree.body:
-            if isinstance(stmt, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "ENTRY_DEPS"
-                for t in stmt.targets
-            ):
-                line = stmt.lineno
-                break
-    entry_deps = flowcache.ENTRY_DEPS
-    for kind in sorted(entry_deps):
-        pc = getattr(entry_deps[kind], "partition_class", None)
-        if pc not in ENTRY_CLASSES:
-            report.flag(
-                "RS406",
-                f"ENTRY_DEPS[{kind!r}] declares partition class "
-                f"{pc!r}; cohort replay needs one of "
-                f"{', '.join(sorted(ENTRY_CLASSES))}",
-                rel, line, supp,
-            )
-    return len(entry_deps)
-
-
 def verify_shard_hazards(
     paths: List[str],
     report: Optional[Report] = None,
     suppressions: Optional[SuppressionIndex] = None,
     root: Optional[str] = None,
 ) -> Report:
-    """Run the RS410-412 shard-hazard lints over ``paths`` plus the
-    RS406 entry-kind contract check."""
+    """Run the RS410-412 shard-hazard lints over ``paths``."""
     report = report if report is not None else Report()
     supp = suppressions if suppressions is not None else SuppressionIndex()
     files = 0
@@ -931,8 +892,5 @@ def verify_shard_hazards(
         _check_module_globals(sf, rel, report, supp)
         _check_unpicklable(sf, rel, report, supp)
         _check_first_element_pick(sf, rel, report, supp)
-    kinds = _check_entry_classes(report, supp, root)
-    report.analyzed["partition-hazards"] = (
-        f"{files} file(s) in shard scope, {kinds} entry kind(s)"
-    )
+    report.analyzed["partition-hazards"] = f"{files} file(s) in shard scope"
     return report

@@ -92,16 +92,12 @@ _RULES = [
          Severity.ERROR, "fastpath",
          "a replay_* function may only call/assign through the "
          "REPLAY_EFFECTS allowlist; anything else is a side effect the "
-         "entry's dependency set does not cover, breaking bit-identity"),
+         "reference helpers do not perform, breaking bit-identity"),
     Rule("RP141", "payload-reading partition_key without a declaration",
          Severity.ERROR, "fastpath",
          "an app whose partition_key reads the payload must declare "
          "partition_inputs = 'packet' so the flow-cache signature "
          "includes the payload"),
-    Rule("RP142", "cache entry kind has no declared dependency set",
-         Severity.ERROR, "fastpath",
-         "every Entry kind must appear in ENTRY_DEPS or the invalidation "
-         "bus can never flush it"),
     # -- Pass 2: determinism linter ------------------------------------------
     Rule("RD201", "wall-clock time source in simulation code",
          Severity.ERROR, "determinism",
@@ -173,10 +169,6 @@ _RULES = [
          Severity.WARNING, "partition",
          "inference can prove state is cross-flow but not that this is "
          "intended; annotate shard_class = 'global' with a reason"),
-    Rule("RS406", "cache entry kind lacks a valid partition class",
-         Severity.ERROR, "partition",
-         "fastpath v2 cohort replay groups entries by partition class; "
-         "every ENTRY_DEPS row must declare one"),
     Rule("RS407", "partition_key not statically analyzable",
          Severity.WARNING, "partition",
          "the analyzer could not derive the key's packet-field inputs; "

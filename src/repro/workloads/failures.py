@@ -137,9 +137,6 @@ class FailureSchedule:
         def fire() -> None:
             tracer.emit(event_type, kind=row.injected, target=target,
                         detail=detail)
-            fp = self.deployment.sim.fastpath
-            if fp is not None:
-                fp.bus.publish("chaos")
             fn()
 
         self.deployment.sim.schedule_at(time_us, fire)

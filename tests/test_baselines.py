@@ -103,7 +103,7 @@ def test_controller_ft_mirrors_and_restores(sim):
     s11.send(Packet.tcp(s11.ip, e1.ip, 7000, 80, flags=TCP_SYN))
     sim.run_until_idle()
     assert len(got) == 1
-    assert controller.updates_recorded == 1
+    assert len(controller.mirrored_state) == 1
 
     active = max(blocks.values(), key=lambda b: b.packets)
     other = next(b for b in blocks.values() if b is not active)

@@ -1,5 +1,5 @@
-"""Tests for the fast-path subsystem: invalidation bus, flow cache, and
-the bit-identity contract. (The compiled link direction and the route
+"""Tests for the fast-path subsystem: the flow cache and the
+bit-identity contract. (The compiled link direction and the route
 cache are the default hop path; tests/test_links.py and
 tests/test_routing.py cover them.)"""
 
@@ -7,52 +7,13 @@ import json
 
 import pytest
 
-from repro import Simulator, deploy, identity
+from repro import RedPlaneConfig, Simulator, deploy, identity
 from repro.apps.counter import SyncCounterApp
 from repro.apps.nat import NatApp, install_nat_routes
-from repro.fastpath import FLOW_SCOPES, SCOPES, FastPath, InvalidationBus
-from repro.fastpath.flowcache import ENTRY_DEPS, Entry
+from repro.fastpath import FastPath
 from repro.net.links import Link, SinkNode
 from repro.net.packet import Packet
 from repro.shard.runner import resolve, run_reference
-
-
-# -- invalidation bus ---------------------------------------------------------
-
-
-def test_bus_scopes_and_flow_generation():
-    bus = InvalidationBus()
-    gen = bus.flow_gen
-    for scope in SCOPES:
-        bus.publish(scope)
-        assert bus.counts[scope] == 1
-    # Only the flow-relevant scopes bumped the generation.
-    assert bus.flow_gen == gen + len(FLOW_SCOPES)
-    with pytest.raises(ValueError):
-        bus.publish("weather")
-
-
-def test_register_and_routing_are_not_flow_scopes():
-    """Replay reads registers live, so a register write may not flush
-    flow entries (a per-new-flow state install would otherwise wipe the
-    whole cache); route churn is not a bus scope at all — each L3Switch
-    versions its own route cache."""
-    assert "register" not in FLOW_SCOPES
-    assert "routing" not in SCOPES
-    assert FLOW_SCOPES <= set(SCOPES)
-
-
-def test_entry_deps_are_declared_flow_scopes():
-    for kind, dep in ENTRY_DEPS.items():
-        assert dep.scopes <= FLOW_SCOPES, kind
-    assert Entry("app", None, 0).deps == ENTRY_DEPS["app"].scopes
-
-
-def test_entry_deps_declare_partition_classes():
-    """Every entry kind carries a cohort-safety class (verify RS406)."""
-    for kind, dep in ENTRY_DEPS.items():
-        assert dep.partition_class in {"flow_local", "app_keyed"}, kind
-    assert Entry("transit", None, 0).partition_class == "flow_local"
 
 
 # -- flow cache ---------------------------------------------------------------
@@ -83,28 +44,6 @@ def test_flow_cache_hits_after_first_packet():
     assert stats["entries"] > 0
 
 
-def test_chaos_publish_invalidates_flow_entries():
-    sim, dep, fp = _nat_sim()
-    hits_before = fp.stats()["flow_cache"]["hits"]
-    fp.bus.publish("chaos")
-    # Same flow again: the stale stamp forces one miss, then hits resume.
-    sender = dep.bed.servers[0]
-    dst = dep.bed.externals[0].ip
-    for _ in range(3):
-        sender.send(Packet.udp(sender.ip, dst, 6000, 7777))
-        sim.run_until_idle()
-    stats = fp.stats()["flow_cache"]
-    assert stats["hits"] > hits_before  # hits resumed after re-record
-    assert fp.bus.counts["chaos"] == 1
-
-
-def test_register_publish_does_not_invalidate_flow_entries():
-    _sim, _dep, fp = _nat_sim()
-    gen = fp.bus.flow_gen
-    fp.bus.publish("register")
-    assert fp.bus.flow_gen == gen
-
-
 def test_fastpath_install_is_idempotent_and_uninstalls():
     sim = Simulator(seed=1)
     fp = FastPath.install(sim)
@@ -132,6 +71,67 @@ def test_fastpath_run_is_bit_identical_to_reference():
     report = identity.compare(off, on)
     assert all(report.values()), report
     assert on["extra"]["fastpath_stats"]["flow_cache"]["hits"] > 0
+
+
+def _reused_index_run(fastpath):
+    """Flow A, a reclamation that frees A's slot, flow B in that slot,
+    then A again: the fingerprint, the flow index each flow held, and
+    the number of slots reclaimed."""
+    sim = Simulator(seed=9)
+    hasher = identity.watch(sim)
+    dep = deploy(sim, NatApp, config=RedPlaneConfig(lease_period_us=20_000.0))
+    install_nat_routes(dep.bed)
+    if fastpath:
+        FastPath.install(sim)
+    sender = dep.bed.servers[0]
+    dst = dep.bed.externals[0].ip
+
+    def burst(start, sport):
+        for i in range(5):
+            sim.schedule_at(start + i * 200.0, lambda: sender.send(
+                Packet.udp(sender.ip, dst, sport, 7777)))
+
+    burst(0.0, 5000)                       # flow A
+    sim.run(until=100_000.0)
+    engine = dep.engines["agg1"]
+    held = {"A": dict(engine._flow_idx)}
+    freed = sum(e.reclaim_idle_flows() for e in dep.engines.values())
+    burst(sim.now, 6000)                   # flow B
+    sim.run(until=150_000.0)
+    held["B"] = dict(engine._flow_idx)
+    burst(sim.now, 5000)                   # flow A returns
+    sim.run(until=250_000.0)
+    return identity.fingerprint(sim, hasher), held, freed
+
+
+def test_replay_reads_a_reused_flow_index_live():
+    """A cached entry holds no flow index: after reclamation hands A's
+    slot to B, A's next packet must allocate a fresh slot, exactly as
+    the reference pipeline does, not replay into B's registers."""
+    off, held, freed = _reused_index_run(False)
+    on, held_on, freed_on = _reused_index_run(True)
+    assert freed == freed_on == 1
+    assert held == held_on
+    (a_idx,) = held["A"].values()
+    (b_idx,) = held["B"].values()
+    assert b_idx == a_idx                  # B took A's slot
+    report = identity.compare(off, on)
+    assert all(report.values()), report
+
+
+def test_million_flow_identical_with_fastpath():
+    """Slot reclamation and a mid-run failover in one scenario: the
+    cache changes no event, record or metric."""
+    def run(fastpath):
+        return run_reference(resolve(
+            "million_flow", 1, fastpath=fastpath,
+            params={"packets": 1500, "population": 5000}))
+
+    off, on = run(False), run(True)
+    assert off["extra"]["reclaimed"] > 0
+    assert on["extra"] == off["extra"]
+    report = identity.compare(off, on)
+    assert all(report.values()), report
 
 
 def test_identity_digest_covers_every_record_not_a_ring_tail():
@@ -200,9 +200,7 @@ def test_fastpath_identical_under_sync_counter_writes():
         sim.run_until_idle()
         ring = [(r.ts, r.type, tuple(r.fields.items()))
                 for r in sim.tracer.tail(len(sim.tracer))]
-        metrics = {k: v for k, v in sim.metrics.snapshot().items()
-                   if not k.startswith("fastpath.")}
-        return sim.events_executed, ring, metrics
+        return sim.events_executed, ring, sim.metrics.snapshot()
 
     assert run(False) == run(True)
 

@@ -102,7 +102,6 @@ def test_compare_flags_each_axis_alone(axis, candidate):
 def test_compare_ignores_the_bookkeeping_metric_families():
     candidate = _fingerprint(more={
         "shard.flows_owned": 3.0,
-        "fastpath.cache_hits{switch=agg1}": 5.0,
         "observe.heartbeats": 1.0,
     })
     report = identity.compare(_fingerprint(), candidate)

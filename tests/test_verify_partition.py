@@ -30,11 +30,10 @@ def active_rules(report):
 
 def test_partition_rules_are_registered():
     for rule_id in ("RS400", "RS401", "RS402", "RS403", "RS404",
-                    "RS405", "RS406", "RS407", "RS408",
+                    "RS405", "RS407", "RS408",
                     "RS410", "RS411", "RS412"):
         assert RULES[rule_id].owner == "partition"
-    for rule_id in ("RS400", "RS401", "RS402", "RS403", "RS404",
-                    "RS406", "RS408"):
+    for rule_id in ("RS400", "RS401", "RS402", "RS403", "RS404", "RS408"):
         assert RULES[rule_id].severity is Severity.ERROR
     for rule_id in ("RS405", "RS407", "RS410", "RS411", "RS412"):
         assert RULES[rule_id].severity is Severity.WARNING
@@ -310,24 +309,6 @@ def test_every_builtin_app_classifies_cleanly():
         report, plan = analyze(BUILTIN_APPS[name], label=name)
         assert active_rules(report) == [], f"{name}: {active_rules(report)}"
         assert plan["partition_class"] == EXPECTED_CLASSES[name], name
-
-
-# -- RS406: cache-entry partition classes -------------------------------------
-
-
-def test_entry_kind_without_partition_class_is_rs406(monkeypatch):
-    from repro.fastpath import flowcache
-
-    bad = dict(flowcache.ENTRY_DEPS)
-    bad["evil"] = flowcache.EntryDep(frozenset({"table"}), "per_rack")
-    monkeypatch.setattr(flowcache, "ENTRY_DEPS", bad)
-    report = verify_shard_hazards([])
-    assert "RS406" in active_rules(report)
-
-
-def test_real_entry_deps_pass_rs406():
-    report = verify_shard_hazards([])
-    assert active_rules(report) == []
 
 
 # -- RS410/411/412: Python-level shard hazards --------------------------------
