@@ -285,8 +285,8 @@ def run_spec(spec: Campaign,
     and return the full result.
 
     ``observe`` takes a :class:`repro.observe.ObserveOptions`; the fuzz
-    loop uses it to arm the health detectors so the scorecard can pool
-    ``health.*`` detections per fault class."""
+    loop uses it to arm the health detectors so the scorecard can credit
+    each detection to the fault classes active when it fired."""
     with mutation.seeded_bug(bug) if bug is not None else nullcontext():
         return run_campaign_result(spec, seed=spec.sim_seed,
                                    trace_path=trace_path, observe=observe)
@@ -325,7 +325,7 @@ def run_fuzz(
     scorecard = Scorecard()
     violations: List[Dict[str, object]] = []
     # Health detectors ride along on every fuzz run so the scorecard can
-    # pool health.* detections per fault class. Shrink re-runs stay
+    # credit detections to fault classes. Shrink re-runs stay
     # unobserved: they only need witnesses, and health events are extra
     # trace records the delta-debugger would have to reproduce exactly.
     observe = ObserveOptions(health=True)

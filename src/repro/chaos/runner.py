@@ -166,7 +166,6 @@ def _run_deployed(campaign, seed, sim, trace_path, backend_factory,
         providers = {
             "delivered": lambda: workload.delivered,
             "faults_active": lambda: len(schedule.active_at(sim.now)),
-            "stores_down": lambda: schedule.stores_down_at(sim.now),
         }
         bundle = attach(
             sim,

@@ -18,7 +18,13 @@ Per class it tracks:
 * resend storms (the worst and pooled switch-side retransmission count
   over the runs containing the class) and records lost (inputs the
   workload sent that never produced a delivery — permitted under §4.2,
-  but a resilience cost worth ranking).
+  but a resilience cost worth ranking). Both are per-schedule totals,
+  pooled into every class the schedule contains;
+* health detections (:mod:`repro.observe.health`), each credited by
+  time: to every class with a fault active at the detection's
+  ``t_us`` (:meth:`~repro.workloads.failures.FailureSchedule.active_at`).
+  A detection with no fault active is a false alarm and is counted in
+  the top-level ``health_no_fault_active`` map instead.
 
 The scorecard holds no wall-clock state, so a deterministic sweep
 produces a byte-identical scorecard.
@@ -26,6 +32,7 @@ produces a byte-identical scorecard.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List
 
 from repro.chaos.campaigns import Campaign
@@ -47,8 +54,8 @@ class _ClassStats:
         self.unrecovered = 0
         self.resends: List[int] = []
         self.records_lost = 0
-        #: detector name -> detections, pooled over runs with this class.
-        self.health: Dict[str, int] = {}
+        #: detector name -> detections made while this class was active.
+        self.health: Counter = Counter()
 
 
 class Scorecard:
@@ -60,7 +67,9 @@ class Scorecard:
         self.schedules_violated = 0
         #: detector name -> detections, pooled over the whole sweep (runs
         #: that carried a :class:`repro.observe.HealthMonitor`).
-        self.health_detections: Dict[str, int] = {}
+        self.health_detections: Counter = Counter()
+        #: detector name -> detections made while no fault was active.
+        self.health_no_fault_active: Counter = Counter()
 
     def add(self, spec: Campaign, result: RunResult,
             witness: ViolationWitness) -> None:
@@ -72,14 +81,6 @@ class Scorecard:
         deliveries = result.workload.delivery_times()
         resends = int(result.metrics.total("redplane.retransmissions"))
         lost = spec.packets - result.workload.delivered
-        health_counts: Dict[str, int] = {}
-        observe = getattr(result, "observe", None)
-        if observe is not None and observe.health is not None:
-            health_counts = observe.health.counts()
-            for name in sorted(health_counts):
-                self.health_detections[name] = (
-                    self.health_detections.get(name, 0)
-                    + health_counts[name])
 
         seen_classes = set()
         for fault in spec.faults:
@@ -99,9 +100,18 @@ class Scorecard:
                     stats.violations += 1
                 stats.resends.append(resends)
                 stats.records_lost += lost
-                for name in sorted(health_counts):
-                    stats.health[name] = (
-                        stats.health.get(name, 0) + health_counts[name])
+
+        if result.observe is None or result.observe.health is None:
+            return
+        for detection in result.observe.health.detections:
+            name = str(detection["detector"])
+            self.health_detections[name] += 1
+            active = {fault.spec_kind for fault in
+                      result.schedule.active_at(float(detection["t_us"]))}
+            if not active:
+                self.health_no_fault_active[name] += 1
+            for kind in sorted(active):
+                self._classes[kind].health[name] += 1
 
     def to_dict(self) -> Dict[str, object]:
         classes: Dict[str, object] = {}
@@ -132,10 +142,9 @@ class Scorecard:
         return {
             "schedules_run": self.schedules_run,
             "schedules_violated": self.schedules_violated,
-            "health_detections": {
-                name: self.health_detections[name]
-                for name in sorted(self.health_detections)
-            },
+            "health_detections": dict(sorted(self.health_detections.items())),
+            "health_no_fault_active":
+                dict(sorted(self.health_no_fault_active.items())),
             "fault_classes": classes,
         }
 
@@ -171,8 +180,10 @@ class Scorecard:
                 f"{entry['violations']:>5} {p50:>9} {mx:>9} "
                 f"{entry['max_resend_storm']:>8} {entry['records_lost']:>5}"
             )
-        health = d.get("health_detections") or {}
-        if health:
-            lines.append("health     : " + ", ".join(
-                f"{name}={health[name]}" for name in sorted(health)))
+        for label, key in (("health     : ", "health_detections"),
+                           ("no fault   : ", "health_no_fault_active")):
+            health = d.get(key) or {}
+            if health:
+                lines.append(label + ", ".join(
+                    f"{name}={health[name]}" for name in sorted(health)))
         return "\n".join(lines)

@@ -25,8 +25,8 @@ import json
 from typing import Any, Dict, Iterable, Optional
 
 #: Metric families excluded from identity comparison: per-shard
-#: bookkeeping and observation-layer output.
-NON_IDENTITY_PREFIXES = ("shard.", "observe.")
+#: bookkeeping.
+NON_IDENTITY_PREFIXES = ("shard.",)
 
 
 class TraceHasher:

@@ -104,9 +104,10 @@ class Simulator:
         #: Optional observer called with the event's time after each
         #: executed event (:meth:`repro.observe.HeartbeatEmitter.tick` is
         #: the one producer). It is *called*, never scheduled, and must
-        #: only read: no RNG draw, no ``schedule``, no non-``observe.*``
-        #: metric — so an observed run is bit-identical to an unobserved
-        #: one (tests/test_observe.py enforces this).
+        #: only read: no RNG draw, no ``schedule``, no metric — so an
+        #: observed run is bit-identical to an unobserved one, apart from
+        #: the ``health.detect`` records armed detectors trace
+        #: (tests/test_observe.py enforces this).
         self.on_event: Optional[Callable[[float], None]] = None
         #: The attached :class:`repro.shard.recorder.ShardRecorder`, or
         #: ``None``. When set, root events (scheduled outside any event)

@@ -5,16 +5,16 @@ Two parts, one contract:
 * :mod:`repro.observe.heartbeat` — periodic NDJSON health snapshots
   whose content is a pure function of simulator state
   (``repro.tools watch`` tails them live).
-* :mod:`repro.observe.health` — rolling detectors over the heartbeat
-  stream (resend storms, queue growth, recovery-SLO burn, WAL-replay
-  stalls) raising schema-registered ``health.*`` trace events that the
-  chaos scorecard pools.
+* :mod:`repro.observe.health` — two rolling detectors over the
+  heartbeat stream (resend storms, recovery-SLO burn) raising
+  schema-registered ``health.detect`` trace events that the chaos
+  scorecard pools.
 
 The contract: **observation never changes the run.** An observed
-campaign's events, trace stream, records, and metrics (minus the
-``observe.*`` namespace, and minus ``health.*`` trace events when
-detectors are armed) are byte-identical to the unobserved run. The
-heartbeat emitter is called from the drain loop
+campaign's events, records and full metric snapshot are byte-identical
+to the unobserved run, and so is its trace stream minus the
+``health.detect`` events when detectors are armed. Observing adds no
+metric. The heartbeat emitter is called from the drain loop
 (:attr:`~repro.net.simulator.Simulator.on_event`) rather than
 scheduled, so it cannot perturb event sequence numbers, and nothing
 here reads the wall clock: where wall time goes is answered by
@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.observe.health import HealthMonitor, default_detectors
+from repro.observe.health import HealthMonitor
 from repro.observe.heartbeat import (
     DEFAULT_INTERVAL_US,
     HeartbeatEmitter,
@@ -43,7 +43,6 @@ __all__ = [
     "HeartbeatEmitter",
     "HealthMonitor",
     "attach",
-    "default_detectors",
     "read_heartbeats",
 ]
 
@@ -53,17 +52,16 @@ class ObserveOptions:
     """What a campaign run should observe (``run_campaign(observe=...)``).
 
     Everything defaults off; the chaos runner wires providers (delivered
-    count, active faults, stores down) and the deployment's links in
-    when building the live bundle from these options.
+    count, active faults) and the deployment's links in when building
+    the live bundle from these options.
     """
 
-    heartbeat: bool = False
     heartbeat_path: Optional[str] = None
     health: bool = False
 
     @property
     def enabled(self) -> bool:
-        return bool(self.heartbeat or self.heartbeat_path or self.health)
+        return bool(self.heartbeat_path or self.health)
 
 
 class Observe:
@@ -92,7 +90,7 @@ def attach(
 ) -> Observe:
     """Start heartbeats on ``sim``: one emitter, called after every event.
 
-    ``health=True`` arms the default detector set over the snapshot
+    ``health=True`` arms the two health detectors over the snapshot
     stream. Returns the bundle; when the run ends call ``bundle.close()``
     and set ``sim.on_event = None`` (the campaign runner does both).
     """

@@ -1,25 +1,22 @@
 """Rolling health detectors over the heartbeat metric stream.
 
 Detectors consume the snapshot stream a
-:class:`~repro.observe.heartbeat.HeartbeatEmitter` produces and raise
-schema-registered ``health.*`` trace events when a rolling condition
-trips — the campaign-health analogue of the paper's §7 overhead and
-recovery-latency measurements, watching the run *while it happens*:
+:class:`~repro.observe.heartbeat.HeartbeatEmitter` produces and raise a
+schema-registered ``health.detect`` trace event when a rolling condition
+trips — the campaign-health analogue of the paper's §7 recovery-time and
+broken-connection measurements, watching the run *while it happens*:
 
-===========================  =============================================
-detector / trace type        fires when
-===========================  =============================================
-``health.resend_storm``      retransmissions grew by >= ``threshold``
-                             within one heartbeat interval
-``health.queue_growth``      summed link transmit backlog rose across
-                             ``consecutive`` snapshots and ends above a
-                             floor (a queue that only ever grows)
-``health.slo_burn``          an injected fault is active and no
-                             end-to-end delivery has landed for longer
-                             than the recovery SLO
-``health.wal_stall``         a store is crashed/down and its backend has
-                             replayed nothing for longer than the window
-===========================  =============================================
+================  ==========================================================
+``detector``      fires when
+================  ==========================================================
+``resend_storm``  retransmissions grew by >= :data:`RESEND_STORM_THRESHOLD`
+                  within one heartbeat interval
+``slo_burn``      an injected fault is active and no end-to-end delivery
+                  has landed for longer than :data:`RECOVERY_SLO_US`
+================  ==========================================================
+
+Each detector earns its place with a campaign it fires on and a
+fault-free copy of it that stays silent (``tests/test_observe.py``).
 
 Each detector is edge-triggered: it fires once when its condition first
 becomes true and re-arms only after the condition clears, so a sustained
@@ -28,8 +25,9 @@ are pure functions of the snapshot series — a deterministic run yields a
 deterministic detection list (and byte-identical verdicts/scorecards).
 
 The chaos scorecard consumes the detection list
-(:meth:`repro.chaos.scorecard.Scorecard.add` pools per-detector counts),
-so fuzz sweeps rank fault classes by the health events they trigger.
+(:meth:`repro.chaos.scorecard.Scorecard.add` credits each detection to
+the fault classes active at its ``t_us``), so fuzz sweeps rank fault
+classes by the health events they trigger.
 """
 
 from __future__ import annotations
@@ -41,27 +39,19 @@ from repro.telemetry import trace as tt
 #: One detection: (value, threshold) — what was seen vs what trips.
 Firing = Tuple[float, float]
 
+#: Retransmissions within one heartbeat interval that make a storm.
+RESEND_STORM_THRESHOLD = 20
 
-class Detector:
-    """Base class: feed snapshots in order, get edge-triggered firings."""
-
-    #: Stable detector name (the ``detector`` label / trace field).
-    name = "detector"
-    #: The ``health.*`` trace type raised on a firing.
-    event_type = "health.generic"
-
-    def update(self, snap: Dict[str, object]) -> Optional[Firing]:
-        raise NotImplementedError
+#: Delivery stall, with a fault active, that burns the recovery SLO.
+RECOVERY_SLO_US = 200_000.0
 
 
-class ResendStormDetector(Detector):
+class ResendStormDetector:
     """Retransmission burst: delta >= threshold within one interval."""
 
     name = "resend_storm"
-    event_type = tt.HEALTH_RESEND_STORM
 
-    def __init__(self, threshold: int = 20) -> None:
-        self.threshold = threshold
+    def __init__(self) -> None:
         self._last: Optional[int] = None
         self._armed = True
 
@@ -71,49 +61,16 @@ class ResendStormDetector(Detector):
         if last is None:
             return None
         delta = resends - last
-        if delta >= self.threshold:
+        if delta >= RESEND_STORM_THRESHOLD:
             if self._armed:
                 self._armed = False
-                return (float(delta), float(self.threshold))
+                return (float(delta), float(RESEND_STORM_THRESHOLD))
             return None
         self._armed = True
         return None
 
 
-class QueueGrowthDetector(Detector):
-    """Link backlog strictly rising for N snapshots, ending above a floor."""
-
-    name = "queue_growth"
-    event_type = tt.HEALTH_QUEUE_GROWTH
-
-    def __init__(self, consecutive: int = 3, floor_us: float = 50.0) -> None:
-        if consecutive < 2:
-            raise ValueError("consecutive must be >= 2")
-        self.consecutive = consecutive
-        self.floor_us = floor_us
-        self._last: Optional[float] = None
-        self._rising = 0
-        self._armed = True
-
-    def update(self, snap: Dict[str, object]) -> Optional[Firing]:
-        backlog = float(snap["queues"]["link_backlog_us"])
-        last, self._last = self._last, backlog
-        if last is None:
-            return None
-        if backlog > last:
-            self._rising += 1
-        else:
-            self._rising = 0
-            self._armed = True
-            return None
-        if (self._armed and self._rising >= self.consecutive - 1
-                and backlog > self.floor_us):
-            self._armed = False
-            return (backlog, self.floor_us)
-        return None
-
-
-class RecoverySloDetector(Detector):
+class RecoverySloDetector:
     """SLO burn: a fault is active and deliveries stalled past the SLO.
 
     Needs the ``delivered`` and ``faults_active`` provider fields the
@@ -122,10 +79,8 @@ class RecoverySloDetector(Detector):
     """
 
     name = "slo_burn"
-    event_type = tt.HEALTH_SLO_BURN
 
-    def __init__(self, slo_us: float = 200_000.0) -> None:
-        self.slo_us = slo_us
+    def __init__(self) -> None:
         self._last_delivered: Optional[int] = None
         self._progress_t = 0.0
         self._armed = True
@@ -140,75 +95,25 @@ class RecoverySloDetector(Detector):
             self._armed = True
         self._last_delivered = delivered
         stalled_us = t - self._progress_t
-        if int(snap["faults_active"]) > 0 and stalled_us > self.slo_us:
+        if int(snap["faults_active"]) > 0 and stalled_us > RECOVERY_SLO_US:
             if self._armed:
                 self._armed = False
-                return (stalled_us, self.slo_us)
+                return (stalled_us, RECOVERY_SLO_US)
         return None
-
-
-class WalStallDetector(Detector):
-    """A crashed store whose backend replays nothing for too long.
-
-    Needs the ``stores_down`` provider field. The replay counter advances
-    only when a recovery actually rebuilds records, so "down for longer
-    than the window with the counter flat" is exactly a stalled (or
-    hopeless, for a volatile backend) recovery.
-    """
-
-    name = "wal_stall"
-    event_type = tt.HEALTH_WAL_STALL
-
-    def __init__(self, window_us: float = 150_000.0) -> None:
-        self.window_us = window_us
-        self._down_since: Optional[float] = None
-        self._replayed: Optional[int] = None
-        self._armed = True
-
-    def update(self, snap: Dict[str, object]) -> Optional[Firing]:
-        if "stores_down" not in snap:
-            return None
-        t = float(snap["t_us"])
-        replayed = int(snap["counters"]["wal_replayed"])
-        down = int(snap["stores_down"]) > 0
-        if not down or (self._replayed is not None
-                        and replayed > self._replayed):
-            self._down_since = None
-            self._armed = True
-        elif self._down_since is None:
-            self._down_since = t
-        self._replayed = replayed
-        if (down and self._down_since is not None
-                and t - self._down_since > self.window_us):
-            if self._armed:
-                self._armed = False
-                return (t - self._down_since, self.window_us)
-        return None
-
-
-def default_detectors() -> List[Detector]:
-    return [
-        ResendStormDetector(),
-        QueueGrowthDetector(),
-        RecoverySloDetector(),
-        WalStallDetector(),
-    ]
 
 
 class HealthMonitor:
-    """Runs detectors over a heartbeat stream; raises ``health.*`` events.
+    """Runs both detectors over a heartbeat stream; raises ``health.detect``.
 
-    Attach with ``emitter.add_monitor(monitor.observe)``. Detections are
-    trace events (timestamped with the snapshot's simulated time — the
-    tracer clock *is* the simulator clock when observing live), an
-    ``observe.health.detections{detector=...}`` counter, and the
-    :attr:`detections` list the scorecard pools.
+    Attach with ``emitter.add_monitor(monitor.observe)``. A detection is
+    a trace event (timestamped with the snapshot's simulated time — the
+    tracer clock *is* the simulator clock when observing live) and an
+    entry in the :attr:`detections` list the scorecard pools.
     """
 
-    def __init__(self, sim, detectors: Optional[List[Detector]] = None) -> None:
+    def __init__(self, sim) -> None:
         self.sim = sim
-        self.detectors = (detectors if detectors is not None
-                          else default_detectors())
+        self.detectors = (ResendStormDetector(), RecoverySloDetector())
         self.detections: List[Dict[str, object]] = []
 
     def observe(self, snap: Dict[str, object]) -> None:
@@ -223,12 +128,8 @@ class HealthMonitor:
                 "value": round(value, 3),
                 "threshold": threshold,
             })
-            # det.event_type is one of the tt.HEALTH_* constants; the
-            # field set below matches their shared schema entry.
-            self.sim.tracer.emit(det.event_type, detector=det.name,
+            self.sim.tracer.emit(tt.HEALTH_DETECT, detector=det.name,
                                  value=round(value, 3), threshold=threshold)
-            self.sim.metrics.counter("observe.health.detections",
-                                     detector=det.name).inc()
 
     def counts(self) -> Dict[str, int]:
         """Detection counts per detector name (sorted keys)."""

@@ -13,7 +13,7 @@ health:
 * queue depths — summed link transmit backlogs, circulating mirror
   copies, switch buffer occupancy;
 * protocol counters — retransmissions, acks, lease requests, store
-  recoveries, WAL records replayed, link drops;
+  recoveries, link drops;
 * campaign context from pluggable ``providers`` (delivered count,
   active injected faults, ...).
 
@@ -42,7 +42,6 @@ _COUNTER_FIELDS = (
     ("acks_received", "redplane.acks_received"),
     ("lease_requests", "redplane.lease_requests"),
     ("store_recoveries", "store.backend.recoveries"),
-    ("wal_replayed", "store.backend.wal_replayed"),
     ("link_drops", "link.drops"),
 )
 
@@ -105,7 +104,6 @@ class HeartbeatEmitter:
         self._last_t = 0.0
         self._last_events = 0
         self._sink = open(path, "w", encoding="utf-8") if path else None
-        self._ctr = sim.metrics.counter("observe.heartbeats")
 
     # -- wiring ---------------------------------------------------------------
 
@@ -126,7 +124,6 @@ class HeartbeatEmitter:
             return
         snap = self.snapshot()
         self.snapshots.append(snap)
-        self._ctr.inc()
         if self._sink is not None:
             self._sink.write(snapshot_json(snap) + "\n")
             # ``watch -f`` in another process must see it now, not at

@@ -61,17 +61,14 @@ _INSTANT_HOMES: Dict[str, Tuple[int, str, str]] = {
 }
 
 #: Instants pinned to one named track regardless of record fields:
-#: trace type -> (pid, thread name). All fault injections and clears
-#: land on a single "faults" track (the target stays in ``args``), so
+#: trace type -> (pid, thread name, field appended to the slice name).
+#: All fault injections and clears land on a single "faults" track, so
 #: the chaos timeline reads as one lane instead of one lane per target;
 #: health detections get their own track beside it.
-_FIXED_TRACKS: Dict[str, Tuple[int, str]] = {
-    tt.FAULT_INJECT: (PID_CHAOS, "faults"),
-    tt.FAULT_CLEAR: (PID_CHAOS, "faults"),
-    tt.HEALTH_RESEND_STORM: (PID_CHAOS, "health"),
-    tt.HEALTH_QUEUE_GROWTH: (PID_CHAOS, "health"),
-    tt.HEALTH_SLO_BURN: (PID_CHAOS, "health"),
-    tt.HEALTH_WAL_STALL: (PID_CHAOS, "health"),
+_FIXED_TRACKS: Dict[str, Tuple[int, str, str]] = {
+    tt.FAULT_INJECT: (PID_CHAOS, "faults", "target"),
+    tt.FAULT_CLEAR: (PID_CHAOS, "faults", "target"),
+    tt.HEALTH_DETECT: (PID_CHAOS, "health", "detector"),
 }
 
 
@@ -169,17 +166,17 @@ def export_chrome_trace(
             })
         elif record.type in _INSTANT_HOMES or record.type in _FIXED_TRACKS:
             fixed = _FIXED_TRACKS.get(record.type)
+            name = record.type
             if fixed is not None:
-                pid, thread_name = fixed
+                pid, thread_name, label = fixed
+                if label in fields:
+                    # "fault.inject agg1" reads better on a shared track
+                    # than a bare type with the target buried in args.
+                    name = f"{record.type} {fields[label]}"
             else:
                 pid, thread_field, fallback = _INSTANT_HOMES[record.type]
                 thread_name = str(fields.get(thread_field, fallback))
             tid = threads.tid(pid, thread_name)
-            name = record.type
-            if fixed is not None and "target" in fields:
-                # "fault.inject agg1" reads better on a shared track
-                # than a bare type with the target buried in args.
-                name = f"{record.type} {fields['target']}"
             events.append({
                 "name": name,
                 "ph": "i",

@@ -76,12 +76,9 @@ TRACE_EVENTS: Dict[str, EventSpec] = {
     tt.STORE_RECOVER: _spec(("node", "records", "backend")),
     tt.FAULT_INJECT: _spec(("kind", "target", "detail")),
     tt.FAULT_CLEAR: _spec(("kind", "target", "detail")),
-    # Rolling health detectors (repro.observe.health) share one field
-    # contract: which detector fired, the observed value, the trip level.
-    tt.HEALTH_RESEND_STORM: _spec(("detector", "value", "threshold")),
-    tt.HEALTH_QUEUE_GROWTH: _spec(("detector", "value", "threshold")),
-    tt.HEALTH_SLO_BURN: _spec(("detector", "value", "threshold")),
-    tt.HEALTH_WAL_STALL: _spec(("detector", "value", "threshold")),
+    # A rolling health detector (repro.observe.health) fired: which one,
+    # the observed value, the trip level.
+    tt.HEALTH_DETECT: _spec(("detector", "value", "threshold")),
 }
 
 #: Span-opening type -> the terminal types that close it. Used by the
@@ -108,7 +105,6 @@ LABEL_DOMAINS: Dict[str, str] = {
     "node": "state-store nodes (fixed per testbed)",
     "host": "end hosts (fixed per testbed)",
     "shard": "store shards (fixed per deployment)",
-    "detector": "health detector names (fixed set, repro.observe.health)",
 }
 
 
@@ -168,12 +164,6 @@ METRICS: Tuple[MetricSpec, ...] = (
     _m("store.backend.netchain_register_bits", "gauge", "node"),
     _m("store.backend.*", "counter", "node"),
     _m("store.*", "counter", "node"),
-    # Observability layer (repro.observe): heartbeat/health
-    # accounting. The whole ``observe.*`` namespace is excluded from
-    # every bit-identity contract — it describes the run, it is not the
-    # run — so instruments here may exist in an observed run only.
-    _m("observe.heartbeats", "counter"),
-    _m("observe.health.detections", "counter", "detector"),
 )
 
 #: Name patterns reachable through the flat legacy ``Simulator.count``

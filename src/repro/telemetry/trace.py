@@ -33,8 +33,9 @@ type                   emitted when
 ``store.recover``      a crashed store rebuilds records from its backend
 ``fault.inject``       a chaos/failure schedule applies an injected fault
 ``fault.clear``        an injected fault is lifted
-``health.*``           a rolling health detector trips over the heartbeat
-                       stream (see :mod:`repro.observe.health`)
+``health.detect``      a rolling health detector trips over the heartbeat
+                       stream; ``detector`` names it (see
+                       :mod:`repro.observe.health`)
 =====================  ====================================================
 """
 
@@ -63,10 +64,7 @@ CHAIN_REPAIR = "chain.repair"
 STORE_RECOVER = "store.recover"
 FAULT_INJECT = "fault.inject"
 FAULT_CLEAR = "fault.clear"
-HEALTH_RESEND_STORM = "health.resend_storm"
-HEALTH_QUEUE_GROWTH = "health.queue_growth"
-HEALTH_SLO_BURN = "health.slo_burn"
-HEALTH_WAL_STALL = "health.wal_stall"
+HEALTH_DETECT = "health.detect"
 
 
 @dataclass(slots=True)

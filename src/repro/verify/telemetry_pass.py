@@ -16,9 +16,13 @@ tree is checked against the declared contract in
   types produces spans that can never terminate (RT310).
 
 Trace-type arguments are resolved through each file's import table: the
-constants in :mod:`repro.telemetry.trace` (``tt.PACKET_SEND``), string
-literals, and one level of local aliasing (``event_type = tt.A if cond
-else tt.B``) are all understood.
+constants in :mod:`repro.telemetry.trace` whichever way the module is
+imported (``import repro.telemetry.trace as tt``, ``from
+repro.telemetry import trace as tt``, ``from repro.telemetry.trace
+import PACKET_SEND``), string literals, and one level of local aliasing
+(``event_type = tt.A if cond else tt.B``) are all understood. An emit
+is a call of any ``.emit`` attribute or of a local name bound to one
+(``emit = sim.tracer.emit; emit(tt.PACKET_SEND, ...)``).
 """
 
 from __future__ import annotations
@@ -68,6 +72,8 @@ class _FileLint:
         self.imports = astutil.ImportTable(sf.tree)
         #: Local name -> possible trace-type strings (one assignment level).
         self.aliases: Dict[str, Set[str]] = {}
+        #: Local names bound to an ``.emit`` method (``emit = tracer.emit``).
+        self.bound_emits: Set[str] = set()
         #: (type, lineno) per resolved trace emit in this file.
         self.emits: List[Tuple[str, int]] = []
 
@@ -80,11 +86,14 @@ class _FileLint:
         chain = astutil.attr_chain(node)
         if chain is None:
             return None
-        if len(chain) == 2 and _is_trace_module(
-            self.imports.modules.get(chain[0])
-        ):
-            value = getattr(_trace_mod, chain[1], None)
-            return value if isinstance(value, str) else None
+        if len(chain) == 2:
+            module = self.imports.modules.get(chain[0])
+            origin = self.imports.names.get(chain[0])
+            if module is None and origin is not None:
+                module = ".".join(origin)  # from repro.telemetry import trace
+            if _is_trace_module(module):
+                value = getattr(_trace_mod, chain[1], None)
+                return value if isinstance(value, str) else None
         if len(chain) == 1:
             origin = self.imports.names.get(chain[0])
             if origin is not None and _is_trace_module(origin[0]):
@@ -107,6 +116,10 @@ class _FileLint:
             if isinstance(node, ast.Assign) and len(node.targets) == 1:
                 target = node.targets[0]
                 if isinstance(target, ast.Name):
+                    if (isinstance(node.value, ast.Attribute)
+                            and node.value.attr == "emit"):
+                        self.bound_emits.add(target.id)
+                        continue
                     types = self._types_of(node.value)
                     if types:
                         self.aliases[target.id] = types
@@ -235,9 +248,13 @@ class _FileLint:
     def run(self) -> None:
         self._collect_aliases()
         for node in ast.walk(self.sf.tree):
-            if not isinstance(node, ast.Call) or not isinstance(
-                node.func, ast.Attribute
-            ):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Name):
+                if node.func.id in self.bound_emits:
+                    self._check_emit(node)
+                continue
+            if not isinstance(node.func, ast.Attribute):
                 continue
             attr = node.func.attr
             if attr == "emit":
@@ -261,6 +278,19 @@ class _FileLint:
                     self._check_legacy_count(node)
 
 
+def _lint_files(paths: Iterable[str], report: Report,
+                suppressions: SuppressionIndex,
+                root: Optional[str] = None) -> List[_FileLint]:
+    """Run the per-file checks; each lint keeps its resolved emits."""
+    lints: List[_FileLint] = []
+    for sf, rel in astutil.parsed_files(
+            paths, suppressions, root, keep=_is_emit_site):
+        lint = _FileLint(sf, rel, report, suppressions)
+        lint.run()
+        lints.append(lint)
+    return lints
+
+
 def verify_telemetry(
     paths: Iterable[str],
     report: Optional[Report] = None,
@@ -276,12 +306,7 @@ def verify_telemetry(
     suppressions = (
         suppressions if suppressions is not None else SuppressionIndex()
     )
-    lints: List[_FileLint] = []
-    for sf, rel in astutil.parsed_files(
-            paths, suppressions, root, keep=_is_emit_site):
-        lint = _FileLint(sf, rel, report, suppressions)
-        lint.run()
-        lints.append(lint)
+    lints = _lint_files(paths, report, suppressions, root)
     # RT310: pairing across the whole file set.
     emitted: Set[str] = set()
     for lint in lints:

@@ -324,12 +324,6 @@ class FailureSchedule:
         return [unit[0] for unit in units
                 if len(unit) == 1 and not is_clear(unit[0].spec_kind)]
 
-    def stores_down_at(self, t_us: float) -> int:
-        """How many store nodes are hard-crashed (lost DRAM, backend not
-        yet recovered) at ``t_us`` — the WAL-stall detector's input."""
-        return sum(1 for f in self.active_at(t_us)
-                   if f.kind == "crash_store")
-
     # -- reporting ------------------------------------------------------------
 
     def summary(self) -> List[Tuple[float, str, str]]:

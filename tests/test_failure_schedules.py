@@ -252,7 +252,6 @@ def test_active_faults_pair_each_clear_with_the_fault_it_undoes(
     assert active(2_500.0) == [("fail_node", "agg1"), ("crash_store", "st1"),
                                ("fail_node", "st2")]
     assert active(4_500.0) == [("crash_store", "st1")]
-    assert schedule.stores_down_at(4_500.0) == 1
     assert active(5_000.0) == []
 
 

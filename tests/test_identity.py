@@ -100,10 +100,7 @@ def test_compare_flags_each_axis_alone(axis, candidate):
 
 
 def test_compare_ignores_the_bookkeeping_metric_families():
-    candidate = _fingerprint(more={
-        "shard.flows_owned": 3.0,
-        "observe.heartbeats": 1.0,
-    })
+    candidate = _fingerprint(more={"shard.flows_owned": 3.0})
     report = identity.compare(_fingerprint(), candidate)
     assert set(report) == {"events", "records_emitted", "trace", "metrics",
                            "trace_complete"}

@@ -3,9 +3,12 @@ and the ``chaos --heartbeat``/``watch`` CLI surfaces.
 
 The load-bearing tests are the identity ones: attaching the heartbeat
 emitter (and the health detectors) to a chaos campaign must leave the
-verdict report, the trace stream, and every non-``observe.*`` metric
+verdict report, the trace stream, and the full metric snapshot
 byte-identical to the unobserved run. Observation never changes the run.
 """
+
+import dataclasses
+import json
 
 import pytest
 
@@ -13,23 +16,18 @@ from repro.chaos.campaigns import CAMPAIGNS
 from repro.chaos.runner import run_campaign_result, verdict_json
 from repro.observe import ObserveOptions, attach
 from repro.observe.health import (
+    RECOVERY_SLO_US,
+    RESEND_STORM_THRESHOLD,
     HealthMonitor,
-    QueueGrowthDetector,
     RecoverySloDetector,
     ResendStormDetector,
-    WalStallDetector,
 )
 from repro.observe.heartbeat import read_heartbeats, snapshot_json
 from repro.tools.runner import main as tools_main
 
 
-def _metrics_without_observe(registry):
-    snap = registry.snapshot()
-    return {
-        section: {k: v for k, v in entries.items()
-                  if not k.startswith("observe.")}
-        for section, entries in snap.items()
-    }
+def _metrics_json(registry):
+    return json.dumps(registry.snapshot(), sort_keys=True)
 
 
 # -- the identity contract -----------------------------------------------------
@@ -38,9 +36,9 @@ def _metrics_without_observe(registry):
 @pytest.mark.parametrize("health", [False, True],
                          ids=["heartbeat", "health"])
 def test_observed_campaign_is_byte_identical(tmp_path, health):
-    """Heartbeat file + in-memory heartbeat on: verdict, trace, and
-    metrics (minus observe.*) match the unobserved run byte for byte.
-    With the detectors armed too, the only difference is the ``health.*``
+    """Heartbeat file + in-memory heartbeat on: verdict, trace, and the
+    full metric snapshot match the unobserved run byte for byte. With the
+    detectors armed too, the only difference is the ``health.detect``
     trace lines themselves."""
     campaign = CAMPAIGNS["single_failover"]
     trace_a = tmp_path / "a.jsonl"
@@ -50,18 +48,16 @@ def test_observed_campaign_is_byte_identical(tmp_path, health):
     plain = run_campaign_result(campaign, seed=7, trace_path=str(trace_a))
     observed = run_campaign_result(
         campaign, seed=7, trace_path=str(trace_b),
-        observe=ObserveOptions(heartbeat=True, heartbeat_path=str(hb),
-                               health=health))
+        observe=ObserveOptions(heartbeat_path=str(hb), health=health))
 
-    assert _metrics_without_observe(plain.metrics) == \
-        _metrics_without_observe(observed.metrics)
+    assert _metrics_json(plain.metrics) == _metrics_json(observed.metrics)
     assert hb.exists() and len(read_heartbeats(str(hb))) > 0
     assert read_heartbeats(str(hb)) == observed.observe.heartbeat.snapshots
     # health=False adds no trace line (so the filter below is the
     # identity and the comparison is byte for byte); health=True must
     # fire, or that case tests nothing.
     lines = trace_b.read_bytes().splitlines(keepends=True)
-    health_lines = [ln for ln in lines if b'"type":"health.' in ln]
+    health_lines = [ln for ln in lines if b'"type":"health.detect"' in ln]
     detections = observed.observe.health.counts() if health else {}
     assert bool(health_lines) == health
     assert len(health_lines) == sum(detections.values())
@@ -85,20 +81,20 @@ def test_heartbeat_stream_ab_identity(tmp_path, seed):
         path = tmp_path / f"hb-{seed}-{tag}.ndjson"
         run_campaign_result(
             campaign, seed=seed,
-            observe=ObserveOptions(heartbeat=True,
-                                   heartbeat_path=str(path)))
+            observe=ObserveOptions(heartbeat_path=str(path)))
         paths.append(path)
     a, b = paths[0].read_bytes(), paths[1].read_bytes()
     assert a and a == b
 
 
 def test_health_events_are_opt_in(tmp_path):
-    """health=False (the default) emits no health.* trace records, so
-    observing cannot inflate records_emitted in the verdict report."""
+    """health=False (the default) emits no health.detect trace records,
+    so observing cannot inflate records_emitted in the verdict report."""
     campaign = CAMPAIGNS["single_failover"]
     plain = run_campaign_result(campaign, seed=7)
     observed = run_campaign_result(
-        campaign, seed=7, observe=ObserveOptions(heartbeat=True))
+        campaign, seed=7,
+        observe=ObserveOptions(heartbeat_path=str(tmp_path / "hb.ndjson")))
     assert plain.report["trace"]["records_emitted"] == \
         observed.report["trace"]["records_emitted"]
 
@@ -106,30 +102,28 @@ def test_health_events_are_opt_in(tmp_path):
 # -- health detectors on synthetic series --------------------------------------
 
 
-def _snap(t_us, retx=0, backlog=0.0, delivered=None, faults=None,
-          stores_down=None, wal=0):
+def _snap(t_us, retx=0, delivered=None, faults=None):
     snap = {
         "t_us": t_us,
         "events": 0,
         "pending": 0,
         "events_per_sim_ms": 0.0,
-        "queues": {"link_backlog_us": backlog, "mirror_copies": 0,
+        "queues": {"link_backlog_us": 0.0, "mirror_copies": 0,
                    "buffer_bytes": 0},
         "counters": {"retransmissions": retx, "acks_received": 0,
                      "lease_requests": 0, "store_recoveries": 0,
-                     "wal_replayed": wal, "link_drops": 0},
+                     "link_drops": 0},
     }
     if delivered is not None:
         snap["delivered"] = delivered
     if faults is not None:
         snap["faults_active"] = faults
-    if stores_down is not None:
-        snap["stores_down"] = stores_down
     return snap
 
 
 def test_resend_storm_detector_edge_triggers():
-    det = ResendStormDetector(threshold=10)
+    assert RESEND_STORM_THRESHOLD == 20
+    det = ResendStormDetector()
     series = [_snap(t * 1000.0, retx=r)
               for t, r in enumerate([0, 2, 30, 60, 61, 90])]
     firings = [det.update(s) for s in series]
@@ -139,64 +133,58 @@ def test_resend_storm_detector_edge_triggers():
     assert [f is not None for f in firings] == \
         [False, False, True, False, False, True]
     value, threshold = firings[2]
-    assert value == 28.0 and threshold == 10.0
-
-
-def test_queue_growth_detector_needs_sustained_rise():
-    det = QueueGrowthDetector(consecutive=3, floor_us=50.0)
-    rising = [_snap(t * 1000.0, backlog=b)
-              for t, b in enumerate([0.0, 40.0, 80.0, 120.0])]
-    firings = [det.update(s) for s in rising]
-    # Fires once the rise spans `consecutive` snapshots (index 2) and
-    # stays quiet while the same episode keeps growing (index 3).
-    assert [f is not None for f in firings] == [False, False, True, False]
-    # A sawtooth never accumulates the consecutive rises.
-    det2 = QueueGrowthDetector(consecutive=3, floor_us=50.0)
-    saw = [_snap(t * 1000.0, backlog=b)
-           for t, b in enumerate([0.0, 60.0, 10.0, 70.0, 20.0, 80.0])]
-    assert all(det2.update(s) is None for s in saw)
+    assert value == 28.0 and threshold == 20.0
 
 
 def test_recovery_slo_detector():
-    det = RecoverySloDetector(slo_us=100_000.0)
+    assert RECOVERY_SLO_US == 200_000.0
+    det = RecoverySloDetector()
     # Delivery progress at t=0, fault lands, deliveries stall past SLO.
     assert det.update(_snap(0.0, delivered=5, faults=0)) is None
     assert det.update(_snap(50_000.0, delivered=5, faults=1)) is None
-    fired = det.update(_snap(150_000.0, delivered=5, faults=1))
-    assert fired is not None and fired[0] == pytest.approx(150_000.0)
-    # Same episode: no re-fire; progress re-arms.
     assert det.update(_snap(200_000.0, delivered=5, faults=1)) is None
-    assert det.update(_snap(210_000.0, delivered=6, faults=1)) is None
+    fired = det.update(_snap(250_000.0, delivered=5, faults=1))
+    assert fired is not None and fired[0] == pytest.approx(250_000.0)
+    # Same episode: no re-fire; progress re-arms.
+    assert det.update(_snap(300_000.0, delivered=5, faults=1)) is None
+    assert det.update(_snap(310_000.0, delivered=6, faults=1)) is None
     # Snapshots without the provider fields are ignored.
     assert RecoverySloDetector().update(_snap(0.0)) is None
 
 
-def test_wal_stall_detector():
-    det = WalStallDetector(window_us=100_000.0)
-    assert det.update(_snap(0.0, stores_down=0, wal=0)) is None
-    assert det.update(_snap(10_000.0, stores_down=1, wal=0)) is None
-    fired = det.update(_snap(150_000.0, stores_down=1, wal=0))
-    assert fired is not None
-    assert fired[0] == pytest.approx(140_000.0)
-    # Replay progress clears the episode.
-    assert det.update(_snap(160_000.0, stores_down=1, wal=500)) is None
-    assert det.update(_snap(170_000.0, stores_down=1, wal=500)) is None
-
-
 def test_health_monitor_emits_trace_and_metrics():
+    """A detection is one ``health.detect`` trace record naming its
+    detector, and no metric: the registry stays empty."""
     from repro.net.simulator import Simulator
 
     sim = Simulator(seed=1)
-    monitor = HealthMonitor(sim, [ResendStormDetector(threshold=5)])
+    before = _metrics_json(sim.metrics)
+    monitor = HealthMonitor(sim)
     monitor.observe(_snap(1000.0, retx=0))
     monitor.observe(_snap(2000.0, retx=50))
     assert monitor.counts() == {"resend_storm": 1}
-    records = [r for r in sim.tracer.tail(10)
-               if r.type == "health.resend_storm"]
+    records = [r for r in sim.tracer.tail(10) if r.type == "health.detect"]
     assert len(records) == 1
-    assert records[0].fields["detector"] == "resend_storm"
-    assert sim.metrics.total("observe.health.detections",
-                             detector="resend_storm") == 1.0
+    assert records[0].fields == {"detector": "resend_storm", "value": 50.0,
+                                 "threshold": 20.0}
+    assert _metrics_json(sim.metrics) == before
+
+
+@pytest.mark.parametrize("name, detector", [
+    ("partitioned_store_head", "resend_storm"),
+    ("single_failover", "slo_burn"),
+])
+def test_each_detector_fires_on_a_fault_and_not_without_it(name, detector):
+    """A detector earns its place: it fires on a named campaign's seeded
+    fault, and neither detector fires on the same campaign without
+    faults."""
+    campaign = CAMPAIGNS[name]
+    observe = ObserveOptions(health=True)
+    faulted = run_campaign_result(campaign, observe=observe)
+    assert faulted.observe.health.counts().get(detector, 0) >= 1
+    quiet = run_campaign_result(dataclasses.replace(campaign, faults=()),
+                                observe=observe)
+    assert quiet.observe.health.counts() == {}
 
 
 def test_fuzz_scorecard_pools_health_detections():
@@ -207,6 +195,43 @@ def test_fuzz_scorecard_pools_health_detections():
     for entry in report["scorecard"]["fault_classes"].values():
         for count in entry.get("health_detections", {}).values():
             assert count > 0
+
+
+def test_scorecard_credits_a_detection_to_the_faults_active_at_its_time():
+    """Two disjoint fault windows: a detection inside the first is
+    credited to that class only, and one after both is a false alarm."""
+    from repro.chaos.campaigns import TOR1_ST1
+    from repro.chaos.scorecard import Scorecard
+    from repro.model.witness import ViolationWitness
+    from repro.observe import Observe
+    from repro.workloads.failures import FaultSpec
+
+    spec = dataclasses.replace(CAMPAIGNS["single_failover"], faults=(
+        FaultSpec.make("fail_switch", 120_000.0, switch="agg1"),
+        FaultSpec.make("recover_switch", 400_000.0, switch="agg1"),
+        FaultSpec.make("impair_link", 600_000.0, link=TOR1_ST1,
+                       blocked=True, from_node="st1"),
+        FaultSpec.make("clear_link", 750_000.0, link=TOR1_ST1,
+                       from_node="st1"),
+    ))
+    result = run_campaign_result(spec, seed=spec.sim_seed)
+    monitor = HealthMonitor(result.monitor.sim)
+    monitor.detections += [
+        {"t_us": 300_000.0, "detector": "slo_burn", "value": 1.0,
+         "threshold": 1.0},
+        {"t_us": 1_000_000.0, "detector": "resend_storm", "value": 1.0,
+         "threshold": 1.0},
+    ]
+    result.observe = Observe(None, monitor)
+    scorecard = Scorecard()
+    scorecard.add(spec, result, ViolationWitness.from_report(result.report))
+    card = scorecard.to_dict()
+    assert card["fault_classes"]["fail_switch"]["health_detections"] == \
+        {"slo_burn": 1}
+    assert "health_detections" not in card["fault_classes"]["impair_link"]
+    assert card["health_detections"] == {"resend_storm": 1, "slo_burn": 1}
+    assert card["health_no_fault_active"] == {"resend_storm": 1}
+    assert "no fault   : resend_storm=1" in Scorecard.render_dict(card)
 
 
 # -- scorecard rendering determinism -------------------------------------------
@@ -220,20 +245,23 @@ def test_scorecard_render_sorts_input_order():
              "total_resends": 7}
     forward = {
         "schedules_run": 2, "schedules_violated": 0,
-        "health_detections": {"slo_burn": 1, "wal_stall": 2},
+        "health_detections": {"slo_burn": 1, "resend_storm": 2},
+        "health_no_fault_active": {"slo_burn": 1, "resend_storm": 1},
         "fault_classes": {"fail_link": dict(entry),
                           "crash_store": dict(entry)},
     }
     backward = {
         "schedules_run": 2, "schedules_violated": 0,
-        "health_detections": {"wal_stall": 2, "slo_burn": 1},
+        "health_detections": {"resend_storm": 2, "slo_burn": 1},
+        "health_no_fault_active": {"resend_storm": 1, "slo_burn": 1},
         "fault_classes": {"crash_store": dict(entry),
                           "fail_link": dict(entry)},
     }
     assert Scorecard.render_dict(forward) == Scorecard.render_dict(backward)
     rendered = Scorecard.render_dict(forward)
     assert rendered.index("crash_store") < rendered.index("fail_link")
-    assert "slo_burn=1" in rendered and "wal_stall=2" in rendered
+    assert "health     : resend_storm=2, slo_burn=1" in rendered
+    assert "no fault   : resend_storm=1, slo_burn=1" in rendered
 
 
 # -- perfetto: the dedicated faults track --------------------------------------
@@ -253,9 +281,9 @@ def test_perfetto_faults_share_one_track():
                                             "target": "st2"}),
         TraceRecord(30.0, tt.FAULT_CLEAR, {"kind": "recover_link",
                                            "target": "agg1<->tor1"}),
-        TraceRecord(40.0, tt.HEALTH_SLO_BURN, {"detector": "slo_burn",
-                                               "value": 1.0,
-                                               "threshold": 1.0}),
+        TraceRecord(40.0, tt.HEALTH_DETECT, {"detector": "slo_burn",
+                                             "value": 1.0,
+                                             "threshold": 1.0}),
     ]
     doc = export_chrome_trace(records)
     validate_chrome_trace(doc)
@@ -270,7 +298,7 @@ def test_perfetto_faults_share_one_track():
              if e["ph"] == "M" and e["name"] == "thread_name"}
     assert {"faults", "health"} <= names
     health = [e for e in instants if e["name"].startswith("health.")]
-    assert len(health) == 1
+    assert [e["name"] for e in health] == ["health.detect slo_burn"]
     assert health[0]["tid"] != fault_events[0]["tid"]
 
 

@@ -1,9 +1,14 @@
 """Tests for the telemetry-schema lint (repro.verify pass 3, RT3xx rules)."""
 
+import ast
 import os
 
-from repro.verify import SuppressionIndex
-from repro.verify.telemetry_pass import verify_telemetry
+import pytest
+
+from repro.telemetry import schema
+from repro.verify import SuppressionIndex, astutil
+from repro.verify.diagnostics import Report
+from repro.verify.telemetry_pass import _lint_files, verify_telemetry
 
 
 def lint(tmp_path, *sources):
@@ -38,23 +43,40 @@ def test_unknown_trace_type_is_rt301(tmp_path):
     assert rules_and_lines(report) == [("RT301", 1)]
 
 
+#: Each way the tree imports the trace vocabulary and reaches ``emit``:
+#: a one-line header, then the callee and the ``SNAPSHOT`` expression.
+EMIT_FORMS = (
+    ("import repro.telemetry.trace as tt", "tracer.emit", "tt.SNAPSHOT"),
+    ("from repro.telemetry import trace as tt", "tracer.emit", "tt.SNAPSHOT"),
+    ("from repro.telemetry.trace import SNAPSHOT", "tracer.emit", "SNAPSHOT"),
+    ("from repro.telemetry import trace as tt; emit = sim.tracer.emit",
+     "emit", "tt.SNAPSHOT"),
+)
+
+
+def lint_each_form(tmp_path, body):
+    """Lint ``body`` (``{emit}``/``{snapshot}`` placeholders) once per
+    :data:`EMIT_FORMS` entry, each in its own directory."""
+    for i, (header, emit, snapshot) in enumerate(EMIT_FORMS):
+        form_dir = tmp_path / f"form{i}"
+        form_dir.mkdir()
+        yield header, lint(form_dir, header + "\n" + body.format(
+            emit=emit, snapshot=snapshot))
+
+
 def test_missing_required_field_is_rt302(tmp_path):
-    report = lint(tmp_path, (
-        "import repro.telemetry.trace as tt\n"
-        "tracer.emit(tt.PACKET_SEND, link='l0', dir='fwd', bytes=64)\n"
-        + CLOSE_SEND
-    ))
-    assert rules_and_lines(report) == [("RT302", 2)]
-    assert "uid" in report.diagnostics[0].message
+    for header, report in lint_each_form(
+            tmp_path, "{emit}({snapshot}, switch='sw', slot=0)\n"):
+        assert rules_and_lines(report) == [("RT302", 2)], header
+        assert "epoch" in report.diagnostics[0].message
 
 
 def test_undeclared_field_is_rt302(tmp_path):
-    report = lint(tmp_path, (
-        "from repro.telemetry.trace import SNAPSHOT\n"
-        "tracer.emit(SNAPSHOT, switch='sw', slot=0, epoch=1, color='red')\n"
-    ))
-    assert rules_and_lines(report) == [("RT302", 2)]
-    assert "color" in report.diagnostics[0].message
+    for header, report in lint_each_form(
+            tmp_path,
+            "{emit}({snapshot}, switch='sw', slot=0, epoch=1, color='red')\n"):
+        assert rules_and_lines(report) == [("RT302", 2)], header
+        assert "color" in report.diagnostics[0].message
 
 
 def test_spread_emit_skips_field_check(tmp_path):
@@ -161,13 +183,39 @@ def test_closer_in_another_file_pairs_the_span(tmp_path):
 # -- the tree itself ----------------------------------------------------------
 
 
+def _tracer_emit_sites(sf):
+    """Lines calling ``<...>.tracer.emit`` directly or through a local
+    name bound to it: found without the lint, to check the lint."""
+    bound = {
+        node.targets[0].id for node in ast.walk(sf.tree)
+        if isinstance(node, ast.Assign) and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Name)
+        and (astutil.attr_chain(node.value) or [])[-2:] == ["tracer", "emit"]
+    }
+    return {
+        node.lineno for node in ast.walk(sf.tree)
+        if isinstance(node, ast.Call) and (
+            (astutil.attr_chain(node.func) or [])[-2:] == ["tracer", "emit"]
+            or isinstance(node.func, ast.Name) and node.func.id in bound)
+    }
+
+
 def test_repro_source_tree_matches_schema():
-    src = os.path.join(os.path.dirname(__file__), "..", "src", "repro")
+    src = os.path.normpath(
+        os.path.join(os.path.dirname(__file__), "..", "src", "repro"))
     supp = SuppressionIndex()
-    report = verify_telemetry([os.path.normpath(src)], suppressions=supp)
+    report = verify_telemetry([src], suppressions=supp)
     # Standalone pass run: only unused suppressions of *telemetry* rules
-    # are QA002 here — other passes' suppressions (RD201 in the observe
-    # profiler, say) are theirs to account for.
+    # are QA002 here — other passes' suppressions (RD201 in
+    # telemetry/timers.py, say) are theirs to account for.
     report.finalize_suppressions(supp, rules=("RT",))
     offending = report.active()
     assert offending == [], "\n".join(d.render() for d in offending)
+    # The lint saw every tracer.emit site, and the sites it resolved emit
+    # exactly the declared vocabulary: no type without a producer.
+    lints = _lint_files([src], Report(), SuppressionIndex())
+    for lint in lints:
+        resolved = {line for _type, line in lint.emits}
+        assert _tracer_emit_sites(lint.sf) <= resolved, lint.rel
+    emitted = {type_ for lint in lints for type_, _line in lint.emits}
+    assert emitted == set(schema.TRACE_EVENTS)
