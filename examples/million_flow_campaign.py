@@ -15,8 +15,8 @@ via the state store.
 The flow population is *streamed*: each packet draws its flow rank
 through an analytic inverse-CDF Zipf sampler (O(1) per draw, no
 cumulative-mass table), so a 10M population costs no more memory than a
-thousand. The driver is ``run_million_flow_scenario`` in
-:mod:`repro.shard.scenarios` — the same campaign ``python -m bench run``
+thousand. The driver is ``run_million_flow_scenario`` in the scenario registry,
+:mod:`repro.scenarios` — the same campaign ``python -m bench run``
 times as ``flow_churn`` (one process) and ``flow_churn_shard2`` (two
 spawned workers).
 
@@ -41,7 +41,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.shard.runner import resolve, run_sharded  # noqa: E402
-from repro.shard.scenarios import (  # noqa: E402
+from repro.scenarios import (  # noqa: E402
     MF_PACKETS,
     MF_SPACING_US,
     MF_ZIPF_S,

@@ -1,14 +1,17 @@
-"""Shard-runnable scenario drivers.
+"""The scenario registry: every named run, as one table.
 
-A scenario here is the exact same campaign whether it runs as the
-single-process reference, as one shard of N, or as the ghost: one
-deterministic driver function, parameterized only by which simulator it
-gets. That is what makes the identity contract meaningful — the
-reference and the shards execute *the same code*, differing only in
-which flow-injection roots the shard admission filter lets through.
+A scenario is one deterministic driver function, the app whose shard
+plan governs it, and a default seed. The same driver is the
+single-process reference, one shard of N and the ghost
+(:mod:`repro.shard.runner`), the demo views (:mod:`repro.tools.demo`)
+and every in-process run (:meth:`Scenario.run`); only the simulator it
+gets and the ``pace`` it is handed differ. That is what makes the
+identity contract meaningful — the reference and the shards execute
+*the same code*, differing only in which flow-injection roots the
+shard admission filter lets through.
 
-Driver discipline (enforced by construction, documented in
-docs/SHARDING.md):
+Driver discipline (docs/SHARDING.md, "Scenario discipline"; the
+RS410-412 shard-hazard lints cover this module):
 
 * every flow injection is scheduled with the :class:`Packet` in the
   root event's arguments, so the admission filter can key it;
@@ -24,12 +27,13 @@ docs/SHARDING.md):
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from dataclasses import dataclass
+from functools import partial
+from typing import Any, Callable, Dict
 
 from repro.net import constants
 
-#: Quickstart phase boundaries (absolute simulated microseconds).
+#: Failover-story phase boundaries (absolute simulated microseconds).
 QS_PHASE1_END = 100_000.0
 QS_FAIL_RECOVER_US = 400_000.0
 QS_PHASE2_START = QS_PHASE1_END + QS_FAIL_RECOVER_US
@@ -38,8 +42,9 @@ QS_PHASE2_START = QS_PHASE1_END + QS_FAIL_RECOVER_US
 #: it buffers the second burst's lease request until ~1.002 s and only
 #: then grants the lease that migrates the flow's state.
 QS_END = QS_PHASE1_END + constants.LEASE_PERIOD_US + 100_000.0
-#: The switch carrying the quickstart flow (ECMP is deterministic for
-#: the fixed 5-tuple; scripted so every shard fails the same node).
+#: The switch carrying the failover story's one flow, for either app
+#: (ECMP is deterministic for the fixed 5-tuple; scripted so every
+#: shard fails the same node).
 QS_FAIL_SWITCH = "agg2"
 
 #: NAT steady-state scenario shape (the fast-path benchmark workload,
@@ -56,10 +61,6 @@ NAT_SPACING_US = 2.0
 #: genuine cross-flow coupling, and the identity gate fails honestly.
 NAT_FLOW_STAGGER_US = 400.0
 NAT_END = 150_000.0
-#: The switch carrying the single nat_quickstart flow (deterministic
-#: ECMP for the fixed 5-tuple; scripted so every shard fails the same
-#: node).
-NATQS_FAIL_SWITCH = "agg2"
 
 #: Million-flow campaign: Zipf exponent of the flow-popularity draw.
 MF_ZIPF_S = 1.05
@@ -82,62 +83,96 @@ MF_POPULATION = 1_000_000
 MF_DRAW_SEED = 24
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     """One registered scenario: the app whose shard plan governs it,
-    its default seed, and the driver function."""
+    its default seed, and the driver ``fn(sim, pace, fastpath=False,
+    **params)``, where ``pace(t)`` runs the simulator to absolute ``t``."""
 
     name: str
     app: str
     seed: int
     fn: Callable[..., Dict[str, Any]]
-    params: Dict[str, Any] = field(default_factory=dict)
+
+    def run(self, sim: Any, **params: Any) -> Dict[str, Any]:
+        """Run the driver in-process on ``sim``, paced by ``sim.run``."""
+        return self.fn(sim, sim.run, **params)
 
 
-def run_quickstart(
-    sim: Any,
-    pace: Callable[[float], None],
-    fastpath: bool = False,
-    packets: int = 10,
-) -> Dict[str, Any]:
-    """The quickstart the ``repro.tools`` demo views run, shard-disciplined.
-
-    One Sync-Counter flow, a scripted owner failover mid-run, a second
-    burst that waits at the store until the dead owner's lease expires
-    and is released by the migration grant, resource gauges at the end.
-    """
-    from repro import deploy
-    from repro.apps.counter import SyncCounterApp
-    from repro.net.packet import Packet
-
-    dep = deploy(sim, SyncCounterApp)
+def _install_fastpath(sim: Any, fastpath: bool) -> None:
+    """The one fast-path install site. ``FastPath.install`` only sets
+    ``sim.fastpath``, so it may precede the deployment."""
     if fastpath:
         from repro.fastpath.runtime import FastPath
 
         FastPath.install(sim)
-    sender = dep.bed.externals[0]
-    receiver = dep.bed.servers[0]
 
-    for i in range(packets):
-        sim.schedule_at(
-            i * 200.0, sender.send,
-            Packet.udp(sender.ip, receiver.ip, 5555, 7777),
-        )
+
+def _deploy(sim: Any, app: str, fastpath: bool, config: Any = None) -> Any:
+    """Deploy ``app`` (a :data:`repro.apps.BUILTIN_APPS` name), with the
+    NAT routes when it is NAT, and the fast path when asked."""
+    from repro import deploy
+    from repro.apps import BUILTIN_APPS
+    from repro.apps.nat import install_nat_routes
+
+    dep = deploy(sim, BUILTIN_APPS[app], config=config)
+    if app == "nat":
+        install_nat_routes(dep.bed)
+    _install_fastpath(sim, fastpath)
+    return dep
+
+
+def _translated(dep: Any) -> int:
+    """Packets the deployment's NAT apps translated outbound."""
+    apps = {id(e.app): e.app for e in dep.engines.values()}
+    return sum(a.translated_out for a in apps.values())
+
+
+def run_failover(
+    sim: Any,
+    pace: Callable[[float], None],
+    fastpath: bool = False,
+    packets: int = 10,
+    *,
+    app: str,
+) -> Dict[str, Any]:
+    """The quickstart story on ``app`` (``sync_counter`` or ``nat``).
+
+    One flow, a scripted failover of the switch that owns it, a second
+    burst that waits at the store until the dead owner's lease expires
+    and is released by the migration grant, resource gauges at the end.
+    The counter's flow enters from outside; the NAT flow leaves from a
+    server, so it is translated, and the NAT run reports how many
+    packets were.
+    """
+    from repro.net.packet import Packet
+
+    dep = _deploy(sim, app, fastpath)
+    inside, outside = dep.bed.servers[0], dep.bed.externals[0]
+    sender, receiver = (inside, outside) if app == "nat" else (outside, inside)
+
+    def burst(start: float) -> None:
+        for i in range(packets):
+            sim.schedule_at(
+                start + i * 200.0, sender.send,
+                Packet.udp(sender.ip, receiver.ip, 5555, 7777),
+            )
+
+    burst(0.0)
     pace(QS_PHASE1_END)
 
     dep.bed.topology.fail_node(dep.engines[QS_FAIL_SWITCH].switch)
     pace(QS_PHASE2_START)
 
-    for i in range(packets):
-        sim.schedule_at(
-            QS_PHASE2_START + i * 200.0, sender.send,
-            Packet.udp(sender.ip, receiver.ip, 5555, 7777),
-        )
+    burst(QS_PHASE2_START)
     pace(QS_END)
 
     for name in sorted(dep.engines):
         dep.engines[name].resource_usage()
-    return {"packets": 2 * packets}
+    result = {"packets": 2 * packets}
+    if app == "nat":
+        result["translated"] = _translated(dep)
+    return result
 
 
 def run_nat_steady(
@@ -148,8 +183,6 @@ def run_nat_steady(
     packets_per_flow: int = NAT_PACKETS_PER_FLOW,
 ) -> Dict[str, Any]:
     """RedPlane-NAT steady state (the fast-path benchmark workload)."""
-    from repro import deploy
-    from repro.apps.nat import NatApp, install_nat_routes
     from repro.net.packet import Packet
 
     last_injection = ((flows - 1) * NAT_FLOW_STAGGER_US
@@ -158,12 +191,7 @@ def run_nat_steady(
         raise ValueError(
             f"nat_steady: {flows} flows x {packets_per_flow} packets inject "
             f"until {last_injection:.0f} us; the run ends at {NAT_END:.0f} us")
-    dep = deploy(sim, NatApp)
-    install_nat_routes(dep.bed)
-    if fastpath:
-        from repro.fastpath.runtime import FastPath
-
-        FastPath.install(sim)
+    dep = _deploy(sim, "nat", fastpath)
     sender = dep.bed.servers[0]
     dst_ip = dep.bed.externals[0].ip
 
@@ -176,63 +204,15 @@ def run_nat_steady(
             )
     pace(NAT_END)
 
-    apps = {id(e.app): e.app for e in dep.engines.values()}
-    packets = sum(app.translated_out for app in apps.values())
-    result = {"packets": packets, "flows": flows}
+    result = {"packets": _translated(dep), "flows": flows}
     if fastpath:  # what ``repro.tools fastpath`` prints
         result["fastpath_stats"] = sim.fastpath.stats()
     return result
 
 
-def run_nat_quickstart(
-    sim: Any,
-    pace: Callable[[float], None],
-    fastpath: bool = False,
-    packets: int = 10,
-) -> Dict[str, Any]:
-    """The quickstart story on the NAT app: one translated flow, a
-    scripted failover of the switch holding its translation entry, a
-    second burst buffered at the store until the dead owner's lease
-    expires, then translated from the migrated entry."""
-    from repro import deploy
-    from repro.apps.nat import NatApp, install_nat_routes
-    from repro.net.packet import Packet
-
-    dep = deploy(sim, NatApp)
-    install_nat_routes(dep.bed)
-    if fastpath:
-        from repro.fastpath.runtime import FastPath
-
-        FastPath.install(sim)
-    sender = dep.bed.servers[0]
-    dst_ip = dep.bed.externals[0].ip
-
-    for i in range(packets):
-        sim.schedule_at(
-            i * 200.0, sender.send,
-            Packet.udp(sender.ip, dst_ip, 5555, 7777),
-        )
-    pace(QS_PHASE1_END)
-
-    dep.bed.topology.fail_node(dep.engines[NATQS_FAIL_SWITCH].switch)
-    pace(QS_PHASE2_START)
-
-    for i in range(packets):
-        sim.schedule_at(
-            QS_PHASE2_START + i * 200.0, sender.send,
-            Packet.udp(sender.ip, dst_ip, 5555, 7777),
-        )
-    pace(QS_END)
-
-    for name in sorted(dep.engines):
-        dep.engines[name].resource_usage()
-    apps = {id(e.app): e.app for e in dep.engines.values()}
-    translated = sum(app.translated_out for app in apps.values())
-    return {"packets": 2 * packets, "translated": translated}
-
-
-def zipf_rank(u: float, population: int, s: float = MF_ZIPF_S) -> int:
-    """Analytic inverse-CDF Zipf: map uniform ``u`` to a 1-based rank.
+def zipf_rank(u: float, population: int) -> int:
+    """Analytic inverse-CDF Zipf (exponent ``MF_ZIPF_S``): map uniform
+    ``u`` to a 1-based rank.
 
     Continuous bounded-Pareto approximation of the zeta distribution —
     O(1) per draw and streamable, unlike bisection over a cumulative
@@ -242,12 +222,10 @@ def zipf_rank(u: float, population: int, s: float = MF_ZIPF_S) -> int:
     """
     if population < 1:
         raise ValueError("population must be >= 1")
-    if s == 1.0:
-        rank = int(population ** u)
-    else:
-        rank = int(
-            (u * (population ** (1.0 - s) - 1.0) + 1.0) ** (1.0 / (1.0 - s))
-        )
+    s = MF_ZIPF_S
+    rank = int(
+        (u * (population ** (1.0 - s) - 1.0) + 1.0) ** (1.0 / (1.0 - s))
+    )
     return min(max(rank, 1), population)
 
 
@@ -262,38 +240,32 @@ def run_million_flow_scenario(
     fastpath: bool = False,
     packets: int = MF_PACKETS,
     population: int = MF_POPULATION,
-    fail_switch: Optional[str] = MF_FAIL_SWITCH,
-    batch: int = MF_BATCH,
 ) -> Dict[str, Any]:
     """The million-flow campaign: a Zipf packet stream over a huge
     distinct-flow population through RedPlane-NAT, periodic reclamation
-    of expired flow slots, and one scripted mid-campaign failover.
+    of expired flow slots, and one scripted mid-campaign failover of
+    ``MF_FAIL_SWITCH``.
 
     The population is *streamed* (O(1) :func:`zipf_rank` per draw,
-    injections scheduled in bounded batches between ``pace()`` calls), so
-    neither a 10M-entry table nor a 10M-event heap ever materializes.
+    injections scheduled in ``MF_BATCH`` batches between ``pace()``
+    calls), so neither a 10M-entry table nor a 10M-event heap ever
+    materializes.
     """
-    from repro import RedPlaneConfig, deploy
-    from repro.apps.nat import NatApp, install_nat_routes
+    from repro import RedPlaneConfig
     from repro.net.packet import Packet
 
-    dep = deploy(sim, NatApp, config=RedPlaneConfig(
+    dep = _deploy(sim, "nat", fastpath, config=RedPlaneConfig(
         lease_period_us=MF_LEASE_US,
         renew_interval_us=MF_LEASE_US / 2,
         max_flows=65_536,
         record_history=False,
     ))
-    install_nat_routes(dep.bed)
-    if fastpath:
-        from repro.fastpath.runtime import FastPath
-
-        FastPath.install(sim)
     sender = dep.bed.servers[0]
     dst_ip = dep.bed.externals[0].ip
 
     t_traffic_end = packets * MF_SPACING_US
     t_end = t_traffic_end + 3 * MF_LEASE_US
-    t_fail = t_traffic_end / 2.0 if fail_switch else None
+    t_fail = t_traffic_end / 2.0
 
     def reclaim() -> None:
         freed = sum(e.reclaim_idle_flows() for e in dep.engines.values())
@@ -304,6 +276,12 @@ def run_million_flow_scenario(
 
     sim.schedule_at(MF_RECLAIM_EVERY_US, reclaim)
 
+    def fail() -> None:
+        pace(t_fail)
+        dep.bed.topology.fail_node(
+            dep.engines[MF_FAIL_SWITCH].switch, detect_delay_us=25_000.0,
+        )
+
     # Stream the draw sequence: one uniform draw per packet, scheduled
     # in bounded batches with a pace() between them. The driver runs in
     # lockstep on every shard, so each shard sees the identical stream
@@ -312,16 +290,12 @@ def run_million_flow_scenario(
     failed = False
     sent = 0
     while sent < packets:
-        batch_end = min(sent + batch, packets)
+        batch_end = min(sent + MF_BATCH, packets)
         for i in range(sent, batch_end):
             when = i * MF_SPACING_US
-            if t_fail is not None and not failed and when >= t_fail:
+            if not failed and when >= t_fail:
                 # Reach the failover point before injecting past it.
-                pace(t_fail)
-                dep.bed.topology.fail_node(
-                    dep.engines[fail_switch].switch,
-                    detect_delay_us=25_000.0,
-                )
+                fail()
                 failed = True
             rank = zipf_rank(draws.random(), population)
             sport, dport = flow_ports(rank)
@@ -331,19 +305,14 @@ def run_million_flow_scenario(
             )
         sent = batch_end
         pace(sent * MF_SPACING_US)
-    if t_fail is not None and not failed:
-        pace(t_fail)
-        dep.bed.topology.fail_node(
-            dep.engines[fail_switch].switch, detect_delay_us=25_000.0,
-        )
+    if not failed:
+        fail()
     pace(t_end)
 
-    apps = {id(e.app): e.app for e in dep.engines.values()}
-    translated = sum(a.translated_out for a in apps.values())
     return {
         "packets": packets,
         "population": population,
-        "translated": translated,
+        "translated": _translated(dep),
         "reclaimed": int(sim.metrics.value("example.reclaimed")),
     }
 
@@ -358,10 +327,7 @@ def _make_chaos_runner(campaign: Any) -> Callable[..., Dict[str, Any]]:
     ) -> Dict[str, Any]:
         from repro.chaos.runner import run_campaign_result
 
-        if fastpath:
-            from repro.fastpath.runtime import FastPath
-
-            FastPath.install(sim)
+        _install_fastpath(sim, fastpath)
         # The chaos runner owns its drive loop (absolute times
         # throughout), so the whole campaign is one pace() boundary.
         result = run_campaign_result(
@@ -379,18 +345,26 @@ def _make_chaos_runner(campaign: Any) -> Callable[..., Dict[str, Any]]:
     return run_chaos
 
 
+#: The registry. ``chaos:<campaign>`` names are resolved by
+#: :func:`get_scenario` on top of it.
+SCENARIOS: Dict[str, Scenario] = {s.name: s for s in (
+    Scenario("quickstart", "sync_counter", 7,
+             partial(run_failover, app="sync_counter")),
+    Scenario("nat_quickstart", "nat", 7, partial(run_failover, app="nat")),
+    Scenario("nat_steady", "nat", 5, run_nat_steady),
+    Scenario("million_flow", "nat", 23, run_million_flow_scenario),
+)}
+
+
 def get_scenario(name: str) -> Scenario:
-    """Resolve a scenario by registry name (``chaos:<campaign>`` works
-    for every registered chaos campaign)."""
-    if name == "quickstart":
-        return Scenario(name, app="sync_counter", seed=7, fn=run_quickstart)
-    if name == "nat_quickstart":
-        return Scenario(name, app="nat", seed=7, fn=run_nat_quickstart)
-    if name == "nat_steady":
-        return Scenario(name, app="nat", seed=5, fn=run_nat_steady)
-    if name == "million_flow":
-        return Scenario(name, app="nat", seed=23,
-                        fn=run_million_flow_scenario)
+    """Resolve a scenario by registry name.
+
+    ``chaos:<campaign>`` resolves every campaign in
+    :data:`repro.chaos.campaigns.CAMPAIGNS`; whether it also shards is
+    what ``repro.tools shard diff`` reports (docs/SHARDING.md).
+    """
+    if name in SCENARIOS:
+        return SCENARIOS[name]
     if name.startswith("chaos:"):
         campaign = name.split(":", 1)[1]
         from repro.chaos.campaigns import CAMPAIGNS
@@ -406,7 +380,6 @@ def get_scenario(name: str) -> Scenario:
         return Scenario(name, app="sync_counter", seed=chosen.sim_seed,
                         fn=_make_chaos_runner(chosen))
     raise KeyError(
-        f"unknown scenario {name!r}; have: quickstart, nat_quickstart, "
-        "nat_steady, million_flow, chaos:<campaign>"
+        f"unknown scenario {name!r}; have: {', '.join(SCENARIOS)}, "
+        "chaos:<campaign>"
     )
-

@@ -7,7 +7,8 @@ plan (``shard_plans/<app>.json``, produced and drift-checked by
 simulates the whole topology and admits only its own flows, so shards
 exchange nothing and need no clock protocol — and deterministically
 merge the per-shard logs back into the exact byte stream the
-single-process reference produces.
+single-process reference produces. The campaigns it runs are the named
+scenarios of :mod:`repro.scenarios`.
 
 Package map:
 
@@ -18,7 +19,6 @@ module             role
 ``assign``         flow -> shard hashing from the plan's partition key
 ``recorder``       per-shard sidecar: origin ranks and the one ordered log
 ``frames``         length-prefixed worker report frames (3 types)
-``scenarios``      shard-disciplined campaign drivers (incl. million-flow)
 ``runner``         reference / inline / process drive modes + identity gate
 ``worker``         spawned-process workers + the parent's collect loop
 ``merge``          one-pass log merge, ghost subtraction, merged fingerprint

@@ -7,7 +7,7 @@ import argparse
 import json
 import os
 import sys
-from typing import List
+from typing import Callable, List
 
 
 def _shard_assignment_table(plan: dict, workers: int) -> str:
@@ -60,7 +60,7 @@ def run_shard_plan(args: argparse.Namespace) -> int:
 
 def _unknown_scenario(args: argparse.Namespace) -> bool:
     """Name the registry on stderr when ``args.scenario`` is not in it."""
-    from repro.shard.scenarios import get_scenario
+    from repro.scenarios import get_scenario
 
     try:
         get_scenario(args.scenario)
@@ -75,6 +75,22 @@ def _merged_summary(merged: dict) -> dict:
     return {k: v for k, v in merged.items() if k != "records"}
 
 
+def _merge_refusal_exits_2(handler: Callable[[argparse.Namespace], int]):
+    """A merge refusal is the run's answer, not a crash: one stderr
+    line and exit 2 (exit 1 is ``shard diff``'s DIFFERS)."""
+    def run(args: argparse.Namespace) -> int:
+        from repro.shard.merge import MergeError
+
+        try:
+            return handler(args)
+        except MergeError as exc:
+            print(f"shard {args.shard_command}: cannot merge: {exc}",
+                  file=sys.stderr)
+            return 2
+    return run
+
+
+@_merge_refusal_exits_2
 def run_shard_run(args: argparse.Namespace) -> int:
     """``repro.tools shard run <scenario> --workers N``."""
     from repro.shard.runner import resolve, run_sharded
@@ -113,6 +129,7 @@ def run_shard_run(args: argparse.Namespace) -> int:
     return 0
 
 
+@_merge_refusal_exits_2
 def run_shard_diff(args: argparse.Namespace) -> int:
     """``repro.tools shard diff <scenario>``: A/B vs the reference."""
     from repro.shard.runner import run_identity
@@ -133,6 +150,10 @@ def run_shard_diff(args: argparse.Namespace) -> int:
 def register(sub: argparse._SubParsersAction) -> None:
     """Declare ``shard`` and its subcommands on the ``repro.tools``
     subparsers."""
+    from repro.scenarios import SCENARIOS
+
+    scenario_help = (f"scenario name: {', '.join(SCENARIOS)} or "
+                     "chaos:<campaign>")
     shard_sub = sub.add_parser(
         "shard", help="sharded parallel simulation: plan / run / diff",
     ).add_subparsers(dest="shard_command", required=True)
@@ -150,15 +171,14 @@ def register(sub: argparse._SubParsersAction) -> None:
     run = shard_sub.add_parser(
         "run", help="run a scenario sharded across N workers and merge")
     run.set_defaults(run=run_shard_run)
-    run.add_argument("scenario",
-                     help="scenario name (see repro.shard.scenarios)")
+    run.add_argument("scenario", help=scenario_help)
     run.add_argument("--workers", type=int, default=2)
     run.add_argument("--seed", type=int, default=None,
                      help="override the scenario's default seed")
     run.add_argument("--mode", choices=("inline", "process"),
                      default="inline",
                      help="inline (sequential, one process) or process "
-                          "(spawned workers, framed sync)")
+                          "(spawned workers, each run straight through)")
     run.add_argument("--no-capture", action="store_true",
                      help="skip record capture (throughput runs; merge "
                           "reports counts only)")
@@ -173,7 +193,7 @@ def register(sub: argparse._SubParsersAction) -> None:
         "diff", help="byte-identity gate: N-shard merged run vs the "
                      "single-process reference")
     diff.set_defaults(run=run_shard_diff)
-    diff.add_argument("scenario")
+    diff.add_argument("scenario", help=scenario_help)
     diff.add_argument("--workers", type=int, default=2)
     diff.add_argument("--mode", choices=("inline", "process"),
                       default="inline")

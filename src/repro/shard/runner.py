@@ -1,7 +1,7 @@
 """Drive sharded runs: reference, inline shards, worker processes, merge.
 
-Three drive modes share one scenario definition
-(:mod:`repro.shard.scenarios`):
+Three drive modes share one scenario definition from the registry
+(:mod:`repro.scenarios`):
 
 * **reference** — the plain single-process run, the bit-identity truth
   (its tracer feeds a :func:`repro.identity.watch` hasher, so its
@@ -30,10 +30,10 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro import identity
 from repro.net.simulator import Simulator
+from repro.scenarios import Scenario, get_scenario
 from repro.shard import merge as merge_mod
 from repro.shard import plan as plan_mod
 from repro.shard.recorder import ShardRecorder
-from repro.shard.scenarios import Scenario, get_scenario
 from repro.telemetry import ScopedTimer
 
 

@@ -54,7 +54,7 @@ def worker_main(conn: Any, spec: Dict[str, Any]) -> None:
     fc = FrameConn(conn)
     try:
         from repro.shard.runner import ShardRunConfig, run_one_shard
-        from repro.shard.scenarios import get_scenario
+        from repro.scenarios import get_scenario
 
         spec = dict(spec)
         shard_index = spec.pop("shard_index")

@@ -1,9 +1,9 @@
 """The demo views: ``repro.tools metrics | trace | spans | timeline``.
 
-Each runs the shard registry's ``quickstart`` scenario
-(:func:`repro.shard.scenarios.run_quickstart`: SyncCounterApp on the
-paper testbed, one flow, a scripted owner failure, a second burst
-released by the lease migration) in-process and reads what the
+Each runs the scenario registry's ``quickstart``
+(:func:`repro.scenarios.run_failover` on SyncCounterApp: the paper
+testbed, one flow, a scripted owner failure, a second burst released by
+the lease migration) in-process and reads what the
 telemetry spine recorded — the :class:`~repro.telemetry.MetricRegistry`,
 the :class:`~repro.telemetry.Tracer` ring, or the complete record stream
 collected from ``Tracer.on_emit`` (the ring can truncate; the hook
@@ -23,13 +23,12 @@ def quickstart_run(seed: int = 7, packets: int = 10) -> Tuple[Any, List[Any]]:
     """Run the registry's ``quickstart``; returns ``(sim, records)`` with
     every record the run emitted. Takes the simulator's ``on_emit`` slot."""
     from repro.net.simulator import Simulator
-    from repro.shard.scenarios import get_scenario
+    from repro.scenarios import SCENARIOS
 
     sim = Simulator(seed=seed)
     records: List[Any] = []
     sim.tracer.on_emit = records.append
-    get_scenario("quickstart").fn(
-        sim, lambda until: sim.run(until=until), packets=packets)
+    SCENARIOS["quickstart"].run(sim, packets=packets)
     return sim, records
 
 

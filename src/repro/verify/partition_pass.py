@@ -39,7 +39,8 @@ inferred keys and global residue — committed under
 ``repro.tools verify --plan``.
 
 RS410-412 are companion tree lints over the shard-boundary packages
-(``repro.core``, ``repro.statestore``, ``repro.fastpath``, ``repro.net``)
+(``repro.core``, ``repro.statestore``, ``repro.fastpath``, ``repro.net``,
+``repro.shard``) and the scenario drivers (``repro.scenarios``)
 for Python-level hazards that would break a multi-process split even
 with perfectly partitioned switch state.
 """
@@ -114,8 +115,10 @@ _ACCESS_METHODS = frozenset(
 #: Live values that are the same for every packet.
 _CONST_TYPES = (int, float, str, bytes, bool, FlowKey)
 
-#: Packages whose Python-level state crosses shard-process boundaries.
-_SHARD_SCOPES = frozenset({"core", "statestore", "fastpath", "net", "shard"})
+#: Packages (and the scenario module) whose Python-level state crosses
+#: shard-process boundaries.
+_SHARD_SCOPES = frozenset({"core", "statestore", "fastpath", "net", "shard",
+                           "scenarios.py"})
 
 _CONST = frozenset({_T_CONST})
 _UNKNOWN = frozenset({_T_UNKNOWN})
@@ -733,9 +736,9 @@ def render_plan(plan: Dict[str, object]) -> str:
 
 
 def _in_shard_scope(path: str) -> bool:
-    """True for files in the shard-boundary packages — and for files
-    outside any ``repro`` package (fixtures, scratch trees), which are
-    linted as-is."""
+    """True for files in the shard-boundary packages and for
+    ``repro/scenarios.py`` — and for files outside any ``repro``
+    package (fixtures, scratch trees), which are linted as-is."""
     parts = os.path.abspath(path).split(os.sep)
     if "repro" in parts:
         i = parts.index("repro")

@@ -48,7 +48,7 @@ from repro.core.protocol import (
 )
 from repro.deploy import deploy_netchain
 from repro.net.packet import TCP_ACK, TCP_SYN, FlowKey, Packet
-from repro.shard.scenarios import get_scenario
+from repro.scenarios import get_scenario
 from repro.statestore import codec
 
 
@@ -130,7 +130,7 @@ def test_registry_quickstarts(probe, name):
     """Owner fails, the second burst buffers at the store, the lease
     migrates: pending requests and the migration grant are reused too."""
     sim = Simulator(seed=7)
-    get_scenario(name).fn(sim, lambda until: sim.run(until=until))
+    get_scenario(name).run(sim)
     probe.assert_clean()
     assert probe.kinds[MessageType.LEASE_NEW_ACK] >= 2
     assert sim.metrics.total("store.requests_buffered") > 0

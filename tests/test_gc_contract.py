@@ -23,7 +23,7 @@ from repro.chaos.campaigns import CAMPAIGNS
 from repro.chaos.runner import run_campaign_result
 from repro.net.packet import Packet
 from repro.net.simulator import Simulator
-from repro.shard.scenarios import run_quickstart
+from repro.scenarios import SCENARIOS
 from repro.telemetry import trace as tt
 
 
@@ -138,11 +138,11 @@ def test_lease_migration_makes_no_cyclic_garbage(drains):
     is buffered at the store behind the dead owner's lease and released
     by the migration grant. (At seed 42 the ``single_failover`` campaign's
     flow hashes to the switch that does *not* fail, so it never migrates;
-    this scenario does.) Its deployment is local to ``run_quickstart`` and
+    this scenario does.) Its deployment is local to ``run_failover`` and
     is itself cyclic garbage once that returns — nodes, ports and links
     point at each other — so only the per-drain figures are asserted."""
     sim = Simulator(seed=7)
-    run_quickstart(sim, lambda until: sim.run(until=until))
+    SCENARIOS["quickstart"].run(sim)
     assert drains.started == []
     assert drains.garbage == [0, 0, 0]
     total = sim.metrics.total

@@ -8,7 +8,7 @@ import pytest
 
 from repro import Simulator, identity
 from repro.shard.merge import reference_result
-from repro.shard.scenarios import get_scenario
+from repro.scenarios import SCENARIOS
 from repro.telemetry.trace import TraceRecord
 
 #: ``nat_quickstart`` under seed 7: 1 359 events, 1 299 records (re-pinned
@@ -23,7 +23,7 @@ QUICKSTART_DIGEST = (
 def _quickstart(trace_ring=65536, watched=False):
     sim = Simulator(seed=7, trace_ring=trace_ring)
     hasher = identity.watch(sim) if watched else None
-    get_scenario("nat_quickstart").fn(sim, lambda until: sim.run(until=until))
+    SCENARIOS["nat_quickstart"].run(sim)
     return sim, identity.fingerprint(sim, hasher)
 
 

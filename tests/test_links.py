@@ -291,10 +291,10 @@ def _observables(sim):
 
 
 def _run_nat_quickstart():
-    from repro.shard.scenarios import run_nat_quickstart
+    from repro.scenarios import SCENARIOS
 
     sim = Simulator(seed=7)
-    run_nat_quickstart(sim, lambda until: sim.run(until=until))
+    SCENARIOS["nat_quickstart"].run(sim)
     return _observables(sim)
 
 

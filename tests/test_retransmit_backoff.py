@@ -17,7 +17,7 @@ from repro.chaos.runner import run_campaign_result
 from repro.core.engine import RedPlaneConfig
 from repro.net import constants
 from repro.net.simulator import Simulator
-from repro.shard.scenarios import get_scenario
+from repro.scenarios import SCENARIOS
 from repro.telemetry import schema, trace
 from repro.telemetry.metrics import Histogram
 from repro.telemetry.trace import read_jsonl
@@ -113,7 +113,7 @@ def test_resends_histogram_counts_acknowledged_requests(partitioned):
 
 def test_resends_histogram_quiet_without_faults():
     sim = Simulator(seed=5)
-    get_scenario("nat_steady").fn(sim, lambda until: sim.run(until=until))
+    SCENARIOS["nat_steady"].run(sim)
     count = 0
     for inst in sim.metrics.instruments("redplane.resends_per_request"):
         assert isinstance(inst, Histogram)

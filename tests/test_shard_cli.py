@@ -71,6 +71,18 @@ def test_shard_diff_holds_and_is_complete_when_a_ring_truncated(
     assert out.count("trace") == 2  # one trace axis, and trace_complete
 
 
+@pytest.mark.parametrize("command", ["diff", "run"])
+def test_merge_refusal_is_a_cli_error(capsys, command):
+    """The durable campaign's shared WAL-size gauge differs between the
+    replicas, so the merge refuses: one stderr line and exit 2, neither
+    a traceback nor ``diff``'s DIFFERS exit 1."""
+    assert tools_main(["shard", command,
+                       "chaos:store_crash_recover_wal"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"shard {command}: cannot merge: ")
+    assert err.count("\n") == 1
+
+
 def test_shard_run_prints_merged_summary(capsys, tmp_path):
     assert tools_main(["shard", "run", "nat_quickstart", "--workers", "2",
                        "--save", str(tmp_path)]) == 0

@@ -122,6 +122,50 @@ def test_documented_commands_parse():
     assert seen > 60
 
 
+# -- every documented repro.* name still resolves -----------------------------
+
+#: A backticked dotted name, with or without a call's arguments.
+_DOTTED_NAME = re.compile(r"`(repro(?:\.\w+)+)(?:\([^`]*\))?`")
+
+
+def _resolve_dotted(name):
+    """Import the longest importable prefix of ``name``, then ``getattr``
+    the rest; raises if either step fails."""
+    import importlib
+
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[cut:]:
+            obj = getattr(obj, attr)
+        return obj
+    raise ModuleNotFoundError(name)
+
+
+def test_documented_names_resolve():
+    """A moved or deleted object cannot linger in prose: every
+    backticked ``repro.<dotted>`` name in the README and docs/ must
+    import, or resolve from its longest importable prefix."""
+    sources = [os.path.join(_REPO, "README.md")]
+    sources += sorted(glob.glob(os.path.join(_REPO, "docs", "*.md")))
+    stale = []
+    seen = set()
+    for path in sources:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        for name in set(_DOTTED_NAME.findall(text)):
+            seen.add(name)
+            try:
+                _resolve_dotted(name)
+            except (ImportError, AttributeError):
+                stale.append(f"{os.path.relpath(path, _REPO)}: {name}")
+    assert sorted(stale) == []
+    assert len(seen) > 50
+
+
 # -- one declaration per command ----------------------------------------------
 
 

@@ -332,6 +332,18 @@ def test_mutable_module_global_is_rs410(tmp_path):
     assert "RS410" in active_rules(report)
 
 
+def test_scenario_registry_is_in_shard_scope(tmp_path):
+    """The scenario drivers run on every shard, so the registry module
+    is linted like the shard-boundary packages."""
+    (tmp_path / "repro").mkdir()
+    report = lint(tmp_path, (
+        "PENDING = []\n"
+        "def enqueue(x):\n"
+        "    PENDING.append(x)\n"
+    ), name="repro/scenarios.py")
+    assert "RS410" in active_rules(report)
+
+
 def test_global_statement_is_rs410(tmp_path):
     report = lint(tmp_path, (
         "counter = 0\n"
