@@ -87,7 +87,9 @@ class ServerNat(Host):
             return
         entry = self.translations.get(pkt.l4.dport)
         if entry is None:
-            self.sim.count(f"{self.name}.drops.no_translation")
+            self.sim.metrics.counter(
+                "host.drops", host=self.name, reason="no_translation"
+            ).inc()
             return
         self.packets_processed += 1
         int_ip, _int_port = entry

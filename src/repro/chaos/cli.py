@@ -115,17 +115,30 @@ def run_fuzz_self_check(args: argparse.Namespace) -> int:
     return 0 if report["ok"] else 1
 
 
+def _load_regression(cmd: str, path: str):
+    """``(payload, (spec, witness, mutation))`` of the regression file at
+    ``path``, or ``None`` once one ``fuzz <cmd>: cannot read`` line is on
+    stderr; the caller then exits 2, which no verdict uses."""
+    from repro.chaos.fuzz import parse_regression
+
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        return payload, parse_regression(payload)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        _emit(f"fuzz {cmd}: cannot read {path}: "
+              f"{type(exc).__name__}: {exc}")
+        return None
+
+
 def run_fuzz_shrink(args: argparse.Namespace) -> int:
     """``fuzz shrink``: re-shrink a saved regression file."""
-    from repro.chaos.campaigns import Campaign
     from repro.chaos.shrink import shrink_spec
-    from repro.model.witness import ViolationWitness
 
-    with open(args.file, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    spec = Campaign.from_dict(payload["spec"])
-    witness = ViolationWitness.from_dict(payload["witness"])
-    bug = payload.get("fuzzer", {}).get("mutation")
+    loaded = _load_regression("shrink", args.file)
+    if loaded is None:
+        return 2
+    payload, (spec, witness, bug) = loaded
     shrunk = shrink_spec(spec, witness, bug=bug, budget=args.budget)
     _emit(f"shrunk {len(spec.faults)} -> {len(shrunk.spec.faults)} "
           f"fault(s) in {shrunk.runs_used} oracle runs")
@@ -143,10 +156,11 @@ def run_fuzz_replay(args: argparse.Namespace) -> int:
     """``fuzz replay``: regression files still (or no longer) reproduce."""
     from repro.chaos.fuzz import replay_regression
 
+    loaded = [_load_regression("replay", path) for path in args.files]
+    if None in loaded:
+        return 2
     failures = 0
-    for path in args.files:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+    for path, (payload, _parsed) in zip(args.files, loaded):
         outcome = replay_regression(payload)
         expect = args.expect
         if expect == "auto":

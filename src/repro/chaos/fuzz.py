@@ -392,6 +392,21 @@ def regression_payload(entry: Dict[str, object], seed: int,
     }
 
 
+def parse_regression(
+    payload: Dict[str, object],
+) -> Tuple[Campaign, ViolationWitness, Optional[str]]:
+    """A regression file's ``(spec, witness, mutation)``, validated
+    without running anything. A payload of another kind raises
+    ``ValueError``; a malformed one raises whatever its parse raises."""
+    if payload.get("kind") != "chaos-fuzz-regression":
+        raise ValueError(
+            f"not a chaos-fuzz regression file (kind={payload.get('kind')!r})")
+    spec = Campaign.from_dict(payload["spec"])  # type: ignore[arg-type]
+    witness = ViolationWitness.from_dict(payload["witness"])  # type: ignore[arg-type]
+    bug = payload["fuzzer"].get("mutation")  # type: ignore[union-attr]
+    return spec, witness, bug
+
+
 def replay_regression(payload: Dict[str, object]) -> Dict[str, object]:
     """Replay a regression file; report whether it still reproduces.
 
@@ -401,12 +416,7 @@ def replay_regression(payload: Dict[str, object]) -> Dict[str, object]:
     A regression recorded against the *real* protocol (no mutation) is
     expected to be clean once the underlying bug is fixed.
     """
-    if payload.get("kind") != "chaos-fuzz-regression":
-        raise ValueError(
-            f"not a chaos-fuzz regression file (kind={payload.get('kind')!r})")
-    spec = Campaign.from_dict(payload["spec"])  # type: ignore[arg-type]
-    recorded = ViolationWitness.from_dict(payload["witness"])  # type: ignore[arg-type]
-    bug = payload["fuzzer"].get("mutation")  # type: ignore[union-attr]
+    spec, recorded, bug = parse_regression(payload)
     result = run_spec(spec, bug=bug)
     witness = ViolationWitness.from_report(result.report)
     return {

@@ -35,6 +35,7 @@ from repro.observe import ObserveOptions
 from repro.statestore.failover import StoreFailoverCoordinator
 from repro.statestore.wal import WALBackend
 from repro.telemetry.metrics import percentile
+from repro.telemetry.trace import JsonlSink
 from repro.workloads.failures import FailureSchedule, apply_specs, is_clear
 
 #: Extra simulated time after the main phase for retransmissions,
@@ -100,8 +101,6 @@ def run_campaign_result(
     :class:`~repro.shard.recorder.ShardRecorder` (or a
     :class:`~repro.fastpath.FastPath`) already attached."""
     sim = Simulator(seed=seed) if sim_factory is None else sim_factory(seed)
-    if trace_path is not None:
-        sim.tracer.open_sink(trace_path)
 
     # Durable campaigns run each store node on a WAL backend rooted in a
     # scratch directory that lives exactly as long as the run. The path
@@ -119,15 +118,21 @@ def run_campaign_result(
             f"for campaign {campaign.name!r}"
         )
 
+    sink: Optional[JsonlSink] = None
     try:
-        return _run_deployed(campaign, seed, sim, trace_path,
-                             backend_factory, observe)
+        if trace_path is not None:
+            sink = JsonlSink(trace_path)
+            sim.tracer.sinks.append(sink)
+        return _run_deployed(campaign, seed, sim, backend_factory, observe)
     finally:
+        if sink is not None:
+            sim.tracer.sinks.remove(sink)
+            sink.close()
         if scratch is not None:
             shutil.rmtree(scratch, ignore_errors=True)
 
 
-def _run_deployed(campaign, seed, sim, trace_path, backend_factory,
+def _run_deployed(campaign, seed, sim, backend_factory,
                   observe: Optional[ObserveOptions] = None) -> RunResult:
     config = RedPlaneConfig(lease_period_us=campaign.lease_period_us)
     dep = deploy(sim, EchoCounterApp, config=config,
@@ -183,8 +188,6 @@ def _run_deployed(campaign, seed, sim, trace_path, backend_factory,
     if bundle is not None:
         bundle.close()
         sim.on_event = None
-    if trace_path is not None:
-        sim.tracer.close_sink()
 
     report = _build_report(campaign, seed, dep, workload, schedule, monitor,
                            coordinator)

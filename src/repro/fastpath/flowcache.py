@@ -40,7 +40,7 @@ from repro.switch.pipeline import PipelineContext, Verdict
 REPLAY_EFFECTS = {
     # reference-path helpers (side effects happen in reference code)
     "_leased_path", "_no_lease_path", "_record", "_flow_index",
-    "_egress", "punt", "count", "read",
+    "_egress", "_drop_to_self", "punt", "read",
     # counters/metrics handles
     "inc", "_c", "_c_pkts_processed", "_c_bytes_protocol_in",
     # read-only accessors
@@ -75,7 +75,7 @@ def replay_transit(switch, pkt, ip):
         )
     if ip.dst == switch.ip:
         # Addressed to the switch itself but no block consumed it.
-        switch.sim.count(f"{switch.name}.drops.to_self")
+        switch._drop_to_self()
     else:
         switch._egress(pkt)
 
@@ -84,7 +84,7 @@ def replay_bypass(switch, pkt, ip):
     """Replay for traffic the application ignores (partition key None)."""
     switch._c_pkts_processed.inc()
     if ip.dst == switch.ip:
-        switch.sim.count(f"{switch.name}.drops.to_self")
+        switch._drop_to_self()
     else:
         switch._egress(pkt)
 
@@ -116,7 +116,7 @@ def replay_app(entry, eng, switch, pkt, ip):
     verdict = ctx.verdict
     if verdict is Verdict.FORWARD:
         if ip.dst == switch.ip:
-            switch.sim.count(f"{switch.name}.drops.to_self")
+            switch._drop_to_self()
         else:
             switch._egress(pkt)
     elif verdict is Verdict.PUNT:

@@ -9,11 +9,10 @@ A fingerprint is ``{events, records_emitted, records_hashed,
 trace_digest, metrics}``. The digest is a SHA-256 over
 ``repr((ts, type, tuple(fields.items())))`` of each record in emission
 order — timestamps, types, and field *order* (it is what ``to_json``
-writes). :func:`watch` feeds it from ``Tracer.on_emit`` as the run
-goes, so it covers every record ever emitted whatever the ring holds;
-``on_emit`` is a single slot (the shard recorder owns it on shards,
-whose records reach the digest through the merge instead). A finished
-simulator nobody watched can only offer its retained ring, and
+writes). :func:`watch` joins the hasher to ``Tracer.sinks`` as the run
+goes, so it covers every record ever emitted whatever the ring holds
+(a shard's records reach the digest through the merge instead). A
+finished simulator nobody watched can only offer its retained ring, and
 ``records_hashed`` says so: :func:`compare` reports ``trace_complete``
 only when both sides hashed every record they emitted.
 """
@@ -30,7 +29,7 @@ NON_IDENTITY_PREFIXES = ("shard.",)
 
 
 class TraceHasher:
-    """Streaming trace digest; callable, so it fits ``Tracer.on_emit``."""
+    """Streaming trace digest; callable, so it joins ``Tracer.sinks``."""
 
     def __init__(self, records: Iterable[Any] = ()) -> None:
         self._sha = hashlib.sha256()
@@ -56,13 +55,8 @@ class TraceHasher:
 def watch(sim: Any) -> TraceHasher:
     """Hash every record ``sim`` emits from now on; returns the hasher
     to hand to :func:`fingerprint` when the run is over."""
-    if sim.tracer.on_emit is not None:
-        raise RuntimeError(
-            "Tracer.on_emit is already taken "
-            f"({sim.tracer.on_emit!r}); it is a single slot"
-        )
     hasher = TraceHasher()
-    sim.tracer.on_emit = hasher
+    sim.tracer.sinks.append(hasher)
     return hasher
 
 

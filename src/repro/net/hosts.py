@@ -62,7 +62,9 @@ class Host(Node):
             pkt.ip.dst not in self.extra_ips
         ):
             # Not addressed to us; hosts are not routers.
-            self.sim.count(f"{self.name}.drops.wrong_dst")
+            self.sim.metrics.counter(
+                "host.drops", host=self.name, reason="wrong_dst"
+            ).inc()
             return
         self.rx_packets += 1
         handler = None

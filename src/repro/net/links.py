@@ -386,7 +386,7 @@ class Link:
         delay = (start + ser_us - now) + self.latency_us + jitter_us
         if self.reorder_rate > 0.0 and rng.random() < self.reorder_rate:
             delay += constants.REORDER_EXTRA_US * rng.random()
-            sim.count("link.reordered")
+            sim.metrics.counter("link.reordered").inc()
             emit(
                 tt.PACKET_REORDER,
                 link=self.name,

@@ -120,9 +120,6 @@ class L3Switch(Node):
         self._route_cache: Dict[tuple, Port] = {}
         self._route_cache_versions = (self.table.version, self.belief_version)
         self.forwarded = 0
-        self.dropped_no_route = 0
-        self.dropped_ttl = 0
-        self.dropped_no_next_hop = 0
 
     # -- belief management --------------------------------------------------
 
@@ -141,11 +138,10 @@ class L3Switch(Node):
     def forward(self, pkt: Packet) -> None:
         """Route a packet: LPM, then ECMP among believed-up next hops."""
         if pkt.ip is None:
-            self.sim.count(f"{self.name}.drops.non_ip")
+            self._drop("non_ip")
             return
         if pkt.ip.ttl <= 1:
-            self.dropped_ttl += 1
-            self.sim.count("route.drops.ttl")
+            self._drop("ttl")
             return
         out_port = self.select_port(pkt)
         if out_port is None:
@@ -195,13 +191,16 @@ class L3Switch(Node):
         """LPM, then ECMP among believed-up next hops (the cache fill)."""
         route = self.table.lookup(pkt.ip.dst)
         if route is None:
-            self.dropped_no_route += 1
-            self.sim.count("route.drops.no_route")
+            self._drop("no_route")
             return None
         alive = [p for p in route.ports if self.believes_up(p)]
         if not alive:
-            self.dropped_no_next_hop += 1
-            self.sim.count("route.drops.no_next_hop")
+            self._drop("no_next_hop")
             return None
         index = ecmp_hash(pkt.flow_key(), self.ECMP_SEED) % len(alive)
         return alive[index]
+
+    def _drop(self, reason: str) -> None:
+        self.sim.metrics.counter(
+            "route.drops", switch=self.name, reason=reason
+        ).inc()

@@ -286,10 +286,6 @@ class Simulator:
 
     # -- bookkeeping ----------------------------------------------------------
 
-    def count(self, key: str, amount: float = 1.0) -> None:
-        """Increment a named experiment counter (registry-backed)."""
-        self.metrics.counter(key).inc(amount)
-
     def new_uid(self) -> int:
         """Allocate the next packet-span correlation id (monotonic, >= 1)."""
         uid = next(self._uid_seq)

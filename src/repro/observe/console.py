@@ -80,26 +80,40 @@ def render_snapshot(snap: Dict[str, object], label: Optional[str] = None) -> str
     )
 
 
+#: The fields :func:`render_snapshot` formats as numbers, by group
+#: (``None``: the snapshot's top level).
+_NUMERIC = {
+    None: ("t_us", "events", "pending", "events_per_sim_ms"),
+    "queues": ("link_backlog_us",),
+    "counters": ("retransmissions", "acks_received", "lease_requests",
+                 "store_recoveries", "link_drops"),
+}
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _parse(line: str) -> Optional[Dict[str, object]]:
     """``line`` as a snapshot dict, or ``None`` if it is not one.
 
     The file comes from outside this process (another run, a copy, an
     editor), so everything :func:`render_snapshot` dereferences is
     checked here: a JSON object with a numeric ``t_us`` whose
-    ``queues``/``counters``, when present, are objects.
+    ``queues``/``counters``, when present, are objects, and whose
+    :data:`_NUMERIC` fields, when present, are numbers.
     """
     try:
         snap = json.loads(line)
     except ValueError:
         return None
-    if not isinstance(snap, dict):
+    if not isinstance(snap, dict) or not _is_number(snap.get("t_us")):
         return None
-    t_us = snap.get("t_us")
-    if isinstance(t_us, bool) or not isinstance(t_us, (int, float)):
-        return None
-    if not all(isinstance(snap.get(group, {}), dict)
-               for group in ("queues", "counters")):
-        return None
+    for group, fields in _NUMERIC.items():
+        obj = snap if group is None else snap.get(group, {})
+        if not isinstance(obj, dict) or not all(
+                _is_number(obj[name]) for name in fields if name in obj):
+            return None
     return snap
 
 

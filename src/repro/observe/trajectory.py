@@ -29,7 +29,7 @@ def run_raw_eventloop() -> dict:
     # a real run better than one serial chain.
     for i in range(8):
         sim.schedule(float(i), tick)
-    with ScopedTimer("raw") as timer:
+    with ScopedTimer() as timer:
         sim.run_until_idle()
     return {
         "events": sim.events_executed,

@@ -268,9 +268,8 @@ def run_million_flow_scenario(
     t_fail = t_traffic_end / 2.0
 
     def reclaim() -> None:
-        freed = sum(e.reclaim_idle_flows() for e in dep.engines.values())
-        if freed:
-            sim.count("example.reclaimed", freed)  # repro: noqa[RT304] -- campaign-local bookkeeping counter shared with examples/million_flow_campaign.py
+        for eng in dep.engines.values():
+            eng.reclaim_idle_flows()
         if sim.now < t_end:
             sim.schedule(MF_RECLAIM_EVERY_US, reclaim)
 
@@ -313,7 +312,7 @@ def run_million_flow_scenario(
         "packets": packets,
         "population": population,
         "translated": _translated(dep),
-        "reclaimed": int(sim.metrics.value("example.reclaimed")),
+        "reclaimed": int(sim.metrics.total("redplane.flows_reclaimed")),
     }
 
 

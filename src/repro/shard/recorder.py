@@ -137,7 +137,7 @@ class ShardRecorder:
         sim.shard_ctx = self
         sim.rng = _CountingRandom(seed, self)
         if self.capture_records:
-            sim.tracer.on_emit = self._on_trace_emit
+            sim.tracer.sinks.append(self._on_trace_emit)
             sim.metrics.on_create = self._on_instrument
             for inst in sim.metrics.instruments():
                 self._on_instrument(inst)

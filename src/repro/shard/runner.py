@@ -120,7 +120,7 @@ def run_reference(config: ShardRunConfig) -> Dict[str, Any]:
     def pace(until: float) -> None:
         sim.run(until=until)
 
-    with ScopedTimer("shard_reference") as timer:
+    with ScopedTimer() as timer:
         extra = config.scenario.fn(
             sim, pace, fastpath=config.fastpath, **config.params
         )
@@ -163,7 +163,7 @@ def run_one_shard(
         if progress is not None:
             progress(sim.now)
 
-    with ScopedTimer("shard_worker") as timer:
+    with ScopedTimer() as timer:
         extra = config.scenario.fn(
             sim, pace, fastpath=config.fastpath, **config.params
         )

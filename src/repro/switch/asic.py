@@ -142,13 +142,19 @@ class SwitchASIC(L3Switch):
         if ctx.verdict is Verdict.FORWARD:
             if pkt.ip is not None and pkt.ip.dst == self.ip:
                 # Addressed to the switch itself but no block consumed it.
-                self.sim.count(f"{self.name}.drops.to_self")
+                self._drop_to_self()
             else:
                 self._egress(pkt)
         elif ctx.verdict is Verdict.PUNT:
             self.control_plane.punt(pkt)
         for out in ctx.emitted:
             self._egress(out)
+
+    def _drop_to_self(self) -> None:
+        """Count a packet addressed to the switch that no block consumed."""
+        self.sim.metrics.counter(
+            "switch.drops", switch=self.name, reason="to_self"
+        ).inc()
 
     def emit_from_pipeline(self, pkt: Packet) -> None:
         """Send a pipeline-generated packet (e.g. a retransmission)."""

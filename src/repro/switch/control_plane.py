@@ -68,7 +68,9 @@ class SwitchControlPlane:
         if self.asic.failed:
             return
         if self.punt_handler is None:
-            self.sim.count(f"{self.asic.name}.cp.unhandled_punt")
+            self.sim.metrics.counter(
+                "switch.drops", switch=self.asic.name, reason="unhandled_punt"
+            ).inc()
             return
         self._cpu_run(self.punt_handler, pkt)
 

@@ -9,7 +9,8 @@ flows through this package instead of bespoke per-component attributes:
   shared by every component of a run;
 * :class:`Tracer` — typed, sim-timestamped trace records (packet drops,
   lease transitions, retransmissions, snapshots, failovers) in a bounded
-  ring buffer with an optional JSONL sink;
+  ring buffer, plus a list of sinks that see every record (the JSONL
+  file sink is one);
 * :class:`ScopedTimer` — wall-clock timing for profiling the event-loop
   hot path (the only place in ``src/`` wall-clock time is read).
 
@@ -34,13 +35,14 @@ from repro.telemetry.perfetto import (
 )
 from repro.telemetry.spans import CompletenessReport, PacketSpan, SpanBuilder
 from repro.telemetry.timers import ScopedTimer
-from repro.telemetry.trace import TraceRecord, Tracer, read_jsonl
+from repro.telemetry.trace import JsonlSink, TraceRecord, Tracer, read_jsonl
 
 __all__ = [
     "CompletenessReport",
     "Counter",
     "Gauge",
     "Histogram",
+    "JsonlSink",
     "MetricRegistry",
     "PacketSpan",
     "ScopedTimer",

@@ -243,27 +243,17 @@ class MetricRegistry:
     def histogram(
         self, name: str, max_samples: Optional[int] = 8192, **labels: object
     ) -> Histogram:
-        key = (name, _label_items(labels))
-        inst = self._instruments.get(key)
-        if inst is None:
-            inst = Histogram(name, key[1], max_samples=max_samples)
-            self._instruments[key] = inst
-            self._by_name.setdefault(name, []).append(inst)
-            if self.on_create is not None:
-                self.on_create(inst)
-        elif not isinstance(inst, Histogram):
-            raise TypeError(
-                f"{inst.describe()} already registered as a {inst.kind}"
-            )
-        return inst
+        return self._get_or_create(Histogram, name, labels,
+                                   max_samples=max_samples)
 
     def _get_or_create(
-        self, cls: Type[Instrument], name: str, labels: Dict[str, object]
+        self, cls: Type[Instrument], name: str, labels: Dict[str, object],
+        **init: object,
     ) -> Instrument:
         key = (name, _label_items(labels))
         inst = self._instruments.get(key)
         if inst is None:
-            inst = cls(name, key[1])
+            inst = cls(name, key[1], **init)
             self._instruments[key] = inst
             self._by_name.setdefault(name, []).append(inst)
             if self.on_create is not None:
@@ -315,9 +305,6 @@ class MetricRegistry:
             if all(labels.get(k) in vals for k, vals in allowed.items()):
                 total += inst.value
         return total
-
-    def __len__(self) -> int:
-        return len(self._instruments)
 
     # -- export --------------------------------------------------------------
 

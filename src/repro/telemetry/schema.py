@@ -128,6 +128,7 @@ METRICS: Tuple[MetricSpec, ...] = (
     _m("link.tx_packets", "counter", "link", "dir"),
     _m("link.duplicated", "counter", "link"),
     _m("link.drops", "counter", "link", "reason"),
+    _m("link.reordered", "counter"),
     _m("mirror.active_copies", "gauge", "switch", "session"),
     _m("mirror.copies_total", "counter", "switch", "session"),
     _m("switch.buffer_occupancy_bytes", "gauge", "switch"),
@@ -137,6 +138,11 @@ METRICS: Tuple[MetricSpec, ...] = (
     _m("switch.bytes_protocol_in", "counter", "switch"),
     _m("switch.bytes_chain_transit", "counter", "switch"),
     _m("switch.pkts_processed", "counter", "switch"),
+    # Created at the first drop they count, so a run without one keeps
+    # its snapshot; docs/TELEMETRY.md lists each family's reasons.
+    _m("switch.drops", "counter", "switch", "reason"),
+    _m("route.drops", "counter", "switch", "reason"),
+    _m("host.drops", "counter", "host", "reason"),
     _m("probe.rtt_us", "histogram", "host"),
     _m("sim.max_events_exhausted", "counter"),
     _m("redplane.ack_rtt_us", "histogram", "switch"),
@@ -164,13 +170,4 @@ METRICS: Tuple[MetricSpec, ...] = (
     _m("store.backend.netchain_register_bits", "gauge", "node"),
     _m("store.backend.*", "counter", "node"),
     _m("store.*", "counter", "node"),
-)
-
-#: Name patterns reachable through the flat legacy ``Simulator.count``
-#: namespace (unlabeled counters with dynamic names). Kept narrow on
-#: purpose: new code should use labeled instruments, not grow this list.
-LEGACY_COUNT_PATTERNS: Tuple[str, ...] = (
-    "*.drops.*",
-    "*.cp.unhandled_punt",
-    "link.reordered",
 )

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
 from repro.telemetry import trace as tt
-from repro.telemetry.trace import TraceRecord, read_jsonl
+from repro.telemetry.trace import TraceRecord
 
 #: Trace types whose ``uid`` field marks a span's first wire contact.
 ORIGIN_TYPES = frozenset({tt.PACKET_SEND, tt.PACKET_DUP})
@@ -124,14 +124,6 @@ class SpanBuilder:
         self.spans: Dict[int, PacketSpan] = {}
         self._build()
 
-    @classmethod
-    def from_tracer(cls, tracer) -> "SpanBuilder":
-        return cls(tracer.tail())
-
-    @classmethod
-    def from_jsonl(cls, path: str) -> "SpanBuilder":
-        return cls(read_jsonl(path))
-
     # -- construction ----------------------------------------------------------
 
     def _span(self, uid: int) -> PacketSpan:
@@ -206,15 +198,6 @@ class SpanBuilder:
             unterminated=unterminated,
             orphaned=orphaned,
         )
-
-    def lifecycle(self, uid: int) -> str:
-        """The :attr:`PacketSpan.status` of one span."""
-        return self.spans[uid].status
-
-    def roots(self) -> List[PacketSpan]:
-        """Spans with no parent, in uid order."""
-        return [self.spans[u] for u in sorted(self.spans)
-                if self.spans[u].parent is None]
 
     def flow_spans(self, flow: str) -> List[PacketSpan]:
         """Transitive causal closure of every span tagged with ``flow``.

@@ -3,8 +3,9 @@
 A :class:`Tracer` is owned by the simulator and shared by every component
 of a run. Emitting is cheap (one object + one deque append) so the hot
 paths — link transmits, protocol transitions — trace unconditionally; the
-ring bounds memory and the optional JSONL sink streams records to disk
-for offline analysis (``python -m repro.tools trace`` prints the tail).
+ring bounds memory, and the sinks in :attr:`Tracer.sinks` see every record
+as it is emitted (:class:`JsonlSink` streams them to disk for offline
+analysis; ``python -m repro.tools trace`` prints the tail).
 
 Record timestamps are *simulated* microseconds, never wall clock, and
 every field comes from deterministic run state — so two runs with the
@@ -44,7 +45,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, TextIO
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 PACKET_SEND = "packet.send"
 PACKET_DELIVER = "packet.deliver"
@@ -91,7 +92,7 @@ class TraceRecord:
 
 
 class Tracer:
-    """Bounded trace ring with an optional JSONL sink.
+    """Bounded trace ring plus a list of sinks.
 
     Parameters
     ----------
@@ -110,21 +111,20 @@ class Tracer:
         self.maxlen = maxlen
         self.records_emitted = 0
         self._ring: Deque[TraceRecord] = deque(maxlen=maxlen)
-        self._sink: Optional[TextIO] = None
-        #: Optional observer called with each record *after* it is
-        #: appended to the ring (shard mode records origin sidecars
-        #: through this). Must not emit records itself.
-        self.on_emit: Optional[Callable[[TraceRecord], None]] = None
+        #: Callables handed each record, in order, *after* it is appended
+        #: to the ring; anything may join (the identity hasher, the shard
+        #: recorder, a :class:`JsonlSink`). A sink must not emit records
+        #: itself.
+        self.sinks: List[Callable[[TraceRecord], None]] = []
 
     def emit(self, type_: str, **fields: Any) -> None:
         """Record one event at the current simulated time."""
         record = TraceRecord(self._clock(), type_, fields)
         self.records_emitted += 1
         self._ring.append(record)
-        if self._sink is not None:
-            self._sink.write(record.to_json() + "\n")
-        if self.on_emit is not None:
-            self.on_emit(record)
+        if self.sinks:  # no iterator on the usual sink-less hot path
+            for sink in self.sinks:
+                sink(record)
 
     # -- reading --------------------------------------------------------------
 
@@ -136,9 +136,6 @@ class Tracer:
             return list(self._ring)
         return list(self._ring)[-n:]
 
-    def records_of(self, type_: str) -> List[TraceRecord]:
-        return [r for r in self._ring if r.type == type_]
-
     @property
     def records_dropped(self) -> int:
         """Emitted records no longer retained (ring truncation)."""
@@ -147,24 +144,19 @@ class Tracer:
     def __len__(self) -> int:
         return len(self._ring)
 
-    # -- JSONL sink ------------------------------------------------------------
 
-    def open_sink(self, path: str) -> None:
-        """Stream every future record to ``path`` as one JSON object/line."""
-        self.close_sink()
-        self._sink = open(path, "w")
+class JsonlSink:
+    """A sink writing each record to ``path`` as one JSON object per line;
+    unlike the ring it never truncates. :meth:`close` when done."""
 
-    def close_sink(self) -> None:
-        if self._sink is not None:
-            self._sink.close()
-        self._sink = None
+    def __init__(self, path: str) -> None:
+        self._fh = open(path, "w")
 
-    def flush_to(self, path: str) -> int:
-        """Write the currently retained records to ``path``; returns count."""
-        with open(path, "w") as fh:
-            for record in self._ring:
-                fh.write(record.to_json() + "\n")
-        return len(self._ring)
+    def __call__(self, record: TraceRecord) -> None:
+        self._fh.write(record.to_json() + "\n")
+
+    def close(self) -> None:
+        self._fh.close()
 
 
 def read_jsonl(path: str) -> List[TraceRecord]:

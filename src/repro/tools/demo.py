@@ -6,7 +6,7 @@ testbed, one flow, a scripted owner failure, a second burst released by
 the lease migration) in-process and reads what the
 telemetry spine recorded — the :class:`~repro.telemetry.MetricRegistry`,
 the :class:`~repro.telemetry.Tracer` ring, or the complete record stream
-collected from ``Tracer.on_emit`` (the ring can truncate; the hook
+collected by a sink in ``Tracer.sinks`` (the ring can truncate; a sink
 cannot).
 """
 
@@ -21,13 +21,13 @@ from typing import Any, Dict, List, Tuple
 
 def quickstart_run(seed: int = 7, packets: int = 10) -> Tuple[Any, List[Any]]:
     """Run the registry's ``quickstart``; returns ``(sim, records)`` with
-    every record the run emitted. Takes the simulator's ``on_emit`` slot."""
+    every record the run emitted, collected by a sink."""
     from repro.net.simulator import Simulator
     from repro.scenarios import SCENARIOS
 
     sim = Simulator(seed=seed)
     records: List[Any] = []
-    sim.tracer.on_emit = records.append
+    sim.tracer.sinks.append(records.append)
     SCENARIOS["quickstart"].run(sim, packets=packets)
     return sim, records
 
@@ -73,11 +73,19 @@ def show_metrics(args: argparse.Namespace) -> int:
 
 
 def show_trace(args: argparse.Namespace) -> int:
-    sim, _records = quickstart_run(args.seed, args.packets)
+    from repro.telemetry.trace import JsonlSink
+
+    sim, collected = quickstart_run(args.seed, args.packets)
     tail, since = args.tail, args.since
     if args.out:
-        written = sim.tracer.flush_to(args.out)
-        print(f"wrote {written} records to {args.out}", file=sys.stderr)
+        sink = JsonlSink(args.out)
+        try:
+            for record in collected:
+                sink(record)
+        finally:
+            sink.close()
+        print(f"wrote {len(collected)} records to {args.out}",
+              file=sys.stderr)
     emitted = sim.tracer.records_emitted
     retained = len(sim.tracer)
     print(f"# {emitted} records emitted, {retained} retained "
@@ -202,7 +210,8 @@ def register(sub: argparse._SubParsersAction) -> None:
     trace.add_argument("--tail", type=int, default=40,
                        help="records to print (default 40)")
     trace.add_argument("--out", metavar="PATH",
-                       help="also write the retained records as JSONL")
+                       help="also write every record the run emitted as "
+                            "JSONL")
     trace.add_argument("--since", type=float, metavar="T_US",
                        help="only records at/after this simulated time "
                             "(microseconds)")

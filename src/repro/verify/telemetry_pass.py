@@ -229,20 +229,6 @@ class _FileLint:
             self.rel, node.lineno, self.supp,
         )
 
-    def _check_legacy_count(self, node: ast.Call) -> None:
-        name = self._name_pattern(node.args[0] if node.args else None)
-        if name is None:
-            return
-        if any(fnmatchcase(name, p) for p in schema.LEGACY_COUNT_PATTERNS):
-            return
-        self.report.flag(
-            "RT304",
-            f"legacy counter name {name!r} matches no "
-            "LEGACY_COUNT_PATTERNS entry; use a declared labeled "
-            "instrument instead of sim.count()",
-            self.rel, node.lineno, self.supp,
-        )
-
     # -- drive -----------------------------------------------------------------
 
     def run(self) -> None:
@@ -267,15 +253,6 @@ class _FileLint:
                     "metrics", "m", "registry"
                 ):
                     self._check_instrument(node, _INSTRUMENT_METHODS[attr])
-            elif attr == "count":
-                base = astutil.attr_chain(node.func.value)
-                if base is not None and base[-1] == "sim" or (
-                    base is not None and len(base) == 1
-                    and base[0] == "self"
-                    and node.args
-                    and isinstance(node.args[0], (ast.Constant, ast.JoinedStr))
-                ):
-                    self._check_legacy_count(node)
 
 
 def _lint_files(paths: Iterable[str], report: Report,

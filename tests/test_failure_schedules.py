@@ -139,8 +139,8 @@ def test_faults_emit_trace_events(sim, counter_deployment):
     schedule.recover_switch_at(5_000.0, "agg1")
     schedule.impair_link_at(2_000.0, AGG1_TOR1, corrupt_rate=0.1)
     sim.run(until=10_000)
-    injects = sim.tracer.records_of(tt.FAULT_INJECT)
-    clears = sim.tracer.records_of(tt.FAULT_CLEAR)
+    injects = [r for r in sim.tracer.tail() if r.type == tt.FAULT_INJECT]
+    clears = [r for r in sim.tracer.tail() if r.type == tt.FAULT_CLEAR]
     assert [(r.fields["kind"], r.fields["target"]) for r in injects] == [
         ("fail_node", "agg1"), ("impair_link", "agg1<->tor1")]
     assert injects[1].fields["detail"] == "corrupt_rate=0.1"
@@ -286,9 +286,8 @@ def test_fault_table_is_total(sim, counter_deployment):
     sim.run(until=3_000.0)
     assert sorted(f.spec_kind for f in schedule.log) == sorted(FAULTS)
     assert all(f.kind == FAULTS[f.spec_kind].injected for f in schedule.log)
-    traced = {r.fields["kind"] for r in
-              sim.tracer.records_of(tt.FAULT_INJECT)
-              + sim.tracer.records_of(tt.FAULT_CLEAR)}
+    traced = {r.fields["kind"] for r in sim.tracer.tail()
+              if r.type in (tt.FAULT_INJECT, tt.FAULT_CLEAR)}
     assert traced == {row.injected for row in FAULTS.values()}
     assert schedule.active_at(3_000.0) == [
         f for f in schedule.log if f.spec_kind == "expire_leases"]

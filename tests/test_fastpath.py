@@ -135,8 +135,8 @@ def test_million_flow_identical_with_fastpath():
 
 
 def test_identity_digest_covers_every_record_not_a_ring_tail():
-    """The digest is streamed from ``Tracer.on_emit``: a scenario that
-    emits more than the default ring holds still hashes all of it."""
+    """The digest is streamed from a sink in ``Tracer.sinks``: a scenario
+    that emits more than the default ring holds still hashes all of it."""
     result = _nat_steady(False, flows=50, packets_per_flow=160)
     assert result["records_emitted"] > 65536
     assert result["records_hashed"] == result["records_emitted"]

@@ -264,3 +264,38 @@ def test_cli_fuzz_replay_committed_corpus(capsys):
     rc = tools_main(["fuzz", "replay", _REGRESSION])
     assert rc == 0
     assert "[ok]" in capsys.readouterr().out
+
+
+def _bad_regression(tmp_path, case):
+    """A regression file that must be refused before any run."""
+    path = tmp_path / "bad.json"
+    with open(_REGRESSION, "r", encoding="utf-8") as fh:
+        payload = json.load(fh)
+    if case == "missing":
+        return path
+    if case == "not_json":
+        path.write_text("{not json\n")
+    elif case == "wrong_kind":
+        payload["kind"] = "chaos-fuzz-report"
+        path.write_text(json.dumps(payload))
+    else:  # bad_spec: a field no campaign has
+        payload["spec"]["bogus"] = 1
+        path.write_text(json.dumps(payload))
+    return path
+
+
+@pytest.mark.parametrize("command", ["replay", "shrink"])
+@pytest.mark.parametrize("case",
+                         ["missing", "not_json", "wrong_kind", "bad_spec"])
+def test_cli_fuzz_refuses_an_unreadable_regression_file(
+        tmp_path, capsys, command, case):
+    """Exit 2 and one ``cannot read`` line, never a traceback: exit 1
+    is ``replay``'s UNEXPECTED, and a corrupt corpus file is not one."""
+    from repro.tools.runner import main as tools_main
+
+    path = _bad_regression(tmp_path, case)
+    assert tools_main(["fuzz", command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"fuzz {command}: cannot read {path}: ")
+    assert captured.err.count("\n") == 1

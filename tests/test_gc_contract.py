@@ -148,5 +148,5 @@ def test_lease_migration_makes_no_cyclic_garbage(drains):
     total = sim.metrics.total
     assert total("store.requests_buffered") > 0
     assert total("store.leases_granted") == 2
-    grants = sim.tracer.records_of(tt.LEASE_GRANT)
+    grants = [r for r in sim.tracer.tail() if r.type == tt.LEASE_GRANT]
     assert [g.fields["migrated"] for g in grants] == [False, True]

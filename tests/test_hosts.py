@@ -51,7 +51,7 @@ def test_wrong_destination_dropped():
     a.send(Packet.udp(1, 99, 1, 2))
     sim.run_until_idle()
     assert b.rx_packets == 0
-    assert sim.metrics.value("b.drops.wrong_dst") == 1
+    assert sim.metrics.value("host.drops", host="b", reason="wrong_dst") == 1
 
 
 def test_extra_ips_accepted():

@@ -1,6 +1,6 @@
 """The identity oracle (``repro.identity``): one digest formula, fed
-from ``Tracer.on_emit`` so it never depends on what the ring retained,
-and one axis-by-axis comparison."""
+from a sink in ``Tracer.sinks`` so it never depends on what the ring
+retained, and one axis-by-axis comparison."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import pytest
 
 from repro import Simulator, identity
 from repro.shard.merge import reference_result
+from repro.shard.recorder import K_RECORD, ShardRecorder
 from repro.scenarios import SCENARIOS
 from repro.telemetry.trace import TraceRecord
 
@@ -58,11 +59,26 @@ def test_reference_result_keeps_the_parents_digest_on_a_default_ring():
     assert result["trace_digest"] == QUICKSTART_DIGEST
 
 
-def test_watch_refuses_an_occupied_on_emit_slot():
-    sim = Simulator(seed=1)
-    identity.watch(sim)
-    with pytest.raises(RuntimeError, match="single slot"):
-        identity.watch(sim)
+def test_watch_and_a_shard_recorder_both_see_every_record():
+    """The recorder joins the sinks first; the hasher joins after it
+    and still hashes every record the recorder logs."""
+    sim = Simulator(seed=7)
+    recorder = ShardRecorder(0, 1, ["ip.src", "ip.dst"])
+    recorder.attach(sim, seed=7)
+    hasher = identity.watch(sim)
+    SCENARIOS["nat_quickstart"].run(sim)
+    logged = sum(1 for entry in recorder.log if entry[3] == K_RECORD)
+    assert hasher.records_hashed == sim.tracer.records_emitted == logged
+    assert logged == QUICKSTART_RECORDS
+    assert hasher.hexdigest() == QUICKSTART_DIGEST
+
+
+def test_two_watchers_on_one_run_give_equal_digests():
+    sim = Simulator(seed=7)
+    first, second = identity.watch(sim), identity.watch(sim)
+    SCENARIOS["nat_quickstart"].run(sim)
+    assert first.records_hashed == second.records_hashed == QUICKSTART_RECORDS
+    assert first.hexdigest() == second.hexdigest() == QUICKSTART_DIGEST
 
 
 # -- compare -------------------------------------------------------------------

@@ -130,7 +130,7 @@ def test_copy_that_died_with_its_switch_is_not_acked():
     dep = deploy(sim, EchoCounterApp,
                  config=RedPlaneConfig(lease_period_us=200_000.0))
     acks = []
-    sim.tracer.on_emit = (
+    sim.tracer.sinks.append(
         lambda r: acks.append(r.fields) if r.type == tt.RP_ACK else None)
     CounterWorkload(dep, packets=6_000, gap_us=50.0, start_us=10_000.0).start()
     schedule = FailureSchedule(dep, detect_delay_us=1_000.0)

@@ -333,12 +333,17 @@ def test_cli_watch_missing_file():
 
 @pytest.mark.parametrize("merged", [False, True], ids=["single", "merged"])
 def test_cli_watch_rejects_non_snapshot_lines(tmp_path, capsys, merged):
-    """Valid JSON that is not a snapshot, and invalid JSON, are named by
-    file and line on stderr; the good line still renders; exit 1."""
+    """Valid JSON that is not a snapshot (a rendered numeric field that
+    is not a number included), and invalid JSON, are named by file and
+    line on stderr; the good line still renders; exit 1."""
     path = tmp_path / "hb.ndjson"
     path.write_text(
         '{"t_us":1000.0}\n[1,2]\n{"t_us":"x"}\n'
-        '{"t_us":2000.0,"queues":3}\nnot json\n')
+        '{"t_us":2000.0,"queues":3}\n'
+        '{"t_us":1000,"queues":{"link_backlog_us":"x"}}\n'
+        '{"t_us":1000,"counters":{"retransmissions":null}}\n'
+        '{"t_us":1000,"events":[1]}\n'
+        'not json\n')
     argv = ["watch", str(path)]
     if merged:
         clean = tmp_path / "heartbeat.clean.ndjson"
@@ -351,7 +356,7 @@ def test_cli_watch_rejects_non_snapshot_lines(tmp_path, capsys, merged):
     assert "1.0ms" in rows[-1]
     diagnostics = captured.err.strip().splitlines()
     assert [d.split(": ")[0] for d in diagnostics] == \
-        [f"{path}:{n}" for n in (2, 3, 4, 5)]
+        [f"{path}:{n}" for n in range(2, 9)]
     assert all("not a heartbeat snapshot: " in d for d in diagnostics)
     assert diagnostics[-1].endswith("not json")
 

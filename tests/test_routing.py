@@ -60,6 +60,10 @@ def test_ecmp_spreads_flows():
     assert 150 < ones < 362  # roughly balanced across two next hops
 
 
+def _drops(sim, reason):
+    return sim.metrics.value("route.drops", switch="sw", reason=reason)
+
+
 def test_forwarding_decrements_ttl_and_drops_at_zero():
     sim = Simulator()
     sw = L3Switch(sim, "sw")
@@ -79,7 +83,7 @@ def test_forwarding_decrements_ttl_and_drops_at_zero():
     sw.forward(expired)
     sim.run_until_idle()
     assert len(sink.received) == 1
-    assert sw.dropped_ttl == 1
+    assert _drops(sim, "ttl") == 1
 
 
 def test_forward_to_an_unlinked_port_raises_when_the_event_fires():
@@ -101,7 +105,7 @@ def test_no_route_drops():
     pkt = Packet.udp(ip_aton("9.9.9.9"), ip_aton("8.8.8.8"), 1, 2)
     sw.forward(pkt)
     sim.run_until_idle()
-    assert sw.dropped_no_route == 1
+    assert _drops(sim, "no_route") == 1
 
 
 def test_belief_excludes_down_next_hops():
@@ -137,7 +141,7 @@ def test_all_next_hops_down_counts_drop():
     sw.set_port_belief(sw.ports[0], False)
     sw.forward(Packet.udp(1, 2, 3, 4))
     sim.run_until_idle()
-    assert sw.dropped_no_next_hop == 1
+    assert _drops(sim, "no_next_hop") == 1
 
 
 def test_select_port_is_deterministic_per_flow():
@@ -250,15 +254,13 @@ def test_route_cache_never_holds_a_drop():
     Link(sim, sw.new_port(), sink.new_port())
     for _ in range(3):
         sw.forward(Packet.udp(1, 2, 3, 4))
-    assert sw.dropped_no_route == 3
-    assert sim.metrics.value("route.drops.no_route") == 3
+    assert _drops(sim, "no_route") == 3
 
     sw.table.add(0, 0, [sw.ports[0]])
     sw.set_port_belief(sw.ports[0], False)
     for _ in range(3):
         sw.forward(Packet.udp(1, 2, 3, 4))
-    assert sw.dropped_no_next_hop == 3
-    assert sim.metrics.value("route.drops.no_next_hop") == 3
+    assert _drops(sim, "no_next_hop") == 3
 
     # And the drops left nothing behind: the flow forwards once it can.
     sw.set_port_belief(sw.ports[0], True)

@@ -11,7 +11,27 @@ from __future__ import annotations
 
 import pytest
 
+from repro.chaos import CAMPAIGNS
+from repro.shard.merge import MergeError
 from repro.shard.runner import resolve, run_identity, run_sharded
+
+#: docs/SHARDING.md "Which chaos campaigns shard": the axes on which each
+#: named campaign differs at 2 inline workers (``None``: the merge
+#: refuses). Link impairments draw from ``sim.rng``; the WAL campaign's
+#: shared ``wal_bytes`` gauge reads differently on the two shards.
+CHAOS_SHARDING = {
+    "flapping_link": [],
+    "lease_race": [],
+    "partitioned_store_head": [],
+    "rolling_rack_failure": [],
+    "single_failover": [],
+    "corruption_storm": ["rng_silent"],
+    "corruption_storm_store": ["rng_silent"],
+    "corruption_sweep": ["rng_silent"],
+    "duplicate_storm": ["rng_silent"],
+    "gray_link": ["rng_silent"],
+    "store_crash_recover_wal": None,
+}
 
 
 def _assert_identical(out):
@@ -23,6 +43,23 @@ def _assert_identical(out):
 @pytest.mark.parametrize("scenario", ["nat_quickstart", "chaos:single_failover"])
 def test_two_shard_run_is_byte_identical(scenario):
     _assert_identical(run_identity(scenario, workers=2))
+
+
+@pytest.mark.parametrize("campaign", sorted(CAMPAIGNS))
+def test_chaos_campaigns_shard_as_the_docs_table_says(campaign):
+    """Every named campaign runs the recorder's trace sink; two of the
+    identical ones also carry ``route.drops`` through the merge."""
+    expected = CHAOS_SHARDING[campaign]
+    if expected is None:
+        with pytest.raises(MergeError):
+            run_identity(f"chaos:{campaign}", workers=2)
+        return
+    out = run_identity(f"chaos:{campaign}", workers=2)
+    assert [axis for axis, same in out["report"].items() if not same] \
+        == expected
+    if campaign in ("flapping_link", "rolling_rack_failure"):
+        assert any(name.startswith("route.drops{")
+                   for name in out["merged"]["metrics"]["counters"])
 
 
 @pytest.mark.parametrize("mode", ["inline", "process"])

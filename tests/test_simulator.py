@@ -134,13 +134,6 @@ def test_determinism_same_seed():
     assert run(7) != run(8)
 
 
-def test_counters():
-    sim = Simulator()
-    sim.count("drops")
-    sim.count("drops", 2)
-    assert sim.metrics.value("drops") == 3
-
-
 def test_run_until_idle_guards_against_storms():
     sim = Simulator()
 

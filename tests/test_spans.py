@@ -15,7 +15,7 @@ from repro.telemetry.perfetto import (
     validate_chrome_trace,
 )
 from repro.telemetry.spans import SpanBuilder
-from repro.telemetry.trace import TraceRecord
+from repro.telemetry.trace import TraceRecord, read_jsonl
 from repro.tools.demo import quickstart_run
 
 
@@ -37,8 +37,8 @@ def test_transmit_assigns_uid_and_terminates():
     sim.run_until_idle()
     uid = pkt.meta["uid"]
     assert uid >= 1
-    sends = sim.tracer.records_of(tt.PACKET_SEND)
-    delivers = sim.tracer.records_of(tt.PACKET_DELIVER)
+    sends = [r for r in sim.tracer.tail() if r.type == tt.PACKET_SEND]
+    delivers = [r for r in sim.tracer.tail() if r.type == tt.PACKET_DELIVER]
     assert [r.fields["uid"] for r in sends] == [uid]
     assert [r.fields["uid"] for r in delivers] == [uid]
     assert sends[0].fields["kind"] == "app"
@@ -51,9 +51,9 @@ def test_drop_on_down_link_still_carries_uid():
     pkt = Packet.udp(1, 2, 10, 20)
     src.ports[0].send(pkt)
     sim.run_until_idle()
-    report = SpanBuilder.from_tracer(sim.tracer).verify()
+    report = SpanBuilder(sim.tracer.tail()).verify()
     assert report.ok
-    (drop,) = sim.tracer.records_of(tt.PACKET_DROP)
+    (drop,) = [r for r in sim.tracer.tail() if r.type == tt.PACKET_DROP]
     assert drop.fields["uid"] == pkt.meta["uid"]
     assert drop.fields["reason"] == "down"
 
@@ -65,9 +65,9 @@ def test_duplicate_copy_gets_child_span():
     src.ports[0].send(Packet.udp(1, 2, 10, 20))
     sim.run_until_idle()
     assert len(dst.received) == 2
-    builder = SpanBuilder.from_tracer(sim.tracer)
+    builder = SpanBuilder(sim.tracer.tail())
     assert builder.verify().ok
-    (dup,) = sim.tracer.records_of(tt.PACKET_DUP)
+    (dup,) = [r for r in sim.tracer.tail() if r.type == tt.PACKET_DUP]
     child = builder.spans[dup.fields["uid"]]
     assert child.parent == dup.fields["parent"]
     assert child.uid in builder.spans[child.parent].children
@@ -107,7 +107,7 @@ def test_chaos_campaign_spans_terminate(campaign, tmp_path):
     path = str(tmp_path / "trace.jsonl")
     report = run_campaign(campaign, seed=42, trace_path=path)
     assert report["verdict"] == "PASS"
-    builder = SpanBuilder.from_jsonl(path)
+    builder = SpanBuilder(read_jsonl(path))
     completeness = builder.verify()
     assert completeness.ok, completeness.summary()
     assert completeness.spans > 100

@@ -142,14 +142,6 @@ def test_wildcard_metric_and_fstring_name_are_clean(tmp_path):
     assert report.diagnostics == []
 
 
-def test_legacy_count_outside_patterns_is_rt304(tmp_path):
-    report = lint(tmp_path, (
-        "sim.count('switch.drops.queue')\n"
-        "sim.count('switch.brand_new_counter')\n"
-    ))
-    assert rules_and_lines(report) == [("RT304", 2)]
-
-
 # -- RT310: span pairing across the file set ----------------------------------
 
 
