@@ -27,13 +27,17 @@ JSON + human rendering, ``# repro: noqa[RULE]`` suppressions):
   are declared (RP14x).
 * **partition** (:mod:`repro.verify.partition_pass`) — classifies every
   piece of per-app switch state as flow-local, flow-hash-partitionable,
-  or global on the partition-class lattice; emits a machine-checked
-  shard plan per app (``shard_plans/``) plus Python-level shard-hazard
-  lints (RS4xx).
+  or global on the partition-class lattice and emits a machine-checked
+  shard plan per app (``shard_plans/``).
 
-The pipeline and partition passes read live code through one symbolic
-walker (:class:`repro.verify.astutil.Walker`), each with its own
-lattice. ``python -m repro.tools verify --all`` runs everything; the CI
+Four rule families read source files rather than deployed apps — the
+determinism, telemetry and fastpath rules and the partition pass's
+Python-level shard hazards (RS410-412). They are the *tree lints*, and
+:func:`verify_tree` runs them all: one parse, one suppression scan, one
+import table and one AST walk per file. The pipeline and partition
+passes read live code through one symbolic walker
+(:class:`repro.verify.astutil.Walker`), each with its own lattice.
+``python -m repro.tools verify --all`` runs everything; the CI
 ``verify`` job gates on it with ``--strict`` and archives the shard
 plans.
 """
@@ -46,13 +50,11 @@ from repro.verify.diagnostics import (
 )
 from repro.verify.rules import RULES, Rule
 from repro.verify.pipeline_pass import verify_asic, verify_app
-from repro.verify.determinism_pass import verify_determinism
-from repro.verify.telemetry_pass import verify_telemetry
+from repro.verify.determinism_pass import verify_tree
 from repro.verify.partition_pass import (
     plan_json,
     render_plan,
     verify_partition_app,
-    verify_shard_hazards,
 )
 
 __all__ = [
@@ -64,10 +66,8 @@ __all__ = [
     "Rule",
     "verify_asic",
     "verify_app",
-    "verify_determinism",
-    "verify_telemetry",
+    "verify_tree",
     "verify_partition_app",
-    "verify_shard_hazards",
     "plan_json",
     "render_plan",
 ]

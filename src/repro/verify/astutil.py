@@ -73,6 +73,15 @@ def attr_chain(node: ast.AST) -> Optional[List[str]]:
     return None
 
 
+def assignment(stmt: ast.AST) -> Tuple[List[ast.expr], Optional[ast.expr]]:
+    """(targets, value) of an assignment statement; ([], None) otherwise."""
+    if isinstance(stmt, ast.Assign):
+        return stmt.targets, stmt.value
+    if isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+        return [stmt.target], stmt.value
+    return [], None
+
+
 def iter_py_files(root: str) -> Iterator[str]:
     """All ``.py`` files under ``root`` (or ``root`` itself), sorted."""
     if os.path.isfile(root):
@@ -88,14 +97,13 @@ def iter_py_files(root: str) -> Iterator[str]:
 
 
 def parsed_files(paths: Sequence[str], supp: SuppressionIndex,
-                 root: Optional[str], keep=None
-                 ) -> Iterator[Tuple[SourceFile, str]]:
+                 root: Optional[str]) -> Iterator[Tuple[SourceFile, str]]:
     """(parsed file, repo-relative path) for every ``.py`` file under
-    ``paths`` that ``keep`` (a path predicate) accepts, with its
-    suppressions registered; unparseable files are skipped."""
+    ``paths``, with its suppressions registered; unparseable files are
+    skipped."""
     for path in paths:
         for filename in iter_py_files(path):
-            sf = load(filename) if keep is None or keep(filename) else None
+            sf = load(filename)
             if sf is not None:
                 rel = relpath(sf.path, root)
                 supp.scan(rel, source=sf.text)
@@ -107,25 +115,28 @@ class ImportTable:
 
     Tracks ``import x``/``import x as y``/``from x import y`` so a lint
     can tell that ``perf_counter()`` is ``time.perf_counter`` or that
-    ``tt.PACKET_SEND`` refers to :mod:`repro.telemetry.trace`.
+    ``tt.PACKET_SEND`` refers to :mod:`repro.telemetry.trace`. The
+    tree-lint walk fills it, one import statement at a time.
     """
 
-    def __init__(self, tree: ast.Module) -> None:
+    def __init__(self) -> None:
         #: local alias -> dotted module path ("tt" -> "repro.telemetry.trace")
         self.modules: Dict[str, str] = {}
         #: local name -> (module path, original name) for from-imports
         self.names: Dict[str, Tuple[str, str]] = {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    self.modules[alias.asname or alias.name.split(".")[0]] = (
-                        alias.name
-                    )
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                for alias in node.names:
-                    self.names[alias.asname or alias.name] = (
-                        node.module, alias.name
-                    )
+
+    def add(self, node: Union[ast.Import, ast.ImportFrom]) -> None:
+        """Record one import statement, wherever in the file it sits."""
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                self.modules[alias.asname or alias.name.split(".")[0]] = (
+                    alias.name
+                )
+        elif node.module:
+            for alias in node.names:
+                self.names[alias.asname or alias.name] = (
+                    node.module, alias.name
+                )
 
     def resolves_to(self, node: ast.AST, module: str, name: str) -> bool:
         """Does this expression denote ``module.name``?"""

@@ -5,12 +5,12 @@ Runs the five passes with one shared suppression index and one report,
 so a single ``# repro: noqa[...]`` grammar covers all rule families and
 unused suppressions are judged once, after every pass has spoken.
 
-Tree lints (determinism, telemetry, fastpath, shard hazards) take
-file/directory paths; the pipeline and partition verifiers need
-*deployed programs*, so they run over the builtin application registry
-(``--all`` / ``--app NAME``), deploying each app on a fresh simulated
-testbed exactly as the experiments do and analyzing the resulting
-switch.
+The tree lints (determinism, telemetry, fastpath, shard hazards) take
+file/directory paths and share one walk per file; the pipeline and
+partition verifiers need *deployed programs*, so they run over the
+builtin application registry (``--all`` / ``--app NAME``), deploying
+each app on a fresh simulated testbed exactly as the experiments do and
+analyzing the resulting switch.
 
 The partition pass additionally produces one shard plan per analyzed
 app. ``--plan`` renders the plans, ``--emit-plans DIR`` writes their
@@ -25,16 +25,13 @@ import os
 import sys
 from typing import Dict, List, Optional
 
-from repro.verify.determinism_pass import verify_determinism
+from repro.verify.determinism_pass import verify_tree
 from repro.verify.diagnostics import Report, SuppressionIndex
-from repro.verify.fastpath_pass import verify_fastpath
 from repro.verify.partition_pass import (
     plan_drift, plan_json, render_plan, verify_partition_app,
-    verify_shard_hazards,
 )
 from repro.verify.pipeline_pass import verify_app, verify_netchain
 from repro.verify.rules import RULES
-from repro.verify.telemetry_pass import verify_telemetry
 
 
 def source_root() -> str:
@@ -140,9 +137,7 @@ def run_verify(args: argparse.Namespace) -> int:
     if app == "netchain" or (app is None and (all_targets or not paths)):
         verify_netchain(**shared)
     if lint_paths:
-        for lint in (verify_determinism, verify_telemetry, verify_fastpath,
-                     verify_shard_hazards):
-            lint(lint_paths, **shared)
+        verify_tree(lint_paths, **shared)
 
     if args.emit_plans:
         os.makedirs(args.emit_plans, exist_ok=True)

@@ -1,11 +1,31 @@
-"""Pass 2: the determinism linter.
+"""Pass 2: the determinism linter, and the driver of every tree lint.
+
+A *tree lint* is a rule family checked by reading source files rather
+than deployed apps. :func:`verify_tree` runs all four of them: it parses
+each ``.py`` file once, registers its suppressions once, and walks its
+AST once with :class:`_FileLint`, which hands every node to the checks
+of each family whose scope covers the file:
+
+* **RD201-204** determinism (this module), on every file;
+* **RT301-306** telemetry schema (:mod:`repro.verify.telemetry_pass`),
+  on every file but the telemetry machinery itself; RT310's span
+  pairing runs once after the walk, across the file set;
+* **RP140-141** fast-path replay (:mod:`repro.verify.fastpath_pass`):
+  RP140 inside the fast-path package, RP141 on every class;
+* **RS410-412** shard hazards (this module), on the shard-boundary
+  packages and ``repro/scenarios.py``.
+
+The scopes are decided once per file, by :func:`_scope`, from its
+repo-relative path, so where the checkout lives never changes what is
+linted. RS410-412 (mutable module globals, stored lambdas, first picks
+from unordered containers) are Python-level hazards that would break a
+multi-process shard split even with perfectly partitioned switch state.
 
 The reproduction's headline claim is bit-identical figures: every run of
 an experiment config must produce the same packets, the same counters,
 the same JSON. That only holds if simulation code never consults sources
-the simulator does not control. This pass walks the AST of every file
-under ``src/repro/`` and flags the four ways nondeterminism has actually
-crept into discrete-event simulators:
+the simulator does not control. The determinism rules flag the four ways
+nondeterminism has actually crept into discrete-event simulators:
 
 * **RD201** — wall-clock reads (``time.time()``, ``datetime.now()``,
   ``time.perf_counter()``): simulated time is :attr:`Simulator.now`;
@@ -26,10 +46,12 @@ crept into discrete-event simulators:
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Optional, Tuple, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
 from repro.verify import astutil
 from repro.verify.diagnostics import Report, SuppressionIndex
+from repro.verify.fastpath_pass import check_app_class, check_replay
+from repro.verify.telemetry_pass import TelemetryLint, check_span_pairing
 
 #: (module suffix, attribute) pairs that read the host clock.
 _WALL_CLOCKS: Tuple[Tuple[str, str], ...] = (
@@ -61,28 +83,105 @@ _ORDER_INSENSITIVE = frozenset({
     "sorted", "min", "max", "any", "all", "sum", "len", "set", "frozenset",
 })
 
+#: Packages (and the scenario module) whose Python-level state crosses
+#: shard-process boundaries: the RS410-412 scope.
+_SHARD_SCOPES = frozenset({"core", "statestore", "fastpath", "net", "shard",
+                           "scenarios.py"})
 
-class _DeterminismVisitor(ast.NodeVisitor):
+
+def _scope(rel: str) -> Tuple[str, bool]:
+    """(scope component, inside a ``repro`` package) of one file.
+
+    The component is the one after the last ``repro`` directory of the
+    file's repo-relative path: a package (``core``) or a top-level module
+    (``scenarios.py``). A file outside any ``repro`` package (a test, a
+    fixture tree) is scoped by its parent directory's name.
+    """
+    parts = rel.replace("\\", "/").split("/")
+    for i in range(len(parts) - 2, -1, -1):
+        if parts[i] == "repro":
+            return parts[i + 1], True
+    return (parts[-2] if len(parts) > 1 else ""), False
+
+
+def _is_empty_mutable(node: ast.expr) -> bool:
+    if isinstance(node, (ast.List, ast.Set)) and not node.elts:
+        return True
+    if isinstance(node, ast.Dict) and not node.keys:
+        return True
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("list", "dict", "set")
+        and not node.args and not node.keywords
+    )
+
+
+def _is_unordered(node: ast.expr) -> bool:
+    """A set/dict expression, or a dict view: no order two shards agree on."""
+    if isinstance(node, (ast.Set, ast.SetComp, ast.DictComp)):
+        return True
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        return node.func.attr in ("values", "keys", "items")
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("set", "dict"))
+
+
+class _FileLint(ast.NodeVisitor):
+    """One walk over one file, dispatching each node to the checks of
+    every tree-lint family whose scope covers the file.
+
+    Checks that read the import table (RD201/202/204, RT301-306) run on
+    the collected calls after the walk, since an import may follow its
+    use (function-local imports, ``TYPE_CHECKING`` blocks).
+    """
+
     def __init__(self, sf: astutil.SourceFile, rel: str, report: Report,
                  supp: SuppressionIndex) -> None:
         self.sf = sf
         self.rel = rel
         self.report = report
         self.supp = supp
-        self.imports = astutil.ImportTable(sf.tree)
+        scope, in_repro = _scope(rel)
+        #: RS410-412 scope; a file outside any repro package is linted as-is.
+        self.shard = scope in _SHARD_SCOPES or not in_repro
+        self.in_fastpath = scope == "fastpath"
+        self.imports = astutil.ImportTable()
+        #: RT301-306 state; None for the telemetry subsystem, which
+        #: defines the machinery: its method bodies are not emit sites.
+        self.telemetry = (
+            None if scope == "telemetry"
+            else TelemetryLint(self.imports, rel, report, supp)
+        )
+        self.assigns: List[ast.Assign] = []
+        self.calls: List[ast.Call] = []
         #: Node ids of expressions consumed by order-insensitive builtins
         #: (``sorted(x - y)``, ``any(t in s for ...)``): exempt from RD203.
         self._sanctioned: set = set()
+        #: Name of the fast-path ``replay_*`` function being walked.
+        self._replay: Optional[str] = None
+        self.replays = 0
+        self.app_classes = 0
 
-    # -- RD201 ----------------------------------------------------------------
+    def flag(self, rule_id: str, message: str, line: int) -> None:
+        self.report.flag(rule_id, message, self.rel, line, self.supp)
+
+    def run(self) -> None:
+        if self.shard:
+            self._check_module_body()
+        self.visit(self.sf.tree)
+        for node in self.calls:
+            self._check_call(node)
+        if self.telemetry is not None:
+            self.telemetry.run(self.assigns, self.calls)
+
+    # -- RD201/202/204: calls, once the import table is complete --------------
 
     def _is_wall_clock(self, func: ast.AST) -> Optional[str]:
         for module, name in _WALL_CLOCKS:
             if self.imports.resolves_to(func, module, name):
                 return f"{module}.{name}"
         return None
-
-    # -- RD202 ----------------------------------------------------------------
 
     def _is_unseeded_random(self, node: ast.Call) -> Optional[str]:
         func = node.func
@@ -107,6 +206,53 @@ class _DeterminismVisitor(ast.NodeVisitor):
                 return f"random.{chain[0]} (global RNG)"
         return None
 
+    def _key_uses_id(self, key_expr: ast.AST) -> bool:
+        for sub in ast.walk(key_expr):
+            if (
+                isinstance(sub, ast.Call)
+                and isinstance(sub.func, ast.Name)
+                and sub.func.id == "id"
+                and "id" not in self.imports.names
+                and "id" not in self.imports.modules
+            ):
+                return True
+        return False
+
+    def _check_call(self, node: ast.Call) -> None:
+        clock = self._is_wall_clock(node.func)
+        if clock is not None:
+            self.flag(
+                "RD201",
+                f"wall-clock read {clock}(): simulation code must use the "
+                "simulator's virtual clock (Simulator.now) so runs are "
+                "reproducible",
+                node.lineno,
+            )
+        unseeded = self._is_unseeded_random(node)
+        if unseeded is not None:
+            self.flag(
+                "RD202",
+                f"unseeded randomness via {unseeded}: derive every RNG "
+                "from the experiment seed (random.Random(seed))",
+                node.lineno,
+            )
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in _SORTERS:
+            what = f"a {func.id}() key"
+        elif isinstance(func, ast.Attribute) and func.attr == "sort":
+            what = "a .sort() key"
+        else:
+            return
+        for kw in node.keywords:
+            if kw.arg == "key" and self._key_uses_id(kw.value):
+                self.flag(
+                    "RD204",
+                    f"id() used as {what}: CPython ids are memory "
+                    "addresses and differ between runs; key on a stable "
+                    "attribute instead",
+                    kw.value.lineno,
+                )
+
     # -- RD203 ----------------------------------------------------------------
 
     def _is_set_expr(self, node: ast.AST) -> bool:
@@ -127,51 +273,99 @@ class _DeterminismVisitor(ast.NodeVisitor):
         if id(iter_node) in self._sanctioned:
             return
         if self._is_set_expr(iter_node):
-            self.report.flag(
+            self.flag(
                 "RD203",
                 "iteration over a set: element order depends on "
                 "PYTHONHASHSEED and varies between runs; wrap in sorted()",
-                self.rel, iter_node.lineno, self.supp,
+                iter_node.lineno,
             )
 
-    # -- RD204 ----------------------------------------------------------------
+    # -- RS410/411 at module level --------------------------------------------
 
-    def _key_uses_id(self, key_expr: ast.AST) -> bool:
-        for sub in ast.walk(key_expr):
-            if (
-                isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Name)
-                and sub.func.id == "id"
-                and "id" not in self.imports.names
-                and "id" not in self.imports.modules
-            ):
-                return True
-        return False
+    def _check_module_body(self) -> None:
+        for stmt in self.sf.tree.body:
+            targets, value = astutil.assignment(stmt)
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+            if value is not None and _is_empty_mutable(value):
+                for name in names:
+                    self.flag(
+                        "RS410",
+                        f"module-level mutable accumulator {name!r}: "
+                        "per-process state that sharded workers would "
+                        "populate divergently; move it onto a simulator- "
+                        "or engine-owned object",
+                        stmt.lineno,
+                    )
+            if isinstance(stmt, ast.Assign) and isinstance(value, ast.Lambda):
+                for name in names:
+                    self._flag_lambda(f"module name {name!r}", stmt.lineno)
 
-    # -- visitors -------------------------------------------------------------
+    def _flag_lambda(self, target_desc: str, line: int) -> None:
+        self.flag(
+            "RS411",
+            f"lambda stored on {target_desc}: the owning object cannot "
+            "cross a shard-process boundary (pickle rejects lambdas); "
+            "use a named function or a bound method",
+            line,
+        )
+
+    # -- the walk -------------------------------------------------------------
+
+    def generic_visit(self, node: ast.AST) -> None:
+        if self._replay is not None:
+            check_replay(self._replay, node, self.rel, self.report, self.supp)
+        super().generic_visit(node)
+
+    def visit_Import(self, node: Union[ast.Import, ast.ImportFrom]) -> None:
+        self.imports.add(node)
+        self.generic_visit(node)
+
+    visit_ImportFrom = visit_Import
+
+    def visit_Assign(self, node: Union[ast.Assign, ast.AnnAssign]) -> None:
+        if isinstance(node, ast.Assign):
+            self.assigns.append(node)
+        if self.shard and isinstance(node.value, ast.Lambda):
+            for target in astutil.assignment(node)[0]:
+                if isinstance(target, ast.Attribute):
+                    chain = astutil.attr_chain(target)
+                    self._flag_lambda(
+                        f"instance attribute "
+                        f"{'.'.join(chain) if chain else target.attr}",
+                        node.lineno,
+                    )
+        self.generic_visit(node)
+
+    visit_AnnAssign = visit_Assign
+
+    def visit_Global(self, node: ast.Global) -> None:
+        if self.shard:
+            self.flag(
+                "RS410",
+                f"function rebinds module global(s) "
+                f"{', '.join(node.names)}: per-process simulation state "
+                "that sharded workers would not share",
+                node.lineno,
+            )
+        self.generic_visit(node)
+
+    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        outer = self._replay
+        if self.in_fastpath and node.name.startswith("replay_"):
+            self.replays += 1
+            self._replay = node.name
+        self.generic_visit(node)
+        self._replay = outer
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        if check_app_class(node, self.rel, self.report, self.supp):
+            self.app_classes += 1
+        self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
-        clock = self._is_wall_clock(node.func)
-        if clock is not None:
-            self.report.flag(
-                "RD201",
-                f"wall-clock read {clock}(): simulation code must use the "
-                "simulator's virtual clock (Simulator.now) so runs are "
-                "reproducible",
-                self.rel, node.lineno, self.supp,
-            )
-        unseeded = self._is_unseeded_random(node)
-        if unseeded is not None:
-            self.report.flag(
-                "RD202",
-                f"unseeded randomness via {unseeded}: derive every RNG "
-                "from the experiment seed (random.Random(seed))",
-                self.rel, node.lineno, self.supp,
-            )
-        if (
-            isinstance(node.func, ast.Name)
-            and node.func.id in _ORDER_INSENSITIVE
-        ):
+        self.calls.append(node)
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in _ORDER_INSENSITIVE:
             for a in node.args:
                 self._sanctioned.add(id(a))
                 if isinstance(
@@ -180,31 +374,24 @@ class _DeterminismVisitor(ast.NodeVisitor):
                     for gen in a.generators:
                         self._sanctioned.add(id(gen.iter))
         if (
-            isinstance(node.func, ast.Name)
-            and node.func.id in _SORTERS
+            self.shard
+            and isinstance(func, ast.Name) and func.id == "next" and node.args
         ):
-            for kw in node.keywords:
-                if kw.arg == "key" and self._key_uses_id(kw.value):
-                    self.report.flag(
-                        "RD204",
-                        f"id() used as a {node.func.id}() key: CPython ids "
-                        "are memory addresses and differ between runs; "
-                        "key on a stable attribute instead",
-                        self.rel, kw.value.lineno, self.supp,
-                    )
-        if (
-            isinstance(node.func, ast.Attribute)
-            and node.func.attr == "sort"
-        ):
-            for kw in node.keywords:
-                if kw.arg == "key" and self._key_uses_id(kw.value):
-                    self.report.flag(
-                        "RD204",
-                        "id() used as a .sort() key: CPython ids are memory "
-                        "addresses and differ between runs; key on a stable "
-                        "attribute instead",
-                        self.rel, kw.value.lineno, self.supp,
-                    )
+            inner = node.args[0]
+            if (
+                isinstance(inner, ast.Call)
+                and isinstance(inner.func, ast.Name)
+                and inner.func.id == "iter" and inner.args
+                and _is_unordered(inner.args[0])
+            ):
+                self.flag(
+                    "RS412",
+                    "next(iter(...)) picks the first element of an "
+                    "unordered container: shards filling it independently "
+                    "pick different elements; use sorted(...) or an "
+                    "explicit ordering",
+                    node.lineno,
+                )
         self.generic_visit(node)
 
     def visit_For(self, node: ast.For) -> None:
@@ -212,8 +399,7 @@ class _DeterminismVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
     def _visit_comp(
-        self, node: Union[ast.ListComp, ast.SetComp, ast.DictComp,
-                          ast.GeneratorExp]
+        self, node: Union[ast.ListComp, ast.DictComp, ast.GeneratorExp]
     ) -> None:
         for gen in node.generators:
             self._check_set_iteration(gen.iter)
@@ -222,26 +408,43 @@ class _DeterminismVisitor(ast.NodeVisitor):
     visit_ListComp = _visit_comp
     visit_DictComp = _visit_comp
     visit_GeneratorExp = _visit_comp
-
-    def visit_SetComp(self, node: ast.SetComp) -> None:
-        # Iterating a set to build another set is order-insensitive.
-        self.generic_visit(node)
+    # A SetComp over a set builds another set: order-insensitive, so it
+    # keeps the default visit.
 
 
-def verify_determinism(
+def _lint_files(paths: Iterable[str], report: Report,
+                suppressions: SuppressionIndex,
+                root: Optional[str]) -> List[_FileLint]:
+    """Walk every ``.py`` file under ``paths`` once; each lint keeps its
+    scope, counts and resolved emits."""
+    lints: List[_FileLint] = []
+    for sf, rel in astutil.parsed_files(paths, suppressions, root):
+        lint = _FileLint(sf, rel, report, suppressions)
+        lint.run()
+        lints.append(lint)
+    return lints
+
+
+def verify_tree(
     paths: Iterable[str],
     report: Optional[Report] = None,
     suppressions: Optional[SuppressionIndex] = None,
     root: Optional[str] = None,
 ) -> Report:
-    """Lint every ``.py`` file under ``paths`` for nondeterminism."""
+    """Run every tree lint over the ``.py`` files under ``paths``."""
     report = report if report is not None else Report()
     suppressions = (
         suppressions if suppressions is not None else SuppressionIndex()
     )
-    files = 0
-    for sf, rel in astutil.parsed_files(paths, suppressions, root):
-        files += 1
-        _DeterminismVisitor(sf, rel, report, suppressions).visit(sf.tree)
-    report.analyzed["determinism"] = f"{files} file(s) linted"
+    lints = _lint_files(paths, report, suppressions, root)
+    emit_sites = [lint.telemetry for lint in lints
+                  if lint.telemetry is not None]
+    check_span_pairing(emit_sites, report, suppressions)
+    report.analyzed["tree-lint"] = (
+        f"{len(lints)} file(s): {sum(lint.shard for lint in lints)} in "
+        f"shard scope, {len(emit_sites)} emit-site file(s), "
+        f"{sum(lint.replays for lint in lints)} replay function(s), "
+        f"{sum(lint.app_classes for lint in lints)} partitioned app "
+        f"class(es)"
+    )
     return report

@@ -87,6 +87,8 @@ class SuppressionIndex:
                     source = fh.read()
             except OSError:
                 return
+        if "noqa" not in source:
+            return  # nothing _NOQA_RE could match: skip the tokenizer
         entries = self._by_file.setdefault(path, [])
         for lineno, text in _comments(source):
             m = _NOQA_RE.search(text)

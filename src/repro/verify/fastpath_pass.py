@@ -18,49 +18,44 @@ statically-checkable properties, enforced here:
 
 Like the other tree lints this pass is purely syntactic; the allowlist
 itself is imported from the running fast-path package so the lint can
-never drift from the implementation.
+never drift from the implementation. The tree-lint driver
+(:func:`repro.verify.determinism_pass.verify_tree`) calls it: RP140 on
+each node it walks inside a ``replay_*`` function of the fast-path
+package, RP141 on each class.
 """
 
 from __future__ import annotations
 
 import ast
-import os
-from typing import List, Optional
+from typing import Optional
 
 from repro.fastpath.flowcache import REPLAY_EFFECTS
 from repro.verify import astutil
-from repro.verify.diagnostics import Diagnostic, Report, SuppressionIndex
-from repro.verify.rules import RULES
+from repro.verify.diagnostics import Report, SuppressionIndex
 
 
-def _diag(report: Report, supp: SuppressionIndex, rule_id: str,
-          message: str, rel: str, line: int) -> None:
-    r = RULES[rule_id]
-    report.add(Diagnostic(r.id, r.severity, message, rel, line), supp)
-
-
-def _check_replay(fn: ast.FunctionDef, rel: str, report: Report,
-                  supp: SuppressionIndex) -> None:
-    """RP140: method calls and attribute writes stay in REPLAY_EFFECTS."""
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            name = node.func.attr
-            if name not in REPLAY_EFFECTS:
-                _diag(report, supp, "RP140",
-                      f"replay function {fn.name!r} calls {name!r}, which "
-                      f"is not in the REPLAY_EFFECTS allowlist — an effect "
-                      f"the reference helpers do not perform",
-                      rel, node.lineno)
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
-            if node.attr not in REPLAY_EFFECTS:
-                _diag(report, supp, "RP140",
-                      f"replay function {fn.name!r} assigns attribute "
-                      f"{node.attr!r} outside the REPLAY_EFFECTS allowlist",
-                      rel, node.lineno)
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Del):
-            _diag(report, supp, "RP140",
-                  f"replay function {fn.name!r} deletes attribute "
-                  f"{node.attr!r}", rel, node.lineno)
+def check_replay(fn_name: str, node: ast.AST, rel: str, report: Report,
+                 supp: SuppressionIndex) -> None:
+    """RP140: method calls and attribute writes inside replay function
+    ``fn_name`` stay in REPLAY_EFFECTS."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        name = node.func.attr
+        if name not in REPLAY_EFFECTS:
+            report.flag("RP140",
+                        f"replay function {fn_name!r} calls {name!r}, which "
+                        f"is not in the REPLAY_EFFECTS allowlist — an effect "
+                        f"the reference helpers do not perform",
+                        rel, node.lineno, supp)
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+        if node.attr not in REPLAY_EFFECTS:
+            report.flag("RP140",
+                        f"replay function {fn_name!r} assigns attribute "
+                        f"{node.attr!r} outside the REPLAY_EFFECTS allowlist",
+                        rel, node.lineno, supp)
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Del):
+        report.flag("RP140",
+                    f"replay function {fn_name!r} deletes attribute "
+                    f"{node.attr!r}", rel, node.lineno, supp)
 
 
 def _reads_payload(fn: ast.FunctionDef) -> Optional[int]:
@@ -73,23 +68,17 @@ def _reads_payload(fn: ast.FunctionDef) -> Optional[int]:
 
 def _declares_packet_inputs(cls: ast.ClassDef) -> bool:
     for stmt in cls.body:
-        targets: List[ast.expr] = []
-        value: Optional[ast.expr] = None
-        if isinstance(stmt, ast.Assign):
-            targets, value = stmt.targets, stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            targets, value = [stmt.target], stmt.value
-        for target in targets:
-            if (isinstance(target, ast.Name)
-                    and target.id == "partition_inputs"
-                    and isinstance(value, ast.Constant)
-                    and value.value == "packet"):
-                return True
+        targets, value = astutil.assignment(stmt)
+        if isinstance(value, ast.Constant) and value.value == "packet" and any(
+            isinstance(t, ast.Name) and t.id == "partition_inputs"
+            for t in targets
+        ):
+            return True
     return False
 
 
-def _check_app_class(cls: ast.ClassDef, rel: str, report: Report,
-                     supp: SuppressionIndex) -> bool:
+def check_app_class(cls: ast.ClassDef, rel: str, report: Report,
+                    supp: SuppressionIndex) -> bool:
     """RP141 for one class; returns True when it defines partition_key."""
     fn = next((stmt for stmt in cls.body
                if isinstance(stmt, ast.FunctionDef)
@@ -98,46 +87,10 @@ def _check_app_class(cls: ast.ClassDef, rel: str, report: Report,
         return False
     line = _reads_payload(fn)
     if line is not None and not _declares_packet_inputs(cls):
-        _diag(report, supp, "RP141",
-              f"{cls.name}.partition_key reads the packet payload but the "
-              f"class does not declare partition_inputs = \"packet\"; the "
-              f"flow-cache signature would omit the payload and replay a "
-              f"wrong partition decision", rel, line)
+        report.flag("RP141",
+                    f"{cls.name}.partition_key reads the packet payload but "
+                    f"the class does not declare partition_inputs = "
+                    f"\"packet\"; the flow-cache signature would omit the "
+                    f"payload and replay a wrong partition decision",
+                    rel, line, supp)
     return True
-
-
-def verify_fastpath(
-    paths: List[str],
-    report: Optional[Report] = None,
-    suppressions: Optional[SuppressionIndex] = None,
-    root: Optional[str] = None,
-) -> Report:
-    """Run the fast-path lint over ``paths`` (files or directories)."""
-    report = report if report is not None else Report()
-    supp = suppressions if suppressions is not None else SuppressionIndex()
-    files = replays = app_classes = 0
-    for path in paths:
-        for filename in astutil.iter_py_files(path):
-            sf = astutil.load(filename)
-            if sf is None:
-                continue
-            files += 1
-            rel = astutil.relpath(sf.path, root)
-            supp.scan(rel, source=sf.text)
-            in_fastpath = (
-                os.sep + "fastpath" + os.sep in sf.path
-            )
-            for node in ast.walk(sf.tree):
-                if (isinstance(node, ast.FunctionDef)
-                        and node.name.startswith("replay_")
-                        and in_fastpath):
-                    replays += 1
-                    _check_replay(node, rel, report, supp)
-                elif isinstance(node, ast.ClassDef):
-                    if _check_app_class(node, rel, report, supp):
-                        app_classes += 1
-    report.analyzed["fastpath"] = (
-        f"{files} file(s), {replays} replay function(s), "
-        f"{app_classes} partitioned app class(es)"
-    )
-    return report

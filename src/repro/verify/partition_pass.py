@@ -38,11 +38,8 @@ inferred keys and global residue — committed under
 ``shard_plans/<app>.json`` (drift is RS408) and rendered by
 ``repro.tools verify --plan``.
 
-RS410-412 are companion tree lints over the shard-boundary packages
-(``repro.core``, ``repro.statestore``, ``repro.fastpath``, ``repro.net``,
-``repro.shard``) and the scenario drivers (``repro.scenarios``)
-for Python-level hazards that would break a multi-process split even
-with perfectly partitioned switch state.
+RS410-412, the Python-level shard hazards, are tree lints: they run in
+the tree-lint driver (:func:`repro.verify.determinism_pass.verify_tree`).
 """
 
 from __future__ import annotations
@@ -50,7 +47,6 @@ from __future__ import annotations
 import ast
 import inspect
 import json
-import os
 from dataclasses import dataclass
 from itertools import zip_longest
 from types import FunctionType
@@ -114,11 +110,6 @@ _ACCESS_METHODS = frozenset(
 
 #: Live values that are the same for every packet.
 _CONST_TYPES = (int, float, str, bytes, bool, FlowKey)
-
-#: Packages (and the scenario module) whose Python-level state crosses
-#: shard-process boundaries.
-_SHARD_SCOPES = frozenset({"core", "statestore", "fastpath", "net", "shard",
-                           "scenarios.py"})
 
 _CONST = frozenset({_T_CONST})
 _UNKNOWN = frozenset({_T_UNKNOWN})
@@ -730,170 +721,3 @@ def render_plan(plan: Dict[str, object]) -> str:
            if residue else "")
     )
     return "\n".join(lines)
-
-
-# -- RS410-412: shard-hazard tree lints ---------------------------------------
-
-
-def _in_shard_scope(path: str) -> bool:
-    """True for files in the shard-boundary packages and for
-    ``repro/scenarios.py`` — and for files outside any ``repro``
-    package (fixtures, scratch trees), which are linted as-is."""
-    parts = os.path.abspath(path).split(os.sep)
-    if "repro" in parts:
-        i = parts.index("repro")
-        return len(parts) > i + 1 and parts[i + 1] in _SHARD_SCOPES
-    return True
-
-
-def _is_empty_mutable(node: ast.expr) -> bool:
-    if isinstance(node, ast.List) and not node.elts:
-        return True
-    if isinstance(node, ast.Dict) and not node.keys:
-        return True
-    if isinstance(node, ast.Set) and not node.elts:
-        return True
-    if (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id in ("list", "dict", "set")
-        and not node.args and not node.keywords
-    ):
-        return True
-    return False
-
-
-def _check_module_globals(sf: astutil.SourceFile, rel: str,
-                          report: Report, supp: SuppressionIndex) -> None:
-    """RS410: mutable module-level accumulators and ``global`` rebinding."""
-    for stmt in sf.tree.body:
-        targets: List[ast.expr] = []
-        value: Optional[ast.expr] = None
-        if isinstance(stmt, ast.Assign):
-            targets, value = stmt.targets, stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            targets, value = [stmt.target], stmt.value
-        if value is None or not _is_empty_mutable(value):
-            continue
-        for target in targets:
-            if isinstance(target, ast.Name):
-                report.flag(
-                    "RS410",
-                    f"module-level mutable accumulator {target.id!r}: "
-                    "per-process state that sharded workers would "
-                    "populate divergently; move it onto a simulator- or "
-                    "engine-owned object",
-                    rel, stmt.lineno, supp,
-                )
-    for node in ast.walk(sf.tree):
-        if isinstance(node, ast.Global):
-            report.flag(
-                "RS410",
-                f"function rebinds module global(s) "
-                f"{', '.join(node.names)}: per-process simulation state "
-                "that sharded workers would not share",
-                rel, node.lineno, supp,
-            )
-
-
-def _check_unpicklable(sf: astutil.SourceFile, rel: str,
-                       report: Report, supp: SuppressionIndex) -> None:
-    """RS411: lambdas stored where shard handoff would pickle them."""
-    def flag(target_desc: str, line: int) -> None:
-        report.flag(
-            "RS411",
-            f"lambda stored on {target_desc}: the owning object cannot "
-            "cross a shard-process boundary (pickle rejects lambdas); "
-            "use a named function or a bound method",
-            rel, line, supp,
-        )
-
-    for node in ast.walk(sf.tree):
-        if not isinstance(node, (ast.Assign, ast.AnnAssign)):
-            continue
-        value = node.value
-        if not isinstance(value, ast.Lambda):
-            continue
-        targets = (
-            node.targets if isinstance(node, ast.Assign)
-            else [node.target]
-        )
-        for target in targets:
-            if isinstance(target, ast.Attribute):
-                chain = astutil.attr_chain(target)
-                flag(
-                    f"instance attribute "
-                    f"{'.'.join(chain) if chain else target.attr}",
-                    node.lineno,
-                )
-    for stmt in sf.tree.body:
-        if isinstance(stmt, ast.Assign) and isinstance(
-            stmt.value, ast.Lambda
-        ):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    flag(f"module name {target.id!r}", stmt.lineno)
-
-
-def _check_first_element_pick(sf: astutil.SourceFile, rel: str,
-                              report: Report,
-                              supp: SuppressionIndex) -> None:
-    """RS412: ``next(iter(...))`` over an unordered container."""
-    for node in ast.walk(sf.tree):
-        if not (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "next"
-            and node.args
-        ):
-            continue
-        inner = node.args[0]
-        if not (
-            isinstance(inner, ast.Call)
-            and isinstance(inner.func, ast.Name)
-            and inner.func.id == "iter"
-            and inner.args
-        ):
-            continue
-        picked = inner.args[0]
-        unordered = (
-            isinstance(picked, (ast.Set, ast.SetComp, ast.DictComp))
-            or (
-                isinstance(picked, ast.Call)
-                and isinstance(picked.func, ast.Attribute)
-                and picked.func.attr in ("values", "keys", "items")
-            )
-            or (
-                isinstance(picked, ast.Call)
-                and isinstance(picked.func, ast.Name)
-                and picked.func.id in ("set", "dict")
-            )
-        )
-        if unordered:
-            report.flag(
-                "RS412",
-                "next(iter(...)) picks the first element of an "
-                "unordered container: shards filling it independently "
-                "pick different elements; use sorted(...) or an "
-                "explicit ordering",
-                rel, node.lineno, supp,
-            )
-
-
-def verify_shard_hazards(
-    paths: List[str],
-    report: Optional[Report] = None,
-    suppressions: Optional[SuppressionIndex] = None,
-    root: Optional[str] = None,
-) -> Report:
-    """Run the RS410-412 shard-hazard lints over ``paths``."""
-    report = report if report is not None else Report()
-    supp = suppressions if suppressions is not None else SuppressionIndex()
-    files = 0
-    for sf, rel in astutil.parsed_files(paths, supp, root, _in_shard_scope):
-        files += 1
-        _check_module_globals(sf, rel, report, supp)
-        _check_unpicklable(sf, rel, report, supp)
-        _check_first_element_pick(sf, rel, report, supp)
-    report.analyzed["partition-hazards"] = f"{files} file(s) in shard scope"
-    return report

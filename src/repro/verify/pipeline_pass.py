@@ -677,13 +677,7 @@ def verify_asic(
     suppressions = (
         suppressions if suppressions is not None else SuppressionIndex()
     )
-    analyzer = _PipelineAnalyzer(asic, report, suppressions, root)
-    analyzer.run()
-    report.analyzed.setdefault(
-        f"pipeline:{asic.name}",
-        f"{len(asic.pipeline.blocks)} block(s), "
-        f"{len(asic._mirror_sessions)} mirror session(s)",
-    )
+    _PipelineAnalyzer(asic, report, suppressions, root).run()
     return report
 
 
@@ -708,7 +702,8 @@ def verify_app(
     name = label or getattr(app, "name", type(app).__name__)
     report.analyzed[f"app:{name}"] = (
         f"{type(app).__name__} on {switch.name} "
-        f"({len(switch.pipeline.blocks)} blocks)"
+        f"({len(switch.pipeline.blocks)} blocks, "
+        f"{len(switch._mirror_sessions)} mirror session(s))"
     )
     return report
 
@@ -738,6 +733,7 @@ def verify_netchain(
     verify_asic(tor, report=report, suppressions=suppressions, root=root)
     report.analyzed["store:netchain"] = (
         f"NetChainStoreBlock on {tor.name} "
-        f"({dep.netchain.backend.describe()})"
+        f"({dep.netchain.backend.describe()}, "
+        f"{len(tor._mirror_sessions)} mirror session(s))"
     )
     return report

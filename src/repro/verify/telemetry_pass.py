@@ -23,13 +23,17 @@ import PACKET_SEND``), string literals, and one level of local aliasing
 (``event_type = tt.A if cond else tt.B``) are all understood. An emit
 is a call of any ``.emit`` attribute or of a local name bound to one
 (``emit = sim.tracer.emit; emit(tt.PACKET_SEND, ...)``).
+
+The tree-lint driver (:func:`repro.verify.determinism_pass.verify_tree`)
+walks each file once and hands this pass the file's import table, its
+assignments and its calls; RT310 runs after the walk, over every file.
 """
 
 from __future__ import annotations
 
 import ast
 from fnmatch import fnmatchcase
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.telemetry import schema
 from repro.telemetry import trace as _trace_mod
@@ -56,20 +60,15 @@ def _is_trace_module(dotted: Optional[str]) -> bool:
     )
 
 
-def _is_emit_site(path: str) -> bool:
-    """Everything but the telemetry subsystem's own machinery."""
-    norm = path.replace("\\", "/")
-    return "/telemetry/" not in norm or "/verify/" in norm
+class TelemetryLint:
+    """RT301-306 over one emit-site file, from what the walk collected."""
 
-
-class _FileLint:
-    def __init__(self, sf: astutil.SourceFile, rel: str, report: Report,
-                 supp: SuppressionIndex) -> None:
-        self.sf = sf
+    def __init__(self, imports: astutil.ImportTable, rel: str,
+                 report: Report, supp: SuppressionIndex) -> None:
         self.rel = rel
         self.report = report
         self.supp = supp
-        self.imports = astutil.ImportTable(sf.tree)
+        self.imports = imports
         #: Local name -> possible trace-type strings (one assignment level).
         self.aliases: Dict[str, Set[str]] = {}
         #: Local names bound to an ``.emit`` method (``emit = tracer.emit``).
@@ -111,9 +110,9 @@ class _FileLint:
             return self.aliases.get(node.id, set())
         return set()
 
-    def _collect_aliases(self) -> None:
-        for node in ast.walk(self.sf.tree):
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+    def _collect_aliases(self, assigns: Sequence[ast.Assign]) -> None:
+        for node in assigns:
+            if len(node.targets) == 1:
                 target = node.targets[0]
                 if isinstance(target, ast.Name):
                     if (isinstance(node.value, ast.Attribute)
@@ -231,11 +230,11 @@ class _FileLint:
 
     # -- drive -----------------------------------------------------------------
 
-    def run(self) -> None:
-        self._collect_aliases()
-        for node in ast.walk(self.sf.tree):
-            if not isinstance(node, ast.Call):
-                continue
+    def run(self, assigns: Sequence[ast.Assign],
+            calls: Sequence[ast.Call]) -> None:
+        """Resolve the file's aliases, then check every call in it."""
+        self._collect_aliases(assigns)
+        for node in calls:
             if isinstance(node.func, ast.Name):
                 if node.func.id in self.bound_emits:
                     self._check_emit(node)
@@ -255,36 +254,9 @@ class _FileLint:
                     self._check_instrument(node, _INSTRUMENT_METHODS[attr])
 
 
-def _lint_files(paths: Iterable[str], report: Report,
-                suppressions: SuppressionIndex,
-                root: Optional[str] = None) -> List[_FileLint]:
-    """Run the per-file checks; each lint keeps its resolved emits."""
-    lints: List[_FileLint] = []
-    for sf, rel in astutil.parsed_files(
-            paths, suppressions, root, keep=_is_emit_site):
-        lint = _FileLint(sf, rel, report, suppressions)
-        lint.run()
-        lints.append(lint)
-    return lints
-
-
-def verify_telemetry(
-    paths: Iterable[str],
-    report: Optional[Report] = None,
-    suppressions: Optional[SuppressionIndex] = None,
-    root: Optional[str] = None,
-) -> Report:
-    """Lint every emit site under ``paths`` against the telemetry schema.
-
-    The telemetry subsystem itself (``repro/telemetry/``) is excluded:
-    it defines the machinery, its method bodies are not emit *sites*.
-    """
-    report = report if report is not None else Report()
-    suppressions = (
-        suppressions if suppressions is not None else SuppressionIndex()
-    )
-    lints = _lint_files(paths, report, suppressions, root)
-    # RT310: pairing across the whole file set.
+def check_span_pairing(lints: Sequence[TelemetryLint], report: Report,
+                       suppressions: SuppressionIndex) -> None:
+    """RT310: pairing across the whole file set."""
     emitted: Set[str] = set()
     for lint in lints:
         emitted.update(t for t, _ in lint.emits)
@@ -302,5 +274,3 @@ def verify_telemetry(
                             "can never terminate",
                             lint.rel, line, suppressions,
                         )
-    report.analyzed["telemetry"] = f"{len(lints)} file(s) linted"
-    return report

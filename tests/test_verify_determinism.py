@@ -3,14 +3,14 @@
 import os
 
 from repro.verify import Report, Severity, SuppressionIndex
-from repro.verify.determinism_pass import verify_determinism
+from repro.verify.determinism_pass import verify_tree
 
 
 def lint(tmp_path, source, name="fixture.py"):
     path = tmp_path / name
     path.write_text(source)
     supp = SuppressionIndex()
-    report = verify_determinism([str(path)], suppressions=supp)
+    report = verify_tree([str(path)], suppressions=supp)
     report.finalize_suppressions(supp)
     return report
 
@@ -166,7 +166,7 @@ def test_finalize_rules_filter_scopes_qa002_to_the_pass(tmp_path):
         "b = 2  # repro: noqa[RD201] -- stale, should still be QA002\n"
     )
     supp = SuppressionIndex()
-    report = verify_determinism([str(path)], suppressions=supp)
+    report = verify_tree([str(path)], suppressions=supp)
     report.finalize_suppressions(supp, rules=("RD",))
     assert [(d.rule, d.line) for d in report.diagnostics] == [("QA002", 2)]
 
@@ -185,9 +185,9 @@ def test_docstring_mentioning_noqa_is_not_a_suppression(tmp_path):
 def test_repro_source_tree_is_deterministic():
     src = os.path.join(os.path.dirname(__file__), "..", "src", "repro")
     supp = SuppressionIndex()
-    report = verify_determinism([os.path.normpath(src)], suppressions=supp)
-    # Only the determinism pass ran: scope the unused-suppression check
-    # to RD rules, or other passes' noqas in the tree would false-flag.
+    report = verify_tree([os.path.normpath(src)], suppressions=supp)
+    # The app passes did not run: scope the unused-suppression check to
+    # RD rules, or their noqas in the tree would false-flag.
     report.finalize_suppressions(supp, rules=("RD",))
     offending = report.active()
     assert offending == [], "\n".join(d.render() for d in offending)
@@ -199,3 +199,46 @@ def test_repro_source_tree_is_deterministic():
     assert {d.rule for d in suppressed} == {"RD201"}
     assert all(d.file.endswith(sanctioned) for d in suppressed), \
         "\n".join(d.render() for d in suppressed)
+
+
+# -- the tree-lint driver -----------------------------------------------------
+
+#: One fixture per tree-lint scope, by path under ``src/repro``: the
+#: shard-boundary packages (RS410 fires in ``core``, not in ``apps``),
+#: the fast-path package (RP140), emit sites (RT301 fires in ``apps``)
+#: and the telemetry machinery (not an emit site).
+SCOPE_FIXTURES = {
+    "core/hazard.py": "PENDING = []\n",
+    "apps/emits.py": "PENDING = []\ntracer.emit('packet.teleport', uid=1)\n",
+    "fastpath/replay.py": "def replay_x(switch):\n    switch.mutate()\n",
+    "telemetry/tracer.py": "tracer.emit('packet.teleport', uid=1)\n",
+}
+
+
+def lint_checkout(base):
+    """Write :data:`SCOPE_FIXTURES` into a checkout at ``base`` and lint
+    its ``src/repro``: the summary line and the diagnostics."""
+    for rel, source in SCOPE_FIXTURES.items():
+        path = base / "src" / "repro" / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(source)
+    report = verify_tree([str(base / "src" / "repro")], root=str(base))
+    return report.analyzed["tree-lint"], sorted(
+        (d.rule, d.file, d.line, d.message) for d in report.diagnostics)
+
+
+def test_scopes_do_not_depend_on_where_the_checkout_lives(tmp_path):
+    neutral = lint_checkout(tmp_path / "neutral")
+    assert neutral[0] == (
+        "4 file(s): 2 in shard scope, 3 emit-site file(s), 1 replay "
+        "function(s), 0 partitioned app class(es)")
+    assert [(rule, file, line) for rule, file, line, _ in neutral[1]] == [
+        ("RP140", os.path.join("src", "repro", "fastpath", "replay.py"), 2),
+        ("RS410", os.path.join("src", "repro", "core", "hazard.py"), 1),
+        ("RT301", os.path.join("src", "repro", "apps", "emits.py"), 2),
+    ]
+    # A runner checking out a repository named ``repro`` nests it under
+    # ``repro``; ``telemetry`` and ``repro`` above the checkout change
+    # nothing either.
+    assert lint_checkout(tmp_path / "telemetry" / "repro" / "ck") == neutral
+    assert lint_checkout(tmp_path / "repro" / "repro") == neutral

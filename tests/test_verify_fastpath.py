@@ -3,7 +3,7 @@
 import os
 
 from repro.verify import Report, Severity, SuppressionIndex
-from repro.verify.fastpath_pass import verify_fastpath
+from repro.verify.determinism_pass import verify_tree
 from repro.verify.rules import RULES
 
 
@@ -13,7 +13,7 @@ def lint(tmp_path, source, name="fixture.py", in_fastpath=False):
     path = directory / name
     path.write_text(source)
     supp = SuppressionIndex()
-    report = verify_fastpath([str(path)], suppressions=supp)
+    report = verify_tree([str(path)], suppressions=supp)
     report.finalize_suppressions(supp)
     return report
 
@@ -124,6 +124,6 @@ def test_suppression_with_justification(tmp_path):
 def test_shipped_tree_is_clean():
     src = os.path.normpath(os.path.join(
         os.path.dirname(__file__), "..", "src", "repro"))
-    report = verify_fastpath([src])
+    report = verify_tree([src])
     assert [d for d in report.diagnostics if not d.suppressed] == []
-    assert "replay function(s)" in report.analyzed["fastpath"]
+    assert "3 replay function(s)" in report.analyzed["tree-lint"]

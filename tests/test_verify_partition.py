@@ -11,8 +11,9 @@ from repro.apps.counter import AsyncCounterApp
 from repro.core.app import AppVerdict
 from repro.net.packet import FlowKey
 from repro.verify import Severity, SuppressionIndex
+from repro.verify.determinism_pass import verify_tree
 from repro.verify.partition_pass import (
-    plan_json, render_plan, verify_partition_app, verify_shard_hazards,
+    plan_json, render_plan, verify_partition_app,
 )
 from repro.verify.rules import RULES, Rule, register
 
@@ -318,7 +319,7 @@ def lint(tmp_path, source, name="fixture.py"):
     path = tmp_path / name
     path.write_text(source)
     supp = SuppressionIndex()
-    report = verify_shard_hazards([str(path)], suppressions=supp)
+    report = verify_tree([str(path)], suppressions=supp)
     report.finalize_suppressions(supp, rules=("RS",))
     return report
 
@@ -401,5 +402,5 @@ def test_repro_tree_is_hazard_clean():
     from repro.verify.cli import source_root
 
     tree = os.path.join(source_root(), "repro")
-    report = verify_shard_hazards([tree])
+    report = verify_tree([tree])
     assert active_rules(report) == []

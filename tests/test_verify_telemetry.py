@@ -8,7 +8,7 @@ import pytest
 from repro.telemetry import schema
 from repro.verify import SuppressionIndex, astutil
 from repro.verify.diagnostics import Report
-from repro.verify.telemetry_pass import _lint_files, verify_telemetry
+from repro.verify.determinism_pass import _lint_files, verify_tree
 
 
 def lint(tmp_path, *sources):
@@ -18,7 +18,7 @@ def lint(tmp_path, *sources):
         path.write_text(source)
         paths.append(str(path))
     supp = SuppressionIndex()
-    report = verify_telemetry(paths, suppressions=supp)
+    report = verify_tree(paths, suppressions=supp)
     report.finalize_suppressions(supp)
     return report
 
@@ -196,18 +196,20 @@ def test_repro_source_tree_matches_schema():
     src = os.path.normpath(
         os.path.join(os.path.dirname(__file__), "..", "src", "repro"))
     supp = SuppressionIndex()
-    report = verify_telemetry([src], suppressions=supp)
-    # Standalone pass run: only unused suppressions of *telemetry* rules
-    # are QA002 here — other passes' suppressions (RD201 in
-    # telemetry/timers.py, say) are theirs to account for.
+    report = verify_tree([src], suppressions=supp)
+    # Only unused suppressions of *telemetry* rules are this test's
+    # QA002s; the other families' (RD201 in telemetry/timers.py, say)
+    # are theirs to account for.
     report.finalize_suppressions(supp, rules=("RT",))
     offending = report.active()
     assert offending == [], "\n".join(d.render() for d in offending)
     # The lint saw every tracer.emit site, and the sites it resolved emit
     # exactly the declared vocabulary: no type without a producer.
-    lints = _lint_files([src], Report(), SuppressionIndex())
+    lints = [lint for lint in _lint_files(
+        [src], Report(), SuppressionIndex(), None) if lint.telemetry]
     for lint in lints:
-        resolved = {line for _type, line in lint.emits}
+        resolved = {line for _type, line in lint.telemetry.emits}
         assert _tracer_emit_sites(lint.sf) <= resolved, lint.rel
-    emitted = {type_ for lint in lints for type_, _line in lint.emits}
+    emitted = {type_ for lint in lints
+               for type_, _line in lint.telemetry.emits}
     assert emitted == set(schema.TRACE_EVENTS)
