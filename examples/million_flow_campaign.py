@@ -18,7 +18,7 @@ cumulative-mass table), so a 10M population costs no more memory than a
 thousand. The driver is ``run_million_flow_scenario`` in the scenario registry,
 :mod:`repro.scenarios` — the same campaign ``python -m bench run``
 times as ``flow_churn`` (one process) and ``flow_churn_shard2`` (two
-spawned workers).
+forked workers).
 
 ``--workers N`` partitions the flow population across N shards using
 the committed shard plan (``shard_plans/nat.json``); the merged counts
@@ -66,7 +66,7 @@ def main() -> None:
     parser.add_argument("--mode", choices=("inline", "process"),
                         default="inline",
                         help="inline (sequential shards, one process) or "
-                             "process (spawned workers)")
+                             "process (forked workers, POSIX only)")
     args = parser.parse_args()
 
     print(f"population {args.population:,} flows, {args.packets:,} packets "

@@ -20,7 +20,7 @@ module             role
 ``recorder``       per-shard sidecar: origin ranks and the one ordered log
 ``frames``         length-prefixed worker report frames (3 types)
 ``runner``         reference / inline / process drive modes + identity gate
-``worker``         spawned-process workers + the parent's collect loop
+``worker``         forked-process workers + the parent's collect loop
 ``merge``          one-pass log merge, ghost subtraction, merged fingerprint
 ``cli``            ``repro.tools shard plan|run|diff``: flags and handlers
 =================  ==========================================================

@@ -178,7 +178,7 @@ def register(sub: argparse._SubParsersAction) -> None:
     run.add_argument("--mode", choices=("inline", "process"),
                      default="inline",
                      help="inline (sequential, one process) or process "
-                          "(spawned workers, each run straight through)")
+                          "(forked workers, each run straight through)")
     run.add_argument("--no-capture", action="store_true",
                      help="skip record capture (throughput runs; merge "
                           "reports counts only)")

@@ -1,17 +1,19 @@
-"""Spawned-process shard workers and their frame protocol.
+"""Forked shard workers and their frame protocol.
 
-Process mode: the parent spawns one worker per shard (``spawn`` context
-— a fresh interpreter, so the bootstrap must be picklable JSON scalars,
-see :func:`_bootstrap`), connects each over a ``multiprocessing.Pipe``,
-and collects results. Workers never wait on the parent or on each
-other: every shard runs the whole topology and admits only its own
-flows, so there is nothing to synchronize (see docs/SHARDING.md, "Why
-there is no clock synchronisation"). All traffic is worker -> parent,
-in length-prefixed frames (:mod:`repro.shard.frames`): one ``PROGRESS``
-per ``pace()`` boundary reached, finally ``RESULT`` (the full shard
-result) or ``ERROR``. The worker then closes its end and exits; bytes
-written to a pipe outlive the writer's ``close``, so the parent needs
-no acknowledgement to read them.
+Process mode (POSIX only): the parent forks one worker per shard, so
+each starts from the parent's already-imported modules and its resolved
+:class:`repro.shard.runner.ShardRunConfig` — nothing is re-imported or
+re-resolved in the child. It connects each over a
+``multiprocessing.Pipe`` and collects results. Workers never wait on
+the parent or on each other: every shard runs the whole topology and
+admits only its own flows, so there is nothing to synchronize (see
+docs/SHARDING.md, "Why there is no clock synchronisation"). All
+traffic is worker -> parent, in length-prefixed frames
+(:mod:`repro.shard.frames`): one ``PROGRESS`` per ``pace()`` boundary
+reached, finally ``RESULT`` (the full shard result) or ``ERROR``. The
+worker then closes its end and exits; bytes written to a pipe outlive
+the writer's ``close``, so the parent needs no acknowledgement to read
+them.
 
 ``PROGRESS`` is liveness only — it restarts the parent's stall clock
 and is never answered or compared across shards.
@@ -22,12 +24,13 @@ executed after every worker result is in.
 
 from __future__ import annotations
 
-import dataclasses
 import multiprocessing
+import threading
 import traceback
 from typing import Any, Dict, List, Optional
 
 from repro.shard.frames import F_ERROR, F_PROGRESS, F_RESULT, FrameConn
+from repro.shard.runner import ShardRunConfig, run_one_shard
 
 #: The parent gives up when no worker has framed anything for this long:
 #: "no shard reached a ``pace()`` boundary in 300 s". A worker that dies
@@ -36,31 +39,10 @@ from repro.shard.frames import F_ERROR, F_PROGRESS, F_RESULT, FrameConn
 STALL_TIMEOUT_S = 300.0
 
 
-def _bootstrap(config: Any, shard_index: int) -> Dict[str, Any]:
-    """What a spawned worker is started with: the run config's own
-    fields, with the live scenario replaced by its name and the plan
-    (already consumed by ``resolve``) dropped, plus the shard index.
-    Names and numbers only — the child re-imports everything else."""
-    spec = {
-        f.name: getattr(config, f.name) for f in dataclasses.fields(config)
-    }
-    spec.update(scenario=config.scenario.name, plan={},
-                shard_index=shard_index)
-    return spec
-
-
-def worker_main(conn: Any, spec: Dict[str, Any]) -> None:
+def worker_main(conn: Any, config: ShardRunConfig, shard_index: int) -> None:
     """Worker process entry point: run one shard straight through."""
     fc = FrameConn(conn)
     try:
-        from repro.shard.runner import ShardRunConfig, run_one_shard
-        from repro.scenarios import get_scenario
-
-        spec = dict(spec)
-        shard_index = spec.pop("shard_index")
-        spec["scenario"] = get_scenario(spec["scenario"])
-        config = ShardRunConfig(**spec)
-
         def progress(now: float) -> None:
             fc.send(F_PROGRESS, {"shard": shard_index, "now": now})
 
@@ -75,22 +57,30 @@ def worker_main(conn: Any, spec: Dict[str, Any]) -> None:
         fc.close()
 
 
-def run_process_shards(config: Any) -> List[Dict[str, Any]]:
-    """Spawn one worker per shard and collect their results.
+def run_process_shards(config: ShardRunConfig) -> List[Dict[str, Any]]:
+    """Fork one worker per shard and collect their results.
 
-    ``config`` is a :class:`repro.shard.runner.ShardRunConfig`. Returns
-    the shard results in shard order. A worker error or death tears the
-    whole run down, naming the shard — a partial merge would be
-    meaningless, so the surviving workers are not waited for.
+    Returns the shard results in shard order. A worker error or death
+    tears the whole run down, naming the shard — a partial merge would
+    be meaningless, so the surviving workers are not waited for. Refuses
+    to fork while other threads are alive: a lock one of them holds
+    would stay held forever in the child.
     """
-    ctx = multiprocessing.get_context("spawn")
+    threads = threading.active_count()
+    if threads > 1:
+        raise RuntimeError(
+            f"refusing to fork shard workers: {threads} threads are alive "
+            "(threading.active_count()); process mode needs a "
+            "single-threaded parent"
+        )
+    ctx = multiprocessing.get_context("fork")
     conns: List[Any] = []
     procs: List[Any] = []
     for index in range(config.workers):
         parent_conn, child_conn = ctx.Pipe()
         proc = ctx.Process(
             target=worker_main,
-            args=(child_conn, _bootstrap(config, index)),
+            args=(child_conn, config, index),
             daemon=True,
         )
         proc.start()

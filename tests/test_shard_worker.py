@@ -1,17 +1,25 @@
-"""Process mode: spawned workers reporting over frames, identical merge,
+"""Process mode: forked workers reporting over frames, identical merge,
 and the parent's typed errors for dead, torn and hung workers."""
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
 import time
 
 import pytest
 
+from repro import identity
+from repro.scenarios import SCENARIOS, Scenario, run_nat_steady
 from repro.shard import worker
 from repro.shard.frames import F_PROGRESS, FrameConn
-from repro.shard.runner import ShardRunConfig, resolve, run_identity, run_sharded
+from repro.shard.runner import resolve, run_identity, run_sharded
+
+#: The real entry point. Forked children inherit the parent's
+#: monkeypatches, so a stand-in that delegated to ``worker.worker_main``
+#: would call itself.
+_real_worker_main = worker.worker_main
 
 
 def test_process_mode_is_byte_identical_to_the_reference():
@@ -37,11 +45,15 @@ def test_process_mode_matches_inline_mode():
 def test_parent_collects_results_without_sending_a_frame(monkeypatch):
     """The protocol is one-way: a worker exits right after RESULT and
     the parent reads it from the pipe with no handshake either side.
-    (Spawned workers re-import the module, so only the parent is
-    patched.)"""
+    (Forked workers inherit the patch, so it refuses in the parent
+    only.)"""
+    parent = os.getpid()
+    real_send = FrameConn.send
 
     def refuse(self, ftype, body):
-        raise AssertionError("the parent sent a frame")
+        if os.getpid() == parent:
+            raise AssertionError("the parent sent a frame")
+        real_send(self, ftype, body)
 
     monkeypatch.setattr(FrameConn, "send", refuse)
     merged = run_sharded(resolve("nat_quickstart", 2), mode="process")
@@ -49,21 +61,50 @@ def test_parent_collects_results_without_sending_a_frame(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_shard_spec_is_json_scalars_only():
-    """What ``run_process_shards`` hands ``ctx.Process`` must stay
-    picklable-by-value — names and numbers, never live objects — and be
-    the run config's own field list plus the shard index."""
-    import dataclasses
-    import json
+def test_workers_run_the_parents_resolved_config(monkeypatch):
+    """A worker runs the config object the parent resolved, not one it
+    looks up again by name: a scenario that exists only in this process
+    (registered at runtime, its driver a closure) shards in process mode
+    and merges identical to its reference."""
 
-    config = resolve("nat_steady", 2, params={"flows": 3})
-    spec = worker._bootstrap(config, 1)
-    assert json.loads(json.dumps(spec)) == spec
-    assert spec["scenario"] == "nat_steady" and spec["shard_index"] == 1
-    assert spec["params"] == {"flows": 3}
-    assert set(spec) - {"shard_index"} == {
-        f.name for f in dataclasses.fields(ShardRunConfig)
-    }
+    def three_flows(sim, pace, fastpath=False):
+        return run_nat_steady(sim, pace, fastpath, flows=3)
+
+    monkeypatch.setitem(SCENARIOS, "runtime_only_nat",
+                        Scenario("runtime_only_nat", "nat", 5, three_flows))
+    out = run_identity("runtime_only_nat", workers=2, mode="process")
+    assert out["identical"], out["report"]
+    assert out["merged"]["extra"]["flows"] == 3
+
+
+def test_no_parent_state_leaks_into_a_worker():
+    """Forked workers start from whatever the parent has run before.
+    ``nat_steady`` in process mode, then inline, then again in process
+    mode after an unrelated inline run: every fingerprint is the same
+    on every axis."""
+    first = run_sharded(resolve("nat_steady", 2), mode="process")
+    inline = run_sharded(resolve("nat_steady", 2), mode="inline")
+    run_sharded(resolve("nat_quickstart", 2), mode="inline")
+    again = run_sharded(resolve("nat_steady", 2), mode="process")
+    for other in (inline, again):
+        report = identity.compare(first, other)
+        assert all(report.values()), report
+
+
+def test_a_threaded_parent_refuses_to_fork():
+    """Forking while another thread is alive can leave the child stuck
+    on a lock that thread held; the parent says so before any fork."""
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait, daemon=True)
+    thread.start()
+    try:
+        with pytest.raises(RuntimeError, match=r"2 threads are alive"):
+            run_sharded(resolve("nat_quickstart", 2), mode="process")
+    finally:
+        stop.set()
+        thread.join(timeout=5.0)
+    assert not thread.is_alive()
+    assert multiprocessing.active_children() == []
 
 
 def test_unknown_mode_is_rejected():
@@ -72,58 +113,57 @@ def test_unknown_mode_is_rejected():
         run_sharded(config, mode="threads")
 
 
-# Spawned children unpickle the worker target by module path, so the
-# misbehaving stand-ins live at module level here (importable as
-# ``tests.test_shard_worker``); shard 0 stays a real worker.
+# Misbehaving stand-ins for ``worker.worker_main``; shard 0 stays a real
+# worker.
 
 
-def _stand_in(conn, spec_dict):
+def _stand_in(conn, config, shard_index):
     """Shard 1's frame connection; None for shard 0, which has run the
     real worker to completion."""
-    if spec_dict["shard_index"] != 1:
-        worker.worker_main(conn, spec_dict)
+    if shard_index != 1:
+        _real_worker_main(conn, config, shard_index)
         return None
     return FrameConn(conn)
 
 
-def _dies_on_import(conn, spec_dict):
-    if spec_dict["shard_index"] == 1:
+def _dies_before_first_frame(conn, config, shard_index):
+    if shard_index == 1:
         os._exit(3)
-    worker.worker_main(conn, spec_dict)
+    _real_worker_main(conn, config, shard_index)
 
 
-def _dies_mid_run(conn, spec_dict):
-    fc = _stand_in(conn, spec_dict)
+def _dies_mid_run(conn, config, shard_index):
+    fc = _stand_in(conn, config, shard_index)
     if fc is not None:
         fc.send(F_PROGRESS, {"shard": 1, "now": 1_000.0})
         os._exit(3)
 
 
-def _sends_torn_frame(conn, spec_dict):
-    if _stand_in(conn, spec_dict) is not None:
+def _sends_torn_frame(conn, config, shard_index):
+    if _stand_in(conn, config, shard_index) is not None:
         conn.send_bytes(b"\x00\x00")
         time.sleep(60.0)
 
 
-def _hangs_alive(conn, spec_dict):
-    if _stand_in(conn, spec_dict) is not None:
+def _hangs_alive(conn, config, shard_index):
+    if _stand_in(conn, config, shard_index) is not None:
         time.sleep(60.0)
 
 
-def _slow_but_progressing(conn, spec_dict):
-    fc = _stand_in(conn, spec_dict)
+def _slow_but_progressing(conn, config, shard_index):
+    fc = _stand_in(conn, config, shard_index)
     if fc is not None:
         for tick in range(7):
             time.sleep(0.3)
             fc.send(F_PROGRESS, {"shard": 1, "now": float(tick)})
-        worker.worker_main(conn, spec_dict)
+        _real_worker_main(conn, config, shard_index)
 
 
 @pytest.mark.parametrize("target, message", [
-    (_dies_on_import, r"shard worker 1 died.*exit code 3"),
+    (_dies_before_first_frame, r"shard worker 1 died.*exit code 3"),
     (_dies_mid_run, r"shard worker 1 died.*exit code 3"),
     (_sends_torn_frame, r"shard worker 1 sent a malformed frame.*truncated"),
-], ids=["_dies_on_import", "_dies_mid_run", "_sends_torn_frame"])
+], ids=["_dies_before_first_frame", "_dies_mid_run", "_sends_torn_frame"])
 def test_dead_worker_is_named_promptly(monkeypatch, target, message):
     """A worker that closes its pipe without RESULT or ERROR, or frames
     garbage, is a typed error naming the shard (and its exit code or
