@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro import RedPlaneConfig, Simulator, deploy
 from repro.analysis import summarize
-from repro.apps import NatApp, install_nat_routes
+from repro.apps import NatApp
 from repro.baselines import (
     ControllerFtBlock,
     ExternalController,
@@ -46,13 +46,14 @@ def run_switch_nat(block_factory=None):
     """Switch NAT on the testbed; block_factory wraps the app per switch."""
     sim = Simulator(seed=11)
     bed = build_testbed(sim, agg_factory=lambda s, n, ip: SwitchASIC(s, n, ip))
-    install_nat_routes(bed)
     controller = ExternalController(sim)
     for agg in bed.aggs:
         if block_factory is None:
-            agg.add_block(PlainAppBlock(agg, NatApp()))
+            block = PlainAppBlock(agg, NatApp())
         else:
-            agg.add_block(block_factory(agg, controller))
+            block = block_factory(agg, controller)
+        agg.add_block(block)
+    block.app.provision(bed, [])
     s11, e1 = bed.servers[0], bed.externals[0]
     EchoResponder(e1)
     probe = RttProbe(s11)
@@ -64,7 +65,6 @@ def run_switch_nat(block_factory=None):
 def run_redplane_nat():
     sim = Simulator(seed=11)
     dep = deploy(sim, NatApp)
-    install_nat_routes(dep.bed)
     s11, e1 = dep.bed.servers[0], dep.bed.externals[0]
     EchoResponder(e1)
     probe = RttProbe(s11)

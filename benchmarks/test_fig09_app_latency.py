@@ -19,9 +19,6 @@ from repro.apps import (
     LoadBalancerApp,
     NatApp,
     VIP,
-    install_nat_routes,
-    install_vip_routes,
-    make_dip_allocator,
 )
 from repro.apps.counter import AsyncCounterApp, SyncCounterApp
 from repro.net.packet import Packet, TCP_SYN
@@ -37,7 +34,6 @@ SEED = 21
 def run_nat():
     sim = Simulator(seed=SEED)
     dep = deploy(sim, NatApp)
-    install_nat_routes(dep.bed)
     s11, e1 = dep.bed.servers[0], dep.bed.externals[0]
     EchoResponder(e1)
     probe = RttProbe(s11)
@@ -72,10 +68,6 @@ def run_firewall():
 def run_load_balancer():
     sim = Simulator(seed=SEED)
     dep = deploy(sim, LoadBalancerApp)
-    dips = [s.ip for s in dep.bed.servers]
-    for store in dep.stores:
-        store.allocator = make_dip_allocator(dips)
-    install_vip_routes(dep.bed)
     e1 = dep.bed.externals[0]
     for server in dep.bed.servers:
         EchoResponder(server)

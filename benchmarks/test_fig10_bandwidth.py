@@ -18,9 +18,6 @@ from repro.apps import (
     LoadBalancerApp,
     NatApp,
     VIP,
-    install_nat_routes,
-    install_vip_routes,
-    make_dip_allocator,
 )
 from repro.apps.counter import SyncCounterApp
 from repro.net.packet import Packet, TCP_SYN
@@ -56,7 +53,6 @@ def _finish(sim, dep):
 def run_nat():
     sim = Simulator(seed=SEED)
     dep = deploy(sim, NatApp)
-    install_nat_routes(dep.bed)
     s11, e1 = dep.bed.servers[0], dep.bed.externals[0]
     for event in _small_packets(
         five_tuple_trace(NUM_PACKETS, NUM_FLOWS_READ_CENTRIC, s11.ip, e1.ip,
@@ -85,9 +81,6 @@ def run_firewall():
 def run_lb():
     sim = Simulator(seed=SEED)
     dep = deploy(sim, LoadBalancerApp)
-    for store in dep.stores:
-        store.allocator = make_dip_allocator([s.ip for s in dep.bed.servers])
-    install_vip_routes(dep.bed)
     e1 = dep.bed.externals[0]
     for event in _small_packets(
         five_tuple_trace(NUM_PACKETS, NUM_FLOWS_READ_CENTRIC, e1.ip, VIP,

@@ -19,7 +19,7 @@ import pytest
 
 from repro import Simulator, deploy
 from repro.analysis import APP_PROFILES, fig12_rows, throughput_mpps
-from repro.apps import NatApp, install_nat_routes
+from repro.apps import NatApp
 from repro.apps.counter import SyncCounterApp
 from repro.net.packet import Packet
 from repro.workloads.traces import five_tuple_trace
@@ -28,13 +28,10 @@ from _bench_utils import emit, print_header, print_rows
 
 
 def measure_scaled_delivery(app_factory, offered_gap_us: float,
-                            store_service_us: float, routes=None,
-                            packets: int = 1500):
+                            store_service_us: float, packets: int = 1500):
     """Deliverable fraction at a given offered rate with a slow store."""
     sim = Simulator(seed=9)
     dep = deploy(sim, app_factory, num_shards=1, chain_length=1)
-    if routes:
-        routes(dep.bed)
     for store in dep.stores:
         store.service_time_us = store_service_us
     e1, s11 = dep.bed.externals[0], dep.bed.servers[0]
@@ -57,8 +54,7 @@ def test_fig12(run_once):
         sync_rate = measure_scaled_delivery(SyncCounterApp, offered_gap_us=2.0,
                                             store_service_us=5.0)
         nat_rate = measure_scaled_delivery(NatApp, offered_gap_us=2.0,
-                                           store_service_us=5.0,
-                                           routes=install_nat_routes)
+                                           store_service_us=5.0)
         return rows, sync_rate, nat_rate
 
     rows, sync_rate, nat_rate = run_once(experiment)

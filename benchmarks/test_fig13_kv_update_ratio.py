@@ -15,7 +15,7 @@ import pytest
 
 from repro import Simulator, deploy
 from repro.analysis import fig13_series, kv_throughput_mpps
-from repro.apps import KvStoreApp, install_kv_routes
+from repro.apps import KvStoreApp
 from repro.workloads.traces import kv_trace
 
 from _bench_utils import emit, print_header, print_rows
@@ -34,7 +34,6 @@ def measure_scaled(update_ratio: float, num_stores: int,
     """
     sim = Simulator(seed=13)
     dep = deploy(sim, KvStoreApp, num_shards=num_stores, chain_length=1)
-    install_kv_routes(dep.bed)
     e1 = dep.bed.externals[0]
     replies = []
     e1.default_handler = lambda pkt: replies.append(sim.now)

@@ -15,7 +15,7 @@ lease period, recovery — is unscaled.
 from __future__ import annotations
 
 from repro import RedPlaneConfig, Simulator, deploy
-from repro.apps import NatApp, install_nat_routes
+from repro.apps import NatApp
 from repro.baselines import PlainAppBlock
 from repro.net.topology import build_testbed
 from repro.switch.asic import SwitchASIC
@@ -53,7 +53,6 @@ def _attach_iperf(sim, bed):
 def run_redplane(inject_failure: bool):
     sim = Simulator(seed=14)
     dep = deploy(sim, NatApp, config=RedPlaneConfig(lease_period_us=LEASE_US))
-    install_nat_routes(dep.bed)
     sender, receiver = _attach_iperf(sim, dep.bed)
     sender.start()
     sim.run(until=FAIL_AT_US)
@@ -72,12 +71,12 @@ def run_no_redplane():
     """Same failure without RedPlane: the NAT state dies with the switch."""
     sim = Simulator(seed=14)
     bed = build_testbed(sim, agg_factory=lambda s, n, ip: SwitchASIC(s, n, ip))
-    install_nat_routes(bed)
     blocks = {}
     for agg in bed.aggs:
         block = PlainAppBlock(agg, NatApp())
         agg.add_block(block)
         blocks[agg.name] = block
+    block.app.provision(bed, [])
     sender, receiver = _attach_iperf(sim, bed)
     sender.start()
     sim.run(until=FAIL_AT_US)

@@ -20,8 +20,6 @@ from repro.apps import (
     NAT_PUBLIC_IP,
     OP_READ,
     OP_UPDATE,
-    install_kv_routes,
-    install_nat_routes,
     make_data_packet,
     make_request,
     make_signaling_packet,
@@ -30,7 +28,6 @@ from repro.apps import (
 from repro.apps import (
     SequencerApp,
     SynDefenseApp,
-    install_sequencer_routes,
     make_sequenced_request,
     parse_stamp,
 )
@@ -50,15 +47,14 @@ def _fail_active(sim, bed, activity):
     sim.run(until=sim.now + 400_000)
 
 
-def _plain_bed(sim, app_factory, routes=None):
+def _plain_bed(sim, app_factory):
     bed = build_testbed(sim, agg_factory=lambda s, n, ip: SwitchASIC(s, n, ip))
-    if routes:
-        routes(bed)
     blocks = {}
     for agg in bed.aggs:
         block = PlainAppBlock(agg, app_factory())
         agg.add_block(block)
         blocks[agg.name] = block
+    block.app.provision(bed, [])
     return bed, blocks
 
 
@@ -67,11 +63,10 @@ def scenario_nat(redplane: bool) -> bool:
     sim = Simulator(seed=41)
     if redplane:
         dep = deploy(sim, NatApp)
-        install_nat_routes(dep.bed)
         bed = dep.bed
         activity = lambda a: dep.engines[a.name].stats["app_packets"]
     else:
-        bed, blocks = _plain_bed(sim, NatApp, install_nat_routes)
+        bed, blocks = _plain_bed(sim, NatApp)
         activity = lambda a: blocks[a.name].packets
     s11, e1 = bed.servers[0], bed.externals[0]
     seen = []
@@ -131,11 +126,10 @@ def scenario_kv(redplane: bool) -> bool:
     sim = Simulator(seed=44)
     if redplane:
         dep = deploy(sim, KvStoreApp)
-        install_kv_routes(dep.bed)
         bed = dep.bed
         activity = lambda a: dep.engines[a.name].stats["app_packets"]
     else:
-        bed, blocks = _plain_bed(sim, KvStoreApp, install_kv_routes)
+        bed, blocks = _plain_bed(sim, KvStoreApp)
         activity = lambda a: blocks[a.name].packets
     e1 = bed.externals[0]
     replies = []
@@ -221,11 +215,10 @@ def scenario_sequencer(redplane: bool) -> bool:
     sim = Simulator(seed=47)
     if redplane:
         dep = deploy(sim, SequencerApp)
-        install_sequencer_routes(dep.bed)
         bed = dep.bed
         activity = lambda a: dep.engines[a.name].stats["app_packets"]
     else:
-        bed, blocks = _plain_bed(sim, SequencerApp, install_sequencer_routes)
+        bed, blocks = _plain_bed(sim, SequencerApp)
         activity = lambda a: blocks[a.name].packets
     e1, s11 = bed.externals[0], bed.servers[0]
     stamps = []

@@ -12,8 +12,10 @@ it mid-transfer, and plot the goodput timeline (an ASCII Fig 14).
 Run:  python examples/fault_tolerant_nat.py
 """
 
+import sys
+
 from repro import RedPlaneConfig, Simulator, deploy
-from repro.apps import NatApp, install_nat_routes
+from repro.apps import NatApp
 from repro.workloads.tcp import TcpReceiver, TcpSender
 
 
@@ -21,7 +23,6 @@ def main() -> None:
     sim = Simulator(seed=14)
     dep = deploy(sim, NatApp,
                  config=RedPlaneConfig(lease_period_us=1_000_000.0))
-    install_nat_routes(dep.bed)
     bed = dep.bed
 
     # iperf-like endpoints on 1 Gbps access links (so the multi-second
@@ -71,10 +72,10 @@ def main() -> None:
               f"{recovered[0]:.1f}s, recovered in "
               f"{recovered[0] - 2.0:.1f}s after the failure")
         print("(detection/reroute + the remaining lease time, §7.3)")
-    else:
-        print("\nconnection did NOT recover — unexpected!")
     print(f"TCP timeouts during the outage: {sender.timeouts}, "
           f"bytes delivered: {receiver.bytes_received / 1e6:.1f} MB")
+    if not recovered:
+        sys.exit("connection did NOT recover — unexpected!")
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ from repro.apps import (
     KvStoreApp,
     OP_READ,
     OP_UPDATE,
-    install_kv_routes,
     make_request,
     parse_reply,
 )
@@ -26,7 +25,6 @@ from repro.workloads.traces import kv_trace
 def main() -> None:
     sim = Simulator(seed=5)
     dep = deploy(sim, KvStoreApp, num_shards=3, chain_length=1)
-    install_kv_routes(dep.bed)
     client = dep.bed.externals[0]
     replies = []
     client.default_handler = lambda pkt: replies.append(parse_reply(pkt))
@@ -73,6 +71,8 @@ def main() -> None:
         ok &= value == expected
         print(f"  key {key}: {value} (expected {expected}) {status}")
     assert ok, "no key-value pair may be lost"
+    assert sorted(key for _op, key, _value in check) == [1, 2, 3], \
+        "every key must be read back"
     print("no key-value pairs lost across the switch failure ✔")
 
 

@@ -23,22 +23,15 @@ from repro.apps.kv_store import (
     KvStoreApp,
     OP_READ,
     OP_UPDATE,
-    install_kv_routes,
     make_request,
     parse_reply,
 )
-from repro.apps.load_balancer import (
-    LoadBalancerApp,
-    VIP,
-    install_vip_routes,
-    make_dip_allocator,
-)
-from repro.apps.nat import NAT_PUBLIC_IP, NatApp, install_nat_routes, is_internal
+from repro.apps.load_balancer import LoadBalancerApp, VIP
+from repro.apps.nat import NAT_PUBLIC_IP, NatApp, is_internal
 from repro.apps.sequencer import (
     SEQUENCER_IP,
     SEQUENCER_PORT,
     SequencerApp,
-    install_sequencer_routes,
     make_sequenced_request,
     parse_stamp,
 )
@@ -84,21 +77,16 @@ __all__ = [
     "KvStoreApp",
     "OP_READ",
     "OP_UPDATE",
-    "install_kv_routes",
     "make_request",
     "parse_reply",
     "LoadBalancerApp",
     "VIP",
-    "install_vip_routes",
-    "make_dip_allocator",
     "NAT_PUBLIC_IP",
     "NatApp",
-    "install_nat_routes",
     "is_internal",
     "SEQUENCER_IP",
     "SEQUENCER_PORT",
     "SequencerApp",
-    "install_sequencer_routes",
     "make_sequenced_request",
     "parse_stamp",
     "SPREAD_STORE_KEY",

@@ -55,9 +55,9 @@ class KvStoreApp(InSwitchApp):
     #: The object key lives in the payload, so the partition decision
     #: depends on packet bytes, not just headers (RP141).
     partition_inputs = "packet"
+    service_ip = KV_SERVICE_IP
 
-    def __init__(self, service_ip: int = KV_SERVICE_IP) -> None:
-        self.service_ip = service_ip
+    def __init__(self) -> None:
         self.reads = 0
         self.updates = 0
         self.misses = 0
@@ -97,6 +97,11 @@ class KvStoreApp(InSwitchApp):
         pkt.l4.sport, pkt.l4.dport = KV_UDP_PORT, pkt.l4.sport
         return AppVerdict.FORWARD
 
+    def provision(self, bed: Testbed, stores) -> None:
+        """ECMP the KV service /32 to both aggregation switches, also from
+        the ToR uplinks: rack clients address it directly."""
+        bed.anycast_to_aggs(self.service_ip, from_racks=True)
+
     def resource_usage(self) -> dict:
         return {
             "sram_bits": 8192 * 96,
@@ -105,8 +110,3 @@ class KvStoreApp(InSwitchApp):
             "vliw_instructions": 5,
             "gateways": 3,
         }
-
-
-def install_kv_routes(bed: Testbed, service_ip: int = KV_SERVICE_IP) -> None:
-    """ECMP the KV service /32 to both aggregation switches."""
-    bed.anycast_to_aggs(service_ip, from_racks=True)

@@ -32,11 +32,28 @@ class LoadBalancerApp(InSwitchApp):
     name = "load-balancer"
     state_spec = StateSpec.of(("dip", 0))
     requires_control_plane_install = True
+    vip = VIP
 
-    def __init__(self, vip: int = VIP) -> None:
-        self.vip = vip
+    def __init__(self) -> None:
         self.forwarded = 0
         self.no_dip_drops = 0
+
+    def provision(self, bed: Testbed, stores) -> None:
+        """ECMP the VIP /32 to both aggregation switches at the core
+        layer, and make the internal servers every store's DIP pool.
+
+        The store-side allocator picks a DIP for each new connection,
+        deterministically by flow key so replayed experiments are
+        reproducible; the switch only ever reads the per-flow mapping.
+        """
+        bed.anycast_to_aggs(self.vip)
+        dips = [server.ip for server in bed.servers]
+
+        def allocator(key: FlowKey) -> List[int]:
+            return [dips[zlib.crc32(b"dip" + key.pack()) % len(dips)]]
+
+        for store in stores:
+            store.allocator = allocator
 
     def partition_key(self, pkt: Packet) -> Optional[FlowKey]:
         if pkt.ip is None or not isinstance(pkt.l4, (UDPHeader, TCPHeader)):
@@ -64,25 +81,3 @@ class LoadBalancerApp(InSwitchApp):
             "vliw_instructions": 3,
             "gateways": 3,
         }
-
-
-def make_dip_allocator(dips: List[int]):
-    """Store-side allocator: pick a DIP for each new connection.
-
-    Deterministic by flow key so replayed experiments are reproducible;
-    the pool lives at (and is managed by) the state store, the switch only
-    ever reads the resulting per-flow mapping.
-    """
-    if not dips:
-        raise ValueError("empty DIP pool")
-
-    def allocator(key: FlowKey) -> List[int]:
-        choice = dips[zlib.crc32(b"dip" + key.pack()) % len(dips)]
-        return [choice]
-
-    return allocator
-
-
-def install_vip_routes(bed: Testbed, vip: int = VIP) -> None:
-    """ECMP the VIP /32 to both aggregation switches at the core layer."""
-    bed.anycast_to_aggs(vip)

@@ -57,10 +57,15 @@ class NatApp(InSwitchApp):
     #: ``established`` guards against inbound packets for unknown flows.
     state_spec = StateSpec.of(("int_ip", 0), ("established", 0))
     requires_control_plane_install = True
+    public_ip = NAT_PUBLIC_IP
 
-    def __init__(self, public_ip: int = NAT_PUBLIC_IP) -> None:
-        self.public_ip = public_ip
+    def __init__(self) -> None:
         self.translated_out = 0
+
+    def provision(self, bed: Testbed, stores) -> None:
+        """Route the public address to the aggregation switches (internal
+        servers already reach it by their default route)."""
+        bed.anycast_to_aggs(self.public_ip)
 
     def partition_key(self, pkt: Packet) -> Optional[FlowKey]:
         """One key for both directions: (remote endpoint, public port)."""
@@ -110,8 +115,9 @@ class NatApp(InSwitchApp):
         }
 
 
-def install_nat_routes(bed: Testbed, public_ip: int = NAT_PUBLIC_IP) -> None:
-    """Route the NAT public address to the aggregation switches (internal
-    servers already reach it by their default route).
+def install_nat_routes(bed: Testbed) -> None:
+    """:meth:`NatApp.provision` on a bare testbed. ``deploy()`` already
+    provisions the app; this stays only for the benchmark harness, whose
+    workloads call it after ``deploy()`` (re-adding a route replaces it).
     """
-    bed.anycast_to_aggs(public_ip)
+    NatApp().provision(bed, [])

@@ -67,9 +67,9 @@ class SequencerApp(InSwitchApp):
         "every client flow of the group increments the same counter, and "
         "NOPaxos-style ordering breaks if two shards stamp independently"
     )
+    service_ip = SEQUENCER_IP
 
-    def __init__(self, service_ip: int = SEQUENCER_IP) -> None:
-        self.service_ip = service_ip
+    def __init__(self) -> None:
         self.stamped = 0
 
     def group_key(self, group: int) -> FlowKey:
@@ -97,6 +97,11 @@ class SequencerApp(InSwitchApp):
         self.stamped += 1
         return AppVerdict.FORWARD
 
+    def provision(self, bed: Testbed, stores) -> None:
+        """ECMP the sequencer service /32 to both aggregation switches,
+        also from the ToR uplinks: rack clients address it directly."""
+        bed.anycast_to_aggs(self.service_ip, from_racks=True)
+
     def resource_usage(self) -> dict:
         return {
             "sram_bits": 1024 * 64,
@@ -106,8 +111,3 @@ class SequencerApp(InSwitchApp):
             "vliw_instructions": 4,
             "gateways": 2,
         }
-
-
-def install_sequencer_routes(bed: Testbed, service_ip: int = SEQUENCER_IP) -> None:
-    """ECMP the sequencer service /32 to both aggregation switches."""
-    bed.anycast_to_aggs(service_ip, from_racks=True)

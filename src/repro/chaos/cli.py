@@ -118,13 +118,17 @@ def run_fuzz_self_check(args: argparse.Namespace) -> int:
 def _load_regression(cmd: str, path: str):
     """``(payload, (spec, witness, mutation))`` of the regression file at
     ``path``, or ``None`` once one ``fuzz <cmd>: cannot read`` line is on
-    stderr; the caller then exits 2, which no verdict uses."""
+    stderr; the caller then exits 2, which no verdict uses. A fault
+    schedule the run would reject is refused here, before any run."""
     from repro.chaos.fuzz import parse_regression
+    from repro.chaos.runner import check_schedule
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-        return payload, parse_regression(payload)
+        parsed = parse_regression(payload)
+        check_schedule(parsed[0])
+        return payload, parsed
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         _emit(f"fuzz {cmd}: cannot read {path}: "
               f"{type(exc).__name__}: {exc}")

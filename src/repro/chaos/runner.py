@@ -27,7 +27,7 @@ from typing import Dict, List, Optional
 from repro.chaos.campaigns import CAMPAIGNS, Campaign
 from repro.chaos.workload import CounterWorkload, EchoCounterApp
 from repro.core.engine import RedPlaneConfig
-from repro.deploy import deploy
+from repro.deploy import Deployment, deploy
 from repro.model.linearizability import check_counter_history
 from repro.model.monitors import InvariantMonitor
 from repro.net.simulator import Simulator
@@ -132,6 +132,25 @@ def run_campaign_result(
             shutil.rmtree(scratch, ignore_errors=True)
 
 
+def _schedule(campaign: Campaign, dep: Deployment) -> FailureSchedule:
+    """The campaign's faults scheduled on ``dep``, or a
+    :class:`~repro.workloads.failures.ScheduleError` naming a bad one."""
+    schedule = FailureSchedule(dep, detect_delay_us=campaign.detect_delay_us,
+                               duration_us=campaign.duration_us)
+    apply_specs(schedule, campaign.faults)
+    schedule.validate()
+    return schedule
+
+
+def check_schedule(campaign: Campaign) -> None:
+    """Raise what running ``campaign`` would raise for its fault schedule,
+    without running it: the same checks, on a throwaway deployment of
+    the campaign's shape."""
+    _schedule(campaign, deploy(Simulator(), EchoCounterApp,
+                               num_shards=campaign.num_shards,
+                               chain_length=campaign.chain_length))
+
+
 def _run_deployed(campaign, seed, sim, backend_factory,
                   observe: Optional[ObserveOptions] = None) -> RunResult:
     config = RedPlaneConfig(lease_period_us=campaign.lease_period_us)
@@ -159,10 +178,7 @@ def _run_deployed(campaign, seed, sim, backend_factory,
     )
     workload.start()
 
-    schedule = FailureSchedule(dep, detect_delay_us=campaign.detect_delay_us,
-                               duration_us=campaign.duration_us)
-    apply_specs(schedule, campaign.faults)
-    schedule.validate()
+    schedule = _schedule(campaign, dep)
 
     bundle = None
     if observe is not None and observe.enabled:

@@ -12,11 +12,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.net import constants
 from repro.switch.asic import SwitchASIC
 from repro.core.app import InSwitchApp
 from repro.core.engine import RedPlaneConfig, RedPlaneEngine
-from repro.statestore.netchain import NetChainBackend, NetChainStoreBlock
 from repro.statestore.sharding import ShardMap
 
 
@@ -36,26 +34,3 @@ def attach_redplane(
     switch.add_block(engine)
     switch.resources.register(app.resource_usage())
     return engine
-
-
-def attach_netchain_store(
-    switch: SwitchASIC,
-    backend: Optional[NetChainBackend] = None,
-    lease_period_us: float = constants.LEASE_PERIOD_US,
-) -> NetChainStoreBlock:
-    """Serve a shard's state from ``switch`` itself, NetChain-style.
-
-    Instead of a server-based :class:`~repro.statestore.server.StateStoreNode`,
-    the shard's records live in register arrays on ``switch`` and every
-    request is answered from the pipeline in sub-RTT time — the design
-    point RedPlane §8 contrasts against: faster, but the state is SRAM
-    and vanishes on a switch crash (``recover()`` finds nothing).
-
-    Appends the store block to the switch pipeline and accounts its SRAM
-    in the switch's resource ledger. Returns the block for introspection.
-    """
-    block = NetChainStoreBlock(
-        switch, backend=backend, lease_period_us=lease_period_us
-    )
-    switch.add_block(block)
-    return block

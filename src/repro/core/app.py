@@ -15,13 +15,15 @@ sandwich is :class:`repro.core.engine.RedPlaneEngine` wrapping ``process``.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Optional, TYPE_CHECKING
+from typing import Dict, Optional, Sequence, TYPE_CHECKING
 
 from repro.net.packet import FlowKey, Packet
 from repro.core.flowstate import FlowStateView, StateSpec
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.snapshot import LazySnapshotArray
+    from repro.net.topology import Testbed
+    from repro.statestore.server import StateStoreNode
     from repro.switch.asic import SwitchASIC
     from repro.switch.pipeline import PipelineContext
 
@@ -119,6 +121,16 @@ class InSwitchApp:
         ``RedPlaneConfig.snapshot_period_us``.
         """
         return {}
+
+    def provision(self, bed: "Testbed",
+                  stores: Sequence["StateStoreNode"]) -> None:
+        """What the testbed must do for this app before traffic flows.
+
+        ``deploy()`` calls it once per deployment, after the engines are
+        attached: a service app routes its address to the aggregation
+        switches, and an app with global state hands ``stores`` its
+        allocator. The default does nothing.
+        """
 
     def resource_usage(self) -> dict:
         """Baseline ASIC resources of the app itself (Table 2 context)."""

@@ -17,16 +17,12 @@ from repro.net.topology import Testbed, build_testbed
 from repro.switch.asic import SwitchASIC
 from repro.core.app import InSwitchApp
 from repro.core.engine import RedPlaneConfig, RedPlaneEngine, RedPlaneMode
-from repro.core.api import attach_netchain_store, attach_redplane
+from repro.core.api import attach_redplane
 from repro.core.protocol import STORE_UDP_PORT
 from repro.core.snapshot import SnapshotReplicator
 from repro.statestore.backend import StateStoreBackend
-from repro.statestore.netchain import (
-    NETCHAIN_UDP_PORT,
-    NetChainBackend,
-    NetChainStoreBlock,
-)
-from repro.statestore.server import StateAllocator, StateStoreNode, build_chain
+from repro.statestore.netchain import NETCHAIN_UDP_PORT, NetChainStoreBlock
+from repro.statestore.server import StateStoreNode, build_chain
 from repro.statestore.sharding import ShardAddress, ShardMap
 
 #: Builds one application instance per switch (apps are stateful objects,
@@ -60,9 +56,6 @@ class Deployment:
     def switches(self) -> List[SwitchASIC]:
         return self.bed.aggs  # type: ignore[return-value]
 
-    def engine_of(self, switch: SwitchASIC) -> RedPlaneEngine:
-        return self.engines[switch.name]
-
 
 def _attach_apps(
     deployment: Deployment,
@@ -70,7 +63,9 @@ def _attach_apps(
     config: RedPlaneConfig,
 ) -> Deployment:
     """The tail both deploy functions share: a RedPlane-enabled app on
-    every agg switch, then snapshot replication for the apps that declare
+    every agg switch, the testbed provisioned for it
+    (:meth:`InSwitchApp.provision`, once, on the first app), then
+    snapshot replication for the apps that declare
     ``snapshot_structures()``.
 
     The replicators go in a second pass, after every engine is attached,
@@ -85,6 +80,8 @@ def _attach_apps(
         )
         deployment.apps[agg.name] = app
         deployment.engines[agg.name] = engine
+    first = deployment.apps[deployment.bed.aggs[0].name]
+    first.provision(deployment.bed, deployment.stores)
     for name, engine in deployment.engines.items():
         if engine.mode is not RedPlaneMode.LINEARIZABLE:
             replicator = SnapshotReplicator(engine)
@@ -100,7 +97,6 @@ def deploy(
     num_shards: int = 1,
     chain_length: int = 3,
     config: Optional[RedPlaneConfig] = None,
-    allocator: Optional[StateAllocator] = None,
     link_loss: float = 0.0,
     link_reorder: float = 0.0,
     backend_factory: Optional[BackendFactory] = None,
@@ -131,7 +127,7 @@ def deploy(
         backend = backend_factory(name) if backend_factory is not None else None
         return StateStoreNode(
             sim_, name, ip, lease_period_us=config.lease_period_us,
-            allocator=allocator, backend=backend,
+            backend=backend,
         )
 
     bed = build_testbed(
@@ -162,13 +158,13 @@ def deploy_netchain(
     sim: Simulator,
     app_factory: AppFactory,
     config: Optional[RedPlaneConfig] = None,
-    store_size: int = 1024,
 ) -> Deployment:
     """Deploy with a NetChain-style *in-switch* store instead of servers.
 
     ``tor1`` becomes a programmable switch running
     :class:`~repro.statestore.netchain.NetChainStoreBlock`: the single
-    shard's records live in its register arrays and every store request
+    shard's records live in its register arrays (``NetChainBackend``'s
+    default 1024 slots) and every store request
     is answered from the pipeline — roughly half the server path's RTT,
     at the price of losing all state if that switch crashes (the
     fault-tolerance tradeoff of RedPlane §8 / the NetChain comparison).
@@ -196,10 +192,8 @@ def deploy_netchain(
     )
     tor = bed.tors[0]
     assert isinstance(tor, SwitchASIC)
-    backend = NetChainBackend(label=f"{tor.name}.netchain", size=store_size)
-    block = attach_netchain_store(
-        tor, backend=backend, lease_period_us=config.lease_period_us,
-    )
+    block = NetChainStoreBlock(tor, lease_period_us=config.lease_period_us)
+    tor.add_block(block)
     shard_map = ShardMap(
         [ShardAddress(ip=tor.ip, udp_port=NETCHAIN_UDP_PORT)]
     )

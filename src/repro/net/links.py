@@ -61,7 +61,7 @@ class LinkImpairment:
             rate = getattr(self, rate_name)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{rate_name} must be in [0, 1], got {rate}")
-        if self.jitter_us < 0.0:
+        if not self.jitter_us >= 0.0:  # NaN fails this comparison
             raise ValueError("jitter_us must be non-negative")
         if not 0.0 < self.bandwidth_scale <= 1.0:
             raise ValueError("bandwidth_scale must be in (0, 1]")

@@ -110,14 +110,11 @@ def _install_fastpath(sim: Any, fastpath: bool) -> None:
 
 def _deploy(sim: Any, app: str, fastpath: bool, config: Any = None) -> Any:
     """Deploy ``app`` (a :data:`repro.apps.BUILTIN_APPS` name), with the
-    NAT routes when it is NAT, and the fast path when asked."""
+    fast path when asked."""
     from repro import deploy
     from repro.apps import BUILTIN_APPS
-    from repro.apps.nat import install_nat_routes
 
     dep = deploy(sim, BUILTIN_APPS[app], config=config)
-    if app == "nat":
-        install_nat_routes(dep.bed)
     _install_fastpath(sim, fastpath)
     return dep
 

@@ -89,7 +89,6 @@ class StateStoreNode(Host):
         name: str,
         ip: int,
         lease_period_us: float = constants.LEASE_PERIOD_US,
-        allocator: Optional[StateAllocator] = None,
         backend: Optional[StateStoreBackend] = None,
     ) -> None:
         super().__init__(sim, name, ip)
@@ -101,7 +100,9 @@ class StateStoreNode(Host):
         #: becomes the bottleneck for write-heavy workloads (Figs 12/13).
         self.service_time_us = 0.0
         self._busy_until = 0.0
-        self.allocator = allocator
+        #: Picks a fresh flow's initial values at the store (global state
+        #: such as a DIP pool, §3); an app's ``provision`` sets it.
+        self.allocator: Optional[StateAllocator] = None
         #: Storage backend holding the per-flow records. Defaults to the
         #: in-memory reference backend (bit-identical to the historical
         #: embedded dict).

@@ -118,12 +118,13 @@ class FailureSchedule:
     def _inject(self, time_us: float, kind: str, target: str,
                 fn: Callable[[], None], detail: str = "") -> None:
         """Schedule ``fn`` at ``time_us``, logging and tracing the fault."""
-        if time_us < 0:
+        # Comparisons written so that NaN fails them.
+        if not time_us >= 0:
             raise ScheduleError(
-                f"fault {kind!r} on {target!r} scheduled at negative time "
-                f"t={time_us}"
+                f"fault {kind!r} on {target!r} scheduled at negative (or "
+                f"NaN) time t={time_us}"
             )
-        if self.duration_us is not None and time_us >= self.duration_us:
+        if self.duration_us is not None and not time_us < self.duration_us:
             raise ScheduleError(
                 f"fault {kind!r} on {target!r} scheduled at t={time_us}us, "
                 f"at/after the campaign duration ({self.duration_us}us): it "

@@ -5,8 +5,18 @@ from __future__ import annotations
 import pytest
 
 from repro import Simulator, deploy
-from repro.apps import NatApp, install_nat_routes
+from repro.apps import KV_SERVICE_IP, NAT_PUBLIC_IP, SEQUENCER_IP, VIP, NatApp
 from repro.apps.counter import SyncCounterApp
+
+#: The apps whose ``provision`` routes a service address: the address,
+#: and whether rack clients address it directly (so the ToR uplinks
+#: route it too).
+SERVICE_ROUTES = {
+    "nat": (NAT_PUBLIC_IP, False),
+    "load_balancer": (VIP, False),
+    "kv_store": (KV_SERVICE_IP, True),
+    "sequencer": (SEQUENCER_IP, True),
+}
 
 
 @pytest.fixture
@@ -22,10 +32,8 @@ def counter_deployment(sim):
 
 @pytest.fixture
 def nat_deployment(sim):
-    """A testbed running the RedPlane NAT, with public routes installed."""
-    dep = deploy(sim, NatApp)
-    install_nat_routes(dep.bed)
-    return dep
+    """A testbed running the RedPlane NAT."""
+    return deploy(sim, NatApp)
 
 
 def drain(sim: Simulator, max_events: int = 5_000_000) -> None:

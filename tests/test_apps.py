@@ -12,11 +12,7 @@ from repro.apps import (
     NatApp,
     NAT_PUBLIC_IP,
     VIP,
-    install_kv_routes,
-    install_nat_routes,
-    install_vip_routes,
     make_data_packet,
-    make_dip_allocator,
     make_request,
     make_signaling_packet,
     parse_reply,
@@ -86,12 +82,12 @@ class TestNat:
         bed = build_testbed(
             sim, agg_factory=lambda s, n, ip: SwitchASIC(s, n, ip)
         )
-        install_nat_routes(bed)
         blocks = {}
         for agg in bed.aggs:
             block = PlainAppBlock(agg, NatApp())
             agg.add_block(block)
             blocks[agg.name] = block
+        block.app.provision(bed, [])
         s11, e1 = bed.servers[0], bed.externals[0]
         seen_int = []
         s11.default_handler = seen_int.append
@@ -156,13 +152,9 @@ class TestFirewall:
 
 class TestLoadBalancer:
     def test_vip_traffic_mapped_to_dip(self, sim):
-        # DIPs are the four internal servers; the pool lives at the store
-        # (global state managed by store servers, §3).
+        # The app's provision makes the four internal servers the DIP
+        # pool, held at the store (global state managed by stores, §3).
         dep = deploy(sim, LoadBalancerApp)
-        dips = [s.ip for s in dep.bed.servers]
-        for store in dep.stores:
-            store.allocator = make_dip_allocator(dips)
-        install_vip_routes(dep.bed)
         e1 = dep.bed.externals[0]
         hits = {s.name: [] for s in dep.bed.servers}
         for server in dep.bed.servers:
@@ -180,10 +172,6 @@ class TestLoadBalancer:
 
     def test_connection_affinity_per_flow(self, sim):
         dep = deploy(sim, LoadBalancerApp)
-        dips = [s.ip for s in dep.bed.servers]
-        for store in dep.stores:
-            store.allocator = make_dip_allocator(dips)
-        install_vip_routes(dep.bed)
         e1 = dep.bed.externals[0]
         got = []
         for server in dep.bed.servers:
@@ -329,7 +317,6 @@ class TestKvStore:
     @pytest.fixture
     def kv(self, sim):
         dep = deploy(sim, KvStoreApp)
-        install_kv_routes(dep.bed)
         return dep
 
     def test_update_then_read(self, sim, kv):

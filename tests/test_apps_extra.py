@@ -8,7 +8,6 @@ from repro.apps import (
     SequencerApp,
     SuperSpreaderApp,
     SynDefenseApp,
-    install_sequencer_routes,
     make_sequenced_request,
     parse_stamp,
     syn_cookie,
@@ -138,7 +137,6 @@ class TestSequencer:
     @pytest.fixture
     def dep(self, sim):
         dep = deploy(sim, SequencerApp)
-        install_sequencer_routes(dep.bed)
         return dep
 
     def test_stamps_are_monotonic(self, sim, dep):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import Simulator
-from repro.apps import NatApp, install_nat_routes, NAT_PUBLIC_IP
+from repro.apps import NatApp, NAT_PUBLIC_IP
 from repro.apps.counter import SyncCounterApp
 from repro.baselines import (
     CheckpointingAgent,
@@ -56,9 +56,9 @@ def test_plain_block_state_and_slow_path(sim):
 
 def test_plain_block_first_packet_slow_path_for_table_apps(sim):
     bed = make_bed(sim)
-    install_nat_routes(bed)
     for agg in bed.aggs:
         agg.add_block(PlainAppBlock(agg, NatApp()))
+    NatApp().provision(bed, [])
     s11, e1 = bed.servers[0], bed.externals[0]
     times = []
     e1.default_handler = lambda pkt: times.append(sim.now)
@@ -90,13 +90,13 @@ def test_plain_block_loses_state_on_failure(sim):
 
 def test_controller_ft_mirrors_and_restores(sim):
     bed = make_bed(sim)
-    install_nat_routes(bed)
     controller = ExternalController(sim)
     blocks = {}
     for agg in bed.aggs:
         block = ControllerFtBlock(agg, NatApp(), controller)
         agg.add_block(block)
         blocks[agg.name] = block
+    block.app.provision(bed, [])
     s11, e1 = bed.servers[0], bed.externals[0]
     got = []
     e1.default_handler = got.append

@@ -26,12 +26,7 @@ from repro.apps import (
     OP_READ,
     OP_UPDATE,
     VIP,
-    install_kv_routes,
-    install_nat_routes,
-    install_sequencer_routes,
-    install_vip_routes,
     make_data_packet,
-    make_dip_allocator,
     make_request,
     make_sequenced_request,
     make_signaling_packet,
@@ -154,7 +149,6 @@ def _drive(name, dep):
     sends = []  # (time_us, host, packet)
     times = [0.0, 5.0, 10.0, 60_000.0, 120_000.0]
     if name == "nat":
-        install_nat_routes(bed)
         sends += [(t, s11, Packet.tcp(s11.ip, e1.ip, 7000, 80,
                                       flags=TCP_SYN if t == 0 else TCP_ACK))
                   for t in times]
@@ -166,15 +160,11 @@ def _drive(name, dep):
         sends += [(t + 1.0, e1, Packet.tcp(e1.ip, s11.ip, 80, 7000,
                                            flags=TCP_ACK)) for t in times]
     elif name == "kv_store":
-        install_kv_routes(bed)
         sends.append((0.0, e1, make_request(e1.ip, OP_UPDATE, key=3,
                                             value=9)))
         sends += [(t + 20.0, e1, make_request(e1.ip, OP_READ, key=3))
                   for t in times]
     elif name == "load_balancer":
-        for store in dep.stores:
-            store.allocator = make_dip_allocator([s.ip for s in bed.servers])
-        install_vip_routes(bed)
         sends += [(t, e1, Packet.tcp(e1.ip, VIP, 12345, 80,
                                      flags=TCP_SYN if t == 0 else TCP_ACK))
                   for t in times]
@@ -183,7 +173,6 @@ def _drive(name, dep):
         sends += [(t + 1.0, e1, make_data_packet(e1.ip, s11.ip, 5, 77))
                   for t in times]
     elif name == "sequencer":
-        install_sequencer_routes(bed)
         sends += [(t, s11, make_sequenced_request(s11.ip, 1, e1.ip))
                   for t in times]
     elif name == "syn_defense":

@@ -9,6 +9,7 @@ from repro.core.engine import RedPlaneEngine, RedPlaneMode
 from repro.core.snapshot import SnapshotReplicator
 from repro.deploy import deploy_netchain
 from repro.statestore import ShardMap, StateStoreNode
+from tests.conftest import SERVICE_ROUTES
 
 
 def test_default_deployment_shape(sim):
@@ -38,12 +39,6 @@ def test_three_single_node_shards(sim):
 def test_each_switch_gets_its_own_app(sim):
     dep = deploy(sim, SyncCounterApp)
     assert dep.apps["agg1"] is not dep.apps["agg2"]
-
-
-def test_engine_of(sim):
-    dep = deploy(sim, SyncCounterApp)
-    for agg in dep.switches:
-        assert dep.engine_of(agg) is dep.engines[agg.name]
 
 
 def test_config_propagates(sim):
@@ -110,10 +105,29 @@ def test_snapshot_period_reaches_the_replicators(sim, deploy_fn):
     assert {r.period_us for r in default.replicators.values()} == {1_000.0}
 
 
-def test_allocator_reaches_stores(sim):
-    allocator = lambda key: [7]
-    dep = deploy(sim, SyncCounterApp, allocator=allocator)
-    assert all(st.allocator is allocator for st in dep.stores)
+# -- the app provisions its own testbed --------------------------------------
+
+
+@pytest.mark.parametrize("deploy_fn, name", [
+    *[pytest.param(deploy, name, id=name) for name in sorted(BUILTIN_APPS)],
+    pytest.param(deploy_netchain, "nat", id="netchain-nat"),
+])
+def test_deploy_provisions_the_app(deploy_fn, name):
+    """A bare ``deploy()`` routes a service app's address from every core
+    to both aggs (and nothing else's), and the load balancer's stores
+    share one DIP allocator."""
+    dep = deploy_fn(Simulator(seed=0), BUILTIN_APPS[name])
+    expected = [SERVICE_ROUTES[name][0]] if name in SERVICE_ROUTES else []
+    for core in dep.bed.cores:
+        anycast = [r.prefix for r in core.table.routes() if r.mask_len == 32
+                   and sorted(p.link.other_end(p).node.name for p in r.ports)
+                   == ["agg1", "agg2"]]
+        assert anycast == expected, core.name
+    allocators = {st.allocator for st in dep.stores}
+    if name == "load_balancer":
+        assert len(allocators) == 1 and None not in allocators
+    else:
+        assert allocators <= {None}
 
 
 def test_oversized_chain_rejected(sim):
@@ -132,10 +146,11 @@ def test_deploy_netchain_wiring(sim):
     )
     from repro.switch.asic import SwitchASIC
 
-    dep = deploy_netchain(sim, SyncCounterApp, store_size=64)
+    dep = deploy_netchain(sim, SyncCounterApp)
     assert isinstance(dep.netchain, NetChainStoreBlock)
     assert isinstance(dep.netchain.backend, NetChainBackend)
-    assert dep.netchain.backend.size == 64
+    assert dep.netchain.backend.size == 1024
+    assert dep.netchain.backend.reg_seq.name == "tor1.netchain.seq"
     # tor1 became the store switch; the other ToRs stayed plain routers.
     tor = dep.bed.tors[0]
     assert isinstance(tor, SwitchASIC)

@@ -4,7 +4,7 @@ import pytest
 
 from repro import RedPlaneConfig, Simulator, deploy
 from repro.apps.counter import SyncCounterApp
-from repro.apps import NatApp, install_nat_routes
+from repro.apps import NatApp
 from repro.core.protocol import MessageType
 from repro.net.packet import Packet
 

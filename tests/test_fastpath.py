@@ -9,7 +9,7 @@ import pytest
 
 from repro import RedPlaneConfig, Simulator, deploy, identity
 from repro.apps.counter import SyncCounterApp
-from repro.apps.nat import NatApp, install_nat_routes
+from repro.apps.nat import NatApp
 from repro.fastpath import FastPath
 from repro.net.links import Link, SinkNode
 from repro.net.packet import Packet
@@ -22,7 +22,6 @@ from repro.shard.runner import resolve, run_reference
 def _nat_sim(fastpath=True, flows=4, packets=25):
     sim = Simulator(seed=9)
     dep = deploy(sim, NatApp)
-    install_nat_routes(dep.bed)
     fp = FastPath.install(sim) if fastpath else None
     sender = dep.bed.servers[0]
     dst = dep.bed.externals[0].ip
@@ -80,7 +79,6 @@ def _reused_index_run(fastpath):
     sim = Simulator(seed=9)
     hasher = identity.watch(sim)
     dep = deploy(sim, NatApp, config=RedPlaneConfig(lease_period_us=20_000.0))
-    install_nat_routes(dep.bed)
     if fastpath:
         FastPath.install(sim)
     sender = dep.bed.servers[0]

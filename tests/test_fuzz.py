@@ -278,15 +278,22 @@ def _bad_regression(tmp_path, case):
     elif case == "wrong_kind":
         payload["kind"] = "chaos-fuzz-report"
         path.write_text(json.dumps(payload))
-    else:  # bad_spec: a field no campaign has
+    elif case == "bad_spec":  # a field no campaign has
         payload["spec"]["bogus"] = 1
+        path.write_text(json.dumps(payload))
+    else:  # a first fault (an impair_link) the run would reject
+        field, value = {"negative_time": ("time_us", -5.0),
+                        "nan_time": ("time_us", float("nan")),
+                        "nan_jitter": ("jitter_us", float("nan"))}[case]
+        payload["spec"]["faults"][0][field] = value
         path.write_text(json.dumps(payload))
     return path
 
 
 @pytest.mark.parametrize("command", ["replay", "shrink"])
 @pytest.mark.parametrize("case",
-                         ["missing", "not_json", "wrong_kind", "bad_spec"])
+                         ["missing", "not_json", "wrong_kind", "bad_spec",
+                          "negative_time", "nan_time", "nan_jitter"])
 def test_cli_fuzz_refuses_an_unreadable_regression_file(
         tmp_path, capsys, command, case):
     """Exit 2 and one ``cannot read`` line, never a traceback: exit 1

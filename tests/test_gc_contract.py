@@ -18,7 +18,7 @@ import pytest
 
 from repro import deploy
 from repro.apps.counter import SyncCounterApp
-from repro.apps.nat import NatApp, install_nat_routes
+from repro.apps.nat import NatApp
 from repro.chaos.campaigns import CAMPAIGNS
 from repro.chaos.runner import run_campaign_result
 from repro.net.packet import Packet
@@ -76,7 +76,6 @@ def drains(monkeypatch):
 def _nat_steady(flows=50, per_flow=140):
     sim = Simulator(seed=0)
     dep = deploy(sim, NatApp)
-    install_nat_routes(dep.bed)
     sender, external = dep.bed.servers[0], dep.bed.externals[0]
 
     def send(sport):

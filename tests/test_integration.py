@@ -6,7 +6,7 @@ import struct
 import pytest
 
 from repro import RedPlaneConfig, Simulator, deploy
-from repro.apps import NatApp, install_nat_routes
+from repro.apps import NatApp
 from repro.apps.counter import SyncCounterApp
 from repro.core.app import AppVerdict
 from repro.model.linearizability import FlowHistory, check_counter_history
@@ -134,7 +134,6 @@ def test_tcp_through_nat_recovers_from_switch_failure():
     sim = Simulator(seed=5)
     dep = deploy(sim, NatApp,
                  config=RedPlaneConfig(lease_period_us=300_000.0))
-    install_nat_routes(dep.bed)
     s11 = dep.bed.servers[0]
     e1 = dep.bed.externals[0]
     sender = TcpSender(sim, "iperf-c", s11.ip + 100, dst_ip=e1.ip,

@@ -210,6 +210,13 @@ def test_impairment_validates_parameters():
     assert "blocked" in LinkImpairment(blocked=True).describe()
 
 
+def test_impairment_rejects_nan_jitter():
+    """A NaN jitter fails the comparison, as ``Link``'s rates do; it is
+    not silently a zero jitter."""
+    with pytest.raises(ValueError):
+        LinkImpairment(jitter_us=float("nan"))
+
+
 @pytest.mark.parametrize("link_kwargs", [
     {"loss_rate": 1.5},
     {"loss_rate": -0.1},
@@ -423,12 +430,11 @@ def test_nat_hop_call_budget():
     import sys
 
     from repro import deploy
-    from repro.apps.nat import NatApp, install_nat_routes
+    from repro.apps.nat import NatApp
 
     flows, per_flow = 50, 50
     sim = Simulator(seed=0)
     dep = deploy(sim, NatApp)
-    install_nat_routes(dep.bed)
     sender, external = dep.bed.servers[0], dep.bed.externals[0]
 
     def send(sport):

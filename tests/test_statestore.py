@@ -258,9 +258,8 @@ def test_chain_repair_repropagates_stranded_update():
 def test_allocator_initializes_fresh_flows():
     sim = Simulator()
     hub, (sw,), _ = micro_net(sim, num_stores=0)
-    store = StateStoreNode(sim, "alloc", 0x0AFE0200,
-                           lease_period_us=LEASE_US,
-                           allocator=lambda key: [key.sport + 1000])
+    store = StateStoreNode(sim, "alloc", 0x0AFE0200, lease_period_us=LEASE_US)
+    store.allocator = lambda key: [key.sport + 1000]
     link = Link(sim, hub.new_port(), store.nic)
     hub.table.add(store.ip, 32, [link.a])
     sw.request(store.ip, RedPlaneMessage(0, MessageType.LEASE_NEW_REQ, KEY))

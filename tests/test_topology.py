@@ -4,9 +4,11 @@ import itertools
 
 import pytest
 
+from repro.apps import BUILTIN_APPS
 from repro.net import Simulator, build_testbed, Packet
 from repro.net.topology import Topology
 from repro.net.links import SinkNode
+from tests.conftest import SERVICE_ROUTES
 
 
 def test_testbed_inventory():
@@ -132,24 +134,20 @@ def _route_rows(switch):
     ]
 
 
-@pytest.mark.parametrize("installer, ip_name, from_racks", [
-    ("install_nat_routes", "NAT_PUBLIC_IP", False),
-    ("install_vip_routes", "VIP", False),
-    ("install_kv_routes", "KV_SERVICE_IP", True),
-    ("install_sequencer_routes", "SEQUENCER_IP", True),
-])
-def test_route_installers_add_exactly_the_anycast_routes(
-        installer, ip_name, from_racks):
-    """Each installer adds one /32 over both agg-facing ports on every
-    core (and, for the services rack clients address, every ToR) and
-    touches nothing else — the tables the four hand-written loops built."""
-    import repro.apps as apps
-
+@pytest.mark.parametrize("name", sorted(BUILTIN_APPS))
+def test_provision_adds_exactly_the_anycast_routes(name):
+    """A service app's ``provision`` adds one /32 over both agg-facing
+    ports on every core (and, for the services rack clients address,
+    every ToR) and touches nothing else; every other app adds nothing."""
     bed = build_testbed(Simulator())
     switches = bed.cores + bed.aggs + bed.tors
     before = {sw.name: _route_rows(sw) for sw in switches}
-    getattr(apps, installer)(bed)
-    anycast = (getattr(apps, ip_name), 32, ("agg1", "agg2"))
+    BUILTIN_APPS[name]().provision(bed, [])
+    if name not in SERVICE_ROUTES:
+        assert {sw.name: _route_rows(sw) for sw in switches} == before
+        return
+    ip, from_racks = SERVICE_ROUTES[name]
+    anycast = (ip, 32, ("agg1", "agg2"))
     expected_on = bed.cores + (bed.tors if from_racks else [])
     for sw in switches:
         added = [r for r in _route_rows(sw) if r not in before[sw.name]]
