@@ -59,9 +59,6 @@ APP_PROFILES: Dict[str, AppProfile] = {
     "sync-counter": AppProfile("sync-counter", write_fraction=1.0),
 }
 
-#: Replication round-trip time (us) used for the read-gating penalty.
-REPLICATION_RTT_US = 24.0
-
 
 def throughput_mpps(
     profile: AppProfile,

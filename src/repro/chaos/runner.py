@@ -274,7 +274,6 @@ def _build_report(
         "lease_requests": int(metrics.total("redplane.lease_requests")),
         "store_stale_rejections": int(
             metrics.total("store.updates_rejected_stale")),
-        "chain_repairs": int(metrics.total("store.chain_repairs")),
         "chain_reconfigurations": int(
             metrics.total("store.chain_reconfigurations")),
         "store_recoveries": int(metrics.total("store.backend.recoveries")),

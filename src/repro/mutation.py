@@ -32,13 +32,6 @@ MUTATIONS: Dict[str, str] = {
         "replicas apply stale REPL_WRITE_REQs instead of rejecting them "
         "(statestore.server.StateStoreNode._apply)"
     ),
-    # statestore/server.py reconfigure_chain(): the post-splice
-    # re-propagation of in-flight writes is skipped, so writes that were
-    # mid-chain when a node died never reach the new tail.
-    "skip_chain_repair": (
-        "chain splices skip re-propagating in-flight writes "
-        "(statestore.server.StateStoreNode.reconfigure_chain)"
-    ),
     # core/engine.py _reinject_piggyback(): the hold-nonce dedup is
     # bypassed, so a duplicated LEASE_NEW_ACK re-injects its held packet
     # and the application update is applied twice — a genuine engine bug

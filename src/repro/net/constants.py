@@ -11,12 +11,9 @@ relative costs between components; see DESIGN.md "Calibration".
 #: One-way propagation latency of an intra-datacenter cable (us).
 LINK_LATENCY_US = 0.35
 
-#: Default link bandwidth in Gbit/s (testbed uses 100 GbE everywhere except
-#: the management network).
+#: Default link bandwidth in Gbit/s (the testbed's data-plane links are
+#: 100 GbE).
 LINK_BANDWIDTH_GBPS = 100.0
-
-#: Management-network bandwidth (used by the external-controller baseline).
-MGMT_BANDWIDTH_GBPS = 1.0
 
 #: Extra delay applied to reordered packets (us).
 REORDER_EXTRA_US = 12.0
@@ -50,9 +47,6 @@ SWITCH_MAX_FORWARD_MPPS = 122.5
 
 #: Software processing time of a request at one state-store server (us).
 STORE_PROC_US = 0.8
-
-#: One-way latency between two chain-replication servers (different racks).
-CHAIN_HOP_US = 2.4
 
 #: Packet-processing capacity of one state-store server (Mpps). Three
 #: servers bound Sync-Counter at roughly half of 122.5 Mpps (Fig 12).

@@ -22,17 +22,17 @@ holds every backend to these):
   into ordered effects, so backends must not expose set-ordered views.
 * **idempotent writes** — ``commit(key, rec)`` is called after *every*
   record mutation, before any reply or chain propagation leaves the
-  node. Committing the same record state twice must be harmless: chain
-  retransmissions and re-propagated in-flight updates re-commit.
+  node. Committing the same record state twice must be harmless: a
+  retransmitted request re-commits at every replica.
 * **fail-safe durability** — ``wipe()`` models the crash (all volatile
   state is gone); ``recover()`` rebuilds whatever the medium preserved
   and returns the number of records restored. Because commit runs
   before the reply, any state a switch ever saw acknowledged is either
   recovered or the backend is honestly non-durable (returns 0).
-* **volatile transport state** — buffered ``pending`` requests and the
-  node's chain-inflight ledger are transport concerns and deliberately
-  not the backend's to preserve (§4.2: inputs may be lost, outputs may
-  be lost; acknowledged state may not).
+* **volatile transport state** — buffered ``pending`` requests are a
+  transport concern and deliberately not the backend's to preserve
+  (§4.2: inputs may be lost, outputs may be lost; acknowledged state
+  may not).
 """
 
 from __future__ import annotations

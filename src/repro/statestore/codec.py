@@ -1,10 +1,9 @@
 """Wire and durability codecs for the state store.
 
-Three record-shaped byte formats live here, out of the transport layer:
+Two record-shaped byte formats live here, out of the transport layer:
 
 * **chain updates** — internal store-to-store messages carrying the full
   per-flow record plus the eventual requester reply (head-to-tail);
-* **chain acks** — the per-update confirmation travelling tail-to-head;
 * **durable records** — the self-delimiting frame a persistent backend
   (:mod:`repro.statestore.wal`) appends to its log and writes into its
   snapshots, carrying everything needed to rebuild a
@@ -26,15 +25,14 @@ sender's fields (:func:`unpack_chain_packet` is what they must equal).
 from __future__ import annotations
 
 import struct
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 from repro.core.protocol import RedPlaneMessage, field_range_error
 from repro.net.packet import FlowKey
 
-#: First byte of a chain packet: a state update travelling head-to-tail,
-#: or the per-update acknowledgment travelling tail-to-head.
+#: First byte of a chain packet: a state update travelling head-to-tail
+#: (the only kind).
 CHAIN_UPDATE = 0
-CHAIN_ACK = 1
 
 #: A chain update's record state: (vals, initialized, last_seq, owner_ip,
 #: lease_expiry) — the version-carrying subset of a FlowRecord.
@@ -43,7 +41,6 @@ ChainState = Tuple[List[int], bool, int, Optional[int], float]
 ChainUpdate = Tuple[FlowKey, ChainState, RedPlaneMessage, int]
 
 _CHAIN_HEAD = struct.Struct("!13sB?IIdH")
-_CHAIN_ACK_BODY = struct.Struct("!13sId")
 _RECORD_HEAD = struct.Struct("!13sB?IIdH")
 _SNAPSHOT_ENTRY = struct.Struct("!HII")
 _U32 = struct.Struct("!I")
@@ -116,38 +113,15 @@ def unpack_chain_update(data: bytes) -> ChainUpdate:
     return key, state, reply, requester_ip
 
 
-# -- chain ack (tail -> head) -------------------------------------------------
-
-
-def pack_chain_ack(key: FlowKey, seq: int, expiry: float) -> bytes:
-    """Serialize one hop-by-hop chain acknowledgment (ValueError if
-    ``seq`` does not fit in u32)."""
-    try:
-        return _CHAIN_ACK_BODY.pack(key.pack(), seq, expiry)
-    except struct.error as exc:
-        raise field_range_error([("seq", seq, 32)], exc) from None
-
-
-def unpack_chain_ack(data: bytes) -> Tuple[FlowKey, int, float]:
-    """Inverse of :func:`pack_chain_ack`; ValueError on malformed input."""
-    try:
-        key_bytes, seq, expiry = _CHAIN_ACK_BODY.unpack(data)
-    except struct.error as exc:
-        raise ValueError(f"malformed chain ack: {exc}") from exc
-    return FlowKey.unpack(key_bytes), seq, expiry
-
-
-def unpack_chain_packet(
-    data: bytes,
-) -> Tuple[int, Union[Tuple[FlowKey, int, float], ChainUpdate]]:
-    """A chain packet's payload, kind byte first: ``(CHAIN_ACK, (key, seq,
-    expiry))`` or ``(CHAIN_UPDATE, (key, state, reply, requester_ip))``.
+def unpack_chain_packet(data: bytes) -> Tuple[int, ChainUpdate]:
+    """A chain packet's payload, kind byte first: ``(CHAIN_UPDATE, (key,
+    state, reply, requester_ip))``; ValueError for any other kind byte.
     The sender records the same pair on the packet
     (:meth:`~repro.net.packet.Packet.attach_decoded`)."""
-    kind, body = data[0], data[1:]
-    if kind == CHAIN_ACK:
-        return kind, unpack_chain_ack(body)
-    return kind, unpack_chain_update(body)
+    kind = data[:1]
+    if kind != bytes([CHAIN_UPDATE]):
+        raise ValueError(f"unknown chain packet kind {kind!r}")
+    return CHAIN_UPDATE, unpack_chain_update(data[1:])
 
 
 # -- durable record frames (WAL / snapshot) -----------------------------------

@@ -103,8 +103,8 @@ class StoreFailoverCoordinator:
                 f"shard {shard_index}: every chain replica failed"
             )
         old_head_ip = self.shard_map.addresses()[shard_index].ip
-        # Rewire the survivors; the new head re-propagates any chain
-        # updates the evicted node may have swallowed mid-propagation.
+        # Rewire the survivors. Chain updates the evicted node swallowed
+        # mid-propagation are healed by the switches' retransmissions.
         chain.alive = reconfigure_chain(chain.alive)
         new_head = chain.alive[0]
         self._c_reconfigurations.inc()

@@ -16,14 +16,12 @@ Mutating requests are propagated down the chain (van Renesse & Schneider
 chain replication, group size 3 in the prototype); the tail emits the
 acknowledgment. Non-mutating read-buffer requests bounce off the head.
 
-Chain updates are individually acknowledged hop-by-hop from the tail back
-toward the head: every node remembers the updates it forwarded downstream
-until the matching chain ack returns. When a chain is rewired around a
-dead node (:func:`reconfigure_chain`), the new head re-propagates its
-unacknowledged updates down the repaired chain, so an update stranded
-mid-propagation by the crash still reaches the tail — and the switch's
-stranded reply is regenerated — without waiting for a switch-side
-retransmission timeout.
+Recovery from a lost chain update is the switch's: an update stranded
+inside a node that dies mid-propagation is healed when the switch
+retransmits the request (§5.2). The head answers the duplicate by pushing
+its current record down the repaired chain, so :func:`reconfigure_chain`
+only rewires. Each replica's history is therefore a prefix of its
+predecessor's, not necessarily equal to it once the chain is quiet.
 
 This module is the store's *transport* layer only. Where the records
 live is a pluggable decision: every mutation is committed through a
@@ -59,9 +57,7 @@ from repro.statestore.backend import (
     StateStoreBackend,
 )
 from repro.statestore.codec import (
-    CHAIN_ACK,
     CHAIN_UPDATE,
-    pack_chain_ack,
     pack_chain_update,
     unpack_chain_packet,
 )
@@ -110,18 +106,6 @@ class StateStoreNode(Host):
         self.backend.bind(self)
         #: Next node in the chain (None for the tail / unreplicated store).
         self.successor_ip: Optional[int] = None
-        #: Chain updates forwarded downstream and not yet acknowledged:
-        #: key -> (version, reply, requester_ip, upstream_ip, origin_uid).
-        #: ``version`` is the (last_seq, lease_expiry) pair the update
-        #: carried; ``upstream_ip`` is where the update came from (None at
-        #: the head) and where the eventual chain ack is forwarded;
-        #: ``origin_uid`` is the span id of the request packet that caused
-        #: the update (0 when unknown), kept so a post-splice
-        #: re-propagation preserves the reply's lineage.
-        self._chain_inflight: Dict[
-            FlowKey,
-            Tuple[Tuple[int, float], RedPlaneMessage, int, Optional[int], int],
-        ] = {}
         self.bind(STORE_UDP_PORT, self._on_request_packet)
         self.bind(CHAIN_UDP_PORT, self._on_chain_packet)
         # Per-node protocol statistics, published through the run's metric
@@ -133,7 +117,6 @@ class StateStoreNode(Host):
         self._c_stale = m.counter("store.updates_rejected_stale", node=name)
         self._c_leases = m.counter("store.leases_granted", node=name)
         self._c_buffered = m.counter("store.requests_buffered", node=name)
-        self._c_repairs = m.counter("store.chain_repairs", node=name)
         self._c_recoveries = m.counter("store.backend.recoveries", node=name)
 
     @property
@@ -156,10 +139,6 @@ class StateStoreNode(Host):
     def requests_buffered(self) -> int:
         return int(self._c_buffered.value)
 
-    @property
-    def chain_repairs(self) -> int:
-        return int(self._c_repairs.value)
-
     # -- helpers ------------------------------------------------------------
 
     @property
@@ -176,13 +155,11 @@ class StateStoreNode(Host):
         """Hard crash: the process dies and its volatile memory is lost.
 
         Unlike a plain :meth:`fail` (unreachable but DRAM intact), a crash
-        wipes the backend's volatile state and the chain-inflight ledger.
-        Whatever the backend persisted to a durable medium stays there for
-        :meth:`restart` to replay.
+        wipes the backend's volatile state. Whatever the backend persisted
+        to a durable medium stays there for :meth:`restart` to replay.
         """
         self.fail()
         self.backend.wipe()
-        self._chain_inflight.clear()
         self._busy_until = 0.0
 
     def restart(self) -> int:
@@ -399,23 +376,11 @@ class StateStoreNode(Host):
         rec: FlowRecord,
         reply: RedPlaneMessage,
         requester_ip: int,
-        upstream_ip: Optional[int] = None,
         origin_uid: int = 0,
     ) -> None:
         if self.successor_ip is None:
             self._reply(reply, requester_ip, origin_uid)
-            if upstream_ip is not None:
-                # Tail: confirm the update up-chain so predecessors can
-                # retire their in-flight copies.
-                self._send_chain_ack(
-                    key, rec.last_seq, rec.lease_expiry, upstream_ip,
-                    origin_uid,
-                )
             return
-        version = (rec.last_seq, rec.lease_expiry)
-        self._chain_inflight[key] = (
-            version, reply, requester_ip, upstream_ip, origin_uid
-        )
         payload = bytes([CHAIN_UPDATE]) + pack_chain_update(
             key, rec, reply, requester_ip
         )
@@ -433,44 +398,15 @@ class StateStoreNode(Host):
             pkt.meta["parent_uid"] = origin_uid
         self.send(pkt)
 
-    def _send_chain_ack(
-        self, key: FlowKey, seq: int, expiry: float, to_ip: int,
-        origin_uid: int = 0,
-    ) -> None:
-        payload = bytes([CHAIN_ACK]) + pack_chain_ack(key, seq, expiry)
-        pkt = Packet.udp(self.ip, to_ip, CHAIN_UDP_PORT, CHAIN_UDP_PORT, payload)
-        pkt.attach_decoded((CHAIN_ACK, (key, seq, expiry)))
-        pkt.meta["rp_kind"] = "chain"
-        if origin_uid:
-            pkt.meta["parent_uid"] = origin_uid
-        self.send(pkt)
-
     def _on_chain_packet(self, pkt: Packet) -> None:
-        kind, fields = pkt.decoded(unpack_chain_packet)
-        if kind == CHAIN_ACK:
-            self._handle_chain_ack(*fields)
-            return
-        key, state, reply, requester_ip = fields
+        _kind, (key, state, reply, requester_ip) = pkt.decoded(
+            unpack_chain_packet
+        )
         origin_uid = int(pkt.meta.get("parent_uid", 0))
         self.sim.schedule(
             self.proc_delay_us, self._apply_chain, key, state, reply,
-            requester_ip, pkt.ip.src, origin_uid,
+            requester_ip, origin_uid,
         )
-
-    def _handle_chain_ack(self, key: FlowKey, seq: int, expiry: float) -> None:
-        if self.failed:
-            return
-        entry = self._chain_inflight.get(key)
-        if entry is None:
-            return
-        version, _reply, _requester_ip, upstream_ip, origin_uid = entry
-        if version <= (seq, expiry):
-            del self._chain_inflight[key]
-        if upstream_ip is not None:
-            # Relay the confirmation toward the head with the *received*
-            # version: an ack for an older update must not retire a newer
-            # in-flight copy held upstream.
-            self._send_chain_ack(key, seq, expiry, upstream_ip, origin_uid)
 
     def _apply_chain(
         self,
@@ -478,7 +414,6 @@ class StateStoreNode(Host):
         state: Tuple[List[int], bool, int, Optional[int], float],
         reply: RedPlaneMessage,
         requester_ip: int,
-        upstream_ip: Optional[int] = None,
         origin_uid: int = 0,
     ) -> None:
         if self.failed:
@@ -504,37 +439,8 @@ class StateStoreNode(Host):
         # The reply (and its piggybacked outputs) must travel regardless:
         # even a stale-looking update acknowledges a real request.
         self._propagate_or_reply(
-            key, rec, reply, requester_ip, upstream_ip, origin_uid=origin_uid
+            key, rec, reply, requester_ip, origin_uid=origin_uid
         )
-
-    def repropagate_inflight(self) -> int:
-        """Re-send every unacknowledged chain update down the current chain.
-
-        Called after a chain splice: an update this node forwarded may have
-        died with the spliced-out successor, stranding both the replica
-        convergence and the requester's reply. Re-propagating from the
-        node's *current* record state (never older than what the update
-        carried) heals the survivors; if this node has become the tail the
-        stranded reply is sent directly. Returns the number re-propagated.
-        """
-        if not self._chain_inflight:
-            return 0
-        stranded = list(self._chain_inflight.items())
-        self._chain_inflight.clear()
-        for key, (_version, reply, requester_ip, upstream_ip,
-                  origin_uid) in stranded:
-            self._propagate_or_reply(
-                key, self.record(key), reply, requester_ip, upstream_ip,
-                origin_uid=origin_uid,
-            )
-        self._c_repairs.inc(len(stranded))
-        self.sim.tracer.emit(
-            tt.CHAIN_REPAIR,
-            node=self.name,
-            updates=len(stranded),
-            successor=self.successor_ip or 0,
-        )
-        return len(stranded)
 
 
 def build_chain(nodes: List[StateStoreNode]) -> None:
@@ -544,9 +450,6 @@ def build_chain(nodes: List[StateStoreNode]) -> None:
     for node, successor in zip(nodes, nodes[1:]):
         node.successor_ip = successor.ip
     nodes[-1].successor_ip = None
-    # A node that just became the tail has nothing downstream left to
-    # confirm; its in-flight ledger refers to the old successor.
-    nodes[-1]._chain_inflight.clear()
 
 
 def reconfigure_chain(nodes: List[StateStoreNode]) -> List[StateStoreNode]:
@@ -554,17 +457,11 @@ def reconfigure_chain(nodes: List[StateStoreNode]) -> List[StateStoreNode]:
 
     Returns the surviving chain (possibly empty). Chain reconfiguration in
     the prototype is handled by an external coordination service; we model
-    the end state. After the splice the new head re-propagates its
-    unacknowledged chain updates so nothing an evicted node swallowed
-    mid-propagation stays stranded (the repair is traced as
-    ``chain.repair``).
+    the end state. An update the splice strands is not re-sent from here:
+    the switch retransmits its request and the head pushes its current
+    record down the new chain.
     """
     alive = [node for node in nodes if not node.failed]
     if alive:
         build_chain(alive)
-        # ``skip_chain_repair`` is a seeded bug for mutation-testing the
-        # chaos fuzzer (repro.mutation): with it on, updates stranded by
-        # the splice are never re-propagated to the repaired chain.
-        if not mutation_active("skip_chain_repair"):
-            alive[0].repropagate_inflight()
     return alive

@@ -57,7 +57,6 @@ _INSTANT_HOMES: Dict[str, Tuple[int, str, str]] = {
     tt.PACKET_DUP: (PID_NETWORK, "dir", "wire"),
     tt.PACKET_REORDER: (PID_NETWORK, "dir", "wire"),
     tt.FAILOVER: (PID_STORE, "evicted", "coordinator"),
-    tt.CHAIN_REPAIR: (PID_STORE, "node", "chain"),
 }
 
 #: Instants pinned to one named track regardless of record fields:

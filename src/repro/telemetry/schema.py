@@ -72,7 +72,6 @@ TRACE_EVENTS: Dict[str, EventSpec] = {
     ),
     tt.SNAPSHOT: _spec(("switch", "slot", "epoch")),
     tt.FAILOVER: _spec(("shard", "evicted", "new_head", "survivors")),
-    tt.CHAIN_REPAIR: _spec(("node", "updates", "successor")),
     tt.STORE_RECOVER: _spec(("node", "records", "backend")),
     tt.FAULT_INJECT: _spec(("kind", "target", "detail")),
     tt.FAULT_CLEAR: _spec(("kind", "target", "detail")),
@@ -159,7 +158,6 @@ METRICS: Tuple[MetricSpec, ...] = (
     _m("store.updates_rejected_stale", "counter", "node"),
     _m("store.leases_granted", "counter", "node"),
     _m("store.requests_buffered", "counter", "node"),
-    _m("store.chain_repairs", "counter", "node"),
     # Storage-backend instrumentation (repro.statestore.backend and its
     # implementations): crash-recovery and WAL durability accounting.
     _m("store.backend.recoveries", "counter", "node"),

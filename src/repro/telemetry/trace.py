@@ -30,7 +30,6 @@ type                   emitted when
 ``retransmit``         a circulating mirror copy times out and resends
 ``snapshot``           one snapshot slot value ships to the store
 ``failover``           a store chain is rewired around a dead node
-``chain.repair``       a spliced chain head re-propagates unacked updates
 ``store.recover``      a crashed store rebuilds records from its backend
 ``fault.inject``       a chaos/failure schedule applies an injected fault
 ``fault.clear``        an injected fault is lifted
@@ -61,7 +60,6 @@ LEASE_EXPIRY = "lease.expiry"
 RETRANSMIT = "retransmit"
 SNAPSHOT = "snapshot"
 FAILOVER = "failover"
-CHAIN_REPAIR = "chain.repair"
 STORE_RECOVER = "store.recover"
 FAULT_INJECT = "fault.inject"
 FAULT_CLEAR = "fault.clear"

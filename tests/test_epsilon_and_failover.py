@@ -130,6 +130,55 @@ class TestStoreFailover:
         key = Packet.udp(e1.ip, s11.ip, 5555, 7777).flow_key()
         assert dep.stores[2].records[key].vals == [2]
 
+    def test_write_stranded_by_a_mid_chain_failure_settles(self, sim):
+        """The middle store dies just before a write: the head applies it
+        and forwards it into the dead node, so neither the tail nor the
+        switch hear of it. After the coordinator splices the chain, the
+        switch's next retransmission is a duplicate at the head, which
+        pushes its record down the new chain: the write is acked and every
+        live replica holds it."""
+        dep = deploy(sim, SyncCounterApp)  # chain of 3
+        coordinator = StoreFailoverCoordinator(
+            sim, dep.shard_map, dep.chains, switches=dep.bed.aggs,
+            heartbeat_interval_us=50_000.0, missed_threshold=2,
+        )
+        coordinator.start()
+        e1, s11 = dep.bed.externals[0], dep.bed.servers[0]
+        got = []
+        s11.default_handler = got.append
+        e1.send(Packet.udp(e1.ip, s11.ip, 5555, 7777))
+        sim.run(until=sim.now + 50_000)
+        assert len(got) == 1
+        key = Packet.udp(e1.ip, s11.ip, 5555, 7777).flow_key()
+        head, tail = dep.stores[0], dep.stores[2]
+
+        dep.stores[1].fail()  # middle of the chain
+        e1.send(Packet.udp(e1.ip, s11.ip, 5555, 7777))
+        sim.run(until=sim.now + 10_000)
+        assert head.records[key].last_seq == 2
+        assert tail.records[key].last_seq == 1  # stranded at the head
+        assert sim.metrics.total("redplane.retransmissions") > 0
+
+        sim.run(until=sim.now + 300_000)
+        assert coordinator.reconfigurations == 1
+        alive = coordinator.alive_chain(0)
+        assert [n.name for n in alive] == ["st1", "st3"]
+        for node in alive:
+            assert node.records[key].last_seq == 2
+        assert sim.metrics.total("redplane.acks_received") == 3
+        # A resend is the header-only mirror copy (§5.2), so the held
+        # output died in the dead node: a lost output, which §4.2 allows.
+        assert len(got) == 1
+
+        # The counter carries on from the settled write.
+        e1.send(Packet.udp(e1.ip, s11.ip, 5555, 7777))
+        coordinator.stop()
+        sim.run_until_idle()
+        assert len(got) == 2
+        for node in alive:
+            assert node.records[key].vals == [3]
+            assert node.records[key].last_seq == 3
+
     def test_head_failure_repoints_shard_map(self, sim):
         dep = deploy(sim, SyncCounterApp)
         coordinator = StoreFailoverCoordinator(

@@ -166,7 +166,7 @@ def test_shrinking_the_committed_reproducer_is_a_fixpoint():
 
 
 def test_mutation_registry_and_guard():
-    assert {"skip_store_dedup", "skip_chain_repair", "skip_hold_dedup",
+    assert {"skip_store_dedup", "skip_hold_dedup",
             "skip_lease_install_guard"} <= set(MUTATIONS)
     assert not mutation_active("skip_hold_dedup")
     with seeded_bug("skip_hold_dedup"):

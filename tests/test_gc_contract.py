@@ -73,7 +73,7 @@ def drains(monkeypatch):
         gc.callbacks.remove(probe.on_gc)
 
 
-def _nat_steady(flows=50, per_flow=140):
+def _nat_steady(flows=50, per_flow=150):
     sim = Simulator(seed=0)
     dep = deploy(sim, NatApp)
     sender, external = dep.bed.servers[0], dep.bed.externals[0]
@@ -89,12 +89,12 @@ def _nat_steady(flows=50, per_flow=140):
 def test_nat_steady_state_run_makes_no_cyclic_garbage(drains):
     sim, external = _nat_steady()
     sim.run_until_idle()
-    # 7 000 packets leave ~10^5 tracked objects live (ring, history,
+    # 7 500 packets leave ~10^5 tracked objects live (ring, history,
     # retained packets): with the collector left on, gen 0 alone starts
     # more than a hundred times in this drain.
     assert drains.started == []
     assert drains.garbage == [0]
-    assert external.rx_packets == 7_000
+    assert external.rx_packets == 7_500
     assert sim.tracer.records_dropped > 0  # the ring filled and evicted
 
 

@@ -127,10 +127,10 @@ from repro.net.packet import FlowKey
 from repro.core.protocol import MessageType, RedPlaneMessage
 from repro.statestore.backend import FlowRecord
 from repro.statestore.codec import (
-    pack_chain_ack,
+    CHAIN_UPDATE,
     pack_chain_update,
     pack_record,
-    unpack_chain_ack,
+    unpack_chain_packet,
     unpack_chain_update,
     unpack_record,
 )
@@ -192,14 +192,6 @@ def test_chain_update_roundtrip(key, rec, reply, requester_ip):
 
 
 @settings(max_examples=25, deadline=None)
-@given(flow_keys, st.integers(0, 2**32 - 1),
-       st.floats(0, 1e12, allow_nan=False))
-def test_chain_ack_roundtrip(key, seq, expiry):
-    assert unpack_chain_ack(pack_chain_ack(key, seq, expiry)) == \
-        (key, seq, expiry)
-
-
-@settings(max_examples=25, deadline=None)
 @given(flow_keys, flow_records())
 def test_record_frame_roundtrip(key, rec):
     out_key, out = unpack_record(pack_record(key, rec))
@@ -252,7 +244,6 @@ RANGE_CASES = {
         _KEY, _rec(vals=[v]), _REPLY, 7), "vals[0]", 32),
     "chain_update.requester_ip": (lambda v: pack_chain_update(
         _KEY, _rec(), _REPLY, v), "requester_ip", 32),
-    "chain_ack.seq": (lambda v: pack_chain_ack(_KEY, v, 1.0), "seq", 32),
     "record.last_seq": (lambda v: pack_record(
         _KEY, _rec(last_seq=v)), "last_seq", 32),
     "record.owner_ip": (lambda v: pack_record(
@@ -292,7 +283,6 @@ def test_truncated_codec_input_raises_valueerror_not_struct_error():
                             piggyback=b"held")
     frames = [
         (unpack_chain_update, pack_chain_update(key, rec, reply, 42)),
-        (unpack_chain_ack, pack_chain_ack(key, 3, 100.0)),
         (unpack_record, pack_record(key, rec)),
     ]
     for unpack, data in frames:
@@ -310,3 +300,20 @@ def test_chain_update_with_lying_reply_length_is_malformed():
     data[31:33] = (9999).to_bytes(2, "big")  # the head's reply_len field
     with pytest.raises(ValueError):
         unpack_chain_update(bytes(data))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 255))
+def test_chain_packet_kind_byte_other_than_update_is_malformed(kind):
+    """A chain packet is an update or nothing: any other first byte is a
+    ValueError, never decoded as an update's body."""
+    body = pack_chain_update(_KEY, _rec(), _REPLY, 7)
+    data = bytes([kind]) + body
+    if kind == CHAIN_UPDATE:
+        assert unpack_chain_packet(data) == (
+            CHAIN_UPDATE, unpack_chain_update(body))
+    else:
+        with pytest.raises(ValueError):
+            unpack_chain_packet(data)
+    with pytest.raises(ValueError):
+        unpack_chain_packet(b"")

@@ -213,46 +213,38 @@ def test_chain_reconfiguration_skips_failed_node():
     assert len(sw.acks) == 1
 
 
-def test_chain_acks_clear_inflight_ledgers():
-    """Hop-by-hop chain acks flow tail -> head; once the write commits,
-    no node still holds it as in flight."""
-    sim = Simulator()
-    _hub, (sw,), stores = micro_net(sim, num_stores=3)
-    build_chain(stores)
-    sw.request(stores[0].ip, RedPlaneMessage(
-        1, MessageType.REPL_WRITE_REQ, KEY, vals=[7]))
-    sim.run_until_idle()
-    assert len(sw.acks) == 1
-    for node in stores:
-        assert not node._chain_inflight
-        assert node.chain_repairs == 0
-
-
-def test_chain_repair_repropagates_stranded_update():
-    """A mid-chain node dies while holding an un-acked update; the splice
-    must re-propagate it from the head or the tail never converges and
-    the requester never hears back."""
+def test_switch_resend_heals_an_update_stranded_by_a_splice():
+    """A mid-chain node dies holding the head's update: the head applied
+    the write, but the tail never sees it and the requester never hears
+    back. The splice only rewires; the switch's resend is a duplicate the
+    head answers by pushing its current record down the new chain, and a
+    further resend changes nothing."""
     sim = Simulator()
     _hub, (sw,), stores = micro_net(sim, num_stores=3)
     build_chain(stores)
     stores[1].fail()  # the head's downstream hop swallows the update
-    sw.request(stores[0].ip, RedPlaneMessage(
-        1, MessageType.REPL_WRITE_REQ, KEY, vals=[42]))
+    write = RedPlaneMessage(1, MessageType.REPL_WRITE_REQ, KEY, vals=[42])
+    sw.request(stores[0].ip, write)
     sim.run_until_idle()
-    # Stranded: the head applied and propagated, but nothing came back.
     assert stores[0].records[KEY].vals == [42]
     assert KEY not in stores[2].records
     assert sw.acks == []
-    assert stores[0]._chain_inflight
 
-    alive = reconfigure_chain(stores)  # triggers repropagate_inflight()
+    alive = reconfigure_chain(stores)
     sim.run_until_idle()
     assert [n.name for n in alive] == ["fst0", "fst2"]
-    assert stores[2].records[KEY].vals == [42]
-    assert stores[2].records[KEY].last_seq == 1
-    assert len(sw.acks) == 1           # the requester finally got its ack
-    assert not stores[0]._chain_inflight
-    assert stores[0].chain_repairs == 1
+    assert KEY not in stores[2].records  # the splice itself re-sends nothing
+    assert sw.acks == []
+
+    for _resend in range(2):
+        sw.request(stores[0].ip, write)
+        sim.run_until_idle()
+    assert stores[0].updates_rejected_stale == 2
+    for node in alive:
+        assert node.records[KEY].vals == [42]
+        assert node.records[KEY].last_seq == 1
+    # At-least-once: the switch dedups acks by sequence number.
+    assert [ack.seq for ack in sw.acks] == [1, 1]
 
 
 def test_allocator_initializes_fresh_flows():
@@ -273,8 +265,8 @@ def test_empty_chain_rejected():
 
 
 def test_single_node_chain_serves_and_survives_reconfiguration():
-    """A chain of one is legal: the head is also the tail (no propagation,
-    no inflight ledger), and reconfiguring it is a no-op."""
+    """A chain of one is legal: the head is also the tail (no
+    propagation), and reconfiguring it is a no-op."""
     sim = Simulator()
     _hub, (sw,), (store,) = micro_net(sim)
     build_chain([store])
@@ -283,10 +275,8 @@ def test_single_node_chain_serves_and_survives_reconfiguration():
                                          vals=[11]))
     sim.run_until_idle()
     assert len(sw.acks) == 1
-    assert not store._chain_inflight
     alive = reconfigure_chain([store])
     assert alive == [store]
-    assert store.chain_repairs == 0
     sw.request(store.ip, RedPlaneMessage(2, MessageType.REPL_WRITE_REQ, KEY,
                                          vals=[12]))
     sim.run_until_idle()
@@ -295,8 +285,8 @@ def test_single_node_chain_serves_and_survives_reconfiguration():
 
 
 def test_repeated_reconfiguration_down_to_one_node():
-    """The chain shrinks fault by fault; writes keep committing and the
-    survivors' ledgers stay clean after every splice."""
+    """The chain shrinks fault by fault; writes keep committing after
+    every splice."""
     sim = Simulator()
     _hub, (sw,), stores = micro_net(sim, num_stores=3)
     build_chain(stores)
@@ -320,35 +310,3 @@ def test_repeated_reconfiguration_down_to_one_node():
     assert len(sw.acks) == 2          # the lone survivor replies itself
     assert stores[0].records[KEY].vals == [2]
     assert stores[0].records[KEY].last_seq == 2
-    assert not stores[0]._chain_inflight
-
-
-def test_reconfiguration_with_chain_acks_still_in_flight():
-    """A splice can race the tail's acks: the tail already replied to the
-    requester, but the hop-by-hop chain acks have not reached the head
-    yet. Repropagating the head's in-flight update must be harmless —
-    replicas apply it idempotently and nothing regresses."""
-    sim = Simulator()
-    _hub, (sw,), stores = micro_net(sim, num_stores=3)
-    build_chain(stores)
-    sw.request(stores[0].ip, RedPlaneMessage(
-        1, MessageType.REPL_WRITE_REQ, KEY, vals=[33]))
-    # Step until the tail's reply lands; its chain ack (one extra hub
-    # traversal away from the head) is still in flight at that instant.
-    while not sw.acks:
-        sim.run(until=sim.now + 1.0)
-    assert stores[0]._chain_inflight, "ack must still be travelling"
-
-    alive = reconfigure_chain(stores)  # nobody failed: pure repropagation
-    assert [n.name for n in alive] == ["fst0", "fst1", "fst2"]
-    assert stores[0].chain_repairs == 1
-    sim.run_until_idle()
-    # The re-propagated update was applied idempotently everywhere and
-    # every ledger (old acks plus repair acks) drained.
-    for node in stores:
-        assert node.records[KEY].vals == [33]
-        assert node.records[KEY].last_seq == 1
-        assert not node._chain_inflight
-    # The requester may see the reply again (at-least-once; the switch
-    # dedups via sequence numbers) but never with a regressed sequence.
-    assert all(ack.seq == 1 for ack in sw.acks)
