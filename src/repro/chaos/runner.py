@@ -153,7 +153,8 @@ def check_schedule(campaign: Campaign) -> None:
 
 def _run_deployed(campaign, seed, sim, backend_factory,
                   observe: Optional[ObserveOptions] = None) -> RunResult:
-    config = RedPlaneConfig(lease_period_us=campaign.lease_period_us)
+    config = RedPlaneConfig(lease_period_us=campaign.lease_period_us,
+                            record_history=True)
     dep = deploy(sim, EchoCounterApp, config=config,
                  num_shards=campaign.num_shards,
                  chain_length=campaign.chain_length,

@@ -66,9 +66,18 @@ class CounterWorkload:
     # -- oracles -----------------------------------------------------------
 
     def history(self) -> FlowHistory:
-        """Inputs from every switch's engine history, outputs from the sink."""
+        """Inputs from every switch's engine history, outputs from the sink.
+
+        Raises ``ValueError`` if an engine was deployed without
+        ``RedPlaneConfig(record_history=True)``: its history would have
+        outputs and no inputs.
+        """
         history = FlowHistory()
         for engine in self.deployment.engines.values():
+            if not engine.config.record_history:
+                raise ValueError(
+                    f"engine {engine.switch.name} records no history: "
+                    f"deploy with RedPlaneConfig(record_history=True)")
             for event in engine.history:
                 if event.kind == "input":
                     history.add_input(event.trace_id, None, event.time)

@@ -93,8 +93,10 @@ class RedPlaneConfig:
     #: T_snap of bounded-inconsistency apps (§5.4); Fig 11 sweeps it.
     snapshot_period_us: float = constants.SNAPSHOT_PERIOD_US
     max_flows: int = 4096
-    #: Record input/output events for linearizability checking.
-    record_history: bool = True
+    #: Record input/output events for linearizability checking. Off by
+    #: default: the history grows by two events per app packet, and only
+    #: a linearizability check reads it, so the code that checks opts in.
+    record_history: bool = False
 
 
 @dataclass(slots=True)

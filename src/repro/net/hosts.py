@@ -2,13 +2,15 @@
 
 A :class:`Host` owns one IP address and one port toward its top-of-rack
 switch. Incoming packets are dispatched to handlers registered per UDP/TCP
-destination port, or to a default handler. State-store servers, traffic
+destination port, or to a default handler. A packet that no handler
+claims is counted in ``rx_packets`` and dropped: a host keeps no packets,
+so a drained run holds nothing per packet. State-store servers, traffic
 generators, and TCP endpoints are built on top of this class.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.net import constants
 from repro.net.links import Node, Port
@@ -19,7 +21,12 @@ PacketHandler = Callable[[Packet], None]
 
 
 class Host(Node):
-    """A server or client machine with one NIC."""
+    """A server or client machine with one NIC.
+
+    A packet addressed to the host that no bound port and no
+    ``default_handler`` claims is counted in ``rx_packets`` and dropped;
+    code that wants such packets installs ``default_handler``.
+    """
 
     def __init__(self, sim: Simulator, name: str, ip: int) -> None:
         super().__init__(sim, name)
@@ -30,7 +37,6 @@ class Host(Node):
         self.nic = self.new_port()
         self._handlers: Dict[int, PacketHandler] = {}
         self.default_handler: Optional[PacketHandler] = None
-        self.received: List[Packet] = []
         self.rx_packets = 0
         self.tx_packets = 0
 
@@ -74,5 +80,3 @@ class Host(Node):
             handler = self.default_handler
         if handler is not None:
             handler(pkt)
-        else:
-            self.received.append(pkt)

@@ -255,7 +255,6 @@ def run_million_flow_scenario(
         lease_period_us=MF_LEASE_US,
         renew_interval_us=MF_LEASE_US / 2,
         max_flows=65_536,
-        record_history=False,
     ))
     sender = dep.bed.servers[0]
     dst_ip = dep.bed.externals[0].ip

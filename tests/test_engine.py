@@ -185,10 +185,12 @@ def test_flow_table_capacity_enforced():
             sim.run_until_idle()
 
 
-def test_history_recording(sim, counter_deployment):
-    got = send_flow_packets(sim, counter_deployment, 6)
+def test_history_recording(sim):
+    dep = deploy(sim, SyncCounterApp,
+                 config=RedPlaneConfig(record_history=True))
+    send_flow_packets(sim, dep, 6)
     sim.run_until_idle()
-    eng = active_engine(counter_deployment)
+    eng = active_engine(dep)
     inputs = [e for e in eng.history if e.kind == "input"]
     outputs = [e for e in eng.history if e.kind == "output"]
     assert len(inputs) == 6

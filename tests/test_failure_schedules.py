@@ -97,7 +97,8 @@ def test_flapping_link_history_linearizable():
     checked against the counter's sequential spec."""
     sim = Simulator(seed=11)
     dep = deploy(sim, EchoCounterApp,
-                 config=RedPlaneConfig(lease_period_us=200_000.0))
+                 config=RedPlaneConfig(lease_period_us=200_000.0,
+                                       record_history=True))
     workload = CounterWorkload(dep, packets=40, gap_us=10_000.0,
                                start_us=10_000.0)
     workload.start()
@@ -117,7 +118,8 @@ def test_rolling_failures_history_linearizable():
     preserve per-flow linearizability, not just the final count."""
     sim = Simulator(seed=13)
     dep = deploy(sim, EchoCounterApp,
-                 config=RedPlaneConfig(lease_period_us=200_000.0))
+                 config=RedPlaneConfig(lease_period_us=200_000.0,
+                                       record_history=True))
     workload = CounterWorkload(dep, packets=15, gap_us=100_000.0,
                                start_us=10_000.0)
     workload.start()
@@ -130,6 +132,21 @@ def test_rolling_failures_history_linearizable():
     values = workload.delivered_values()
     assert values == sorted(set(values))
     assert workload.delivered >= 10
+
+
+def test_history_of_a_default_config_deploy_raises():
+    """Engines record no history unless asked: a history read without
+    ``record_history=True`` would have outputs and no inputs, and any
+    check of it would be vacuous."""
+    sim = Simulator(seed=13)
+    dep = deploy(sim, EchoCounterApp)
+    workload = CounterWorkload(dep, packets=3, gap_us=1_000.0)
+    workload.start()
+    sim.run_until_idle()
+    assert workload.delivered == 3
+    assert all(not engine.history for engine in dep.engines.values())
+    with pytest.raises(ValueError, match=r"^engine agg\d records no history"):
+        workload.history()
 
 
 def test_faults_emit_trace_events(sim, counter_deployment):

@@ -10,9 +10,14 @@ between them reach every allocation site of the hot path, plus one that
 reaches the lease migration. If one of them reports garbage, break the
 cycle at its source; do not relax the assertion (a cycle made per event
 now lives until its drain returns).
+
+The last test pins the retention half: once drained, a default-config
+run holds no ``Packet`` and no ``HistoryEvent``, so what it keeps is
+bounded by its configuration, not by its packet count.
 """
 
 import gc
+from collections import Counter
 
 import pytest
 
@@ -21,6 +26,7 @@ from repro.apps.counter import SyncCounterApp
 from repro.apps.nat import NatApp
 from repro.chaos.campaigns import CAMPAIGNS
 from repro.chaos.runner import run_campaign_result
+from repro.core.engine import HistoryEvent
 from repro.net.packet import Packet
 from repro.net.simulator import Simulator
 from repro.scenarios import SCENARIOS
@@ -83,18 +89,32 @@ def _nat_steady(flows=50, per_flow=150):
 
     for i in range(flows * per_flow):
         sim.schedule_at(i * 2.0, send, 5000 + i % flows)
-    return sim, external
+    return sim, dep
+
+
+def _write_path(packets=700):
+    """``tests/test_links.py::test_write_path_call_budget``'s run."""
+    sim = Simulator(seed=0)
+    dep = deploy(sim, SyncCounterApp)
+    sender, receiver = dep.bed.externals[0], dep.bed.servers[0]
+
+    def send():
+        sender.send(Packet.udp(sender.ip, receiver.ip, 5555, 7777))
+
+    for i in range(packets):
+        sim.schedule_at(i * 10.0, send)
+    return sim, dep
 
 
 def test_nat_steady_state_run_makes_no_cyclic_garbage(drains):
-    sim, external = _nat_steady()
+    sim, dep = _nat_steady()
     sim.run_until_idle()
-    # 7 500 packets leave ~10^5 tracked objects live (ring, history,
-    # retained packets): with the collector left on, gen 0 alone starts
-    # more than a hundred times in this drain.
+    # 7 500 packets leave ~10^5 tracked objects live, most of them the
+    # trace ring: with the collector left on, gen 0 alone starts more
+    # than a hundred times in this drain.
     assert drains.started == []
     assert drains.garbage == [0]
-    assert external.rx_packets == 7_500
+    assert dep.bed.externals[0].rx_packets == 7_500
     assert sim.tracer.records_dropped > 0  # the ring filled and evicted
 
 
@@ -149,3 +169,27 @@ def test_lease_migration_makes_no_cyclic_garbage(drains):
     assert total("store.leases_granted") == 2
     grants = [r for r in sim.tracer.tail() if r.type == tt.LEASE_GRANT]
     assert [g.fields["migrated"] for g in grants] == [False, True]
+
+
+@pytest.mark.parametrize("run", [_nat_steady, _write_path],
+                         ids=["nat_steady", "write_path"])
+def test_a_drained_run_keeps_no_packet_and_no_history_event(run):
+    """What a default-config run keeps once drained is bounded — the
+    trace ring, register arrays and store records — and nothing per
+    packet: a host drops the packets no handler claims, and an engine
+    records no history unless asked to. The deployment is held, so
+    anything it kept would be found."""
+    def live():
+        return [obj for obj in gc.get_objects()
+                if isinstance(obj, (Packet, HistoryEvent))]
+
+    gc.collect()
+    before = live()  # held, so no id below can be reused
+    held = set(map(id, before))
+    sim, dep = run()
+    sim.run_until_idle()
+    gc.collect()
+    kept = Counter(type(obj).__name__ for obj in live()
+                   if id(obj) not in held)
+    assert sim.metrics.total("redplane.app_packets") > 0
+    assert kept == {}

@@ -1,5 +1,7 @@
 """Tests for the Host dispatch layer."""
 
+import sys
+
 import pytest
 
 from repro.net import constants
@@ -37,12 +39,15 @@ def test_default_handler_fallback():
     assert len(got) == 1
 
 
-def test_unhandled_packets_collect_in_received():
+def test_unclaimed_packet_is_counted_and_dropped():
     sim = Simulator()
     a, b = pair(sim)
-    a.send(Packet.udp(1, 2, 999, 12345))
+    pkt = Packet.udp(1, 2, 999, 12345)
+    refs = sys.getrefcount(pkt)
+    a.send(pkt)
     sim.run_until_idle()
-    assert len(b.received) == 1
+    assert b.rx_packets == 1
+    assert sys.getrefcount(pkt) == refs  # nothing but this test holds it
 
 
 def test_wrong_destination_dropped():

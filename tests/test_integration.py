@@ -27,10 +27,16 @@ class EchoCounterApp(SyncCounterApp):
         return AppVerdict.FORWARD
 
 
+#: Engines record their input/output history only when asked to.
+HISTORY = RedPlaneConfig(record_history=True)
+
+
 def collect_history(dep, outputs):
     """Merge both switches' input events with receiver-side outputs."""
     history = FlowHistory()
     for engine in dep.engines.values():
+        if not engine.config.record_history:
+            raise ValueError(f"engine {engine.switch.name} records no history")
         for event in engine.history:
             if event.kind == "input":
                 history.add_input(event.trace_id, None, event.time)
@@ -59,7 +65,7 @@ def run_echo_counter(sim, dep, n, loss=False, fail_at=None, gap_us=400.0):
 
 
 def test_failure_free_history_linearizable(sim):
-    dep = deploy(sim, EchoCounterApp)
+    dep = deploy(sim, EchoCounterApp, config=HISTORY)
     outputs = run_echo_counter(sim, dep, 8)
     sim.run_until_idle()
     assert len(outputs) == 8
@@ -74,7 +80,7 @@ def test_lossy_history_still_linearizable():
     """§4.2: lost inputs/outputs are permitted anomalies; what does come
     out must still be consistent with SOME sequential order."""
     sim = Simulator(seed=17)
-    dep = deploy(sim, EchoCounterApp, link_loss=0.08)
+    dep = deploy(sim, EchoCounterApp, config=HISTORY, link_loss=0.08)
     outputs = run_echo_counter(sim, dep, 8, gap_us=2000.0)
     sim.run(until=10_000_000)
     history = collect_history(dep, outputs)
@@ -83,7 +89,7 @@ def test_lossy_history_still_linearizable():
 
 def test_reordered_history_linearizable():
     sim = Simulator(seed=23)
-    dep = deploy(sim, EchoCounterApp, link_reorder=0.4)
+    dep = deploy(sim, EchoCounterApp, config=HISTORY, link_reorder=0.4)
     outputs = run_echo_counter(sim, dep, 8, gap_us=30.0)
     sim.run_until_idle()
     history = collect_history(dep, outputs)
@@ -96,7 +102,8 @@ def test_failover_history_linearizable():
     the counter must never regress or duplicate."""
     sim = Simulator(seed=31)
     dep = deploy(sim, EchoCounterApp,
-                 config=RedPlaneConfig(lease_period_us=200_000.0))
+                 config=RedPlaneConfig(lease_period_us=200_000.0,
+                                       record_history=True))
     e1, s11 = dep.bed.externals[0], dep.bed.servers[0]
     outputs = {}
 

@@ -424,9 +424,11 @@ def test_nat_hop_call_budget():
     each). With an ``Event`` object per scheduled event it made 367 752
     (147.1); with the queue entry as the event it made 340 716 (136.3),
     and 340 225 (136.1) while the store still acked chain updates hop by
-    hop; without those acks it makes 323 946 (129.6). The budget is 133
-    per packet. Scheduling the 2 500 injections enters
-    one frame each, ``schedule_at`` itself (5 000 with ``Event.__init__``).
+    hop; without those acks it made 323 946 (129.6). Now that engines
+    record no history by default (two ``HistoryEvent`` frames per
+    packet) it makes 318 946 (127.6). The budget is 130 per packet.
+    Scheduling the 2 500 injections enters one frame each,
+    ``schedule_at`` itself (5 000 with ``Event.__init__``).
     """
     import gc
     import sys
@@ -468,7 +470,7 @@ def test_nat_hop_call_budget():
     finally:
         sys.setprofile(None)
     assert external.rx_packets == flows * per_flow
-    assert calls[0] <= 133 * flows * per_flow
+    assert calls[0] <= 130 * flows * per_flow
 
 
 def test_write_path_call_budget():
@@ -481,7 +483,9 @@ def test_write_path_call_budget():
     made 501 319 (716.2); with the queue entry as the event it made
     464 131 (663.0), and 462 013 (660.0) while every chain update was
     acked hop by hop from the tail back to the head. Without those acks
-    it makes 347 504 (496.4). The budget is 510.
+    it made 347 504 (496.4); without the engine's default-on history (two
+    ``HistoryEvent`` frames per packet) it makes 346 104 (494.4). The
+    budget is 500.
     """
     import sys
 
@@ -510,4 +514,4 @@ def test_write_path_call_budget():
     finally:
         sys.setprofile(None)
     assert receiver.rx_packets == packets
-    assert calls[0] <= 510 * packets
+    assert calls[0] <= 500 * packets
