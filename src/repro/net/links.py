@@ -316,21 +316,29 @@ class Link:
         # emitted before the down/partition/loss verdicts so every
         # wire-level drop pairs with an origin (span completeness).
         # ``flow`` and ``parent`` are present only when set, so each
-        # combination is its own keyword call: one kwargs dict per record.
+        # combination is its own row: a literal key tuple (a constant,
+        # shared by every record of the shape) and a tuple of values.
         emit = sim.tracer.emit
         if parent is None:
             if flow is not None:
-                emit(tt.PACKET_SEND, link=self.name, dir=lane.dir_name,
-                     bytes=nbytes, uid=uid, kind=kind, flow=flow)
+                emit(
+                    tt.PACKET_SEND,
+                    ("link", "dir", "bytes", "uid", "kind", "flow"),
+                    (self.name, lane.dir_name, nbytes, uid, kind, flow))
             else:
-                emit(tt.PACKET_SEND, link=self.name, dir=lane.dir_name,
-                     bytes=nbytes, uid=uid, kind=kind)
+                emit(
+                    tt.PACKET_SEND, ("link", "dir", "bytes", "uid", "kind"),
+                    (self.name, lane.dir_name, nbytes, uid, kind))
         elif flow is not None:
-            emit(tt.PACKET_SEND, link=self.name, dir=lane.dir_name,
-                 bytes=nbytes, uid=uid, kind=kind, flow=flow, parent=parent)
+            emit(
+                tt.PACKET_SEND,
+                ("link", "dir", "bytes", "uid", "kind", "flow", "parent"),
+                (self.name, lane.dir_name, nbytes, uid, kind, flow, parent))
         else:
-            emit(tt.PACKET_SEND, link=self.name, dir=lane.dir_name,
-                 bytes=nbytes, uid=uid, kind=kind, parent=parent)
+            emit(
+                tt.PACKET_SEND,
+                ("link", "dir", "bytes", "uid", "kind", "parent"),
+                (self.name, lane.dir_name, nbytes, uid, kind, parent))
         now = sim.now
         impairment = lane.impairment
         if (
@@ -339,8 +347,8 @@ class Link:
             and not self.loss_rate
             and not self.reorder_rate
         ):
-            lane.ctr_tx_bytes.inc(nbytes)
-            lane.ctr_tx_packets.inc()
+            lane.ctr_tx_bytes.value += nbytes
+            lane.ctr_tx_packets.value += 1
             ser_us = (nbytes * 8) / (self.bandwidth_gbps * 1000.0)
             start = lane.busy_until
             if start < now:
@@ -356,8 +364,8 @@ class Link:
             # Asymmetric partition: this direction is a silent blackhole.
             self._drop(pkt, lane, "partition", nbytes)
             return
-        lane.ctr_tx_bytes.inc(nbytes)
-        lane.ctr_tx_packets.inc()
+        lane.ctr_tx_bytes.value += nbytes
+        lane.ctr_tx_packets.value += 1
         rng = sim.rng
         if self.loss_rate > 0.0 and rng.random() < self.loss_rate:
             self._drop(pkt, lane, "loss", nbytes)
@@ -430,12 +438,8 @@ class Link:
             self._drop(pkt, lane, "node_failed", pkt.byte_size())
             return
         self.sim.tracer.emit(
-            tt.PACKET_DELIVER,
-            link=self.name,
-            dir=lane.dir_name,
-            node=node.name,
-            uid=pkt.meta.get("uid", 0),
-        )
+            tt.PACKET_DELIVER, ("link", "dir", "node", "uid"),
+            (self.name, lane.dir_name, node.name, pkt.meta.get("uid", 0)))
         node.receive(pkt, lane.dst_port)
 
     # -- failure injection ------------------------------------------------------

@@ -94,17 +94,19 @@ def _rekey_uids(res: Dict[str, Any], label: str) -> List[tuple]:
     for entry in log:
         ts, rank, idx, kind, payload = entry
         if kind == K_RECORD:
-            type_, fields = payload
-            fields = dict(fields)
-            for key, value in fields.items():
+            # Tuples whether or not the log crossed a (JSON) frame.
+            type_, keys, values = payload
+            keys = tuple(keys)
+            values = list(values)
+            for i, (key, value) in enumerate(zip(keys, values)):
                 if key in UID_FIELDS and isinstance(value, int):
                     if not 1 <= value <= len(born):
                         raise MergeError(
                             f"{label} rank {rank}: field {key}={value} "
                             "references a uid never born on that replica"
                         )
-                    fields[key] = born[value - 1]
-            entry = (ts, rank, idx, kind, [type_, fields])
+                    values[i] = born[value - 1]
+            entry = (ts, rank, idx, kind, [type_, keys, tuple(values)])
         out.append(entry)
     return out
 
@@ -161,11 +163,12 @@ def _merge_log(
     histograms: Dict[str, Histogram] = {}
     for ts, _rank, _idx, kind, payload in merged:
         if kind == K_RECORD:
-            type_, fields = payload
-            for key, value in fields.items():
-                if key in UID_FIELDS and isinstance(value, tuple):
-                    fields[key] = uid_of[value]
-            records.append(TraceRecord(ts, type_, fields))
+            type_, keys, values = payload
+            records.append(TraceRecord(ts, type_, keys, tuple(
+                uid_of[value]
+                if key in UID_FIELDS and isinstance(value, tuple) else value
+                for key, value in zip(keys, values)
+            )))
         elif kind == K_GAUGE_OP:
             # A subtract can never raise a maximum, so the running max
             # over the full add/set stream is the reference's peak.

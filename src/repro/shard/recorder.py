@@ -40,9 +40,11 @@ from repro.telemetry.trace import TraceRecord
 DRIVER_RANK = -1
 
 #: Log entry kinds and their payloads (lists, so an entry reads the same
-#: whether it reached the merge in-process or through a JSON frame).
+#: whether it reached the merge in-process or through a JSON frame; a
+#: record's ``keys`` and ``values`` are the record's own tuples, which a
+#: frame turns into lists and the merge turns back).
 K_BIRTH = "birth"  # None; the n-th birth of a run is its local uid n
-K_RECORD = "record"  # [type, fields]
+K_RECORD = "record"  # [type, keys, values]
 K_OBSERVATION = "observation"  # [describe, value, max_samples]
 K_GAUGE_OP = "gauge_op"  # [describe, op, amount]
 
@@ -188,7 +190,8 @@ class ShardRecorder:
             self._log(self.sim.now, K_BIRTH, None)
 
     def _on_trace_emit(self, record: TraceRecord) -> None:
-        self._log(record.ts, K_RECORD, [record.type, record.fields])
+        self._log(record.ts, K_RECORD,
+                  [record.type, record.keys, record.values])
 
     def _on_instrument(self, inst: Any) -> None:
         if isinstance(inst, Histogram):

@@ -75,23 +75,24 @@ class Instrument:
 
 
 class Counter(Instrument):
-    """A monotonically increasing total."""
+    """A monotonically increasing total.
+
+    ``value`` is a plain attribute: a hot path holding the handle may add
+    a non-negative amount to it in place (``ctr.value += n``, what
+    ``inc`` does after its sign check) without a method call.
+    """
 
     kind = "counter"
-    __slots__ = ("_value",)
+    __slots__ = ("value",)
 
     def __init__(self, name: str, labels: LabelItems = ()) -> None:
         super().__init__(name, labels)
-        self._value = 0.0
+        self.value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError(f"counter {self.name} cannot decrease ({amount})")
-        self._value += amount
-
-    @property
-    def value(self) -> float:
-        return self._value
+        self.value += amount
 
 
 class Gauge(Instrument):

@@ -136,12 +136,12 @@ class SpanBuilder:
         for record in self.records:
             if record.type not in SPAN_TYPES:
                 continue
-            uid = int(record.fields.get("uid", 0))
+            fields = record.fields
+            uid = int(fields.get("uid", 0))
             if uid <= 0:
                 continue
             span = self._span(uid)
             span.events.append(record)
-            fields = record.fields
             if record.type in ORIGIN_TYPES:
                 span.origins += 1
             elif record.type == tt.PACKET_DELIVER:

@@ -1,11 +1,16 @@
 """Typed, sim-timestamped trace records in a bounded ring buffer.
 
 A :class:`Tracer` is owned by the simulator and shared by every component
-of a run. Emitting is cheap (one object + one deque append) so the hot
-paths — link transmits, protocol transitions — trace unconditionally; the
-ring bounds memory, and the sinks in :attr:`Tracer.sinks` see every record
-as it is emitted (:class:`JsonlSink` streams them to disk for offline
-analysis; ``python -m repro.tools trace`` prints the tail).
+of a run, and the hot paths — link transmits, protocol transitions —
+trace unconditionally. A record keeps its field *names* as one tuple
+shared by every record of the same shape and its values as a second
+tuple, not a dict: a retained hop record costs ≈ 175 bytes with its
+timestamp and values (≈ 310 with a dict per record; tracemalloc, tested
+in tests/test_telemetry.py), and a hot site passes :meth:`Tracer.emit` a
+literal key tuple and a value tuple, so emitting fills no kwargs dict.
+The ring bounds memory, and the sinks in :attr:`Tracer.sinks` see every
+record as it is emitted (:class:`JsonlSink` streams them to disk for
+offline analysis; ``python -m repro.tools trace`` prints the tail).
 
 Record timestamps are *simulated* microseconds, never wall clock, and
 every field comes from deterministic run state — so two runs with the
@@ -43,8 +48,8 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import (Any, Callable, Deque, Dict, Iterator, List, Optional,
+                    Tuple)
 
 PACKET_SEND = "packet.send"
 PACKET_DELIVER = "packet.deliver"
@@ -66,16 +71,50 @@ FAULT_CLEAR = "fault.clear"
 HEALTH_DETECT = "health.detect"
 
 
-@dataclass(slots=True)
 class TraceRecord:
-    """One trace event: a type, a simulated timestamp, and typed fields.
+    """One trace event: a simulated timestamp, a type, and typed fields.
 
-    ``slots=True`` because hot paths allocate one per wire event.
+    The fields are two parallel tuples: ``keys``, the field names, is
+    shared by every record of one shape (a row site's literal tuple, or
+    the one :meth:`Tracer.emit` interned), and ``values`` holds this
+    record's values in the same order. ``fields`` builds the dict when
+    read; :meth:`items` walks the pairs without one.
     """
 
-    ts: float
-    type: str
-    fields: Dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("ts", "type", "keys", "values")
+
+    def __init__(self, ts: float, type: str, keys: Tuple[str, ...],
+                 values: Tuple[Any, ...]) -> None:
+        self.ts = ts
+        self.type = type
+        self.keys = keys
+        self.values = values
+
+    @classmethod
+    def from_fields(cls, ts: float, type: str,
+                    fields: Dict[str, Any]) -> "TraceRecord":
+        return cls(ts, type, tuple(fields), tuple(fields.values()))
+
+    @property
+    def fields(self) -> Dict[str, Any]:
+        """A new ``{name: value}`` dict, in emission order."""
+        return dict(zip(self.keys, self.values))
+
+    def items(self) -> Iterator[Tuple[str, Any]]:
+        """The ``(name, value)`` pairs, in emission order."""
+        return zip(self.keys, self.values)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.ts, self.type, self.fields)
+                == (other.ts, other.type, other.fields))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (f"TraceRecord(ts={self.ts!r}, type={self.type!r}, "
+                f"fields={self.fields!r})")
 
     def to_json(self) -> str:
         return json.dumps(
@@ -86,7 +125,7 @@ class TraceRecord:
     @classmethod
     def from_json(cls, line: str) -> "TraceRecord":
         raw = json.loads(line)
-        return cls(ts=raw["ts"], type=raw["type"], fields=raw.get("fields", {}))
+        return cls.from_fields(raw["ts"], raw["type"], raw.get("fields", {}))
 
 
 class Tracer:
@@ -109,15 +148,34 @@ class Tracer:
         self.maxlen = maxlen
         self.records_emitted = 0
         self._ring: Deque[TraceRecord] = deque(maxlen=maxlen)
+        #: One key tuple per keyword shape :meth:`emit` has seen, so its
+        #: records share it as a row site's records share its literal.
+        self._shapes: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
         #: Callables handed each record, in order, *after* it is appended
         #: to the ring; anything may join (the identity hasher, the shard
         #: recorder, a :class:`JsonlSink`). A sink must not emit records
         #: itself.
         self.sinks: List[Callable[[TraceRecord], None]] = []
 
-    def emit(self, type_: str, **fields: Any) -> None:
-        """Record one event at the current simulated time."""
-        record = TraceRecord(self._clock(), type_, fields)
+    def emit(self, type_: str, keys: Optional[Tuple[str, ...]] = None,
+             values: Optional[Tuple[Any, ...]] = None, /,
+             **fields: Any) -> None:
+        """Record one event at the current simulated time.
+
+        Cold sites pass the fields as keywords, ``emit(T, uid=1, ...)``,
+        and the record shares a key tuple interned per shape. A hot site
+        passes them as a row, ``emit(T, ("uid", ...), (1, ...))``: the
+        literal key tuple is a compiled constant, so no key tuple is built
+        and the value tuple is all a record keeps of its own (the
+        ``fields`` dict every call of this method gets is then empty and
+        freed on return). One method for both, so every record passes
+        through ``emit``.
+        """
+        if keys is None:
+            keys = tuple(fields)
+            keys = self._shapes.setdefault(keys, keys)
+            values = tuple(fields.values())
+        record = TraceRecord(self._clock(), type_, keys, values)
         self.records_emitted += 1
         self._ring.append(record)
         if self.sinks:  # no iterator on the usual sink-less hot path

@@ -106,7 +106,7 @@ def show_trace(args: argparse.Namespace) -> int:
         if args.json:
             print(record.to_json())
         else:
-            fields = " ".join(f"{k}={v}" for k, v in record.fields.items())
+            fields = " ".join(f"{k}={v}" for k, v in record.items())
             print(f"{record.ts:14.3f}  {record.type:<16s}  {fields}")
     return 0
 

@@ -138,6 +138,10 @@ _RULES = [
     Rule("RT306", "metric emit site kind mismatches the schema",
          Severity.ERROR, "telemetry",
          "a name registered as two kinds raises at runtime"),
+    Rule("RT307", "trace row emit whose field names are not a literal tuple",
+         Severity.ERROR, "telemetry",
+         "RT301/RT302 check a row emit through its literal key tuple; "
+         "computed keys would make its field set a runtime fact"),
     Rule("RT310", "span-opening trace type has no closing emit site",
          Severity.ERROR, "telemetry",
          "every packet.send/dup needs a deliver/drop site, every "

@@ -8,6 +8,10 @@ tree is checked against the declared contract in
   (RT302) — a site spreading a prebuilt dict (``emit(T, **fields)``)
   escapes the field check, since which keys it carries is a runtime
   fact;
+* a row site (``emit(T, keys, values)``) is held to the same two rules
+  through its key tuple, which must therefore be a literal tuple of
+  strings, as long as a literal value tuple and with no keywords beside
+  it (RT307), so no row site escapes the field check;
 * metric names must be declared (RT304) with the declared label-key set
   (RT305) and instrument kind (RT306), and every label key needs a
   bounded domain in :data:`~repro.telemetry.schema.LABEL_DOMAINS`
@@ -22,7 +26,8 @@ repro.telemetry import trace as tt``, ``from repro.telemetry.trace
 import PACKET_SEND``), string literals, and one level of local aliasing
 (``event_type = tt.A if cond else tt.B``) are all understood. An emit
 is a call of any ``.emit`` attribute or of a local name bound to one
-(``emit = sim.tracer.emit; emit(tt.PACKET_SEND, ...)``).
+(``emit = sim.tracer.emit; emit(tt.PACKET_SEND, ...)``); one that
+passes more than the type positionally is a row site.
 
 The tree-lint driver (:func:`repro.verify.determinism_pass.verify_tree`)
 walks each file once and hands this pass the file's import table, its
@@ -131,8 +136,13 @@ class TelemetryLint:
         types = self._types_of(node.args[0])
         if not types:
             return
-        has_spread = any(kw.arg is None for kw in node.keywords)
-        present = {kw.arg for kw in node.keywords if kw.arg is not None}
+        present: Optional[Set[str]]
+        if len(node.args) > 1:
+            present = self._row_keys(node)
+        elif any(kw.arg is None for kw in node.keywords):
+            present = None  # field set is a runtime fact at **-sites
+        else:
+            present = {kw.arg for kw in node.keywords}
         for type_ in sorted(types):
             spec = schema.TRACE_EVENTS.get(type_)
             if spec is None:
@@ -145,8 +155,8 @@ class TelemetryLint:
                 )
                 continue
             self.emits.append((type_, node.lineno))
-            if has_spread:
-                continue  # field set is a runtime fact at **-sites
+            if present is None:
+                continue
             missing = sorted(spec.required - present)
             if missing:
                 self.report.flag(
@@ -164,6 +174,30 @@ class TelemetryLint:
                     "TRACE_EVENTS or drop them",
                     self.rel, node.lineno, self.supp,
                 )
+
+    def _row_keys(self, node: ast.Call) -> Optional[Set[str]]:
+        """A row site's field names, or RT307 and ``None`` unless they
+        are a literal tuple of strings as long as a literal value tuple,
+        with no keyword fields beside them."""
+        keys = node.args[1]
+        values = node.args[2] if len(node.args) > 2 else None
+        names = None
+        if isinstance(keys, ast.Tuple) and all(
+                isinstance(elt, ast.Constant) and isinstance(elt.value, str)
+                for elt in keys.elts):
+            names = [elt.value for elt in keys.elts]
+        if (names is None or node.keywords or len(node.args) != 3
+                or (isinstance(values, ast.Tuple)
+                    and len(values.elts) != len(names))):
+            self.report.flag(
+                "RT307",
+                "a row emit's keys must be a literal tuple of field-name "
+                "strings, followed by a value tuple as long and by no "
+                "keyword fields, so the field schema can be checked",
+                self.rel, node.lineno, self.supp,
+            )
+            return None
+        return set(names)
 
     # -- metric sites ----------------------------------------------------------
 

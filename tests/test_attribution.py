@@ -87,7 +87,7 @@ def test_unresolvable_ack_degrades_gracefully():
     from repro.telemetry import trace as tt
     from repro.telemetry.trace import TraceRecord
 
-    record = TraceRecord(50.0, tt.RP_ACK, {
+    record = TraceRecord.from_fields(50.0, tt.RP_ACK, {
         "switch": "s1", "kind": "write", "flow": "f", "seq": 3,
         "uid": 9, "req_uid": 7, "rtt_us": 12.5, "cause": 7,
     })

@@ -92,7 +92,8 @@ _RECORDS = (
 
 def _fingerprint(records=_RECORDS, events=10, counter=7.0, more=()):
     hasher = identity.TraceHasher(
-        TraceRecord(ts, type_, dict(fields)) for ts, type_, fields in records)
+        TraceRecord.from_fields(ts, type_, dict(fields))
+        for ts, type_, fields in records)
     metrics = {
         "counters": {"packets_total": counter, **dict(more)},
         "gauges": {"switch.buffer_peak_bytes{sw=agg1}": 240.0},

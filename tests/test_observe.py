@@ -275,15 +275,16 @@ def test_perfetto_faults_share_one_track():
     from repro.telemetry.trace import TraceRecord
 
     records = [
-        TraceRecord(10.0, tt.FAULT_INJECT, {"kind": "fail_link",
-                                            "target": "agg1<->tor1"}),
-        TraceRecord(20.0, tt.FAULT_INJECT, {"kind": "crash_store",
-                                            "target": "st2"}),
-        TraceRecord(30.0, tt.FAULT_CLEAR, {"kind": "recover_link",
-                                           "target": "agg1<->tor1"}),
-        TraceRecord(40.0, tt.HEALTH_DETECT, {"detector": "slo_burn",
-                                             "value": 1.0,
-                                             "threshold": 1.0}),
+        TraceRecord.from_fields(10.0, tt.FAULT_INJECT,
+                                {"kind": "fail_link", "target": "agg1<->tor1"}),
+        TraceRecord.from_fields(20.0, tt.FAULT_INJECT,
+                                {"kind": "crash_store", "target": "st2"}),
+        TraceRecord.from_fields(30.0, tt.FAULT_CLEAR,
+                                {"kind": "recover_link",
+                                 "target": "agg1<->tor1"}),
+        TraceRecord.from_fields(40.0, tt.HEALTH_DETECT,
+                                {"detector": "slo_burn", "value": 1.0,
+                                 "threshold": 1.0}),
     ]
     doc = export_chrome_trace(records)
     validate_chrome_trace(doc)

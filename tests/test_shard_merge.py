@@ -115,8 +115,8 @@ def test_peak_replay_set_resets_the_level():
 _SHARED_DIVERGENCE = {
     "births": ((1.0, 0, 0, K_BIRTH, None), (1.0, 0, 1, K_BIRTH, None)),
     "rows": (
-        (1.0, 0, 0, K_RECORD, ["pkt", {"port": 1}]),
-        (1.0, 0, 0, K_RECORD, ["pkt", {"port": 2}]),
+        (1.0, 0, 0, K_RECORD, ["pkt", ("port",), (1,)]),
+        (1.0, 0, 0, K_RECORD, ["pkt", ("port",), (2,)]),
     ),
     "observations": (
         (1.0, 0, 0, K_OBSERVATION, ["latency_us", 5.0, 64]),
@@ -155,8 +155,10 @@ def _uid_run(shared_uid_on_ghost=1, dangling=None):
     by its own count: 2 on the shards, 1 on the ghost."""
 
     def birth_and_record(ts, rank, local_uid, **more):
+        fields = {"uid": local_uid, **more}
         return [(ts, rank, 0, K_BIRTH, None),
-                (ts, rank, 1, K_RECORD, ["pkt", {"uid": local_uid, **more}])]
+                (ts, rank, 1, K_RECORD,
+                 ["pkt", tuple(fields), tuple(fields.values())])]
 
     s0 = _replica(0, {1, 2}, {1}, birth_and_record(1.0, 1, 1)
                   + birth_and_record(5.0, 0, 2))

@@ -79,10 +79,12 @@ def test_duplicate_copy_gets_child_span():
 
 def test_verify_flags_unterminated_and_orphaned():
     records = [
-        TraceRecord(1.0, tt.PACKET_SEND, {"uid": 1, "link": "l", "dir": "d",
-                                          "bytes": 64, "kind": "app"}),
-        TraceRecord(2.0, tt.PACKET_DELIVER, {"uid": 2, "link": "l",
-                                             "dir": "d", "node": "n"}),
+        TraceRecord.from_fields(1.0, tt.PACKET_SEND,
+                                {"uid": 1, "link": "l", "dir": "d",
+                                 "bytes": 64, "kind": "app"}),
+        TraceRecord.from_fields(2.0, tt.PACKET_DELIVER,
+                                {"uid": 2, "link": "l", "dir": "d",
+                                 "node": "n"}),
     ]
     report = SpanBuilder(records).verify()
     assert not report.ok

@@ -98,6 +98,45 @@ def test_declared_emit_is_clean(tmp_path):
     assert report.diagnostics == []
 
 
+# -- row sites ----------------------------------------------------------------
+
+
+def test_undeclared_key_on_a_row_site_is_rt302(tmp_path):
+    for header, report in lint_each_form(
+            tmp_path,
+            "{emit}({snapshot}, ('switch', 'slot', 'epoch', 'color'),\n"
+            "       ('sw', 0, 1, 'red'))\n"):
+        assert rules_and_lines(report) == [("RT302", 2)], header
+        assert "color" in report.diagnostics[0].message
+
+
+@pytest.mark.parametrize("row", [
+    "KEYS, ('sw', 0, 1)",                            # a name, not a literal
+    "('switch', 'slot', name), ('sw', 0, 1)",        # a non-string key
+    "('switch', 'slot', 'epoch'), ('sw', 0)",        # one value short
+    "('switch', 'slot'), ('sw', 0), epoch=1",        # a keyword beside it
+    "('switch', 'slot', 'epoch')",                   # no values
+])
+def test_row_keys_not_a_literal_tuple_is_rt307(tmp_path, row):
+    report = lint(tmp_path, (
+        "import repro.telemetry.trace as tt\n"
+        f"tracer.emit(tt.SNAPSHOT, {row})\n"
+    ))
+    assert rules_and_lines(report) == [("RT307", 2)]
+
+
+def test_declared_row_is_clean(tmp_path):
+    report = lint(tmp_path, (
+        "import repro.telemetry.trace as tt\n"
+        "tracer.emit(tt.PACKET_SEND,\n"
+        "            ('link', 'dir', 'bytes', 'uid', 'kind', 'flow'),\n"
+        "            ('l0', 'fwd', 64, 1, 'data', flow))\n"
+        "tracer.emit(tt.PACKET_DELIVER, ('link', 'dir', 'node', 'uid'),\n"
+        "            values)\n"
+    ))
+    assert report.diagnostics == []
+
+
 # -- metric instruments -------------------------------------------------------
 
 
