@@ -356,9 +356,9 @@ class StateStoreNode(Host):
                 )
                 return
         while rec.pending:
-            msg, requester_ip, origin_uid = rec.pending.popleft()
+            msg, requester_ip, origin_uid = rec.pending.pop(0)
             if rec.held_by_other(requester_ip, now):
-                rec.pending.appendleft((msg, requester_ip, origin_uid))
+                rec.pending.insert(0, (msg, requester_ip, origin_uid))
                 self.sim.schedule_at(
                     rec.lease_expiry + 1e-6, self._drain_pending, key
                 )

@@ -10,13 +10,38 @@ Registers model Tofino stateful ALU semantics:
   read/write them (slowly) over PCIe.
 
 SRAM usage is accounted for the Table 2 reproduction.
+
+Like SRAM, register memory is a fixed block of ``size`` entries typed by
+width (1 and 8 bits as ``B``, 16 as ``H``, 32 as ``I``, 64 as ``Q``): an
+anonymous zero-filled mapping viewed as that type. The operating system
+backs a page only when it is first written, so an array costs the pages
+of the indices a run touched, not ``size`` slots up front. The mapping
+is ``MAP_PRIVATE``: shard workers fork, and with the default shared
+mapping a child's register writes would reach its parent.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+import mmap
+from typing import Callable, List, Tuple
 
 from repro.switch.pipeline import PipelineContext
+
+#: Register width in bits -> the ``memoryview`` format that holds it.
+_TYPECODES = {1: "B", 8: "B", 16: "H", 32: "I", 64: "Q"}
+
+
+def _zeroed(count: int, width_bits: int) -> memoryview:
+    """``count`` zero entries of ``width_bits`` each, in private pages
+    that cost memory only once written."""
+    if count <= 0:
+        raise ValueError("register array size must be positive")
+    if width_bits not in _TYPECODES:
+        raise ValueError(f"unsupported register width: {width_bits}")
+    itemsize = max(width_bits // 8, 1)
+    return memoryview(
+        mmap.mmap(-1, count * itemsize, flags=mmap.MAP_PRIVATE)
+    ).cast(_TYPECODES[width_bits])
 
 
 class RegisterArray:
@@ -29,15 +54,16 @@ class RegisterArray:
         width_bits: int = 32,
         initial: int = 0,
     ) -> None:
-        if size <= 0:
-            raise ValueError("register array size must be positive")
-        if width_bits not in (1, 8, 16, 32, 64):
-            raise ValueError(f"unsupported register width: {width_bits}")
         self.name = name
         self.size = size
         self.width_bits = width_bits
         self._mask = (1 << width_bits) - 1
-        self._values: List[int] = [initial & self._mask] * size
+        self._values = _zeroed(size, width_bits)
+        initial &= self._mask
+        if initial:
+            # Like P4's ``Register`` initial value; writing it maps every page.
+            for index in range(size):
+                self._values[index] = initial
 
     # -- data-plane access (constrained) ---------------------------------------
 
@@ -129,7 +155,8 @@ class PairedRegisterArray:
         self.size = size
         self.width_bits = width_bits
         self._mask = (1 << width_bits) - 1
-        self._values: List[Tuple[int, int]] = [(0, 0)] * size
+        #: Pair ``i`` is entries ``2i`` (lo) and ``2i + 1`` (hi).
+        self._values = _zeroed(2 * size, width_bits)
 
     def access(
         self,
@@ -140,18 +167,23 @@ class PairedRegisterArray:
         """Atomic RMW over the pair: ``fn(lo, hi) -> (new_lo, new_hi, result)``."""
         ctx.note_register_access(self)
         self._check_index(index)
-        lo, hi = self._values[index]
-        new_lo, new_hi, result = fn(lo, hi)
-        self._values[index] = (new_lo & self._mask, new_hi & self._mask)
+        values = self._values
+        lo_at = 2 * index
+        new_lo, new_hi, result = fn(values[lo_at], values[lo_at + 1])
+        values[lo_at] = new_lo & self._mask
+        values[lo_at + 1] = new_hi & self._mask
         return result
 
     def cp_read(self, index: int) -> Tuple[int, int]:
         self._check_index(index)
-        return self._values[index]
+        lo_at = 2 * index
+        return self._values[lo_at], self._values[lo_at + 1]
 
     def cp_write(self, index: int, lo: int, hi: int) -> None:
         self._check_index(index)
-        self._values[index] = (lo & self._mask, hi & self._mask)
+        lo_at = 2 * index
+        self._values[lo_at] = lo & self._mask
+        self._values[lo_at + 1] = hi & self._mask
 
     def _check_index(self, index: int) -> None:
         if not 0 <= index < self.size:

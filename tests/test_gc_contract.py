@@ -17,6 +17,7 @@ bounded by its configuration, not by its packet count.
 """
 
 import gc
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -30,6 +31,7 @@ from repro.core.engine import HistoryEvent
 from repro.net.packet import Packet
 from repro.net.simulator import Simulator
 from repro.scenarios import SCENARIOS
+from repro.statestore.backend import FlowRecord
 from repro.telemetry import trace as tt
 
 
@@ -193,3 +195,21 @@ def test_a_drained_run_keeps_no_packet_and_no_history_event(run):
                    if id(obj) not in held)
     assert sim.metrics.total("redplane.app_packets") > 0
     assert kept == {}
+
+
+def test_an_empty_store_record_costs_at_most_450_bytes():
+    """The store keeps one ``FlowRecord`` per flow it has seen, so a
+    record's fixed cost scales with the flow count: a churn run holds
+    thousands. Buffered lease requests are rare, and an empty list costs
+    a fraction of an empty deque (395 bytes a record now, 1 099 with a
+    deque)."""
+    count = 1000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        records = [FlowRecord() for _ in range(count)]
+        per_record = (tracemalloc.get_traced_memory()[0] - before) / count
+    finally:
+        tracemalloc.stop()
+    assert len(records) == count
+    assert per_record <= 450

@@ -1,5 +1,7 @@
 """Tests for register arrays and the one-access-per-packet constraint."""
 
+import os
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -52,9 +54,12 @@ def test_new_packet_resets_budget():
 
 
 def test_width_masking():
-    reg = RegisterArray("r", 2, width_bits=8)
-    reg.cp_write(0, 0x1FF)
-    assert reg.cp_read(0) == 0xFF
+    for width in (1, 8, 16, 32, 64):
+        reg = RegisterArray("r", 2, width_bits=width)
+        reg.cp_write(0, 2**width - 1)
+        reg.cp_write(1, 2**width)
+        assert reg.cp_read(0) == 2**width - 1, width
+        assert reg.cp_read(1) == 0, width
 
 
 def test_invalid_width_rejected():
@@ -115,3 +120,54 @@ def test_width_mask_property(value):
     reg = RegisterArray("r", 1, width_bits=32)
     reg.write(ctx(), 0, value)
     assert reg.cp_read(0) == value & 0xFFFFFFFF
+
+
+def _resident_bytes():
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                    reason="needs /proc/self/statm")
+@pytest.mark.parametrize("make, write", [
+    (lambda: RegisterArray("r", 1 << 20, 64),
+     lambda reg: reg.cp_write(12345, 1)),
+    (lambda: PairedRegisterArray("p", 1 << 20, 64),
+     lambda reg: reg.cp_write(12345, 1, 2)),
+], ids=["single", "paired"])
+def test_a_large_array_costs_only_the_pages_it_writes(make, write):
+    """Register memory is zero-filled and mapped on first write: a
+    million-entry 64-bit array adds no resident memory until written,
+    and one write maps one page, not 8 MB of slots."""
+    before = _resident_bytes()
+    reg = make()
+    assert _resident_bytes() - before < 1 << 20
+    write(reg)
+    assert _resident_bytes() - before < 1 << 20
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_register_written_in_a_forked_child_is_unchanged_in_the_parent():
+    """Shard workers fork: register memory must be private to each
+    process, or a worker's writes would reach the parent's arrays."""
+    reg = RegisterArray("r", 4, 32)
+    pair = PairedRegisterArray("p", 4, 32)
+    reg.cp_write(1, 5)
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # child: write, report what it sees, exit at once
+        try:
+            os.close(read_end)
+            reg.cp_write(1, 99)
+            pair.cp_write(2, 7, 8)
+            seen = (reg.cp_read(1), pair.cp_read(2))
+            os.write(write_end, repr(seen).encode())
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    with os.fdopen(read_end) as f:
+        child_saw = f.read()
+    os.waitpid(pid, 0)
+    assert child_saw == "(99, (7, 8))"
+    assert reg.cp_read(1) == 5
+    assert pair.cp_read(2) == (0, 0)
