@@ -316,8 +316,7 @@ class RedPlaneEngine(ControlBlock):
             flow_key=key,
             piggyback=pack_packets([self._wrap_hold(ctx.pkt.to_bytes())]),
         )
-        req_uid = self._send_request(ctx, msg,
-                                     parent_uid=ctx.pkt.meta.get("uid"))
+        req = self._send_request(ctx, msg, parent_uid=ctx.pkt.meta.get("uid"))
         self._c["lease_requests"].inc()
         if not pending:
             # Only the first request per flow is retransmitted; piggybacked
@@ -328,7 +327,7 @@ class RedPlaneEngine(ControlBlock):
                 switch=self.switch.name,
                 flow=flow_tag_of(self.switch.sim, key),
             )
-            self._mirror_request(msg, ("lease_new", idx), req_uid)
+            self._mirror_request(msg, ("lease_new", idx), req)
         ctx.consume()
 
     def _bounded_path(self, ctx: PipelineContext, key: FlowKey) -> bool:
@@ -380,9 +379,8 @@ class RedPlaneEngine(ControlBlock):
                 vals=view.vals(),
                 piggyback=pack_packets(outputs) if outputs else None,
             )
-            req_uid = self._send_request(ctx, msg,
-                                         parent_uid=pkt.meta.get("uid"))
-            self._mirror_request(msg, ("write", idx), req_uid)
+            req = self._send_request(ctx, msg, parent_uid=pkt.meta.get("uid"))
+            self._mirror_request(msg, ("write", idx), req)
             self._c["writes_replicated"].inc()
             ctx.consume()
             return False
@@ -429,12 +427,12 @@ class RedPlaneEngine(ControlBlock):
             msg = RedPlaneMessage(
                 seq=0, msg_type=MessageType.LEASE_RENEW_REQ, flow_key=key
             )
-            req_uid = self._send_request(ctx, msg,
-                                         parent_uid=ctx.pkt.meta.get("uid"))
+            req = self._send_request(ctx, msg,
+                                     parent_uid=ctx.pkt.meta.get("uid"))
             # Like LEASE_NEW_REQ, only a flow's first outstanding renewal
             # is mirrored; its ack settles the later ones too.
             if ("renew", idx) not in self._inflight:
-                self._mirror_request(msg, ("renew", idx), req_uid)
+                self._mirror_request(msg, ("renew", idx), req)
             self._c["lease_renewals"].inc()
             self.tracer.emit(
                 tt.LEASE_RENEW,
@@ -650,12 +648,13 @@ class RedPlaneEngine(ControlBlock):
         ctx: Optional[PipelineContext],
         msg: RedPlaneMessage,
         parent_uid: Optional[int] = None,
-    ) -> int:
+    ) -> Packet:
         """Build, span-tag, trace, and emit one request packet.
 
-        Returns the new packet's span uid. ``parent_uid`` records causality
-        (the app packet that triggered the request, the timed-out copy a
-        resend supersedes, the ack that bounced a read-buffer request).
+        Returns the packet; ``pkt.meta["uid"]`` is its span uid.
+        ``parent_uid`` records causality (the app packet that triggered the
+        request, the timed-out copy a resend supersedes, the ack that
+        bounced a read-buffer request).
         """
         shard = self.shard_map.shard_for(msg.flow_key)
         pkt = make_protocol_packet(self.switch.ip, shard.ip, msg, dport=shard.udp_port)
@@ -676,11 +675,11 @@ class RedPlaneEngine(ControlBlock):
             ctx.emit(pkt)
         else:
             self.switch.emit_from_pipeline(pkt)
-        return uid
+        return pkt
 
     def send_snapshot_request(self, msg: RedPlaneMessage) -> None:
         """Used by the snapshot replicator (§5.4) to ship one slot value."""
-        req_uid = self._send_request(None, msg)
+        req = self._send_request(None, msg)
         self.tracer.emit(
             tt.SNAPSHOT,
             switch=self.switch.name,
@@ -689,13 +688,15 @@ class RedPlaneEngine(ControlBlock):
         )
         key = ("snapshot", (msg.flow_key, msg.aux))
         self._release(key)  # a newer epoch settles the slot's older copy
-        self._mirror_request(msg, key, req_uid)
+        self._mirror_request(msg, key, req)
 
     def _mirror_request(
-        self, msg: RedPlaneMessage, key: Tuple[str, object], req_uid: int
+        self, msg: RedPlaneMessage, key: Tuple[str, object], req: Packet
     ) -> None:
-        """Mirror a truncated copy of a request for retransmission (§5.2)
-        and enter it in the ledger under ``key`` at the request's seq."""
+        """Mirror a truncated copy of request packet ``req`` (carrying
+        ``msg``) for retransmission (§5.2) and enter it in the ledger under
+        ``key`` at the request's seq. The copy's first pass is at the
+        retransmission deadline: no pass before it could act."""
         header_only = RedPlaneMessage(
             seq=msg.seq,
             msg_type=msg.msg_type,
@@ -704,16 +705,12 @@ class RedPlaneEngine(ControlBlock):
             piggyback=None,
             aux=msg.aux,
         )
-        shard = self.shard_map.shard_for(msg.flow_key)
-        pkt = make_protocol_packet(
-            self.switch.ip, shard.ip, header_only, dport=shard.udp_port
-        )
         rtx = RetransmitState(
             kind=key[0],
             msg=header_only,
             sent_at=self.switch.sim.now,
             timeout_us=self.config.retransmit_timeout_us,
-            uid=req_uid,
+            uid=req.meta["uid"],  # type: ignore[arg-type]
         )
         copies = self._inflight.setdefault(key, {})
         # Only a regressed sequence counter (the skip_lease_install_guard
@@ -721,7 +718,9 @@ class RedPlaneEngine(ControlBlock):
         replaced = copies.get(msg.seq)
         if replaced is not None:
             self.mirror.release(replaced)
-        copies[msg.seq] = self.mirror.mirror(pkt, meta={"rtx": rtx})
+        copies[msg.seq] = self.mirror.mirror(
+            req, meta={"rtx": rtx, "next_pass_us": rtx.timeout_us}
+        )
 
     def _release(
         self, key: Tuple[str, object], upto_seq: float = math.inf
@@ -755,7 +754,8 @@ class RedPlaneEngine(ControlBlock):
         rtx = cast(RetransmitState, meta["rtx"])
         now = self.switch.sim.now
         if now - rtx.sent_at >= rtx.timeout_us:
-            new_uid = self._send_request(None, rtx.msg, parent_uid=rtx.uid)
+            resend = self._send_request(None, rtx.msg, parent_uid=rtx.uid)
+            new_uid: int = resend.meta["uid"]  # type: ignore[assignment]
             self._c["retransmissions"].inc()
             self.tracer.emit(
                 tt.RETRANSMIT,

@@ -10,6 +10,11 @@ timeout expires (resend it to the state store and keep circulating).
 While a copy circulates it occupies switch packet buffer; the ASIC tracks
 current and peak occupancy, which is what Fig 15 measures via queue-depth
 metadata.
+
+A circulating copy is never transmitted (a resend is a fresh packet the
+pass handler builds), so the simulator keeps no copy of its bytes: a
+:class:`MirrorCopy` is a reference to the mirrored packet plus the
+truncated size it occupies in the buffer.
 """
 
 from __future__ import annotations
@@ -30,11 +35,14 @@ PassHandler = Callable[[Packet, Dict[str, object]], bool]
 class MirrorCopy:
     """A handle to one circulating mirrored copy.
 
-    In hardware the copy passes through egress every pass interval and the
-    pipeline drops it as soon as its acknowledgment has been seen. The
-    simulator models that with events at the *action* times only (the
-    retransmission deadline), so whoever processes the acknowledgment must
-    call :meth:`MirrorSession.release` — that is the "drop on next pass",
+    ``pkt`` is the mirrored packet itself, by reference: the copy is never
+    sent, so it needs no bytes of its own, only ``size``, the truncated
+    bytes it holds in the packet buffer. In hardware the copy passes
+    through egress every pass interval and the pipeline drops it as soon
+    as its acknowledgment has been seen. The simulator models that with
+    events at the *action* times only (the retransmission deadline), so
+    whoever processes the acknowledgment must call
+    :meth:`MirrorSession.release` — that is the "drop on next pass",
     collapsed to zero delay.
     """
 
@@ -76,26 +84,25 @@ class MirrorSession:
     def mirror(
         self, pkt: Packet, meta: Optional[Dict[str, object]] = None
     ) -> MirrorCopy:
-        """Mirror a (possibly truncated) copy into the egress pipeline."""
+        """Mirror a (possibly truncated) copy of ``pkt`` into the egress
+        pipeline. ``meta`` becomes the copy's own handler state; its
+        ``next_pass_us`` slot, if set, puts the first pass that far out,
+        as the handler's does for later passes."""
         if self.handler is None:
             raise RuntimeError(
                 f"mirror session {self.session_id} has no pass handler"
             )
-        dup = pkt.copy()
-        # The copy is a derived object: it must not impersonate the span of
-        # the packet it was mirrored from — demote an inherited uid to the
-        # parent slot (resends create fresh packets with their own uids).
-        inherited_uid = dup.meta.pop("uid", None)
-        if inherited_uid is not None and "parent_uid" not in dup.meta:
-            dup.meta["parent_uid"] = inherited_uid
+        size = pkt.byte_size()
         if self.truncate_to_bytes is not None:
-            dup.meta["truncated_to"] = self.truncate_to_bytes
-        copy = MirrorCopy(dup, dict(meta or {}), self.buffered_size(dup))
+            size = min(self.truncate_to_bytes, size)
+        copy = MirrorCopy(pkt, {} if meta is None else meta, size)
         self._g_active.add(1)
         self._c_mirrored.inc()
-        self.asic.buffer_acquire(copy.size)
+        self.asic.buffer_acquire(size)
         copy.event = self.asic.sim.schedule(
-            constants.MIRROR_PASS_US, self._one_pass, copy
+            max(constants.MIRROR_PASS_US,
+                float(copy.meta.pop("next_pass_us", 0.0))),
+            self._one_pass, copy,
         )
         return copy
 
@@ -109,13 +116,6 @@ class MirrorSession:
         if copy.event is not None:
             self.asic.sim.cancel(copy.event)
             copy.event = None
-
-    def buffered_size(self, pkt: Packet) -> int:
-        """Bytes this copy occupies in the packet buffer."""
-        truncated = pkt.meta.get("truncated_to")
-        if truncated is not None:
-            return min(int(truncated), pkt.byte_size())
-        return pkt.byte_size()
 
     def _one_pass(self, copy: MirrorCopy) -> None:
         if copy.released:

@@ -4,7 +4,7 @@ Every packet that touches a wire (and every injected/generated packet)
 carries a run-unique correlation id — ``meta["uid"]``, allocated by
 :meth:`repro.net.simulator.Simulator.new_uid` in event-execution order —
 and every derived packet records its ancestor in ``meta["parent_uid"]``:
-mirror copies, wire duplicates, retransmissions, state-store replies,
+wire duplicates, retransmissions, state-store replies,
 chain updates, and reinjected piggybacked outputs all point back at the
 packet that caused them. The trace records emitted along the way carry
 those ids, so the full causal tree of a packet's lifecycle can be

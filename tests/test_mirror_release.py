@@ -1,15 +1,23 @@
 """Tests for mirror-copy lifecycle: release on acknowledgment, not timeout."""
 
+import math
+
 import pytest
 
 from repro import RedPlaneConfig, Simulator, deploy
 from repro.apps.counter import AsyncCounterApp, SyncCounterApp
+from repro.chaos.campaigns import CAMPAIGNS
+from repro.chaos.runner import run_campaign_result
 from repro.chaos.workload import CounterWorkload, EchoCounterApp
 from repro.core.app import AppVerdict
+from repro.core.engine import RedPlaneEngine
 from repro.core.protocol import MessageType, RedPlaneMessage
+from repro.net import constants
 from repro.net.links import Link, SinkNode
 from repro.net.packet import Packet, ip_aton
+from repro.scenarios import SCENARIOS
 from repro.switch.asic import SwitchASIC
+from repro.switch.mirror import MirrorSession
 from repro.telemetry import trace as tt
 from repro.workloads.failures import FailureSchedule
 
@@ -219,8 +227,161 @@ def test_reused_sequence_number_never_orphans_a_copy():
     msg = RedPlaneMessage(
         seq=1, msg_type=MessageType.REPL_WRITE_REQ,
         flow_key=Packet.udp(e1.ip, s11.ip, 5555, 7777).flow_key(), vals=[1])
-    eng._mirror_request(msg, ("write", 0), req_uid=1)
-    eng._mirror_request(msg, ("write", 0), req_uid=2)
+
+    def request(uid):
+        req = Packet.udp(e1.ip, s11.ip, 5555, 7777)
+        req.meta["uid"] = uid
+        return req
+
+    eng._mirror_request(msg, ("write", 0), request(1))
+    eng._mirror_request(msg, ("write", 0), request(2))
     assert eng.mirror.active_copies == _live_in_ledger(eng) == 1
     eng.shutdown()
     assert eng.mirror.active_copies == 0
+
+
+# -- when a copy takes a pass, and when it is resent ------------------------
+
+
+def _count_passes(monkeypatch):
+    """Record the simulated time of every ``MirrorSession._one_pass``."""
+    times = []
+    real = MirrorSession._one_pass
+
+    def counting(self, copy):
+        times.append(self.asic.sim.now)
+        real(self, copy)
+
+    monkeypatch.setattr(MirrorSession, "_one_pass", counting)
+    return times
+
+
+def test_a_lossless_write_path_makes_no_mirror_pass(monkeypatch):
+    """``tests/test_links.py::test_write_path_call_budget``'s run: every
+    request is acked well inside its 48 us deadline, so no copy ever takes
+    a pass. While the first pass fell ``MIRROR_PASS_US`` after the send
+    and found the deadline still ahead, the run executed 25 955 events
+    (one no-op pass per mirrored request, 701 of them); now 25 254."""
+    passes = _count_passes(monkeypatch)
+    packets = 700
+    sim = Simulator(seed=0)
+    dep = deploy(sim, SyncCounterApp)
+    sender, receiver = dep.bed.externals[0], dep.bed.servers[0]
+
+    def send():
+        sender.send(Packet.udp(sender.ip, receiver.ip, 5555, 7777))
+
+    for i in range(packets):
+        sim.schedule_at(i * 10.0, send)
+    sim.run_until_idle()
+    assert receiver.rx_packets == packets
+    assert sum(e.stats["writes_replicated"] for e in dep.engines.values()) \
+        == packets
+    assert passes == []
+    assert sim.events_executed == 25_254
+
+
+def _never_acked(send_at):
+    """One packet into a fabric that loses everything: its lease request
+    is mirrored and never acknowledged. Returns the simulator, the engine
+    and the ``retransmit`` records' times as they are traced."""
+    sim = Simulator(seed=6)
+    dep = deploy(sim, SyncCounterApp, chain_length=1, link_loss=1.0)
+    resent = []
+    sim.tracer.sinks.append(
+        lambda r: resent.append(r.ts) if r.type == tt.RETRANSMIT else None)
+    e1, s11 = dep.bed.externals[0], dep.bed.servers[0]
+    agg = dep.bed.aggs[0]
+    sim.schedule_at(send_at, agg.process,
+                    Packet.udp(e1.ip, s11.ip, 5555, 7777))
+    return sim, dep.engines[agg.name], resent
+
+
+def test_a_copy_takes_its_first_pass_at_its_deadline(monkeypatch):
+    passes = _count_passes(monkeypatch)
+    sim, eng, resent = _never_acked(send_at=1_000.0)
+    sim.run(until=1_047.9)
+    assert eng.mirror.active_copies == 1
+    assert passes == []
+    sim.run(until=1_100.0)
+    assert passes == resent == [1_048.0]
+    eng.shutdown()
+
+
+def test_a_never_acked_request_resends_on_the_backoff_ladder():
+    """48 us doubling to the 5 ms cap after seven resends, then every
+    5 ms for as long as the request is outstanding. (A send at a whole
+    microsecond keeps every deadline exact in binary floating point.)"""
+    sim, eng, resent = _never_acked(send_at=1_000.0)
+    sim.run(until=1_000.0 + 26_000.0)
+    eng.shutdown()
+    ladder = [48, 144, 336, 720, 1_488, 3_024, 6_096]
+    ladder += [6_096 + 5_000 * k for k in range(1, 4)]
+    assert [t - 1_000.0 for t in resent] == ladder
+    assert eng.stats["retransmissions"] == len(ladder)
+
+
+def _released_requests(monkeypatch):
+    """Record ``(kind, resends, wait_us)`` for every request copy that
+    ``RedPlaneEngine._release`` settles, ``wait_us`` running from the
+    request's first send to its release. Each entry of ``first_sent``
+    holds its ``RetransmitState`` so that no other object reuses the id."""
+    first_sent = {}
+    released = []
+    real_mirror, real_release = (RedPlaneEngine._mirror_request,
+                                 RedPlaneEngine._release)
+
+    def mirror_request(self, msg, key, req):
+        real_mirror(self, msg, key, req)
+        rtx = self._inflight[key][msg.seq].meta["rtx"]
+        first_sent[id(rtx)] = (rtx, self.switch.sim.now)
+
+    def release(self, key, upto_seq=math.inf):
+        settled = real_release(self, key, upto_seq)
+        for _seq, rtx in settled:
+            _rtx, sent = first_sent.pop(id(rtx))
+            released.append((rtx.kind, rtx.resends,
+                             self.switch.sim.now - sent))
+        return settled
+
+    monkeypatch.setattr(RedPlaneEngine, "_mirror_request", mirror_request)
+    monkeypatch.setattr(RedPlaneEngine, "_release", release)
+    return released
+
+
+def _resend_slack(released):
+    """Least of ``7 + ceil(wait / 5 ms) - resends`` over the requests."""
+    cap = constants.RETRANSMIT_TIMEOUT_MAX_US
+    return min(7 + math.ceil(wait / cap) - resends
+               for _kind, resends, wait in released)
+
+
+def test_resends_per_request_are_bounded_by_the_ladder_on_quickstart(
+        monkeypatch):
+    """ROADMAP item 5's first invariant: the ladder resends seven times
+    before it reaches the 5 ms cap, then once per 5 ms, so a request
+    released after ``wait`` was resent at most ``7 + ceil(wait / 5 ms)``
+    times. The quickstart's ``lease_new``, buffered at the store behind
+    the failed owner's lease, comes closest: 106 resends over 501.8 ms
+    against a bound of 108."""
+    released = _released_requests(monkeypatch)
+    SCENARIOS["quickstart"].run(Simulator(seed=7))
+    assert released
+    assert _resend_slack(released) >= 2
+    kind, resends, wait = max(released, key=lambda r: r[1])
+    assert (kind, resends) == ("lease_new", 106)
+    assert wait == pytest.approx(501_800.0, abs=100.0)
+
+
+def test_resends_per_request_are_bounded_by_the_ladder_on_failover(
+        monkeypatch):
+    """The same invariant over the ``single_failover`` campaign, whose
+    writes are resent toward the failed switch's store path: the worst
+    is resent 15 times against a bound of 18."""
+    released = _released_requests(monkeypatch)
+    result = run_campaign_result(CAMPAIGNS["single_failover"])
+    assert result.report["verdict"] == "PASS"
+    assert released
+    assert _resend_slack(released) >= 2
+    writes = [r for r in released if r[0] == "write"]
+    assert max(resends for _kind, resends, _wait in writes) == 15
