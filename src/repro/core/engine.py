@@ -175,8 +175,7 @@ class RedPlaneEngine(ControlBlock):
         # Egress-to-egress mirror session used as the retransmission buffer;
         # copies are truncated to the protocol headers (§5.2) — the mirror
         # buffers ~the RedPlane header, never payload.
-        self.mirror = switch.new_mirror_session(truncate_to_bytes=48)
-        self.mirror.handler = self._mirror_pass
+        self.mirror = switch.new_mirror_session(self._mirror_pass)
 
         #: Invoked for snapshot acknowledgments (bounded-inconsistency mode).
         self.snapshot_ack_handler: Optional[Callable[[RedPlaneMessage], None]] = None

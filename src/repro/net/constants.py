@@ -26,6 +26,10 @@ SWITCH_PIPELINE_US = 0.6
 #: Latency of one egress-to-egress mirror recirculation pass (us).
 MIRROR_PASS_US = 1.0
 
+#: Bytes a mirrored copy holds in the packet buffer: copies are truncated
+#: to the RedPlane header (§5.2), so the buffer holds headers, not payloads.
+MIRROR_TRUNCATE_BYTES = 48
+
 #: One-way latency of the ASIC-to-CPU PCIe channel (us).
 PCIE_ONEWAY_US = 4.0
 

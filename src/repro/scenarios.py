@@ -10,8 +10,8 @@ identity contract meaningful — the reference and the shards execute
 *the same code*, differing only in which flow-injection roots the
 shard admission filter lets through.
 
-Driver discipline (docs/SHARDING.md, "Scenario discipline"; the
-RS410-412 shard-hazard lints cover this module):
+Driver discipline (docs/SHARDING.md, "Scenario discipline"; the shard
+identity tests hold this module to it):
 
 * every flow injection is scheduled with the :class:`Packet` in the
   root event's arguments, so the admission filter can key it;

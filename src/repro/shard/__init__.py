@@ -2,8 +2,8 @@
 
 The horizontal-scaling subsystem: partition a campaign's flow
 population across N workers according to the committed per-app shard
-plan (``shard_plans/<app>.json``, produced and drift-checked by
-``repro.verify`` pass 5), run every worker straight through — each
+plan (``shard_plans/<app>.json``, produced by ``repro.verify`` pass 5
+and drift-checked at launch), run every worker straight through — each
 simulates the whole topology and admits only its own flows, so shards
 exchange nothing and need no clock protocol — and deterministically
 merge the per-shard logs back into the exact byte stream the
@@ -15,7 +15,7 @@ Package map:
 =================  ==========================================================
 module             role
 =================  ==========================================================
-``plan``           committed-plan loading, legality, launch-time RS408 gate
+``plan``           committed-plan loading, legality, launch-time drift gate
 ``assign``         flow -> shard hashing from the plan's partition key
 ``recorder``       per-shard sidecar: origin ranks and the one ordered log
 ``frames``         length-prefixed worker report frames (3 types)

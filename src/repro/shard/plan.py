@@ -1,13 +1,13 @@
-"""Shard-plan loading, legality, and launch-time conformance (RS408).
+"""Shard-plan loading, legality, and launch-time conformance.
 
 The verify pass 5 analyzer commits one machine-checked plan per app in
 ``shard_plans/<app>.json``. This module is the runtime consumer:
 
 * :func:`load_plan` reads the committed artifact;
 * :func:`check_conformance` recomputes the plan from the live code and
-  refuses to shard when the committed plan has drifted (the launch-time
-  face of verify rule RS408 — the same function, ``plan_drift``, that
-  ``verify --all`` applies offline);
+  refuses to shard when the committed plan has drifted
+  (``repro.verify.partition_pass.plan_drift``: the first JSON path at
+  which the bytes differ);
 * :func:`shardability` decides whether flows may be hash-partitioned or
   must be pinned to one owner shard (global residue, hashed payload
   keys — the Cascone/Muqaddas state-access constraints the analyzer
@@ -28,7 +28,7 @@ class PlanError(ValueError):
 
 
 class PlanDriftError(PlanError):
-    """The committed plan no longer matches the live code (RS408)."""
+    """The committed plan no longer matches the live code."""
 
 
 def plan_dir(root: Optional[str] = None) -> str:
@@ -66,7 +66,7 @@ def _read_plan(app: str, root: Optional[str]) -> Tuple[str, Dict[str, object]]:
 
 
 def check_conformance(app: str, root: Optional[str] = None) -> Dict[str, object]:
-    """Launch-time RS408: recompute the plan and byte-compare.
+    """Launch-time drift gate: recompute the plan and byte-compare.
 
     Deploys the app exactly as ``verify --all`` does and compares the
     fresh plan's canonical serialization with the committed bytes
@@ -95,7 +95,7 @@ def check_conformance(app: str, root: Optional[str] = None) -> Dict[str, object]
     if where is not None:
         raise PlanDriftError(
             f"committed shard plan for app {app!r} has drifted from the "
-            f"live code (RS408) at {where}; refusing to shard. Regenerate "
+            f"live code at {where}; refusing to shard. Regenerate "
             "with 'verify --all --emit-plans shard_plans' and review the "
             "diff."
         )

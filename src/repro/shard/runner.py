@@ -21,7 +21,7 @@ key hashes to it, so shards exchange nothing and need no clock protocol.
 
 Every sharded entry point gates on the committed shard plan first:
 :func:`repro.shard.plan.check_conformance` recomputes the plan from the
-live code and refuses to shard on drift (launch-time RS408).
+live code and refuses to shard on drift.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def resolve(
     root: Optional[str] = None,
     params: Optional[Dict[str, Any]] = None,
 ) -> ShardRunConfig:
-    """Load scenario + plan and run the launch-time RS408 gate. Raises
+    """Load scenario + plan and run the launch-time drift gate. Raises
     before any worker starts when the committed plan has drifted."""
     scenario = get_scenario(scenario_name)
     committed = plan_mod.check_conformance(scenario.app, root)

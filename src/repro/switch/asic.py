@@ -19,7 +19,7 @@ forwarded if no block consumes it.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.net import constants
 from repro.net.links import Port
@@ -27,7 +27,7 @@ from repro.net.packet import Packet
 from repro.net.routing import L3Switch
 from repro.net.simulator import Simulator
 from repro.switch.control_plane import SwitchControlPlane
-from repro.switch.mirror import MirrorSession
+from repro.switch.mirror import MirrorSession, PassHandler
 from repro.switch.pipeline import ControlBlock, Pipeline, PipelineContext, Verdict
 from repro.switch.pktgen import PacketGenerator
 from repro.switch.resources import ResourceModel
@@ -71,10 +71,8 @@ class SwitchASIC(L3Switch):
 
     # -- peripherals -----------------------------------------------------------
 
-    def new_mirror_session(
-        self, truncate_to_bytes: Optional[int] = None
-    ) -> MirrorSession:
-        session = MirrorSession(self, self._next_mirror_id, truncate_to_bytes)
+    def new_mirror_session(self, handler: PassHandler) -> MirrorSession:
+        session = MirrorSession(self, self._next_mirror_id, handler)
         self._mirror_sessions[self._next_mirror_id] = session
         self._next_mirror_id += 1
         return session

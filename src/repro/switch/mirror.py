@@ -57,18 +57,16 @@ class MirrorCopy:
 
 
 class MirrorSession:
-    """One mirroring session with optional truncation."""
+    """One mirroring session: copies are truncated to
+    :data:`~repro.net.constants.MIRROR_TRUNCATE_BYTES` and each pass runs
+    ``handler``."""
 
     def __init__(
-        self,
-        asic: "SwitchASIC",
-        session_id: int,
-        truncate_to_bytes: Optional[int] = None,
+        self, asic: "SwitchASIC", session_id: int, handler: PassHandler
     ) -> None:
         self.asic = asic
         self.session_id = session_id
-        self.truncate_to_bytes = truncate_to_bytes
-        self.handler: Optional[PassHandler] = None
+        self.handler = handler
         self._g_active = asic.sim.metrics.gauge(
             "mirror.active_copies", switch=asic.name, session=session_id
         )
@@ -84,17 +82,11 @@ class MirrorSession:
     def mirror(
         self, pkt: Packet, meta: Optional[Dict[str, object]] = None
     ) -> MirrorCopy:
-        """Mirror a (possibly truncated) copy of ``pkt`` into the egress
-        pipeline. ``meta`` becomes the copy's own handler state; its
+        """Mirror a truncated copy of ``pkt`` into the egress pipeline.
+        ``meta`` becomes the copy's own handler state; its
         ``next_pass_us`` slot, if set, puts the first pass that far out,
         as the handler's does for later passes."""
-        if self.handler is None:
-            raise RuntimeError(
-                f"mirror session {self.session_id} has no pass handler"
-            )
-        size = pkt.byte_size()
-        if self.truncate_to_bytes is not None:
-            size = min(self.truncate_to_bytes, size)
+        size = min(constants.MIRROR_TRUNCATE_BYTES, pkt.byte_size())
         copy = MirrorCopy(pkt, {} if meta is None else meta, size)
         self._g_active.add(1)
         self._c_mirrored.inc()

@@ -30,16 +30,15 @@ JSON + human rendering, ``# repro: noqa[RULE]`` suppressions):
   or global on the partition-class lattice and emits a machine-checked
   shard plan per app (``shard_plans/``).
 
-Four rule families read source files rather than deployed apps — the
-determinism, telemetry and fastpath rules and the partition pass's
-Python-level shard hazards (RS410-412). They are the *tree lints*, and
-:func:`verify_tree` runs them all: one parse, one suppression scan, one
-import table and one AST walk per file. The pipeline and partition
+Three rule families read source files rather than deployed apps — the
+determinism, telemetry and fastpath rules. They are the *tree lints*,
+and :func:`verify_tree` runs them all: one parse, one suppression scan,
+one import table and one AST walk per file. The pipeline and partition
 passes read live code through one symbolic walker
 (:class:`repro.verify.astutil.Walker`), each with its own lattice.
 ``python -m repro.tools verify --all`` runs everything; the CI
-``verify`` job gates on it with ``--strict`` and archives the shard
-plans.
+``verify`` job gates on it with ``--strict``, and re-emits the shard
+plans to check them byte-equal to the committed ones.
 """
 
 from repro.verify.diagnostics import (

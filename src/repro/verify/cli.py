@@ -5,17 +5,18 @@ Runs the five passes with one shared suppression index and one report,
 so a single ``# repro: noqa[...]`` grammar covers all rule families and
 unused suppressions are judged once, after every pass has spoken.
 
-The tree lints (determinism, telemetry, fastpath, shard hazards) take
-file/directory paths and share one walk per file; the pipeline and
-partition verifiers need *deployed programs*, so they run over the
-builtin application registry (``--all`` / ``--app NAME``), deploying
-each app on a fresh simulated testbed exactly as the experiments do and
-analyzing the resulting switch.
+The tree lints (determinism, telemetry, fastpath) take file/directory
+paths and share one walk per file; the pipeline and partition verifiers
+need *deployed programs*, so they run over the builtin application
+registry (``--all`` / ``--app NAME``), deploying each app on a fresh
+simulated testbed exactly as the experiments do and analyzing the
+resulting switch. An app that does not deploy ends the command with one
+line naming it and the error (exit 2).
 
 The partition pass additionally produces one shard plan per analyzed
-app. ``--plan`` renders the plans, ``--emit-plans DIR`` writes their
-canonical JSON, and RS408 reports drift between freshly computed plans
-and the committed ``shard_plans/`` artifacts.
+app. ``--plan`` renders the plans and ``--emit-plans DIR`` writes their
+canonical JSON; drift from the committed ``shard_plans/`` is checked at
+every sharded launch (:func:`repro.shard.plan.check_conformance`).
 """
 
 from __future__ import annotations
@@ -28,9 +29,11 @@ from typing import Dict, List, Optional
 from repro.verify.determinism_pass import verify_tree
 from repro.verify.diagnostics import Report, SuppressionIndex
 from repro.verify.partition_pass import (
-    plan_drift, plan_json, render_plan, verify_partition_app,
+    plan_json, render_plan, verify_partition_app,
 )
-from repro.verify.pipeline_pass import verify_app, verify_netchain
+from repro.verify.pipeline_pass import (
+    DeployError, verify_app, verify_netchain,
+)
 from repro.verify.rules import RULES
 
 
@@ -48,39 +51,6 @@ def repo_root() -> str:
 def shard_plan_dir() -> str:
     """Where the committed per-app shard plans live."""
     return os.path.join(repo_root(), "shard_plans")
-
-
-def _check_plan_drift(
-    plans: Dict[str, dict],
-    report: Report,
-    supp: SuppressionIndex,
-    root: str,
-) -> None:
-    """RS408: freshly computed plans must match the committed artifacts.
-
-    Only runs when the committed ``shard_plans/`` directory exists, so a
-    fresh checkout that has never emitted plans is not spammed; once the
-    directory is committed, every analyzed app must have an up-to-date
-    plan in it.
-    """
-    plan_dir = shard_plan_dir()
-    if not os.path.isdir(plan_dir):
-        return
-    for name in sorted(plans):
-        path = os.path.join(plan_dir, f"{name}.json")
-        try:
-            with open(path, encoding="utf-8") as fh:
-                where = plan_drift(plans[name], fh.read())
-            state = None if where is None else f"stale at {where}"
-        except OSError:
-            state = "missing"
-        if state is not None:
-            report.flag(
-                "RS408",
-                f"committed shard plan for app {name!r} is {state}; "
-                "regenerate with 'verify --all --emit-plans shard_plans'",
-                os.path.relpath(path, root), 1, supp, site=f"app={name}",
-            )
 
 
 def run_verify(args: argparse.Namespace) -> int:
@@ -128,14 +98,19 @@ def run_verify(args: argparse.Namespace) -> int:
 
     shared = dict(report=report, suppressions=supp, root=root)
     plans: Dict[str, dict] = {}
-    for name in sorted(apps):
-        verify_app(apps[name], label=name, **shared)
-        plans[name] = verify_partition_app(apps[name], label=name,
-                                           **shared)[1]
-    # The NetChain in-switch store is a deployable switch program too:
-    # verify its ToR pipeline whenever the full app registry is verified.
-    if app == "netchain" or (app is None and (all_targets or not paths)):
-        verify_netchain(**shared)
+    try:
+        for name in sorted(apps):
+            verify_app(apps[name], label=name, **shared)
+            plans[name] = verify_partition_app(apps[name], label=name,
+                                               **shared)[1]
+        # The NetChain in-switch store is a deployable switch program
+        # too: verify its ToR pipeline whenever the full app registry is.
+        if app == "netchain" or (app is None and (all_targets or not paths)):
+            name = "netchain"
+            verify_netchain(**shared)
+    except DeployError as exc:
+        print(f"app {name!r} does not deploy: {exc}", file=sys.stderr)
+        return 2
     if lint_paths:
         verify_tree(lint_paths, **shared)
 
@@ -149,8 +124,6 @@ def run_verify(args: argparse.Namespace) -> int:
             f"wrote {len(plans)} shard plan(s) to {args.emit_plans}",
             file=sys.stderr,
         )
-    else:
-        _check_plan_drift(plans, report, supp, root)
 
     if wanted is not None:
         report.finalize_suppressions(supp, rules=tuple(wanted))

@@ -1,7 +1,7 @@
 """Pass 2: the determinism linter, and the driver of every tree lint.
 
 A *tree lint* is a rule family checked by reading source files rather
-than deployed apps. :func:`verify_tree` runs all four of them: it parses
+than deployed apps. :func:`verify_tree` runs all three of them: it parses
 each ``.py`` file once, registers its suppressions once, and walks its
 AST once with :class:`_FileLint`, which hands every node to the checks
 of each family whose scope covers the file:
@@ -11,15 +11,11 @@ of each family whose scope covers the file:
   on every file but the telemetry machinery itself; RT310's span
   pairing runs once after the walk, across the file set;
 * **RP140-141** fast-path replay (:mod:`repro.verify.fastpath_pass`):
-  RP140 inside the fast-path package, RP141 on every class;
-* **RS410-412** shard hazards (this module), on the shard-boundary
-  packages and ``repro/scenarios.py``.
+  RP140 inside the fast-path package, RP141 on every class.
 
 The scopes are decided once per file, by :func:`_scope`, from its
 repo-relative path, so where the checkout lives never changes what is
-linted. RS410-412 (mutable module globals, stored lambdas, first picks
-from unordered containers) are Python-level hazards that would break a
-multi-process shard split even with perfectly partitioned switch state.
+linted.
 
 The reproduction's headline claim is bit-identical figures: every run of
 an experiment config must produce the same packets, the same counters,
@@ -35,7 +31,8 @@ nondeterminism has actually crept into discrete-event simulators:
   the shared global RNG (seeded by the OS), and ``random.Random()``
   without a seed argument is the same thing in a trenchcoat. Every RNG
   must derive from the experiment seed.
-* **RD203** — iteration over sets: since hash randomization
+* **RD203** — iteration over sets (a loop, a comprehension, or
+  ``iter()``, as in ``next(iter(s))``): since hash randomization
   (PYTHONHASHSEED), set order varies between *processes*, so any set
   iteration whose order reaches output is a heisenbug. Iterate
   ``sorted(...)`` instead.
@@ -83,48 +80,20 @@ _ORDER_INSENSITIVE = frozenset({
     "sorted", "min", "max", "any", "all", "sum", "len", "set", "frozenset",
 })
 
-#: Packages (and the scenario module) whose Python-level state crosses
-#: shard-process boundaries: the RS410-412 scope.
-_SHARD_SCOPES = frozenset({"core", "statestore", "fastpath", "net", "shard",
-                           "scenarios.py"})
 
+def _scope(rel: str) -> str:
+    """The scope component of one file.
 
-def _scope(rel: str) -> Tuple[str, bool]:
-    """(scope component, inside a ``repro`` package) of one file.
-
-    The component is the one after the last ``repro`` directory of the
-    file's repo-relative path: a package (``core``) or a top-level module
+    It is the one after the last ``repro`` directory of the file's
+    repo-relative path: a package (``core``) or a top-level module
     (``scenarios.py``). A file outside any ``repro`` package (a test, a
     fixture tree) is scoped by its parent directory's name.
     """
     parts = rel.replace("\\", "/").split("/")
     for i in range(len(parts) - 2, -1, -1):
         if parts[i] == "repro":
-            return parts[i + 1], True
-    return (parts[-2] if len(parts) > 1 else ""), False
-
-
-def _is_empty_mutable(node: ast.expr) -> bool:
-    if isinstance(node, (ast.List, ast.Set)) and not node.elts:
-        return True
-    if isinstance(node, ast.Dict) and not node.keys:
-        return True
-    return (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id in ("list", "dict", "set")
-        and not node.args and not node.keywords
-    )
-
-
-def _is_unordered(node: ast.expr) -> bool:
-    """A set/dict expression, or a dict view: no order two shards agree on."""
-    if isinstance(node, (ast.Set, ast.SetComp, ast.DictComp)):
-        return True
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-        return node.func.attr in ("values", "keys", "items")
-    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id in ("set", "dict"))
+            return parts[i + 1]
+    return parts[-2] if len(parts) > 1 else ""
 
 
 class _FileLint(ast.NodeVisitor):
@@ -142,9 +111,7 @@ class _FileLint(ast.NodeVisitor):
         self.rel = rel
         self.report = report
         self.supp = supp
-        scope, in_repro = _scope(rel)
-        #: RS410-412 scope; a file outside any repro package is linted as-is.
-        self.shard = scope in _SHARD_SCOPES or not in_repro
+        scope = _scope(rel)
         self.in_fastpath = scope == "fastpath"
         self.imports = astutil.ImportTable()
         #: RT301-306 state; None for the telemetry subsystem, which
@@ -167,8 +134,6 @@ class _FileLint(ast.NodeVisitor):
         self.report.flag(rule_id, message, self.rel, line, self.supp)
 
     def run(self) -> None:
-        if self.shard:
-            self._check_module_body()
         self.visit(self.sf.tree)
         for node in self.calls:
             self._check_call(node)
@@ -280,35 +245,6 @@ class _FileLint(ast.NodeVisitor):
                 iter_node.lineno,
             )
 
-    # -- RS410/411 at module level --------------------------------------------
-
-    def _check_module_body(self) -> None:
-        for stmt in self.sf.tree.body:
-            targets, value = astutil.assignment(stmt)
-            names = [t.id for t in targets if isinstance(t, ast.Name)]
-            if value is not None and _is_empty_mutable(value):
-                for name in names:
-                    self.flag(
-                        "RS410",
-                        f"module-level mutable accumulator {name!r}: "
-                        "per-process state that sharded workers would "
-                        "populate divergently; move it onto a simulator- "
-                        "or engine-owned object",
-                        stmt.lineno,
-                    )
-            if isinstance(stmt, ast.Assign) and isinstance(value, ast.Lambda):
-                for name in names:
-                    self._flag_lambda(f"module name {name!r}", stmt.lineno)
-
-    def _flag_lambda(self, target_desc: str, line: int) -> None:
-        self.flag(
-            "RS411",
-            f"lambda stored on {target_desc}: the owning object cannot "
-            "cross a shard-process boundary (pickle rejects lambdas); "
-            "use a named function or a bound method",
-            line,
-        )
-
     # -- the walk -------------------------------------------------------------
 
     def generic_visit(self, node: ast.AST) -> None:
@@ -322,31 +258,8 @@ class _FileLint(ast.NodeVisitor):
 
     visit_ImportFrom = visit_Import
 
-    def visit_Assign(self, node: Union[ast.Assign, ast.AnnAssign]) -> None:
-        if isinstance(node, ast.Assign):
-            self.assigns.append(node)
-        if self.shard and isinstance(node.value, ast.Lambda):
-            for target in astutil.assignment(node)[0]:
-                if isinstance(target, ast.Attribute):
-                    chain = astutil.attr_chain(target)
-                    self._flag_lambda(
-                        f"instance attribute "
-                        f"{'.'.join(chain) if chain else target.attr}",
-                        node.lineno,
-                    )
-        self.generic_visit(node)
-
-    visit_AnnAssign = visit_Assign
-
-    def visit_Global(self, node: ast.Global) -> None:
-        if self.shard:
-            self.flag(
-                "RS410",
-                f"function rebinds module global(s) "
-                f"{', '.join(node.names)}: per-process simulation state "
-                "that sharded workers would not share",
-                node.lineno,
-            )
+    def visit_Assign(self, node: ast.Assign) -> None:
+        self.assigns.append(node)
         self.generic_visit(node)
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
@@ -373,25 +286,8 @@ class _FileLint(ast.NodeVisitor):
                 ):
                     for gen in a.generators:
                         self._sanctioned.add(id(gen.iter))
-        if (
-            self.shard
-            and isinstance(func, ast.Name) and func.id == "next" and node.args
-        ):
-            inner = node.args[0]
-            if (
-                isinstance(inner, ast.Call)
-                and isinstance(inner.func, ast.Name)
-                and inner.func.id == "iter" and inner.args
-                and _is_unordered(inner.args[0])
-            ):
-                self.flag(
-                    "RS412",
-                    "next(iter(...)) picks the first element of an "
-                    "unordered container: shards filling it independently "
-                    "pick different elements; use sorted(...) or an "
-                    "explicit ordering",
-                    node.lineno,
-                )
+        if isinstance(func, ast.Name) and func.id == "iter" and node.args:
+            self._check_set_iteration(node.args[0])
         self.generic_visit(node)
 
     def visit_For(self, node: ast.For) -> None:
@@ -441,8 +337,7 @@ def verify_tree(
                   if lint.telemetry is not None]
     check_span_pairing(emit_sites, report, suppressions)
     report.analyzed["tree-lint"] = (
-        f"{len(lints)} file(s): {sum(lint.shard for lint in lints)} in "
-        f"shard scope, {len(emit_sites)} emit-site file(s), "
+        f"{len(lints)} file(s): {len(emit_sites)} emit-site file(s), "
         f"{sum(lint.replays for lint in lints)} replay function(s), "
         f"{sum(lint.app_classes for lint in lints)} partitioned app "
         f"class(es)"

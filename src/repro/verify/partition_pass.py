@@ -35,11 +35,8 @@ a mandatory ``shard_reason``) but never a tighter one (RS402).
 
 The result is a deterministic shard plan per app — partitionable state,
 inferred keys and global residue — committed under
-``shard_plans/<app>.json`` (drift is RS408) and rendered by
-``repro.tools verify --plan``.
-
-RS410-412, the Python-level shard hazards, are tree lints: they run in
-the tree-lint driver (:func:`repro.verify.determinism_pass.verify_tree`).
+``shard_plans/<app>.json`` (a sharded launch refuses a drifted one) and
+rendered by ``repro.tools verify --plan``.
 """
 
 from __future__ import annotations
@@ -57,6 +54,7 @@ from repro.net.packet import FlowKey
 from repro.verify import astutil
 from repro.verify.astutil import Frame, Path, Ref, concrete
 from repro.verify.diagnostics import Report, SuppressionIndex
+from repro.verify.pipeline_pass import deployed
 
 # -- the partition-class lattice ----------------------------------------------
 
@@ -628,9 +626,8 @@ def verify_partition_app(
     """Deploy ``factory()`` exactly as the experiments do, run the
     partition analysis, and return (report, shard plan)."""
     from repro.deploy import deploy
-    from repro.net.simulator import Simulator
 
-    dep = deploy(Simulator(seed=0), factory)
+    dep = deployed(deploy, factory)
     report = report if report is not None else Report()
     supp = suppressions if suppressions is not None else SuppressionIndex()
     name = label or getattr(
@@ -670,7 +667,7 @@ def _first_difference(live: object, committed: object, path: str = "$") -> str:
 
 
 def plan_drift(plan: Dict[str, object], committed: str) -> Optional[str]:
-    """RS408, the one comparison ``verify`` and a sharded launch share:
+    """The drift check a sharded launch runs on the committed plan:
     None when ``committed`` is byte-for-byte :func:`plan_json` of the
     live ``plan``, else where it differs — the first differing JSON path
     with both values."""

@@ -24,9 +24,9 @@ pass both exploits and enforces:
   is exactly the per-packet loop P4 cannot express (RP102).
 
 On top of the path summaries the pass checks stage/ALU budgets (RP110),
-mirror-session wiring (RP120–RP123) and the resource declarations
+mirror-session wiring (RP122, RP123) and the resource declarations
 against both :data:`repro.switch.resources.CAPACITY` and the register
-arrays the blocks actually instantiate (RP130–RP133).
+arrays the blocks actually instantiate (RP130, RP132, RP133).
 """
 
 from __future__ import annotations
@@ -447,18 +447,8 @@ class _PipelineAnalyzer(astutil.Walker):
             usage_fn = getattr(comp, "resource_usage", None)
             usage = usage_fn() if callable(usage_fn) else {}
             file, line = astutil.class_site(type(comp))
-            unknown = sorted(set(usage) - set(CAPACITY))
-            if unknown:
-                self.diag(
-                    "RP131",
-                    f"{type(comp).__name__} declares unknown resource(s) "
-                    f"{', '.join(repr(u) for u in unknown)}; valid keys are "
-                    f"the CAPACITY rows ({', '.join(sorted(CAPACITY))})",
-                    file, line, site="",
-                )
             for k, v in usage.items():
-                if k in CAPACITY:
-                    expected[k] = expected.get(k, 0.0) + float(v)
+                expected[k] = expected.get(k, 0.0) + float(v)
             declared = float(usage.get("sram_bits", 0.0))
             actual = self._unclaimed_sram_bits(comp, claimed)
             if actual > declared + 1e-6:
@@ -555,28 +545,10 @@ class _PipelineAnalyzer(astutil.Walker):
         handler_sites: Dict[int, Optional[Tuple[str, int]]] = {}
         handler_rets: Dict[int, List[Path]] = {}
         for sid, session in sessions:
-            file, line = self._owner_site(session, blocks)
-            if session.handler is None:
-                self.diag(
-                    "RP120",
-                    f"mirror session {sid} has no pass handler: the first "
-                    "mirrored copy would raise at runtime (§5.2 requires "
-                    "the egress pipeline to process circulating copies)",
-                    file, line, site=f"switch={asic.name}",
-                )
-            else:
-                hpaths, hsite = self._handler_paths(session.handler)
-                handler_sites[sid] = hsite
-                handler_rets[sid] = hpaths
-                finals += [Path(dict(p.c)) for p in hpaths]
-            if session.truncate_to_bytes is None:
-                self.diag(
-                    "RP121",
-                    f"mirror session {sid} circulates untruncated copies; "
-                    "§5.2 truncates to the RedPlane header so full payloads "
-                    "do not sit in packet buffer (Fig 15)",
-                    file, line, site=f"switch={asic.name}",
-                )
+            hpaths, hsite = self._handler_paths(session.handler)
+            handler_sites[sid] = hsite
+            handler_rets[sid] = hpaths
+            finals += [Path(dict(p.c)) for p in hpaths]
         finals = dedupe(finals)
 
         # RP101 over every composed path.
@@ -630,11 +602,10 @@ class _PipelineAnalyzer(astutil.Walker):
             fn = getattr(type(b), "process", None)
             self._mirror_reach(b, fn, seen, use, release)
         for sid, session in sessions:
-            if session.handler is not None:
-                self._mirror_reach(
-                    getattr(session.handler, "__self__", None),
-                    session.handler, seen, use, release,
-                )
+            self._mirror_reach(
+                getattr(session.handler, "__self__", None),
+                session.handler, seen, use, release,
+            )
         for sid, session in sessions:
             file, line = self._owner_site(session, blocks)
             if sid not in use:
@@ -645,25 +616,39 @@ class _PipelineAnalyzer(astutil.Walker):
                     "resource",
                     file, line, site=f"switch={asic.name}",
                 )
-            if session.handler is not None:
-                releasing = any(
-                    p.ret == "F" for p in handler_rets.get(sid, [])
-                ) or sid in release
-                if not releasing:
-                    hsite = handler_sites.get(sid)
-                    hfile, hline = hsite if hsite else (file, line)
-                    self.diag(
-                        "RP123",
-                        f"the pass handler of mirror session {sid} never "
-                        "returns False and never calls release(): copies "
-                        "circulate forever and exhaust the packet buffer",
-                        hfile, hline, site=f"switch={asic.name}",
-                    )
+            releasing = any(
+                p.ret == "F" for p in handler_rets[sid]
+            ) or sid in release
+            if not releasing:
+                hsite = handler_sites[sid]
+                hfile, hline = hsite if hsite else (file, line)
+                self.diag(
+                    "RP123",
+                    f"the pass handler of mirror session {sid} never "
+                    "returns False and never calls release(): copies "
+                    "circulate forever and exhaust the packet buffer",
+                    hfile, hline, site=f"switch={asic.name}",
+                )
 
         self._check_resources(blocks)
 
 
 # -- public entry points ------------------------------------------------------
+
+
+class DeployError(RuntimeError):
+    """The program under verification raised while it was deployed."""
+
+
+def deployed(deploy_fn, factory):
+    """``deploy_fn(Simulator(seed=0), factory)``, with any failure raised
+    as a :class:`DeployError` that names it."""
+    from repro.net.simulator import Simulator
+
+    try:
+        return deploy_fn(Simulator(seed=0), factory)
+    except Exception as exc:
+        raise DeployError(f"{type(exc).__name__}: {exc}") from exc
 
 
 def verify_asic(
@@ -692,9 +677,8 @@ def verify_app(
     resulting switch program — for a bounded-inconsistency app that
     includes the replicator block ``deploy()`` put in the pipeline."""
     from repro.deploy import deploy
-    from repro.net.simulator import Simulator
 
-    dep = deploy(Simulator(seed=0), factory)
+    dep = deployed(deploy, factory)
     switch = dep.switches[0]
     app = dep.apps[switch.name]
     report = report if report is not None else Report()
@@ -724,10 +708,8 @@ def verify_netchain(
     """
     from repro.apps.counter import SyncCounterApp
     from repro.deploy import deploy_netchain
-    from repro.net.simulator import Simulator
 
-    sim = Simulator(seed=0)
-    dep = deploy_netchain(sim, SyncCounterApp)
+    dep = deployed(deploy_netchain, SyncCounterApp)
     tor = dep.netchain.switch
     report = report if report is not None else Report()
     verify_asic(tor, report=report, suppressions=suppressions, root=root)

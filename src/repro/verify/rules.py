@@ -50,14 +50,6 @@ _RULES = [
     Rule("RP110", "pipeline exceeds the stage budget",
          Severity.ERROR, "pipeline",
          "Table 2: 12 match-action stages x 4 stateful ALUs per stage"),
-    Rule("RP120", "mirror session has no pass handler",
-         Severity.ERROR, "pipeline",
-         "§5.2: a circulating copy with no handler raises at the first "
-         "mirrored packet"),
-    Rule("RP121", "mirror session circulates untruncated copies",
-         Severity.WARNING, "pipeline",
-         "§5.2: copies should be truncated to the RedPlane header, not "
-         "hold full payloads in packet buffer (Fig 15)"),
     Rule("RP122", "mirror session unreachable from any pipeline path",
          Severity.WARNING, "pipeline",
          "a configured session no code path can reach is dead resource"),
@@ -69,10 +61,6 @@ _RULES = [
          Severity.ERROR, "pipeline",
          "Table 2 / resources.CAPACITY: the Tofino compiler rejects "
          "over-budget programs at compile time"),
-    Rule("RP131", "resource declaration names an unknown resource",
-         Severity.ERROR, "pipeline",
-         "resource keys must be CAPACITY rows or Table 2 cannot account "
-         "them"),
     Rule("RP132", "declared SRAM under-counts instantiated stateful objects",
          Severity.ERROR, "pipeline",
          "Table 2: the declared budget must cover every register array "
@@ -177,22 +165,6 @@ _RULES = [
          Severity.WARNING, "partition",
          "the analyzer could not derive the key's packet-field inputs; "
          "the plan conservatively treats the app's state as global"),
-    Rule("RS408", "committed shard plan is stale",
-         Severity.ERROR, "partition",
-         "shard_plans/<app>.json disagrees with the analyzer's output; "
-         "regenerate with 'verify --all --emit-plans shard_plans'"),
-    Rule("RS410", "mutable module-global simulation state",
-         Severity.WARNING, "partition",
-         "module-level mutable accumulators (and 'global' rebinding) are "
-         "per-process: worker shards would silently diverge"),
-    Rule("RS411", "unpicklable callable stored on an instance or module",
-         Severity.WARNING, "partition",
-         "lambdas and nested functions cannot cross a process boundary; "
-         "shard handoff of the owning object would fail to pickle"),
-    Rule("RS412", "order-sensitive first-element pick over a dict/set",
-         Severity.WARNING, "partition",
-         "next(iter(...)) over an unordered container picks a different "
-         "element per process once shards fill containers independently"),
     # -- meta: the suppression mechanism itself ------------------------------
     Rule("QA001", "suppression without a justifying comment",
          Severity.ERROR, "meta",

@@ -61,8 +61,7 @@ def test_release_is_idempotent():
     sink = SinkNode(sim, "sink")
     Link(sim, sw.new_port(), sink.new_port())
     sw.table.add(0, 0, [sw.ports[0]])
-    session = sw.new_mirror_session()
-    session.handler = lambda pkt, meta: True
+    session = sw.new_mirror_session(lambda pkt, meta: True)
     copy = session.mirror(Packet.udp(1, 2, 3, 4))
     assert session.active_copies == 1
     session.release(copy)
@@ -75,9 +74,8 @@ def test_release_is_idempotent():
 def test_released_copy_pass_is_noop():
     sim = Simulator()
     sw = SwitchASIC(sim, "sw", ip=1)
-    session = sw.new_mirror_session()
     passes = []
-    session.handler = lambda pkt, meta: passes.append(1) or True
+    session = sw.new_mirror_session(lambda pkt, meta: passes.append(1) or True)
     copy = session.mirror(Packet.udp(1, 2, 3, 4))
     sim.run(until=5.0)
     assert passes  # circulated a few times

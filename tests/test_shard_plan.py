@@ -1,5 +1,6 @@
-"""Launch-time RS408: ``resolve`` byte-compares the committed plan with
-the one the live code produces, and nothing can switch that off."""
+"""The launch-time drift gate: ``resolve`` byte-compares the committed
+plan with the one the live code produces, and nothing can switch that
+off."""
 
 from __future__ import annotations
 
@@ -54,7 +55,7 @@ def test_resolve_refuses_a_plan_that_differs_from_the_live_code(plans, edit):
     """Drift in a field the runtime reads and in one it never looks at
     are the same refusal: the gate compares bytes, not meanings."""
     _rewrite(plans, edit)
-    with pytest.raises(PlanDriftError, match="RS408"):
+    with pytest.raises(PlanDriftError, match="has drifted from the live code"):
         resolve("nat_steady", 2)
 
 

@@ -134,36 +134,28 @@ def test_buffer_accounting_and_overflow():
 def test_mirror_session_circulates_until_released():
     sim = Simulator()
     sw, _sink = make_switch(sim)
-    session = sw.new_mirror_session(truncate_to_bytes=80)
     passes = []
 
     def handler(pkt, meta):
         passes.append(sim.now)
         return len(passes) < 3
 
-    session.handler = handler
+    session = sw.new_mirror_session(handler)
     big = Packet.udp(1, 2, 3, 4, payload=b"\x00" * 1000)
     session.mirror(big)
-    assert sw.buffer_occupancy == 80  # truncated, not full size
+    # Truncated to the RedPlane header, not full size.
+    assert sw.buffer_occupancy == constants.MIRROR_TRUNCATE_BYTES
     sim.run_until_idle()
     assert len(passes) == 3
     assert sw.buffer_occupancy == 0
     assert session.active_copies == 0
 
 
-def test_mirror_requires_handler():
-    sim = Simulator()
-    sw, _sink = make_switch(sim)
-    session = sw.new_mirror_session()
-    with pytest.raises(RuntimeError):
-        session.mirror(Packet.udp(1, 2, 3, 4))
-
-
 def test_mirror_copy_dies_with_switch():
     sim = Simulator()
     sw, _sink = make_switch(sim)
-    session = sw.new_mirror_session()
-    session.handler = lambda pkt, meta: True  # circulate forever
+    # Circulate forever.
+    session = sw.new_mirror_session(lambda pkt, meta: True)
     session.mirror(Packet.udp(1, 2, 3, 4))
     sim.schedule(5, sw.fail)
     sim.run(until=100)

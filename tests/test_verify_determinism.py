@@ -99,6 +99,26 @@ def test_sorted_set_iteration_is_clean(tmp_path):
     assert report.diagnostics == []
 
 
+def test_order_sensitive_first_pick_is_rd203(tmp_path):
+    """``next(iter(s))`` iterates the set: which element comes first
+    depends on PYTHONHASHSEED. (A dict's first key is its first
+    insertion, so a dict or a dict view is not flagged.)"""
+    report = lint(tmp_path, (
+        "def first_owner(owners, table):\n"
+        "    first = next(iter({o.lower() for o in owners}))\n"
+        "    return first, next(iter(table.keys()))\n"
+    ))
+    assert rules_and_lines(report) == [("RD203", 2)]
+
+
+def test_next_iter_over_sorted_is_clean(tmp_path):
+    report = lint(tmp_path, (
+        "def first_owner(owners):\n"
+        "    return next(iter(sorted(owners)))\n"
+    ))
+    assert report.diagnostics == []
+
+
 # -- RD204: identity ordering -------------------------------------------------
 
 
@@ -204,12 +224,12 @@ def test_repro_source_tree_is_deterministic():
 # -- the tree-lint driver -----------------------------------------------------
 
 #: One fixture per tree-lint scope, by path under ``src/repro``: the
-#: shard-boundary packages (RS410 fires in ``core``, not in ``apps``),
-#: the fast-path package (RP140), emit sites (RT301 fires in ``apps``)
-#: and the telemetry machinery (not an emit site).
+#: fast-path package (RP140 fires there, not in ``core``), emit sites
+#: (RT301 fires in ``apps``) and the telemetry machinery (not an emit
+#: site).
 SCOPE_FIXTURES = {
-    "core/hazard.py": "PENDING = []\n",
-    "apps/emits.py": "PENDING = []\ntracer.emit('packet.teleport', uid=1)\n",
+    "core/replay.py": "def replay_x(switch):\n    switch.mutate()\n",
+    "apps/emits.py": "tracer.emit('packet.teleport', uid=1)\n",
     "fastpath/replay.py": "def replay_x(switch):\n    switch.mutate()\n",
     "telemetry/tracer.py": "tracer.emit('packet.teleport', uid=1)\n",
 }
@@ -230,12 +250,11 @@ def lint_checkout(base):
 def test_scopes_do_not_depend_on_where_the_checkout_lives(tmp_path):
     neutral = lint_checkout(tmp_path / "neutral")
     assert neutral[0] == (
-        "4 file(s): 2 in shard scope, 3 emit-site file(s), 1 replay "
-        "function(s), 0 partitioned app class(es)")
+        "4 file(s): 3 emit-site file(s), 1 replay function(s), 0 "
+        "partitioned app class(es)")
     assert [(rule, file, line) for rule, file, line, _ in neutral[1]] == [
         ("RP140", os.path.join("src", "repro", "fastpath", "replay.py"), 2),
-        ("RS410", os.path.join("src", "repro", "core", "hazard.py"), 1),
-        ("RT301", os.path.join("src", "repro", "apps", "emits.py"), 2),
+        ("RT301", os.path.join("src", "repro", "apps", "emits.py"), 1),
     ]
     # A runner checking out a repository named ``repro`` nests it under
     # ``repro``; ``telemetry`` and ``repro`` above the checkout change

@@ -1,17 +1,14 @@
 """Tests for the partition analyzer (repro.verify pass 5, RS4xx)."""
 
-import argparse
 import inspect
 import json
-import shutil
 
 import pytest
 
 from repro.apps.counter import AsyncCounterApp
 from repro.core.app import AppVerdict
 from repro.net.packet import FlowKey
-from repro.verify import Severity, SuppressionIndex
-from repro.verify.determinism_pass import verify_tree
+from repro.verify import Severity
 from repro.verify.partition_pass import (
     plan_json, render_plan, verify_partition_app,
 )
@@ -31,12 +28,11 @@ def active_rules(report):
 
 def test_partition_rules_are_registered():
     for rule_id in ("RS400", "RS401", "RS402", "RS403", "RS404",
-                    "RS405", "RS407", "RS408",
-                    "RS410", "RS411", "RS412"):
+                    "RS405", "RS407"):
         assert RULES[rule_id].owner == "partition"
-    for rule_id in ("RS400", "RS401", "RS402", "RS403", "RS404", "RS408"):
+    for rule_id in ("RS400", "RS401", "RS402", "RS403", "RS404"):
         assert RULES[rule_id].severity is Severity.ERROR
-    for rule_id in ("RS405", "RS407", "RS410", "RS411", "RS412"):
+    for rule_id in ("RS405", "RS407"):
         assert RULES[rule_id].severity is Severity.WARNING
 
 
@@ -242,7 +238,8 @@ def test_render_plan_mentions_key_and_residue():
 
 
 def test_committed_plans_match_fresh_analysis():
-    """RS408's ground truth: shard_plans/ must track the analyzer."""
+    """shard_plans/ must track the analyzer (a sharded launch refuses a
+    drifted plan; this catches the drift before any launch)."""
     import os
 
     from repro.apps import BUILTIN_APPS
@@ -256,32 +253,6 @@ def test_committed_plans_match_fresh_analysis():
         path = os.path.join(plan_dir, f"{name}.json")
         with open(path, encoding="utf-8") as fh:
             assert fh.read() == plan_json(plan), f"stale plan for {name}"
-
-
-def test_verify_names_the_first_path_a_committed_plan_drifted_at(
-        tmp_path, monkeypatch, capsys):
-    """RS408 from ``verify`` cites where the bytes differ, exactly as the
-    launch-time check does (one comparison, ``plan_drift``)."""
-    from repro.verify import cli
-
-    plans = tmp_path / "shard_plans"
-    shutil.copytree(cli.shard_plan_dir(), plans)
-    plan = json.loads((plans / "nat.json").read_text())
-    plan["partition_class"] = "global"
-    (plans / "nat.json").write_text(plan_json(plan))
-    monkeypatch.setattr(cli, "shard_plan_dir", lambda: str(plans))
-    (tmp_path / "lint").mkdir()
-    parser = argparse.ArgumentParser()
-    cli.register(parser.add_subparsers())
-    args = parser.parse_args(["verify", "--app", "nat", "--rule", "RS408",
-                              "--json", str(tmp_path / "lint")])
-    assert args.run(args) == 1
-    (diag,) = json.loads(capsys.readouterr().out)["diagnostics"]
-    assert diag["rule"] == "RS408"
-    assert diag["message"].startswith(
-        "committed shard plan for app 'nat' is stale at "
-        "$.partition_class: live code has 'flow_local', committed plan "
-        "has 'global'")
 
 
 # -- conformance over the builtin registry ------------------------------------
@@ -310,97 +281,3 @@ def test_every_builtin_app_classifies_cleanly():
         report, plan = analyze(BUILTIN_APPS[name], label=name)
         assert active_rules(report) == [], f"{name}: {active_rules(report)}"
         assert plan["partition_class"] == EXPECTED_CLASSES[name], name
-
-
-# -- RS410/411/412: Python-level shard hazards --------------------------------
-
-
-def lint(tmp_path, source, name="fixture.py"):
-    path = tmp_path / name
-    path.write_text(source)
-    supp = SuppressionIndex()
-    report = verify_tree([str(path)], suppressions=supp)
-    report.finalize_suppressions(supp, rules=("RS",))
-    return report
-
-
-def test_mutable_module_global_is_rs410(tmp_path):
-    report = lint(tmp_path, (
-        "PENDING = []\n"
-        "def enqueue(x):\n"
-        "    PENDING.append(x)\n"
-    ))
-    assert "RS410" in active_rules(report)
-
-
-def test_scenario_registry_is_in_shard_scope(tmp_path):
-    """The scenario drivers run on every shard, so the registry module
-    is linted like the shard-boundary packages."""
-    (tmp_path / "repro").mkdir()
-    report = lint(tmp_path, (
-        "PENDING = []\n"
-        "def enqueue(x):\n"
-        "    PENDING.append(x)\n"
-    ), name="repro/scenarios.py")
-    assert "RS410" in active_rules(report)
-
-
-def test_global_statement_is_rs410(tmp_path):
-    report = lint(tmp_path, (
-        "counter = 0\n"
-        "def bump():\n"
-        "    global counter\n"
-        "    counter += 1\n"
-    ))
-    assert "RS410" in active_rules(report)
-
-
-def test_constant_module_global_is_clean(tmp_path):
-    report = lint(tmp_path, (
-        "LIMIT = 64\n"
-        "NAMES = (\"a\", \"b\")\n"
-    ))
-    assert active_rules(report) == []
-
-
-def test_lambda_on_instance_is_rs411(tmp_path):
-    report = lint(tmp_path, (
-        "class Widget:\n"
-        "    def __init__(self):\n"
-        "        self.scorer = lambda x: x + 1\n"
-    ))
-    assert "RS411" in active_rules(report)
-
-
-def test_order_sensitive_first_pick_is_rs412(tmp_path):
-    report = lint(tmp_path, (
-        "def first_owner(owners):\n"
-        "    return next(iter({o.lower() for o in owners}))\n"
-    ))
-    assert "RS412" in active_rules(report)
-
-
-def test_next_iter_over_sorted_is_clean(tmp_path):
-    report = lint(tmp_path, (
-        "def first_owner(owners):\n"
-        "    return next(iter(sorted(owners)))\n"
-    ))
-    assert active_rules(report) == []
-
-
-def test_hazard_suppression_with_justification(tmp_path):
-    report = lint(tmp_path, (
-        "PENDING = []  # repro: noqa[RS410] -- drained per test\n"
-    ))
-    assert active_rules(report) == []
-    assert [d.rule for d in report.diagnostics if d.suppressed] == ["RS410"]
-
-
-def test_repro_tree_is_hazard_clean():
-    import os
-
-    from repro.verify.cli import source_root
-
-    tree = os.path.join(source_root(), "repro")
-    report = verify_tree([tree])
-    assert active_rules(report) == []

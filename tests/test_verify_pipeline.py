@@ -1,5 +1,6 @@
 """Tests for the pipeline verifier (repro.verify pass 1, RP1xx rules)."""
 
+import argparse
 import inspect
 
 import pytest
@@ -198,13 +199,6 @@ class FreeFunctionBlock(ControlBlock):
         return {"sram_bits": self.reg.sram_bits(), "meter_alus": 1}
 
 
-class MisspelledResourceBlock(GoodBlock):
-    name = "misspelled"
-
-    def resource_usage(self):
-        return {"sram_bitz": self.reg.sram_bits(), "meter_alus": 1}
-
-
 class SuppressedDoubleBlock(ControlBlock):
     name = "suppressed-double"
 
@@ -226,8 +220,7 @@ class LeakyHandlerBlock(ControlBlock):
     name = "leaky"
 
     def __init__(self, switch):
-        self.session = switch.new_mirror_session(truncate_to_bytes=64)
-        self.session.handler = self.on_pass
+        self.session = switch.new_mirror_session(self.on_pass)
 
     def process(self, ctx, switch):
         self.session.mirror(ctx.pkt)
@@ -361,12 +354,16 @@ def test_stage_budget_overflow_detected():
 # -- RP12x: mirror sessions ---------------------------------------------------
 
 
+def _release_on_first_pass(pkt, meta):
+    return False
+
+
 def test_unwired_mirror_session_flagged():
     sw = fresh_switch()
-    sw.new_mirror_session()  # no handler, no truncation, never mirrored to
+    sw.new_mirror_session(_release_on_first_pass)  # never mirrored to
     report = run_pass(sw)
     rules = sorted({d.rule for d in report.diagnostics})
-    assert rules == ["RP120", "RP121", "RP122"]
+    assert rules == ["RP122"]
 
 
 def test_leaky_handler_flagged():
@@ -378,7 +375,6 @@ def test_leaky_handler_flagged():
     assert hits[0].line == inspect.unwrap(
         LeakyHandlerBlock.on_pass
     ).__code__.co_firstlineno
-    assert not report.by_rule("RP120")
     assert not report.by_rule("RP122")
 
 
@@ -401,21 +397,6 @@ def test_under_declared_sram_detected():
     hits = report.by_rule("RP132")
     assert len(hits) == 1
     assert "UnderDeclaredBlock" in hits[0].message
-
-
-def test_unknown_resource_key_is_rp131():
-    """add_block() raises on the key at runtime; a block put in the
-    pipeline without registering it reaches only the static check."""
-    with pytest.raises(KeyError, match="sram_bitz"):
-        fresh_switch().add_block(MisspelledResourceBlock())
-    sw = fresh_switch()
-    sw.pipeline.append(MisspelledResourceBlock())
-    report = run_pass(sw)
-    hits = report.by_rule("RP131")
-    assert len(hits) == 1
-    assert "MisspelledResourceBlock declares unknown resource(s) " \
-        "'sram_bitz'" in hits[0].message
-    assert hits[0].line == line_of(MisspelledResourceBlock, "class ")
 
 
 def test_ledger_out_of_sync_detected():
@@ -443,6 +424,33 @@ def test_suppressed_double_access_keeps_exit_code_zero():
     assert report.exit_code() == 0
     assert not report.by_rule("QA001")
     assert not report.by_rule("QA002")
+
+
+# -- an app that does not deploy ----------------------------------------------
+
+
+def test_an_app_that_does_not_deploy_is_one_line_and_exit_2(
+        monkeypatch, capsys):
+    """The resource ledger's KeyError is the only check on an unknown
+    resource key: ``verify`` reports it as one line naming the app, not
+    as a traceback."""
+    from repro.apps.counter import SyncCounterApp
+    from repro.verify import cli
+
+    class MisdeclaredApp(SyncCounterApp):
+        def resource_usage(self):
+            return {**super().resource_usage(), "bogus_units": 1}
+
+    monkeypatch.setitem(BUILTIN_APPS, "misdeclared", MisdeclaredApp)
+    parser = argparse.ArgumentParser()
+    cli.register(parser.add_subparsers())
+    for argv in (["verify", "--app", "misdeclared"], ["verify", "--all"]):
+        args = parser.parse_args(argv)
+        assert args.run(args) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("app 'misdeclared' does not deploy: KeyError: "
+                       "\"unknown resource 'bogus_units'\"\n")
 
 
 # -- the builtin applications (satellite: the RP132 sweep) --------------------

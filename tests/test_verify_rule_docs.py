@@ -1,5 +1,6 @@
 """docs/VERIFY.md documents exactly the rules the analyzer registers,
-and every test its rule tables name as a rule's firing test exists."""
+every test its rule tables name as a rule's firing test exists, and
+every rule row carries its audit."""
 
 import ast
 import os
@@ -9,12 +10,14 @@ from repro.verify.rules import RULES
 
 ROOT = os.path.normpath(os.path.join(os.path.dirname(__file__), ".."))
 
-#: One rule-table row: ``| ID | severity | meaning | fires in | ... |``.
+#: One rule-table row: ``| ID | severity | meaning | fires in | flagged
+#: real code | premise | runtime twin | only this rule |``.
 _ROW = re.compile(r"^\| ([A-Z]{2}\d{3}) \| (\w+) \|(.*)$")
 
 
 def _rule_rows():
-    """``id -> (severity, firing-test names)`` from the docs' tables."""
+    """``id -> (severity, firing-test names, audit cells)`` from the
+    docs' tables."""
     with open(os.path.join(ROOT, "docs", "VERIFY.md")) as f:
         lines = f.read().splitlines()
     rows = {}
@@ -24,8 +27,9 @@ def _rule_rows():
             continue
         rule_id, severity, rest = match.groups()
         assert rule_id not in rows, f"{rule_id} documented twice"
-        fires_in = rest.split(" | ")[1]
-        rows[rule_id] = (severity, re.findall(r"`(test_\w+)`", fires_in))
+        cells = [c.strip() for c in rest.strip().strip("|").split(" | ")]
+        rows[rule_id] = (severity, re.findall(r"`(test_\w+)`", cells[1]),
+                         cells[3:])
     return rows
 
 
@@ -45,13 +49,23 @@ def _test_functions():
 def test_documented_rules_are_the_registered_rules():
     rows = _rule_rows()
     assert sorted(rows) == sorted(RULES)
-    for rule_id, (severity, _tests) in rows.items():
+    for rule_id, (severity, _tests, _audit) in rows.items():
         assert severity == RULES[rule_id].severity.value, rule_id
 
 
 def test_every_documented_firing_test_exists():
     defined = _test_functions()
     rows = _rule_rows()
-    named = {test for _severity, tests in rows.values() for test in tests}
-    assert all(tests for _severity, tests in rows.values())
+    named = {test for _severity, tests, _audit in rows.values()
+             for test in tests}
+    assert all(tests for _severity, tests, _audit in rows.values())
     assert sorted(named - defined) == []
+
+
+def test_every_rule_row_fills_its_audit():
+    """*Premise*, *Runtime twin* and *Only this rule*, right of the
+    census: no rule is kept or added without saying which defect only
+    it catches."""
+    for rule_id, (_severity, _tests, audit) in _rule_rows().items():
+        assert len(audit) == 3, rule_id
+        assert all(cell not in ("", "—", "-") for cell in audit), rule_id
