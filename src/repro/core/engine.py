@@ -34,7 +34,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple, cast
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.mutation import mutation_active
 from repro.net import constants
@@ -115,11 +115,10 @@ class HistoryEvent:
 class RetransmitState:
     """Backoff state of one circulating truncated request copy (§5.2).
 
-    Lives on the mirror copy's metadata under the ``"rtx"`` slot and is
-    the single mutable record the pass handler reads and writes each
-    egress pass. It decides when the copy is resent, never whether it is
-    released: the event that settles the request does that
-    (:meth:`RedPlaneEngine._release`).
+    Lives on the mirror copy as its ``state`` and is the single mutable
+    record the pass handler reads and writes each egress pass. It decides
+    when the copy is resent, never whether it is released: the event that
+    settles the request does that (:meth:`RedPlaneEngine._release`).
     """
 
     kind: str             # "write" | "lease_new" | "renew" | "snapshot"
@@ -718,7 +717,7 @@ class RedPlaneEngine(ControlBlock):
         if replaced is not None:
             self.mirror.release(replaced)
         copies[msg.seq] = self.mirror.mirror(
-            req, meta={"rtx": rtx, "next_pass_us": rtx.timeout_us}
+            req, rtx, rtx.sent_at + rtx.timeout_us
         )
 
     def _release(
@@ -742,17 +741,17 @@ class RedPlaneEngine(ControlBlock):
             copy = copies.pop(seq)
             if not copy.released:
                 self.mirror.release(copy)
-                settled.append((seq, cast(RetransmitState, copy.meta["rtx"])))
+                settled.append((seq, copy.state))
         if not copies:
             del self._inflight[key]
         return settled
 
-    def _mirror_pass(self, pkt: Packet, meta: Dict[str, object]) -> bool:
+    def _mirror_pass(self, rtx: RetransmitState) -> float:
         """One egress pass of a circulating copy: resend it if its deadline
-        passed. Releasing is not this handler's job (see :meth:`_release`)."""
-        rtx = cast(RetransmitState, meta["rtx"])
+        passed, and return the time of its next pass, the deadline.
+        Releasing is not this handler's job (see :meth:`_release`)."""
         now = self.switch.sim.now
-        if now - rtx.sent_at >= rtx.timeout_us:
+        if now >= rtx.sent_at + rtx.timeout_us:
             resend = self._send_request(None, rtx.msg, parent_uid=rtx.uid)
             new_uid: int = resend.meta["uid"]  # type: ignore[assignment]
             self._c["retransmissions"].inc()
@@ -775,9 +774,7 @@ class RedPlaneEngine(ControlBlock):
                 rtx.timeout_us * constants.RETRANSMIT_BACKOFF,
                 constants.RETRANSMIT_TIMEOUT_MAX_US,
             )
-        # Skip the no-op recirculation passes until the deadline.
-        meta["next_pass_us"] = max(0.0, rtx.sent_at + rtx.timeout_us - now)
-        return True
+        return rtx.sent_at + rtx.timeout_us
 
     # ------------------------------------------------------------------
     # misc helpers
@@ -921,9 +918,12 @@ class RedPlaneEngine(ControlBlock):
     def resource_usage(self) -> Dict[str, float]:
         """RedPlane's *additional* ASIC resources (Table 2 inventory).
 
-        Per-flow SRAM: 96 register bits (lease expiry, current seq, last
-        acked — packed as in the prototype) plus a 128-bit flow-index table
-        entry. TCAM: two 4096-entry range-match tables (ack processing and
+        Per-flow SRAM: 96 register bits plus a 128-bit flow-index table
+        entry, the prototype's figure as transcribed from Table 2 (lease
+        expiry, current seq, last acked, packed). This engine instantiates
+        five arrays instead — 64 + 32 + 32 + 1 + 64 = 193 bits per flow,
+        plus 32 per app state field; ROADMAP item 19(c) reconciles the
+        two. TCAM: two 4096-entry range-match tables (ack processing and
         request-timeout checks). The fixed-function counts (ALUs, gateways,
         VLIW slots, crossbar and hash bits) come from the block inventory.
         """

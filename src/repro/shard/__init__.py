@@ -18,7 +18,7 @@ module             role
 ``plan``           committed-plan loading, legality, launch-time drift gate
 ``assign``         flow -> shard hashing from the plan's partition key
 ``recorder``       per-shard sidecar: origin ranks and the one ordered log
-``frames``         length-prefixed worker report frames (3 types)
+``frames``         worker report messages: pickled (type, body) (3 types)
 ``runner``         reference / inline / process drive modes + identity gate
 ``worker``         forked-process workers + the parent's collect loop
 ``merge``          one-pass log merge, ghost subtraction, merged fingerprint

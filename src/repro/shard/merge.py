@@ -88,15 +88,13 @@ def _rekey_uids(res: Dict[str, Any], label: str) -> List[tuple]:
     different one on every replica; its birth key is the same on all of
     them, which is what lets shared entries be compared directly.
     """
-    log = [tuple(entry) for entry in res["log"]]
+    log = res["log"]
     born = [(rank, idx) for _ts, rank, idx, kind, _p in log if kind == K_BIRTH]
     out: List[tuple] = []
     for entry in log:
         ts, rank, idx, kind, payload = entry
         if kind == K_RECORD:
-            # Tuples whether or not the log crossed a (JSON) frame.
             type_, keys, values = payload
-            keys = tuple(keys)
             values = list(values)
             for i, (key, value) in enumerate(zip(keys, values)):
                 if key in UID_FIELDS and isinstance(value, int):
@@ -106,7 +104,7 @@ def _rekey_uids(res: Dict[str, Any], label: str) -> List[tuple]:
                             "references a uid never born on that replica"
                         )
                     values[i] = born[value - 1]
-            entry = (ts, rank, idx, kind, [type_, keys, tuple(values)])
+            entry = (ts, rank, idx, kind, (type_, keys, tuple(values)))
         out.append(entry)
     return out
 

@@ -39,14 +39,12 @@ from repro.telemetry.trace import TraceRecord
 #: these are shared entries like any shared-rank emission.
 DRIVER_RANK = -1
 
-#: Log entry kinds and their payloads (lists, so an entry reads the same
-#: whether it reached the merge in-process or through a JSON frame; a
-#: record's ``keys`` and ``values`` are the record's own tuples, which a
-#: frame turns into lists and the merge turns back).
+#: Log entry kinds and their payloads (a record's ``keys`` and
+#: ``values`` are the record's own tuples).
 K_BIRTH = "birth"  # None; the n-th birth of a run is its local uid n
-K_RECORD = "record"  # [type, keys, values]
-K_OBSERVATION = "observation"  # [describe, value, max_samples]
-K_GAUGE_OP = "gauge_op"  # [describe, op, amount]
+K_RECORD = "record"  # (type, keys, values)
+K_OBSERVATION = "observation"  # (describe, value, max_samples)
+K_GAUGE_OP = "gauge_op"  # (describe, op, amount)
 
 
 class _CountingRandom(random.Random):
@@ -191,7 +189,7 @@ class ShardRecorder:
 
     def _on_trace_emit(self, record: TraceRecord) -> None:
         self._log(record.ts, K_RECORD,
-                  [record.type, record.keys, record.values])
+                  (record.type, record.keys, record.values))
 
     def _on_instrument(self, inst: Any) -> None:
         if isinstance(inst, Histogram):
@@ -201,7 +199,7 @@ class ShardRecorder:
 
     def _on_observe(self, hist: Histogram, value: float) -> None:
         self._log(self.sim.now, K_OBSERVATION,
-                  [hist.describe(), value, hist.max_samples])
+                  (hist.describe(), value, hist.max_samples))
 
     def _on_gauge_change(self, gauge: Gauge, op: str, amount: float) -> None:
         # ``set_max`` amounts are *local* absolutes (the shard's own
@@ -209,12 +207,12 @@ class ShardRecorder:
         # peaks by replaying the source gauge's add/set stream instead.
         if op != "set_max":
             self._log(self.sim.now, K_GAUGE_OP,
-                      [gauge.describe(), op, float(amount)])
+                      (gauge.describe(), op, float(amount)))
 
     # -- export ---------------------------------------------------------------
 
     def result(self) -> Dict[str, Any]:
-        """Plain-data shard result, JSON-serializable for worker frames."""
+        """Plain-data shard result: what a worker's ``RESULT`` carries."""
         sim = self.sim
         return {
             "shard": self.shard_index,
@@ -230,7 +228,7 @@ class ShardRecorder:
             "rank_count": self._next_rank,
             "flow_ranks": sorted(self.flow_ranks),
             "owned_flow_ranks": sorted(self.owned_flow_ranks),
-            "log": [list(entry) for entry in self.log],
+            "log": self.log,
             "metrics": sim.metrics.snapshot(),
             "final_now": sim.now,
         }

@@ -10,9 +10,9 @@ Three drive modes share one scenario definition from the registry
   process. Deterministic, debuggable, and the mode the identity tests
   use;
 * **process** — shards run in worker processes forked from this one
-  (POSIX only), which report over length-prefixed frames
-  (:mod:`repro.shard.worker`) — the mode ``python -m bench run`` times
-  as ``flow_churn_shard2``.
+  (POSIX only), which report as pickled ``(type, body)`` messages over
+  a pipe (:mod:`repro.shard.worker`) — the mode ``python -m bench run``
+  times as ``flow_churn_shard2``.
 
 In both sharded modes a shard is :func:`run_one_shard` running its
 scenario straight through with ``sim.run(until=...)``: every shard
@@ -184,7 +184,7 @@ def run_sharded(
 
     Returns the merged result (see :func:`repro.shard.merge.merge_results`)
     plus per-shard wall times. ``mode`` is ``"inline"`` (sequential,
-    this process) or ``"process"`` (forked workers reporting frames).
+    this process) or ``"process"`` (forked workers reporting over pipes).
     """
     if mode == "process":
         from repro.shard.worker import run_process_shards

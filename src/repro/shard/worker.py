@@ -1,4 +1,4 @@
-"""Forked shard workers and their frame protocol.
+"""Forked shard workers and their report protocol.
 
 Process mode (POSIX only): the parent forks one worker per shard, so
 each starts from the parent's already-imported modules and its resolved
@@ -8,12 +8,12 @@ re-resolved in the child. It connects each over a
 the parent or on each other: every shard runs the whole topology and
 admits only its own flows, so there is nothing to synchronize (see
 docs/SHARDING.md, "Why there is no clock synchronisation"). All
-traffic is worker -> parent, in length-prefixed frames
-(:mod:`repro.shard.frames`): one ``PROGRESS`` per ``pace()`` boundary
-reached, finally ``RESULT`` (the full shard result) or ``ERROR``. The
-worker then closes its end and exits; bytes written to a pipe outlive
-the writer's ``close``, so the parent needs no acknowledgement to read
-them.
+traffic is worker -> parent, one pickled ``(type, body)`` message per
+frame of the pipe (:mod:`repro.shard.frames`): one ``PROGRESS`` per
+``pace()`` boundary reached, finally ``RESULT`` (the shard result dict
+as the worker built it) or ``ERROR``. The worker then closes its end
+and exits; bytes written to a pipe outlive the writer's ``close``, so
+the parent needs no acknowledgement to read them.
 
 ``PROGRESS`` is liveness only — it restarts the parent's stall clock
 and is never answered or compared across shards.
@@ -32,7 +32,7 @@ from typing import Any, Dict, List, Optional
 from repro.shard.frames import F_ERROR, F_PROGRESS, F_RESULT, FrameConn
 from repro.shard.runner import ShardRunConfig, run_one_shard
 
-#: The parent gives up when no worker has framed anything for this long:
+#: The parent gives up when no worker has sent anything for this long:
 #: "no shard reached a ``pace()`` boundary in 300 s". A worker that dies
 #: is caught at once by its closed pipe; this bound is for one that is
 #: alive but hung.
@@ -108,7 +108,7 @@ def run_process_shards(config: ShardRunConfig) -> List[Dict[str, Any]]:
                     ftype, body = fc.recv()
                 except (EOFError, OSError) as exc:
                     # The worker closed its pipe without RESULT or ERROR:
-                    # killed, or crashed before it could frame anything.
+                    # killed, or crashed before it could send anything.
                     procs[index].join(timeout=5.0)
                     raise RuntimeError(
                         f"shard worker {index} died before sending a "

@@ -12,24 +12,26 @@ current and peak occupancy, which is what Fig 15 measures via queue-depth
 metadata.
 
 A circulating copy is never transmitted (a resend is a fresh packet the
-pass handler builds), so the simulator keeps no copy of its bytes: a
-:class:`MirrorCopy` is a reference to the mirrored packet plus the
-truncated size it occupies in the buffer.
+pass handler builds from the copy's state), so the simulator keeps no
+copy of its bytes: a :class:`MirrorCopy` is a reference to the mirrored
+packet, the owner's retransmission state and the truncated size it
+occupies in the buffer.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, TYPE_CHECKING
+from typing import Callable, TYPE_CHECKING
 
 from repro.net import constants
 from repro.net.packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.engine import RetransmitState
     from repro.switch.asic import SwitchASIC
 
-#: Handler invoked on each recirculation pass; returns True to keep the
-#: copy circulating, False to release it.
-PassHandler = Callable[[Packet, Dict[str, object]], bool]
+#: Handler invoked on each pass of a copy with the copy's state; returns
+#: the absolute simulated time of the copy's next pass.
+PassHandler = Callable[["RetransmitState"], float]
 
 
 class MirrorCopy:
@@ -37,20 +39,22 @@ class MirrorCopy:
 
     ``pkt`` is the mirrored packet itself, by reference: the copy is never
     sent, so it needs no bytes of its own, only ``size``, the truncated
-    bytes it holds in the packet buffer. In hardware the copy passes
-    through egress every pass interval and the pipeline drops it as soon
-    as its acknowledgment has been seen. The simulator models that with
-    events at the *action* times only (the retransmission deadline), so
-    whoever processes the acknowledgment must call
+    bytes it holds in the packet buffer; ``state`` is the owner's
+    retransmission state, handed to the pass handler. In hardware the
+    copy passes through egress every pass interval and the pipeline drops
+    it as soon as its acknowledgment has been seen. The simulator models
+    that with events at the *action* times only (the retransmission
+    deadlines), so whoever processes the acknowledgment must call
     :meth:`MirrorSession.release` — that is the "drop on next pass",
     collapsed to zero delay.
     """
 
-    __slots__ = ("pkt", "meta", "size", "event", "released")
+    __slots__ = ("pkt", "state", "size", "event", "released")
 
-    def __init__(self, pkt: Packet, meta: Dict[str, object], size: int) -> None:
+    def __init__(self, pkt: Packet, state: "RetransmitState",
+                 size: int) -> None:
         self.pkt = pkt
-        self.meta = meta
+        self.state = state
         self.size = size
         self.event = None
         self.released = False
@@ -80,20 +84,20 @@ class MirrorSession:
         return int(self._g_active.value)
 
     def mirror(
-        self, pkt: Packet, meta: Optional[Dict[str, object]] = None
+        self, pkt: Packet, state: "RetransmitState", first_pass_at: float
     ) -> MirrorCopy:
-        """Mirror a truncated copy of ``pkt`` into the egress pipeline.
-        ``meta`` becomes the copy's own handler state; its
-        ``next_pass_us`` slot, if set, puts the first pass that far out,
-        as the handler's does for later passes."""
+        """Mirror a truncated copy of ``pkt`` into the egress pipeline,
+        carrying ``state``; its first pass is at ``first_pass_at``."""
         size = min(constants.MIRROR_TRUNCATE_BYTES, pkt.byte_size())
-        copy = MirrorCopy(pkt, {} if meta is None else meta, size)
+        copy = MirrorCopy(pkt, state, size)
         self._g_active.add(1)
         self._c_mirrored.inc()
         self.asic.buffer_acquire(size)
-        copy.event = self.asic.sim.schedule(
-            max(constants.MIRROR_PASS_US,
-                float(copy.meta.pop("next_pass_us", 0.0))),
+        # Every pass is at an absolute time, never sooner than one pass
+        # interval from now (as in :meth:`_one_pass`).
+        sim = self.asic.sim
+        copy.event = sim.schedule_at(
+            max(first_pass_at, sim.now + constants.MIRROR_PASS_US),
             self._one_pass, copy,
         )
         return copy
@@ -117,16 +121,8 @@ class MirrorSession:
             # The switch died with the copy in its buffer; state is gone.
             self.release(copy)
             return
-        keep = self.handler(copy.pkt, copy.meta)
-        if keep:
-            # Schedule the next *action* pass; the handler may set
-            # ``meta['next_pass_us']`` to skip the no-op recirculations
-            # between now and the retransmission deadline (pure
-            # event-count savings; releases happen via release()).
-            delay = max(
-                constants.MIRROR_PASS_US,
-                float(copy.meta.pop("next_pass_us", 0.0)),
-            )
-            copy.event = self.asic.sim.schedule(delay, self._one_pass, copy)
-        else:
-            self.release(copy)
+        sim = self.asic.sim
+        copy.event = sim.schedule_at(
+            max(self.handler(copy.state), sim.now + constants.MIRROR_PASS_US),
+            self._one_pass, copy,
+        )

@@ -284,6 +284,15 @@ def first_member(container: object) -> Optional[object]:
     return None
 
 
+def member_key(collection: Ref) -> Tuple:
+    """The key every member of ``collection`` is accessed under, whether
+    a loop binds it or a subscript selects it: the member a subscript
+    selects is one of those a loop touches, so the two count together."""
+    if collection.member:
+        return collection.key + ("[*]",)
+    return ("member", id(collection.exemplar))
+
+
 class Frame:
     """One function being walked."""
 
@@ -471,10 +480,9 @@ class Walker:
             member = first_member(container)
             if member is None:
                 return None
-            # Subscripting *selects* one member per packet: width unchanged.
-            if base.member:
-                return Ref(member, base.key + ("[]",), base.width, True)
-            return Ref(member, ("sub", id(container)), base.width, True)
+            # Subscripting *selects* one member per packet: width
+            # unchanged, key shared with a loop over the collection.
+            return Ref(member, member_key(base), base.width, True)
         return None
 
     def method(self, ref: Optional[Ref], name: str) -> Optional[FunctionType]:
@@ -501,11 +509,8 @@ class Walker:
             return None, False
         if not items:
             return None, True
-        if ref.member:
-            return Ref(items[0], ref.key + ("[*]",),
-                       ref.width * len(items), True), False
-        return Ref(items[0], ("iter", id(ref.exemplar)),
-                   len(items), True), False
+        return Ref(items[0], member_key(ref), ref.width * len(items),
+                   True), False
 
     def bind_loop(self, target: ast.AST, iter_node: ast.AST, value: object,
                   frame: Frame) -> Tuple[Tuple, bool]:

@@ -181,8 +181,10 @@ class _PipelineAnalyzer(astutil.Walker):
             if ref.member and ref.width > 1:
                 name = f"{name}[*]"
             self.key_names[key] = name
-            self.key_widths[key] = ref.width
             self.key_sites[key] = (frame.file, node.lineno, self.site)
+        # A loop and a subscript share a key, but only the loop touches
+        # every member: the widest use sets the key's stage cost.
+        self.key_widths[key] = max(self.key_widths.get(key, 1), ref.width)
         if frame.loops:
             prefixes = frame.loops[-1]
             if not any(key[: len(p)] == p for p in prefixes):
@@ -543,11 +545,9 @@ class _PipelineAnalyzer(astutil.Walker):
         # recirculation pass is its own packet context).
         sessions = sorted(asic._mirror_sessions.items())
         handler_sites: Dict[int, Optional[Tuple[str, int]]] = {}
-        handler_rets: Dict[int, List[Path]] = {}
         for sid, session in sessions:
             hpaths, hsite = self._handler_paths(session.handler)
             handler_sites[sid] = hsite
-            handler_rets[sid] = hpaths
             finals += [Path(dict(p.c)) for p in hpaths]
         finals = dedupe(finals)
 
@@ -616,17 +616,14 @@ class _PipelineAnalyzer(astutil.Walker):
                     "resource",
                     file, line, site=f"switch={asic.name}",
                 )
-            releasing = any(
-                p.ret == "F" for p in handler_rets[sid]
-            ) or sid in release
-            if not releasing:
+            if sid not in release:
                 hsite = handler_sites[sid]
                 hfile, hline = hsite if hsite else (file, line)
                 self.diag(
                     "RP123",
-                    f"the pass handler of mirror session {sid} never "
-                    "returns False and never calls release(): copies "
-                    "circulate forever and exhaust the packet buffer",
+                    "nothing reachable from the pipeline or the pass "
+                    f"handler of mirror session {sid} calls release(): "
+                    "copies circulate forever and exhaust the packet buffer",
                     hfile, hline, site=f"switch={asic.name}",
                 )
 

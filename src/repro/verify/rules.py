@@ -53,10 +53,10 @@ _RULES = [
     Rule("RP122", "mirror session unreachable from any pipeline path",
          Severity.WARNING, "pipeline",
          "a configured session no code path can reach is dead resource"),
-    Rule("RP123", "mirror pass handler can never release its copies",
+    Rule("RP123", "no code path releases a mirror session's copies",
          Severity.ERROR, "pipeline",
-         "a handler with no releasing path circulates copies forever and "
-         "exhausts the packet buffer"),
+         "a session whose copies nothing releases circulates them forever "
+         "and exhausts the packet buffer"),
     Rule("RP130", "declared resource usage exceeds chip capacity",
          Severity.ERROR, "pipeline",
          "Table 2 / resources.CAPACITY: the Tofino compiler rejects "

@@ -61,8 +61,8 @@ def test_release_is_idempotent():
     sink = SinkNode(sim, "sink")
     Link(sim, sw.new_port(), sink.new_port())
     sw.table.add(0, 0, [sw.ports[0]])
-    session = sw.new_mirror_session(lambda pkt, meta: True)
-    copy = session.mirror(Packet.udp(1, 2, 3, 4))
+    session = sw.new_mirror_session(lambda state: sim.now + 1.0)
+    copy = session.mirror(Packet.udp(1, 2, 3, 4), None, 1.0)
     assert session.active_copies == 1
     session.release(copy)
     session.release(copy)
@@ -75,10 +75,11 @@ def test_released_copy_pass_is_noop():
     sim = Simulator()
     sw = SwitchASIC(sim, "sw", ip=1)
     passes = []
-    session = sw.new_mirror_session(lambda pkt, meta: passes.append(1) or True)
-    copy = session.mirror(Packet.udp(1, 2, 3, 4))
+    # A pass asked for at time 0 is clamped to one pass interval out.
+    session = sw.new_mirror_session(lambda state: passes.append(sim.now) or 0.0)
+    copy = session.mirror(Packet.udp(1, 2, 3, 4), None, 0.0)
     sim.run(until=5.0)
-    assert passes  # circulated a few times
+    assert passes == [1.0, 2.0, 3.0, 4.0, 5.0]
     count = len(passes)
     session.release(copy)
     sim.run(until=50.0)
@@ -306,16 +307,20 @@ def test_a_copy_takes_its_first_pass_at_its_deadline(monkeypatch):
     eng.shutdown()
 
 
-def test_a_never_acked_request_resends_on_the_backoff_ladder():
+@pytest.mark.parametrize("send_at", [1_000.0, 0.1, 77.7])
+def test_a_never_acked_request_resends_on_the_backoff_ladder(send_at):
     """48 us doubling to the 5 ms cap after seven resends, then every
-    5 ms for as long as the request is outstanding. (A send at a whole
-    microsecond keeps every deadline exact in binary floating point.)"""
-    sim, eng, resent = _never_acked(send_at=1_000.0)
-    sim.run(until=1_000.0 + 26_000.0)
+    5 ms for as long as the request is outstanding — at any send time.
+    Each pass is scheduled at the absolute deadline it tests against, so
+    no rounding of a relative delay can find the deadline one step
+    ahead and slip the resend to the next 1 us pass (sent at 77.7 us, a
+    relative delay resent at +145 us instead of +144)."""
+    sim, eng, resent = _never_acked(send_at=send_at)
+    sim.run(until=send_at + 26_000.0)
     eng.shutdown()
     ladder = [48, 144, 336, 720, 1_488, 3_024, 6_096]
     ladder += [6_096 + 5_000 * k for k in range(1, 4)]
-    assert [t - 1_000.0 for t in resent] == ladder
+    assert [t - send_at for t in resent] == pytest.approx(ladder, abs=1e-6)
     assert eng.stats["retransmissions"] == len(ladder)
 
 
@@ -331,7 +336,7 @@ def _released_requests(monkeypatch):
 
     def mirror_request(self, msg, key, req):
         real_mirror(self, msg, key, req)
-        rtx = self._inflight[key][msg.seq].meta["rtx"]
+        rtx = self._inflight[key][msg.seq].state
         first_sent[id(rtx)] = (rtx, self.switch.sim.now)
 
     def release(self, key, upto_seq=math.inf):

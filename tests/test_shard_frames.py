@@ -1,22 +1,19 @@
-"""Length-prefixed frame protocol: round trips, ordering, error paths."""
+"""Worker report messages: three types, pipe round trips, error paths."""
 
 from __future__ import annotations
 
-import json
 import multiprocessing
+import pickle
 
 import pytest
 
 from repro.shard import frames
-from repro.shard.frames import (
-    F_ERROR,
-    F_PROGRESS,
-    F_RESULT,
-    MAX_FRAME_BYTES,
-    FrameConn,
-    pack_frame,
-    unpack_frame,
-)
+from repro.shard.frames import F_ERROR, F_PROGRESS, F_RESULT, FrameConn
+
+
+def _pipe():
+    a, b = multiprocessing.Pipe()
+    return FrameConn(a), FrameConn(b)
 
 
 def test_the_protocol_has_exactly_three_frame_types():
@@ -26,65 +23,49 @@ def test_the_protocol_has_exactly_three_frame_types():
     assert len({F_PROGRESS, F_RESULT, F_ERROR}) == 3
 
 
-def test_round_trip():
-    body = {"shard": 3, "now": 12.5, "items": [1, 2, 3], "name": "x"}
-    ftype, decoded, consumed = unpack_frame(pack_frame(F_PROGRESS, body))
-    assert ftype == F_PROGRESS
-    assert decoded == body
-    assert consumed == len(pack_frame(F_PROGRESS, body))
-
-
-def test_key_order_survives_the_round_trip():
-    """Trace-record field dicts carry semantic insertion order; a frame
-    hop must not alphabetize them."""
-    body = {"fields": {"zebra": 1, "alpha": 2, "mid": 3}}
-    _ftype, decoded, _ = unpack_frame(pack_frame(F_RESULT, body))
-    assert list(decoded["fields"]) == ["zebra", "alpha", "mid"]
-    raw = pack_frame(F_RESULT, body)
-    assert raw[5:].decode().index("zebra") < raw[5:].decode().index("alpha")
-
-
-def test_truncated_and_malformed_frames_raise():
-    good = pack_frame(F_PROGRESS, {"shard": 0})
-    with pytest.raises(ValueError):
-        unpack_frame(good[:3])  # missing length prefix
-    with pytest.raises(ValueError):
-        unpack_frame(good[:-2])  # body shorter than the prefix claims
-    with pytest.raises(ValueError, match="JSON object"):
-        unpack_frame(b"\x00\x00\x00\x03\x01[]")  # array, not an object
-    with pytest.raises(ValueError, match="malformed"):
-        unpack_frame(b"\x00\x00\x00\x03\x01{x")  # invalid JSON
-
-
-def test_unknown_frame_type_rejected_both_ways():
-    with pytest.raises(ValueError):
-        pack_frame(99, {})
-    raw = bytearray(pack_frame(F_ERROR, {}))
-    raw[4] = 99
-    with pytest.raises(ValueError):
-        unpack_frame(bytes(raw))
-
-
-def test_oversized_frame_rejected():
-    # Forge the length prefix rather than building a 256MB payload.
-    raw = (MAX_FRAME_BYTES + 1).to_bytes(4, "big") + bytes([F_RESULT])
-    with pytest.raises(ValueError):
-        unpack_frame(raw + b"{}")
-
-
 def test_frame_conn_over_a_pipe():
-    a, b = multiprocessing.Pipe()
-    left, right = FrameConn(a), FrameConn(b)
+    """A body arrives as the objects it held: a log entry's tuples stay
+    tuples."""
+    left, right = _pipe()
     left.send(F_PROGRESS, {"shard": 1, "now": 100.0})
     ftype, body = right.recv()
     assert (ftype, body["shard"]) == (F_PROGRESS, 1)
     right.send(F_ERROR, {"error": "boom"})
     assert left.recv() == (F_ERROR, {"error": "boom"})
+    entry = (12.5, 3, 0, "record", ("rp.ack", ("uid", "seq"), (7, 2)))
+    left.send(F_RESULT, {"log": [entry]})
+    assert right.recv() == (F_RESULT, {"log": [entry]})
     left.close()
     right.close()
 
 
-def test_payload_is_compact_json():
-    raw = pack_frame(F_RESULT, {"a": 1, "b": [2, 3]})
-    assert json.loads(raw[5:]) == {"a": 1, "b": [2, 3]}
-    assert b" " not in raw[5:]
+def test_key_order_survives_the_round_trip():
+    """Trace-record field dicts carry semantic insertion order; a pipe
+    hop must not alphabetize them."""
+    left, right = _pipe()
+    left.send(F_RESULT, {"fields": {"zebra": 1, "alpha": 2, "mid": 3}})
+    _ftype, body = right.recv()
+    assert list(body["fields"]) == ["zebra", "alpha", "mid"]
+    left.close()
+    right.close()
+
+
+def test_truncated_and_malformed_frames_raise():
+    """Whatever a dying or broken worker puts on the pipe, the parent's
+    ``recv`` raises ``ValueError``: bytes that do not unpickle, and any
+    message that is not a ``(known type, dict)`` pair."""
+    a, b = multiprocessing.Pipe()
+    conn = FrameConn(b)
+    for raw, match in [
+        (b"\x00\x00", "does not unpickle"),  # torn
+        (pickle.dumps("hello"), "pair"),
+        (pickle.dumps((F_RESULT, [1, 2])), "pair"),  # body not a dict
+        (pickle.dumps((99, {})), "pair"),  # unknown type
+        (pickle.dumps(([F_RESULT], {})), "pair"),  # unhashable type
+        (pickle.dumps((F_RESULT, {}, "extra")), "pair"),
+    ]:
+        a.send_bytes(raw)
+        with pytest.raises(ValueError, match=match):
+            conn.recv()
+    a.close()
+    b.close()

@@ -60,8 +60,8 @@ PEAK = "switch.buffer_peak_bytes{switch=agg1}"
 
 def _replica(shard, flow_ranks, owned, log, ghost=False):
     """A complete replica result around ``log`` — entries are
-    ``(ts, rank, idx, kind, payload)`` — with the counts a consistent
-    run would report."""
+    ``(ts, rank, idx, kind, payload)``, as the recorder logs them — with
+    the counts a consistent run would report."""
     return {
         "shard": shard,
         "ghost": ghost,
@@ -69,7 +69,7 @@ def _replica(shard, flow_ranks, owned, log, ghost=False):
         "rank_count": 3,
         "flow_ranks": sorted(flow_ranks),
         "owned_flow_ranks": sorted(owned),
-        "log": [list(entry) for entry in log],
+        "log": list(log),
         "events_executed": 10,
         "records_emitted": sum(1 for e in log if e[3] == K_RECORD),
         "rng_draws": 0,
@@ -80,7 +80,7 @@ def _replica(shard, flow_ranks, owned, log, ghost=False):
 
 
 def _gauge(ts, rank, idx, op, amount):
-    return (ts, rank, idx, K_GAUGE_OP, [SRC, op, amount])
+    return (ts, rank, idx, K_GAUGE_OP, (SRC, op, amount))
 
 
 def test_peak_replay_reconstructs_the_interleaved_maximum():
@@ -115,12 +115,12 @@ def test_peak_replay_set_resets_the_level():
 _SHARED_DIVERGENCE = {
     "births": ((1.0, 0, 0, K_BIRTH, None), (1.0, 0, 1, K_BIRTH, None)),
     "rows": (
-        (1.0, 0, 0, K_RECORD, ["pkt", ("port",), (1,)]),
-        (1.0, 0, 0, K_RECORD, ["pkt", ("port",), (2,)]),
+        (1.0, 0, 0, K_RECORD, ("pkt", ("port",), (1,))),
+        (1.0, 0, 0, K_RECORD, ("pkt", ("port",), (2,))),
     ),
     "observations": (
-        (1.0, 0, 0, K_OBSERVATION, ["latency_us", 5.0, 64]),
-        (1.0, 0, 0, K_OBSERVATION, ["latency_us", 6.0, 64]),
+        (1.0, 0, 0, K_OBSERVATION, ("latency_us", 5.0, 64)),
+        (1.0, 0, 0, K_OBSERVATION, ("latency_us", 6.0, 64)),
     ),
     "gauge_ops": (_gauge(1.0, 0, 0, "add", 10.0),
                   _gauge(1.0, 0, 0, "add", 999.0)),
@@ -158,7 +158,7 @@ def _uid_run(shared_uid_on_ghost=1, dangling=None):
         fields = {"uid": local_uid, **more}
         return [(ts, rank, 0, K_BIRTH, None),
                 (ts, rank, 1, K_RECORD,
-                 ["pkt", tuple(fields), tuple(fields.values())])]
+                 ("pkt", tuple(fields), tuple(fields.values())))]
 
     s0 = _replica(0, {1, 2}, {1}, birth_and_record(1.0, 1, 1)
                   + birth_and_record(5.0, 0, 2))

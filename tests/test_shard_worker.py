@@ -1,5 +1,6 @@
-"""Process mode: forked workers reporting over frames, identical merge,
-and the parent's typed errors for dead, torn and hung workers."""
+"""Process mode: forked workers reporting over pipes, identical merge,
+and the parent's typed errors for dead, torn, malformed and hung
+workers."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import pytest
 from repro import identity
 from repro.scenarios import SCENARIOS, Scenario, run_nat_steady
 from repro.shard import worker
-from repro.shard.frames import F_PROGRESS, FrameConn
+from repro.shard.frames import F_PROGRESS, F_RESULT, FrameConn
 from repro.shard.runner import resolve, run_identity, run_sharded
 
 #: The real entry point. Forked children inherit the parent's
@@ -145,6 +146,12 @@ def _sends_torn_frame(conn, config, shard_index):
         time.sleep(60.0)
 
 
+def _sends_a_bare_list(conn, config, shard_index):
+    if _stand_in(conn, config, shard_index) is not None:
+        conn.send([F_RESULT, {}])
+        time.sleep(60.0)
+
+
 def _hangs_alive(conn, config, shard_index):
     if _stand_in(conn, config, shard_index) is not None:
         time.sleep(60.0)
@@ -162,12 +169,15 @@ def _slow_but_progressing(conn, config, shard_index):
 @pytest.mark.parametrize("target, message", [
     (_dies_before_first_frame, r"shard worker 1 died.*exit code 3"),
     (_dies_mid_run, r"shard worker 1 died.*exit code 3"),
-    (_sends_torn_frame, r"shard worker 1 sent a malformed frame.*truncated"),
-], ids=["_dies_before_first_frame", "_dies_mid_run", "_sends_torn_frame"])
+    (_sends_torn_frame, r"shard worker 1 sent a malformed frame"),
+    (_sends_a_bare_list, r"shard worker 1 sent a malformed frame.*pair"),
+], ids=["_dies_before_first_frame", "_dies_mid_run", "_sends_torn_frame",
+        "_sends_a_bare_list"])
 def test_dead_worker_is_named_promptly(monkeypatch, target, message):
-    """A worker that closes its pipe without RESULT or ERROR, or frames
-    garbage, is a typed error naming the shard (and its exit code or
-    the codec's complaint), within seconds — not a bare EOFError or
+    """A worker that closes its pipe without RESULT or ERROR, or sends
+    bytes that do not unpickle or a message that is not a ``(type,
+    dict)`` pair, is a typed error naming the shard (and its exit code or
+    what was wrong with the message), within seconds — not a bare EOFError or
     ValueError, and not the stall timeout."""
     monkeypatch.setattr(worker, "worker_main", target)
     config = resolve("nat_steady", 2)

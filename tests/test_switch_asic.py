@@ -136,15 +136,18 @@ def test_mirror_session_circulates_until_released():
     sw, _sink = make_switch(sim)
     passes = []
 
-    def handler(pkt, meta):
+    def handler(state):
         passes.append(sim.now)
-        return len(passes) < 3
+        return sim.now + 10.0
 
     session = sw.new_mirror_session(handler)
     big = Packet.udp(1, 2, 3, 4, payload=b"\x00" * 1000)
-    session.mirror(big)
+    copy = session.mirror(big, None, 10.0)
     # Truncated to the RedPlane header, not full size.
     assert sw.buffer_occupancy == constants.MIRROR_TRUNCATE_BYTES
+    sim.run(until=35.0)
+    assert passes == [10.0, 20.0, 30.0]
+    session.release(copy)
     sim.run_until_idle()
     assert len(passes) == 3
     assert sw.buffer_occupancy == 0
@@ -155,8 +158,8 @@ def test_mirror_copy_dies_with_switch():
     sim = Simulator()
     sw, _sink = make_switch(sim)
     # Circulate forever.
-    session = sw.new_mirror_session(lambda pkt, meta: True)
-    session.mirror(Packet.udp(1, 2, 3, 4))
+    session = sw.new_mirror_session(lambda state: sim.now + 1.0)
+    session.mirror(Packet.udp(1, 2, 3, 4), None, 1.0)
     sim.schedule(5, sw.fail)
     sim.run(until=100)
     assert sw.buffer_occupancy == 0

@@ -2,6 +2,7 @@
 
 import argparse
 import inspect
+import math
 
 import pytest
 
@@ -17,6 +18,8 @@ from repro.switch.registers import RegisterArray
 from repro.verify import Report, Severity, SuppressionIndex
 from repro.verify.pipeline_pass import verify_app, verify_asic
 from repro.apps import BUILTIN_APPS
+from repro.apps.heavy_hitter import HeavyHitterApp, sketch_hash
+from repro.core.app import AppVerdict
 
 
 def fresh_switch():
@@ -223,11 +226,11 @@ class LeakyHandlerBlock(ControlBlock):
         self.session = switch.new_mirror_session(self.on_pass)
 
     def process(self, ctx, switch):
-        self.session.mirror(ctx.pkt)
+        self.session.mirror(ctx.pkt, None, ctx.now + 1.0)
         return True
 
-    def on_pass(self, pkt, meta):
-        return True  # keep circulating, forever
+    def on_pass(self, state):
+        return math.inf  # never released: the copy holds its buffer forever
 
     def resource_usage(self):
         return {}
@@ -297,6 +300,31 @@ def test_static_and_runtime_cite_the_same_site_format():
     assert static_site.split(" pkt=")[0] in str(err.value)
 
 
+class IndexedAfterLoopApp(HeavyHitterApp):
+    """The heavy-hitter sketch, plus a second update of row 0 after the
+    loop has updated every row."""
+
+    def process(self, state, pkt, ctx, switch):
+        rows = self.sketches[pkt.vlan]
+        item = pkt.flow_key().pack()
+        for row, array in enumerate(rows):
+            array.update(ctx, sketch_hash(item, row, self.width), 1)
+        rows[0].update(ctx, 0, 0)  # row 0 again
+        return AppVerdict.FORWARD
+
+
+def test_an_indexed_member_after_a_loop_over_its_collection_is_rp101():
+    """A subscript selects one of the members a loop over the same
+    collection touches, so the two accesses count together."""
+    report = verify_app(lambda: IndexedAfterLoopApp(vlans=[10, 20]))
+    hits = report.by_rule("RP101")
+    assert sorted(d.message.split("'")[1] for d in hits) == [
+        "hh.vlan10.row0.active[*]", "hh.vlan10.row0.data[*]",
+        "hh.vlan10.row0.last_updated[*]",
+    ]
+    assert all("accessed 2x" in d.message for d in hits)
+
+
 # -- RP102: per-packet loops --------------------------------------------------
 
 
@@ -354,13 +382,20 @@ def test_stage_budget_overflow_detected():
 # -- RP12x: mirror sessions ---------------------------------------------------
 
 
-def _release_on_first_pass(pkt, meta):
-    return False
+class _ReleasingOwner:
+    """Owns a session whose pass handler releases the copy it is handed."""
+
+    def __init__(self, switch):
+        self.session = switch.new_mirror_session(self.on_pass)
+
+    def on_pass(self, copy):
+        self.session.release(copy)
+        return math.inf
 
 
 def test_unwired_mirror_session_flagged():
     sw = fresh_switch()
-    sw.new_mirror_session(_release_on_first_pass)  # never mirrored to
+    _ReleasingOwner(sw)  # its session is never mirrored to
     report = run_pass(sw)
     rules = sorted({d.rule for d in report.diagnostics})
     assert rules == ["RP122"]
