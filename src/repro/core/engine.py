@@ -152,6 +152,12 @@ class RedPlaneEngine(ControlBlock):
             if app.snapshot_structures()
             else RedPlaneMode.LINEARIZABLE
         )
+        #: The period lease beliefs derive from: the stores' grant, doubled
+        #: by the seeded bug ``engine_lease_drift`` (repro.mutation).
+        self._lease_period_us = cfg.lease_period_us * (
+            2.0 if mutation_active("engine_lease_drift") else 1.0)
+        #: The run's ``InvariantMonitor``, told of every lease install.
+        self.monitor = None
 
         # Flow-key -> register index. Models the hash-indexed flow table.
         self._flow_idx: Dict[FlowKey, int] = {}
@@ -264,7 +270,7 @@ class RedPlaneEngine(ControlBlock):
         if key is None:
             return True  # not application traffic
 
-        self._c["app_packets"].inc()
+        self._c["app_packets"].value += 1
         if not pkt.meta.get("rp_reinjected"):
             self._record("input", key, pkt)
 
@@ -315,7 +321,7 @@ class RedPlaneEngine(ControlBlock):
             piggyback=pack_packets([self._wrap_hold(ctx.pkt.to_bytes())]),
         )
         req = self._send_request(ctx, msg, parent_uid=ctx.pkt.meta.get("uid"))
-        self._c["lease_requests"].inc()
+        self._c["lease_requests"].value += 1
         if not pending:
             # Only the first request per flow is retransmitted; piggybacked
             # packets on later requests may be lost, which the correctness
@@ -340,7 +346,7 @@ class RedPlaneEngine(ControlBlock):
         if verdict is AppVerdict.DROP:
             ctx.drop()
             return False
-        self._c["fast_path_forwards"].inc()
+        self._c["fast_path_forwards"].value += 1
         self._record("output", key, ctx.pkt)
         return True
 
@@ -379,7 +385,7 @@ class RedPlaneEngine(ControlBlock):
             )
             req = self._send_request(ctx, msg, parent_uid=pkt.meta.get("uid"))
             self._mirror_request(msg, ("write", idx), req)
-            self._c["writes_replicated"].inc()
+            self._c["writes_replicated"].value += 1
             ctx.consume()
             return False
 
@@ -400,12 +406,12 @@ class RedPlaneEngine(ControlBlock):
                 piggyback=pack_packets([pkt.to_bytes()]),
             )
             self._send_request(ctx, msg, parent_uid=pkt.meta.get("uid"))
-            self._c["reads_buffered"].inc()
+            self._c["reads_buffered"].value += 1
             ctx.consume()
             return False
 
         self._maybe_renew_lease(ctx, key, idx, now)
-        self._c["fast_path_forwards"].inc()
+        self._c["fast_path_forwards"].value += 1
         self._record("output", key, pkt)
         return True  # line-rate fast path: normal L3 forwarding
 
@@ -431,7 +437,7 @@ class RedPlaneEngine(ControlBlock):
             # is mirrored; its ack settles the later ones too.
             if ("renew", idx) not in self._inflight:
                 self._mirror_request(msg, ("renew", idx), req)
-            self._c["lease_renewals"].inc()
+            self._c["lease_renewals"].value += 1
             self.tracer.emit(
                 tt.LEASE_RENEW,
                 switch=self.switch.name,
@@ -444,7 +450,7 @@ class RedPlaneEngine(ControlBlock):
 
     def _handle_response(self, ctx: PipelineContext) -> None:
         msg = parse_protocol_packet(ctx.pkt)
-        self._c["acks_received"].inc()
+        self._c["acks_received"].value += 1
 
         if msg.msg_type is MessageType.SNAPSHOT_REPL_ACK:
             self._release(("snapshot", (msg.flow_key, msg.aux)), msg.seq)
@@ -454,7 +460,7 @@ class RedPlaneEngine(ControlBlock):
 
         idx = self._flow_idx.get(msg.flow_key)
         if idx is None:
-            self._c["stale_acks_ignored"].inc()
+            self._c["stale_acks_ignored"].value += 1
             return
         now = self.switch.sim.now
 
@@ -464,11 +470,11 @@ class RedPlaneEngine(ControlBlock):
             self._handle_write_ack(ctx, msg, idx, now)
         elif msg.msg_type is MessageType.LEASE_RENEW_ACK:
             self._release(("renew", idx))
-            self._extend_lease(ctx, idx, now)
+            self._extend_lease(ctx, msg.flow_key, idx, now)
         elif msg.msg_type is MessageType.READ_BUFFER_ACK:
             self._handle_read_buffer_ack(ctx, msg, idx)
         else:
-            self._c["stale_acks_ignored"].inc()
+            self._c["stale_acks_ignored"].value += 1
 
     def _emit_ack(
         self,
@@ -540,7 +546,7 @@ class RedPlaneEngine(ControlBlock):
                         reg.cp_write(idx, val)
                 self.reg_cur_seq.cp_write(idx, msg.seq)
                 self.reg_last_acked.cp_write(idx, msg.seq)
-            self._extend_lease(ctx, idx, now)
+            self._extend_lease(ctx, msg.flow_key, idx, now)
             if (
                 self.app.requires_control_plane_install
                 and idx not in self._state_installed
@@ -555,7 +561,7 @@ class RedPlaneEngine(ControlBlock):
                 return
             self._state_installed.add(idx)
         else:
-            self._extend_lease(ctx, idx, now)
+            self._extend_lease(ctx, msg.flow_key, idx, now)
         self._reinject_piggyback(msg.piggyback, ctx.pkt.meta.get("uid"))
 
     def _finish_install(self, idx: int, piggyback: Optional[bytes],
@@ -572,14 +578,14 @@ class RedPlaneEngine(ControlBlock):
         # The ack covers every copy with seq <= acked.
         for seq, rtx in self._release(("write", idx), msg.seq):
             self._emit_ack(ctx, "write", msg.flow_key, seq, rtx)
-        self._extend_lease(ctx, idx, now)
+        self._extend_lease(ctx, msg.flow_key, idx, now)
         if msg.piggyback is not None:
             resp_uid = ctx.pkt.meta.get("uid")
             for raw in unpack_packets(msg.piggyback):
                 out = Packet.from_bytes(raw)
                 if resp_uid is not None:
                     out.meta["parent_uid"] = resp_uid
-                self._c["piggybacks_released"].inc()
+                self._c["piggybacks_released"].value += 1
                 self._record("output", msg.flow_key, out)
                 ctx.emit(out)
 
@@ -595,7 +601,7 @@ class RedPlaneEngine(ControlBlock):
                 out = Packet.from_bytes(raw)
                 if resp_uid is not None:
                     out.meta["parent_uid"] = resp_uid
-                self._c["piggybacks_released"].inc()
+                self._c["piggybacks_released"].value += 1
                 self._record("output", msg.flow_key, out)
                 ctx.emit(out)
         else:
@@ -608,7 +614,7 @@ class RedPlaneEngine(ControlBlock):
                 piggyback=msg.piggyback,
             )
             self._send_request(ctx, again, parent_uid=resp_uid)
-            self._c["reads_buffered"].inc()
+            self._c["reads_buffered"].value += 1
 
     def _wrap_hold(self, raw: bytes) -> bytes:
         """Prefix held packet bytes with a fresh hold nonce (see
@@ -628,7 +634,7 @@ class RedPlaneEngine(ControlBlock):
                 # bug this dedup fixed, for mutation-testing the fuzzer.
                 if not mutation_active("skip_hold_dedup"):
                     if nonce in self._reinjected:
-                        self._c["piggyback_dups_dropped"].inc()
+                        self._c["piggyback_dups_dropped"].value += 1
                         continue
                     self._reinjected.add(nonce)
             pkt = Packet.from_bytes(raw)
@@ -754,7 +760,7 @@ class RedPlaneEngine(ControlBlock):
         if now >= rtx.sent_at + rtx.timeout_us:
             resend = self._send_request(None, rtx.msg, parent_uid=rtx.uid)
             new_uid: int = resend.meta["uid"]  # type: ignore[assignment]
-            self._c["retransmissions"].inc()
+            self._c["retransmissions"].value += 1
             self.tracer.emit(
                 tt.RETRANSMIT,
                 switch=self.switch.name,
@@ -780,16 +786,19 @@ class RedPlaneEngine(ControlBlock):
     # misc helpers
     # ------------------------------------------------------------------
 
-    def _extend_lease(self, ctx: PipelineContext, idx: int, now: float) -> None:
+    def _extend_lease(self, ctx: PipelineContext, key: FlowKey, idx: int,
+                      now: float) -> None:
         # The safety margin must leave a usable lease window: clamp it to
         # half the period (a margin >= the period would make the switch
         # disbelieve every lease it is granted and loop on re-acquisition).
         margin = min(constants.LEASE_MARGIN_US,
                      self.config.lease_period_us / 2.0)
-        expiry = int(now + self.config.lease_period_us - margin)
+        expiry = int(now + self._lease_period_us - margin)
         self.reg_lease_expiry.access(
             ctx, idx, lambda old: (max(old, expiry), max(old, expiry))
         )
+        if self.monitor is not None:
+            self.monitor.lease_installed(self, key, idx, ctx.pkt.ip.src)
 
     def _flow_index(self, key: FlowKey) -> int:
         idx = self._flow_idx.get(key)

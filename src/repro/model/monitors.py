@@ -1,29 +1,45 @@
 """Online invariant monitors for live deployments.
 
 The model checker (Appendix C) verifies the protocol over all
-interleavings of a small model; these monitors check the same invariants
-*continuously on a running simulation* — the runtime-verification
-counterpart, usable under full-scale workloads where exhaustive checking
-is impossible. Used by the fuzz tests and available to experiments.
+interleavings of a small model; this monitor checks the same invariants
+*on a running simulation* — the runtime-verification counterpart, usable
+under full-scale workloads where exhaustive checking is impossible.
 
 Monitored invariants:
 
-* **single owner** — across all store replicas, at most one switch holds
-  an unexpired lease per flow (``SingleOwnerInvariant``);
-* **sequence monotonicity** — a store record's applied sequence number
-  never decreases between samples (what Fig 6b's sequencing guarantees);
-* **no value regression** — a record's value list never reverts to an
-  older version once a newer one was applied (counter-style apps).
+* **single owner** — at most one live switch believes it holds a flow's
+  lease (``SingleOwnerInvariant``);
+* **lease agreement** — that belief ends strictly before the acking
+  store's record of the grant (``LeaseAgreement``, the §5.3 margin);
+* **sequence monotonicity** — a replica's applied sequence number for a
+  flow never decreases (``SequenceMonotonicity``, Fig 6b);
+* **no value regression** — a record's first value never falls below one
+  the replica held before (``ValueRegression``, counter-style apps).
+
+The first two are checked where an engine installs or renews a lease
+(``RedPlaneEngine._extend_lease``), the last two where a replica writes a
+record (``StateStoreNode._commit_and_propagate``, which every request,
+drained request and chain update ends in, and ``restart``). These sites
+are complete: a switch comes to believe it owns a flow only at an
+install (a belief otherwise only lapses), so a double owner can only
+begin there; a record changes only where a replica writes it, so a
+regression can only begin at a write. Each violation is recorded at the
+instant it begins.
+
+Like ``Simulator.on_event``, the hooks are called (through the store's
+and engine's ``monitor`` attribute), never scheduled, and only read: no
+randomness, no trace record, no metric. An unmonitored run pays one
+``is None`` test per site.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.net.packet import FlowKey
 from repro.net.simulator import Simulator
-from repro.statestore.server import StateStoreNode
+from repro.statestore.server import FlowRecord, StateStoreNode
 
 
 @dataclass
@@ -34,93 +50,65 @@ class Violation:
 
 
 class InvariantMonitor:
-    """Samples store replicas periodically and records violations."""
+    """Checks the protocol invariants at the events that can break them."""
 
     def __init__(
         self,
         sim: Simulator,
         stores: List[StateStoreNode],
         engines: Optional[list] = None,
-        interval_us: float = 1_000.0,
         track_monotonic_values: bool = False,
     ) -> None:
-        if interval_us <= 0:
-            raise ValueError("interval must be positive")
         self.sim = sim
-        self.stores = list(stores)
-        #: RedPlane engines whose lease beliefs are cross-checked; the
-        #: switch-side view is conservative (expiry margin, §5.3), so two
-        #: engines believing they own one flow is a genuine violation.
         self.engines = list(engines or [])
-        self.interval_us = interval_us
         self.track_monotonic_values = track_monotonic_values
         self.violations: List[Violation] = []
-        self.samples = 0
         self._last_seq: Dict[Tuple[str, FlowKey], int] = {}
         self._last_vals: Dict[Tuple[str, FlowKey], List[int]] = {}
-        self.running = False
+        self._store_by_ip = {store.ip: store for store in stores}
+        for node in [*stores, *self.engines]:
+            node.monitor = self
 
-    def start(self) -> None:
-        self.running = True
-        self.sim.schedule(self.interval_us, self._sample)
+    def _violate(self, invariant: str, detail: str) -> None:
+        self.violations.append(Violation(self.sim.now, invariant, detail))
 
-    def stop(self) -> None:
-        self.running = False
+    def _sample(self, store: StateStoreNode, key: FlowKey,
+                rec: FlowRecord) -> None:
+        """``store`` has just written ``rec``: its sequence number and
+        (when tracked) first value must not fall below earlier ones.
+        ``bench/trace.py`` times this method as the ``model`` layer."""
+        tag = (store.name, key)
+        prev = self._last_seq.get(tag)
+        if prev is not None and rec.last_seq < prev:
+            self._violate("SequenceMonotonicity",
+                          f"{store.name} {key}: {prev} -> {rec.last_seq}")
+        self._last_seq[tag] = rec.last_seq
+        if self.track_monotonic_values and rec.vals:
+            prev_vals = self._last_vals.get(tag)
+            if prev_vals is not None and rec.vals[0] < prev_vals[0]:
+                self._violate("ValueRegression",
+                              f"{store.name} {key}: {prev_vals} -> {rec.vals}")
+            self._last_vals[tag] = list(rec.vals)
 
-    # -- sampling ---------------------------------------------------------------
-
-    def _sample(self) -> None:
-        if not self.running:
-            return
-        self.samples += 1
-        self._check_single_owner()
-        self._check_sequences()
-        self.sim.schedule(self.interval_us, self._sample)
-
-    def _check_single_owner(self) -> None:
-        """At most one live switch believes it holds a flow's lease.
-
-        The switch-side expiry carries a safety margin below the store's
-        grant (§5.3), so concurrent belief on two switches is a genuine
-        single-owner violation, not clock skew.
-        """
-        now = self.sim.now
-        keys = set()
-        for engine in self.engines:
-            if engine.switch.failed:
-                continue
-            keys.update(engine._flow_idx.keys())
-        for key in keys:
-            holders = [
-                engine.switch.name
-                for engine in self.engines
-                if not engine.switch.failed and engine.lease_valid(key)
-            ]
-            if len(holders) > 1:
-                self.violations.append(Violation(
-                    now, "SingleOwnerInvariant",
-                    f"{key}: held by {holders}"))
-
-    def _check_sequences(self) -> None:
-        now = self.sim.now
-        for store in self.stores:
-            if store.failed:
-                continue
-            for key, rec in store.records.items():
-                tag = (store.name, key)
-                prev = self._last_seq.get(tag)
-                if prev is not None and rec.last_seq < prev:
-                    self.violations.append(Violation(
-                        now, "SequenceMonotonicity",
-                        f"{store.name} {key}: {prev} -> {rec.last_seq}"))
-                self._last_seq[tag] = rec.last_seq
-                if self.track_monotonic_values and rec.vals:
-                    prev_vals = self._last_vals.get(tag)
-                    if prev_vals is not None and rec.vals[0] < prev_vals[0]:
-                        self.violations.append(Violation(
-                            now, "ValueRegression",
-                            f"{store.name} {key}: {prev_vals} -> {rec.vals}"))
-                    self._last_vals[tag] = list(rec.vals)
+    def lease_installed(self, engine, key: FlowKey, idx: int,
+                        store_ip: int) -> None:
+        """``engine`` has just installed or renewed its lease on ``key`` on
+        an ack from ``store_ip``. The switch-side expiry sits a margin
+        below the grant (§5.3), so a second live believer is a genuine
+        violation, not clock skew."""
+        expiry = engine.reg_lease_expiry.cp_read(idx)
+        store = self._store_by_ip.get(store_ip)
+        if store is not None and not store.failed:
+            rec = store.records.get(key)
+            granted = rec.lease_expiry if rec is not None else 0.0
+            if expiry >= granted:
+                self._violate("LeaseAgreement",
+                              f"{engine.switch.name} {key}: believes "
+                              f"{expiry} >= {store.name} grant {granted}")
+        holders = [other.switch.name for other in self.engines
+                   if not other.switch.failed and other.lease_valid(key)]
+        if len(holders) > 1:
+            self._violate("SingleOwnerInvariant", f"{key}: held by {holders}")
 
     # -- results ------------------------------------------------------------------
 
@@ -129,7 +117,7 @@ class InvariantMonitor:
 
     def report(self) -> str:
         if self.ok():
-            return f"OK — {self.samples} samples, no violations"
+            return "OK — no violations"
         lines = [f"{len(self.violations)} violation(s):"]
         for violation in self.violations[:20]:
             lines.append(

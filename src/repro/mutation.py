@@ -49,6 +49,12 @@ MUTATIONS: Dict[str, str] = {
         "stale lease grants overwrite newer switch-local state "
         "(core.engine.RedPlaneEngine._handle_lease_new_ack)"
     ),
+    # core/engine.py __init__(): a §5.3 drift only the monitor's
+    # LeaseAgreement check sees (a lone owner stays linearizable).
+    "engine_lease_drift": (
+        "switches believe leases for twice the stores' lease period "
+        "(core.engine.RedPlaneEngine._extend_lease)"
+    ),
 }
 
 _active: Dict[str, bool] = {}

@@ -106,6 +106,8 @@ class StateStoreNode(Host):
         self.backend.bind(self)
         #: Next node in the chain (None for the tail / unreplicated store).
         self.successor_ip: Optional[int] = None
+        #: The run's ``InvariantMonitor``, told of every record written here.
+        self.monitor = None
         self.bind(STORE_UDP_PORT, self._on_request_packet)
         self.bind(CHAIN_UDP_PORT, self._on_chain_packet)
         # Per-node protocol statistics, published through the run's metric
@@ -171,6 +173,9 @@ class StateStoreNode(Host):
         recovered = self.backend.recover()
         self.recover()
         self._c_recoveries.inc()
+        if self.monitor is not None:
+            for key, rec in self.records.items():
+                self.monitor._sample(self, key, rec)
         self.sim.tracer.emit(
             tt.STORE_RECOVER,
             node=self.name,
@@ -210,7 +215,7 @@ class StateStoreNode(Host):
                          origin_uid: int = 0) -> None:
         if self.failed:
             return
-        self._c_requests.inc()
+        self._c_requests.value += 1
         now = self.sim.now
         rec = self.record(msg.flow_key)
 
@@ -226,16 +231,10 @@ class StateStoreNode(Host):
             self._reply(reply, requester_ip, origin_uid)
             return
 
-        if msg.msg_type is MessageType.SNAPSHOT_REPL_REQ:
-            # Asynchronous snapshots are filtered by epoch sequencing only;
-            # they never block on leases (bounded-inconsistency mode, §5.4).
-            reply = self._apply(rec, msg, requester_ip, now)
-            self.backend.commit(msg.flow_key, rec)
-            self._propagate_or_reply(msg.flow_key, rec, reply, requester_ip,
-                                     origin_uid=origin_uid)
-            return
-
-        if rec.held_by_other(requester_ip, now):
+        # Asynchronous snapshots are filtered by epoch sequencing only; they
+        # never block on leases (bounded-inconsistency mode, §5.4).
+        if (msg.msg_type is not MessageType.SNAPSHOT_REPL_REQ
+                and rec.held_by_other(requester_ip, now)):
             # Another switch owns this flow: buffer until the lease expires
             # (this is both correctness under concurrent access, Fig 7b, and
             # the state-migration wait during failover). Header-only
@@ -247,18 +246,15 @@ class StateStoreNode(Host):
             ):
                 return
             rec.pending.append((msg, requester_ip, origin_uid))
-            self._c_buffered.inc()
+            self._c_buffered.value += 1
             self.sim.schedule_at(
                 rec.lease_expiry + 1e-6, self._drain_pending, msg.flow_key
             )
             return
 
         reply = self._apply(rec, msg, requester_ip, now)
-        # Write-ahead: the record is durable before the reply (or the
-        # chain update that will eventually produce it) leaves this node.
-        self.backend.commit(msg.flow_key, rec)
-        self._propagate_or_reply(msg.flow_key, rec, reply, requester_ip,
-                                 origin_uid=origin_uid)
+        self._commit_and_propagate(msg.flow_key, rec, reply, requester_ip,
+                                   origin_uid=origin_uid)
 
     def _apply(
         self,
@@ -294,11 +290,11 @@ class StateStoreNode(Host):
                 rec.vals = list(msg.vals)
                 rec.initialized = True
                 rec.last_seq = msg.seq
-                self._c_applied.inc()
+                self._c_applied.value += 1
             else:
                 # Out-of-order or duplicate: never let an older value
                 # overwrite a newer one (Fig 6b).
-                self._c_stale.inc()
+                self._c_stale.value += 1
             return RedPlaneMessage(
                 seq=rec.last_seq,
                 msg_type=MessageType.REPL_WRITE_ACK,
@@ -320,7 +316,7 @@ class StateStoreNode(Host):
                 rec.snapshot_vals[slot] = msg.vals[0] if msg.vals else 0
                 rec.snapshot_seqs[slot] = msg.seq
                 rec.initialized = True
-                self._c_applied.inc()
+                self._c_applied.value += 1
             # Carry the applied slot value so chain replicas converge even
             # when an older epoch was rejected at the head.
             return RedPlaneMessage(
@@ -335,7 +331,7 @@ class StateStoreNode(Host):
 
     def _grant(self, rec: FlowRecord, requester_ip: int, now: float) -> None:
         if rec.owner_ip != requester_ip:
-            self._c_leases.inc()
+            self._c_leases.value += 1
         rec.owner_ip = requester_ip
         rec.lease_expiry = now + self.lease_period_us
 
@@ -364,13 +360,12 @@ class StateStoreNode(Host):
                 )
                 return
             reply = self._apply(rec, msg, requester_ip, now)
-            self.backend.commit(key, rec)
-            self._propagate_or_reply(key, rec, reply, requester_ip,
-                                     origin_uid=origin_uid)
+            self._commit_and_propagate(key, rec, reply, requester_ip,
+                                       origin_uid=origin_uid)
 
     # -- chain replication ------------------------------------------------------
 
-    def _propagate_or_reply(
+    def _commit_and_propagate(
         self,
         key: FlowKey,
         rec: FlowRecord,
@@ -378,6 +373,12 @@ class StateStoreNode(Host):
         requester_ip: int,
         origin_uid: int = 0,
     ) -> None:
+        """Every record write ends here. Write-ahead: the record is durable
+        before the reply (or the chain update that will eventually
+        produce it) leaves this node."""
+        self.backend.commit(key, rec)
+        if self.monitor is not None:
+            self.monitor._sample(self, key, rec)
         if self.successor_ip is None:
             self._reply(reply, requester_ip, origin_uid)
             return
@@ -435,10 +436,9 @@ class StateStoreNode(Host):
             if reply.seq >= rec.snapshot_seqs.get(reply.aux, -1):
                 rec.snapshot_vals[reply.aux] = reply.vals[0]
                 rec.snapshot_seqs[reply.aux] = reply.seq
-        self.backend.commit(key, rec)
         # The reply (and its piggybacked outputs) must travel regardless:
         # even a stale-looking update acknowledges a real request.
-        self._propagate_or_reply(
+        self._commit_and_propagate(
             key, rec, reply, requester_ip, origin_uid=origin_uid
         )
 

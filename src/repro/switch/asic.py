@@ -130,11 +130,11 @@ class SwitchASIC(L3Switch):
             # A flow-cache entry replayed the pipeline decision;
             # the replay's side effects match this path bit for bit.
             return
-        self._c_pkts_processed.inc()
+        self._c_pkts_processed.value += 1
         if pkt.meta.get("rp_kind") == "response":
             # Piggybacked bytes are counted when the released output leaves.
             piggyback = int(pkt.meta.get("rp_piggyback_len", 0))
-            self._c_bytes_protocol_in.inc(pkt.byte_size() - piggyback)
+            self._c_bytes_protocol_in.value += pkt.byte_size() - piggyback
         ctx = PipelineContext(pkt=pkt, now=self.sim.now)
         self.pipeline.run(ctx, self)
         if ctx.verdict is Verdict.FORWARD:
@@ -161,16 +161,16 @@ class SwitchASIC(L3Switch):
     def _egress(self, pkt: Packet) -> None:
         kind = pkt.meta.get("rp_kind")
         if kind == "chain":
-            self._c_bytes_chain_transit.inc(pkt.byte_size())
+            self._c_bytes_chain_transit.value += pkt.byte_size()
         elif kind in ("request", "response"):
             # Piggybacked original bytes ride inside protocol messages but
             # are application traffic; only the encapsulation + RedPlane
             # header count as replication overhead (Fig 10's accounting).
             piggyback = int(pkt.meta.get("rp_piggyback_len", 0))
-            self._c_bytes_protocol_out.inc(pkt.byte_size() - piggyback)
-            self._c_bytes_original_out.inc(piggyback)
+            self._c_bytes_protocol_out.value += pkt.byte_size() - piggyback
+            self._c_bytes_original_out.value += piggyback
         else:
-            self._c_bytes_original_out.inc(pkt.byte_size())
+            self._c_bytes_original_out.value += pkt.byte_size()
         self.forward(pkt)
 
     # -- traffic accounting views (registry-backed) ---------------------------------

@@ -39,8 +39,9 @@ def test_observed_campaign_is_byte_identical(tmp_path, health):
     """Heartbeat file + in-memory heartbeat on: verdict, trace, and the
     full metric snapshot match the unobserved run byte for byte. With the
     detectors armed too, the only difference is the ``health.detect``
-    trace lines themselves."""
-    campaign = CAMPAIGNS["single_failover"]
+    trace lines themselves. ``rolling_rack_failure`` is the named
+    campaign on which both detectors fire."""
+    campaign = CAMPAIGNS["rolling_rack_failure"]
     trace_a = tmp_path / "a.jsonl"
     trace_b = tmp_path / "b.jsonl"
     hb = tmp_path / "hb.ndjson"
@@ -172,12 +173,14 @@ def test_health_monitor_emits_trace_and_metrics():
 
 @pytest.mark.parametrize("name, detector", [
     ("partitioned_store_head", "resend_storm"),
-    ("single_failover", "slo_burn"),
+    ("rolling_rack_failure", "slo_burn"),
 ])
 def test_each_detector_fires_on_a_fault_and_not_without_it(name, detector):
     """A detector earns its place: it fires on a named campaign's seeded
     fault, and neither detector fires on the same campaign without
-    faults."""
+    faults. ``slo_burn`` needs a stall while traffic is still offered:
+    ``rolling_rack_failure``'s deliveries stall past the SLO at 510 ms,
+    and its last packet is sent at 610 ms."""
     campaign = CAMPAIGNS[name]
     observe = ObserveOptions(health=True)
     faulted = run_campaign_result(campaign, observe=observe)
