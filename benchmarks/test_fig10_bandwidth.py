@@ -41,7 +41,7 @@ PAPER_LINE_RATE_GBPS = 207.6e6 * 64 * 8 / 1e9
 def _small_packets(events):
     """Rewrite a trace to 64-byte packets, as the Fig 10 experiment uses."""
     for event in events:
-        event.pkt.payload = b""
+        event.pkt = event.pkt.with_payload(b"")
     return events
 
 
@@ -95,7 +95,8 @@ def run_epc():
     dep = deploy(sim, EpcSgwApp)
     e1, s11 = dep.bed.externals[0], dep.bed.servers[0]
     for event in epc_trace(NUM_PACKETS, 40, e1.ip, s11.ip, seed=SEED):
-        event.pkt.payload = event.pkt.payload[:9]  # headers only
+        # headers only
+        event.pkt = event.pkt.with_payload(event.pkt.payload[:9])
         sim.schedule_at(event.time_us, e1.send, event.pkt)
     return _finish(sim, dep)
 

@@ -49,7 +49,7 @@ class PacketLogger(ControlBlock):
         if self.app.partition_key(pkt) is None:
             return True
         now = switch.sim.now
-        bits = pkt.byte_size() * 8
+        bits = pkt.wire_size * 8
         serialization = bits / (constants.PCIE_BANDWIDTH_GBPS * 1000.0)
         backlog = max(0.0, self._queue_free_at - now)
         if backlog > LOG_QUEUE_CAP_US:

@@ -10,17 +10,10 @@ action (fast-path forward vs. synchronous replication, §5.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 U32_MASK = 0xFFFFFFFF
-
-
-@lru_cache(maxsize=None)
-def _index_map(spec: "StateSpec") -> Dict[str, int]:
-    """Shared name->slot map per spec (specs are frozen and few)."""
-    return {name: i for i, (name, _d) in enumerate(spec.fields)}
 
 
 @dataclass(frozen=True)
@@ -28,6 +21,12 @@ class StateSpec:
     """Declaration of an app's per-flow state layout."""
 
     fields: Tuple[Tuple[str, int], ...]  # (name, default_value)
+    #: Name -> slot, built once with the spec and shared by its views.
+    index: Dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "index", {
+            name: i for i, (name, _default) in enumerate(self.fields)})
 
     @classmethod
     def of(cls, *fields: Tuple[str, int]) -> "StateSpec":
@@ -65,7 +64,7 @@ class FlowStateView:
             )
         self.spec = spec
         self._vals = [v & U32_MASK for v in vals]
-        self._index = _index_map(spec)
+        self._index = spec.index
         self.read_occurred = False
         self.write_occurred = False
 

@@ -44,7 +44,7 @@ REPLAY_EFFECTS = {
     # counters/metrics handles
     "inc", "_c", "_c_pkts_processed", "_c_bytes_protocol_in",
     # read-only accessors
-    "get", "meta", "ip", "l4", "byte_size", "pkt", "verdict", "emitted",
+    "get", "meta", "ip", "l4", "wire_size", "pkt", "verdict", "emitted",
     "block_obj", "sim", "now", "name", "control_plane", "reg_lease_expiry",
 }
 
@@ -71,7 +71,7 @@ def replay_transit(switch, pkt, ip):
     meta = pkt.meta
     if meta.get("rp_kind") == "response":
         switch._c_bytes_protocol_in.inc(
-            pkt.byte_size() - int(meta.get("rp_piggyback_len", 0))
+            pkt.wire_size - int(meta.get("rp_piggyback_len", 0))
         )
     if ip.dst == switch.ip:
         # Addressed to the switch itself but no block consumed it.

@@ -15,17 +15,35 @@ goes, so it covers every record ever emitted whatever the ring holds
 finished simulator nobody watched can only offer its retained ring, and
 ``records_hashed`` says so: :func:`compare` reports ``trace_complete``
 only when both sides hashed every record they emitted.
+
+A record is rendered through a %-template built once per key tuple
+(:func:`record_template`), byte-equal to that ``repr`` without building
+the pairs: ``flow_churn``'s 65 536-record ring hashes in ≈ 0.19 s
+(≈ 0.41 s through the ``repr``; docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, Iterable, Optional
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 #: Metric families excluded from identity comparison: per-shard
 #: bookkeeping.
 NON_IDENTITY_PREFIXES = ("shard.",)
+
+
+def record_template(keys: Tuple[str, ...]) -> str:
+    """The %-template that renders ``(ts, type, *values)`` as
+    ``repr((ts, type, tuple(zip(keys, values))))``, for records whose
+    key tuple is ``keys``. A pure function of ``keys``: each key's repr
+    is baked in (its ``%`` escaped), each value goes in through ``%r``,
+    and a one-pair tuple keeps its trailing comma."""
+    pairs = ", ".join(
+        "(%s, %%r)" % repr(key).replace("%", "%%") for key in keys)
+    if len(keys) == 1:
+        pairs += ","
+    return "(%r, %r, (" + pairs + "))"
 
 
 class TraceHasher:
@@ -34,19 +52,27 @@ class TraceHasher:
     def __init__(self, records: Iterable[Any] = ()) -> None:
         self._sha = hashlib.sha256()
         self.records_hashed = 0
+        #: :func:`record_template` by key tuple: one entry per record
+        #: shape, and a record's ``keys`` is its shape's shared tuple.
+        self._templates: Dict[Tuple[str, ...], str] = {}
         self.feed(records)
 
+    def _template(self, keys: Tuple[str, ...]) -> str:
+        template = self._templates[keys] = record_template(keys)
+        return template
+
     def feed(self, records: Iterable[Any]) -> None:
-        """One loop, no frame per record: ``bench`` times this on a ring.
-        The pairs are :meth:`TraceRecord.items`, zipped here so that no
-        dict and no frame is built per record."""
+        """One loop, no frame per record: ``bench`` times this on a ring."""
+        update = self._sha.update
+        templates = self._templates
+        n = 0
         for record in records:
-            self._sha.update(
-                repr((record.ts, record.type,
-                      tuple(zip(record.keys, record.values))))
-                .encode()
-            )
-            self.records_hashed += 1
+            keys = record.keys
+            template = templates.get(keys) or self._template(keys)
+            update((template % ((record.ts, record.type) + record.values))
+                   .encode())
+            n += 1
+        self.records_hashed += n
 
     def __call__(self, record: Any) -> None:
         self.feed((record,))

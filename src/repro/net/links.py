@@ -172,10 +172,10 @@ def _new_flow_tag(tags: dict, raw: tuple) -> str:
 
 
 def flow_tag_of(sim: Simulator, key: FlowKey) -> str:
-    """``str(key)`` through the run's 5-tuple memo (``sim.flow_tags``)."""
-    raw = (key.src_ip, key.dst_ip, key.proto, key.sport, key.dport)
+    """``str(key)`` through the run's 5-tuple memo (``sim.flow_tags``);
+    a :class:`FlowKey` equals its raw tuple, so it is its own memo key."""
     tags = sim.flow_tags
-    return tags.get(raw) or _new_flow_tag(tags, raw)
+    return tags.get(key) or _new_flow_tag(tags, key)
 
 
 def _flow_tag(sim: Simulator, pkt: Packet) -> str:
@@ -259,7 +259,7 @@ class Link:
 
     def serialization_delay_us(self, pkt: Packet) -> float:
         """Store-and-forward delay: bits / line rate."""
-        bits = pkt.byte_size() * 8
+        bits = pkt.wire_size * 8
         return bits / (self.bandwidth_gbps * 1000.0)
 
     def _drop(self, pkt: Packet, lane: "Lane", reason: str,
@@ -309,7 +309,7 @@ class Link:
         flow = meta.get("flow_s")
         if flow is None and pkt.ip is not None:
             flow = meta["flow_s"] = _flow_tag(sim, pkt)
-        nbytes = pkt.byte_size()
+        nbytes = pkt.wire_size
         kind = meta.get("rp_kind", "app")
         parent = meta.get("parent_uid")
         # The send record marks the packet *entering* the link direction —
@@ -426,16 +426,16 @@ class Link:
     def _deliver(self, pkt: Packet, lane: "Lane",
                  corrupted: bool = False) -> None:
         if not self.up:
-            self._drop(pkt, lane, "down", pkt.byte_size())
+            self._drop(pkt, lane, "down", pkt.wire_size)
             return
         if corrupted:
             # The receiving MAC discards the frame on FCS mismatch; the
             # bandwidth was spent, the packet never reaches the node.
-            self._drop(pkt, lane, "corrupt", pkt.byte_size())
+            self._drop(pkt, lane, "corrupt", pkt.wire_size)
             return
         node = lane.dst_node
         if node.failed:
-            self._drop(pkt, lane, "node_failed", pkt.byte_size())
+            self._drop(pkt, lane, "node_failed", pkt.wire_size)
             return
         self.sim.tracer.emit(
             tt.PACKET_DELIVER, ("link", "dir", "node", "uid"),

@@ -134,7 +134,7 @@ class SwitchASIC(L3Switch):
         if pkt.meta.get("rp_kind") == "response":
             # Piggybacked bytes are counted when the released output leaves.
             piggyback = int(pkt.meta.get("rp_piggyback_len", 0))
-            self._c_bytes_protocol_in.value += pkt.byte_size() - piggyback
+            self._c_bytes_protocol_in.value += pkt.wire_size - piggyback
         ctx = PipelineContext(pkt=pkt, now=self.sim.now)
         self.pipeline.run(ctx, self)
         if ctx.verdict is Verdict.FORWARD:
@@ -161,16 +161,16 @@ class SwitchASIC(L3Switch):
     def _egress(self, pkt: Packet) -> None:
         kind = pkt.meta.get("rp_kind")
         if kind == "chain":
-            self._c_bytes_chain_transit.value += pkt.byte_size()
+            self._c_bytes_chain_transit.value += pkt.wire_size
         elif kind in ("request", "response"):
             # Piggybacked original bytes ride inside protocol messages but
             # are application traffic; only the encapsulation + RedPlane
             # header count as replication overhead (Fig 10's accounting).
             piggyback = int(pkt.meta.get("rp_piggyback_len", 0))
-            self._c_bytes_protocol_out.value += pkt.byte_size() - piggyback
+            self._c_bytes_protocol_out.value += pkt.wire_size - piggyback
             self._c_bytes_original_out.value += piggyback
         else:
-            self._c_bytes_original_out.value += pkt.byte_size()
+            self._c_bytes_original_out.value += pkt.wire_size
         self.forward(pkt)
 
     # -- traffic accounting views (registry-backed) ---------------------------------

@@ -86,5 +86,5 @@ class SwitchControlPlane:
 
     @staticmethod
     def _pcie_serialization_us(pkt: Packet) -> float:
-        bits = pkt.byte_size() * 8
+        bits = pkt.wire_size * 8
         return bits / (constants.PCIE_BANDWIDTH_GBPS * 1000.0)

@@ -88,7 +88,7 @@ class MirrorSession:
     ) -> MirrorCopy:
         """Mirror a truncated copy of ``pkt`` into the egress pipeline,
         carrying ``state``; its first pass is at ``first_pass_at``."""
-        size = min(constants.MIRROR_TRUNCATE_BYTES, pkt.byte_size())
+        size = min(constants.MIRROR_TRUNCATE_BYTES, pkt.wire_size)
         copy = MirrorCopy(pkt, state, size)
         self._g_active.add(1)
         self._c_mirrored.inc()

@@ -126,3 +126,58 @@ def test_compare_ignores_the_bookkeeping_metric_families():
     # ...and nothing else is ignored.
     candidate["metrics"]["gauges"]["switch.buffer_peak_bytes{sw=agg1}"] = 1.0
     assert not identity.compare(_fingerprint(), candidate)["metrics"]
+
+
+# -- the record template ---------------------------------------------------------
+
+_SEVEN = ("link", "dir", "bytes", "uid", "kind", "flow", "parent")
+
+#: Record shapes and values the per-shape template must render exactly
+#: as ``repr`` does: 0, 1 and 7 fields, ``%`` in a type, a key and a
+#: value, tuple, ``None`` and ``bool`` values, and the floats whose repr
+#: is not their plain digits.
+_FORMULA_RECORDS = (
+    TraceRecord(0.0, "empty", (), ()),
+    TraceRecord(1.5, "one", ("uid",), (7,)),
+    TraceRecord(2.0, "one", ("uid",), ((1, "a"),)),
+    TraceRecord(-0.0, "seven", _SEVEN,
+                ("s1->agg1", None, True, False, (3, 4), -0.0, 1e-07)),
+    TraceRecord(1e-07, "seven", _SEVEN,
+                (float("inf"), float("-inf"), float("nan"), "", 0, 1.0, ())),
+    TraceRecord(3.0, "100%s", ("pct%", "%d"), ("50%", "%r%%")),
+    TraceRecord(float("nan"), "nan", ("x",), (None,)),
+)
+
+
+def _formula(record):
+    return repr((record.ts, record.type,
+                 tuple(zip(record.keys, record.values))))
+
+
+def test_record_template_renders_the_repr_of_the_pairs():
+    for record in _FORMULA_RECORDS:
+        template = identity.record_template(record.keys)
+        assert (template % ((record.ts, record.type) + record.values)
+                == _formula(record)), record
+
+
+def test_streamed_and_post_hoc_digests_are_the_formulas_digest():
+    """The digest a sink streams while records are emitted equals the
+    one fed the retained ring afterwards, and both hash the formula."""
+    import hashlib
+
+    from repro.telemetry.trace import Tracer
+
+    expected = hashlib.sha256()
+    for record in _FORMULA_RECORDS:
+        expected.update(_formula(record).encode())
+    clock = iter(record.ts for record in _FORMULA_RECORDS)
+    tracer = Tracer(clock=lambda: next(clock))
+    streamed = identity.TraceHasher()
+    tracer.sinks.append(streamed)
+    for record in _FORMULA_RECORDS:
+        tracer.emit(record.type, record.keys, record.values)
+    post_hoc = identity.TraceHasher(tracer.tail())
+    assert streamed.records_hashed == post_hoc.records_hashed == len(
+        _FORMULA_RECORDS)
+    assert streamed.hexdigest() == post_hoc.hexdigest() == expected.hexdigest()

@@ -417,25 +417,11 @@ def test_non_trivial_direction_always_takes_the_general_branch(
 
 def test_nat_hop_call_budget():
     """Python frames entered per delivered packet on a steady NAT run —
-    a count, so it reads the same on any machine. Before ``forward`` and
-    ``Host.send`` scheduled ``Link.transmit`` themselves (one
-    ``schedule_at``, no ``Port.send`` event) and the tracer's clock became
-    a C call, this run made 427 000 calls for its 2 500 packets (170.8
-    each). With an ``Event`` object per scheduled event it made 367 752
-    (147.1); with the queue entry as the event it made 340 716 (136.3),
-    and 340 225 (136.1) while the store still acked chain updates hop by
-    hop; without those acks it made 323 946 (129.6). Now that engines
-    record no history by default (two ``HistoryEvent`` frames per
-    packet) it made 318 946 (127.6). With a transmit adding its tx
-    tallies in place instead of calling ``Counter.inc`` twice it made
-    294 114 (117.6). Now that a lease request's mirrored copy is the
-    request packet itself (no header-only packet built and copied for it)
-    and takes no pass before its deadline, it made 290 914 (116.4). Now
-    that the switch, engine and store add their counters in place (no
-    ``Counter.inc`` frame), it makes 279 586 (111.8). The budget is 112
-    per packet.
-    Scheduling the 2 500 injections enters one frame each,
-    ``schedule_at`` itself (5 000 with ``Event.__init__``).
+    a count, so it reads the same on any machine (the history of the
+    count is in CHANGES.md). It makes 243 567 calls for its 2 500
+    packets (97.4 each); the budget is 98 per packet, so a change that
+    adds a frame per packet on the hop path fails here. Scheduling the
+    2 500 injections enters one frame each, ``schedule_at`` itself.
     """
     import gc
     import sys
@@ -477,28 +463,16 @@ def test_nat_hop_call_budget():
     finally:
         sys.setprofile(None)
     assert external.rx_packets == flows * per_flow
-    assert calls[0] <= 112 * flows * per_flow
+    assert calls[0] <= 98 * flows * per_flow
 
 
 def test_write_path_call_budget():
     """Python frames entered per delivered packet on the write path: one
     Sync-Counter flow, every packet mirrored, chain-replicated across
-    three replicas and released on its ack. Before receivers took the
-    sender's object instead of parsing the bytes it had just encoded
-    (six decodes per packet), this run made 521 667 calls for its 700
-    packets (745.2 each). With an ``Event`` object per scheduled event it
-    made 501 319 (716.2); with the queue entry as the event it made
-    464 131 (663.0), and 462 013 (660.0) while every chain update was
-    acked hop by hop from the tail back to the head. Without those acks
-    it made 347 504 (496.4); without the engine's default-on history (two
-    ``HistoryEvent`` frames per packet) it made 346 104 (494.4). With the
-    links' tx tallies added in place (no ``Counter.inc`` per transmit) it
-    made 323 656 (462.4). Now that the mirror keeps the request packet by
-    reference instead of building and copying a header-only one, and a
-    copy's first pass is at its deadline (no acked write takes one), it
-    made 301 224 (430.3). With the switch, engine and store counters
-    added in place (no ``Counter.inc`` frame) it makes 289 997 (414.3).
-    The budget is 415.
+    three replicas and released on its ack (the history of the count is
+    in CHANGES.md). It makes 249 289 calls for its 700 packets (356.1
+    each); the budget is 357 per packet, so a change that adds a frame
+    per packet anywhere on the write path fails here.
     """
     import sys
 
@@ -527,4 +501,4 @@ def test_write_path_call_budget():
     finally:
         sys.setprofile(None)
     assert receiver.rx_packets == packets
-    assert calls[0] <= 415 * packets
+    assert calls[0] <= 357 * packets

@@ -146,3 +146,99 @@ def test_flow_key_without_ip_raises():
 def test_flow_key_str_is_readable():
     key = FlowKey(ip_aton("10.0.0.1"), ip_aton("10.0.0.2"), PROTO_UDP, 1, 2)
     assert "10.0.0.1:1" in str(key)
+
+
+# -- the FlowKey contract ------------------------------------------------------
+
+
+def test_flow_key_contract():
+    """A key is the tuple of its five fields, and prints, reverses,
+    orders and hashes as the frozen dataclass it replaced did, so set
+    and dict orders, traces and verdicts do not move."""
+    import pickle
+
+    raw = (ip_aton("10.0.1.11"), ip_aton("192.0.2.1"), PROTO_UDP, 5000, 7777)
+    key = FlowKey(*raw)
+    assert repr(key) == ("FlowKey(src_ip=167772427, dst_ip=3221225985, "
+                         "proto=17, sport=5000, dport=7777)")
+    assert str(key) == "10.0.1.11:5000->192.0.2.1:7777/17"
+    assert (key.src_ip, key.dst_ip, key.proto, key.sport, key.dport) == raw
+    assert key == raw and hash(key) == hash(raw)
+    back = key.reversed()
+    assert type(back) is FlowKey
+    assert back == (raw[1], raw[0], PROTO_UDP, 7777, 5000)
+    assert key.canonical() is key and back.canonical() == key
+    assert type(back.canonical()) is FlowKey
+    keys = [FlowKey(2, 1, 6, 0, 0), back, key, FlowKey(2, 1, 6, 0, 1)]
+    assert sorted(keys) == sorted(keys, key=tuple)
+    assert FlowKey(2, 1, 6, 0, 0) < FlowKey(2, 1, 6, 0, 1)
+    again = pickle.loads(pickle.dumps(key))
+    assert type(again) is FlowKey and again == key
+    assert type(FlowKey.unpack(key.pack())) is FlowKey
+    with pytest.raises(AttributeError):
+        key.sport = 1
+
+
+# -- wire size fixed at construction ---------------------------------------------
+
+
+def _built_by_constructors(pkt):
+    """The same packet through the dataclass constructors."""
+    return Packet(
+        eth=EthernetHeader(),
+        ip=IPv4Header(**vars(pkt.ip)),
+        l4=type(pkt.l4)(**vars(pkt.l4)),
+        payload=pkt.payload,
+        vlan=pkt.vlan,
+    )
+
+
+@given(
+    ips, ips, ports, ports,
+    st.binary(min_size=0, max_size=100),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=4094)),
+    st.booleans(),
+)
+def test_factories_build_the_constructors_packet_and_its_wire_size(
+        src, dst, sport, dport, payload, vlan, tcp):
+    if tcp:
+        pkt = Packet.tcp(src, dst, sport, dport, seq=5, ack=6, flags=TCP_SYN,
+                         payload=payload, vlan=vlan)
+        assert pkt.l4 == TCPHeader(sport=sport, dport=dport, seq=5, ack=6,
+                                   flags=TCP_SYN)
+        assert pkt.ip == IPv4Header(src=src, dst=dst, proto=PROTO_TCP,
+                                    total_length=40 + len(payload))
+    else:
+        pkt = Packet.udp(src, dst, sport, dport, payload=payload, vlan=vlan)
+        assert pkt.l4 == UDPHeader(sport=sport, dport=dport,
+                                   length=8 + len(payload))
+        assert pkt.ip == IPv4Header(src=src, dst=dst, proto=PROTO_UDP,
+                                    total_length=28 + len(payload))
+    assert pkt == _built_by_constructors(pkt)
+    back = Packet.from_bytes(pkt.to_bytes())
+    for built in (pkt, _built_by_constructors(pkt), back, pkt.copy()):
+        assert built.wire_size == built.byte_size() == pkt.byte_size()
+    assert back == pkt
+
+
+def test_a_size_changing_edit_after_construction_raises():
+    pkt = Packet.udp(1, 2, 3, 4, payload=b"\x00" * 100)
+    assert pkt.wire_size == 142
+    pkt.payload = b"\x01" * 100  # same size: an in-place rewrite
+    pkt.ip.src = 9               # header fields change freely
+    pkt.l4 = UDPHeader(sport=5, dport=6)
+    for name, value in (("payload", b"\x01" * 101), ("vlan", 7),
+                        ("l4", TCPHeader()), ("ip", None)):
+        with pytest.raises(ValueError, match="wire size"):
+            setattr(pkt, name, value)
+    assert pkt.payload == b"\x01" * 100 and pkt.vlan is None
+    assert isinstance(pkt.l4, UDPHeader) and pkt.ip.src == 9
+    assert pkt.wire_size == pkt.byte_size() == 142
+    small = pkt.with_payload(b"")
+    assert small.wire_size == small.byte_size() == MIN_FRAME_BYTES
+    assert small.ip == pkt.ip and small.ip is not pkt.ip
+    assert pkt.wire_size == 142
+    # Under the minimum frame a rewrite that keeps 60 bytes is no change.
+    tiny = Packet.udp(1, 2, 3, 4)
+    tiny.payload = b"\x00" * 4
+    assert tiny.wire_size == tiny.byte_size() == MIN_FRAME_BYTES
