@@ -445,15 +445,19 @@ class Packet:
 
     def with_payload(self, payload: bytes) -> "Packet":
         """A :meth:`copy` carrying ``payload`` instead: the way to give a
-        packet a payload of another wire size."""
-        return Packet(
-            eth=replace(self.eth),
-            ip=replace(self.ip) if self.ip is not None else None,
-            l4=replace(self.l4) if self.l4 is not None else None,
-            payload=payload,
-            vlan=self.vlan,
-            meta=dict(self.meta),
-        )
+        packet a payload of another wire size. A payload of another size
+        sets the IP total length and the UDP length from it."""
+        ip = replace(self.ip) if self.ip is not None else None
+        l4 = replace(self.l4) if self.l4 is not None else None
+        if len(payload) != len(self.payload):
+            l4_len = (UDP_HEADER_LEN if isinstance(l4, UDPHeader)
+                      else TCP_HEADER_LEN if isinstance(l4, TCPHeader) else 0)
+            if isinstance(l4, UDPHeader):
+                l4.length = UDP_HEADER_LEN + len(payload)
+            if ip is not None:
+                ip.total_length = IPV4_HEADER_LEN + l4_len + len(payload)
+        return Packet(eth=replace(self.eth), ip=ip, l4=l4, payload=payload,
+                      vlan=self.vlan, meta=dict(self.meta))
 
     # -- decode once --------------------------------------------------------------
 

@@ -1,44 +1,27 @@
 """``repro.verify`` — P4-compiler-style static analysis for the reproduction.
 
-Five coordinated passes over the code and the configured artifacts,
-sharing one diagnostic engine (rule ids, severities, source locations,
-JSON + human rendering, ``# repro: noqa[RULE]`` suppressions):
+Coordinated passes over the code and the configured artifacts, sharing
+one diagnostic engine (rule ids, severities, source locations, JSON +
+human rendering, ``# repro: noqa[RULE]`` suppressions):
 
-* **pipeline** (:mod:`repro.verify.pipeline_pass`) — walks a configured
-  :class:`~repro.switch.asic.SwitchASIC` program symbolically and proves
-  or refutes the Tofino hardware constraints the runtime model only
-  discovers mid-simulation: at most one access per register array per
-  packet across all verdict paths (PAPER §5.4), stage/ALU budgets,
-  mirror-session wiring, and resource fit against
-  :data:`repro.switch.resources.CAPACITY` (Table 2).
-* **determinism** (:mod:`repro.verify.determinism_pass`) — an AST lint
-  over the source tree forbidding simulation-breaking constructs (wall
-  clock, unseeded randomness, set-iteration-order leaks, identity-based
-  ordering): the invariant every same-seed byte-identical guarantee in
-  CHANGES.md silently relies on.
-* **telemetry** (:mod:`repro.verify.telemetry_pass`) — validates metric
-  and trace emit sites against the declared schema in
-  :mod:`repro.telemetry.schema` (names, label sets, cardinality bounds,
-  span open/close pairing) so the spans-completeness guarantee is checked
-  statically, not only empirically.
-* **fastpath** (:mod:`repro.verify.fastpath_pass`) — proves the flow
-  cache's bit-identical-replay contract: replay functions stay inside
-  :data:`repro.fastpath.flowcache.REPLAY_EFFECTS` and partition inputs
-  are declared (RP14x).
-* **partition** (:mod:`repro.verify.partition_pass`) — classifies every
-  piece of per-app switch state as flow-local, flow-hash-partitionable,
-  or global on the partition-class lattice and emits a machine-checked
-  shard plan per app (``shard_plans/``).
+* **pipeline** (:mod:`repro.verify.pipeline_pass`, RP1xx) — proves the
+  Tofino constraints of a configured switch program: one access per
+  register array per packet (PAPER §5.4), the stage/ALU budget,
+  mirror-session wiring and resource fit (Table 2);
+* **partition** (:mod:`repro.verify.partition_pass`, RS4xx) — classifies
+  every piece of per-app switch state as flow-local, flow-hash or global
+  and emits a machine-checked shard plan per app (``shard_plans/``);
+* the **tree lints** (:func:`verify_tree`: one parse, one suppression
+  scan, one import table and one AST walk per file) — determinism (RD2xx:
+  wall clock, unseeded randomness, set order, ids), the telemetry schema
+  (RT3xx) and fast-path replay (RP14x).
 
-Three rule families read source files rather than deployed apps — the
-determinism, telemetry and fastpath rules. They are the *tree lints*,
-and :func:`verify_tree` runs them all: one parse, one suppression scan,
-one import table and one AST walk per file. The pipeline and partition
-passes read live code through one symbolic walker
-(:class:`repro.verify.astutil.Walker`), each with its own lattice.
-``python -m repro.tools verify --all`` runs everything; the CI
-``verify`` job gates on it with ``--strict``, and re-emits the shard
-plans to check them byte-equal to the committed ones.
+Passes 1 and 5 read live code through one analyzer
+(:class:`repro.verify.pipeline_pass.Analyzer`): each deployed app is walked
+with one evaluator and one access record, which pass 1 reads per path
+and pass 5 per index derivation. ``python -m repro.tools verify --all``
+runs everything; the CI ``verify`` job gates on it with ``--strict`` and
+re-emits the shard plans to check them byte-equal to the committed ones.
 """
 
 from repro.verify.diagnostics import (

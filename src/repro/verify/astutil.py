@@ -2,9 +2,9 @@
 
 Besides parsing and import tables, this module owns the one way the
 verifier reads *live* code: :class:`Walker`, a symbolic interpreter of a
-function body over the deployed object graph. The pipeline pass (RP1xx)
-and the partition pass (RS4xx) subclass it and supply only their lattice
-(what an expression is worth, which events it records) and their rules.
+function body over the deployed object graph. Its one subclass,
+:class:`repro.verify.pipeline_pass.Analyzer`, supplies the lattice and
+the rules' records; passes 1 (RP1xx) and 5 (RS4xx) read them.
 """
 
 from __future__ import annotations
@@ -251,6 +251,14 @@ def stateful_objects(obj: object) -> List[Tuple[str, object]]:
 
 # -- the symbolic walker ------------------------------------------------------
 
+#: The values the walker itself produces: a same-for-every-packet value
+#: (loop counters, dict keys), an unknown one (recursion) and a raising
+#: path's return. The rest of the lattice is the analyzer's
+#: (:mod:`repro.verify.pipeline_pass`).
+CONST = frozenset({"const"})
+UNKNOWN = frozenset({"?"})
+RAISE = frozenset({"raise"})
+
 
 class Ref:
     """A resolved expression: a concrete live object, or one *member* of a
@@ -351,6 +359,8 @@ def _signature(p: Path) -> Tuple:
 
 
 def dedupe(paths: List[Path]) -> List[Path]:
+    if len(paths) < 2:
+        return paths
     seen: Set[Tuple] = set()
     out: List[Path] = []
     for p in paths:
@@ -387,23 +397,12 @@ class Walker:
     """Symbolic walk of live functions over the deployed object graph.
 
     The walker owns statement dispatch, name binding, live-name
-    resolution, loop binding and helper inlining. A subclass is a
-    *lattice*: :meth:`eval` says what an expression is worth (a list of
-    effects) and records whatever events its rules need, :meth:`join`
-    merges values, and the class constants name the values the walker
-    itself produces. Paths carry event multisets and a return value;
-    every ``if`` forks them, every loop composes its worst iteration.
+    resolution, loop binding and the summary memo;
+    :class:`~repro.verify.pipeline_pass.Analyzer` supplies :meth:`eval`
+    (an expression's effects), :meth:`join`, :meth:`value` and
+    :meth:`loop_done`. Every ``if`` forks the paths, every loop composes
+    its worst iteration.
     """
-
-    #: Value of a call whose effect is unknown (recursion).
-    UNKNOWN: object = None
-    #: Return value of a bare ``return``/``return None``/falling off the end.
-    NONE: object = None
-    #: Return value of a path that raises.
-    RAISE: object = None
-    #: Value of a loop counter or dict key over a fixed collection: the
-    #: same for every packet.
-    CONFIG: object = None
 
     def __init__(self, report: Report, supp: SuppressionIndex,
                  root: Optional[str]) -> None:
@@ -412,21 +411,12 @@ class Walker:
         self.root = root
         #: The logical site diagnostics cite unless told otherwise.
         self.site = ""
+        #: Inline every resolvable call, not only those the subclass
+        #: singles out; part of the memo key.
+        self.follow_all = False
         self._summaries: Dict[Tuple, Optional[List[Path]]] = {}
         self._active: Set[Tuple] = set()
         self._once: Set[Tuple] = set()
-
-    # -- the lattice -----------------------------------------------------------
-
-    def eval(self, node: Optional[ast.AST], frame: Frame) -> List[Path]:
-        raise NotImplementedError
-
-    def join(self, values: Sequence[object]) -> object:
-        raise NotImplementedError
-
-    def loop_done(self, body: Dict, prefixes: Tuple, frame: Frame,
-                  node: ast.AST) -> None:
-        """Called with a finished loop's worst-iteration events."""
 
     # -- diagnostics -----------------------------------------------------------
 
@@ -516,7 +506,7 @@ class Walker:
                   frame: Frame) -> Tuple[Tuple, bool]:
         """Bind a loop target over ``iter_node`` (whose lattice value is
         ``value``): members of a resolved collection bind to member refs,
-        ``enumerate`` counters and ``.items()`` keys to :attr:`CONFIG`.
+        ``enumerate`` counters and ``.items()`` keys to :data:`CONST`.
         Returns (member-key prefixes the loop binds, statically empty?)."""
         tnodes = list(target.elts) if isinstance(target, ast.Tuple) else [
             target]
@@ -554,12 +544,17 @@ class Walker:
         for t, m, position in pairs:
             if isinstance(t, ast.Name):
                 frame.refs[t.id] = m
-                frame.vals[t.id] = self.CONFIG if position else value
+                frame.vals[t.id] = CONST if position else value
         return tuple(m.key for _, m, _ in pairs if m is not None), empty
 
     # -- statements ---------------------------------------------------------------
 
     def apply(self, paths: List[Path], effects: List[Path]) -> List[Path]:
+        """Each path followed by each effect. Effects are shared (the
+        analyzer hands out one list per leaf value), so neither an effect
+        nor its counts is ever mutated; paths are each walk's own."""
+        if len(effects) == 1 and not effects[0].c:
+            return paths
         out = []
         for p in paths:
             for e in effects:
@@ -567,9 +562,6 @@ class Walker:
                 merge(q.c, e.c)
                 out.append(q)
         return dedupe(out)
-
-    def value(self, effects: List[Path]) -> object:
-        return self.join([e.ret for e in effects])
 
     def walk_body(self, stmts: Sequence[ast.stmt], paths: List[Path],
                   frame: Frame) -> List[Path]:
@@ -592,7 +584,7 @@ class Walker:
             value = stmt.value
             if value is None or (
                     isinstance(value, ast.Constant) and value.value is None):
-                effs = [Path({}, self.NONE)]
+                effs = [Path()]
             else:
                 effs = self.eval(value, frame)
             out = combine(live, effs)  # each path ends with each value
@@ -602,7 +594,7 @@ class Walker:
         if isinstance(stmt, ast.Raise):
             live = self.apply(live, self.eval(stmt.exc, frame))
             for p in live:
-                p.term, p.ret = True, self.RAISE
+                p.term, p.ret = True, RAISE
             return live
         if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
             return self._walk_assign(stmt, live, frame)
@@ -717,17 +709,18 @@ class Walker:
                   ) -> Optional[List[Path]]:
         """The terminated paths of ``fn``'s body, with its first parameter
         bound to ``self_ref`` and other parameters to ``bindings``
-        values. Memoized per (code, receiver, bindings); a recursive call
-        is one opaque path returning :attr:`UNKNOWN`. None when ``fn`` has
-        no analyzable source or is nested deeper than :data:`MAX_DEPTH`."""
+        values. Memoized per (code, receiver, bindings,
+        :attr:`follow_all`); a recursive call is one opaque path
+        returning :data:`UNKNOWN`. None when ``fn`` has no analyzable
+        source or is nested deeper than :data:`MAX_DEPTH`."""
         fn = getattr(fn, "__func__", fn)
         bindings = bindings or {}
         key = (id(fn.__code__), self_ref.key if self_ref else None,
-               tuple(sorted(bindings.items())))
+               tuple(sorted(bindings.items())), self.follow_all)
         if key in self._summaries:
             return self._summaries[key]
         if key in self._active:
-            return [Path({}, self.UNKNOWN, True)]
+            return [Path({}, UNKNOWN, True)]
         if len(self._active) >= MAX_DEPTH:
             return None
         found = self.source(fn)
@@ -746,8 +739,6 @@ class Walker:
         finally:
             self._active.discard(key)
         for p in paths:
-            if not p.term:
-                p.term, p.ret = True, self.NONE
-        paths = dedupe(paths)
-        self._summaries[key] = paths
+            p.term = True
+        paths = self._summaries[key] = dedupe(paths)
         return paths

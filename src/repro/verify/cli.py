@@ -1,17 +1,18 @@
 """The ``repro.tools verify`` command: :func:`register` declares its
 flags, :func:`run_verify` is its handler.
 
-Runs the five passes with one shared suppression index and one report,
-so a single ``# repro: noqa[...]`` grammar covers all rule families and
+Runs every pass with one shared suppression index and one report, so a
+single ``# repro: noqa[...]`` grammar covers all rule families and
 unused suppressions are judged once, after every pass has spoken.
 
 The tree lints (determinism, telemetry, fastpath) take file/directory
 paths and share one walk per file; the pipeline and partition verifiers
 need *deployed programs*, so they run over the builtin application
-registry (``--all`` / ``--app NAME``), deploying each app on a fresh
-simulated testbed exactly as the experiments do and analyzing the
-resulting switch. An app that does not deploy ends the command with one
-line naming it and the error (exit 2).
+registry (``--all`` / ``--app NAME``). Each app is deployed once, on a
+fresh simulated testbed exactly as the experiments do, and one
+:class:`~repro.verify.pipeline_pass.Analyzer` serves both passes: pass 1
+walks its switch program, pass 5 its app. An app that does not deploy
+ends the command with one line naming it and the error (exit 2).
 
 The partition pass additionally produces one shard plan per analyzed
 app. ``--plan`` renders the plans and ``--emit-plans DIR`` writes their
@@ -28,11 +29,9 @@ from typing import Dict, List, Optional
 
 from repro.verify.determinism_pass import verify_tree
 from repro.verify.diagnostics import Report, SuppressionIndex
-from repro.verify.partition_pass import (
-    plan_json, render_plan, verify_partition_app,
-)
+from repro.verify.partition_pass import plan_json, render_plan, shard_plan
 from repro.verify.pipeline_pass import (
-    DeployError, verify_app, verify_netchain,
+    DeployError, app_analyzer, check_app, deployed, verify_netchain,
 )
 from repro.verify.rules import RULES
 
@@ -56,6 +55,7 @@ def shard_plan_dir() -> str:
 def run_verify(args: argparse.Namespace) -> int:
     """``repro.tools verify``: run the passes, print the report."""
     from repro.apps import BUILTIN_APPS
+    from repro.deploy import deploy
 
     app, paths, all_targets = args.app, args.paths, args.all_targets
     root = repo_root()
@@ -100,9 +100,10 @@ def run_verify(args: argparse.Namespace) -> int:
     plans: Dict[str, dict] = {}
     try:
         for name in sorted(apps):
-            verify_app(apps[name], label=name, **shared)
-            plans[name] = verify_partition_app(apps[name], label=name,
-                                               **shared)[1]
+            dep = deployed(deploy, apps[name])
+            an = app_analyzer(dep, **shared)
+            check_app(an, dep, name)
+            plans[name] = shard_plan(an, dep, name)
         # The NetChain in-switch store is a deployable switch program
         # too: verify its ToR pipeline whenever the full app registry is.
         if app == "netchain" or (app is None and (all_targets or not paths)):

@@ -1,5 +1,7 @@
 """Unit and property tests for the packet model."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -236,7 +238,17 @@ def test_a_size_changing_edit_after_construction_raises():
     assert pkt.wire_size == pkt.byte_size() == 142
     small = pkt.with_payload(b"")
     assert small.wire_size == small.byte_size() == MIN_FRAME_BYTES
-    assert small.ip == pkt.ip and small.ip is not pkt.ip
+    # The length fields follow the new payload; every other header field
+    # is copied, and the original keeps its own.
+    big = pkt.with_payload(b"\x02" * 200)
+    for copy, lengths in ((small, (28, 8)), (big, (228, 208))):
+        assert (copy.ip.total_length, copy.l4.length) == lengths
+        assert copy.ip is not pkt.ip and copy.l4 is not pkt.l4
+        assert replace(copy.ip, total_length=pkt.ip.total_length) == pkt.ip
+        assert replace(copy.l4, length=pkt.l4.length) == pkt.l4
+        assert copy.eth == pkt.eth and copy.vlan == pkt.vlan
+    assert (pkt.ip.total_length, pkt.l4.length) == (128, 8)
+    assert Packet.from_bytes(big.to_bytes()) == big
     assert pkt.wire_size == 142
     # Under the minimum frame a rewrite that keeps 60 bytes is no change.
     tiny = Packet.udp(1, 2, 3, 4)

@@ -107,12 +107,11 @@ def test_a_line_inserted_above_a_cited_class_is_not_drift(tmp_path):
 
 def test_conformance_call_budget():
     """Python frames entered by one warm ``check_conformance("nat")`` — a
-    count, so it reads the same on any machine. While the partition pass
-    searched a file's whole AST for every def it inlined and cited class
-    sites through ``inspect.getsourcelines`` (which tokenizes the class's
-    module), this made 50 754 calls; with the walker's cached def and
-    class lookups and file-only plan sites it makes 5 700. The budget is
-    that figure plus 5 %."""
+    count, so it reads the same on any machine. It deploys the app, runs
+    the one analyzer over the app's ``partition_key`` and ``process``
+    only (never the pipeline), and serializes the plan: 4 190 calls. The
+    budget is that figure plus 5 %; it is what keeps a sharded launch's
+    setup time from moving."""
     check = plan_mod.check_conformance
     check("nat")
     calls = [0]
@@ -126,4 +125,4 @@ def test_conformance_call_budget():
         check("nat")
     finally:
         sys.setprofile(None)
-    assert calls[0] <= 6_000
+    assert calls[0] <= 4_399

@@ -163,6 +163,18 @@ class DstKeyedCounter(AsyncCounterApp):
         return FlowKey(pkt.ip.dst, 0, 0, 0, 0)
 
 
+class SrcBytesCounter(AsyncCounterApp):
+    """Keys flows by source, and indexes its counters by the source
+    address's bytes: a method call on a computed receiver."""
+
+    def partition_key(self, pkt):
+        return FlowKey(pkt.ip.src, 0, 0, 0, 0)
+
+    def process(self, state, pkt, ctx, switch):
+        self.counters.update(ctx, (pkt.ip.src + 0).to_bytes(4, "big"), 1)
+        return AppVerdict.FORWARD
+
+
 def line_of(cls, needle):
     lines, start = inspect.getsourcelines(cls)
     return start + next(i for i, text in enumerate(lines) if needle in text)
@@ -187,6 +199,14 @@ def test_structure_keyed_outside_the_partition_key_is_rs401():
         "ip.src, l4.dport, l4.sport}" in hits[0].message
     assert "partition key derives from {ip.dst}" in hits[0].message
     assert plan["partition_key"]["fields"] == ["ip.dst"]
+
+
+def test_a_call_on_a_computed_receiver_keeps_the_receivers_fields():
+    report, plan = analyze(SrcBytesCounter, label="src_bytes")
+    assert active_rules(report) == []
+    counters = [s for s in plan["structures"] if s.get("attr") == "counters"]
+    assert counters[0]["partition_class"] == "flow_local"
+    assert counters[0]["key_fields"] == ["ip.src"]
 
 
 def test_unanalyzable_partition_key_is_rs407():

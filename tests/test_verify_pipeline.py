@@ -488,6 +488,33 @@ def test_an_app_that_does_not_deploy_is_one_line_and_exit_2(
                        "\"unknown resource 'bogus_units'\"\n")
 
 
+def test_verify_all_deploys_each_program_once(monkeypatch, capsys):
+    """One deployment per builtin app serves both passes 1 and 5, and
+    the NetChain store is deployed once."""
+    import importlib
+
+    from repro.verify import cli
+
+    # ``repro.deploy`` the attribute is the function; patch the module.
+    module = importlib.import_module("repro.deploy")
+    calls = {"deploy": 0, "deploy_netchain": 0}
+    for fn_name in calls:
+        real = getattr(module, fn_name)
+
+        def counted(*args, _real=real, _name=fn_name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, fn_name, counted)
+    parser = argparse.ArgumentParser()
+    cli.register(parser.add_subparsers())
+    args = parser.parse_args(["verify", "--all"])
+    assert args.run(args) == 0
+    capsys.readouterr()
+    assert calls == {"deploy": len(BUILTIN_APPS), "deploy_netchain": 1}
+    assert len(BUILTIN_APPS) == 11
+
+
 # -- the builtin applications (satellite: the RP132 sweep) --------------------
 
 
