@@ -14,7 +14,9 @@ goes, so it covers every record ever emitted whatever the ring holds
 (a shard's records reach the digest through the merge instead). A
 finished simulator nobody watched can only offer its retained ring, and
 ``records_hashed`` says so: :func:`compare` reports ``trace_complete``
-only when both sides hashed every record they emitted.
+only when both sides hashed every record they emitted. A simulator that
+keeps no ring (``trace_ring=0``, as the shard runner builds them) has
+nothing to offer, so :func:`fingerprint` refuses it without a hasher.
 
 A record is rendered through a %-template built once per key tuple
 (:func:`record_template`), byte-equal to that ``repr`` without building
@@ -104,8 +106,13 @@ def fingerprint_of(events: int, records_emitted: int, hasher: TraceHasher,
 
 def fingerprint(sim: Any, hasher: Optional[TraceHasher] = None) -> Dict[str, Any]:
     """Fingerprint a finished simulator: streamed when ``hasher``
-    watched the run, otherwise over the records the ring retained."""
+    watched the run, otherwise over the records the ring retained.
+    Raises ``ValueError`` for a tracer that keeps no ring
+    (``trace_ring=0``) and no ``hasher``: there is nothing to digest."""
     if hasher is None:
+        if sim.tracer.maxlen == 0:
+            raise ValueError("cannot fingerprint a run with no ring and "
+                             "no hasher: watch it with identity.watch")
         hasher = TraceHasher(sim.tracer.tail())
     return fingerprint_of(
         sim.events_executed, sim.tracer.records_emitted, hasher,

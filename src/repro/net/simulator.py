@@ -64,8 +64,10 @@ class Simulator:
         behaviour (link loss, reordering, workload generation) must draw
         from :attr:`rng` so that a run is reproducible from its seed.
     trace_ring:
-        Capacity of the trace ring; ``None`` keeps every record (identity
-        oracles, which digest the whole run).
+        Capacity of the trace ring; ``None`` keeps every record, ``0``
+        keeps none (the tracer still counts every emit and feeds its
+        sinks, and builds no record when it has no sink: the shard
+        runner's simulators, whose rings nobody could read).
 
     While events execute, CPython's cyclic garbage collector is paused
     (``gc.isenabled()`` is false inside every handler) and put back as it
@@ -90,7 +92,7 @@ class Simulator:
         self._uid_seq = itertools.count(1)
         #: The run's metric registry: every component publishes through it.
         self.metrics = MetricRegistry()
-        #: The run's trace ring; timestamps are this clock's simulated time.
+        #: The run's tracer; timestamps are this clock's simulated time.
         self.tracer = Tracer(clock=functools.partial(getattr, self, "now"),
                              maxlen=trace_ring)
         #: Per-run memo of flow-tag strings (``str(FlowKey)``) by raw

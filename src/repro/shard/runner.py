@@ -89,7 +89,12 @@ def resolve(
 
 
 def _new_sim(config: ShardRunConfig) -> Simulator:
-    return Simulator(seed=config.seed)
+    """A simulator that keeps no trace ring. Nothing reads one here: the
+    reference is hashed from a sink as it emits, a shard's records reach
+    the merge through its recorder's sink, and neither result holds the
+    simulator, so a ring would only fill memory (and die with a worker).
+    Without a sink (a capture-off shard, the ghost) an emit only counts."""
+    return Simulator(seed=config.seed, trace_ring=0)
 
 
 #: Shard campaigns can finish their event activity in a few sim

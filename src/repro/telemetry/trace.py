@@ -10,7 +10,10 @@ in tests/test_telemetry.py), and a hot site passes :meth:`Tracer.emit` a
 literal key tuple and a value tuple, so emitting fills no kwargs dict.
 The ring bounds memory, and the sinks in :attr:`Tracer.sinks` see every
 record as it is emitted (:class:`JsonlSink` streams them to disk for
-offline analysis; ``python -m repro.tools trace`` prints the tail).
+offline analysis; ``python -m repro.tools trace`` prints the tail). A
+tracer built with ``maxlen=0`` keeps no ring: it still counts every
+emit and hands each record to the sinks, and with no sink it builds no
+record at all (the shard runner's simulators, whose rings nobody reads).
 
 Record timestamps are *simulated* microseconds, never wall clock, and
 every field comes from deterministic run state — so two runs with the
@@ -128,6 +131,11 @@ class TraceRecord:
         return cls.from_fields(raw["ts"], raw["type"], raw.get("fields", {}))
 
 
+#: Where a ring-less tracer appends a record it built for its sinks:
+#: one shared zero-length deque, so appending keeps nothing.
+_DISCARD: Deque[TraceRecord] = deque(maxlen=0)
+
+
 class Tracer:
     """Bounded trace ring plus a list of sinks.
 
@@ -139,7 +147,9 @@ class Tracer:
     maxlen:
         Ring capacity (``None``: unbounded). Old records fall off the
         front; ``records_emitted`` keeps counting so truncation is
-        detectable.
+        detectable. ``0`` keeps no ring: :meth:`tail` is empty,
+        ``records_dropped`` equals ``records_emitted``, the sinks still
+        see every record, and an emit with no sink attached only counts.
     """
 
     def __init__(self, clock: Callable[[], float],
@@ -147,14 +157,15 @@ class Tracer:
         self._clock = clock
         self.maxlen = maxlen
         self.records_emitted = 0
-        self._ring: Deque[TraceRecord] = deque(maxlen=maxlen)
+        self._ring: Optional[Deque[TraceRecord]] = (
+            None if maxlen == 0 else deque(maxlen=maxlen))
         #: One key tuple per keyword shape :meth:`emit` has seen, so its
         #: records share it as a row site's records share its literal.
         self._shapes: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
         #: Callables handed each record, in order, *after* it is appended
-        #: to the ring; anything may join (the identity hasher, the shard
-        #: recorder, a :class:`JsonlSink`). A sink must not emit records
-        #: itself.
+        #: to the ring (if any); anything may join (the identity hasher,
+        #: the shard recorder, a :class:`JsonlSink`). A sink must not
+        #: emit records itself.
         self.sinks: List[Callable[[TraceRecord], None]] = []
 
     def emit(self, type_: str, keys: Optional[Tuple[str, ...]] = None,
@@ -169,15 +180,21 @@ class Tracer:
         and the value tuple is all a record keeps of its own (the
         ``fields`` dict every call of this method gets is then empty and
         freed on return). One method for both, so every record passes
-        through ``emit``.
+        through ``emit``. Without a ring and without a sink nothing can
+        read the record, so it is counted and not built.
         """
+        self.records_emitted += 1
+        ring = self._ring
+        if ring is None:
+            if not self.sinks:
+                return
+            ring = _DISCARD
         if keys is None:
             keys = tuple(fields)
             keys = self._shapes.setdefault(keys, keys)
             values = tuple(fields.values())
         record = TraceRecord(self._clock(), type_, keys, values)
-        self.records_emitted += 1
-        self._ring.append(record)
+        ring.append(record)
         if self.sinks:  # no iterator on the usual sink-less hot path
             for sink in self.sinks:
                 sink(record)
@@ -186,7 +203,7 @@ class Tracer:
 
     def tail(self, n: Optional[int] = None) -> List[TraceRecord]:
         """The most recent ``n`` records (all retained records if None)."""
-        if n is not None and n <= 0:
+        if self._ring is None or n is not None and n <= 0:
             return []
         if n is None or n >= len(self._ring):
             return list(self._ring)
@@ -195,10 +212,10 @@ class Tracer:
     @property
     def records_dropped(self) -> int:
         """Emitted records no longer retained (ring truncation)."""
-        return self.records_emitted - len(self._ring)
+        return self.records_emitted - len(self)
 
     def __len__(self) -> int:
-        return len(self._ring)
+        return 0 if self._ring is None else len(self._ring)
 
 
 class JsonlSink:

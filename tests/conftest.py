@@ -25,6 +25,23 @@ def sim() -> Simulator:
 
 
 @pytest.fixture
+def records_built(monkeypatch):
+    """A one-item list counting every ``TraceRecord`` constructed while
+    the test runs (in this process)."""
+    from repro.telemetry.trace import TraceRecord
+
+    built = [0]
+    init = TraceRecord.__init__
+
+    def counted(self, *args):
+        built[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(TraceRecord, "__init__", counted)
+    return built
+
+
+@pytest.fixture
 def counter_deployment(sim):
     """A testbed running the sync per-flow counter on both agg switches."""
     return deploy(sim, SyncCounterApp)

@@ -53,6 +53,22 @@ def test_post_hoc_fingerprint_of_a_truncated_ring_says_it_is_incomplete():
         "trace_complete"]
 
 
+def test_a_run_with_no_ring_and_no_hasher_cannot_be_fingerprinted():
+    """A zero-record digest would pass for a fingerprint, flagged only
+    by ``trace_complete``; refusing names the mistake instead."""
+    with pytest.raises(ValueError, match="no ring and no hasher"):
+        _quickstart(trace_ring=0)
+
+
+def test_a_watched_run_with_no_ring_fingerprints_as_with_the_default_ring():
+    _sim, ringless = _quickstart(trace_ring=0, watched=True)
+    _sim, ringed = _quickstart(watched=True)
+    assert ringless == ringed
+    assert all(identity.compare(ringed, ringless).values())
+    assert ringless["records_hashed"] == QUICKSTART_RECORDS
+    assert ringless["trace_digest"] == QUICKSTART_DIGEST
+
+
 def test_reference_result_keeps_the_parents_digest_on_a_default_ring():
     sim, _ = _quickstart()
     result = reference_result(sim)

@@ -13,7 +13,8 @@ import pytest
 
 from repro.chaos import CAMPAIGNS
 from repro.shard.merge import MergeError
-from repro.shard.runner import resolve, run_identity, run_sharded
+from repro.shard.runner import (_new_sim, resolve, run_identity,
+                                run_one_shard, run_sharded)
 
 #: docs/SHARDING.md "Which chaos campaigns shard": the axes on which each
 #: named campaign differs at 2 inline workers (``None``: the merge
@@ -116,3 +117,42 @@ def test_identity_requires_rng_silence():
     out = run_identity("nat_quickstart", workers=2)
     assert out["report"]["rng_silent"]
     assert out["merged"]["rng_draws"] == 0
+
+
+# -- no ring ---------------------------------------------------------------------
+
+def _emitted_and_built(records_built, capture):
+    """``(records emitted, TraceRecords built)`` by nat_steady's shard 0."""
+    result = run_one_shard(resolve("nat_steady", 2, capture=capture), 0)
+    return result["records_emitted"], records_built[0]
+
+
+def test_a_capture_off_shard_counts_its_records_without_building_them(
+        records_built):
+    """Nothing reads a shard's ring, so there is none; with no recorder
+    sink an emit only counts."""
+    assert _emitted_and_built(records_built, capture=False) == (4680, 0)
+
+
+def test_a_capture_on_shard_builds_every_record_for_its_recorder(
+        records_built):
+    assert _emitted_and_built(records_built, capture=True) == (4680, 4680)
+
+
+def test_the_shard_runner_builds_simulators_without_a_ring():
+    sim = _new_sim(resolve("nat_quickstart", 2))
+    sim.tracer.emit("tick", i=1)
+    assert sim.tracer.maxlen == 0
+    assert len(sim.tracer) == 0 and sim.tracer.tail() == []
+    assert sim.tracer.records_dropped == sim.tracer.records_emitted == 1
+
+
+@pytest.mark.parametrize("mode", ["inline", "process"])
+def test_ringless_reference_and_shards_stay_identical_and_complete(mode):
+    """The reference is hashed from a sink and the shards merged from
+    their recorders' logs, so dropping the rings loses nothing."""
+    out = run_identity("nat_quickstart", workers=2, mode=mode)
+    _assert_identical(out)
+    assert out["report"]["trace_complete"]
+    for side in (out["reference"], out["merged"]):
+        assert side["records_hashed"] == side["records_emitted"] > 0

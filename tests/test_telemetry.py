@@ -284,6 +284,49 @@ def test_tracer_sink_streams_records(tmp_path):
     assert len(tracer) == 4
 
 
+def _emit_mixed(tracer, clock):
+    """Keyword and row emits of two shapes, at advancing times."""
+    for i in range(6):
+        clock[0] = float(i)
+        if i % 2:
+            tracer.emit(tt.PACKET_SEND, ("uid", "bytes"), (i, 64 * i))
+        else:
+            tracer.emit(tt.LEASE_GRANT, switch=f"agg{i}", migrated=i > 2)
+
+
+def test_a_ringless_tracer_keeps_nothing_and_counts_everything():
+    clock = [0.0]
+    tracer = Tracer(clock=lambda: clock[0], maxlen=0)
+    _emit_mixed(tracer, clock)
+    assert tracer.records_emitted == 6
+    assert tracer.tail() == [] and tracer.tail(3) == []
+    assert len(tracer) == 0
+    assert tracer.records_dropped == tracer.records_emitted
+
+
+def test_a_ringless_tracers_sinks_see_what_a_ring_keeps():
+    clock = [0.0]
+    ringed = Tracer(clock=lambda: clock[0])
+    _emit_mixed(ringed, clock)
+    ringless = Tracer(clock=lambda: clock[0], maxlen=0)
+    seen = []
+    ringless.sinks.append(seen.append)
+    _emit_mixed(ringless, clock)
+    assert seen == ringed.tail()
+    assert len(seen) == 6 and len(ringless) == 0
+
+
+def test_a_ringless_tracer_with_no_sink_builds_no_record(records_built):
+    clock = [0.0]
+    _emit_mixed(Tracer(clock=lambda: clock[0]), clock)
+    assert records_built[0] == 6  # the counter sees a ring's records
+    records_built[0] = 0
+    tracer = Tracer(clock=lambda: clock[0], maxlen=0)
+    _emit_mixed(tracer, clock)
+    assert records_built[0] == 0
+    assert tracer.records_emitted == 6
+
+
 def test_a_retained_hop_record_costs_at_most_200_bytes():
     """A record keeps its field names as a tuple shared by its shape and
     its values as a second tuple. With a ``{name: value}`` dict per
