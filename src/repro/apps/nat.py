@@ -42,11 +42,14 @@ NAT_PUBLIC_IP = ip_aton("192.0.2.1")
 INTERNAL_PREFIX = ip_aton("10.0.0.0")
 INTERNAL_MASK_LEN = 16
 
+#: ``ip`` is internal iff ``ip >> _INTERNAL_SHIFT == _INTERNAL_NET``; the
+#: NAT's per-packet methods test that inline, without a call.
+_INTERNAL_SHIFT = 32 - INTERNAL_MASK_LEN
+_INTERNAL_NET = INTERNAL_PREFIX >> _INTERNAL_SHIFT
+
 
 def is_internal(ip: int) -> bool:
-    return (ip >> (32 - INTERNAL_MASK_LEN)) == (
-        INTERNAL_PREFIX >> (32 - INTERNAL_MASK_LEN)
-    )
+    return (ip >> _INTERNAL_SHIFT) == _INTERNAL_NET
 
 
 class NatApp(InSwitchApp):
@@ -71,7 +74,8 @@ class NatApp(InSwitchApp):
         """One key for both directions: (remote endpoint, public port)."""
         if pkt.ip is None or not isinstance(pkt.l4, (UDPHeader, TCPHeader)):
             return None
-        if is_internal(pkt.ip.src) and not is_internal(pkt.ip.dst):
+        if ((pkt.ip.src >> _INTERNAL_SHIFT) == _INTERNAL_NET
+                and (pkt.ip.dst >> _INTERNAL_SHIFT) != _INTERNAL_NET):
             # Outbound: remote is the destination; public port will be the
             # (preserved) internal source port.
             return FlowKey(pkt.ip.dst, self.public_ip, pkt.ip.proto,
@@ -83,7 +87,7 @@ class NatApp(InSwitchApp):
         return None  # transit traffic, not ours
 
     def process(self, state: FlowStateView, pkt, ctx, switch) -> AppVerdict:
-        if is_internal(pkt.ip.src):
+        if (pkt.ip.src >> _INTERNAL_SHIFT) == _INTERNAL_NET:
             # Outbound: create the translation entry on the connection-
             # opening packet (the only state write; read-centric after).
             # Out-of-state TCP packets that are not connection-opening are

@@ -252,12 +252,14 @@ class RedPlaneEngine(ControlBlock):
 
     def process(self, ctx: PipelineContext, switch: SwitchASIC) -> bool:
         pkt = ctx.pkt
-        if self._is_protocol_packet(pkt):
+        l4 = pkt.l4
+        if isinstance(l4, UDPHeader) and (
+            l4.dport in _PROTOCOL_PORTS or l4.sport in _PROTOCOL_PORTS
+        ):
             if (
                 pkt.ip is not None
                 and pkt.ip.dst == self.switch.ip
-                and isinstance(pkt.l4, UDPHeader)
-                and pkt.l4.dport == SWITCH_UDP_PORT
+                and l4.dport == SWITCH_UDP_PORT
             ):
                 self._handle_response(ctx)
                 ctx.consume()
@@ -271,7 +273,7 @@ class RedPlaneEngine(ControlBlock):
             return True  # not application traffic
 
         self._c["app_packets"].value += 1
-        if not pkt.meta.get("rp_reinjected"):
+        if self.config.record_history and not pkt.meta.get("rp_reinjected"):
             self._record("input", key, pkt)
 
         if self.mode is RedPlaneMode.BOUNDED_INCONSISTENCY:
@@ -347,7 +349,8 @@ class RedPlaneEngine(ControlBlock):
             ctx.drop()
             return False
         self._c["fast_path_forwards"].value += 1
-        self._record("output", key, ctx.pkt)
+        if self.config.record_history:
+            self._record("output", key, ctx.pkt)
         return True
 
     def _leased_path(
@@ -412,7 +415,8 @@ class RedPlaneEngine(ControlBlock):
 
         self._maybe_renew_lease(ctx, key, idx, now)
         self._c["fast_path_forwards"].value += 1
-        self._record("output", key, pkt)
+        if self.config.record_history:
+            self._record("output", key, pkt)
         return True  # line-rate fast path: normal L3 forwarding
 
     def _maybe_renew_lease(
@@ -586,7 +590,8 @@ class RedPlaneEngine(ControlBlock):
                 if resp_uid is not None:
                     out.meta["parent_uid"] = resp_uid
                 self._c["piggybacks_released"].value += 1
-                self._record("output", msg.flow_key, out)
+                if self.config.record_history:
+                    self._record("output", msg.flow_key, out)
                 ctx.emit(out)
 
     def _handle_read_buffer_ack(
@@ -602,7 +607,8 @@ class RedPlaneEngine(ControlBlock):
                 if resp_uid is not None:
                     out.meta["parent_uid"] = resp_uid
                 self._c["piggybacks_released"].value += 1
-                self._record("output", msg.flow_key, out)
+                if self.config.record_history:
+                    self._record("output", msg.flow_key, out)
                 ctx.emit(out)
         else:
             # The gating update is still unacknowledged: bounce the packet
@@ -860,16 +866,10 @@ class RedPlaneEngine(ControlBlock):
         self._g_flow_table.set(len(self._flow_idx))
         return reclaimed
 
-    @staticmethod
-    def _is_protocol_packet(pkt: Packet) -> bool:
-        return (
-            isinstance(pkt.l4, UDPHeader)
-            and (pkt.l4.dport in _PROTOCOL_PORTS or pkt.l4.sport in _PROTOCOL_PORTS)
-        )
-
     def _record(self, kind: str, key: FlowKey, pkt: Packet) -> None:
-        if not self.config.record_history:
-            return
+        """Append one history event. Callers test
+        ``config.record_history`` first, so a run that keeps no history
+        enters no frame here."""
         trace_id = pkt.ip.identification if pkt.ip is not None else 0
         self.history.append(
             HistoryEvent(

@@ -58,7 +58,7 @@ class FlowStateView:
     __slots__ = ("spec", "_vals", "_index", "read_occurred", "write_occurred")
 
     def __init__(self, spec: StateSpec, vals: Sequence[int]) -> None:
-        if len(vals) != spec.num_vals:
+        if len(vals) != len(spec.fields):
             raise ValueError(
                 f"state has {len(vals)} values, spec declares {spec.num_vals}"
             )

@@ -103,7 +103,7 @@ def replay_app(entry, eng, switch, pkt, ip):
     ctx.block_obj = eng
     key = entry.key
     eng._c["app_packets"].inc()
-    if not pkt.meta.get("rp_reinjected"):
+    if eng.config.record_history and not pkt.meta.get("rp_reinjected"):
         eng._record("input", key, pkt)
     idx = eng._flow_index(key)
     now = switch.sim.now

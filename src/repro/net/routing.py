@@ -22,6 +22,10 @@ from repro.net.packet import FlowKey, Packet, TCPHeader, UDPHeader
 from repro.net.simulator import Simulator
 
 
+#: The headers whose ports are part of a route-cache key.
+_L4_HEADERS = (UDPHeader, TCPHeader)
+
+
 def ecmp_hash(key: FlowKey, seed: int = 0) -> int:
     """Partition-aware ECMP hash for next-hop selection.
 
@@ -116,7 +120,8 @@ class L3Switch(Node):
         #: Bumped on every belief change; see :attr:`RoutingTable.version`.
         self.belief_version = 0
         #: ``(dst, proto, sport, dport) -> port`` results of
-        #: :meth:`select_port`, valid for the versions stamped beside it.
+        #: :meth:`select_port`, valid for the versions stamped beside it;
+        #: :meth:`forward` reads it inline, :meth:`select_port` fills it.
         self._route_cache: Dict[tuple, Port] = {}
         self._route_cache_versions = (self.table.version, self.belief_version)
         self.forwarded = 0
@@ -136,17 +141,30 @@ class L3Switch(Node):
         self.forward(pkt)
 
     def forward(self, pkt: Packet) -> None:
-        """Route a packet: LPM, then ECMP among believed-up next hops."""
-        if pkt.ip is None:
+        """Route a packet: LPM, then ECMP among believed-up next hops.
+        A route-cache hit is read here; a miss or a stale cache goes to
+        :meth:`select_port`."""
+        ip = pkt.ip
+        if ip is None:
             self._drop("non_ip")
             return
-        if pkt.ip.ttl <= 1:
+        if ip.ttl <= 1:
             self._drop("ttl")
             return
-        out_port = self.select_port(pkt)
+        out_port = None
+        if self._route_cache_versions == (self.table.version,
+                                          self.belief_version):
+            l4 = pkt.l4
+            if isinstance(l4, _L4_HEADERS):
+                key = (ip.dst, ip.proto, l4.sport, l4.dport)
+            else:
+                key = (ip.dst, ip.proto, 0, 0)
+            out_port = self._route_cache.get(key)
         if out_port is None:
-            return
-        pkt.ip.ttl -= 1
+            out_port = self.select_port(pkt)
+            if out_port is None:
+                return
+        ip.ttl -= 1
         self.forwarded += 1
         sim = self.sim
         link = out_port.link
@@ -165,7 +183,8 @@ class L3Switch(Node):
         it is cached per ``(dst, proto, sport, dport)`` until one of the
         latter two changes version. Only successful
         selections are cached: a drop re-walks the table so its counters
-        fire per packet.
+        fire per packet. This is the cache's fill: :meth:`forward` reads
+        a hit inline and calls here only on a miss.
         """
         versions = (self.table.version, self.belief_version)
         if versions != self._route_cache_versions:
@@ -173,7 +192,7 @@ class L3Switch(Node):
             self._route_cache_versions = versions
         ip = pkt.ip
         l4 = pkt.l4
-        if isinstance(l4, (UDPHeader, TCPHeader)):
+        if isinstance(l4, _L4_HEADERS):
             key = (ip.dst, ip.proto, l4.sport, l4.dport)
         else:
             key = (ip.dst, ip.proto, 0, 0)

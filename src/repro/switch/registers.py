@@ -119,19 +119,17 @@ class RegisterArray:
     # -- control-plane access (unconstrained but slow in real hardware) --------
 
     def cp_read(self, index: int) -> int:
-        self._check_index(index)
+        if not 0 <= index < self.size:
+            raise IndexError(f"{self.name}[{index}] out of range (size {self.size})")
         return self._values[index]
 
     def cp_write(self, index: int, value: int) -> None:
-        self._check_index(index)
+        if not 0 <= index < self.size:
+            raise IndexError(f"{self.name}[{index}] out of range (size {self.size})")
         self._values[index] = value & self._mask
 
     def cp_dump(self) -> List[int]:
         return list(self._values)
-
-    def _check_index(self, index: int) -> None:
-        if not 0 <= index < self.size:
-            raise IndexError(f"{self.name}[{index}] out of range (size {self.size})")
 
     # -- accounting -----------------------------------------------------------
 
@@ -166,7 +164,8 @@ class PairedRegisterArray:
     ) -> int:
         """Atomic RMW over the pair: ``fn(lo, hi) -> (new_lo, new_hi, result)``."""
         ctx.note_register_access(self)
-        self._check_index(index)
+        if not 0 <= index < self.size:
+            raise IndexError(f"{self.name}[{index}] out of range (size {self.size})")
         values = self._values
         lo_at = 2 * index
         new_lo, new_hi, result = fn(values[lo_at], values[lo_at + 1])
@@ -175,19 +174,17 @@ class PairedRegisterArray:
         return result
 
     def cp_read(self, index: int) -> Tuple[int, int]:
-        self._check_index(index)
+        if not 0 <= index < self.size:
+            raise IndexError(f"{self.name}[{index}] out of range (size {self.size})")
         lo_at = 2 * index
         return self._values[lo_at], self._values[lo_at + 1]
 
     def cp_write(self, index: int, lo: int, hi: int) -> None:
-        self._check_index(index)
+        if not 0 <= index < self.size:
+            raise IndexError(f"{self.name}[{index}] out of range (size {self.size})")
         lo_at = 2 * index
         self._values[lo_at] = lo & self._mask
         self._values[lo_at + 1] = hi & self._mask
-
-    def _check_index(self, index: int) -> None:
-        if not 0 <= index < self.size:
-            raise IndexError(f"{self.name}[{index}] out of range (size {self.size})")
 
     def sram_bits(self) -> int:
         return self.size * self.width_bits * 2

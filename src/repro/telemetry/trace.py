@@ -82,6 +82,12 @@ class TraceRecord:
     the one :meth:`Tracer.emit` interned), and ``values`` holds this
     record's values in the same order. ``fields`` builds the dict when
     read; :meth:`items` walks the pairs without one.
+
+    A record is built one of two ways, to the same four slots:
+    :meth:`Tracer.emit` allocates it with ``object.__new__`` and stores
+    the slots itself, so the hot path enters no constructor frame, and
+    the cold builders (:meth:`from_fields`, the shard merge, tests) call
+    ``TraceRecord(ts, type, keys, values)``.
     """
 
     __slots__ = ("ts", "type", "keys", "values")
@@ -130,6 +136,9 @@ class TraceRecord:
         raw = json.loads(line)
         return cls.from_fields(raw["ts"], raw["type"], raw.get("fields", {}))
 
+
+#: How :meth:`Tracer.emit` allocates a record before storing its slots.
+_new_record = object.__new__
 
 #: Where a ring-less tracer appends a record it built for its sinks:
 #: one shared zero-length deque, so appending keeps nothing.
@@ -193,7 +202,11 @@ class Tracer:
             keys = tuple(fields)
             keys = self._shapes.setdefault(keys, keys)
             values = tuple(fields.values())
-        record = TraceRecord(self._clock(), type_, keys, values)
+        record = _new_record(TraceRecord)
+        record.ts = self._clock()
+        record.type = type_
+        record.keys = keys
+        record.values = values
         ring.append(record)
         if self.sinks:  # no iterator on the usual sink-less hot path
             for sink in self.sinks:

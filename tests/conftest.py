@@ -27,17 +27,24 @@ def sim() -> Simulator:
 @pytest.fixture
 def records_built(monkeypatch):
     """A one-item list counting every ``TraceRecord`` constructed while
-    the test runs (in this process)."""
-    from repro.telemetry.trace import TraceRecord
+    the test runs (in this process), by either construction path: the
+    constructor, and the allocation alias ``Tracer.emit`` uses."""
+    from repro.telemetry import trace
 
     built = [0]
-    init = TraceRecord.__init__
+    init = trace.TraceRecord.__init__
+    new = trace._new_record
 
-    def counted(self, *args):
+    def counted_init(self, *args):
         built[0] += 1
         init(self, *args)
 
-    monkeypatch.setattr(TraceRecord, "__init__", counted)
+    def counted_new(cls):
+        built[0] += 1
+        return new(cls)
+
+    monkeypatch.setattr(trace.TraceRecord, "__init__", counted_init)
+    monkeypatch.setattr(trace, "_new_record", counted_new)
     return built
 
 

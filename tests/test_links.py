@@ -1,9 +1,17 @@
 """Unit tests for links, ports, and nodes."""
 
+import collections
+import gc
+import json
+import math
+import os
+import pathlib
 import random
+import sys
 
 import pytest
 
+import repro
 from repro.net import constants
 from repro.net.links import Link, LinkImpairment, Node, SinkNode
 from repro.net.packet import Packet
@@ -415,17 +423,81 @@ def test_non_trivial_direction_always_takes_the_general_branch(
         assert draws == 2 * packets * draws_per_packet
 
 
-def test_nat_hop_call_budget():
-    """Python frames entered per delivered packet on a steady NAT run —
-    a count, so it reads the same on any machine (the history of the
-    count is in CHANGES.md). It makes 243 567 calls for its 2 500
-    packets (97.4 each); the budget is 98 per packet, so a change that
-    adds a frame per packet on the hop path fails here. Scheduling the
-    2 500 injections enters one frame each, ``schedule_at`` itself.
-    """
-    import gc
-    import sys
+# -- frame budgets: Python frames entered per delivered packet ------------------
+#
+# The two budget tests count, with ``sys.setprofile``, the Python frames a
+# run enters per delivered packet: a count, so it reads the same on any
+# machine (the history of the counts is in CHANGES.md). They count per
+# source file as well as in total. ``tests/frame_budgets.json`` holds one
+# row per file for each shape, keyed by its path under ``src/``; frames
+# anywhere else (the standard library, generated ``__init__``s, the test's
+# own ``send``) pool into one ``other`` row, since those paths differ by
+# machine. A row is a budget and may only fall: a failing test prints the
+# measured table as JSON, and the change that lowers a row commits it.
 
+_FRAME_BUDGETS = pathlib.Path(__file__).with_name("frame_budgets.json")
+_SRC = os.path.dirname(os.path.dirname(repro.__file__)) + os.sep
+
+
+def _frame_counter():
+    """A ``{co_filename: frames}`` dict and the profile hook filling it."""
+    calls = collections.defaultdict(int)
+
+    def prof(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code.co_filename] += 1
+
+    return calls, prof
+
+
+def _run_profiled(run, prof):
+    """``run()`` under ``sys.setprofile(prof)``, with the collector paused
+    as the drain pauses it, so that a ``gc.callbacks`` hook left by
+    another test (hypothesis leaves one) is not counted."""
+    collecting = gc.isenabled()
+    gc.disable()
+    sys.setprofile(prof)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+        if collecting:
+            gc.enable()
+
+
+def _frame_rows(calls):
+    rows = collections.Counter()
+    for filename, n in calls.items():
+        if filename.startswith(_SRC):
+            rows[filename[len(_SRC):].replace(os.sep, "/")] += n
+        else:
+            rows["other"] += n
+    return rows
+
+
+def _assert_frame_budgets(shape, calls, packets):
+    """Every row of ``shape`` within its budget (hundredths of a frame
+    per packet, compared exactly in integers)."""
+    rows = _frame_rows(calls)
+    budget = json.loads(_FRAME_BUDGETS.read_text())[shape]
+    over = sorted(row for row, n in rows.items()
+                  if 100 * n > round(100 * budget.get(row, 0)) * packets)
+    measured = {row: math.ceil(100 * n / packets) / 100
+                for row, n in sorted(rows.items())}
+    assert not over, (
+        f"frames per packet over budget in {over} "
+        f"({sum(rows.values()) / packets:.2f} in all); measured:\n"
+        + json.dumps({shape: measured}, indent=2))
+
+
+def test_nat_hop_call_budget():
+    """Python frames entered per delivered packet on a steady NAT run. It
+    makes 185 802 calls for its 2 500 packets (74.3 each); the budget is
+    75 per packet, so a change that adds a frame per packet on the hop
+    path fails here, and each file keeps its row of
+    ``frame_budgets.json``. Scheduling the 2 500 injections enters one
+    frame each, ``schedule_at`` itself.
+    """
     from repro import deploy
     from repro.apps.nat import NatApp
 
@@ -437,14 +509,8 @@ def test_nat_hop_call_budget():
     def send(sport):
         sender.send(Packet.udp(sender.ip, external.ip, sport, 7777))
 
-    calls = [0]
-
-    def prof(frame, event, arg):
-        if event == "call":
-            calls[0] += 1
-
-    # The collector is paused here as the drain pauses it below, so that a
-    # ``gc.callbacks`` hook left by another test is not counted.
+    calls, prof = _frame_counter()
+    # Paused as in ``_run_profiled``, with no frame of its own around it.
     collecting = gc.isenabled()
     gc.disable()
     sys.setprofile(prof)
@@ -455,27 +521,22 @@ def test_nat_hop_call_budget():
         sys.setprofile(None)
         if collecting:
             gc.enable()
-    assert calls[0] == flows * per_flow
-    calls[0] = 0
-    sys.setprofile(prof)
-    try:
-        sim.run_until_idle()
-    finally:
-        sys.setprofile(None)
+    assert sum(calls.values()) == flows * per_flow
+    calls.clear()
+    _run_profiled(sim.run_until_idle, prof)
     assert external.rx_packets == flows * per_flow
-    assert calls[0] <= 98 * flows * per_flow
+    _assert_frame_budgets("nat_hop", calls, flows * per_flow)
+    assert sum(calls.values()) <= 75 * flows * per_flow
 
 
 def test_write_path_call_budget():
     """Python frames entered per delivered packet on the write path: one
     Sync-Counter flow, every packet mirrored, chain-replicated across
-    three replicas and released on its ack (the history of the count is
-    in CHANGES.md). It makes 249 289 calls for its 700 packets (356.1
-    each); the budget is 357 per packet, so a change that adds a frame
-    per packet anywhere on the write path fails here.
+    three replicas and released on its ack. It makes 211 418 calls for
+    its 700 packets (302.0 each); the budget is 303 per packet, so a
+    change that adds a frame per packet anywhere on the write path fails
+    here, and each file keeps its row of ``frame_budgets.json``.
     """
-    import sys
-
     from repro import deploy
     from repro.apps.counter import SyncCounterApp
 
@@ -489,16 +550,8 @@ def test_write_path_call_budget():
 
     for i in range(packets):
         sim.schedule_at(i * 10.0, send)
-    calls = [0]
-
-    def prof(frame, event, arg):
-        if event == "call":
-            calls[0] += 1
-
-    sys.setprofile(prof)
-    try:
-        sim.run_until_idle()
-    finally:
-        sys.setprofile(None)
+    calls, prof = _frame_counter()
+    _run_profiled(sim.run_until_idle, prof)
     assert receiver.rx_packets == packets
-    assert calls[0] <= 357 * packets
+    _assert_frame_budgets("write_path", calls, packets)
+    assert sum(calls.values()) <= 303 * packets

@@ -267,3 +267,65 @@ def test_route_cache_never_holds_a_drop():
     sw.forward(Packet.udp(1, 2, 3, 4))
     sim.run_until_idle()
     assert len(sink.received) == 1
+
+
+# -- the cache as ``forward`` reads it ---------------------------------------------
+#
+# ``forward`` reads a cache hit inline and calls ``select_port`` only on a
+# miss, so these drive the hop itself and assert where the packet leaves.
+
+
+def _leaves_by(sim, sw, sinks, pkt):
+    """Hand ``pkt`` to ``sw`` as a hop does; the sink it reaches, or
+    None when the switch drops it."""
+    before = [len(sink.received) for sink in sinks]
+    sw.receive(pkt, None)
+    sim.run_until_idle()
+    reached = [sink for sink, n in zip(sinks, before)
+               if len(sink.received) > n]
+    assert len(reached) <= 1
+    return reached[0] if reached else None
+
+
+def test_forward_follows_a_belief_flip_between_two_hops(monkeypatch):
+    sim = Simulator()
+    sw, sinks = _two_way_switch(sim)
+    walks = _lookups(sw, monkeypatch)
+    first = _leaves_by(sim, sw, sinks, Packet.udp(1, 2, 33, 44))
+    assert _leaves_by(sim, sw, sinks, Packet.udp(1, 2, 33, 44)) is first
+    assert len(walks) == 1  # the second hop was a cache hit
+    other = sinks[1] if first is sinks[0] else sinks[0]
+    sw.set_port_belief(sw.ports[sinks.index(first)], False)
+    assert _leaves_by(sim, sw, sinks, Packet.udp(1, 2, 33, 44)) is other
+    sw.set_port_belief(sw.ports[sinks.index(first)], True)
+    assert _leaves_by(sim, sw, sinks, Packet.udp(1, 2, 33, 44)) is first
+    assert len(walks) == 3
+
+
+def test_forward_follows_a_table_add_between_two_hops():
+    sim = Simulator()
+    sw, sinks = _two_way_switch(sim)
+    extra = SinkNode(sim, "c")
+    Link(sim, sw.new_port(), extra.new_port())
+    sinks.append(extra)
+    dst = ip_aton("10.0.1.5")
+    assert _leaves_by(sim, sw, sinks, Packet.udp(1, dst, 33, 44)) in sinks[:2]
+    sw.table.add(ip_aton("10.0.1.0"), 24, [sw.ports[2]])
+    assert _leaves_by(sim, sw, sinks, Packet.udp(1, dst, 33, 44)) is extra
+
+
+def test_forward_never_serves_a_dropped_selection_from_the_cache():
+    """A cached flow whose only next hop is believed down is dropped,
+    once per packet, and forwards by that hop again once it is up."""
+    sim = Simulator()
+    sw = L3Switch(sim, "sw")
+    sink = SinkNode(sim, "a")
+    Link(sim, sw.new_port(), sink.new_port())
+    sw.table.add(0, 0, [sw.ports[0]])
+    assert _leaves_by(sim, sw, [sink], Packet.udp(1, 2, 3, 4)) is sink
+    sw.set_port_belief(sw.ports[0], False)
+    for dropped in (1, 2):
+        assert _leaves_by(sim, sw, [sink], Packet.udp(1, 2, 3, 4)) is None
+        assert _drops(sim, "no_next_hop") == dropped
+    sw.set_port_belief(sw.ports[0], True)
+    assert _leaves_by(sim, sw, [sink], Packet.udp(1, 2, 3, 4)) is sink

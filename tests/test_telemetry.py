@@ -392,6 +392,30 @@ def test_keyword_and_row_emits_make_the_same_record():
     assert tracer.tail(1)[0].keys is by_keywords.keys
 
 
+@pytest.mark.parametrize("ring", ["kept", "none_with_sink"])
+@pytest.mark.parametrize("form", ["row", "keywords"])
+def test_an_emitted_record_equals_the_constructed_one(ring, form):
+    """``emit`` allocates its record and stores the slots itself; the
+    cold builders call the constructor. Both paths give the same record,
+    slot for slot, whether the ring keeps it or only a sink sees it."""
+    tracer = Tracer(clock=lambda: 7.25, maxlen=None if ring == "kept" else 0)
+    seen = []
+    if ring == "none_with_sink":
+        tracer.sinks.append(seen.append)
+    if form == "row":
+        tracer.emit(tt.PACKET_SEND, ("uid", "bytes"), (3, 64))
+    else:
+        tracer.emit(tt.PACKET_SEND, uid=3, bytes=64)
+    (record,) = tracer.tail() if ring == "kept" else seen
+    built = TraceRecord(7.25, tt.PACKET_SEND, ("uid", "bytes"), (3, 64))
+    assert type(record) is TraceRecord
+    assert record == built
+    assert ([(getattr(record, slot), type(getattr(record, slot)))
+             for slot in TraceRecord.__slots__]
+            == [(getattr(built, slot), type(getattr(built, slot)))
+                for slot in TraceRecord.__slots__])
+
+
 def _traced_run(seed: int):
     """One small end-to-end run; returns its full trace stream."""
     sim = Simulator(seed=seed)
