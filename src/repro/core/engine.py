@@ -70,6 +70,10 @@ _PROTOCOL_PORTS = {STORE_UDP_PORT, SWITCH_UDP_PORT, CHAIN_UDP_PORT, NETCHAIN_UDP
 _HOLD_TAG = b"RPHOLD\x01"
 _HOLD_HEADER_LEN = len(_HOLD_TAG) + 8
 
+#: A request record's ``kind``: the message type's name in lower case,
+#: looked up so that a request enters no ``enum`` frame for it.
+_KIND_NAME = {t: t.name.lower() for t in MessageType}
+
 
 class RedPlaneMode(enum.Enum):
     """The two consistency modes of §4.
@@ -672,7 +676,7 @@ class RedPlaneEngine(ControlBlock):
         pkt.meta["uid"] = uid
         fields: Dict[str, object] = {
             "switch": self.switch.name,
-            "kind": msg.msg_type.name.lower(),
+            "kind": _KIND_NAME[msg.msg_type],
             "flow": flow_tag_of(self.switch.sim, msg.flow_key),
             "seq": msg.seq,
             "uid": uid,

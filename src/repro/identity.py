@@ -20,8 +20,7 @@ nothing to offer, so :func:`fingerprint` refuses it without a hasher.
 
 A record is rendered through a %-template built once per key tuple
 (:func:`record_template`), byte-equal to that ``repr`` without building
-the pairs: ``flow_churn``'s 65 536-record ring hashes in ≈ 0.19 s
-(≈ 0.41 s through the ``repr``; docs/PERFORMANCE.md).
+the pairs (``tests/test_identity.py`` checks it against the formula).
 """
 
 from __future__ import annotations

@@ -147,9 +147,11 @@ def _resolve_dotted(name):
 
 def test_documented_names_resolve():
     """A moved or deleted object cannot linger in prose: every
-    backticked ``repro.<dotted>`` name in the README and docs/ must
-    import, or resolve from its longest importable prefix."""
-    sources = [os.path.join(_REPO, "README.md")]
+    backticked ``repro.<dotted>`` name in the README, DESIGN.md,
+    EXPERIMENTS.md and docs/ must import, or resolve from its longest
+    importable prefix."""
+    sources = [os.path.join(_REPO, name)
+               for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md")]
     sources += sorted(glob.glob(os.path.join(_REPO, "docs", "*.md")))
     stale = []
     seen = set()
