@@ -26,9 +26,6 @@ from repro.core.flowstate import FlowStateView, StateSpec
 
 #: The (unified) GTP port; see module docstring.
 GTP_PORT = 2152
-#: Backwards-compatible aliases for the two traffic kinds.
-GTPU_PORT = GTP_PORT
-GTPC_PORT = GTP_PORT
 
 #: Message kinds in the simplified GTP header.
 GTP_KIND_DATA = 0

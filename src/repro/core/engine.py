@@ -56,13 +56,12 @@ from repro.core.protocol import (
     parse_protocol_packet,
     unpack_packets,
 )
-from repro.statestore.netchain import NETCHAIN_UDP_PORT
 from repro.statestore.server import CHAIN_UDP_PORT
 from repro.statestore.sharding import ShardMap
 from repro.telemetry import trace as tt
 
 #: UDP ports whose traffic is never treated as application traffic.
-_PROTOCOL_PORTS = {STORE_UDP_PORT, SWITCH_UDP_PORT, CHAIN_UDP_PORT, NETCHAIN_UDP_PORT}
+_PROTOCOL_PORTS = {STORE_UDP_PORT, SWITCH_UDP_PORT, CHAIN_UDP_PORT}
 
 #: Tag prefixing a held packet inside a lease-request piggyback: the tag
 #: plus an 8-byte hold nonce let the switch re-inject each *hold* exactly

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.net.routing import L3Switch
 from repro.net.simulator import Simulator
 from repro.net.topology import Testbed, build_testbed
 from repro.switch.asic import SwitchASIC
@@ -21,7 +20,6 @@ from repro.core.api import attach_redplane
 from repro.core.protocol import STORE_UDP_PORT
 from repro.core.snapshot import SnapshotReplicator
 from repro.statestore.backend import StateStoreBackend
-from repro.statestore.netchain import NETCHAIN_UDP_PORT, NetChainStoreBlock
 from repro.statestore.server import StateStoreNode, build_chain
 from repro.statestore.sharding import ShardAddress, ShardMap
 
@@ -46,8 +44,6 @@ class Deployment:
     shard_map: Optional[ShardMap] = None
     #: Store nodes grouped into replication chains, one list per shard.
     chains: List[List[StateStoreNode]] = field(default_factory=list)
-    #: The in-switch store block when deployed via :func:`deploy_netchain`.
-    netchain: Optional[NetChainStoreBlock] = None
     #: The running snapshot replicator of each agg switch whose app
     #: declares ``snapshot_structures()``; empty for linearizable apps.
     replicators: Dict[str, SnapshotReplicator] = field(default_factory=dict)
@@ -55,40 +51,6 @@ class Deployment:
     @property
     def switches(self) -> List[SwitchASIC]:
         return self.bed.aggs  # type: ignore[return-value]
-
-
-def _attach_apps(
-    deployment: Deployment,
-    app_factory: AppFactory,
-    config: RedPlaneConfig,
-) -> Deployment:
-    """The tail both deploy functions share: a RedPlane-enabled app on
-    every agg switch, the testbed provisioned for it
-    (:meth:`InSwitchApp.provision`, once, on the first app), then
-    snapshot replication for the apps that declare
-    ``snapshot_structures()``.
-
-    The replicators go in a second pass, after every engine is attached,
-    so the packet generators' first events are scheduled after all engine
-    construction. Each replicator sits at pipeline index 0, ahead of its
-    engine, so it claims the generator's snapshot-read packets.
-    """
-    for agg in deployment.bed.aggs:
-        app = app_factory()
-        engine = attach_redplane(
-            agg, app, deployment.shard_map, config  # type: ignore[arg-type]
-        )
-        deployment.apps[agg.name] = app
-        deployment.engines[agg.name] = engine
-    first = deployment.apps[deployment.bed.aggs[0].name]
-    first.provision(deployment.bed, deployment.stores)
-    for name, engine in deployment.engines.items():
-        if engine.mode is not RedPlaneMode.LINEARIZABLE:
-            replicator = SnapshotReplicator(engine)
-            engine.switch.pipeline.blocks.insert(0, replicator)
-            replicator.start()
-            deployment.replicators[name] = replicator
-    return deployment
 
 
 def deploy(
@@ -112,6 +74,11 @@ def deploy(
     ``backend_factory(name)`` selects the storage backend of each store
     node (e.g. ``lambda name: WALBackend(f"{dir}/{name}")`` for durable
     crash recovery); by default every node keeps the in-memory backend.
+
+    The first app provisions the testbed for its service
+    (:meth:`InSwitchApp.provision`, once), and every agg switch whose app
+    declares ``snapshot_structures()`` gets a running
+    :class:`SnapshotReplicator` (``Deployment.replicators``).
     """
     if num_shards * chain_length > 3:
         raise ValueError(
@@ -151,54 +118,23 @@ def deploy(
     deployment = Deployment(
         sim=sim, bed=bed, stores=stores, shard_map=shard_map, chains=chains
     )
-    return _attach_apps(deployment, app_factory, config)
+    for agg in bed.aggs:
+        app = app_factory()
+        engine = attach_redplane(
+            agg, app, shard_map, config  # type: ignore[arg-type]
+        )
+        deployment.apps[agg.name] = app
+        deployment.engines[agg.name] = engine
+    deployment.apps[bed.aggs[0].name].provision(bed, stores)
+    # The replicators go in a second pass, after every engine is attached,
+    # so the packet generators' first events are scheduled after all engine
+    # construction. Each replicator sits at pipeline index 0, ahead of its
+    # engine, so it claims the generator's snapshot-read packets.
+    for name, engine in deployment.engines.items():
+        if engine.mode is not RedPlaneMode.LINEARIZABLE:
+            replicator = SnapshotReplicator(engine)
+            engine.switch.pipeline.blocks.insert(0, replicator)
+            replicator.start()
+            deployment.replicators[name] = replicator
+    return deployment
 
-
-def deploy_netchain(
-    sim: Simulator,
-    app_factory: AppFactory,
-    config: Optional[RedPlaneConfig] = None,
-) -> Deployment:
-    """Deploy with a NetChain-style *in-switch* store instead of servers.
-
-    ``tor1`` becomes a programmable switch running
-    :class:`~repro.statestore.netchain.NetChainStoreBlock`: the single
-    shard's records live in its register arrays (``NetChainBackend``'s
-    default 1024 slots) and every store request
-    is answered from the pipeline — roughly half the server path's RTT,
-    at the price of losing all state if that switch crashes (the
-    fault-tolerance tradeoff of RedPlane §8 / the NetChain comparison).
-
-    The ToR is addressed at its otherwise-unused in-rack IP, so no route
-    changes are needed: the aggregation layer already sends the rack
-    prefix down to it, and replies to the requesting switch's loopback
-    ride the normal up-routes. The store servers of the testbed are
-    built but left idle (``deployment.stores`` is empty).
-    """
-    config = config or RedPlaneConfig()
-
-    def make_agg(sim_: Simulator, name: str, loopback_ip: int) -> SwitchASIC:
-        return SwitchASIC(sim_, name, loopback_ip)
-
-    def make_tor(sim_: Simulator, name: str, ip: int) -> L3Switch:
-        if name == "tor1":
-            return SwitchASIC(sim_, name, ip)
-        return L3Switch(sim_, name)
-
-    bed = build_testbed(
-        sim,
-        agg_factory=make_agg,
-        tor_factory=make_tor,
-    )
-    tor = bed.tors[0]
-    assert isinstance(tor, SwitchASIC)
-    block = NetChainStoreBlock(tor, lease_period_us=config.lease_period_us)
-    tor.add_block(block)
-    shard_map = ShardMap(
-        [ShardAddress(ip=tor.ip, udp_port=NETCHAIN_UDP_PORT)]
-    )
-
-    deployment = Deployment(
-        sim=sim, bed=bed, stores=[], shard_map=shard_map, netchain=block
-    )
-    return _attach_apps(deployment, app_factory, config)

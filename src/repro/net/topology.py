@@ -151,15 +151,10 @@ class Testbed:
 
 
 AggFactory = Callable[[Simulator, str, int], L3Switch]
-TorFactory = Callable[[Simulator, str, int], L3Switch]
 HostFactory = Callable[[Simulator, str, int], Host]
 
 
 def _default_agg_factory(sim: Simulator, name: str, loopback_ip: int) -> L3Switch:
-    return L3Switch(sim, name)
-
-
-def _default_tor_factory(sim: Simulator, name: str, ip: int) -> L3Switch:
     return L3Switch(sim, name)
 
 
@@ -170,7 +165,6 @@ def _default_host_factory(sim: Simulator, name: str, ip: int) -> Host:
 def build_testbed(
     sim: Simulator,
     agg_factory: AggFactory = _default_agg_factory,
-    tor_factory: TorFactory = _default_tor_factory,
     store_factory: HostFactory = _default_host_factory,
     link_loss: float = 0.0,
     link_reorder: float = 0.0,
@@ -180,11 +174,6 @@ def build_testbed(
     ``agg_factory(sim, name, loopback_ip)`` builds the two aggregation-layer
     switches; pass a factory producing programmable
     :class:`~repro.switch.asic.SwitchASIC` nodes to run in-switch apps.
-    ``tor_factory(sim, name, ip)`` builds the two top-of-rack switches —
-    the hook NetChain-style deployments use to make ``tor1`` programmable;
-    the address handed to the factory is an otherwise-unused in-rack IP
-    (``10.0.<rack>.250``) so a protocol-speaking ToR needs no extra
-    routes: aggregation switches already send the rack prefix down to it.
     ``link_loss`` / ``link_reorder`` apply to the switch-to-switch fabric
     links only (host links stay clean), which is where replication traffic
     can be lost or reordered.
@@ -198,10 +187,7 @@ def build_testbed(
         agg_factory(sim, f"agg{i + 1}", SWITCH_LOOPBACK_PREFIX + i + 1)
         for i in range(2)
     ]
-    tors = [
-        tor_factory(sim, f"tor{i + 1}", ip_aton(f"10.0.{i + 1}.250"))
-        for i in range(2)
-    ]
+    tors = [L3Switch(sim, f"tor{i + 1}") for i in range(2)]
     for node in cores + aggs + tors:
         topo.add_node(node)
     bed.cores, bed.aggs, bed.tors = cores, aggs, tors

@@ -7,8 +7,7 @@ The package splits into three layers (docs/STATESTORE.md):
   replication. Storage-agnostic.
 * :mod:`repro.statestore.backend` — the :class:`StateStoreBackend`
   protocol plus the in-memory reference backend; :mod:`~.wal` adds the
-  persistent write-ahead-log backend, :mod:`~.netchain` the NetChain-style
-  in-switch backend.
+  persistent write-ahead-log backend.
 * :mod:`repro.statestore.codec` — the wire/disk record formats shared by
   chain replication and the WAL.
 """
@@ -33,11 +32,6 @@ from repro.statestore.codec import (
     unpack_record,
 )
 from repro.statestore.wal import WALBackend
-from repro.statestore.netchain import (
-    NETCHAIN_UDP_PORT,
-    NetChainBackend,
-    NetChainStoreBlock,
-)
 from repro.statestore.failover import StoreFailoverCoordinator
 from repro.statestore.sharding import ShardAddress, ShardMap
 
@@ -47,15 +41,12 @@ __all__ = [
     "StateStoreBackend",
     "InMemoryBackend",
     "WALBackend",
-    "NetChainBackend",
-    "NetChainStoreBlock",
     "build_chain",
     "reconfigure_chain",
     "ShardAddress",
     "ShardMap",
     "StoreFailoverCoordinator",
     "CHAIN_UDP_PORT",
-    "NETCHAIN_UDP_PORT",
     "AUX_FRESH_FLOW",
     "AUX_MIGRATED_STATE",
     "pack_chain_update",

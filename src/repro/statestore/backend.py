@@ -4,15 +4,14 @@
 layer of the store — RPC handling, lease arbitration, and chain
 orchestration. Where the per-flow records actually live is a backend
 decision, expressed by the duck-typed :class:`StateStoreBackend`
-contract below. Three implementations ship with the repo:
+contract below. Two implementations ship with the repo:
 
-=====================  ========  =========  ====================================
-backend                durable   in-switch  survives
-=====================  ========  =========  ====================================
-:class:`InMemoryBackend`  no        no      process restarts only (DRAM model)
-``wal.WALBackend``        yes       no      full crash: replays log + snapshot
-``netchain.NetChainBackend`` no     yes     nothing: SRAM registers are volatile
-=====================  ========  =========  ====================================
+========================  ========  ====================================
+backend                   durable   survives
+========================  ========  ====================================
+:class:`InMemoryBackend`  no        process restarts only (DRAM model)
+``wal.WALBackend``        yes       full crash: replays log + snapshot
+========================  ========  ====================================
 
 Contract semantics (the conformance suite in ``tests/test_backends.py``
 holds every backend to these):
@@ -83,8 +82,6 @@ class StateStoreBackend:
     name = "backend"
     #: Does acknowledged state survive :meth:`wipe` + :meth:`recover`?
     durable = False
-    #: Does the backend serve from switch register arrays (sub-RTT path)?
-    in_switch = False
 
     def __init__(self) -> None:
         self.node = None

@@ -150,9 +150,9 @@ METRICS: Tuple[MetricSpec, ...] = (
     _m("redplane.resource.*", "gauge", "switch"),
     _m("redplane.*", "counter", "switch"),
     _m("store.chain_reconfigurations", "counter"),
-    # Per-node transport-layer counters (StateStoreNode and the NetChain
-    # in-switch store block), declared explicitly rather than through the
-    # trailing wildcard so renames surface as RT304 at the lint.
+    # Per-node transport-layer counters of StateStoreNode, declared
+    # explicitly rather than through the trailing wildcard so renames
+    # surface as RT304 at the lint.
     _m("store.requests_processed", "counter", "node"),
     _m("store.updates_applied", "counter", "node"),
     _m("store.updates_rejected_stale", "counter", "node"),
@@ -165,7 +165,6 @@ METRICS: Tuple[MetricSpec, ...] = (
     _m("store.backend.wal_snapshots", "counter", "node"),
     _m("store.backend.wal_replayed", "counter", "node"),
     _m("store.backend.wal_bytes", "gauge", "node"),
-    _m("store.backend.netchain_register_bits", "gauge", "node"),
     _m("store.backend.*", "counter", "node"),
     _m("store.*", "counter", "node"),
 )

@@ -72,9 +72,6 @@ EXPERIMENTS: Dict[str, tuple] = {
                             "retransmission timeout under loss"),
     "ablation-piggyback": ("test_ablation_piggyback.py",
                            "piggybacking vs on-switch output buffering"),
-    "netchain": ("test_netchain_store.py",
-                 "RedPlane vs NetChain in-switch store: write-ack latency "
-                 "and crash survival"),
 }
 
 

@@ -31,7 +31,7 @@ from repro.verify.determinism_pass import verify_tree
 from repro.verify.diagnostics import Report, SuppressionIndex
 from repro.verify.partition_pass import plan_json, render_plan, shard_plan
 from repro.verify.pipeline_pass import (
-    DeployError, app_analyzer, check_app, deployed, verify_netchain,
+    DeployError, app_analyzer, check_app, deployed,
 )
 from repro.verify.rules import RULES
 
@@ -75,14 +75,12 @@ def run_verify(args: argparse.Namespace) -> int:
             )
             return 2
 
-    if app == "netchain":
-        apps = {}
-    elif app is not None:
+    if app is not None:
         factory = BUILTIN_APPS.get(app)
         if factory is None:
             print(
                 f"unknown app {app!r}; builtin apps: "
-                f"{', '.join(sorted(BUILTIN_APPS))}, netchain",
+                + ", ".join(sorted(BUILTIN_APPS)),
                 file=sys.stderr,
             )
             return 2
@@ -104,11 +102,6 @@ def run_verify(args: argparse.Namespace) -> int:
             an = app_analyzer(dep, **shared)
             check_app(an, dep, name)
             plans[name] = shard_plan(an, dep, name)
-        # The NetChain in-switch store is a deployable switch program
-        # too: verify its ToR pipeline whenever the full app registry is.
-        if app == "netchain" or (app is None and (all_targets or not paths)):
-            name = "netchain"
-            verify_netchain(**shared)
     except DeployError as exc:
         print(f"app {name!r} does not deploy: {exc}", file=sys.stderr)
         return 2

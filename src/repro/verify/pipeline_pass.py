@@ -52,7 +52,6 @@ from typing import (
 
 from repro.core.snapshot import LazySnapshotArray
 from repro.net.packet import FlowKey
-from repro.statestore.backend import StateStoreBackend
 from repro.switch.asic import SwitchASIC
 from repro.switch.mirror import MirrorSession
 from repro.switch.pipeline import describe_block
@@ -96,9 +95,6 @@ _ACCESS_METHODS = frozenset(
     {"update", "test_and_set", "access", "read", "write"})
 #: Of those, a register array's stateful-ALU operations.
 _REGISTER_OPS = ("access", "read", "write")
-#: Control-plane register operations: legal from timers/CP handlers, an
-#: RP150 error when reachable on a per-packet path.
-_CP_METHODS = ("cp_read", "cp_write")
 _REGISTER_TYPES = (RegisterArray, PairedRegisterArray)
 
 #: Expression node -> the fields holding its operands, in evaluation order.
@@ -183,23 +179,14 @@ class Analyzer(Walker):
 
     def __init__(self, report: Optional[Report] = None,
                  supp: Optional[SuppressionIndex] = None,
-                 root: Optional[str] = None, asic=None, app=None) -> None:
+                 root: Optional[str] = None, app=None) -> None:
         super().__init__(report if report is not None else Report(),
                          supp if supp is not None else SuppressionIndex(),
                          root)
-        self.asic, self.app = asic, app
+        self.app = app
         #: (attribute, structure) for every stateful object the app holds.
         self.structs = stateful_objects(app) if app is not None else []
         self._owner = {id(obj): attr for attr, obj in self.structs}
-        # RP150 covers store-backend registers only: the engine's own mix
-        # access() with documented cp_* modeling shortcuts.
-        self._store_regs = {
-            id(reg)
-            for block in (asic.pipeline.blocks if asic is not None else ())
-            for value in vars(block).values()
-            if isinstance(value, StateStoreBackend)
-            for _attr, reg in stateful_objects(value)
-        }
         #: Event key -> [its first Access, the widest use's width].
         self.arrays: Dict[Tuple, list] = {}
         #: Where a pass-5 walk (:meth:`app_paths`) appends its accesses.
@@ -424,17 +411,6 @@ class Analyzer(Walker):
                 # The stored value is mutable state, not a key input.
                 return _valued(effs, UNKNOWN)
             # A lazy-snapshot operation: inlined, its registers counted.
-        elif isinstance(obj, _REGISTER_TYPES) and method in _CP_METHODS \
-                and id(obj) in self._store_regs:
-            self.diag(
-                "RP150",
-                f"store-backend register operation "
-                f"'{ast.unparse(func)}' is reachable on a "
-                "per-packet path; serve packets through access(ctx, "
-                "...) so the pipeline accounts the stateful-ALU use",
-                frame.file, node.lineno, once=True,
-            )
-            return _valued(effs, UNKNOWN)
         elif isinstance(obj, MirrorSession):
             return _valued(effs, UNKNOWN)
         elif not ctx:
@@ -579,7 +555,7 @@ def app_analyzer(dep, report: Optional[Report] = None,
                  root: Optional[str] = None) -> Analyzer:
     """The analyzer of a deployed app's first switch and its app."""
     switch = dep.switches[0]
-    return Analyzer(report, suppressions, root, switch, dep.apps[switch.name])
+    return Analyzer(report, suppressions, root, dep.apps[switch.name])
 
 
 # -- pass 1 -------------------------------------------------------------------
@@ -855,7 +831,7 @@ def verify_asic(
     root: Optional[str] = None,
 ) -> Report:
     """Statically verify one configured switch program (read-only)."""
-    an = Analyzer(report, suppressions, root, asic)
+    an = Analyzer(report, suppressions, root)
     check_asic(an, asic)
     return an.report
 
@@ -890,24 +866,3 @@ def verify_app(
     check_app(an, dep, label)
     return an.report
 
-
-def verify_netchain(
-    report: Optional[Report] = None,
-    suppressions: Optional[SuppressionIndex] = None,
-    root: Optional[str] = None,
-) -> Report:
-    """Deploy the NetChain-style in-switch store and verify its ToR
-    program: the apps' discipline, plus no control-plane register ops on
-    the packet path (RP150)."""
-    from repro.apps.counter import SyncCounterApp
-    from repro.deploy import deploy_netchain
-
-    dep = deployed(deploy_netchain, SyncCounterApp)
-    tor = dep.netchain.switch
-    report = verify_asic(tor, report, suppressions, root)
-    report.analyzed["store:netchain"] = (
-        f"NetChainStoreBlock on {tor.name} "
-        f"({dep.netchain.backend.describe()}, "
-        f"{len(tor._mirror_sessions)} mirror session(s))"
-    )
-    return report

@@ -69,12 +69,6 @@ _RULES = [
          Severity.WARNING, "pipeline",
          "resources registered on the ASIC must equal the sum of what "
          "its blocks and apps declare"),
-    Rule("RP150", "in-switch store serves packets via control-plane ops",
-         Severity.ERROR, "pipeline",
-         "a store backend's registers touched on a per-packet path must "
-         "go through pipelined access() — cp_read/cp_write model the "
-         "slow control-plane channel, which cannot run per packet and "
-         "dodges the single-access and stage-budget accounting"),
     # -- Pass 4: fast-path replay lint ---------------------------------------
     Rule("RP140", "fast-path replay effect outside the declared surface",
          Severity.ERROR, "fastpath",

@@ -3,9 +3,9 @@
 The :class:`~repro.statestore.backend.StateStoreBackend` contract
 (ordered records, get-or-create semantics, idempotent commits, honest
 ``wipe``/``recover`` durability) is what the transport layer builds its
-write-ahead discipline on. The parametrized tests below hold all three
-shipped backends to it; backend-specific behavior (WAL torn tails and
-compaction, NetChain register mirroring) follows.
+write-ahead discipline on. The parametrized tests below hold both
+shipped backends to it; WAL-specific behavior (torn tails, compaction)
+follows.
 """
 
 import os
@@ -15,7 +15,6 @@ import pytest
 from repro.net.packet import FlowKey
 from repro.net.simulator import Simulator
 from repro.statestore.backend import InMemoryBackend
-from repro.statestore.netchain import NETCHAIN_VALUE_SLOTS, NetChainBackend
 from repro.statestore.wal import WALBackend, WALCorruptionError
 
 
@@ -46,14 +45,12 @@ def _populate(backend, n=3):
         backend.commit(key, rec)
 
 
-@pytest.fixture(params=["memory", "wal", "netchain"])
+@pytest.fixture(params=["memory", "wal"])
 def backend(request, tmp_path):
     if request.param == "memory":
         b = InMemoryBackend()
-    elif request.param == "wal":
-        b = WALBackend(str(tmp_path / "store"), snapshot_every=8)
     else:
-        b = NetChainBackend(size=32)
+        b = WALBackend(str(tmp_path / "store"), snapshot_every=8)
     b.bind(_Node(Simulator()))
     yield b
     b.close()
@@ -128,7 +125,7 @@ def test_recovered_pending_queue_is_empty(backend):
 
 def test_describe_is_a_string(backend):
     assert isinstance(backend.describe(), str)
-    assert backend.name in ("memory", "wal", "netchain")
+    assert backend.name in ("memory", "wal")
 
 
 # -- WAL specifics: torn tails, compaction, last-write-wins -------------------
@@ -320,59 +317,3 @@ def test_wal_recover_from_snapshot_plus_log(wal):
     assert wal.recover() == 5
     assert [wal.get(_key(i)).vals for i in range(5)] == [[i] for i in range(5)]
 
-
-# -- NetChain specifics: register mirroring, capacity -------------------------
-
-
-@pytest.fixture
-def netchain():
-    b = NetChainBackend(size=4)
-    b.bind(_Node(Simulator()))
-    return b
-
-
-def test_netchain_commit_mirrors_into_registers(netchain):
-    key = _key(0)
-    rec = netchain.record(key)
-    rec.vals = [11, 22]
-    rec.initialized = True
-    rec.last_seq = 9
-    rec.owner_ip = 0x0A0B0C0D
-    rec.lease_expiry = 777.0
-    netchain.commit(key, rec)
-    idx = netchain.slot(key)
-    assert netchain.reg_vals[0].cp_read(idx) == 11
-    assert netchain.reg_vals[1].cp_read(idx) == 22
-    assert netchain.reg_nvals.cp_read(idx) == 2
-    assert netchain.reg_seq.cp_read(idx) == 9
-    assert netchain.reg_init.cp_read(idx) == 1
-    assert netchain.reg_lease.cp_read(idx) == (0x0A0B0C0D, 777)
-
-
-def test_netchain_wipe_clears_registers(netchain):
-    key = _key(0)
-    rec = netchain.record(key)
-    rec.vals = [5]
-    rec.last_seq = 2
-    netchain.commit(key, rec)
-    idx = netchain.slot(key)
-    netchain.wipe()
-    assert netchain.reg_vals[0].cp_read(idx) == 0
-    assert netchain.reg_seq.cp_read(idx) == 0
-    assert netchain.reg_lease.cp_read(idx) == (0, 0)
-    assert netchain.recover() == 0  # SRAM is volatile: nothing to replay
-
-
-def test_netchain_rejects_oversized_records(netchain):
-    key = _key(0)
-    rec = netchain.record(key)
-    rec.vals = [1] * (NETCHAIN_VALUE_SLOTS + 1)
-    with pytest.raises(ValueError):
-        netchain.commit(key, rec)
-
-
-def test_netchain_store_full(netchain):
-    for i in range(4):
-        netchain.slot(_key(i))
-    with pytest.raises(RuntimeError):
-        netchain.slot(_key(99))

@@ -41,7 +41,6 @@ from repro.core.protocol import (
     make_protocol_packet,
     parse_protocol_packet,
 )
-from repro.deploy import deploy_netchain
 from repro.net.packet import TCP_ACK, TCP_SYN, FlowKey, Packet
 from repro.scenarios import get_scenario
 from repro.statestore import codec
@@ -206,21 +205,6 @@ def test_every_builtin_app(probe):
         assert probe.reused > before, name
     probe.assert_clean()
     assert set(MessageType) <= set(probe.kinds)
-
-
-def test_netchain_in_switch_store(probe):
-    """The in-switch store parses through ``parse_protocol_packet``."""
-    sim = Simulator(seed=3)
-    dep = deploy_netchain(sim, SyncCounterApp)
-    e1, s11 = dep.bed.externals[0], dep.bed.servers[0]
-    for i in range(20):
-        sim.schedule_at(i * 50.0, e1.send,
-                        Packet.udp(e1.ip, s11.ip, 5555, 7777))
-    sim.run_until_idle()
-    probe.assert_clean()
-    assert probe.kinds[MessageType.REPL_WRITE_ACK] >= 20
-    assert dep.netchain.backend.get(
-        Packet.udp(e1.ip, s11.ip, 5555, 7777).flow_key()).last_seq == 20
 
 
 def test_lossy_sync_counter_with_resends(probe):

@@ -7,7 +7,6 @@ from repro.apps import BUILTIN_APPS
 from repro.apps.counter import AsyncCounterApp, SyncCounterApp
 from repro.core.engine import RedPlaneEngine, RedPlaneMode
 from repro.core.snapshot import SnapshotReplicator
-from repro.deploy import deploy_netchain
 from repro.statestore import ShardMap, StateStoreNode
 from tests.conftest import SERVICE_ROUTES
 
@@ -51,14 +50,13 @@ def test_config_propagates(sim):
     assert all(st.lease_period_us == 123_456.0 for st in dep.stores)
 
 
-@pytest.mark.parametrize("deploy_fn", [deploy, deploy_netchain])
+@pytest.mark.parametrize("deploy_fn", [deploy])
 def test_store_and_switch_agree_on_the_lease_period(sim, deploy_fn):
     """Mechanism 4: the store must not re-grant a flow while a switch
     still believes it owns it, so there is one lease period per run."""
     dep = deploy_fn(sim, SyncCounterApp,
                     config=RedPlaneConfig(lease_period_us=100_000.0))
-    granters = dep.stores or [dep.netchain]
-    assert {g.lease_period_us for g in granters} == {100_000.0}
+    assert {st.lease_period_us for st in dep.stores} == {100_000.0}
     assert {e.config.lease_period_us for e in dep.engines.values()} == {
         100_000.0
     }
@@ -96,7 +94,7 @@ def test_mode_is_not_configurable():
         RedPlaneConfig(mode=RedPlaneMode.BOUNDED_INCONSISTENCY)
 
 
-@pytest.mark.parametrize("deploy_fn", [deploy, deploy_netchain])
+@pytest.mark.parametrize("deploy_fn", [deploy])
 def test_snapshot_period_reaches_the_replicators(sim, deploy_fn):
     dep = deploy_fn(sim, AsyncCounterApp,
                     config=RedPlaneConfig(snapshot_period_us=250.0))
@@ -108,15 +106,12 @@ def test_snapshot_period_reaches_the_replicators(sim, deploy_fn):
 # -- the app provisions its own testbed --------------------------------------
 
 
-@pytest.mark.parametrize("deploy_fn, name", [
-    *[pytest.param(deploy, name, id=name) for name in sorted(BUILTIN_APPS)],
-    pytest.param(deploy_netchain, "nat", id="netchain-nat"),
-])
-def test_deploy_provisions_the_app(deploy_fn, name):
+@pytest.mark.parametrize("name", sorted(BUILTIN_APPS))
+def test_deploy_provisions_the_app(name):
     """A bare ``deploy()`` routes a service app's address from every core
     to both aggs (and nothing else's), and the load balancer's stores
     share one DIP allocator."""
-    dep = deploy_fn(Simulator(seed=0), BUILTIN_APPS[name])
+    dep = deploy(Simulator(seed=0), BUILTIN_APPS[name])
     expected = [SERVICE_ROUTES[name][0]] if name in SERVICE_ROUTES else []
     for core in dep.bed.cores:
         anycast = [r.prefix for r in core.table.routes() if r.mask_len == 32
@@ -133,56 +128,3 @@ def test_deploy_provisions_the_app(deploy_fn, name):
 def test_oversized_chain_rejected(sim):
     with pytest.raises(ValueError):
         deploy(sim, SyncCounterApp, num_shards=3, chain_length=2)
-
-
-# -- deploy_netchain: the in-switch store deployment --------------------------
-
-
-def test_deploy_netchain_wiring(sim):
-    from repro.statestore.netchain import (
-        NETCHAIN_UDP_PORT,
-        NetChainBackend,
-        NetChainStoreBlock,
-    )
-    from repro.switch.asic import SwitchASIC
-
-    dep = deploy_netchain(sim, SyncCounterApp)
-    assert isinstance(dep.netchain, NetChainStoreBlock)
-    assert isinstance(dep.netchain.backend, NetChainBackend)
-    assert dep.netchain.backend.size == 1024
-    assert dep.netchain.backend.reg_seq.name == "tor1.netchain.seq"
-    # tor1 became the store switch; the other ToRs stayed plain routers.
-    tor = dep.bed.tors[0]
-    assert isinstance(tor, SwitchASIC)
-    assert dep.netchain.switch is tor
-    assert not isinstance(dep.bed.tors[1], SwitchASIC)
-    # The shard map points every engine at the ToR's in-switch port.
-    addr = dep.shard_map.addresses()[0]
-    assert addr.ip == tor.ip and addr.udp_port == NETCHAIN_UDP_PORT
-    # No server store participates.
-    assert dep.stores == []
-
-
-def test_deploy_netchain_end_to_end(sim):
-    """Counter traffic commits through the in-switch store: every packet's
-    synchronous write is acked by tor1's pipeline, and the record mirror
-    tracks the register state."""
-    from repro.net.packet import Packet
-
-    dep = deploy_netchain(sim, SyncCounterApp)
-    e1, s11 = dep.bed.externals[0], dep.bed.servers[0]
-    for i in range(8):
-        pkt = Packet.udp(e1.ip, s11.ip, 5555, 7777)
-        pkt.ip.identification = i
-        sim.schedule(i * 200.0, e1.send, pkt)
-    sim.run_until_idle()
-
-    flow = Packet.udp(e1.ip, s11.ip, 5555, 7777).flow_key()
-    rec = dep.netchain.backend.get(flow)
-    assert rec is not None and rec.initialized
-    assert rec.last_seq == 8
-    assert rec.vals == [8]
-    # The registers agree with the control-plane mirror.
-    idx = dep.netchain.backend.slot(flow)
-    assert dep.netchain.backend.reg_seq.cp_read(idx) == 8
-    assert dep.netchain.backend.reg_vals[0].cp_read(idx) == 8

@@ -38,6 +38,15 @@ def test_benchmark_files_exist():
         assert os.path.exists(os.path.join(bench, filename)), filename
 
 
+def test_every_benchmark_file_is_an_experiment():
+    """The reverse of the check above: a ``benchmarks/test_*.py`` that no
+    experiment names is unreachable from ``repro.tools run``/``bench``."""
+    files = {os.path.basename(path) for path in
+             glob.glob(os.path.join(benchmarks_dir(), "test_*.py"))}
+    named = {filename for filename, _desc in EXPERIMENTS.values()}
+    assert files == named
+
+
 # -- every documented command still parses ------------------------------------
 
 _REPO = os.path.normpath(os.path.join(os.path.dirname(__file__), ".."))

@@ -489,29 +489,27 @@ def test_an_app_that_does_not_deploy_is_one_line_and_exit_2(
 
 
 def test_verify_all_deploys_each_program_once(monkeypatch, capsys):
-    """One deployment per builtin app serves both passes 1 and 5, and
-    the NetChain store is deployed once."""
+    """One deployment per builtin app serves both passes 1 and 5."""
     import importlib
 
     from repro.verify import cli
 
     # ``repro.deploy`` the attribute is the function; patch the module.
     module = importlib.import_module("repro.deploy")
-    calls = {"deploy": 0, "deploy_netchain": 0}
-    for fn_name in calls:
-        real = getattr(module, fn_name)
+    calls = {"deploy": 0}
+    real = module.deploy
 
-        def counted(*args, _real=real, _name=fn_name, **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
+    def counted(*args, **kwargs):
+        calls["deploy"] += 1
+        return real(*args, **kwargs)
 
-        monkeypatch.setattr(module, fn_name, counted)
+    monkeypatch.setattr(module, "deploy", counted)
     parser = argparse.ArgumentParser()
     cli.register(parser.add_subparsers())
     args = parser.parse_args(["verify", "--all"])
     assert args.run(args) == 0
     capsys.readouterr()
-    assert calls == {"deploy": len(BUILTIN_APPS), "deploy_netchain": 1}
+    assert calls == {"deploy": len(BUILTIN_APPS)}
     assert len(BUILTIN_APPS) == 11
 
 
@@ -544,73 +542,3 @@ def test_lazy_snapshot_apps_declare_metadata_sram(name):
     for array in app.snapshot_structures().values():
         assert declared >= array.sram_bits()
 
-
-# -- RP150: store-backend registers on the packet path ------------------------
-
-
-class CpServingStoreBlock(ControlBlock):
-    """A bad in-switch store: serves packets via control-plane register
-    ops, dodging the pipeline's stateful-ALU accounting."""
-
-    name = "cp-serving-store"
-
-    def __init__(self):
-        from repro.statestore.netchain import NetChainBackend
-
-        self.backend = NetChainBackend(label="bad", size=8)
-
-    def process(self, ctx, switch):
-        if ctx.pkt.l4 is None:
-            return True
-        seq = self.backend.reg_seq.cp_read(0)
-        self.backend.reg_seq.cp_write(0, seq + 1)
-        return True
-
-    def resource_usage(self):
-        return {"sram_bits": self.backend.sram_bits()}
-
-
-def test_rp150_store_register_cp_ops_on_packet_path():
-    switch = fresh_switch()
-    block = CpServingStoreBlock()
-    switch.add_block(block)
-    report = run_pass(switch)
-    rp150 = [d for d in report.diagnostics if d.rule == "RP150"]
-    assert len(rp150) == 2  # one per cp_read / cp_write site
-    assert all(d.severity is Severity.ERROR for d in rp150)
-    assert rp150[0].line == line_of(CpServingStoreBlock, "cp_read(0)")
-    assert rp150[1].line == line_of(CpServingStoreBlock, "cp_write(0, seq")
-
-
-def test_rp150_not_raised_for_non_store_registers():
-    """Engine-style cp ops on registers a backend does not own (state
-    migration, RMW modeling shortcuts) stay legal."""
-
-    class CpMigrationBlock(ControlBlock):
-        name = "cp-migration"
-
-        def __init__(self):
-            self.reg = RegisterArray("mig.reg", 8, 32)
-
-        def process(self, ctx, switch):
-            self.reg.cp_write(0, 7)  # not backend-owned: no RP150
-            return True
-
-        def resource_usage(self):
-            return {"sram_bits": self.reg.sram_bits()}
-
-    switch = fresh_switch()
-    switch.add_block(CpMigrationBlock())
-    report = run_pass(switch)
-    assert not [d for d in report.diagnostics if d.rule == "RP150"]
-
-
-def test_netchain_store_block_verifies_clean():
-    """The shipped in-switch store obeys RP101/RP110/RP150: every
-    per-packet register touch goes through pipelined access()."""
-    from repro.verify.pipeline_pass import verify_netchain
-
-    report = verify_netchain()
-    assert "store:netchain" in report.analyzed
-    assert report.active(Severity.ERROR) == []
-    assert report.by_rule("RP150") == []
