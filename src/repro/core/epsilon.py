@@ -18,7 +18,9 @@ from __future__ import annotations
 import enum
 from typing import Callable, Optional
 
+from repro.core.engine import _PROTOCOL_PORTS
 from repro.core.snapshot import SnapshotReplicator
+from repro.net.packet import UDPHeader
 from repro.switch.pipeline import ControlBlock, PipelineContext
 
 
@@ -105,15 +107,12 @@ class EpsilonGuard(ControlBlock):
             and self.policy is EpsilonPolicy.DROP_PACKETS
             and ctx.pkt.meta.get("snapshot_read") is None
         ):
-            # Keep protocol/snapshot machinery flowing; only app traffic
-            # stops accumulating un-replicated state.
-            from repro.net.packet import UDPHeader
-            from repro.core.protocol import SWITCH_UDP_PORT, STORE_UDP_PORT
-
+            # Keep protocol/snapshot machinery (chain replication too)
+            # flowing; only app traffic stops accumulating un-replicated
+            # state.
             l4 = ctx.pkt.l4
             if isinstance(l4, UDPHeader) and (
-                l4.dport in (SWITCH_UDP_PORT, STORE_UDP_PORT)
-                or l4.sport in (SWITCH_UDP_PORT, STORE_UDP_PORT)
+                l4.dport in _PROTOCOL_PORTS or l4.sport in _PROTOCOL_PORTS
             ):
                 return True
             self.packets_dropped += 1

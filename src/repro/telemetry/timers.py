@@ -5,7 +5,8 @@ one sanctioned use of the wall clock in ``src/``, for answering "how many
 simulated events per wall-second does this machine execute"
 (``repro.observe.trajectory.run_raw_eventloop``, the shard runner's
 per-worker wall times). Timer results never feed a metric that a paper
-figure reads — wall clock must not leak into reported physics.
+figure reads — wall clock must not leak into reported physics. The
+verifier's wall-clock rule (RD201) covers every module but this one.
 """
 
 from __future__ import annotations
@@ -30,11 +31,11 @@ class ScopedTimer:
         self.elapsed_s = 0.0
 
     def __enter__(self) -> "ScopedTimer":
-        self._start = time.perf_counter()  # repro: noqa[RD201] -- this module IS the sanctioned wall-clock profiler (events/wall-second); results never feed figure metrics
+        self._start = time.perf_counter()
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        self.elapsed_s = time.perf_counter() - self._start  # repro: noqa[RD201] -- wall-clock profiler by design; see module docstring
+        self.elapsed_s = time.perf_counter() - self._start
 
     def rate(self, count: float) -> float:
         """``count`` per wall-second (0 if the scope took no measurable time)."""

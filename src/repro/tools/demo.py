@@ -4,10 +4,10 @@ Each runs the scenario registry's ``quickstart``
 (:func:`repro.scenarios.run_failover` on SyncCounterApp: the paper
 testbed, one flow, a scripted owner failure, a second burst released by
 the lease migration) in-process and reads what the
-telemetry spine recorded — the :class:`~repro.telemetry.MetricRegistry`,
-the :class:`~repro.telemetry.Tracer` ring, or the complete record stream
-collected by a sink in ``Tracer.sinks`` (the ring can truncate; a sink
-cannot).
+telemetry spine recorded — the :class:`~repro.telemetry.MetricRegistry`
+or the complete record stream, collected by a sink in ``Tracer.sinks``.
+The run keeps no trace ring: a sink sees every record, so there is
+nothing a ring could add.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ def quickstart_run(seed: int = 7, packets: int = 10) -> Tuple[Any, List[Any]]:
     from repro.net.simulator import Simulator
     from repro.scenarios import SCENARIOS
 
-    sim = Simulator(seed=seed)
+    sim = Simulator(seed=seed, trace_ring=0)
     records: List[Any] = []
     sim.tracer.sinks.append(records.append)
     SCENARIOS["quickstart"].run(sim, packets=packets)
@@ -86,23 +86,12 @@ def show_trace(args: argparse.Namespace) -> int:
             sink.close()
         print(f"wrote {len(collected)} records to {args.out}",
               file=sys.stderr)
-    emitted = sim.tracer.records_emitted
-    retained = len(sim.tracer)
-    print(f"# {emitted} records emitted, {retained} retained "
-          f"(ring maxlen {sim.tracer.maxlen}); showing last {tail}"
-          + (f" at/after t={since:g}us" if since is not None else ""),
-          file=sys.stderr)
-    dropped = sim.tracer.records_dropped
-    if dropped:
-        print(f"WARNING: ring truncated {dropped} records; span "
-              f"reconstruction over this trace will report orphans — "
-              f"use a JSONL sink for complete lifecycles",
-              file=sys.stderr)
-    records = sim.tracer.tail(len(sim.tracer)) if since is not None \
-        else sim.tracer.tail(tail)
+    print(f"# {sim.tracer.records_emitted} records emitted; showing last "
+          f"{tail}" + (f" at/after t={since:g}us" if since is not None
+                       else ""), file=sys.stderr)
     if since is not None:
-        records = [r for r in records if r.ts >= since][-tail:]
-    for record in records:
+        collected = [r for r in collected if r.ts >= since]
+    for record in collected[-tail:] if tail > 0 else ():
         if args.json:
             print(record.to_json())
         else:

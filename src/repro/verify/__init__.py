@@ -2,7 +2,7 @@
 
 Coordinated passes over the code and the configured artifacts, sharing
 one diagnostic engine (rule ids, severities, source locations, JSON +
-human rendering, ``# repro: noqa[RULE]`` suppressions):
+human rendering; nothing can be waived):
 
 * **pipeline** (:mod:`repro.verify.pipeline_pass`, RP1xx) — proves the
   Tofino constraints of a configured switch program: one access per
@@ -11,10 +11,10 @@ human rendering, ``# repro: noqa[RULE]`` suppressions):
 * **partition** (:mod:`repro.verify.partition_pass`, RS4xx) — classifies
   every piece of per-app switch state as flow-local, flow-hash or global
   and emits a machine-checked shard plan per app (``shard_plans/``);
-* the **tree lints** (:func:`verify_tree`: one parse, one suppression
-  scan, one import table and one AST walk per file) — determinism (RD2xx:
-  wall clock, unseeded randomness, set order, ids), the telemetry schema
-  (RT3xx) and fast-path replay (RP14x).
+* the **tree lints** (:func:`verify_tree`: one parse, one import table
+  and one AST walk per file) — determinism (RD2xx: wall clock, unseeded
+  randomness, set order, ids), the telemetry schema (RT3xx) and
+  fast-path replay (RP14x).
 
 Passes 1 and 5 read live code through one analyzer
 (:class:`repro.verify.pipeline_pass.Analyzer`): each deployed app is walked
@@ -24,12 +24,7 @@ runs everything; the CI ``verify`` job gates on it with ``--strict`` and
 re-emits the shard plans to check them byte-equal to the committed ones.
 """
 
-from repro.verify.diagnostics import (
-    Diagnostic,
-    Report,
-    Severity,
-    SuppressionIndex,
-)
+from repro.verify.diagnostics import Diagnostic, Report, Severity
 from repro.verify.rules import RULES, Rule
 from repro.verify.pipeline_pass import verify_asic, verify_app
 from repro.verify.determinism_pass import verify_tree
@@ -43,7 +38,6 @@ __all__ = [
     "Diagnostic",
     "Report",
     "Severity",
-    "SuppressionIndex",
     "RULES",
     "Rule",
     "verify_asic",

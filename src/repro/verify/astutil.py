@@ -19,7 +19,7 @@ from typing import (
 
 from repro.core.snapshot import LazySnapshotArray
 from repro.switch.registers import PairedRegisterArray, RegisterArray
-from repro.verify.diagnostics import Report, SuppressionIndex
+from repro.verify.diagnostics import Report
 
 
 class SourceFile:
@@ -96,18 +96,15 @@ def iter_py_files(root: str) -> Iterator[str]:
                 yield os.path.join(dirpath, name)
 
 
-def parsed_files(paths: Sequence[str], supp: SuppressionIndex,
-                 root: Optional[str]) -> Iterator[Tuple[SourceFile, str]]:
+def parsed_files(paths: Sequence[str], root: Optional[str]
+                 ) -> Iterator[Tuple[SourceFile, str]]:
     """(parsed file, repo-relative path) for every ``.py`` file under
-    ``paths``, with its suppressions registered; unparseable files are
-    skipped."""
+    ``paths``; unparseable files are skipped."""
     for path in paths:
         for filename in iter_py_files(path):
             sf = load(filename)
             if sf is not None:
-                rel = relpath(sf.path, root)
-                supp.scan(rel, source=sf.text)
-                yield sf, rel
+                yield sf, relpath(sf.path, root)
 
 
 class ImportTable:
@@ -319,23 +316,32 @@ class Frame:
         self.loops: List[Tuple[Tuple, ...]] = []
 
 
+#: The ``at`` of a path with no events.
+_NOWHERE: Dict = {}
+
+
 class Path:
     """One way through a function: the multiset of events recorded on it
-    (``c``: event key -> count), its return value and whether it ended.
+    (``c``: event key -> count), the site of each key's first event on
+    it (``at``), its return value and whether it ended. ``at`` is never
+    mutated, only replaced, so paths share it; it is not part of a
+    path's :func:`dedupe` signature. A path built from another's ``c``
+    takes its ``at`` too: RP101 cites ``at`` for each key counted twice.
 
     An expression's *effect* (one way it can evaluate) is a Path too,
     whose ``ret`` is the expression's value."""
 
-    __slots__ = ("c", "ret", "term")
+    __slots__ = ("c", "ret", "term", "at")
 
     def __init__(self, c: Optional[Dict] = None, ret: object = None,
-                 term: bool = False) -> None:
+                 term: bool = False, at: Dict = _NOWHERE) -> None:
         self.c = {} if c is None else c
         self.ret = ret
         self.term = term
+        self.at = at
 
     def fork(self) -> "Path":
-        return Path(dict(self.c), self.ret, self.term)
+        return Path(dict(self.c), self.ret, self.term, self.at)
 
 
 #: Paths / effects kept per step. Beyond this the walk stops adding
@@ -345,9 +351,14 @@ PATH_CAP = 256
 MAX_DEPTH = 8
 
 
-def merge(into: Dict, counts: Dict) -> None:
-    for k, v in counts.items():
-        into[k] = into.get(k, 0) + v
+def merge(into: Path, then: Path) -> None:
+    """Append ``then``'s events to ``into``; a key already on ``into``
+    keeps its site."""
+    c = into.c
+    for k, v in then.c.items():
+        c[k] = c.get(k, 0) + v
+    if then.at:
+        into.at = {**then.at, **into.at}
 
 
 def _freeze(counts: Dict) -> Tuple:
@@ -378,18 +389,21 @@ def combine(pre: List[Path], post: List[Path]) -> List[Path]:
     out: List[Path] = []
     for a in pre:
         for b in post:
-            c = dict(a.c)
-            merge(c, b.c)
-            out.append(Path(c, b.ret))
+            q = Path(dict(a.c), b.ret, False, a.at)
+            merge(q, b)
+            out.append(q)
     return dedupe(out)
 
 
-def worst(counts_list: Sequence[Dict]) -> Dict:
+def worst(paths: Sequence[Path]) -> Path:
     """Pointwise maximum: one loop iteration's worst case."""
-    out: Dict = {}
-    for counts in counts_list:
-        for k, v in counts.items():
-            out[k] = max(out.get(k, 0), v)
+    out = Path()
+    c = out.c
+    for p in paths:
+        for k, v in p.c.items():
+            c[k] = max(c.get(k, 0), v)
+        if p.at:
+            out.at = {**p.at, **out.at}
     return out
 
 
@@ -404,10 +418,8 @@ class Walker:
     its worst iteration.
     """
 
-    def __init__(self, report: Report, supp: SuppressionIndex,
-                 root: Optional[str]) -> None:
+    def __init__(self, report: Report, root: Optional[str]) -> None:
         self.report = report
-        self.supp = supp
         self.root = root
         #: The logical site diagnostics cite unless told otherwise.
         self.site = ""
@@ -432,10 +444,7 @@ class Walker:
             if key in self._once:
                 return
             self._once.add(key)
-        rel = relpath(file, self.root)
-        sf = load(file)
-        self.supp.scan(rel, source=sf.text if sf else "")
-        self.report.flag(rule_id, message, rel, line, self.supp,
+        self.report.flag(rule_id, message, relpath(file, self.root), line,
                          self.site if site is None else site)
 
     # -- live-name resolution ----------------------------------------------------
@@ -559,7 +568,7 @@ class Walker:
         for p in paths:
             for e in effects:
                 q = p.fork()
-                merge(q.c, e.c)
+                merge(q, e)
                 out.append(q)
         return dedupe(out)
 
@@ -673,17 +682,17 @@ class Walker:
         frame.loops.append(prefixes)
         body = self.walk_body(stmt.body, [Path()], frame)
         frame.loops.pop()
-        once = worst([bp.c for bp in body])
-        self.loop_done(once, prefixes, frame, stmt)
+        once = worst(body)
+        self.loop_done(once.c, prefixes, frame, stmt)
         out: List[Path] = []
         for p in live:
             cont = p.fork()
-            merge(cont.c, once)
+            merge(cont, once)
             out.append(cont)
             for bp in body:
                 if bp.term:
                     t = p.fork()
-                    merge(t.c, once)
+                    merge(t, once)
                     t.term, t.ret = True, bp.ret
                     out.append(t)
         out = dedupe(out)
@@ -694,15 +703,6 @@ class Walker:
         return out
 
     # -- helper inlining -----------------------------------------------------------
-
-    def source(self, fn) -> Optional[Tuple[ast.FunctionDef, SourceFile]]:
-        """:func:`find_def`, registering the file's suppressions: every
-        file whose code is read can then report an unused noqa (QA002)."""
-        found = find_def(fn)
-        if found is not None:
-            sf = found[1]
-            self.supp.scan(relpath(sf.path, self.root), source=sf.text)
-        return found
 
     def summarize(self, fn, self_ref: Optional[Ref] = None,
                   bindings: Optional[Dict[str, object]] = None
@@ -723,7 +723,7 @@ class Walker:
             return [Path({}, UNKNOWN, True)]
         if len(self._active) >= MAX_DEPTH:
             return None
-        found = self.source(fn)
+        found = find_def(fn)
         if found is None:
             self._summaries[key] = None
             return None

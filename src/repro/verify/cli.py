@@ -1,9 +1,7 @@
 """The ``repro.tools verify`` command: :func:`register` declares its
 flags, :func:`run_verify` is its handler.
 
-Runs every pass with one shared suppression index and one report, so a
-single ``# repro: noqa[...]`` grammar covers all rule families and
-unused suppressions are judged once, after every pass has spoken.
+Runs every pass into one report.
 
 The tree lints (determinism, telemetry, fastpath) take file/directory
 paths and share one walk per file; the pipeline and partition verifiers
@@ -28,7 +26,7 @@ import sys
 from typing import Dict, List, Optional
 
 from repro.verify.determinism_pass import verify_tree
-from repro.verify.diagnostics import Report, SuppressionIndex
+from repro.verify.diagnostics import Report
 from repro.verify.partition_pass import plan_json, render_plan, shard_plan
 from repro.verify.pipeline_pass import (
     DeployError, app_analyzer, check_app, deployed,
@@ -60,7 +58,6 @@ def run_verify(args: argparse.Namespace) -> int:
     app, paths, all_targets = args.app, args.paths, args.all_targets
     root = repo_root()
     report = Report()
-    supp = SuppressionIndex()
 
     wanted: Optional[List[str]] = None
     if args.rules:
@@ -94,19 +91,18 @@ def run_verify(args: argparse.Namespace) -> int:
     if all_targets or not paths:
         lint_paths.append(os.path.join(source_root(), "repro"))
 
-    shared = dict(report=report, suppressions=supp, root=root)
     plans: Dict[str, dict] = {}
     try:
         for name in sorted(apps):
             dep = deployed(deploy, apps[name])
-            an = app_analyzer(dep, **shared)
+            an = app_analyzer(dep, report, root)
             check_app(an, dep, name)
             plans[name] = shard_plan(an, dep, name)
     except DeployError as exc:
         print(f"app {name!r} does not deploy: {exc}", file=sys.stderr)
         return 2
     if lint_paths:
-        verify_tree(lint_paths, **shared)
+        verify_tree(lint_paths, report, root)
 
     if args.emit_plans:
         os.makedirs(args.emit_plans, exist_ok=True)
@@ -120,13 +116,9 @@ def run_verify(args: argparse.Namespace) -> int:
         )
 
     if wanted is not None:
-        report.finalize_suppressions(supp, rules=tuple(wanted))
-        keep = set(wanted) | {"QA001", "QA002"}
         report.diagnostics = [
-            d for d in report.diagnostics if d.rule in keep
+            d for d in report.diagnostics if d.rule in wanted
         ]
-    else:
-        report.finalize_suppressions(supp)
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -162,8 +154,7 @@ def register(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--strict", action="store_true",
                    help="fail on warnings too, not just errors")
     p.add_argument("--rule", metavar="ID[,ID]", dest="rules",
-                   help="report only these rule ids (plus QA001/QA002 "
-                        "suppression hygiene)")
+                   help="report only these rule ids")
     p.add_argument("--plan", action="store_true", dest="show_plans",
                    help="render the per-app shard plans the partition pass "
                         "computed")

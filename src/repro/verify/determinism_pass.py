@@ -2,11 +2,12 @@
 
 A *tree lint* is a rule family checked by reading source files rather
 than deployed apps. :func:`verify_tree` runs all three of them: it parses
-each ``.py`` file once, registers its suppressions once, and walks its
-AST once with :class:`_FileLint`, which hands every node to the checks
-of each family whose scope covers the file:
+each ``.py`` file once and walks its AST once with :class:`_FileLint`,
+which hands every node to the checks of each family whose scope covers
+the file:
 
-* **RD201-204** determinism (this module), on every file;
+* **RD201-204** determinism (this module), on every file, but RD201 not
+  on the telemetry stopwatch (``telemetry/timers.py``);
 * **RT301-306** telemetry schema (:mod:`repro.verify.telemetry_pass`),
   on every file but the telemetry machinery itself; RT310's span
   pairing runs once after the walk, across the file set;
@@ -25,8 +26,8 @@ nondeterminism has actually crept into discrete-event simulators:
 
 * **RD201** — wall-clock reads (``time.time()``, ``datetime.now()``,
   ``time.perf_counter()``): simulated time is :attr:`Simulator.now`;
-  host time differs per run. (The telemetry stopwatch is the one
-  sanctioned exception, suppressed with a justification on site.)
+  host time differs per run. The telemetry stopwatch is the one module
+  out of its scope: its readings never reach a figure.
 * **RD202** — unseeded randomness: module-level ``random.*`` calls use
   the shared global RNG (seeded by the OS), and ``random.Random()``
   without a seed argument is the same thing in a trenchcoat. Every RNG
@@ -46,7 +47,7 @@ import ast
 from typing import Iterable, List, Optional, Tuple, Union
 
 from repro.verify import astutil
-from repro.verify.diagnostics import Report, SuppressionIndex
+from repro.verify.diagnostics import Report
 from repro.verify.fastpath_pass import check_app_class, check_replay
 from repro.verify.telemetry_pass import TelemetryLint, check_span_pairing
 
@@ -81,6 +82,10 @@ _ORDER_INSENSITIVE = frozenset({
 })
 
 
+#: The one module RD201 does not cover, as its path below ``repro``.
+_STOPWATCH = "telemetry/timers.py"
+
+
 def _scope(rel: str) -> str:
     """The scope component of one file.
 
@@ -96,6 +101,16 @@ def _scope(rel: str) -> str:
     return parts[-2] if len(parts) > 1 else ""
 
 
+def _below_repro(rel: str) -> str:
+    """``rel`` below its last ``repro`` directory; all of it for a file
+    outside any ``repro`` package."""
+    parts = rel.replace("\\", "/").split("/")
+    for i in range(len(parts) - 2, -1, -1):
+        if parts[i] == "repro":
+            return "/".join(parts[i + 1:])
+    return "/".join(parts)
+
+
 class _FileLint(ast.NodeVisitor):
     """One walk over one file, dispatching each node to the checks of
     every tree-lint family whose scope covers the file.
@@ -105,20 +120,20 @@ class _FileLint(ast.NodeVisitor):
     use (function-local imports, ``TYPE_CHECKING`` blocks).
     """
 
-    def __init__(self, sf: astutil.SourceFile, rel: str, report: Report,
-                 supp: SuppressionIndex) -> None:
+    def __init__(self, sf: astutil.SourceFile, rel: str,
+                 report: Report) -> None:
         self.sf = sf
         self.rel = rel
         self.report = report
-        self.supp = supp
         scope = _scope(rel)
         self.in_fastpath = scope == "fastpath"
+        self.wall_clock_ok = _below_repro(rel) == _STOPWATCH
         self.imports = astutil.ImportTable()
         #: RT301-306 state; None for the telemetry subsystem, which
         #: defines the machinery: its method bodies are not emit sites.
         self.telemetry = (
             None if scope == "telemetry"
-            else TelemetryLint(self.imports, rel, report, supp)
+            else TelemetryLint(self.imports, rel, report)
         )
         self.assigns: List[ast.Assign] = []
         self.calls: List[ast.Call] = []
@@ -131,7 +146,7 @@ class _FileLint(ast.NodeVisitor):
         self.app_classes = 0
 
     def flag(self, rule_id: str, message: str, line: int) -> None:
-        self.report.flag(rule_id, message, self.rel, line, self.supp)
+        self.report.flag(rule_id, message, self.rel, line)
 
     def run(self) -> None:
         self.visit(self.sf.tree)
@@ -184,7 +199,7 @@ class _FileLint(ast.NodeVisitor):
         return False
 
     def _check_call(self, node: ast.Call) -> None:
-        clock = self._is_wall_clock(node.func)
+        clock = None if self.wall_clock_ok else self._is_wall_clock(node.func)
         if clock is not None:
             self.flag(
                 "RD201",
@@ -249,7 +264,7 @@ class _FileLint(ast.NodeVisitor):
 
     def generic_visit(self, node: ast.AST) -> None:
         if self._replay is not None:
-            check_replay(self._replay, node, self.rel, self.report, self.supp)
+            check_replay(self._replay, node, self.rel, self.report)
         super().generic_visit(node)
 
     def visit_Import(self, node: Union[ast.Import, ast.ImportFrom]) -> None:
@@ -271,7 +286,7 @@ class _FileLint(ast.NodeVisitor):
         self._replay = outer
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        if check_app_class(node, self.rel, self.report, self.supp):
+        if check_app_class(node, self.rel, self.report):
             self.app_classes += 1
         self.generic_visit(node)
 
@@ -309,13 +324,12 @@ class _FileLint(ast.NodeVisitor):
 
 
 def _lint_files(paths: Iterable[str], report: Report,
-                suppressions: SuppressionIndex,
                 root: Optional[str]) -> List[_FileLint]:
     """Walk every ``.py`` file under ``paths`` once; each lint keeps its
     scope, counts and resolved emits."""
     lints: List[_FileLint] = []
-    for sf, rel in astutil.parsed_files(paths, suppressions, root):
-        lint = _FileLint(sf, rel, report, suppressions)
+    for sf, rel in astutil.parsed_files(paths, root):
+        lint = _FileLint(sf, rel, report)
         lint.run()
         lints.append(lint)
     return lints
@@ -324,18 +338,14 @@ def _lint_files(paths: Iterable[str], report: Report,
 def verify_tree(
     paths: Iterable[str],
     report: Optional[Report] = None,
-    suppressions: Optional[SuppressionIndex] = None,
     root: Optional[str] = None,
 ) -> Report:
     """Run every tree lint over the ``.py`` files under ``paths``."""
     report = report if report is not None else Report()
-    suppressions = (
-        suppressions if suppressions is not None else SuppressionIndex()
-    )
-    lints = _lint_files(paths, report, suppressions, root)
+    lints = _lint_files(paths, report, root)
     emit_sites = [lint.telemetry for lint in lints
                   if lint.telemetry is not None]
-    check_span_pairing(emit_sites, report, suppressions)
+    check_span_pairing(emit_sites, report)
     report.analyzed["tree-lint"] = (
         f"{len(lints)} file(s): {len(emit_sites)} emit-site file(s), "
         f"{sum(lint.replays for lint in lints)} replay function(s), "

@@ -4,115 +4,25 @@ Diagnostics carry a stable rule id, a severity, a source location
 (``file:line``), and a logical site (``block=... app=...`` — the same
 format the runtime :class:`~repro.switch.pipeline.RegisterAccessError`
 cites, so a static RP101 and its runtime twin point at the same place).
-
-Suppressions are source comments::
-
-    something_flagged()  # repro: noqa[RD201] -- why this is safe
-
-The rule list in brackets names what is being waived; the text after
-``--`` is the mandatory justification (a bare noqa is itself a QA001
-diagnostic). Suppressed diagnostics stay in the report, marked, so the
-JSON artifact shows what was waived and why.
+Nothing can be waived: a rule's exceptions are its scope, decided where
+the rule runs.
 """
 
 from __future__ import annotations
 
 import enum
-import io
 import json
-import re
-import tokenize
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List
 
 
 class Severity(enum.Enum):
     ERROR = "error"
     WARNING = "warning"
-    INFO = "info"
 
     @property
     def rank(self) -> int:
-        return {"error": 0, "warning": 1, "info": 2}[self.value]
-
-
-#: Matches a ``repro: noqa[RP101,RD201] -- justification`` comment
-#: (justification optional in the grammar; its absence is a QA001
-#: diagnostic, not a parse error).
-_NOQA_RE = re.compile(
-    r"#\s*repro:\s*noqa\[(?P<rules>[A-Z0-9,\s]+)\]"
-    r"(?:\s*--\s*(?P<why>.*\S))?"
-)
-
-
-def _comments(source: str) -> List[Tuple[int, str]]:
-    """(line, text) of every real comment token — docstrings that merely
-    *mention* the noqa syntax are not suppressions. Falls back to a
-    per-line scan when the file does not tokenize."""
-    try:
-        return [
-            (tok.start[0], tok.string)
-            for tok in tokenize.generate_tokens(io.StringIO(source).readline)
-            if tok.type == tokenize.COMMENT
-        ]
-    except (tokenize.TokenError, IndentationError, SyntaxError):
-        return list(enumerate(source.splitlines(), start=1))
-
-
-@dataclass
-class Suppression:
-    """One ``# repro: noqa[...]`` comment found in a source file."""
-
-    file: str
-    line: int
-    rules: Tuple[str, ...]
-    justification: Optional[str]
-    used: bool = False
-
-
-class SuppressionIndex:
-    """All noqa comments of a file set, queried per (file, line, rule)."""
-
-    def __init__(self) -> None:
-        self._by_file: Dict[str, List[Suppression]] = {}
-        self._scanned: Set[str] = set()
-
-    def scan(self, path: str, source: Optional[str] = None) -> None:
-        if path in self._scanned:
-            return
-        self._scanned.add(path)
-        if source is None:
-            try:
-                with open(path, encoding="utf-8") as fh:
-                    source = fh.read()
-            except OSError:
-                return
-        if "noqa" not in source:
-            return  # nothing _NOQA_RE could match: skip the tokenizer
-        entries = self._by_file.setdefault(path, [])
-        for lineno, text in _comments(source):
-            m = _NOQA_RE.search(text)
-            if m is None:
-                continue
-            rules = tuple(
-                r.strip() for r in m.group("rules").split(",") if r.strip()
-            )
-            entries.append(
-                Suppression(path, lineno, rules, m.group("why"))
-            )
-
-    def match(self, path: str, line: int, rule_id: str) -> Optional[Suppression]:
-        for supp in self._by_file.get(path, ()):
-            if supp.line == line and rule_id in supp.rules:
-                supp.used = True
-                return supp
-        return None
-
-    def all(self) -> List[Suppression]:
-        out: List[Suppression] = []
-        for entries in self._by_file.values():
-            out.extend(entries)
-        return out
+        return {"error": 0, "warning": 1}[self.value]
 
 
 @dataclass
@@ -127,8 +37,6 @@ class Diagnostic:
     #: Logical site in the runtime-error format, e.g.
     #: ``block=redplane(nat)`` — empty for tree lints.
     site: str = ""
-    suppressed: bool = False
-    justification: Optional[str] = None
 
     @property
     def location(self) -> str:
@@ -136,9 +44,8 @@ class Diagnostic:
 
     def render(self) -> str:
         sev = self.severity.value.upper()
-        tag = " (suppressed)" if self.suppressed else ""
         site = f" [{self.site}]" if self.site else ""
-        return f"{self.location}: {sev} {self.rule}{tag}: {self.message}{site}"
+        return f"{self.location}: {sev} {self.rule}: {self.message}{site}"
 
     def to_dict(self) -> Dict[str, object]:
         out: Dict[str, object] = {
@@ -147,12 +54,9 @@ class Diagnostic:
             "message": self.message,
             "file": self.file,
             "line": self.line,
-            "suppressed": self.suppressed,
         }
         if self.site:
             out["site"] = self.site
-        if self.justification is not None:
-            out["justification"] = self.justification
         return out
 
 
@@ -164,86 +68,30 @@ class Report:
     #: Pass name -> summary string (what was analyzed).
     analyzed: Dict[str, str] = field(default_factory=dict)
 
-    def add(self, diag: Diagnostic,
-            suppressions: Optional[SuppressionIndex] = None) -> Diagnostic:
-        """File a diagnostic, applying any matching suppression."""
-        if suppressions is not None:
-            supp = suppressions.match(diag.file, diag.line, diag.rule)
-            if supp is not None:
-                diag.suppressed = True
-                diag.justification = supp.justification
-        self.diagnostics.append(diag)
-        return diag
-
     def flag(self, rule_id: str, message: str, file: str, line: int,
-             suppressions: Optional[SuppressionIndex] = None,
              site: str = "") -> Diagnostic:
         """File a diagnostic of rule ``rule_id`` with its registered
         severity; ``file`` is already the path the report shows."""
         from repro.verify.rules import RULES
 
         rule = RULES[rule_id]
-        return self.add(
-            Diagnostic(rule.id, rule.severity, message, file, line, site),
-            suppressions,
-        )
-
-    def finalize_suppressions(
-        self,
-        suppressions: SuppressionIndex,
-        rules: Optional[Tuple[str, ...]] = None,
-    ) -> None:
-        """File QA001/QA002 for bad or unused noqa comments.
-
-        Call once, after every pass that shares ``suppressions`` has
-        produced every diagnostic its file set can yield. ``rules``
-        restricts the unused-suppression check (QA002) to suppressions
-        of rule ids with one of the given prefixes (e.g. ``("RT",)``
-        when only the telemetry pass ran): a pass that merely *scanned*
-        a file cannot know whether another pass's suppression in it is
-        earning its keep, so standalone pass runs must not flag
-        suppressions outside their own rule family. QA001 (used but
-        unjustified) needs no such filter — a used suppression matched
-        a diagnostic some running pass produced.
-        """
-        for supp in suppressions.all():
-            if supp.used and not supp.justification:
-                self.diagnostics.append(Diagnostic(
-                    "QA001", Severity.ERROR,
-                    f"suppression of {','.join(supp.rules)} has no "
-                    "justification (add '-- why' after the bracket)",
-                    supp.file, supp.line,
-                ))
-            elif not supp.used:
-                if rules is not None and not any(
-                    r.startswith(rules) for r in supp.rules
-                ):
-                    continue
-                self.diagnostics.append(Diagnostic(
-                    "QA002", Severity.WARNING,
-                    f"suppression of {','.join(supp.rules)} matched no "
-                    "diagnostic; remove it",
-                    supp.file, supp.line,
-                ))
+        diag = Diagnostic(rule.id, rule.severity, message, file, line, site)
+        self.diagnostics.append(diag)
+        return diag
 
     # -- querying -------------------------------------------------------------
 
-    def active(self, severity: Optional[Severity] = None) -> List[Diagnostic]:
-        """Unsuppressed diagnostics, optionally filtered by severity."""
-        return [
-            d for d in self.diagnostics
-            if not d.suppressed
-            and (severity is None or d.severity is severity)
-        ]
+    def of(self, severity: Severity) -> List[Diagnostic]:
+        return [d for d in self.diagnostics if d.severity is severity]
 
     def by_rule(self, rule_id: str) -> List[Diagnostic]:
         return [d for d in self.diagnostics if d.rule == rule_id]
 
     def exit_code(self, strict: bool = False) -> int:
-        """0 iff no unsuppressed error (with ``strict``: nor warning)."""
-        if self.active(Severity.ERROR):
+        """0 iff no error (with ``strict``: nor warning)."""
+        if self.of(Severity.ERROR):
             return 1
-        if strict and self.active(Severity.WARNING):
+        if strict and self.of(Severity.WARNING):
             return 1
         return 0
 
@@ -261,13 +109,9 @@ class Report:
             lines.append(f"-- {name}: {self.analyzed[name]}")
         for diag in self.sorted_diagnostics():
             lines.append(diag.render())
-        errors = len(self.active(Severity.ERROR))
-        warnings = len(self.active(Severity.WARNING))
-        suppressed = sum(1 for d in self.diagnostics if d.suppressed)
-        lines.append(
-            f"{errors} error(s), {warnings} warning(s), "
-            f"{suppressed} suppressed"
-        )
+        errors = len(self.of(Severity.ERROR))
+        warnings = len(self.of(Severity.WARNING))
+        lines.append(f"{errors} error(s), {warnings} warning(s)")
         return "\n".join(lines)
 
     def to_json(self) -> str:
@@ -275,11 +119,8 @@ class Report:
             "analyzed": dict(sorted(self.analyzed.items())),
             "diagnostics": [d.to_dict() for d in self.sorted_diagnostics()],
             "summary": {
-                "errors": len(self.active(Severity.ERROR)),
-                "warnings": len(self.active(Severity.WARNING)),
-                "suppressed": sum(
-                    1 for d in self.diagnostics if d.suppressed
-                ),
+                "errors": len(self.of(Severity.ERROR)),
+                "warnings": len(self.of(Severity.WARNING)),
             },
         }
         return json.dumps(doc, indent=2, sort_keys=True)

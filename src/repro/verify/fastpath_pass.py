@@ -31,11 +31,11 @@ from typing import Optional
 
 from repro.fastpath.flowcache import REPLAY_EFFECTS
 from repro.verify import astutil
-from repro.verify.diagnostics import Report, SuppressionIndex
+from repro.verify.diagnostics import Report
 
 
-def check_replay(fn_name: str, node: ast.AST, rel: str, report: Report,
-                 supp: SuppressionIndex) -> None:
+def check_replay(fn_name: str, node: ast.AST, rel: str,
+                 report: Report) -> None:
     """RP140: method calls and attribute writes inside replay function
     ``fn_name`` stay in REPLAY_EFFECTS."""
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
@@ -45,17 +45,17 @@ def check_replay(fn_name: str, node: ast.AST, rel: str, report: Report,
                         f"replay function {fn_name!r} calls {name!r}, which "
                         f"is not in the REPLAY_EFFECTS allowlist — an effect "
                         f"the reference helpers do not perform",
-                        rel, node.lineno, supp)
+                        rel, node.lineno)
     elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
         if node.attr not in REPLAY_EFFECTS:
             report.flag("RP140",
                         f"replay function {fn_name!r} assigns attribute "
                         f"{node.attr!r} outside the REPLAY_EFFECTS allowlist",
-                        rel, node.lineno, supp)
+                        rel, node.lineno)
     elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Del):
         report.flag("RP140",
                     f"replay function {fn_name!r} deletes attribute "
-                    f"{node.attr!r}", rel, node.lineno, supp)
+                    f"{node.attr!r}", rel, node.lineno)
 
 
 def _reads_payload(fn: ast.FunctionDef) -> Optional[int]:
@@ -77,8 +77,7 @@ def _declares_packet_inputs(cls: ast.ClassDef) -> bool:
     return False
 
 
-def check_app_class(cls: ast.ClassDef, rel: str, report: Report,
-                    supp: SuppressionIndex) -> bool:
+def check_app_class(cls: ast.ClassDef, rel: str, report: Report) -> bool:
     """RP141 for one class; returns True when it defines partition_key."""
     fn = next((stmt for stmt in cls.body
                if isinstance(stmt, ast.FunctionDef)
@@ -92,5 +91,5 @@ def check_app_class(cls: ast.ClassDef, rel: str, report: Report,
                     f"the class does not declare partition_inputs = "
                     f"\"packet\"; the flow-cache signature would omit the "
                     f"payload and replay a wrong partition decision",
-                    rel, line, supp)
+                    rel, line)
     return True

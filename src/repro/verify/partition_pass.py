@@ -38,7 +38,7 @@ from repro.verify.pipeline_pass import (
     _T_HASH, _T_PAYLOAD, FALSE, HEADER_FIELDS, Access, Analyzer, app_analyzer,
     deployed,
 )
-from repro.verify.diagnostics import Report, SuppressionIndex
+from repro.verify.diagnostics import Report
 
 #: Weakest-to-strongest is right to left: ``global`` makes no promise,
 #: ``flow_local`` the strongest one.
@@ -272,7 +272,6 @@ def verify_partition_app(
     factory,
     label: Optional[str] = None,
     report: Optional[Report] = None,
-    suppressions: Optional[SuppressionIndex] = None,
     root: Optional[str] = None,
 ) -> Tuple[Report, Dict[str, object]]:
     """Deploy ``factory()`` exactly as the experiments do, run the
@@ -280,7 +279,7 @@ def verify_partition_app(
     from repro.deploy import deploy
 
     dep = deployed(deploy, factory)
-    an = app_analyzer(dep, report, suppressions, root)
+    an = app_analyzer(dep, report, root)
     name = label or getattr(an.app, "name", "app")
     return an.report, shard_plan(an, dep, name)
 

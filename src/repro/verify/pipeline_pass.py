@@ -63,7 +63,7 @@ from repro.verify.astutil import (
     Walker, attr_chain, class_site, combine, concrete, dedupe, first_member,
     merge, stateful_objects, worst,
 )
-from repro.verify.diagnostics import Report, SuppressionIndex
+from repro.verify.diagnostics import Report
 
 # -- the analyzer: its value lattice ------------------------------------------
 
@@ -126,7 +126,7 @@ _FALSE_LEAF = _leaf(FALSE)
 def _valued(effects: List[Path], value: FrozenSet[str]) -> List[Path]:
     if len(effects) == 1 and not effects[0].c:
         return _LEAVES.get(value) or _leaf(value)
-    return [Path(e.c, value) for e in effects]
+    return [Path(e.c, value, False, e.at) for e in effects]
 
 
 def _pkt_attr(rest: List[str]) -> FrozenSet[str]:
@@ -178,11 +178,8 @@ class Analyzer(Walker):
     """One deployed program: a switch for pass 1, its app for pass 5."""
 
     def __init__(self, report: Optional[Report] = None,
-                 supp: Optional[SuppressionIndex] = None,
                  root: Optional[str] = None, app=None) -> None:
-        super().__init__(report if report is not None else Report(),
-                         supp if supp is not None else SuppressionIndex(),
-                         root)
+        super().__init__(report if report is not None else Report(), root)
         self.app = app
         #: (attribute, structure) for every stateful object the app holds.
         self.structs = stateful_objects(app) if app is not None else []
@@ -331,9 +328,10 @@ class Analyzer(Walker):
                      else (node.elt,)):
             inner = combine(inner, self.eval(part, frame))
         frame.loops.pop()
-        once = worst([e.c for e in inner])
-        self.loop_done(once, prefixes, frame, node)
-        return combine(pre, [Path(once, UNKNOWN)])
+        once = worst(inner)
+        self.loop_done(once.c, prefixes, frame, node)
+        once.ret = UNKNOWN
+        return combine(pre, [once])
 
     def loop_done(self, body: Dict, prefixes: Tuple, frame: Frame,
                   node: ast.AST) -> None:
@@ -406,7 +404,8 @@ class Analyzer(Walker):
                     self.records.append(acc)
             if key is not None:
                 self._count(acc, ref, frame)  # type: ignore[arg-type]
-                return combine(effs, [Path({key: 1}, UNKNOWN)])
+                return combine(effs, [Path({key: 1}, UNKNOWN, False,
+                                           {key: acc})])
             if not ctx or isinstance(obj, _REGISTER_TYPES):
                 # The stored value is mutable state, not a key input.
                 return _valued(effs, UNKNOWN)
@@ -551,11 +550,10 @@ class Analyzer(Walker):
 
 
 def app_analyzer(dep, report: Optional[Report] = None,
-                 suppressions: Optional[SuppressionIndex] = None,
                  root: Optional[str] = None) -> Analyzer:
     """The analyzer of a deployed app's first switch and its app."""
     switch = dep.switches[0]
-    return Analyzer(report, suppressions, root, dep.apps[switch.name])
+    return Analyzer(report, root, dep.apps[switch.name])
 
 
 # -- pass 1 -------------------------------------------------------------------
@@ -575,7 +573,7 @@ def _mirror_reach(an: Analyzer, self_obj: Optional[object], fn,
     the packet context, and the engine mirrors and releases from helpers
     that are not: this follows every call it resolves through ``self``."""
     fn = getattr(fn, "__func__", fn)
-    found = an.source(fn) if isinstance(fn, FunctionType) else None
+    found = astutil.find_def(fn) if isinstance(fn, FunctionType) else None
     if found is None:
         return
     node, sf = found
@@ -735,7 +733,7 @@ def check_asic(an: Analyzer, asic: SwitchASIC) -> None:
         for pre in composed:
             for p in paths:
                 q = pre.fork()
-                merge(q.c, p.c)
+                merge(q, p)
                 (finals if p.ret in (FALSE, RAISE) else nxt).append(q)
         composed, finals = dedupe(nxt), dedupe(finals)
     finals = dedupe(finals + composed)
@@ -746,16 +744,16 @@ def check_asic(an: Analyzer, asic: SwitchASIC) -> None:
     handler_sites: Dict[int, Optional[Tuple[str, int]]] = {}
     for sid, session in sessions:
         hpaths, handler_sites[sid] = an.handler_paths(session.handler)
-        finals += [Path(dict(p.c)) for p in hpaths]
+        finals += [Path(dict(p.c), at=p.at) for p in hpaths]
     finals = dedupe(finals)
 
-    # RP101 over every composed path.
+    # RP101 over every composed path, cited at the path's first access.
     flagged: Set[Tuple] = set()
     for path in finals:
         for key, cnt in path.c.items():
             if cnt >= 2 and key not in flagged:
                 flagged.add(key)
-                acc = an.arrays[key][0]
+                acc = path.at[key]
                 an.diag(
                     "RP101",
                     f"register array {acc.name!r} can be "
@@ -827,11 +825,10 @@ def check_asic(an: Analyzer, asic: SwitchASIC) -> None:
 def verify_asic(
     asic: SwitchASIC,
     report: Optional[Report] = None,
-    suppressions: Optional[SuppressionIndex] = None,
     root: Optional[str] = None,
 ) -> Report:
     """Statically verify one configured switch program (read-only)."""
-    an = Analyzer(report, suppressions, root)
+    an = Analyzer(report, root)
     check_asic(an, asic)
     return an.report
 
@@ -854,7 +851,6 @@ def verify_app(
     factory,
     label: Optional[str] = None,
     report: Optional[Report] = None,
-    suppressions: Optional[SuppressionIndex] = None,
     root: Optional[str] = None,
 ) -> Report:
     """Deploy ``factory()`` on a fresh simulated testbed and verify the
@@ -862,7 +858,7 @@ def verify_app(
     from repro.deploy import deploy
 
     dep = deployed(deploy, factory)
-    an = app_analyzer(dep, report, suppressions, root)
+    an = app_analyzer(dep, report, root)
     check_app(an, dep, label)
     return an.report
 

@@ -1,11 +1,10 @@
 """The rule registry: every diagnostic the analyzer can produce.
 
-Rule ids are stable API (tests, suppressions, and CI grep for them).
-Numbering mirrors the pass structure: ``RP1xx`` pipeline verifier,
-``RD2xx`` determinism linter, ``RT3xx`` telemetry-schema lint, ``RS4xx``
-partition analyzer, ``QA0xx`` the suppression mechanism itself.
+Rule ids are stable API (tests and CI grep for them). Numbering mirrors
+the pass structure: ``RP1xx`` pipeline verifier, ``RD2xx`` determinism
+linter, ``RT3xx`` telemetry-schema lint, ``RS4xx`` partition analyzer.
 docs/VERIFY.md documents each rule, the hardware constraint or invariant
-it models, and how to suppress it.
+it models, and its scope.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ class Rule:
     title: str
     severity: Severity
     #: Which pass produces it: "pipeline" | "determinism" | "telemetry" |
-    #: "fastpath" | "partition" | "meta".
+    #: "fastpath" | "partition".
     owner: str
     #: The paper section / hardware constraint / invariant it models.
     models: str
@@ -159,13 +158,6 @@ _RULES = [
          Severity.WARNING, "partition",
          "the analyzer could not derive the key's packet-field inputs; "
          "the plan conservatively treats the app's state as global"),
-    # -- meta: the suppression mechanism itself ------------------------------
-    Rule("QA001", "suppression without a justifying comment",
-         Severity.ERROR, "meta",
-         "a '# repro: noqa[RULE]' must say why (text after '--')"),
-    Rule("QA002", "suppression matched no diagnostic",
-         Severity.WARNING, "meta",
-         "stale suppressions hide future regressions"),
 ]
 
 

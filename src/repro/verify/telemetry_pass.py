@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.telemetry import schema
 from repro.telemetry import trace as _trace_mod
 from repro.verify import astutil
-from repro.verify.diagnostics import Report, SuppressionIndex
+from repro.verify.diagnostics import Report
 
 _INSTRUMENT_METHODS = {
     "counter": "counter",
@@ -69,10 +69,9 @@ class TelemetryLint:
     """RT301-306 over one emit-site file, from what the walk collected."""
 
     def __init__(self, imports: astutil.ImportTable, rel: str,
-                 report: Report, supp: SuppressionIndex) -> None:
+                 report: Report) -> None:
         self.rel = rel
         self.report = report
-        self.supp = supp
         self.imports = imports
         #: Local name -> possible trace-type strings (one assignment level).
         self.aliases: Dict[str, Set[str]] = {}
@@ -151,7 +150,7 @@ class TelemetryLint:
                     f"trace type {type_!r} is not declared in "
                     "repro.telemetry.schema.TRACE_EVENTS; span "
                     "reconstruction will not know its role",
-                    self.rel, node.lineno, self.supp,
+                    self.rel, node.lineno,
                 )
                 continue
             self.emits.append((type_, node.lineno))
@@ -163,7 +162,7 @@ class TelemetryLint:
                     "RT302",
                     f"emit of {type_!r} is missing required field(s) "
                     f"{', '.join(missing)}",
-                    self.rel, node.lineno, self.supp,
+                    self.rel, node.lineno,
                 )
             undeclared = sorted(present - spec.allowed)
             if undeclared:
@@ -172,7 +171,7 @@ class TelemetryLint:
                     f"emit of {type_!r} carries undeclared field(s) "
                     f"{', '.join(undeclared)}; declare them in "
                     "TRACE_EVENTS or drop them",
-                    self.rel, node.lineno, self.supp,
+                    self.rel, node.lineno,
                 )
 
     def _row_keys(self, node: ast.Call) -> Optional[Set[str]]:
@@ -194,7 +193,7 @@ class TelemetryLint:
                 "a row emit's keys must be a literal tuple of field-name "
                 "strings, followed by a value tuple as long and by no "
                 "keyword fields, so the field schema can be checked",
-                self.rel, node.lineno, self.supp,
+                self.rel, node.lineno,
             )
             return None
         return set(names)
@@ -231,7 +230,7 @@ class TelemetryLint:
                 f"label key(s) {', '.join(unbounded)} on metric {name!r} "
                 "have no declared cardinality bound in LABEL_DOMAINS; "
                 "per-packet label values make the registry unbounded",
-                self.rel, node.lineno, self.supp,
+                self.rel, node.lineno,
             )
         for spec in schema.METRICS:
             if fnmatchcase(name, spec.name):
@@ -241,7 +240,7 @@ class TelemetryLint:
                         f"metric {name!r} created as a {kind} but declared "
                         f"as a {spec.kind} (registering a name as two kinds "
                         "raises at runtime)",
-                        self.rel, node.lineno, self.supp,
+                        self.rel, node.lineno,
                     )
                 if labels != spec.labels:
                     self.report.flag(
@@ -252,14 +251,14 @@ class TelemetryLint:
                         f"{{{', '.join(sorted(spec.labels)) or ''}}}; "
                         "aggregations keyed on the declared set will miss "
                         "this instrument",
-                        self.rel, node.lineno, self.supp,
+                        self.rel, node.lineno,
                     )
                 return
         self.report.flag(
             "RT304",
             f"metric {name!r} is not declared in "
             "repro.telemetry.schema.METRICS",
-            self.rel, node.lineno, self.supp,
+            self.rel, node.lineno,
         )
 
     # -- drive -----------------------------------------------------------------
@@ -288,8 +287,8 @@ class TelemetryLint:
                     self._check_instrument(node, _INSTRUMENT_METHODS[attr])
 
 
-def check_span_pairing(lints: Sequence[TelemetryLint], report: Report,
-                       suppressions: SuppressionIndex) -> None:
+def check_span_pairing(lints: Sequence[TelemetryLint],
+                       report: Report) -> None:
     """RT310: pairing across the whole file set."""
     emitted: Set[str] = set()
     for lint in lints:
@@ -306,5 +305,5 @@ def check_span_pairing(lints: Sequence[TelemetryLint], report: Report,
                             f"({', '.join(sorted(closers))}) is emitted "
                             "anywhere in the analyzed files: these spans "
                             "can never terminate",
-                            lint.rel, line, suppressions,
+                            lint.rel, line,
                         )

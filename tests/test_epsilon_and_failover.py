@@ -5,8 +5,10 @@ import pytest
 from repro import RedPlaneConfig, Simulator, deploy
 from repro.apps.counter import AsyncCounterApp, SyncCounterApp
 from repro.core.epsilon import EpsilonGuard, EpsilonPolicy
+from repro.switch.pipeline import PipelineContext
 from repro.net.packet import Packet
 from repro.statestore import (
+    CHAIN_UDP_PORT,
     ShardMap,
     ShardAddress,
     StoreFailoverCoordinator,
@@ -72,6 +74,20 @@ class TestEpsilonGuard:
         assert guard.violated
         assert guard.packets_dropped == 5
         assert got == []
+
+    def test_drop_policy_passes_chain_replication(self, sim):
+        """A violated guard stops app traffic only: a store-to-store
+        chain update crossing its agg is replication it waits on."""
+        dep, reps = bounded_deployment(sim)
+        agg = dep.bed.aggs[0]
+        guard = EpsilonGuard(reps[agg.name], epsilon_us=4_000.0)
+        guard.violated = True
+        st1, st2 = dep.stores[:2]
+        chain = Packet.udp(st1.ip, st2.ip, CHAIN_UDP_PORT, CHAIN_UDP_PORT)
+        assert guard.process(PipelineContext(pkt=chain, now=sim.now), agg)
+        app = Packet.udp(st1.ip, st2.ip, 5555, 7777)
+        assert not guard.process(PipelineContext(pkt=app, now=sim.now), agg)
+        assert guard.packets_dropped == 1
 
     def test_fail_switch_policy(self, sim):
         dep, reps = bounded_deployment(sim)

@@ -109,9 +109,9 @@ def test_conformance_call_budget():
     """Python frames entered by one warm ``check_conformance("nat")`` — a
     count, so it reads the same on any machine. It deploys the app, runs
     the one analyzer over the app's ``partition_key`` and ``process``
-    only (never the pipeline), and serializes the plan: 4 190 calls. The
-    budget is that figure plus 5 %; it is what keeps a sharded launch's
-    setup time from moving."""
+    only (never the pipeline), and serializes the plan: 4 018 calls on
+    CPython 3.10 and 3.11, fewer on 3.12. The budget is that figure plus
+    5 %; it is what keeps a sharded launch's setup time from moving."""
     check = plan_mod.check_conformance
     check("nat")
     calls = [0]
@@ -125,4 +125,4 @@ def test_conformance_call_budget():
         check("nat")
     finally:
         sys.setprofile(None)
-    assert calls[0] <= 4_399
+    assert calls[0] <= 4_219

@@ -2,17 +2,14 @@
 
 import os
 
-from repro.verify import Report, Severity, SuppressionIndex
+from repro.verify import Severity
 from repro.verify.determinism_pass import verify_tree
 
 
 def lint(tmp_path, source, name="fixture.py"):
     path = tmp_path / name
     path.write_text(source)
-    supp = SuppressionIndex()
-    report = verify_tree([str(path)], suppressions=supp)
-    report.finalize_suppressions(supp)
-    return report
+    return verify_tree([str(path)])
 
 
 def rules_and_lines(report):
@@ -139,86 +136,38 @@ def test_stable_sort_key_is_clean(tmp_path):
     assert report.diagnostics == []
 
 
-# -- suppressions -------------------------------------------------------------
-
-
-def test_justified_suppression_waives_the_error(tmp_path):
-    report = lint(tmp_path, (
-        "import time\n"
-        "t = time.perf_counter()"
-        "  # repro: noqa[RD201] -- wall-clock profiler fixture\n"
-    ))
-    assert len(report.diagnostics) == 1
-    diag = report.diagnostics[0]
-    assert diag.rule == "RD201"
-    assert diag.suppressed
-    assert diag.justification == "wall-clock profiler fixture"
-    assert report.exit_code() == 0
-
-
-def test_suppression_without_justification_is_qa001(tmp_path):
-    report = lint(tmp_path, (
-        "import time\n"
-        "t = time.perf_counter()  # repro: noqa[RD201]\n"
-    ))
-    rules = sorted(d.rule for d in report.diagnostics)
-    assert rules == ["QA001", "RD201"]
-    assert report.exit_code() == 1
-
-
-def test_unused_suppression_is_qa002(tmp_path):
-    report = lint(tmp_path, (
-        "x = 1  # repro: noqa[RD201] -- nothing here needs waiving\n"
-    ))
-    rules = sorted(d.rule for d in report.diagnostics)
-    assert rules == ["QA002"]
-    assert report.exit_code() == 0  # warning only
-    assert report.exit_code(strict=True) == 1
-
-
-def test_finalize_rules_filter_scopes_qa002_to_the_pass(tmp_path):
-    # An unused suppression of another pass's rule (RT304 is telemetry's)
-    # is not this pass's business when finalize is scoped to RD rules --
-    # but an unused RD suppression still is.
-    path = tmp_path / "fixture.py"
-    path.write_text(
-        "a = 1  # repro: noqa[RT304] -- belongs to the telemetry pass\n"
-        "b = 2  # repro: noqa[RD201] -- stale, should still be QA002\n"
-    )
-    supp = SuppressionIndex()
-    report = verify_tree([str(path)], suppressions=supp)
-    report.finalize_suppressions(supp, rules=("RD",))
-    assert [(d.rule, d.line) for d in report.diagnostics] == [("QA002", 2)]
-
-
-def test_docstring_mentioning_noqa_is_not_a_suppression(tmp_path):
-    report = lint(tmp_path, (
-        '"""Docs may show `# repro: noqa[RD201] -- why` verbatim."""\n'
-        "x = 1\n"
-    ))
-    assert report.diagnostics == []
-
-
 # -- the tree itself ----------------------------------------------------------
 
 
 def test_repro_source_tree_is_deterministic():
     src = os.path.join(os.path.dirname(__file__), "..", "src", "repro")
-    supp = SuppressionIndex()
-    report = verify_tree([os.path.normpath(src)], suppressions=supp)
-    # The app passes did not run: scope the unused-suppression check to
-    # RD rules, or their noqas in the tree would false-flag.
-    report.finalize_suppressions(supp, rules=("RD",))
-    offending = report.active()
-    assert offending == [], "\n".join(d.render() for d in offending)
-    # The one sanctioned wall-clock reader is waived, with justification:
-    # the ScopedTimer. Nothing else — the simulator itself included —
-    # may read the host clock.
-    sanctioned = ("timers.py",)
-    suppressed = [d for d in report.diagnostics if d.suppressed]
-    assert {d.rule for d in suppressed} == {"RD201"}
-    assert all(d.file.endswith(sanctioned) for d in suppressed), \
-        "\n".join(d.render() for d in suppressed)
+    report = verify_tree([os.path.normpath(src)])
+    assert report.diagnostics == [], "\n".join(
+        d.render() for d in report.diagnostics)
+
+
+def test_only_the_stopwatch_module_may_read_the_wall_clock(tmp_path):
+    """RD201 leaves out ``repro/telemetry/timers.py`` alone, matched by
+    its whole path below ``repro``: the same read in another telemetry
+    module, in a telemetry subpackage's ``timers.py``, in another
+    package's ``timers.py`` or in a ``telemetry/timers.py`` outside the
+    ``repro`` package is flagged, and the stopwatch still gets RD202."""
+    source = (
+        "import random\n"
+        "import time\n"
+        "t = time.perf_counter()\n"
+        "r = random.random()\n"
+    )
+    flagged = ["repro/net/timers.py", "repro/telemetry/other.py",
+               "repro/telemetry/x/timers.py", "tools/telemetry/timers.py"]
+    for rel in flagged + ["repro/telemetry/timers.py"]:
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(source)
+    report = verify_tree([str(tmp_path)], root=str(tmp_path))
+    assert sorted((d.file, d.rule) for d in report.diagnostics) == sorted(
+        [(rel, rule) for rel in flagged for rule in ("RD201", "RD202")]
+        + [("repro/telemetry/timers.py", "RD202")])
 
 
 # -- the tree-lint driver -----------------------------------------------------

@@ -2,7 +2,7 @@
 
 import os
 
-from repro.verify import Report, Severity, SuppressionIndex
+from repro.verify import Report, Severity
 from repro.verify.determinism_pass import verify_tree
 from repro.verify.rules import RULES
 
@@ -12,10 +12,7 @@ def lint(tmp_path, source, name="fixture.py", in_fastpath=False):
     directory.mkdir(exist_ok=True)
     path = directory / name
     path.write_text(source)
-    supp = SuppressionIndex()
-    report = verify_tree([str(path)], suppressions=supp)
-    report.finalize_suppressions(supp)
-    return report
+    return verify_tree([str(path)])
 
 
 def rules_of(report):
@@ -108,22 +105,12 @@ def test_flow_only_partition_key_is_clean(tmp_path):
     assert rules_of(report) == []
 
 
-# -- suppression + real tree --------------------------------------------------
-
-
-def test_suppression_with_justification(tmp_path):
-    report = lint(tmp_path, (
-        "def replay_odd(switch):\n"
-        "    switch.mutate()  "
-        "# repro: noqa[RP140] -- test fixture\n"
-    ), in_fastpath=True)
-    diags = [d for d in report.diagnostics if d.rule == "RP140"]
-    assert len(diags) == 1 and diags[0].suppressed
+# -- the real tree ------------------------------------------------------------
 
 
 def test_shipped_tree_is_clean():
     src = os.path.normpath(os.path.join(
         os.path.dirname(__file__), "..", "src", "repro"))
     report = verify_tree([src])
-    assert [d for d in report.diagnostics if not d.suppressed] == []
+    assert report.diagnostics == []
     assert "3 replay function(s)" in report.analyzed["tree-lint"]

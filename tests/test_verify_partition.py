@@ -20,7 +20,7 @@ def analyze(factory, label=None):
 
 
 def active_rules(report):
-    return sorted(d.rule for d in report.active())
+    return sorted(d.rule for d in report.diagnostics)
 
 
 # -- rule registration --------------------------------------------------------

@@ -15,7 +15,7 @@ from repro.switch.pipeline import (
     RegisterAccessError,
 )
 from repro.switch.registers import RegisterArray
-from repro.verify import Report, Severity, SuppressionIndex
+from repro.verify import Severity
 from repro.verify.pipeline_pass import verify_app, verify_asic
 from repro.apps import BUILTIN_APPS
 from repro.apps.heavy_hitter import HeavyHitterApp, sketch_hash
@@ -26,15 +26,8 @@ def fresh_switch():
     return SwitchASIC(Simulator(seed=0), "sw", ip=1)
 
 
-def run_pass(switch, finalize=False):
-    # finalize=False by default: every fixture block lives in this one
-    # file, so judging *unused* suppressions (QA002) would cross-talk
-    # between tests; only the suppression test opts in.
-    supp = SuppressionIndex()
-    report = verify_asic(switch, suppressions=supp)
-    if finalize:
-        report.finalize_suppressions(supp)
-    return report
+def run_pass(switch):
+    return verify_asic(switch)
 
 
 def line_of(obj, needle):
@@ -75,6 +68,60 @@ class DoubleAccessBlock(ControlBlock):
         value = self.reg.read(ctx, 0)  # first access
         if value > 3:
             self.reg.write(ctx, 1, value)  # second access, same packet
+        return True
+
+    def resource_usage(self):
+        return {"sram_bits": self.reg.sram_bits(), "meter_alus": 2}
+
+
+class OffPathFirstAccessBlock(ControlBlock):
+    """One read on a branch that returns, a read and a write after it:
+    only the fall-through accesses the array twice."""
+
+    name = "off-path-first"
+
+    def __init__(self):
+        self.reg = RegisterArray("offpath.reg", 16, 32)
+
+    def process(self, ctx, switch):
+        if ctx.pkt.l4 is None:
+            self.reg.read(ctx, 0)  # the branch's only access
+            return True
+        value = self.reg.read(ctx, 0)  # first access on the counted path
+        self.reg.write(ctx, 1, value)
+        return True
+
+    def resource_usage(self):
+        return {"sram_bits": self.reg.sram_bits(), "meter_alus": 2}
+
+
+class SumBlock(ControlBlock):
+    """Both accesses inside one expression."""
+
+    name = "sum"
+
+    def __init__(self):
+        self.reg = RegisterArray("sum.reg", 16, 32)
+
+    def process(self, ctx, switch):
+        total = self.reg.read(ctx, 0) + self.reg.read(ctx, 1)  # first access
+        return total > 0
+
+    def resource_usage(self):
+        return {"sram_bits": self.reg.sram_bits(), "meter_alus": 2}
+
+
+class CompareFirstBlock(ControlBlock):
+    """The first access inside an ``if`` test, the second a statement."""
+
+    name = "compare-first"
+
+    def __init__(self):
+        self.reg = RegisterArray("compare.reg", 16, 32)
+
+    def process(self, ctx, switch):
+        if self.reg.read(ctx, 0) > 3:  # first access
+            self.reg.write(ctx, 1, 0)
         return True
 
     def resource_usage(self):
@@ -202,21 +249,6 @@ class FreeFunctionBlock(ControlBlock):
         return {"sram_bits": self.reg.sram_bits(), "meter_alus": 1}
 
 
-class SuppressedDoubleBlock(ControlBlock):
-    name = "suppressed-double"
-
-    def __init__(self):
-        self.reg = RegisterArray("supp.reg", 4, 32)
-
-    def process(self, ctx, switch):
-        self.reg.read(ctx, 0)  # repro: noqa[RP101] -- fixture: waived on purpose for the suppression test
-        self.reg.write(ctx, 1, 1)
-        return True
-
-    def resource_usage(self):
-        return {"sram_bits": self.reg.sram_bits(), "meter_alus": 2}
-
-
 class LeakyHandlerBlock(ControlBlock):
     """Owns a mirror session whose handler never releases copies."""
 
@@ -261,6 +293,29 @@ def test_double_access_detected_with_exact_location():
     assert diag.line == line_of(DoubleAccessBlock.process, "# first access")
     assert "block=double-access" in diag.site
     assert report.exit_code() == 1
+
+
+def test_double_access_is_cited_on_the_path_that_counts_two():
+    sw = fresh_switch()
+    sw.add_block(OffPathFirstAccessBlock())
+    hits = run_pass(sw).by_rule("RP101")
+    assert len(hits) == 1
+    assert hits[0].line == line_of(
+        OffPathFirstAccessBlock.process, "# first access on the counted path")
+    assert "block=off-path-first" in hits[0].site
+
+
+@pytest.mark.parametrize("block_type", [SumBlock, CompareFirstBlock])
+def test_double_access_inside_an_expression_is_cited_at_the_first(
+        block_type):
+    """An access whose value feeds an operator or a comparison keeps its
+    site, so RP101 still cites the path's first access."""
+    sw = fresh_switch()
+    sw.add_block(block_type())
+    hits = run_pass(sw).by_rule("RP101")
+    assert len(hits) == 1
+    assert hits[0].line == line_of(block_type.process, "# first access")
+    assert f"block={block_type.name}" in hits[0].site
 
 
 def test_single_path_double_access_only_on_taken_path():
@@ -445,22 +500,6 @@ def test_ledger_out_of_sync_detected():
     assert report.exit_code(strict=True) == 1
 
 
-# -- suppressions -------------------------------------------------------------
-
-
-def test_suppressed_double_access_keeps_exit_code_zero():
-    sw = fresh_switch()
-    sw.add_block(SuppressedDoubleBlock())
-    report = run_pass(sw, finalize=True)
-    hits = report.by_rule("RP101")
-    assert len(hits) == 1
-    assert hits[0].suppressed
-    assert "fixture" in hits[0].justification
-    assert report.exit_code() == 0
-    assert not report.by_rule("QA001")
-    assert not report.by_rule("QA002")
-
-
 # -- an app that does not deploy ----------------------------------------------
 
 
@@ -518,17 +557,9 @@ def test_verify_all_deploys_each_program_once(monkeypatch, capsys):
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_APPS))
 def test_builtin_app_verifies_clean(name):
-    supp = SuppressionIndex()
-    report = Report()
-    verify_app(
-        BUILTIN_APPS[name], label=name, report=report, suppressions=supp
-    )
-    # Standalone pass run: restrict QA002 to pipeline rules — the pass
-    # walks live code into files (the simulator, say) whose suppressions
-    # belong to other passes.
-    report.finalize_suppressions(supp, rules=("RP",))
-    unsuppressed = report.active()
-    assert unsuppressed == [], "\n".join(d.render() for d in unsuppressed)
+    report = verify_app(BUILTIN_APPS[name], label=name)
+    assert report.diagnostics == [], "\n".join(
+        d.render() for d in report.diagnostics)
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import os
 import pytest
 
 from repro.telemetry import schema
-from repro.verify import SuppressionIndex, astutil
+from repro.verify import astutil
 from repro.verify.diagnostics import Report
 from repro.verify.determinism_pass import _lint_files, verify_tree
 
@@ -17,10 +17,7 @@ def lint(tmp_path, *sources):
         path = tmp_path / f"fixture_{i}.py"
         path.write_text(source)
         paths.append(str(path))
-    supp = SuppressionIndex()
-    report = verify_tree(paths, suppressions=supp)
-    report.finalize_suppressions(supp)
-    return report
+    return verify_tree(paths)
 
 
 def rules_and_lines(report):
@@ -234,18 +231,13 @@ def _tracer_emit_sites(sf):
 def test_repro_source_tree_matches_schema():
     src = os.path.normpath(
         os.path.join(os.path.dirname(__file__), "..", "src", "repro"))
-    supp = SuppressionIndex()
-    report = verify_tree([src], suppressions=supp)
-    # Only unused suppressions of *telemetry* rules are this test's
-    # QA002s; the other families' (RD201 in telemetry/timers.py, say)
-    # are theirs to account for.
-    report.finalize_suppressions(supp, rules=("RT",))
-    offending = report.active()
-    assert offending == [], "\n".join(d.render() for d in offending)
+    report = verify_tree([src])
+    assert report.diagnostics == [], "\n".join(
+        d.render() for d in report.diagnostics)
     # The lint saw every tracer.emit site, and the sites it resolved emit
     # exactly the declared vocabulary: no type without a producer.
     lints = [lint for lint in _lint_files(
-        [src], Report(), SuppressionIndex(), None) if lint.telemetry]
+        [src], Report(), None) if lint.telemetry]
     for lint in lints:
         resolved = {line for _type, line in lint.telemetry.emits}
         assert _tracer_emit_sites(lint.sf) <= resolved, lint.rel
