@@ -73,6 +73,10 @@ _HOLD_HEADER_LEN = len(_HOLD_TAG) + 8
 #: looked up so that a request enters no ``enum`` frame for it.
 _KIND_NAME = {t: t.name.lower() for t in MessageType}
 
+#: An instance with no ``__init__`` run: the per-write messages are built
+#: field by field, so a write enters no generated constructor.
+_new = object.__new__
+
 
 class RedPlaneMode(enum.Enum):
     """The two consistency modes of §4.
@@ -382,13 +386,13 @@ class RedPlaneEngine(ControlBlock):
                 outputs.append(pkt.to_bytes())
             outputs.extend(out.to_bytes() for out in ctx.emitted)
             ctx.emitted.clear()
-            msg = RedPlaneMessage(
-                seq=seq,
-                msg_type=MessageType.REPL_WRITE_REQ,
-                flow_key=key,
-                vals=view.vals(),
-                piggyback=pack_packets(outputs) if outputs else None,
-            )
+            msg = _new(RedPlaneMessage)
+            msg.seq = seq
+            msg.msg_type = MessageType.REPL_WRITE_REQ
+            msg.flow_key = key
+            msg.vals = view.vals()
+            msg.piggyback = pack_packets(outputs) if outputs else None
+            msg.aux = 0
             req = self._send_request(ctx, msg, parent_uid=pkt.meta.get("uid"))
             self._mirror_request(msg, ("write", idx), req)
             self._c["writes_replicated"].value += 1
@@ -710,14 +714,13 @@ class RedPlaneEngine(ControlBlock):
         ``msg``) for retransmission (§5.2) and enter it in the ledger under
         ``key`` at the request's seq. The copy's first pass is at the
         retransmission deadline: no pass before it could act."""
-        header_only = RedPlaneMessage(
-            seq=msg.seq,
-            msg_type=msg.msg_type,
-            flow_key=msg.flow_key,
-            vals=list(msg.vals),
-            piggyback=None,
-            aux=msg.aux,
-        )
+        header_only = _new(RedPlaneMessage)
+        header_only.seq = msg.seq
+        header_only.msg_type = msg.msg_type
+        header_only.flow_key = msg.flow_key
+        header_only.vals = list(msg.vals)
+        header_only.piggyback = None
+        header_only.aux = msg.aux
         rtx = RetransmitState(
             kind=key[0],
             msg=header_only,

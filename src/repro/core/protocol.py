@@ -82,9 +82,11 @@ class MessageType(enum.IntEnum):
         return MessageType(self + 16)
 
 
-@dataclass
+@dataclass(slots=True)
 class RedPlaneMessage:
-    """A parsed RedPlane protocol message."""
+    """A parsed RedPlane protocol message. ``slots=True``: the write path
+    builds its messages with ``object.__new__`` and a store per field,
+    and a slotted class refuses a misspelt one."""
 
     seq: int
     msg_type: MessageType

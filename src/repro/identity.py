@@ -68,10 +68,9 @@ class TraceHasher:
         templates = self._templates
         n = 0
         for record in records:
-            keys = record.keys
+            keys = record[0]  # a record is the row (keys, ts, type, *values)
             template = templates.get(keys) or self._template(keys)
-            update((template % ((record.ts, record.type) + record.values))
-                   .encode())
+            update((template % record[1:]).encode())
             n += 1
         self.records_hashed += n
 

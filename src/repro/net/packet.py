@@ -76,7 +76,8 @@ def ip_ntoa(value: int) -> str:
     """Format a 32-bit integer as a dotted-quad IPv4 address."""
     if not 0 <= value <= 0xFFFFFFFF:
         raise ValueError(f"IPv4 address out of range: {value}")
-    return ".".join(str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
+    return "%d.%d.%d.%d" % (value >> 24, (value >> 16) & 0xFF,
+                            (value >> 8) & 0xFF, value & 0xFF)
 
 
 def ipv4_checksum(header: bytes) -> int:

@@ -188,8 +188,8 @@ class ShardRecorder:
             self._log(self.sim.now, K_BIRTH, None)
 
     def _on_trace_emit(self, record: TraceRecord) -> None:
-        self._log(record.ts, K_RECORD,
-                  (record.type, record.keys, record.values))
+        # The row (keys, ts, type, *values), sliced without a getter.
+        self._log(record[1], K_RECORD, (record[2], record[0], record[3:]))
 
     def _on_instrument(self, inst: Any) -> None:
         if isinstance(inst, Histogram):

@@ -63,6 +63,10 @@ from repro.statestore.codec import (
 )
 from repro.telemetry import trace as tt
 
+#: An instance with no ``__init__`` run: the write ack is built field by
+#: field, so a write enters no generated constructor.
+_new = object.__new__
+
 #: UDP port used for chain-replication propagation between store nodes.
 CHAIN_UDP_PORT = 4802
 
@@ -295,12 +299,14 @@ class StateStoreNode(Host):
                 # Out-of-order or duplicate: never let an older value
                 # overwrite a newer one (Fig 6b).
                 self._c_stale.value += 1
-            return RedPlaneMessage(
-                seq=rec.last_seq,
-                msg_type=MessageType.REPL_WRITE_ACK,
-                flow_key=msg.flow_key,
-                piggyback=msg.piggyback,
-            )
+            ack = _new(RedPlaneMessage)
+            ack.seq = rec.last_seq
+            ack.msg_type = MessageType.REPL_WRITE_ACK
+            ack.flow_key = msg.flow_key
+            ack.vals = []
+            ack.piggyback = msg.piggyback
+            ack.aux = 0
+            return ack
 
         if msg.msg_type is MessageType.LEASE_RENEW_REQ:
             self._grant(rec, requester_ip, now)

@@ -32,6 +32,10 @@ from repro.switch.pipeline import ControlBlock, Pipeline, PipelineContext, Verdi
 from repro.switch.pktgen import PacketGenerator
 from repro.switch.resources import ResourceModel
 
+#: An instance with no ``__init__`` run: :meth:`SwitchASIC.process` fills
+#: its context's fields, so a packet enters no generated constructor.
+_new = object.__new__
+
 
 class SwitchASIC(L3Switch):
     """A Tofino-like programmable switch."""
@@ -135,7 +139,15 @@ class SwitchASIC(L3Switch):
             # Piggybacked bytes are counted when the released output leaves.
             piggyback = int(pkt.meta.get("rp_piggyback_len", 0))
             self._c_bytes_protocol_in.value += pkt.wire_size - piggyback
-        ctx = PipelineContext(pkt=pkt, now=self.sim.now)
+        # PipelineContext(pkt=pkt, now=self.sim.now), field by field.
+        ctx = _new(PipelineContext)
+        ctx.pkt = pkt
+        ctx.now = self.sim.now
+        ctx.verdict = Verdict.FORWARD
+        ctx.block_obj = None
+        ctx.emitted = []
+        ctx.meta = {}
+        ctx._accessed_arrays = set()
         self.pipeline.run(ctx, self)
         if ctx.verdict is Verdict.FORWARD:
             if pkt.ip is not None and pkt.ip.dst == self.ip:

@@ -2,11 +2,12 @@
 
 A :class:`Tracer` is owned by the simulator and shared by every component
 of a run, and the hot paths — link transmits, protocol transitions —
-trace unconditionally. A record keeps its field *names* as one tuple
-shared by every record of the same shape and its values as a second
-tuple, not a dict: a retained hop record costs ≈ 175 bytes with its
-timestamp and values (≈ 310 with a dict per record; tracemalloc, tested
-in tests/test_telemetry.py), and a hot site passes :meth:`Tracer.emit` a
+trace unconditionally. A record is one flat row, ``(keys, ts, type,
+*values)``, whose field *names* are one tuple shared by every record of
+the same shape: a retained hop record costs ≈ 142 bytes with its
+timestamp and values (≈ 174 as a record object plus a value tuple,
+≈ 310 with a dict per record; tracemalloc, tested in
+tests/test_telemetry.py), and a hot site passes :meth:`Tracer.emit` a
 literal key tuple and a value tuple, so emitting fills no kwargs dict.
 The ring bounds memory, and the sinks in :attr:`Tracer.sinks` see every
 record as it is emitted (:class:`JsonlSink` streams them to disk for
@@ -51,6 +52,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from operator import itemgetter
 from typing import (Any, Callable, Deque, Dict, Iterator, List, Optional,
                     Tuple)
 
@@ -74,30 +76,35 @@ FAULT_CLEAR = "fault.clear"
 HEALTH_DETECT = "health.detect"
 
 
-class TraceRecord:
+class TraceRecord(tuple):
     """One trace event: a simulated timestamp, a type, and typed fields.
 
-    The fields are two parallel tuples: ``keys``, the field names, is
-    shared by every record of one shape (a row site's literal tuple, or
-    the one :meth:`Tracer.emit` interned), and ``values`` holds this
-    record's values in the same order. ``fields`` builds the dict when
-    read; :meth:`items` walks the pairs without one.
+    A record is one flat row, ``(keys, ts, type, *values)``: ``keys``,
+    the field names, is shared by every record of one shape (a row
+    site's literal tuple, or the one :meth:`Tracer.emit` interned), and
+    the values follow in the same order. ``ts``, ``type``, ``keys`` and
+    ``values`` are read through C getters; ``fields`` builds the dict
+    when read, and :meth:`items` walks the pairs without one. A reader
+    on a timed path slices the row instead: ``record[1:]`` is
+    ``(ts, type, *values)``.
 
-    A record is built one of two ways, to the same four slots:
-    :meth:`Tracer.emit` allocates it with ``object.__new__`` and stores
-    the slots itself, so the hot path enters no constructor frame, and
-    the cold builders (:meth:`from_fields`, the shard merge, tests) call
+    A record is built one of two ways, to the same row:
+    :meth:`Tracer.emit` calls ``tuple.__new__`` on the row it concatenated,
+    so the hot path enters no constructor frame, and the cold builders
+    (:meth:`from_fields`, the shard merge, tests) call
     ``TraceRecord(ts, type, keys, values)``.
     """
 
-    __slots__ = ("ts", "type", "keys", "values")
+    __slots__ = ()
 
-    def __init__(self, ts: float, type: str, keys: Tuple[str, ...],
-                 values: Tuple[Any, ...]) -> None:
-        self.ts = ts
-        self.type = type
-        self.keys = keys
-        self.values = values
+    def __new__(cls, ts: float, type: str, keys: Tuple[str, ...],
+                values: Tuple[Any, ...]) -> "TraceRecord":
+        return tuple.__new__(cls, (keys, ts, type) + tuple(values))
+
+    keys = property(itemgetter(0))
+    ts = property(itemgetter(1))
+    type = property(itemgetter(2))
+    values = property(itemgetter(slice(3, None)))
 
     @classmethod
     def from_fields(cls, ts: float, type: str,
@@ -107,17 +114,27 @@ class TraceRecord:
     @property
     def fields(self) -> Dict[str, Any]:
         """A new ``{name: value}`` dict, in emission order."""
-        return dict(zip(self.keys, self.values))
+        return dict(zip(self[0], self[3:]))
 
     def items(self) -> Iterator[Tuple[str, Any]]:
         """The ``(name, value)`` pairs, in emission order."""
-        return zip(self.keys, self.values)
+        return zip(self[0], self[3:])
+
+    def __getnewargs__(self) -> Tuple[Any, ...]:  # type: ignore[override]
+        # pickle and copy rebuild through __new__'s four arguments.
+        return (self[1], self[2], self[0], self[3:])
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
-            return NotImplemented
+            # A plain tuple would otherwise be compared as a row.
+            return False if isinstance(other, tuple) else NotImplemented
         return ((self.ts, self.type, self.fields)
                 == (other.ts, other.type, other.fields))
+
+    def __ne__(self, other: object) -> bool:
+        # Not tuple's row comparison: the negation of __eq__.
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -137,8 +154,8 @@ class TraceRecord:
         return cls.from_fields(raw["ts"], raw["type"], raw.get("fields", {}))
 
 
-#: How :meth:`Tracer.emit` allocates a record before storing its slots.
-_new_record = object.__new__
+#: How :meth:`Tracer.emit` makes a record from its row: one C call.
+_new_record = tuple.__new__
 
 #: Where a ring-less tracer appends a record it built for its sinks:
 #: one shared zero-length deque, so appending keeps nothing.
@@ -185,10 +202,11 @@ class Tracer:
         Cold sites pass the fields as keywords, ``emit(T, uid=1, ...)``,
         and the record shares a key tuple interned per shape. A hot site
         passes them as a row, ``emit(T, ("uid", ...), (1, ...))``: the
-        literal key tuple is a compiled constant, so no key tuple is built
-        and the value tuple is all a record keeps of its own (the
-        ``fields`` dict every call of this method gets is then empty and
-        freed on return). One method for both, so every record passes
+        literal key tuple is a compiled constant, so no key tuple is built.
+        Either way the record is one row, ``(keys, ts, type, *values)``,
+        made in one C call; the value tuple and the ``fields`` dict every
+        call of this method gets are freed on return, so the row is all a
+        record keeps of its own. One method for both, so every record passes
         through ``emit``. Without a ring and without a sink nothing can
         read the record, so it is counted and not built.
         """
@@ -202,11 +220,8 @@ class Tracer:
             keys = tuple(fields)
             keys = self._shapes.setdefault(keys, keys)
             values = tuple(fields.values())
-        record = _new_record(TraceRecord)
-        record.ts = self._clock()
-        record.type = type_
-        record.keys = keys
-        record.values = values
+        record = _new_record(TraceRecord,
+                             (keys, self._clock(), type_) + values)
         ring.append(record)
         if self.sinks:  # no iterator on the usual sink-less hot path
             for sink in self.sinks:

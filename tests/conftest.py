@@ -28,23 +28,23 @@ def sim() -> Simulator:
 def records_built(monkeypatch):
     """A one-item list counting every ``TraceRecord`` constructed while
     the test runs (in this process), by either construction path: the
-    constructor, and the allocation alias ``Tracer.emit`` uses."""
+    constructor's ``__new__``, and the row alias ``Tracer.emit`` uses."""
     from repro.telemetry import trace
 
     built = [0]
-    init = trace.TraceRecord.__init__
-    new = trace._new_record
+    new = trace.TraceRecord.__new__
+    new_row = trace._new_record
 
-    def counted_init(self, *args):
+    def counted_new(cls, *args):
         built[0] += 1
-        init(self, *args)
+        return new(cls, *args)
 
-    def counted_new(cls):
+    def counted_new_row(cls, row):
         built[0] += 1
-        return new(cls)
+        return new_row(cls, row)
 
-    monkeypatch.setattr(trace.TraceRecord, "__init__", counted_init)
-    monkeypatch.setattr(trace, "_new_record", counted_new)
+    monkeypatch.setattr(trace.TraceRecord, "__new__", counted_new)
+    monkeypatch.setattr(trace, "_new_record", counted_new_row)
     return built
 
 

@@ -43,6 +43,24 @@ def test_ip_roundtrip_property(value):
     assert ip_aton(ip_ntoa(value)) == value
 
 
+def test_ip_ntoa_renders_what_the_joined_form_rendered():
+    """The %-template is byte-equal to the generator form it replaced,
+    and out-of-range values still raise."""
+    import random
+
+    def joined(value):
+        return ".".join(str((value >> shift) & 0xFF)
+                        for shift in (24, 16, 8, 0))
+
+    rng = random.Random(57)
+    for value in [0, 0xFFFFFFFF, 0x0A000102, 0x80000000] + [
+            rng.getrandbits(32) for _ in range(2000)]:
+        assert ip_ntoa(value) == joined(value)
+    for bad in (-1, 0x100000000):
+        with pytest.raises(ValueError, match="out of range"):
+            ip_ntoa(bad)
+
+
 def test_ipv4_checksum_validates():
     header = IPv4Header(src=ip_aton("1.2.3.4"), dst=ip_aton("5.6.7.8")).pack()
     # Re-checksumming a valid header (checksum field included) yields zero.

@@ -327,11 +327,12 @@ def test_a_ringless_tracer_with_no_sink_builds_no_record(records_built):
     assert tracer.records_emitted == 6
 
 
-def test_a_retained_hop_record_costs_at_most_200_bytes():
-    """A record keeps its field names as a tuple shared by its shape and
-    its values as a second tuple. With a ``{name: value}`` dict per
-    record this ring held 312 bytes per record (tracemalloc); now 174.
-    Measured as what clearing the full ring frees."""
+def test_a_retained_hop_record_costs_at_most_150_bytes():
+    """A record is one flat row, ``(keys, ts, type, *values)``, whose key
+    tuple is shared by its shape. With a ``{name: value}`` dict per
+    record this ring held 312 bytes per record (tracemalloc); as a record
+    object plus its value tuple, 174; as one row, 142. Measured as what
+    clearing the full ring frees."""
     import gc
     import tracemalloc
 
@@ -363,7 +364,7 @@ def test_a_retained_hop_record_costs_at_most_200_bytes():
     finally:
         tracemalloc.stop()
     assert hops >= 0.99 * ring
-    assert freed / ring <= 200
+    assert freed / ring <= 150
 
 
 def test_keyword_and_row_emits_make_the_same_record():
@@ -395,9 +396,10 @@ def test_keyword_and_row_emits_make_the_same_record():
 @pytest.mark.parametrize("ring", ["kept", "none_with_sink"])
 @pytest.mark.parametrize("form", ["row", "keywords"])
 def test_an_emitted_record_equals_the_constructed_one(ring, form):
-    """``emit`` allocates its record and stores the slots itself; the
-    cold builders call the constructor. Both paths give the same record,
-    slot for slot, whether the ring keeps it or only a sink sees it."""
+    """``emit`` builds its record from the row it concatenated; the cold
+    builders call the constructor. Both paths give the same record,
+    attribute for attribute and in emission order, whether the ring keeps
+    it or only a sink sees it."""
     tracer = Tracer(clock=lambda: 7.25, maxlen=None if ring == "kept" else 0)
     seen = []
     if ring == "none_with_sink":
@@ -410,10 +412,68 @@ def test_an_emitted_record_equals_the_constructed_one(ring, form):
     built = TraceRecord(7.25, tt.PACKET_SEND, ("uid", "bytes"), (3, 64))
     assert type(record) is TraceRecord
     assert record == built
-    assert ([(getattr(record, slot), type(getattr(record, slot)))
-             for slot in TraceRecord.__slots__]
-            == [(getattr(built, slot), type(getattr(built, slot)))
-                for slot in TraceRecord.__slots__])
+    names = ("ts", "type", "keys", "values", "fields")
+    assert ([(getattr(record, name), type(getattr(record, name)))
+             for name in names]
+            == [(getattr(built, name), type(getattr(built, name)))
+                for name in names]
+            == [(7.25, float), (tt.PACKET_SEND, str),
+                (("uid", "bytes"), tuple), ((3, 64), tuple),
+                ({"uid": 3, "bytes": 64}, dict)])
+    assert list(record.fields) == list(built.fields) == ["uid", "bytes"]
+    assert (list(record.items()) == list(built.items())
+            == [("uid", 3), ("bytes", 64)])
+
+
+def test_records_differing_in_one_value_are_unequal():
+    """``!=`` is the negation of ``==``, not a comparison of rows."""
+    a = TraceRecord(1.0, tt.PACKET_SEND, ("uid", "bytes"), (3, 64))
+    b = TraceRecord(1.0, tt.PACKET_SEND, ("uid", "bytes"), (3, 65))
+    same = TraceRecord(1.0, tt.PACKET_SEND, ("uid", "bytes"), (3, 64))
+    assert a != b and not a == b
+    assert a == same and not a != same
+    # Equal fields in another order are one record, as with a dict.
+    swapped = TraceRecord(1.0, tt.PACKET_SEND, ("bytes", "uid"), (64, 3))
+    assert a == swapped and not a != swapped
+    # A record is never equal to a plain tuple, even to its own row.
+    row = (("uid", "bytes"), 1.0, tt.PACKET_SEND, 3, 64)
+    assert a != row and row != a and not a == row and not row == a
+
+
+def test_a_record_survives_pickle_and_copy():
+    import copy
+    import pickle
+
+    tracer = Tracer(clock=lambda: 2.5)
+    tracer.emit(tt.PACKET_SEND, ("uid", "flow"), (9, (1, 2, 6, 3, 4)))
+    tracer.emit(tt.FAILOVER, chain="c0", dead="s1")
+    for record in tracer.tail():
+        for clone in (pickle.loads(pickle.dumps(record)),
+                      copy.copy(record), copy.deepcopy(record)):
+            assert type(clone) is TraceRecord
+            assert clone == record and not clone != record
+            assert (clone.ts, clone.type, clone.keys, clone.values) == (
+                record.ts, record.type, record.keys, record.values)
+
+
+def test_a_ring_record_holds_no_tuple_of_its_own_but_its_keys():
+    """A retained record is one object: of everything it references, the
+    only tuple is the key tuple its shape shares, so no value tuple hangs
+    off it."""
+    import gc
+
+    tracer = Tracer(clock=lambda: 1.0)
+    keys = ("uid", "flow", "bytes")
+    tracer.emit(tt.PACKET_SEND, keys, (1, "10.0.0.1:5", 64))
+    tracer.emit(tt.PACKET_SEND, keys, (2, "10.0.0.1:6", 64))
+    tracer.emit(tt.FAILOVER, chain="c0", dead="s1")
+    first, second, keyword = tracer.tail()
+    for record in (first, second):
+        tuples = [r for r in gc.get_referents(record) if type(r) is tuple]
+        assert len(tuples) == 1 and tuples[0] is keys
+    tuples = [r for r in gc.get_referents(keyword) if type(r) is tuple]
+    assert tuples == [("chain", "dead")]
+    assert tuples[0] is tracer._shapes[("chain", "dead")]
 
 
 def _traced_run(seed: int):
