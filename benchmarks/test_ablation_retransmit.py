@@ -12,6 +12,7 @@ from __future__ import annotations
 from repro import RedPlaneConfig, Simulator, deploy
 from repro.analysis import percentile
 from repro.apps.counter import SyncCounterApp
+from repro.net.links import LinkImpairment
 from repro.net.packet import Packet
 
 from _bench_utils import emit, print_header, print_rows
@@ -23,8 +24,9 @@ PACKETS = 400
 
 def measure(timeout_us: float):
     sim = Simulator(seed=19)
-    dep = deploy(sim, SyncCounterApp, link_loss=LOSS,
+    dep = deploy(sim, SyncCounterApp,
                  config=RedPlaneConfig(retransmit_timeout_us=timeout_us))
+    dep.bed.impair_fabric(LinkImpairment(drop_rate=LOSS))
     e1, s11 = dep.bed.externals[0], dep.bed.servers[0]
     delivered = []
     s11.default_handler = lambda pkt: delivered.append(sim.now)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from repro import RedPlaneConfig, Simulator, deploy
 from repro.apps.counter import SyncCounterApp
+from repro.net.links import LinkImpairment
 from repro.net.packet import Packet
 
 from _bench_utils import emit, print_header, print_rows
@@ -48,8 +49,9 @@ def measure_peak_buffer(rate_gbps: float, loss: float) -> float:
     # Single-node store: chain replication would re-ship the piggybacked
     # stream across the fabric and saturate links at high rates, which is
     # orthogonal to the buffer question this figure isolates.
-    dep = deploy(sim, SyncCounterApp, link_loss=loss, chain_length=1,
+    dep = deploy(sim, SyncCounterApp, chain_length=1,
                  config=RedPlaneConfig(retransmit_timeout_us=1_000.0))
+    dep.bed.impair_fabric(LinkImpairment(drop_rate=loss))
     # Destination in rack 2: the data path (agg -> tor2) and the
     # replication path (agg -> tor1, where the store head lives) use
     # disjoint links, as in the testbed, so neither saturates the other.

@@ -161,10 +161,8 @@ def _run_deployed(campaign, seed, sim, backend_factory,
                  chain_length=campaign.chain_length,
                  backend_factory=backend_factory)
 
-    monitor = InvariantMonitor(
-        sim, dep.stores, engines=list(dep.engines.values()),
-        track_monotonic_values=True,
-    )
+    monitor = InvariantMonitor(sim, dep.stores,
+                               engines=list(dep.engines.values()))
     coordinator: Optional[StoreFailoverCoordinator] = None
     if campaign.coordinator:
         coordinator = StoreFailoverCoordinator(

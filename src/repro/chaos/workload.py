@@ -69,7 +69,7 @@ class CounterWorkload:
         """Inputs from every switch's engine history, outputs from the sink.
 
         Raises ``ValueError`` if an engine was deployed without
-        ``RedPlaneConfig(record_history=True)``: its history would have
+        ``RedPlaneConfig(record_history=True)``: the history would have
         outputs and no inputs.
         """
         history = FlowHistory()
@@ -79,8 +79,7 @@ class CounterWorkload:
                     f"engine {engine.switch.name} records no history: "
                     f"deploy with RedPlaneConfig(record_history=True)")
             for event in engine.history:
-                if event.kind == "input":
-                    history.add_input(event.trace_id, None, event.time)
+                history.add_input(event.trace_id, None, event.time)
         for trace_id, (value, time) in self.outputs.items():
             history.add_output(trace_id, value, time)
         return history

@@ -100,22 +100,21 @@ class RedPlaneConfig:
     #: T_snap of bounded-inconsistency apps (§5.4); Fig 11 sweeps it.
     snapshot_period_us: float = constants.SNAPSHOT_PERIOD_US
     max_flows: int = 4096
-    #: Record input/output events for linearizability checking. Off by
-    #: default: the history grows by two events per app packet, and only
-    #: a linearizability check reads it, so the code that checks opts in.
+    #: Record input events for linearizability checking (the outputs are
+    #: what the receiver sees). Off by default: the history grows by one
+    #: event per app packet, and only a linearizability check reads it,
+    #: so the code that checks opts in.
     record_history: bool = False
 
 
 @dataclass(slots=True)
 class HistoryEvent:
-    """One event of a history (Definition 2): an input or an output."""
+    """One input event of a history (Definition 2)."""
 
-    kind: str  # "input" | "output"
     key: FlowKey
     trace_id: int
     time: float
     switch: str
-    info: Tuple = ()
 
 
 @dataclass
@@ -281,7 +280,7 @@ class RedPlaneEngine(ControlBlock):
 
         self._c["app_packets"].value += 1
         if self.config.record_history and not pkt.meta.get("rp_reinjected"):
-            self._record("input", key, pkt)
+            self._record(key, pkt)
 
         if self.mode is RedPlaneMode.BOUNDED_INCONSISTENCY:
             # Bounded mode has no per-packet coordination at all (§4.4):
@@ -356,8 +355,6 @@ class RedPlaneEngine(ControlBlock):
             ctx.drop()
             return False
         self._c["fast_path_forwards"].value += 1
-        if self.config.record_history:
-            self._record("output", key, ctx.pkt)
         return True
 
     def _leased_path(
@@ -422,8 +419,6 @@ class RedPlaneEngine(ControlBlock):
 
         self._maybe_renew_lease(ctx, key, idx, now)
         self._c["fast_path_forwards"].value += 1
-        if self.config.record_history:
-            self._record("output", key, pkt)
         return True  # line-rate fast path: normal L3 forwarding
 
     def _maybe_renew_lease(
@@ -597,8 +592,6 @@ class RedPlaneEngine(ControlBlock):
                 if resp_uid is not None:
                     out.meta["parent_uid"] = resp_uid
                 self._c["piggybacks_released"].value += 1
-                if self.config.record_history:
-                    self._record("output", msg.flow_key, out)
                 ctx.emit(out)
 
     def _handle_read_buffer_ack(
@@ -614,8 +607,6 @@ class RedPlaneEngine(ControlBlock):
                 if resp_uid is not None:
                     out.meta["parent_uid"] = resp_uid
                 self._c["piggybacks_released"].value += 1
-                if self.config.record_history:
-                    self._record("output", msg.flow_key, out)
                 ctx.emit(out)
         else:
             # The gating update is still unacknowledged: bounce the packet
@@ -872,14 +863,13 @@ class RedPlaneEngine(ControlBlock):
         self._g_flow_table.set(len(self._flow_idx))
         return reclaimed
 
-    def _record(self, kind: str, key: FlowKey, pkt: Packet) -> None:
-        """Append one history event. Callers test
+    def _record(self, key: FlowKey, pkt: Packet) -> None:
+        """Append one input event to the history. Callers test
         ``config.record_history`` first, so a run that keeps no history
         enters no frame here."""
         trace_id = pkt.ip.identification if pkt.ip is not None else 0
         self.history.append(
             HistoryEvent(
-                kind=kind,
                 key=key,
                 trace_id=trace_id,
                 time=self.switch.sim.now,

@@ -59,8 +59,6 @@ def deploy(
     num_shards: int = 1,
     chain_length: int = 3,
     config: Optional[RedPlaneConfig] = None,
-    link_loss: float = 0.0,
-    link_reorder: float = 0.0,
     backend_factory: Optional[BackendFactory] = None,
 ) -> Deployment:
     """Build the testbed and attach a RedPlane-enabled app to each agg switch.
@@ -97,13 +95,7 @@ def deploy(
             backend=backend,
         )
 
-    bed = build_testbed(
-        sim,
-        agg_factory=make_agg,
-        store_factory=make_store,
-        link_loss=link_loss,
-        link_reorder=link_reorder,
-    )
+    bed = build_testbed(sim, agg_factory=make_agg, store_factory=make_store)
     stores: List[StateStoreNode] = list(bed.store_servers)  # type: ignore[arg-type]
 
     heads: List[ShardAddress] = []

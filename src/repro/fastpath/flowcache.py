@@ -104,7 +104,7 @@ def replay_app(entry, eng, switch, pkt, ip):
     key = entry.key
     eng._c["app_packets"].inc()
     if eng.config.record_history and not pkt.meta.get("rp_reinjected"):
-        eng._record("input", key, pkt)
+        eng._record(key, pkt)
     idx = eng._flow_index(key)
     now = switch.sim.now
     lease_expiry = eng.reg_lease_expiry.read(ctx, idx)

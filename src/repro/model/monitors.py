@@ -14,7 +14,8 @@ Monitored invariants:
 * **sequence monotonicity** — a replica's applied sequence number for a
   flow never decreases (``SequenceMonotonicity``, Fig 6b);
 * **no value regression** — a record's first value never falls below one
-  the replica held before (``ValueRegression``, counter-style apps).
+  the replica held before (``ValueRegression``; always checked, so the
+  monitor audits apps whose first value only grows, as counters do).
 
 The first two are checked where an engine installs or renews a lease
 (``RedPlaneEngine._extend_lease``), the last two where a replica writes a
@@ -57,11 +58,9 @@ class InvariantMonitor:
         sim: Simulator,
         stores: List[StateStoreNode],
         engines: Optional[list] = None,
-        track_monotonic_values: bool = False,
     ) -> None:
         self.sim = sim
         self.engines = list(engines or [])
-        self.track_monotonic_values = track_monotonic_values
         self.violations: List[Violation] = []
         self._last_seq: Dict[Tuple[str, FlowKey], int] = {}
         self._last_vals: Dict[Tuple[str, FlowKey], List[int]] = {}
@@ -75,7 +74,7 @@ class InvariantMonitor:
     def _sample(self, store: StateStoreNode, key: FlowKey,
                 rec: FlowRecord) -> None:
         """``store`` has just written ``rec``: its sequence number and
-        (when tracked) first value must not fall below earlier ones.
+        first value must not fall below earlier ones.
         ``bench/trace.py`` times this method as the ``model`` layer."""
         tag = (store.name, key)
         prev = self._last_seq.get(tag)
@@ -83,7 +82,7 @@ class InvariantMonitor:
             self._violate("SequenceMonotonicity",
                           f"{store.name} {key}: {prev} -> {rec.last_seq}")
         self._last_seq[tag] = rec.last_seq
-        if self.track_monotonic_values and rec.vals:
+        if rec.vals:
             prev_vals = self._last_vals.get(tag)
             if prev_vals is not None and rec.vals[0] < prev_vals[0]:
                 self._violate("ValueRegression",

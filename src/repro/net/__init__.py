@@ -2,8 +2,9 @@
 
 This package models the hardware testbed of the RedPlane paper (Appendix D)
 in software: a microsecond-resolution discrete-event simulator, byte-accurate
-packet headers, links with latency / bandwidth / loss / reordering, L3
-switches with ECMP routing, and failure injection.
+packet headers, links with latency and bandwidth that faults can cut or
+impair (loss, corruption, duplication, jitter), L3 switches with ECMP
+routing, and failure injection.
 """
 
 from repro.net.simulator import Simulator

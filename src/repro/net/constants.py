@@ -15,9 +15,6 @@ LINK_LATENCY_US = 0.35
 #: 100 GbE).
 LINK_BANDWIDTH_GBPS = 100.0
 
-#: Extra delay applied to reordered packets (us).
-REORDER_EXTRA_US = 12.0
-
 # --- Switch ASIC -----------------------------------------------------------
 
 #: Time for a packet to traverse one switch pipeline (ingress+egress), us.

@@ -1,19 +1,19 @@
 """Nodes, ports, and point-to-point links.
 
 A :class:`Link` connects two :class:`Port` objects and models one-way
-propagation latency, store-and-forward serialization delay, random loss,
-and reordering. Links can be administratively or fault-injected down; a
-packet entering a down link is silently dropped, exactly like a cut fiber.
+propagation latency and store-and-forward serialization delay. Links can
+be administratively or fault-injected down; a packet entering a down link
+is silently dropped, exactly like a cut fiber.
 
-Beyond clean fail-stop, a link direction can carry a
-:class:`LinkImpairment` — the *gray failure* modes that production link
-studies (LinkGuardian) show are the hard case precisely because routing
-does not react to them: extra random loss, FCS corruption (the frame
-crosses the wire, burns bandwidth, and is discarded by the receiving
-MAC), duplication, delay jitter, degraded line rate, and one-way
-blackholing (asymmetric partition). Impairments are per *direction* (keyed
-by the sending port), drawn from the simulator's seeded RNG, and leave
-routing beliefs untouched.
+Everything else that degrades a link is a :class:`LinkImpairment` on one
+direction — the *gray failure* modes that production link studies
+(LinkGuardian) show are the hard case precisely because routing does not
+react to them: random loss, FCS corruption (the frame crosses the wire,
+burns bandwidth, and is discarded by the receiving MAC), duplication,
+delay jitter (which reorders packets), degraded line rate, and one-way
+blackholing (asymmetric partition). Impairments are per *direction*
+(keyed by the sending port), drawn from the simulator's seeded RNG, and
+leave routing beliefs untouched.
 
 Each direction is a :class:`Lane`: what is fixed by the topology is
 resolved once there, and ``Link.transmit`` does constant work per packet
@@ -41,14 +41,15 @@ class LinkImpairment:
     indistinguishable from a healthy direction.
     """
 
-    #: Additional random loss on top of the link's base ``loss_rate``.
+    #: Random loss (drop reason ``gray_loss``).
     drop_rate: float = 0.0
     #: FCS corruption: the frame is serialized and delivered, then dropped
     #: by the receiving MAC — bandwidth is spent, the packet is not.
     corrupt_rate: float = 0.0
     #: The frame is duplicated on the wire (both copies delivered).
     duplicate_rate: float = 0.0
-    #: Uniform extra propagation delay in ``[0, jitter_us]`` per packet.
+    #: Uniform extra propagation delay in ``[0, jitter_us]`` per packet;
+    #: a jitter above the gap between two packets can reorder them.
     jitter_us: float = 0.0
     #: Line-rate multiplier in ``(0, 1]``; e.g. 0.1 = link degraded to 10%.
     bandwidth_scale: float = 1.0
@@ -201,15 +202,9 @@ class Link:
         b: Port,
         latency_us: float = constants.LINK_LATENCY_US,
         bandwidth_gbps: float = constants.LINK_BANDWIDTH_GBPS,
-        loss_rate: float = 0.0,
-        reorder_rate: float = 0.0,
         name: Optional[str] = None,
     ) -> None:
         # Comparisons written so that NaN fails them.
-        for rate_name, rate in (("loss_rate", loss_rate),
-                                ("reorder_rate", reorder_rate)):
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{rate_name} must be in [0, 1], got {rate}")
         if not latency_us >= 0.0:
             raise ValueError(
                 f"latency_us must be non-negative, got {latency_us}")
@@ -225,8 +220,6 @@ class Link:
         b.link = self
         self.latency_us = latency_us
         self.bandwidth_gbps = bandwidth_gbps
-        self.loss_rate = loss_rate
-        self.reorder_rate = reorder_rate
         self.up = True
         self.name = name or f"{a.node.name}<->{b.node.name}"
         # Counter handles are cached (here and per direction in the lanes)
@@ -283,11 +276,10 @@ class Link:
         """Send a packet from ``src_port`` toward the other end — the
         first event of a hop, or ``Port.send``'s synchronous call.
 
-        A direction in the trivial condition (link up, no loss, reorder
-        or impairment) draws no randomness and can drop nothing at the
-        sending end, so it skips straight from the send record to the
-        serialization arithmetic; anything else runs every
-        verdict below. The choice is re-made per packet from the link's
+        A direction in the trivial condition (link up, no impairment)
+        draws no randomness and can drop nothing at the sending end, so
+        it skips straight from the send record to the serialization
+        arithmetic; anything else runs every verdict below. The choice is re-made per packet from the link's
         current state, and both branches produce the same records,
         counters and event for a packet both could carry.
         """
@@ -313,7 +305,7 @@ class Link:
         kind = meta.get("rp_kind", "app")
         parent = meta.get("parent_uid")
         # The send record marks the packet *entering* the link direction —
-        # emitted before the down/partition/loss verdicts so every
+        # emitted before the down/partition/gray-loss verdicts so every
         # wire-level drop pairs with an origin (span completeness).
         # ``flow`` and ``parent`` are present only when set, so each
         # combination is its own row: a literal key tuple (a constant,
@@ -341,12 +333,7 @@ class Link:
                 (self.name, lane.dir_name, nbytes, uid, kind, parent))
         now = sim.now
         impairment = lane.impairment
-        if (
-            self.up
-            and impairment is None
-            and not self.loss_rate
-            and not self.reorder_rate
-        ):
+        if self.up and impairment is None:
             lane.ctr_tx_bytes.value += nbytes
             lane.ctr_tx_packets.value += 1
             ser_us = (nbytes * 8) / (self.bandwidth_gbps * 1000.0)
@@ -360,48 +347,32 @@ class Link:
         if not self.up:
             self._drop(pkt, lane, "down", nbytes)
             return
-        if impairment is not None and impairment.blocked:
+        if impairment.blocked:
             # Asymmetric partition: this direction is a silent blackhole.
             self._drop(pkt, lane, "partition", nbytes)
             return
         lane.ctr_tx_bytes.value += nbytes
         lane.ctr_tx_packets.value += 1
         rng = sim.rng
-        if self.loss_rate > 0.0 and rng.random() < self.loss_rate:
-            self._drop(pkt, lane, "loss", nbytes)
+        if impairment.drop_rate > 0.0 and rng.random() < impairment.drop_rate:
+            self._drop(pkt, lane, "gray_loss", nbytes)
             return
-        rate_gbps = self.bandwidth_gbps
         corrupted = False
         duplicated = False
         jitter_us = 0.0
-        if impairment is not None:
-            if (impairment.drop_rate > 0.0
-                    and rng.random() < impairment.drop_rate):
-                self._drop(pkt, lane, "gray_loss", nbytes)
-                return
-            rate_gbps *= impairment.bandwidth_scale
-            if impairment.corrupt_rate > 0.0:
-                corrupted = rng.random() < impairment.corrupt_rate
-            if impairment.duplicate_rate > 0.0:
-                duplicated = rng.random() < impairment.duplicate_rate
-            if impairment.jitter_us > 0.0:
-                jitter_us = rng.random() * impairment.jitter_us
+        if impairment.corrupt_rate > 0.0:
+            corrupted = rng.random() < impairment.corrupt_rate
+        if impairment.duplicate_rate > 0.0:
+            duplicated = rng.random() < impairment.duplicate_rate
+        if impairment.jitter_us > 0.0:
+            jitter_us = rng.random() * impairment.jitter_us
         # Store-and-forward with per-direction serialization queueing.
         start = max(now, lane.busy_until)
         copies = 2 if duplicated else 1
+        rate_gbps = self.bandwidth_gbps * impairment.bandwidth_scale
         ser_us = (nbytes * 8) / (rate_gbps * 1000.0)
         lane.busy_until = start + ser_us * copies
         delay = (start + ser_us - now) + self.latency_us + jitter_us
-        if self.reorder_rate > 0.0 and rng.random() < self.reorder_rate:
-            delay += constants.REORDER_EXTRA_US * rng.random()
-            sim.metrics.counter("link.reordered").inc()
-            emit(
-                tt.PACKET_REORDER,
-                link=self.name,
-                dir=lane.dir_name,
-                delay_us=delay,
-                uid=uid,
-            )
         sim.schedule(delay, self._deliver, pkt, lane, corrupted)
         if duplicated:
             # The duplicate serializes right behind the original and is a

@@ -61,7 +61,7 @@ class Simulator:
     ----------
     seed:
         Seed for the simulator-owned :class:`random.Random`. All stochastic
-        behaviour (link loss, reordering, workload generation) must draw
+        behaviour (link impairments, workload generation) must draw
         from :attr:`rng` so that a run is reproducible from its seed.
     trace_ring:
         Capacity of the trace ring; ``None`` keeps every record, ``0``

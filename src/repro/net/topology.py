@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.net import constants
 from repro.net.hosts import Host
-from repro.net.links import Link, Node, Port
+from repro.net.links import Link, LinkImpairment, Node, Port
 from repro.net.packet import ip_aton
 from repro.net.routing import L3Switch
 from repro.net.simulator import Simulator
@@ -119,6 +119,8 @@ class Testbed:
     servers: List[Host] = field(default_factory=list)      # internal, 2 per rack
     externals: List[Host] = field(default_factory=list)    # behind the core layer
     store_servers: List[Host] = field(default_factory=list)
+    #: The nine switch-to-switch links (core-agg, agg-tor, core peer).
+    fabric: List[Link] = field(default_factory=list)
 
     def node(self, name: str) -> Node:
         return self.topology.nodes[name]
@@ -128,6 +130,12 @@ class Testbed:
             if host.ip == ip:
                 return host
         raise KeyError(f"no host with ip {ip}")
+
+    def impair_fabric(self, impairment: LinkImpairment) -> None:
+        """Impair both directions of every fabric link (host links stay
+        clean), which is where replication traffic crosses the network."""
+        for link in self.fabric:
+            link.impair(impairment)
 
     def anycast_to_aggs(self, ip: int, from_racks: bool = False) -> None:
         """Route the service address ``ip``/32 to the aggregation switches.
@@ -166,21 +174,16 @@ def build_testbed(
     sim: Simulator,
     agg_factory: AggFactory = _default_agg_factory,
     store_factory: HostFactory = _default_host_factory,
-    link_loss: float = 0.0,
-    link_reorder: float = 0.0,
 ) -> Testbed:
     """Construct the three-layer testbed of Appendix D.
 
     ``agg_factory(sim, name, loopback_ip)`` builds the two aggregation-layer
     switches; pass a factory producing programmable
     :class:`~repro.switch.asic.SwitchASIC` nodes to run in-switch apps.
-    ``link_loss`` / ``link_reorder`` apply to the switch-to-switch fabric
-    links only (host links stay clean), which is where replication traffic
-    can be lost or reordered.
+    A lossy or reordering fabric is :meth:`Testbed.impair_fabric`.
     """
     topo = Topology(sim)
     bed = Testbed(sim=sim, topology=topo)
-    fabric_kwargs = {"loss_rate": link_loss, "reorder_rate": link_reorder}
 
     cores = [L3Switch(sim, f"core{i + 1}") for i in range(2)]
     aggs = [
@@ -197,12 +200,13 @@ def build_testbed(
     core_agg = {}
     for core in cores:
         for agg in aggs:
-            core_agg[(core.name, agg.name)] = topo.connect(core, agg, **fabric_kwargs)
+            core_agg[(core.name, agg.name)] = topo.connect(core, agg)
     agg_tor = {}
     for agg in aggs:
         for tor in tors:
-            agg_tor[(agg.name, tor.name)] = topo.connect(agg, tor, **fabric_kwargs)
-    core_peer = topo.connect(cores[0], cores[1], **fabric_kwargs)
+            agg_tor[(agg.name, tor.name)] = topo.connect(agg, tor)
+    core_peer = topo.connect(cores[0], cores[1])
+    bed.fabric = [*core_agg.values(), *agg_tor.values(), core_peer]
 
     # Hosts: two workload servers and one state-store server per rack.
     for rack, tor in enumerate(tors, start=1):

@@ -55,7 +55,6 @@ _INSTANT_HOMES: Dict[str, Tuple[int, str, str]] = {
     tt.RETRANSMIT: (PID_REDPLANE, "switch", "engine"),
     tt.SNAPSHOT: (PID_REDPLANE, "switch", "engine"),
     tt.PACKET_DUP: (PID_NETWORK, "dir", "wire"),
-    tt.PACKET_REORDER: (PID_NETWORK, "dir", "wire"),
     tt.FAILOVER: (PID_STORE, "evicted", "coordinator"),
 }
 

@@ -54,7 +54,6 @@ TRACE_EVENTS: Dict[str, EventSpec] = {
     ),
     tt.PACKET_DELIVER: _spec(("link", "dir", "node", "uid")),
     tt.PACKET_DROP: _spec(("link", "dir", "reason", "bytes", "uid")),
-    tt.PACKET_REORDER: _spec(("link", "dir", "delay_us", "uid")),
     tt.PACKET_DUP: _spec(("link", "dir", "bytes", "uid", "parent")),
     tt.RP_REQUEST: _spec(
         ("switch", "kind", "flow", "seq", "uid"), ("parent",)
@@ -127,7 +126,6 @@ METRICS: Tuple[MetricSpec, ...] = (
     _m("link.tx_packets", "counter", "link", "dir"),
     _m("link.duplicated", "counter", "link"),
     _m("link.drops", "counter", "link", "reason"),
-    _m("link.reordered", "counter"),
     _m("mirror.active_copies", "gauge", "switch", "session"),
     _m("mirror.copies_total", "counter", "switch", "session"),
     _m("switch.buffer_occupancy_bytes", "gauge", "switch"),

@@ -40,7 +40,7 @@ ORIGIN_TYPES = frozenset({tt.PACKET_SEND, tt.PACKET_DUP})
 TERMINAL_TYPES = frozenset({tt.PACKET_DELIVER, tt.PACKET_DROP})
 #: All trace types that reference a span by ``uid``.
 SPAN_TYPES = ORIGIN_TYPES | TERMINAL_TYPES | frozenset(
-    {tt.PACKET_REORDER, tt.RP_REQUEST, tt.RP_ACK, tt.RETRANSMIT}
+    {tt.RP_REQUEST, tt.RP_ACK, tt.RETRANSMIT}
 )
 
 

@@ -27,8 +27,7 @@ type                   emitted when
 =====================  ====================================================
 ``packet.send``        a packet enters a link direction (even if dropped)
 ``packet.deliver``     a packet reaches the node at the far end of a link
-``packet.drop``        a packet dies (loss, down link, dead node)
-``packet.reorder``     a link delays a packet past its successors
+``packet.drop``        a packet dies (gray loss, down link, dead node)
 ``packet.dup``         an impaired link duplicates a packet on the wire
 ``rp.request``         the protocol engine creates one request packet
 ``rp.ack``             an acknowledged request copy is released (with RTT)
@@ -59,7 +58,6 @@ from typing import (Any, Callable, Deque, Dict, Iterator, List, Optional,
 PACKET_SEND = "packet.send"
 PACKET_DELIVER = "packet.deliver"
 PACKET_DROP = "packet.drop"
-PACKET_REORDER = "packet.reorder"
 PACKET_DUP = "packet.dup"
 RP_REQUEST = "rp.request"
 RP_ACK = "rp.ack"

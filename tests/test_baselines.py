@@ -19,6 +19,7 @@ from repro.baselines import (
     memory_overhead,
     tunnel_to_nf,
 )
+from repro.net.links import LinkImpairment
 from repro.net.packet import Packet, TCP_SYN, ip_aton
 from repro.net.topology import build_testbed
 from repro.switch.asic import SwitchASIC
@@ -198,8 +199,8 @@ def test_switch_chain_replicates_but_reordering_corrupts():
     bed = build_testbed(
         sim,
         agg_factory=lambda s, n, ip: SwitchASIC(s, n, ip),
-        link_reorder=0.4,
     )
+    bed.impair_fabric(LinkImpairment(jitter_us=12.0))
     head_sw, backup_sw = bed.aggs
     app = SyncCounterApp()
     head = SwitchChainHead(head_sw, app, backup_ip=backup_sw.ip)

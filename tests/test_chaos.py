@@ -1,6 +1,7 @@
 """Tests for the chaos engine: campaigns, verdict reports, determinism,
 and the CLI entry point."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -15,6 +16,7 @@ from repro.chaos.fuzz import run_spec
 from repro.chaos.workload import EchoCounterApp
 from repro.fastpath import FastPath
 from repro.tools.runner import main as tools_main
+from repro.workloads.failures import FaultSpec
 
 #: sha256(verdict_json(report))[:16] of every named campaign at seed 42.
 #: A verdict is a pure function of (campaign data, seed): these move only
@@ -52,6 +54,8 @@ def test_campaign_inventory_is_complete():
 def test_topology_indices_name_the_links_and_stores_they_say():
     dep = deploy(Simulator(seed=1), EchoCounterApp)
     names = [link.name for link in dep.bed.topology.links]
+    assert dep.bed.fabric == [dep.bed.topology.links[i]
+                              for i in topo.FABRIC_LINKS]
     assert names[topo.AGG1_TOR1] == "agg1<->tor1"
     assert names[topo.TOR1_ST1] == "tor1<->st1"
     assert [names[i] for i in topo.CORE_AGG_LINKS] == [
@@ -220,3 +224,26 @@ def test_campaign_verdict_identical_with_fastpath(name):
     assert result.monitor.sim.fastpath.stats()["flow_cache"]["hits"] > 0
     digest = hashlib.sha256(verdict_json(result.report).encode()).hexdigest()
     assert digest[:16] == VERDICT_SHA16[name]
+
+
+@pytest.mark.parametrize("jitter_us, from_node, violated", [
+    (8_000.0, "st1", set()),
+    (20_000.0, "st1", {"LeaseAgreement"}),
+    (20_000.0, "tor1", set()),
+], ids=["8ms_from_st1", "20ms_from_st1", "20ms_from_tor1"])
+def test_lease_agreement_holds_while_grants_arrive_within_the_margin(
+        jitter_us, from_node, violated):
+    """The switch counts its lease from the grant's arrival, so it
+    believes in the lease past the store's grant once the store->switch
+    delay exceeds ``LEASE_MARGIN_US`` (10 ms): docs/PROTOCOL.md,
+    "Message flows". ``duplicate_storm`` with its impairment replaced by
+    one-way jitter on tor1<->st1 from 100 ms to 400 ms."""
+    campaign = dataclasses.replace(CAMPAIGNS["duplicate_storm"], faults=(
+        FaultSpec.make("impair_link", 100_000.0, link=topo.TOR1_ST1,
+                       jitter_us=jitter_us, from_node=from_node),
+        FaultSpec.make("clear_link", 400_000.0, link=topo.TOR1_ST1),
+    ))
+    result = run_campaign_result(campaign, seed=42)
+    assert {v.invariant for v in result.monitor.violations} == violated
+    assert result.report["verdict"] == ("FAIL" if violated else "PASS")
+    assert result.report["linearizable"]

@@ -41,6 +41,7 @@ from repro.core.protocol import (
     make_protocol_packet,
     parse_protocol_packet,
 )
+from repro.net.links import LinkImpairment
 from repro.net.packet import TCP_ACK, TCP_SYN, FlowKey, Packet
 from repro.scenarios import get_scenario
 from repro.statestore import codec
@@ -209,7 +210,8 @@ def test_every_builtin_app(probe):
 
 def test_lossy_sync_counter_with_resends(probe):
     sim = Simulator(seed=11)
-    dep = deploy(sim, SyncCounterApp, link_loss=0.02)
+    dep = deploy(sim, SyncCounterApp)
+    dep.bed.impair_fabric(LinkImpairment(drop_rate=0.02))
     e1, s11 = dep.bed.externals[0], dep.bed.servers[0]
     for i in range(300):
         sim.schedule_at(i * 20.0, e1.send,

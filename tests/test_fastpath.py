@@ -11,7 +11,7 @@ from repro import RedPlaneConfig, Simulator, deploy, identity
 from repro.apps.counter import SyncCounterApp
 from repro.apps.nat import NatApp
 from repro.fastpath import FastPath
-from repro.net.links import Link, SinkNode
+from repro.net.links import Link, LinkImpairment, SinkNode
 from repro.net.packet import Packet
 from repro.shard.runner import resolve, run_reference
 
@@ -211,7 +211,8 @@ def test_impaired_link_falls_back_to_reference_path():
         sim = Simulator(seed=21)
         a = SinkNode(sim, "a")
         b = SinkNode(sim, "b")
-        Link(sim, a.new_port(), b.new_port(), loss_rate=0.3)
+        link = Link(sim, a.new_port(), b.new_port())
+        link.impair(LinkImpairment(drop_rate=0.3))
         if fastpath:
             FastPath.install(sim)
         for _ in range(200):

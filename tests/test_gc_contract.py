@@ -28,6 +28,7 @@ from repro.apps.nat import NatApp
 from repro.chaos.campaigns import CAMPAIGNS
 from repro.chaos.runner import run_campaign_result
 from repro.core.engine import HistoryEvent
+from repro.net.links import LinkImpairment
 from repro.net.packet import Packet
 from repro.net.simulator import Simulator
 from repro.scenarios import SCENARIOS
@@ -126,7 +127,8 @@ def test_lossy_write_path_makes_no_cyclic_garbage(drains):
     cancels its pending pass — ``MirrorCopy.event`` points at the
     pass's queue entry, whose args point back at the copy until then."""
     sim = Simulator(seed=3)
-    bed = deploy(sim, SyncCounterApp, link_loss=0.02).bed
+    bed = deploy(sim, SyncCounterApp).bed
+    bed.impair_fabric(LinkImpairment(drop_rate=0.02))
     sender, receiver = bed.externals[0], bed.servers[0]
 
     def send():

@@ -10,6 +10,7 @@ from repro.apps import NatApp
 from repro.apps.counter import SyncCounterApp
 from repro.core.app import AppVerdict
 from repro.model.linearizability import FlowHistory, check_counter_history
+from repro.net.links import LinkImpairment
 from repro.net.packet import Packet
 from repro.workloads.tcp import TcpReceiver, TcpSender
 
@@ -27,7 +28,7 @@ class EchoCounterApp(SyncCounterApp):
         return AppVerdict.FORWARD
 
 
-#: Engines record their input/output history only when asked to.
+#: Engines record their input history only when asked to.
 HISTORY = RedPlaneConfig(record_history=True)
 
 
@@ -38,8 +39,7 @@ def collect_history(dep, outputs):
         if not engine.config.record_history:
             raise ValueError(f"engine {engine.switch.name} records no history")
         for event in engine.history:
-            if event.kind == "input":
-                history.add_input(event.trace_id, None, event.time)
+            history.add_input(event.trace_id, None, event.time)
     for trace_id, (value, time) in outputs.items():
         history.add_output(trace_id, value, time)
     return history
@@ -80,7 +80,8 @@ def test_lossy_history_still_linearizable():
     """§4.2: lost inputs/outputs are permitted anomalies; what does come
     out must still be consistent with SOME sequential order."""
     sim = Simulator(seed=17)
-    dep = deploy(sim, EchoCounterApp, config=HISTORY, link_loss=0.08)
+    dep = deploy(sim, EchoCounterApp, config=HISTORY)
+    dep.bed.impair_fabric(LinkImpairment(drop_rate=0.08))
     outputs = run_echo_counter(sim, dep, 8, gap_us=2000.0)
     sim.run(until=10_000_000)
     history = collect_history(dep, outputs)
@@ -89,7 +90,8 @@ def test_lossy_history_still_linearizable():
 
 def test_reordered_history_linearizable():
     sim = Simulator(seed=23)
-    dep = deploy(sim, EchoCounterApp, config=HISTORY, link_reorder=0.4)
+    dep = deploy(sim, EchoCounterApp, config=HISTORY)
+    dep.bed.impair_fabric(LinkImpairment(jitter_us=12.0))
     outputs = run_echo_counter(sim, dep, 8, gap_us=30.0)
     sim.run_until_idle()
     history = collect_history(dep, outputs)

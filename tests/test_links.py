@@ -48,14 +48,15 @@ def test_serialization_scales_with_size_and_bandwidth():
     )
 
 
-def test_loss_rate_drops_packets():
+def test_drop_rate_drops_packets():
     sim = Simulator(seed=1)
-    a, b, link = make_pair(sim, loss_rate=0.5)
+    a, b, link = make_pair(sim)
+    link.impair(LinkImpairment(drop_rate=0.5))
     for _ in range(400):
         a.ports[0].send(Packet.udp(1, 2, 3, 4))
     sim.run_until_idle()
     assert 100 < len(b.received) < 300
-    assert sim.metrics.total("link.drops", reason="loss") == \
+    assert sim.metrics.total("link.drops", reason="gray_loss") == \
         400 - len(b.received)
 
 
@@ -68,9 +69,10 @@ def test_zero_loss_delivers_everything():
     assert len(b.received) == 50
 
 
-def test_reordering_delays_some_packets():
+def test_jitter_reorders_back_to_back_packets():
     sim = Simulator(seed=3)
-    a, b, _link = make_pair(sim, reorder_rate=0.3)
+    a, b, link = make_pair(sim)
+    link.impair(LinkImpairment(jitter_us=12.0))
     for i in range(200):
         pkt = Packet.udp(1, 2, 3, 4)
         pkt.meta["i"] = i
@@ -212,6 +214,8 @@ def test_impairment_validates_parameters():
     with pytest.raises(ValueError):
         LinkImpairment(corrupt_rate=-0.1)
     with pytest.raises(ValueError):
+        LinkImpairment(duplicate_rate=float("nan"))
+    with pytest.raises(ValueError):
         LinkImpairment(jitter_us=-1.0)
     with pytest.raises(ValueError):
         LinkImpairment(bandwidth_scale=0.0)
@@ -220,18 +224,13 @@ def test_impairment_validates_parameters():
 
 
 def test_impairment_rejects_nan_jitter():
-    """A NaN jitter fails the comparison, as ``Link``'s rates do; it is
-    not silently a zero jitter."""
+    """A NaN jitter fails the comparison, as ``Link``'s latency does; it
+    is not silently a zero jitter."""
     with pytest.raises(ValueError):
         LinkImpairment(jitter_us=float("nan"))
 
 
 @pytest.mark.parametrize("link_kwargs", [
-    {"loss_rate": 1.5},
-    {"loss_rate": -0.1},
-    {"loss_rate": float("nan")},
-    {"reorder_rate": 2.0},
-    {"reorder_rate": float("nan")},
     {"latency_us": -1.0},
     {"latency_us": float("nan")},
     {"bandwidth_gbps": 0.0},
@@ -379,29 +378,25 @@ class _CountingRandom(random.Random):
         return super().random()
 
 
-@pytest.mark.parametrize("link_kwargs, impairment, draws_per_packet", [
-    ({"loss_rate": 0.5}, None, 1),
-    ({"reorder_rate": 1.0}, None, 2),
-    ({}, LinkImpairment(), 0),
-    ({}, LinkImpairment(drop_rate=0.5), 1),
-])
+@pytest.mark.parametrize("impairment, draws_per_packet", [
+    (LinkImpairment(), 0),
+    (LinkImpairment(drop_rate=0.5), 1),
+], ids=["zeroed", "drop_rate"])
 def test_non_trivial_direction_always_takes_the_general_branch(
-        link_kwargs, impairment, draws_per_packet):
-    """Every condition the compiled direction skips the checks for keeps
-    it from being taken: the same seeded draws, drops and records as on
-    a link forced down the general branch, packet for packet. A zeroed
-    impairment takes the general branch, draws nothing and drops
-    nothing."""
+        impairment, draws_per_packet):
+    """An impairment keeps the compiled direction from being taken: the
+    same seeded draws, drops and records as on a link forced down the
+    general branch, packet for packet. A zeroed impairment takes the
+    general branch, draws nothing and drops nothing."""
     packets = 40
 
     def run(general):
         sim = Simulator(seed=6)
         sim.rng = _CountingRandom(6)
-        a, b, link = make_pair(sim, bandwidth_gbps=1.0, **link_kwargs)
+        a, b, link = make_pair(sim, bandwidth_gbps=1.0)
         if general:
             _force_general_branch(link)
-        if impairment is not None:
-            link.impair(impairment, direction=a.ports[0])
+        link.impair(impairment, direction=a.ports[0])
         for _ in range(packets):
             a.ports[0].send(Packet.udp(1, 2, 3, 4))
             b.ports[0].send(Packet.udp(2, 1, 4, 3))
@@ -412,16 +407,13 @@ def test_non_trivial_direction_always_takes_the_general_branch(
     default = run(general=False)
     assert default == run(general=True)
     _obs, draws, a_to_b, b_to_a = default
-    if impairment is not None:
-        # Only the impaired direction draws; the healthy reverse does not.
-        assert draws == packets * draws_per_packet
-        assert b_to_a == packets
-        if draws_per_packet:
-            assert 0 < a_to_b < packets
-        else:
-            assert a_to_b == packets
+    # Only the impaired direction draws; the healthy reverse does not.
+    assert draws == packets * draws_per_packet
+    assert b_to_a == packets
+    if draws_per_packet:
+        assert 0 < a_to_b < packets
     else:
-        assert draws == 2 * packets * draws_per_packet
+        assert a_to_b == packets
 
 
 # -- frame budgets: Python frames entered per delivered packet ------------------

@@ -13,7 +13,7 @@ from repro.core.app import AppVerdict
 from repro.core.engine import RedPlaneEngine
 from repro.core.protocol import MessageType, RedPlaneMessage
 from repro.net import constants
-from repro.net.links import Link, SinkNode
+from repro.net.links import Link, LinkImpairment, SinkNode
 from repro.net.packet import Packet, ip_aton
 from repro.scenarios import SCENARIOS
 from repro.switch.asic import SwitchASIC
@@ -41,8 +41,9 @@ def test_copy_released_when_ack_arrives_not_at_timeout():
 
 def test_lost_ack_copy_survives_until_retransmission():
     sim = Simulator(seed=6)
-    dep = deploy(sim, SyncCounterApp, chain_length=1, link_loss=1.0,
+    dep = deploy(sim, SyncCounterApp, chain_length=1,
                  config=RedPlaneConfig(retransmit_timeout_us=500.0))
+    dep.bed.impair_fabric(LinkImpairment(drop_rate=1.0))
     # 100% fabric loss: the request itself is lost; the copy must persist.
     # (Inject at the switch: the fabric would otherwise eat the probe too.)
     e1, s11 = dep.bed.externals[0], dep.bed.servers[0]
@@ -285,7 +286,8 @@ def _never_acked(send_at):
     is mirrored and never acknowledged. Returns the simulator, the engine
     and the ``retransmit`` records' times as they are traced."""
     sim = Simulator(seed=6)
-    dep = deploy(sim, SyncCounterApp, chain_length=1, link_loss=1.0)
+    dep = deploy(sim, SyncCounterApp, chain_length=1)
+    dep.bed.impair_fabric(LinkImpairment(drop_rate=1.0))
     resent = []
     sim.tracer.sinks.append(
         lambda r: resent.append(r.ts) if r.type == tt.RETRANSMIT else None)

@@ -38,8 +38,7 @@ class TestInvariantMonitor:
     @staticmethod
     def monitor(sim, dep):
         return InvariantMonitor(sim, dep.stores,
-                                engines=list(dep.engines.values()),
-                                track_monotonic_values=True)
+                                engines=list(dep.engines.values()))
 
     def test_clean_run_has_no_violations(self, sim, counter_deployment):
         dep = counter_deployment

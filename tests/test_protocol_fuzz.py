@@ -1,7 +1,7 @@
 """Property-based fuzzing of the full protocol stack.
 
 Hypothesis generates adversarial schedules — packet counts, gaps, fabric
-loss and reordering, an optional mid-run switch failure — and every run
+loss and jitter (which reorders), an optional mid-run switch failure — and every run
 must uphold the protocol's global invariants:
 
 * the store's applied sequence number never regresses and never exceeds
@@ -23,6 +23,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro import RedPlaneConfig, Simulator, deploy
 from repro.core.app import AppVerdict
 from repro.apps.counter import SyncCounterApp
+from repro.net.links import LinkImpairment
 from repro.net.packet import Packet
 
 
@@ -40,7 +41,7 @@ schedule = st.fixed_dictionaries({
     "packets": st.integers(min_value=1, max_value=15),
     "gap_us": st.sampled_from([20.0, 200.0, 2_000.0]),
     "loss": st.sampled_from([0.0, 0.03, 0.1]),
-    "reorder": st.sampled_from([0.0, 0.3]),
+    "jitter_us": st.sampled_from([0.0, 12.0]),
     "fail_after": st.one_of(st.none(), st.integers(min_value=1, max_value=10)),
 })
 
@@ -53,10 +54,10 @@ def test_protocol_invariants_under_adversarial_schedules(params):
     dep = deploy(
         sim,
         EchoCounter,
-        link_loss=params["loss"],
-        link_reorder=params["reorder"],
         config=RedPlaneConfig(lease_period_us=100_000.0),
     )
+    dep.bed.impair_fabric(LinkImpairment(drop_rate=params["loss"],
+                                         jitter_us=params["jitter_us"]))
     e1, s11 = dep.bed.externals[0], dep.bed.servers[0]
     outputs = []
 

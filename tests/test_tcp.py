@@ -4,7 +4,7 @@ import pytest
 
 from repro.net import Simulator, build_testbed
 from repro.net.topology import Topology
-from repro.net.links import Link
+from repro.net.links import Link, LinkImpairment
 from repro.workloads.tcp import TcpReceiver, TcpSender
 
 
@@ -13,8 +13,10 @@ def direct_pair(sim, loss=0.0, bandwidth_gbps=1.0):
     sender = TcpSender(sim, "snd", 0x0A000001, dst_ip=0x0A000002,
                        segment_bytes=16 * 1024)
     receiver = TcpReceiver(sim, "rcv", 0x0A000002)
-    Link(sim, sender.nic, receiver.nic, latency_us=10.0,
-         bandwidth_gbps=bandwidth_gbps, loss_rate=loss)
+    link = Link(sim, sender.nic, receiver.nic, latency_us=10.0,
+                bandwidth_gbps=bandwidth_gbps)
+    if loss:
+        link.impair(LinkImpairment(drop_rate=loss))
     return sender, receiver
 
 

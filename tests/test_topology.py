@@ -7,7 +7,7 @@ import pytest
 from repro.apps import BUILTIN_APPS
 from repro.net import Simulator, build_testbed, Packet
 from repro.net.topology import Topology
-from repro.net.links import SinkNode
+from repro.net.links import LinkImpairment, SinkNode
 from tests.conftest import SERVICE_ROUTES
 
 
@@ -101,6 +101,21 @@ def test_duplicate_node_names_rejected():
     topo.add_node(SinkNode(sim, "x"))
     with pytest.raises(ValueError):
         topo.add_node(SinkNode(sim, "x"))
+
+
+def test_impair_fabric_impairs_both_directions_of_the_nine_switch_links():
+    sim = Simulator()
+    bed = build_testbed(sim)
+    impairment = LinkImpairment(drop_rate=0.1)
+    bed.impair_fabric(impairment)
+    switches = set(bed.cores + bed.aggs + bed.tors)
+    assert len(bed.fabric) == 9
+    for link in bed.topology.links:
+        between_switches = {link.a.node, link.b.node} <= switches
+        assert (link in bed.fabric) == between_switches
+        expected = impairment if between_switches else None
+        assert link.impairment_of(link.a) is expected
+        assert link.impairment_of(link.b) is expected
 
 
 def test_host_by_ip():
